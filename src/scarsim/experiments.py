@@ -107,6 +107,10 @@ class ExperimentConfig:
             raise ValueError("zne_factors must be ascending and start at 1.0")
         object.__setattr__(self, "zne_factors", factors)
         object.__setattr__(self, "noise_overrides", dict(self.noise_overrides))
+        unknown = set(self.noise_overrides) - noise.SCALAR_FIELDS
+        if unknown:
+            raise ValueError(f"noise_overrides: not scalar NoiseSpec fields: {sorted(unknown)}")
+        self.noise_spec()  # an invalid preset or override fails here, not mid-run
 
     def model_params(self) -> ModelParams:
         if self.regime == "chaotic":
@@ -122,56 +126,60 @@ class ExperimentConfig:
         return d
 
 
+def _flag(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+# INI section -> {key: converter}; each key is the ExperimentConfig field.
+_INI_FIELDS = {
+    "model": {"sites": int, "steps": int, "v": float, "omega": float, "dt": float},
+    "execution": {"impl": str, "shots": int, "infinite_shots": _flag,
+                  "shots_per_trajectory": int, "seed": int, "trials": int,
+                  "regime": str},
+    "mitigation": {"twirls": int,
+                   "zne_factors": lambda s: tuple(float(x) for x in s.split(",")),
+                   "readout_mode": str, "postselect": _flag, "dd": _flag},
+    "output": {"out": str, "format": str},
+}
+_OVERRIDE = "override."
+
+
+def _noise_key(key: str) -> bool:
+    return key == "preset" or (
+        key.startswith(_OVERRIDE) and key[len(_OVERRIDE):] in noise.SCALAR_FIELDS
+    )
+
+
 def config_from_ini(path, **cli_overrides) -> ExperimentConfig:
     """Build a config from an INI document; keyword overrides win.
 
     Sections mirror the dataclass: [model] sites/steps/v/omega/dt,
-    [execution] impl/shots/infinite_shots/seed/trials/shots_per_trajectory,
-    [noise] preset plus override.<field> entries, [mitigation]
-    twirls/zne_factors/readout_mode/postselect/dd, [output] out/format.
+    [execution] impl/shots/infinite_shots/seed/trials/shots_per_trajectory/
+    regime, [noise] preset plus override.<field> entries for scalar
+    NoiseSpec fields, [mitigation] twirls/zne_factors/readout_mode/
+    postselect/dd, [output] out/format.  Unknown sections and keys are
+    rejected.
     """
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_file(fh)
-    kwargs: dict = {}
-
-    def take(section, key, conv):
-        if cp.has_option(section, key):
-            kwargs[key] = conv(cp.get(section, key))
-
-    take("model", "sites", int)
-    take("model", "steps", int)
-    take("model", "v", float)
-    take("model", "omega", float)
-    take("model", "dt", float)
-    take("execution", "impl", str)
-    take("execution", "shots", int)
-    take("execution", "infinite_shots", lambda s: s.lower() in ("1", "true", "yes"))
-    take("execution", "shots_per_trajectory", int)
-    take("execution", "seed", int)
-    take("execution", "trials", int)
-    take("execution", "regime", str)
+    noise.check_ini_keys(cp, {**_INI_FIELDS, "noise": _noise_key}, path)
+    kwargs: dict = {
+        key: conv(cp.get(section, key))
+        for section, keys in _INI_FIELDS.items()
+        for key, conv in keys.items()
+        if cp.has_option(section, key)
+    }
     if cp.has_option("noise", "preset"):
         kwargs["noise_preset"] = cp.get("noise", "preset")
     if cp.has_section("noise"):
         overrides = {
-            k[len("override."):]: float(v)
+            k[len(_OVERRIDE):]: float(v)
             for k, v in cp.items("noise")
-            if k.startswith("override.")
+            if k.startswith(_OVERRIDE)
         }
         if overrides:
             kwargs["noise_overrides"] = overrides
-    take("mitigation", "twirls", int)
-    take(
-        "mitigation",
-        "zne_factors",
-        lambda s: tuple(float(x) for x in s.split(",")),
-    )
-    take("mitigation", "readout_mode", str)
-    take("mitigation", "postselect", lambda s: s.lower() in ("1", "true", "yes"))
-    take("mitigation", "dd", lambda s: s.lower() in ("1", "true", "yes"))
-    take("output", "out", str)
-    take("output", "format", str)
     kwargs.update({k: v for k, v in cli_overrides.items() if v is not None})
     return ExperimentConfig(**kwargs)
 
@@ -231,7 +239,7 @@ def reference_series(params: ModelParams, steps: int, impl: str) -> dict:
         out["site_z"].append(per_site_z(psi))
         out["zpi"].append(staggered_magnetization(psi))
         out["echo0"].append(loschmidt_echo_state(psi, ref))
-        out["echo1"].append(_echo_one_flip(psi, ref))
+        out["echo1"].append(loschmidt_echo(psi, ref, 1))
         if proj is None:
             out["site_z_proj"].append(np.full(L, np.nan))
             out["zpi_proj"].append(np.nan)
@@ -241,19 +249,10 @@ def reference_series(params: ModelParams, steps: int, impl: str) -> dict:
             out["site_z_proj"].append(per_site_z(proj))
             out["zpi_proj"].append(staggered_magnetization(proj))
             out["echo0_proj"].append(loschmidt_echo_state(proj, ref))
-            out["echo1_proj"].append(_echo_one_flip(proj, ref))
+            out["echo1_proj"].append(loschmidt_echo(proj, ref, 1))
     for k in out:
         out[k] = np.asarray(out[k])
     return out
-
-
-def _echo_one_flip(psi: Statevector, reference: str) -> float:
-    probs = psi.probabilities()
-    ref_idx = int(reference, 2)
-    total = probs[ref_idx]
-    for q in range(len(reference)):
-        total += probs[ref_idx ^ (1 << (len(reference) - 1 - q))]
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

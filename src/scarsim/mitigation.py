@@ -16,12 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import fibonacci_projector
 from .noise import ConfusionMatrix, NoiseSpec, run_noisy_counts
 from .qsim import (
     Circuit,
     Counts,
     Gate,
     KrausChannel,
+    bit_table,
     pauli_basis_labels,
     pauli_gate,
     pauli_transfer_matrix,
@@ -213,11 +215,19 @@ class ZNEResult:
         return float(np.sqrt(max(self.covariance[0, 0], 0.0)))
 
 
+# A sigma at or below this fraction of the value scale, max(1, max|value|),
+# is rounding noise between exact values (for example identical twirls
+# with infinite shots), not a spread: it counts as zero.
+SIGMA_FLOOR = 1e-10
+
+
 def zne_extrapolate(points) -> ZNEResult:
     """Weighted least-squares line through (lam, value, sigma) points.
 
-    Weights are 1/sigma^2; if any sigma is zero (exact values) the fit
-    falls back to an unweighted one with residual-based covariance.
+    Weights are 1/sigma^2; if any sigma is zero (exact values, or at most
+    SIGMA_FLOOR of the value scale) the fit falls back to an unweighted
+    one with residual-based covariance, and those points are recorded
+    with sigma 0.
     """
     pts = [(float(l), float(v), float(s)) for l, v, s in points]
     if len(pts) < 2:
@@ -228,7 +238,9 @@ def zne_extrapolate(points) -> ZNEResult:
     if np.ptp(lams) == 0:
         raise ValueError("degenerate design matrix: all scale factors equal")
     design = np.column_stack([np.ones_like(lams), lams])
-    if np.any(sigs <= 0):
+    exact = sigs <= SIGMA_FLOOR * max(1.0, float(np.max(np.abs(vals))))
+    if np.any(exact):
+        pts = [(l, v, 0.0 if e else s) for (l, v, s), e in zip(pts, exact)]
         coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
         resid = vals - design @ coef
         dof = max(len(pts) - 2, 1)
@@ -257,7 +269,7 @@ def mitigate_readout(counts: Counts, m: ConfusionMatrix) -> Counts:
         raise ValueError("confusion matrix width mismatch")
     if m.method == "full" and counts.width > 12:
         raise ValueError("full-matrix inversion limited to L <= 12")
-    vec = m.invert_vector(counts.to_vector())
+    vec = m.invert_vector(counts.vector)
     quasi = bool(np.any(vec < -1e-12))
     return Counts.from_vector(
         vec, counts.width, counts.total_shots, exact=counts.exact, quasi=quasi
@@ -291,13 +303,12 @@ def calibrate_confusion(
             Circuit(L, [xgate(q) for q in range(L)]), spec, shots, [seed, 1],
             infinite=infinite,
         )
-        p0 = zeros.to_vector() / zeros.total_shots
-        p1 = ones.to_vector() / ones.total_shots
-        idx = np.arange(2**L)
+        p0 = zeros.vector / zeros.total_shots
+        p1 = ones.vector / ones.total_shots
+        bits = bit_table(L)
         for q in range(L):
-            bit = (idx >> (L - 1 - q)) & 1
-            eps_q = float(p0[bit == 1].sum())
-            eta_q = float(p1[bit == 0].sum())
+            eps_q = float(p0[bits[:, q] == 1].sum())
+            eta_q = float(p1[bits[:, q] == 0].sum())
             factors.append(np.array([[1 - eps_q, eta_q], [eps_q, 1 - eta_q]]))
         return ConfusionMatrix("tensor", L, factors=factors)
     if method == "full":
@@ -305,11 +316,10 @@ def calibrate_confusion(
             raise ValueError("full calibration limited to L <= 12")
         dim = 2**L
         mat = np.zeros((dim, dim))
-        for b in range(dim):
-            bits = format(b, f"0{L}b")
-            prep = Circuit(L, [xgate(q) for q, ch in enumerate(bits) if ch == "1"])
+        for b, bits in enumerate(bit_table(L)):
+            prep = Circuit(L, [xgate(q) for q in np.flatnonzero(bits)])
             counts = run_noisy_counts(prep, spec, shots, [seed, 2, b], infinite=infinite)
-            mat[:, b] = counts.to_vector() / counts.total_shots
+            mat[:, b] = counts.vector / counts.total_shots
         return ConfusionMatrix("full", L, matrix=mat)
     raise ValueError("method must be 'tensor' or 'full'")
 
@@ -326,24 +336,19 @@ class PostselectionResult:
 
 
 def postselect(counts: Counts) -> PostselectionResult:
-    """Drop bitstrings containing "11"; record the retained weight.
+    """Zero every outcome with two adjacent 1s; record the retained weight.
 
-    Quasi-count inputs are filtered string-by-string before any
+    Quasi-count inputs are filtered outcome by outcome before any
     renormalization happens downstream.  An empty retained set is
     flagged rather than raised; consumers must check.
     """
-    kept = {k: v for k, v in counts.data.items() if "11" not in k}
-    total_in = sum(counts.data.values())
-    total_kept = sum(kept.values())
+    vec = counts.vector
+    kept = vec * fibonacci_projector(counts.width).mask
+    total_in = float(vec.sum())
+    total_kept = float(kept.sum())
     retained = total_kept / total_in if total_in != 0 else 0.0
-    empty = not kept or total_kept <= 0
-    out = Counts(
-        kept,
-        total_shots=total_kept,
-        width=counts.width,
-        exact=counts.exact,
-        quasi=counts.quasi,
-    )
+    empty = not kept.any() or total_kept <= 0
+    out = Counts(kept, total_shots=total_kept, exact=counts.exact, quasi=counts.quasi)
     return PostselectionResult(counts=out, retained_fraction=retained, empty=empty)
 
 

@@ -275,9 +275,12 @@ class FibonacciMask:
     dimension: int
 
 
+@lru_cache(maxsize=8)
 def fibonacci_projector(L: int) -> FibonacciMask:
+    """Cached per width; the mask is read-only."""
     idx = np.arange(2**L, dtype=np.int64)
     mask = (idx & (idx >> 1)) == 0
+    mask.flags.writeable = False
     return FibonacciMask(L=L, mask=mask, dimension=int(mask.sum()))
 
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .qsim import (
     Statevector,
     _apply_matrix,
     _embed,
+    bit_table,
     gate_matrix,
     pauli_basis_labels,
     pauli_basis_matrices,
@@ -173,6 +175,11 @@ class NoiseSpec:
             v = getattr(self, name)
             if v is not None and not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        if self.two_qubit_target_error == 1.0:
+            raise ValueError("two_qubit_target_error must be below 1 (it sets a finite tau)")
+        for name in ("idle_dephasing_rad_per_ns", "idle_stochastic_rate_per_ns"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     def tau_err_ns(self) -> float:
         """Calibrated so the two-CNOT interaction gate hits the target error."""
@@ -264,13 +271,36 @@ def preset(name: str, **overrides) -> NoiseSpec:
     return replace(spec, **overrides) if overrides else spec
 
 
-_PULSE_KEYS = ("amp_ref", "width_ref", "sigma", "n_sigma", "sample_dt_ns", "single_pulse_ns")
-_GATE_KEYS = (
-    "two_qubit_target_error",
-    "two_qubit_depolarizing",
-    "single_qubit_depolarizing",
-    "coherent_overrotation",
+# NoiseSpec fields that hold one number, the only ones an experiment
+# config may set through ``override.<name>``.
+SCALAR_FIELDS = frozenset(
+    f.name for f in fields(NoiseSpec) if f.name not in ("pulse", "two_qubit_pauli_rates")
 )
+
+# INI key -> NoiseSpec (or PulseParams, for [pulse]) field, per section.
+_NOISE_INI_KEYS = {
+    "pulse": {k: k for k in ("amp_ref", "width_ref", "sigma", "n_sigma",
+                             "sample_dt_ns", "single_pulse_ns")},
+    "gates": {k: k for k in ("two_qubit_target_error", "two_qubit_depolarizing",
+                             "single_qubit_depolarizing", "coherent_overrotation")},
+    "readout": {"eps": "readout_eps", "eta": "readout_eta"},
+    "idle": {"dephasing_rad_per_ns": "idle_dephasing_rad_per_ns",
+             "stochastic_rate_per_ns": "idle_stochastic_rate_per_ns"},
+}
+
+
+def check_ini_keys(cp: configparser.ConfigParser, allowed: dict, path) -> None:
+    """Reject any section or key of ``cp`` that ``allowed`` does not list.
+
+    ``allowed`` maps each section name to a predicate or a collection of
+    key names."""
+    for section in cp.sections():
+        if section not in allowed:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        known = allowed[section]
+        for key in cp.options(section):
+            if not (known(key) if callable(known) else key in known):
+                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
 
 
 def load_noise_config(path) -> NoiseSpec:
@@ -278,33 +308,25 @@ def load_noise_config(path) -> NoiseSpec:
 
     Sections: [pulse], [gates], [readout], [idle].  Unset keys fall back
     to the preset named by ``[gates] preset`` (default casablanca-like).
+    Unknown sections and keys are rejected.
     """
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_file(fh)
-    name = cp.get("gates", "preset", fallback="casablanca-like")
-    spec = preset(name)
-    pulse_kwargs = {
-        k: cp.getfloat("pulse", k)
-        for k in _PULSE_KEYS
-        if cp.has_option("pulse", k)
+    allowed = {sec: set(keys) for sec, keys in _NOISE_INI_KEYS.items()}
+    allowed["gates"].add("preset")
+    check_ini_keys(cp, allowed, path)
+    spec = preset(cp.get("gates", "preset", fallback="casablanca-like"))
+    read = {
+        sec: {field: cp.getfloat(sec, key) for key, field in keys.items()
+              if cp.has_option(sec, key)}
+        for sec, keys in _NOISE_INI_KEYS.items()
     }
+    pulse_kwargs = read.pop("pulse")
     if pulse_kwargs:
         spec = replace(spec, pulse=replace(spec.pulse, **pulse_kwargs))
-    gate_kwargs = {
-        k: cp.getfloat("gates", k)
-        for k in _GATE_KEYS
-        if cp.has_option("gates", k)
-    }
-    if cp.has_option("readout", "eps"):
-        gate_kwargs["readout_eps"] = cp.getfloat("readout", "eps")
-    if cp.has_option("readout", "eta"):
-        gate_kwargs["readout_eta"] = cp.getfloat("readout", "eta")
-    if cp.has_option("idle", "dephasing_rad_per_ns"):
-        gate_kwargs["idle_dephasing_rad_per_ns"] = cp.getfloat("idle", "dephasing_rad_per_ns")
-    if cp.has_option("idle", "stochastic_rate_per_ns"):
-        gate_kwargs["idle_stochastic_rate_per_ns"] = cp.getfloat("idle", "stochastic_rate_per_ns")
-    return replace(spec, **gate_kwargs) if gate_kwargs else spec
+    spec_kwargs = {k: v for sec in read.values() for k, v in sec.items()}
+    return replace(spec, **spec_kwargs) if spec_kwargs else spec
 
 
 def noisy_gate_channel(gate: Gate, spec: NoiseSpec) -> KrausChannel:
@@ -376,24 +398,22 @@ class ConfusionMatrix:
         ]
         return cls("tensor", L, factors=factors)
 
+    @cached_property
+    def inverse_factors(self) -> list[np.ndarray]:
+        """Per-qubit inverses of the tensor factors, computed once."""
+        return [np.linalg.inv(f) for f in self.factors]
+
     def apply_to_vector(self, vec: np.ndarray) -> np.ndarray:
         """Forward direction: p_noisy = M p_ideal."""
         if self.method == "full":
             return self.matrix @ vec
-        out = vec.reshape([2] * self.L)
-        for q, f in enumerate(self.factors):
-            out = np.moveaxis(np.tensordot(f, out, axes=([1], [q])), 0, q)
-        return out.reshape(-1)
+        return _apply_factors(self.factors, vec)
 
     def invert_vector(self, vec: np.ndarray) -> np.ndarray:
         """Inverse direction: p_ideal = M^-1 p_noisy (may go negative)."""
         if self.method == "full":
             return np.linalg.solve(self.matrix, vec)
-        out = vec.reshape([2] * self.L)
-        for q, f in enumerate(self.factors):
-            finv = np.linalg.inv(f)
-            out = np.moveaxis(np.tensordot(finv, out, axes=([1], [q])), 0, q)
-        return out.reshape(-1)
+        return _apply_factors(self.inverse_factors, vec)
 
     def dense(self) -> np.ndarray:
         if self.method == "full":
@@ -404,45 +424,49 @@ class ConfusionMatrix:
         return out
 
 
+def _apply_factors(factors: list[np.ndarray], vec: np.ndarray) -> np.ndarray:
+    """Apply one 2x2 matrix per qubit (qubit 0 most significant)."""
+    out = vec.reshape([2] * len(factors))
+    for q, f in enumerate(factors):
+        out = np.moveaxis(np.tensordot(f, out, axes=([1], [q])), 0, q)
+    return out.reshape(-1)
+
+
 def apply_readout_error(counts: Counts, m: ConfusionMatrix, seed: int) -> Counts:
     """Forward (simulation-direction) readout noise on measured counts.
 
     Exact counts are pushed through M as probabilities; sampled counts
     get per-shot bit flips at the per-qubit rates (tensor mode) or are
-    resampled from the full-matrix columns.
+    resampled from the full-matrix columns.  Outcomes are visited in
+    ascending index order, so a seed fixes the result.
     """
     if m.L != counts.width:
         raise ValueError("confusion matrix width mismatch")
+    vec = counts.vector
     if counts.exact:
-        vec = m.apply_to_vector(counts.to_vector())
-        return Counts.from_vector(vec, counts.width, counts.total_shots, exact=True)
+        return Counts.from_vector(m.apply_to_vector(vec), counts.width,
+                                  counts.total_shots, exact=True)
     rng = np.random.default_rng(seed)
-    out: dict[str, float] = {}
+    dim = vec.size
+    outcomes = np.flatnonzero(vec)
+    shots = np.rint(vec[outcomes]).astype(np.int64)
     if m.method == "tensor":
         L = counts.width
         eps = np.array([f[1, 0] for f in m.factors])
         eta = np.array([f[0, 1] for f in m.factors])
-        keys = list(counts.data)
-        mult = np.array([int(round(counts.data[k])) for k in keys])
-        bits = np.array([[int(c) for c in k] for k in keys], dtype=np.int8)
-        rows = np.repeat(bits, mult, axis=0)
-        flip_prob = np.where(rows == 0, eps[None, :], eta[None, :])
-        flipped = rows ^ (rng.random(rows.shape) < flip_prob)
-        weights = 1 << np.arange(L - 1, -1, -1)
-        idx = flipped @ weights
-        vec = np.bincount(idx, minlength=2**L)
-        out = {
-            format(i, f"0{L}b"): float(v) for i, v in enumerate(vec) if v > 0
-        }
+        # one row of per-bit flip probabilities per shot, shots grouped by
+        # outcome; a flipped bit k toggles bit k of the outcome index
+        rates = np.repeat(np.where(bit_table(L)[outcomes] == 0, eps, eta), shots, axis=0)
+        flips = rng.random(rates.shape) < rates
+        place = 2.0 ** np.arange(L - 1, -1, -1)
+        flipped = np.repeat(outcomes, shots) ^ (flips @ place).astype(np.int64)
+        out = np.bincount(flipped, minlength=dim)
     else:
-        dim = 2**counts.width
-        for bits, n in counts.data.items():
-            col = m.matrix[:, int(bits, 2)]
-            draws = rng.multinomial(int(round(n)), col / col.sum())
-            for i in np.nonzero(draws)[0]:
-                key = format(i, f"0{counts.width}b")
-                out[key] = out.get(key, 0.0) + float(draws[i])
-    return Counts(out, counts.total_shots, counts.width)
+        out = np.zeros(dim, dtype=np.int64)
+        for i, n in zip(outcomes, shots):
+            col = m.matrix[:, i]
+            out += rng.multinomial(n, col / col.sum())
+    return Counts(out.astype(float), counts.total_shots)
 
 
 # ---------------------------------------------------------------------------

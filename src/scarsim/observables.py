@@ -18,6 +18,7 @@ measurement after rotating that parity's qubits into the Y basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .qsim import (
     Circuit,
     Counts,
     Statevector,
+    bit_table,
     concat,
     h,
     run_circuit,
@@ -95,31 +97,71 @@ def series_from_values(steps, dt_v, values, errors=None) -> TimeSeries:
 
 
 # ---------------------------------------------------------------------------
-# Bit-level estimators (work on sampled, exact, and quasi counts)
+# Estimators: the normalized outcome vector (sampled, exact, or quasi
+# counts) contracted with cached per-width tables
 # ---------------------------------------------------------------------------
 
-def _bits_and_weights(counts: Counts) -> tuple[np.ndarray, np.ndarray]:
-    if not counts.data:
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=8)
+def _z_table(L: int) -> np.ndarray:
+    """(2^L, L) table of the Z eigenvalue 1 - 2 b_i of each site."""
+    return _read_only(1.0 - 2.0 * bit_table(L))
+
+
+@lru_cache(maxsize=8)
+def _echo_masks(reference: str) -> np.ndarray:
+    """(2, 2^L) masks: Hamming distance 0, and at most 1, to the reference."""
+    if set(reference) - {"0", "1"}:
+        raise ValueError(f"invalid reference bitstring {reference!r}")
+    ref = np.array(list(reference), dtype=np.int8)
+    dist = np.sum(bit_table(len(reference)) != ref, axis=1)
+    return _read_only(np.stack([dist == 0, dist <= 1]))
+
+
+@lru_cache(maxsize=8)
+def _pyp_table(L: int, parity: str) -> np.ndarray:
+    """(sites of the parity, 2^L) values of the (PYP)_j estimator: the
+    rotated bit contributes 1 - 2 b_j, each existing neighbor the
+    indicator b = 0 (one-sided at the chain ends)."""
+    bits = bit_table(L)
+    rows = []
+    for j in parity_sites(L, parity):
+        val = 1.0 - 2.0 * bits[:, j - 1]
+        for nb in (j - 1, j + 1):
+            if 1 <= nb <= L:
+                val = val * (bits[:, nb - 1] == 0)
+        rows.append(val)
+    return _read_only(np.array(rows).reshape(len(rows), 2**L))
+
+
+def _support(obj) -> tuple[np.ndarray | slice, np.ndarray]:
+    """(outcome indices, normalized weights) of a state or of counts.
+
+    For counts only the nonzero outcomes are kept, in ascending order,
+    so the rounding of every sum is independent of the zeros the vector
+    holds: the ZNE fit can magnify last-digit differences by many orders
+    of magnitude when two twirls nearly agree.
+    """
+    if isinstance(obj, Statevector):
+        return slice(None), obj.probabilities()
+    idx = np.flatnonzero(obj.vector)
+    if idx.size == 0:
         raise ValueError("empty counts")
-    keys = sorted(counts.data)
-    bits = np.array([[int(c) for c in k] for k in keys], dtype=np.int8)
-    weights = np.array([counts.data[k] for k in keys])
-    total = weights.sum()
+    w = obj.vector[idx]
+    total = w.sum()
     if total == 0:
         raise ValueError("counts carry zero total weight")
-    return bits, weights / total
+    return idx, w / total
 
 
 def per_site_z(obj) -> np.ndarray:
     """<Z_i> for each site, from a state or from counts."""
-    if isinstance(obj, Statevector):
-        L = obj.width
-        probs = obj.probabilities()
-        idx = np.arange(2**L)
-        bits = (idx[:, None] >> (L - 1 - np.arange(L))) & 1
-        return probs @ (1.0 - 2.0 * bits)
-    bits, w = _bits_and_weights(obj)
-    return w @ (1.0 - 2.0 * bits)
+    idx, w = _support(obj)
+    return w @ _z_table(obj.width)[idx]
 
 
 def staggered_magnetization(obj) -> float:
@@ -129,17 +171,15 @@ def staggered_magnetization(obj) -> float:
     return float(signs @ zs)
 
 
-def loschmidt_echo(counts: Counts, reference: str, flips_allowed: int = 0) -> float:
+def loschmidt_echo(obj, reference: str, flips_allowed: int = 0) -> float:
     """Weight fraction within Hamming distance ``flips_allowed`` of the
-    reference bitstring."""
-    if len(reference) != counts.width:
+    reference bitstring, from counts or from a state."""
+    if len(reference) != obj.width:
         raise ValueError("reference length must match counts width")
     if flips_allowed not in (0, 1):
         raise ValueError("flips_allowed must be 0 or 1")
-    bits, w = _bits_and_weights(counts)
-    ref = np.array([int(c) for c in reference], dtype=np.int8)
-    dist = np.sum(bits != ref, axis=1)
-    return float(w[dist <= flips_allowed].sum())
+    idx, w = _support(obj)
+    return float(w[_echo_masks(reference)[flips_allowed][idx]].sum())
 
 
 def loschmidt_echo_state(state: Statevector, reference: str) -> float:
@@ -212,15 +252,9 @@ def pyp_expectation(counts: Counts, parity: str) -> dict[int, float]:
     indicators, one-sided at the chain ends.
     """
     L = counts.width
-    bits, w = _bits_and_weights(counts)
-    out: dict[int, float] = {}
-    for j in parity_sites(L, parity):
-        val = 1.0 - 2.0 * bits[:, j - 1]
-        for nb in (j - 1, j + 1):
-            if 1 <= nb <= L:
-                val = val * (bits[:, nb - 1] == 0)
-        out[j] = float(w @ val)
-    return out
+    idx, w = _support(counts)
+    table = _pyp_table(L, parity)
+    return {j: float(w @ row[idx]) for j, row in zip(parity_sites(L, parity), table)}
 
 
 def pyp_matrix(L: int, j: int) -> np.ndarray:

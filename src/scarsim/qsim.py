@@ -4,16 +4,18 @@ Conventions, fixed once and used everywhere:
 
 * Chain sites are numbered 1..L in physics formulas; qubit indices are
   0-based, qubit q <-> site q+1.
-* Bitstring character k (leftmost = 0) is the measured bit of qubit k,
-  i.e. site k+1.  Amplitude index i encodes qubit 0 as the most
-  significant bit, so ``format(i, f"0{L}b")`` is the bitstring.
+* Amplitude and outcome index i encodes qubit 0 as the most significant
+  bit: bit k of i, counted from the left, is qubit k, i.e. site k+1
+  (``bit_table``).  In a bitstring, character k is that same bit.
 * |0> is the Z = +1 eigenstate (occupation n = 0).
 * Rotations follow RP(theta) = exp(-i * theta * P / 2) for P in
   {X, Y, Z, ZZ, ZX}; S = diag(1, i).
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import cos, sin, sqrt
 
 import numpy as np
@@ -395,50 +397,105 @@ def expectation_pauli(state: Statevector, p: PauliString) -> float:
     return float(val.real)
 
 
-@dataclass
-class Counts:
-    """Measured bitstring multiplicities (leftmost character = site 1).
+@lru_cache(maxsize=8)
+def bit_table(width: int) -> np.ndarray:
+    """(2^width, width) int8 table: entry [i, k] is bit k of outcome i,
+    counted from the left (qubit k, site k+1).  Cached and read-only."""
+    idx = np.arange(2**width)
+    table = ((idx[:, None] >> (width - 1 - np.arange(width))) & 1).astype(np.int8)
+    table.flags.writeable = False
+    return table
 
-    ``exact`` marks infinite-shot data (float counts = probabilities x
-    shots); ``quasi`` marks signed quasi-counts produced by readout
-    inversion, where individual values may be negative.
+
+class OutcomeView(Mapping):
+    """Read-only bitstring -> weight mapping over the nonzero entries of
+    a counts vector.  Keys are formatted only when iterated; ``len`` and
+    ``values()`` read the vector directly."""
+
+    __slots__ = ("_vec", "_width")
+
+    def __init__(self, vec: np.ndarray, width: int):
+        self._vec = vec
+        self._width = width
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._vec))
+
+    def __iter__(self):
+        return (format(i, f"0{self._width}b") for i in np.flatnonzero(self._vec))
+
+    def __getitem__(self, key: str) -> float:
+        if not isinstance(key, str) or len(key) != self._width or set(key) - {"0", "1"}:
+            raise KeyError(key)
+        value = self._vec[int(key, 2)]
+        if value == 0:
+            raise KeyError(key)
+        return float(value)
+
+    def values(self) -> list[float]:
+        return self._vec[np.flatnonzero(self._vec)].tolist()
+
+
+@dataclass(frozen=True, eq=False)
+class Counts:
+    """Measured outcome weights as a dense vector over the 2^width basis.
+
+    ``vector[i]`` is the weight of outcome i; bit k of i, counted from
+    the left, is the measured bit of qubit k (site k+1), the amplitude
+    order of ``Statevector``.  ``exact`` marks infinite-shot data (float
+    counts = probabilities x shots); ``quasi`` marks signed quasi-counts
+    produced by readout inversion, where individual values may be
+    negative and need not sum to ``total_shots``.  The vector is
+    read-only.
     """
 
-    data: dict[str, float]
+    vector: np.ndarray
     total_shots: float
-    width: int
     exact: bool = False
     quasi: bool = False
 
     def __post_init__(self):
-        for key in self.data:
-            if len(key) != self.width or set(key) - {"0", "1"}:
-                raise ValueError(f"bad bitstring key {key!r} for width {self.width}")
+        vec = np.asarray(self.vector, dtype=float)
+        if vec.ndim != 1 or vec.size < 2 or vec.size & (vec.size - 1):
+            raise ValueError("counts vector length must be a power of two >= 2")
+        vec = vec.view()
+        vec.flags.writeable = False
+        object.__setattr__(self, "vector", vec)
         if not self.quasi:
-            total = sum(self.data.values())
+            total = vec.sum()
             if abs(total - self.total_shots) > 1e-6 * max(1.0, self.total_shots):
                 raise ValueError("counts do not sum to total_shots")
 
+    @property
+    def width(self) -> int:
+        return self.vector.size.bit_length() - 1
+
+    @property
+    def data(self) -> OutcomeView:
+        """Bitstring view of the nonzero outcomes (inspection and tests)."""
+        return OutcomeView(self.vector, self.width)
+
     def to_vector(self) -> np.ndarray:
-        vec = np.zeros(2**self.width)
-        for bits, n in self.data.items():
-            vec[int(bits, 2)] = n
-        return vec
+        """The outcome vector itself (read-only)."""
+        return self.vector
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, width: int, total_shots: float,
                     exact: bool = False, quasi: bool = False) -> "Counts":
-        data = {
-            format(i, f"0{width}b"): float(v)
-            for i, v in enumerate(vec)
-            if v != 0.0
-        }
-        return cls(data, total_shots, width, exact=exact, quasi=quasi)
+        if np.shape(vec) != (2**width,):
+            raise ValueError(f"counts vector must have length 2^{width}")
+        return cls(vec, total_shots, exact=exact, quasi=quasi)
 
-    def probabilities(self) -> dict[str, float]:
-        if self.total_shots == 0:
-            raise ValueError("empty counts have no probabilities")
-        return {k: v / self.total_shots for k, v in self.data.items()}
+    @classmethod
+    def from_dict(cls, data: dict[str, float], total_shots: float, width: int,
+                  exact: bool = False, quasi: bool = False) -> "Counts":
+        """Counts from bitstring keys (leftmost character = site 1)."""
+        vec = np.zeros(2**width)
+        for key, n in data.items():
+            if len(key) != width or set(key) - {"0", "1"}:
+                raise ValueError(f"bad bitstring key {key!r} for width {width}")
+            vec[int(key, 2)] += n
+        return cls(vec, total_shots, exact=exact, quasi=quasi)
 
 
 def sample_counts(state: Statevector, shots: int, seed: int, infinite: bool = False) -> Counts:
@@ -451,20 +508,10 @@ def sample_counts(state: Statevector, shots: int, seed: int, infinite: bool = Fa
         raise ValueError("shots must be >= 1")
     probs = state.probabilities()
     probs = probs / probs.sum()
-    width = state.width
     if infinite:
-        data = {
-            format(i, f"0{width}b"): float(p * shots)
-            for i, p in enumerate(probs)
-            if p > 0.0
-        }
-        return Counts(data, float(shots), width, exact=True)
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    data = {
-        format(i, f"0{width}b"): float(n) for i, n in enumerate(draws) if n > 0
-    }
-    return Counts(data, float(shots), width)
+        return Counts(probs * shots, float(shots), exact=True)
+    draws = np.random.default_rng(seed).multinomial(shots, probs)
+    return Counts(draws.astype(float), float(shots))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,197 @@
+"""Dense counts against per-bitstring reference computations.
+
+Every check here rebuilds the quantity from ``Counts.data`` (bitstring
+keys, leftmost character = site 1) with plain Python loops, so it is
+independent of the lookup tables the package contracts the vector with.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scarsim.mitigation import postselect
+from scarsim.noise import ConfusionMatrix, apply_readout_error
+from scarsim.observables import (
+    loschmidt_echo,
+    parity_sites,
+    per_site_z,
+    pyp_expectation,
+    staggered_magnetization,
+)
+from scarsim.qsim import Counts
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def counts(draw, quasi_allowed=True):
+    """Sampled (integer) or signed quasi-counts on 1..6 sites with a
+    nonzero total weight."""
+    width = draw(st.integers(1, 6))
+    dim = 2**width
+    quasi = quasi_allowed and draw(st.booleans())
+    if quasi:
+        values = draw(st.lists(
+            st.floats(-50.0, 200.0, allow_nan=False).map(lambda v: round(v, 3)),
+            min_size=dim, max_size=dim))
+    else:
+        values = draw(st.lists(st.integers(0, 40), min_size=dim, max_size=dim))
+    vec = np.array(values, dtype=float)
+    if abs(vec.sum()) < 1e-3:
+        vec[draw(st.integers(0, dim - 1))] += 7.0
+    return Counts(vec, float(vec.sum()), quasi=quasi)
+
+
+def _reference_weights(c: Counts) -> dict[str, float]:
+    total = sum(c.data.values())
+    return {key: value / total for key, value in c.data.items()}
+
+
+@PROPERTY
+@given(counts())
+def test_per_site_z_and_staggered_against_bitstrings(c):
+    w = _reference_weights(c)
+    expected = [sum(p * (1 - 2 * int(key[i])) for key, p in w.items()) for i in range(c.width)]
+    np.testing.assert_allclose(per_site_z(c), expected, atol=1e-9)
+    stagger = sum((-1) ** (i + 1) * z for i, z in enumerate(expected))
+    assert staggered_magnetization(c) == pytest.approx(stagger, abs=1e-9)
+
+
+@PROPERTY
+@given(counts(), st.data())
+def test_loschmidt_echo_against_bitstrings(c, data):
+    reference = data.draw(st.text("01", min_size=c.width, max_size=c.width))
+    w = _reference_weights(c)
+    for flips in (0, 1):
+        expected = sum(
+            p for key, p in w.items()
+            if sum(a != b for a, b in zip(key, reference)) <= flips
+        )
+        assert loschmidt_echo(c, reference, flips) == pytest.approx(expected, abs=1e-9)
+
+
+@PROPERTY
+@given(counts(), st.sampled_from(["even", "odd"]))
+def test_pyp_expectation_against_bitstrings(c, parity):
+    w = _reference_weights(c)
+    L = c.width
+    expected = {}
+    for j in parity_sites(L, parity):
+        total = 0.0
+        for key, p in w.items():
+            value = 1 - 2 * int(key[j - 1])
+            for nb in (j - 1, j + 1):
+                if 1 <= nb <= L and key[nb - 1] == "1":
+                    value = 0
+            total += p * value
+        expected[j] = total
+    got = pyp_expectation(c, parity)
+    assert set(got) == set(expected)
+    for j in expected:
+        assert got[j] == pytest.approx(expected[j], abs=1e-9)
+
+
+@PROPERTY
+@given(counts())
+def test_postselect_against_bitstrings(c):
+    kept = {key: v for key, v in c.data.items() if "11" not in key}
+    total_in = sum(c.data.values())
+    res = postselect(c)
+    assert dict(res.counts.data) == pytest.approx(kept)
+    assert res.counts.total_shots == pytest.approx(sum(kept.values()))
+    assert res.retained_fraction == pytest.approx(sum(kept.values()) / total_in)
+    assert res.empty == (not kept or sum(kept.values()) <= 0)
+    assert res.counts.quasi == c.quasi and res.counts.exact == c.exact
+
+
+def _per_shot_tensor_reference(c: Counts, m: ConfusionMatrix, seed) -> dict[str, float]:
+    """One uniform per shot and bit, outcomes in ascending order, shots of
+    one outcome together, bits left to right."""
+    rng = np.random.default_rng(seed)
+    out: dict[str, float] = {}
+    for key in sorted(c.data):
+        for _ in range(int(round(c.data[key]))):
+            bits = []
+            for k, ch in enumerate(key):
+                rate = m.factors[k][1, 0] if ch == "0" else m.factors[k][0, 1]
+                flip = rng.random() < rate
+                bits.append(str(int(ch) ^ int(flip)))
+            new = "".join(bits)
+            out[new] = out.get(new, 0.0) + 1.0
+    return out
+
+
+def _per_outcome_full_reference(c: Counts, m: ConfusionMatrix, seed) -> dict[str, float]:
+    """One multinomial over the matrix column of each outcome, ascending."""
+    rng = np.random.default_rng(seed)
+    out: dict[str, float] = {}
+    for key in sorted(c.data):
+        col = m.matrix[:, int(key, 2)]
+        draws = rng.multinomial(int(round(c.data[key])), col / col.sum())
+        for i, n in enumerate(draws):
+            if n:
+                new = format(i, f"0{c.width}b")
+                out[new] = out.get(new, 0.0) + float(n)
+    return out
+
+
+@st.composite
+def rates(draw, width):
+    return [draw(st.floats(0.0, 0.4)) for _ in range(width)]
+
+
+@PROPERTY
+@given(counts(quasi_allowed=False), st.data(), st.integers(0, 2**32 - 1))
+def test_tensor_readout_matches_per_shot_reference(c, data, seed):
+    m = ConfusionMatrix.from_rates(c.width, data.draw(rates(c.width)), data.draw(rates(c.width)))
+    out = apply_readout_error(c, m, seed)
+    assert dict(out.data) == _per_shot_tensor_reference(c, m, seed)
+    assert apply_readout_error(c, m, seed).data == out.data
+    assert out.total_shots == c.total_shots and not out.quasi
+
+
+@PROPERTY
+@given(counts(quasi_allowed=False), st.data(), st.integers(0, 2**32 - 1))
+def test_full_readout_matches_per_outcome_reference(c, data, seed):
+    dim = 2**c.width
+    cols = data.draw(st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim).filter(lambda v: sum(v) > 0.1),
+        min_size=dim, max_size=dim))
+    mat = np.array(cols, dtype=float).T
+    m = ConfusionMatrix("full", c.width, matrix=mat / mat.sum(axis=0))
+    out = apply_readout_error(c, m, seed)
+    assert dict(out.data) == _per_outcome_full_reference(c, m, seed)
+    assert apply_readout_error(c, m, seed).data == out.data
+
+
+@PROPERTY
+@given(counts())
+def test_from_dict_and_data_round_trip(c):
+    data = dict(c.data)
+    assert all(v != 0 for v in data.values()) and len(data) == len(c.data)
+    back = Counts.from_dict(data, c.total_shots, c.width, exact=c.exact, quasi=c.quasi)
+    np.testing.assert_array_equal(back.vector, c.vector)
+    assert dict(back.data) == data
+    assert sorted(data) == list(data)  # ascending outcome order
+    assert list(c.data.values()) == [data[k] for k in data]
+
+
+def test_from_dict_rejects_bad_keys():
+    with pytest.raises(ValueError):
+        Counts.from_dict({"012": 1.0}, 1.0, 3)
+    with pytest.raises(ValueError):
+        Counts.from_dict({"01": 1.0}, 1.0, 3)
+
+
+def test_vector_is_read_only():
+    c = Counts.from_dict({"01": 2.0}, 2.0, 2)
+    with pytest.raises(ValueError):
+        c.vector[0] = 1.0
+
+
+def test_data_view_is_read_only_and_lazy():
+    c = Counts.from_dict({"10": 2.0, "01": 1.0}, 3.0, 2)
+    view = c.data
+    assert len(view) == 2 and view["10"] == 2.0 and "00" not in view
+    with pytest.raises(TypeError):
+        view["00"] = 1.0

@@ -1,5 +1,6 @@
 """Experiment runner: config handling, pipeline, emission, CLI, determinism."""
 import json
+import re
 import subprocess
 import sys
 
@@ -75,6 +76,41 @@ class TestConfig:
         ini.write_text("[model]\nsites = 5\n")
         cfg = config_from_ini(ini, sites=7)
         assert cfg.sites == 7
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("[mitigation]\ntwirl = 10\n", "'twirl'"),
+            ("[mitigations]\ntwirls = 10\n", "[mitigations]"),
+            ("[noise]\noverride.readout_epsilon = 0.1\n", "'override.readout_epsilon'"),
+            ("[noise]\noverride.pulse = 1.0\n", "'override.pulse'"),
+            ("[noise]\noverride.two_qubit_pauli_rates = 0.1\n",
+             "'override.two_qubit_pauli_rates'"),
+            ("[noise]\nreadout_eps = 0.1\n", "'readout_eps'"),
+            ("[model]\nsites = 5\nseed = 3\n", "'seed' in [model]"),
+        ],
+    )
+    def test_unknown_section_or_key_rejected(self, tmp_path, text, name):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(name)):
+            config_from_ini(ini)
+
+    def test_scalar_overrides_accepted(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[noise]\noverride.two_qubit_depolarizing = 0.02\n"
+                       "override.idle_dephasing_rad_per_ns = 0.001\n")
+        spec = config_from_ini(ini).noise_spec()
+        assert spec.two_qubit_depolarizing == 0.02
+        assert spec.idle_dephasing_rad_per_ns == 0.001
+
+    def test_invalid_noise_override_fails_at_load(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[noise]\noverride.two_qubit_target_error = 1.0\n")
+        with pytest.raises(ValueError, match="two_qubit_target_error"):
+            config_from_ini(ini)
+        with pytest.raises(ValueError, match="not scalar NoiseSpec fields"):
+            ExperimentConfig(noise_overrides={"pulse": 1.0})
 
 
 class TestNoiselessPipeline:
@@ -219,6 +255,29 @@ class TestNoisyPipeline:
         bundle = run_zpi(cfg)
         assert len(bundle["zpi_density_mitigated"]) == cfg.steps + 1
         assert np.all(np.isfinite(bundle["zpi_density_mitigated"].errors))
+
+
+    def test_noisy_infinite_shots_take_the_unweighted_fallback(self, monkeypatch):
+        # `scarsim zpi --sites 4 --steps 3 --twirls 3 --shots 4096 --seed 7
+        # --infinite-shots` used to raise LinAlgError: identical twirls
+        # left spreads of ~4e-16 that became 1/sigma^2 weights
+        from scarsim import mitigation
+
+        fits = []
+        fit = mitigation.zne_extrapolate
+
+        def spy(points):
+            result = fit(points)
+            fits.append(result)
+            return result
+
+        monkeypatch.setattr(mitigation, "zne_extrapolate", spy)
+        cfg = ExperimentConfig(sites=4, steps=3, twirls=3, shots=4096, seed=7,
+                               infinite_shots=True)
+        bundle = run_zpi(cfg, run_experiment(cfg))
+        assert np.all(np.isfinite(bundle["zpi_density_mitigated"].values.real))
+        assert np.all(np.isfinite(bundle["zpi_density_mitigated"].errors))
+        assert any(s == 0.0 for res in fits for _, _, s in res.points)
 
 
 class TestCY:

@@ -230,6 +230,23 @@ class TestZNEExtrapolate:
         with pytest.raises(ValueError):
             zne_extrapolate([(1.0, 0.5, 0.1), (1.0, 0.6, 0.1)])
 
+    def test_rounding_level_sigma_counts_as_exact(self):
+        # twirl spreads of ~4e-16 between exact values must not become
+        # 1/sigma^2 weights of ~1e31 (that made the normal matrix singular)
+        pts = [(1.0, 0.7, 4e-16), (1.0, 0.7, 4e-16), (1.5, 0.61, 0.02),
+               (1.5, 0.65, 0.02), (2.0, 0.55, 0.03), (2.0, 0.5, 0.03)]
+        res = zne_extrapolate(pts)
+        assert np.isfinite(res.intercept) and np.isfinite(res.intercept_std)
+        assert [s for _, _, s in res.points] == [0.0, 0.0, 0.02, 0.02, 0.03, 0.03]
+        unweighted = zne_extrapolate([(l, v, 0.0) for l, v, _ in pts])
+        assert res.intercept == unweighted.intercept
+
+    def test_small_but_real_sigma_keeps_weights(self):
+        pts = [(1.0, 0.9, 1e-6), (1.5, 0.85, 2e-6), (2.0, 0.8, 1e-6)]
+        res = zne_extrapolate(pts)
+        assert [s for _, _, s in res.points] == [1e-6, 2e-6, 1e-6]
+        assert res.intercept_std > 0
+
     def test_covariance_calibration_monte_carlo(self):
         # 1000 resamples of a known line: quoted intercept std must cover
         # the truth at the 3-sigma level nearly always
@@ -290,13 +307,13 @@ def _staggered_op(L: int) -> np.ndarray:
 
 class TestReadoutMitigation:
     def test_identity_noop(self):
-        c = Counts({"01": 3.0, "11": 5.0}, 8.0, 2)
+        c = Counts.from_dict({"01": 3.0, "11": 5.0}, 8.0, 2)
         out = mitigate_readout(c, ConfusionMatrix.identity(2))
         assert out.data == pytest.approx(c.data)
 
     def test_forward_then_invert_recovers(self):
         m = ConfusionMatrix.from_rates(3, eps=0.1, eta=0.05)
-        ideal = Counts({"010": 600.0, "101": 400.0}, 1000.0, 3, exact=True)
+        ideal = Counts.from_dict({"010": 600.0, "101": 400.0}, 1000.0, 3, exact=True)
         noisy = noise.apply_readout_error(ideal, m, seed=0)
         back = mitigate_readout(noisy, m)
         for k, v in ideal.data.items():
@@ -305,7 +322,7 @@ class TestReadoutMitigation:
     def test_tensor_and_full_modes_agree(self):
         tensor = ConfusionMatrix.from_rates(3, eps=0.08, eta=0.02)
         full = ConfusionMatrix("full", 3, matrix=tensor.dense())
-        c = Counts({"010": 500.0, "011": 300.0, "110": 200.0}, 1000.0, 3)
+        c = Counts.from_dict({"010": 500.0, "011": 300.0, "110": 200.0}, 1000.0, 3)
         out_t = mitigate_readout(c, tensor)
         out_f = mitigate_readout(c, full)
         for k in set(out_t.data) | set(out_f.data):
@@ -313,13 +330,13 @@ class TestReadoutMitigation:
 
     def test_negative_quasi_counts_flagged(self):
         m = ConfusionMatrix.from_rates(1, eps=0.2, eta=0.1)
-        c = Counts({"1": 1000.0}, 1000.0, 1)
+        c = Counts.from_dict({"1": 1000.0}, 1000.0, 1)
         out = mitigate_readout(c, m)
         assert out.quasi and any(v < 0 for v in out.data.values())
 
     def test_singular_confusion_rejected(self):
         m = ConfusionMatrix.from_rates(1, eps=0.5, eta=0.5)  # rank-1 factor
-        c = Counts({"1": 10.0}, 10.0, 1)
+        c = Counts.from_dict({"1": 10.0}, 10.0, 1)
         with pytest.raises(np.linalg.LinAlgError):
             mitigate_readout(c, m)
 
@@ -348,30 +365,30 @@ class TestCalibration:
 
 class TestPostselect:
     def test_example_fraction(self):
-        c = Counts({"0101": 500.0, "0110": 300.0}, 800.0, 4)
+        c = Counts.from_dict({"0101": 500.0, "0110": 300.0}, 800.0, 4)
         res = postselect(c)
         assert res.counts.data == {"0101": 500.0}
         assert res.retained_fraction == pytest.approx(0.625)
 
     def test_neel_counts_unchanged(self):
-        c = Counts({"0101": 100.0}, 100.0, 4)
+        c = Counts.from_dict({"0101": 100.0}, 100.0, 4)
         res = postselect(c)
         assert res.counts.data == c.data and res.retained_fraction == 1.0
 
     def test_uniform_l4_keeps_fibonacci_count(self):
         data = {format(i, "04b"): 1.0 for i in range(16)}
-        res = postselect(Counts(data, 16.0, 4))
+        res = postselect(Counts.from_dict(data, 16.0, 4))
         assert len(res.counts.data) == 8
 
     def test_idempotent(self):
-        c = Counts({"0110": 3.0, "0100": 5.0}, 8.0, 4)
+        c = Counts.from_dict({"0110": 3.0, "0100": 5.0}, 8.0, 4)
         once = postselect(c)
         twice = postselect(once.counts)
         assert twice.counts.data == once.counts.data
         assert twice.retained_fraction == 1.0
 
     def test_empty_retained_flagged(self):
-        res = postselect(Counts({"11": 7.0}, 7.0, 2))
+        res = postselect(Counts.from_dict({"11": 7.0}, 7.0, 2))
         assert res.empty and res.counts.total_shots == 0
 
 

@@ -1,5 +1,6 @@
 """Pulse-duration model, noise channels, readout confusion, trajectories."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,24 +182,24 @@ class TestNoisyGateChannel:
 
 class TestReadout:
     def test_identity_confusion_is_noop(self):
-        counts = Counts({"01": 500.0, "10": 500.0}, 1000.0, 2)
+        counts = Counts.from_dict({"01": 500.0, "10": 500.0}, 1000.0, 2)
         out = apply_readout_error(counts, ConfusionMatrix.identity(2), seed=0)
         assert out.data == counts.data
 
     def test_full_flip(self):
-        counts = Counts({"01": 100.0}, 100.0, 2)
+        counts = Counts.from_dict({"01": 100.0}, 100.0, 2)
         m = ConfusionMatrix.from_rates(2, eps=1.0, eta=1.0)
         out = apply_readout_error(counts, m, seed=0)
         assert out.data == {"10": 100.0}
 
     def test_infinite_shot_column_read(self):
-        counts = Counts({"0": 10000.0}, 10000.0, 1, exact=True)
+        counts = Counts.from_dict({"0": 10000.0}, 10000.0, 1, exact=True)
         m = ConfusionMatrix.from_rates(1, eps=0.1, eta=0.05)
         out = apply_readout_error(counts, m, seed=0)
         assert out.data == pytest.approx({"0": 9000.0, "1": 1000.0})
 
     def test_sampled_rates_converge(self):
-        counts = Counts({"00": 50000.0}, 50000.0, 2)
+        counts = Counts.from_dict({"00": 50000.0}, 50000.0, 2)
         m = ConfusionMatrix.from_rates(2, eps=0.1, eta=0.05)
         out = apply_readout_error(counts, m, seed=3)
         flipped_first = sum(v for k, v in out.data.items() if k[0] == "1")
@@ -309,3 +310,48 @@ class TestPresets:
         assert spec.two_qubit_target_error == 0.01
         assert spec.readout_eps == 0.04
         assert spec.idle_dephasing_rad_per_ns == 0.002
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("[gates]\ntwo_qubit_target_eror = 0.01\n", "'two_qubit_target_eror'"),
+            ("[readout]\nepsilon = 0.01\n", "'epsilon'"),
+            ("[idle]\ndephasing = 0.01\n", "'dephasing'"),
+            ("[pulses]\nsigma = 40\n", "[pulses]"),
+            ("[pulse]\npreset = noiseless\n", "'preset' in [pulse]"),
+        ],
+    )
+    def test_unknown_section_or_key_rejected(self, tmp_path, text, name):
+        cfg = tmp_path / "noise.ini"
+        cfg.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(name)):
+            load_noise_config(cfg)
+
+    def test_invalid_values_rejected_at_load(self, tmp_path):
+        for text in ("[gates]\ntwo_qubit_target_error = 1.0\n",
+                     "[idle]\ndephasing_rad_per_ns = -0.001\n",
+                     "[idle]\nstochastic_rate_per_ns = -1e-5\n"):
+            cfg = tmp_path / "noise.ini"
+            cfg.write_text(text)
+            with pytest.raises(ValueError):
+                load_noise_config(cfg)
+
+
+class TestNoiseSpecValidation:
+    def test_target_error_one_rejected(self):
+        # 1 would put log(0) into tau_err_ns when a gate is first run
+        with pytest.raises(ValueError, match="two_qubit_target_error"):
+            NoiseSpec(two_qubit_target_error=1.0)
+        assert NoiseSpec(two_qubit_target_error=0.999).tau_err_ns() > 0
+
+    def test_negative_idle_dephasing_rejected(self):
+        with pytest.raises(ValueError, match="idle_dephasing_rad_per_ns"):
+            NoiseSpec(idle_dephasing_rad_per_ns=-1e-3)
+
+    def test_negative_idle_stochastic_rate_rejected(self):
+        with pytest.raises(ValueError, match="idle_stochastic_rate_per_ns"):
+            NoiseSpec(idle_stochastic_rate_per_ns=-1e-5)
+
+    def test_preset_override_validated(self):
+        with pytest.raises(ValueError):
+            preset("casablanca-like", idle_stochastic_rate_per_ns=-1.0)

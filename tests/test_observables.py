@@ -31,7 +31,7 @@ class TestStaggeredMagnetization:
         assert staggered_magnetization(neel_state(6, "Z2'")) == pytest.approx(6.0)
 
     def test_equal_mixture_cancels(self):
-        counts = Counts({"0101": 500.0, "1010": 500.0}, 1000.0, 4)
+        counts = Counts.from_dict({"0101": 500.0, "1010": 500.0}, 1000.0, 4)
         assert staggered_magnetization(counts) == pytest.approx(0.0)
 
     def test_counts_and_state_agree(self):
@@ -43,23 +43,23 @@ class TestStaggeredMagnetization:
 
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError):
-            staggered_magnetization(Counts({}, 0.0, 3, quasi=True))
+            staggered_magnetization(Counts.from_dict({}, 0.0, 3, quasi=True))
 
 
 class TestLoschmidt:
     def test_all_on_reference(self):
-        counts = Counts({"0101": 800.0}, 800.0, 4)
+        counts = Counts.from_dict({"0101": 800.0}, 800.0, 4)
         assert loschmidt_echo(counts, "0101") == pytest.approx(1.0)
 
     def test_single_flip_tolerance_adds_weight(self):
-        counts = Counts({"0101": 500.0, "0100": 500.0}, 1000.0, 4)
+        counts = Counts.from_dict({"0101": 500.0, "0100": 500.0}, 1000.0, 4)
         assert loschmidt_echo(counts, "0101", 0) == pytest.approx(0.5)
         assert loschmidt_echo(counts, "0101", 1) == pytest.approx(1.0)
 
     def test_tolerance_monotone(self):
         rng = np.random.default_rng(0)
         data = {format(i, "04b"): float(rng.integers(1, 50)) for i in range(16)}
-        counts = Counts(data, sum(data.values()), 4)
+        counts = Counts.from_dict(data, sum(data.values()), 4)
         assert loschmidt_echo(counts, "0101", 1) >= loschmidt_echo(counts, "0101", 0)
 
     def test_state_path(self):
@@ -192,9 +192,11 @@ def Circuit_single_rotation(L, j):
 
 
 def _bw(counts):
-    from scarsim.observables import _bits_and_weights
-
-    return _bits_and_weights(counts)
+    """Per-outcome bit rows (leftmost = site 1) and normalized weights."""
+    L = counts.width
+    idx = np.arange(2**L)
+    bits = (idx[:, None] >> (L - 1 - np.arange(L))) & 1
+    return bits, counts.vector / counts.vector.sum()
 
 
 class TestCYBranches:

@@ -242,14 +242,14 @@ class TestSampling:
 class TestCounts:
     def test_sum_invariant_enforced(self):
         with pytest.raises(ValueError):
-            Counts({"00": 3.0}, total_shots=5.0, width=2)
+            Counts.from_dict({"00": 3.0}, total_shots=5.0, width=2)
 
     def test_quasi_counts_allow_mismatch_and_negatives(self):
-        c = Counts({"0": -0.25, "1": 1.25}, total_shots=1.0, width=1, quasi=True)
+        c = Counts.from_dict({"0": -0.25, "1": 1.25}, total_shots=1.0, width=1, quasi=True)
         assert c.data["0"] < 0
 
     def test_vector_round_trip(self):
-        c = Counts({"01": 2.0, "10": 3.0}, total_shots=5.0, width=2)
+        c = Counts.from_dict({"01": 2.0, "10": 3.0}, total_shots=5.0, width=2)
         back = Counts.from_vector(c.to_vector(), 2, 5.0)
         assert back.data == c.data
 
