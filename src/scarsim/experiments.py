@@ -3,14 +3,22 @@ mitigation pipeline, statistics, and deterministic file emission.
 
 Pipeline order is fixed: readout-matrix inversion, then postselection,
 then per-twirl observable estimation, then linear extrapolation across
-the noise scale factors.  Every sampled trajectory, twirl, and fold
-derives its randomness from (config seed, trial, step, twirl, scale)
-keys, so a rerun with the same config emits byte-identical files.
+the noise scale factors.  Variants come from a prefix-sharing sweep
+(``_sweep``): each (twirl, scale) chain evolves one batch of noise
+trajectories through the preparation block and then one Trotter step
+per block, measuring a snapshot after every block.  The chain key
+(config seed, trial, 0, twirl, scale) seeds the chain's trajectories for
+all steps; the variant key (config seed, trial, step, twirl, scale)
+seeds that step's folds, twirl, shots and readout flips.  A rerun with
+the same config therefore emits byte-identical files.  Estimates at
+different steps of one chain share its noise and twirl draws, so they
+are correlated across steps, but each is still unbiased.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
+import itertools
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -317,6 +325,78 @@ def _zne_scalar(per_lambda: list[list[float]], lam_effs: list[float]):
     return res.intercept, res.intercept_std
 
 
+def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
+           key_head: list[int], estimate, basis: Circuit | None = None):
+    """Run one circuit family through every (twirl, scale) chain.
+
+    ``blocks[0]`` prepares the state and ``blocks[n]`` is the n-th
+    Trotter step, so the circuit of step n is blocks[0..n].  A chain, one
+    twirl and one scale, keeps a single trajectory batch and evolves it
+    block by block: block n gets its share of the prefix's folds
+    (``mitigation.block_fold_counts``) and its own twirl, runs on the
+    batch, and the snapshot after it is measured (in ``basis``, if given)
+    and passed to ``estimate(counts, lam)``.  Each block is evolved once
+    per chain, not once per later step.
+
+    The variant key of (step, twirl w, scale li) is key_head + [step, w, li];
+    it seeds the block's folds (+[0]) and twirl (+[1]) and the step's
+    shots (+[4]) and readout flips (+[3]).  The chain key is the variant
+    key of step 0; trajectory t of the chain draws its noise from
+    chain key + [2, t] at every step.
+
+    Returns (estimates, lam_effs, variants), each indexed by step:
+    estimates[step][li] lists estimate's results over the twirls,
+    lam_effs[step] the realized scales, and variants[step] one record per
+    variant in (twirl, scale) order.
+    """
+    factors = config.zne_factors
+    n2_blocks = [b.n_two_qubit for b in blocks]
+    n2 = list(itertools.accumulate(n2_blocks))
+    lam_effs = [[mitigation.effective_scale(n, lam) for lam in factors] for n in n2]
+    n_traj = noise.trajectory_count(spec.is_stochastic(), config.shots,
+                                    config.shots_per_trajectory)
+    initial = Statevector.zero(blocks[0].width)
+    estimates = [[[None] * config.twirls for _ in factors] for _ in blocks]
+    for w in range(config.twirls):
+        for li, lam in enumerate(factors):
+            folds = mitigation.block_fold_counts(n2_blocks, lam)
+            batch = noise.TrajectoryBatch.seeded(spec, n_traj, key_head + [0, w, li], initial)
+            for step, block in enumerate(blocks):
+                key = key_head + [step, w, li]
+                folded = mitigation.fold_gates_random(
+                    block, lam, seed=key + [_ROLE_FOLD], folds=folds[step]
+                )
+                twirled = mitigation.twirl_circuit(folded, seed=key + [_ROLE_TWIRL])
+                counts = noise.run_noisy_counts(
+                    twirled,
+                    spec,
+                    config.shots,
+                    key,
+                    infinite=config.infinite_shots,
+                    shots_per_trajectory=config.shots_per_trajectory,
+                    batch=batch,
+                    basis=basis,
+                )
+                estimates[step][li][w] = estimate(counts, lam)
+    variants = [
+        [
+            {
+                "step": step,
+                "twirl": w,
+                "scale": lam,
+                "effective_scale": lam_effs[step][li],
+                "two_qubit_gates": n2[step],
+                "seed_key": key_head + [step, w, li],
+                "chain_key": key_head + [0, w, li],
+            }
+            for w in range(config.twirls)
+            for li, lam in enumerate(factors)
+        ]
+        for step in range(len(blocks))
+    ]
+    return estimates, lam_effs, variants
+
+
 @dataclass
 class TrialSeries:
     """Everything measured in one trial of the magnetization pipeline."""
@@ -346,6 +426,16 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialSeries:
         idle_ns = rzz_duration(trotter_angles(params).theta_zz, config.impl, spec.pulse)
     step_circ = build_trotter_step(params, impl=config.impl, idle_ns=idle_ns)
     prep = neel_prep_circuit(L)
+    if config.dd:
+        step_circ = mitigation.insert_dd(step_circ, spec.pulse.single_pulse_ns)
+
+    def estimate(counts, lam):
+        raw = _estimates(counts, reference) if lam == 1.0 else None
+        return raw, _process_counts(counts, confusion, config, reference)
+
+    per_step, lam_effs, step_variants = _sweep(
+        config, spec, [prep] + [step_circ] * config.steps, [config.seed, trial], estimate
+    )
 
     n_steps = config.steps
     n_lam = len(config.zne_factors)
@@ -360,51 +450,18 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialSeries:
     site_mit_std = np.empty((n_steps + 1, L))
     site_raw = np.empty((n_steps + 1, L))
     retained = np.empty(n_steps + 1)
-    variants = []
 
-    gates = tuple(prep.gates)
     for step in range(n_steps + 1):
-        if step > 0:
-            gates = gates + step_circ.gates
-        base = Circuit(L, gates)
-        if config.dd:
-            base = mitigation.insert_dd(base, spec.pulse.single_pulse_ns)
-        n2 = base.n_two_qubit
-        lam_effs = [mitigation.effective_scale(n2, lam) for lam in config.zne_factors]
-
-        samples: list[list] = [[] for _ in range(n_lam)]
-        raws: list = []
-        for w in range(config.twirls):
-            for li, lam in enumerate(config.zne_factors):
-                key = [config.seed, trial, step, w, li]
-                folded = mitigation.fold_gates_random(base, lam, seed=key + [_ROLE_FOLD])
-                twirled = mitigation.twirl_circuit(folded, seed=key + [_ROLE_TWIRL])
-                counts = noise.run_noisy_counts(
-                    twirled,
-                    spec,
-                    config.shots,
-                    key,
-                    infinite=config.infinite_shots,
-                    shots_per_trajectory=config.shots_per_trajectory,
-                )
-                if lam == 1.0:
-                    raws.append(_estimates(counts, reference))
-                samples[li].append(_process_counts(counts, confusion, config, reference))
-                variants.append(
-                    {
-                        "trial": trial,
-                        "step": step,
-                        "twirl": w,
-                        "scale": lam,
-                        "effective_scale": lam_effs[li],
-                        "two_qubit_gates": n2,
-                        "seed_key": key,
-                    }
-                )
-
+        samples = [[mit for _, mit in per_step[step][li]] for li in range(n_lam)]
+        raws = [
+            per_step[step][li][w][0]
+            for w in range(config.twirls)
+            for li in range(n_lam)
+            if per_step[step][li][w][0] is not None
+        ]
         zpi_mit[step], zpi_mit_std[step] = _zne_scalar(
             [[s["zpi"] if s else None for s in samples[li]] for li in range(n_lam)],
-            lam_effs,
+            lam_effs[step],
         )
         for flips in (0, 1):
             echo_mit[flips][step], echo_mit_std[flips][step] = _zne_scalar(
@@ -412,7 +469,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialSeries:
                     [s[f"echo{flips}"] if s else None for s in samples[li]]
                     for li in range(n_lam)
                 ],
-                lam_effs,
+                lam_effs[step],
             )
         for q in range(L):
             site_mit[step, q], site_mit_std[step, q] = _zne_scalar(
@@ -420,7 +477,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialSeries:
                     [s["site_z"][q] if s else None for s in samples[li]]
                     for li in range(n_lam)
                 ],
-                lam_effs,
+                lam_effs[step],
             )
         raw_zpi_vals = [r["zpi"] for r in raws]
         zpi_raw[step] = float(np.mean(raw_zpi_vals))
@@ -444,7 +501,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialSeries:
         site_mit_std=site_mit_std,
         site_raw=site_raw,
         retained=retained,
-        variants=variants,
+        variants=[{"trial": trial, **v} for step in step_variants for v in step],
     )
 
 
@@ -591,94 +648,53 @@ def run_cy(config: ExperimentConfig, regime: str | None = None) -> dict:
     sources = list(range(2, L + 1, 2))
     n_lam = len(config.zne_factors)
 
-    values = np.zeros(config.steps + 1, dtype=complex)
-    stds = np.zeros(config.steps + 1)
-    variants = []
-    evolution_gates: tuple = ()
-    for step in range(config.steps + 1):
-        if step > 0:
-            evolution_gates = evolution_gates + step_circ.gates
-        branch_vals: dict = {}
-        branch_vars: dict = {}
-        for i in sources:
-            for b in CY_BRANCHES:
-                site_vals: dict[int, float] = {}
-                site_vars: dict[int, float] = {}
-                for parity in PARITIES:
-                    base = Circuit(
-                        L,
-                        prep.gates
-                        + cy_branch_prep(L, i, b).gates
-                        + evolution_gates
-                        + y_basis_rotation(L, parity).gates,
-                    )
-                    n2 = base.n_two_qubit
-                    lam_effs = [
-                        mitigation.effective_scale(n2, lam)
-                        for lam in config.zne_factors
-                    ]
-                    per_lam: list[list[dict]] = [[] for _ in range(n_lam)]
-                    for w in range(config.twirls):
-                        for li, lam in enumerate(config.zne_factors):
-                            key = [
-                                config.seed,
-                                7,
-                                step,
-                                i,
-                                CY_BRANCHES.index(b),
-                                PARITIES.index(parity),
-                                w,
-                                li,
-                            ]
-                            folded = mitigation.fold_gates_random(
-                                base, lam, seed=key + [_ROLE_FOLD]
-                            )
-                            twirled = mitigation.twirl_circuit(
-                                folded, seed=key + [_ROLE_TWIRL]
-                            )
-                            counts = noise.run_noisy_counts(
-                                twirled,
-                                spec,
-                                config.shots,
-                                key,
-                                infinite=config.infinite_shots,
-                                shots_per_trajectory=config.shots_per_trajectory,
-                            )
-                            if confusion is not None:
-                                counts = mitigation.mitigate_readout(counts, confusion)
-                            per_lam[li].append(pyp_expectation(counts, parity))
-                            variants.append(
-                                {
-                                    "step": step,
-                                    "source": i,
-                                    "branch": b,
-                                    "parity": parity,
-                                    "twirl": w,
-                                    "scale": lam,
-                                    "two_qubit_gates": n2,
-                                    "seed_key": key,
-                                }
-                            )
+    # one sweep per (source, branch, parity) family; per step and family,
+    # {site: (ZNE value, variance)} and the variant records
+    fits: dict = {}
+    variants_by_family: dict = {}
+    for i in sources:
+        for bi, b in enumerate(CY_BRANCHES):
+            blocks = [Circuit(L, prep.gates + cy_branch_prep(L, i, b).gates)]
+            blocks += [step_circ] * config.steps
+            for pi, parity in enumerate(PARITIES):
+
+                def estimate(counts, lam):
+                    if confusion is not None:
+                        counts = mitigation.mitigate_readout(counts, confusion)
+                    return pyp_expectation(counts, parity)
+
+                per_step, lam_effs, step_variants = _sweep(
+                    config, spec, blocks, [config.seed, 7, i, bi, pi], estimate,
+                    basis=y_basis_rotation(L, parity),
+                )
+                for step, per_lam in enumerate(per_step):
                     for j in per_lam[0][0]:
                         val, std = _zne_scalar(
                             [[s[j] for s in per_lam[li]] for li in range(n_lam)],
-                            lam_effs,
+                            lam_effs[step],
                         )
-                        site_vals[j] = val
-                        site_vars[j] = std**2 if np.isfinite(std) else 0.0
-                branch_vals[(i, b)] = site_vals
-                branch_vars[(i, b)] = site_vars
+                        fits[(step, i, b, j)] = (val, std**2 if np.isfinite(std) else 0.0)
+                variants_by_family[(i, b, parity)] = [
+                    [{"source": i, "branch": b, "parity": parity, **v} for v in vs]
+                    for vs in step_variants
+                ]
+
+    values = np.zeros(config.steps + 1, dtype=complex)
+    stds = np.zeros(config.steps + 1)
+    variants = []
+    for step in range(config.steps + 1):
+        branch_vals = {
+            (i, b): {j: fits[(step, i, b, j)][0] for j in range(1, L + 1)}
+            for i in sources
+            for b in CY_BRANCHES
+        }
         values[step] = assemble_cy(branch_vals, L)
         var_re = 0.0
         var_im = 0.0
         for i in sources:
             for j in range(1, L + 1):
-                var_re += 0.25 * (
-                    branch_vars[(i, "M+1")][j] + branch_vars[(i, "M-1")][j]
-                )
-                var_im += 0.25 * (
-                    branch_vars[(i, "+Y")][j] + branch_vars[(i, "-Y")][j]
-                )
+                var_re += 0.25 * (fits[(step, i, "M+1", j)][1] + fits[(step, i, "M-1", j)][1])
+                var_im += 0.25 * (fits[(step, i, "+Y", j)][1] + fits[(step, i, "-Y", j)][1])
         v = values[step]
         mag = abs(v)
         if mag > 0:
@@ -687,6 +703,8 @@ def run_cy(config: ExperimentConfig, regime: str | None = None) -> dict:
             ) / mag
         else:
             stds[step] = np.sqrt(var_re + var_im)
+        for family in variants_by_family.values():
+            variants.extend(family[step])
 
     ref = _cy_reference(params, config.steps, config.impl)
     out = {

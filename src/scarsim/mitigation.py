@@ -12,6 +12,7 @@ channel (diagonal Pauli transfer matrix).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,51 +149,49 @@ def effective_scale(n_two_qubit: int, lam: float) -> float:
     return (n_two_qubit + 2 * fold_count(n_two_qubit, lam)) / n_two_qubit
 
 
-def fold_gates_random(circuit: Circuit, lam: float, seed) -> Circuit:
+def block_fold_counts(n2_blocks, lam: float) -> list[int]:
+    """Folds per circuit block with cumulative rounding.
+
+    ``n2_blocks`` lists the two-qubit gates of consecutive blocks.  The
+    first n blocks together get exactly fold_count(N2(n), lam) folds,
+    N2(n) being the two-qubit gates they hold, so every prefix realizes
+    effective_scale(N2(n), lam), as if it were folded whole.
+    """
+    totals = [fold_count(n2, lam) for n2 in itertools.accumulate(n2_blocks)]
+    return [b - a for a, b in zip([0] + totals, totals)]
+
+
+def fold_gates_random(circuit: Circuit, lam: float, seed, folds: int | None = None) -> Circuit:
     """Amplify noise by folding G -> G G^dag G on random two-qubit gates.
 
-    Fold targets are drawn uniformly without replacement; for lam > 3
-    every gate is folded floor(k / N2) times and a random remainder once
-    more.  The noiseless unitary is unchanged.
+    ``folds`` (default fold_count(N2, lam)) gates are folded; targets are
+    drawn uniformly without replacement, and past N2 folds every gate is
+    folded floor(folds / N2) times and a random remainder once more.
+    The noiseless unitary is unchanged.
     """
     if lam < 1.0:
         raise ValueError("scale factor must be >= 1")
     two_q = [i for i, g in enumerate(circuit.gates) if g.is_two_qubit]
     n2 = len(two_q)
-    if n2 == 0 or lam == 1.0:
+    k = fold_count(n2, lam) if folds is None else folds
+    if k < 0 or (k and not n2):
+        raise ValueError(f"cannot fold {k} times over {n2} two-qubit gates")
+    if k == 0:
         return circuit
-    k = fold_count(n2, lam)
     per_gate = [k // n2] * n2
     remainder = k % n2
     rng = np.random.default_rng(seed)
     if remainder:
         for j in rng.choice(n2, size=remainder, replace=False):
             per_gate[j] += 1
-    folds = dict(zip(two_q, per_gate))
+    folds_at = dict(zip(two_q, per_gate))
     gates: list[Gate] = []
     for i, g in enumerate(circuit.gates):
         gates.append(g)
-        for _ in range(folds.get(i, 0)):
+        for _ in range(folds_at.get(i, 0)):
             gates.append(g.inverse())
             gates.append(g)
     return Circuit(circuit.width, gates)
-
-
-@dataclass(frozen=True)
-class ZNEConfig:
-    scale_factors: tuple[float, ...] = (1.0, 1.5, 2.0)
-    folds_seed: int = 0
-    twirl_instances: int = 10
-
-    def __post_init__(self):
-        factors = tuple(self.scale_factors)
-        if 1.0 not in factors:
-            raise ValueError("scale factors must include 1.0")
-        if list(factors) != sorted(factors):
-            raise ValueError("scale factors must be sorted ascending")
-        if self.twirl_instances < 1:
-            raise ValueError("need at least one twirl instance")
-        object.__setattr__(self, "scale_factors", factors)
 
 
 @dataclass

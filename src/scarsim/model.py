@@ -309,8 +309,3 @@ def project(state: Statevector, mask: FibonacciMask) -> tuple[Statevector | None
     if weight <= 0.0:
         return None, 0.0
     return Statevector(amps / np.sqrt(weight), check=False), weight
-
-
-def subspace_weight(state: Statevector, mask: FibonacciMask) -> float:
-    _, w = project(state, mask)
-    return w

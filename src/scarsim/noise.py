@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import configparser
 import math
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .qsim import (
     Circuit,
@@ -236,6 +238,15 @@ class NoiseSpec:
     def has_readout_error(self) -> bool:
         return self.readout_eps > 0.0 or self.readout_eta > 0.0
 
+    def is_stochastic(self) -> bool:
+        """Whether some noise source draws per-trajectory randomness."""
+        return (
+            self.is_gate_noisy()
+            or self.single_qubit_depolarizing > 0.0
+            or self.idle_dephasing_rad_per_ns > 0.0
+            or self.idle_stochastic_rate_per_ns > 0.0
+        )
+
 
 def noiseless() -> NoiseSpec:
     return NoiseSpec(two_qubit_target_error=0.0)
@@ -403,6 +414,18 @@ class ConfusionMatrix:
         """Per-qubit inverses of the tensor factors, computed once."""
         return [np.linalg.inv(f) for f in self.factors]
 
+    @cached_property
+    def lu(self) -> tuple[np.ndarray, np.ndarray]:
+        """LU factorization of the full matrix, computed once (the same
+        LAPACK factorization np.linalg.solve repeats on every call).  A
+        singular matrix raises LinAlgError, as np.linalg.solve does."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(self.matrix)
+        if not np.all(np.diag(lu)):
+            raise np.linalg.LinAlgError("singular confusion matrix")
+        return lu, piv
+
     def apply_to_vector(self, vec: np.ndarray) -> np.ndarray:
         """Forward direction: p_noisy = M p_ideal."""
         if self.method == "full":
@@ -412,7 +435,7 @@ class ConfusionMatrix:
     def invert_vector(self, vec: np.ndarray) -> np.ndarray:
         """Inverse direction: p_ideal = M^-1 p_noisy (may go negative)."""
         if self.method == "full":
-            return np.linalg.solve(self.matrix, vec)
+            return scipy.linalg.lu_solve(self.lu, vec)
         return _apply_factors(self.inverse_factors, vec)
 
     def dense(self) -> np.ndarray:
@@ -538,58 +561,20 @@ class _NoisePlan:
         for q in sorted(pending):
             self.ops.append(("gate", (q,), pending[q]))
         self.stochastic = self.has_stochastic or self.has_quasi_static
-        self.idle_sigma = spec.idle_dephasing_rad_per_ns
 
-    def run(self, initial: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        width = self.width
-        amps = initial.copy()
-        omega = None
-        if self.has_quasi_static:
-            omega = rng.normal(0.0, self.idle_sigma, size=width)
-        for op in self.ops:
-            tag = op[0]
-            if tag == "gate":
-                amps = _apply_matrix(amps, op[2], op[1], width)
-            elif tag == "gate2":
-                _, qubits, mat, cum, mats, total = op
-                amps = _apply_matrix(amps, mat, qubits, width)
-                u = rng.random()
-                if u < total:
-                    k = int(np.searchsorted(cum, u, side="right"))
-                    amps = _apply_matrix(amps, mats[k], qubits, width)
-            elif tag == "gate1":
-                _, qubits, mat, p1 = op
-                amps = _apply_matrix(amps, mat, qubits, width)
-                u = rng.random()
-                if u < p1 * 0.75:
-                    pauli = ("X", "Y", "Z")[min(int(u / (p1 * 0.25)), 2)]
-                    amps = _apply_matrix(amps, _pauli1(pauli), qubits, width)
-            else:  # delay
-                _, qubits, dur, p_flip = op
-                q = qubits[0]
-                if omega is not None and dur > 0:
-                    phase = omega[q] * dur
-                    rzm = np.array(
-                        [[np.exp(-0.5j * phase), 0], [0, np.exp(0.5j * phase)]]
-                    )
-                    amps = _apply_matrix(amps, rzm, qubits, width)
-                if p_flip > 0 and rng.random() < p_flip:
-                    amps = _apply_matrix(amps, _pauli1("Z"), qubits, width)
-        return amps
+    def run_batch(self, amps: np.ndarray, rngs: list[np.random.Generator],
+                  omegas: np.ndarray | None = None) -> np.ndarray:
+        """Evolve a (T, 2^width) stack of trajectories through the plan.
 
-    def run_batch(self, initial: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
-        """All trajectories at once on a (T, 2^width) array.
-
-        Per-trajectory generators are consumed in the same order as in
-        ``run`` (quasi-static rates first, one uniform per noisy gate),
-        so trajectory t here reproduces run(initial, rngs[t]) exactly.
+        Trajectory t draws one uniform per noisy operation from
+        ``rngs[t]``, in plan order, and dephases idle windows at its
+        quasi-static rates ``omegas[t]``; no draw depends on another
+        trajectory, so a batch of T generators equals T one-generator
+        batches.  ``amps`` may be overwritten.
         """
         width = self.width
+        psi = amps
         n_traj = len(rngs)
-        psi = np.tile(initial, (n_traj, 1))
-        omegas = None
-        if self.has_quasi_static:
-            omegas = np.stack([r.normal(0.0, self.idle_sigma, size=width) for r in rngs])
         for op in self.ops:
             tag = op[0]
             if tag == "gate":
@@ -624,6 +609,46 @@ class _NoisePlan:
         return psi
 
 
+@dataclass
+class TrajectoryBatch:
+    """Noise trajectories carried from one circuit block to the next.
+
+    ``amps`` holds one amplitude row per trajectory.  Trajectory t owns
+    the generator ``rngs[t]``: it first draws the trajectory's
+    quasi-static idle rates ``omegas[t]`` (one per qubit, kept for every
+    later block), then one uniform per noisy operation, block after
+    block.  Sampling never touches these generators.
+    """
+
+    amps: np.ndarray
+    rngs: list[np.random.Generator]
+    omegas: np.ndarray | None = None
+
+    @classmethod
+    def start(cls, spec: NoiseSpec, rngs: list[np.random.Generator],
+              initial: Statevector) -> "TrajectoryBatch":
+        omegas = None
+        if spec.idle_dephasing_rad_per_ns > 0:
+            sigma = spec.idle_dephasing_rad_per_ns
+            omegas = np.stack([r.normal(0.0, sigma, size=initial.width) for r in rngs])
+        return cls(np.tile(initial.amplitudes, (len(rngs), 1)), rngs, omegas)
+
+    @classmethod
+    def seeded(cls, spec: NoiseSpec, n_traj: int, key: list[int],
+               initial: Statevector) -> "TrajectoryBatch":
+        """``n_traj`` trajectories, trajectory t seeded ``key + [2, t]``."""
+        rngs = [np.random.default_rng(key + [2, t]) for t in range(n_traj)]
+        return cls.start(spec, rngs, initial)
+
+    def advance(self, plan: _NoisePlan) -> None:
+        self.amps = plan.run_batch(self.amps, self.rngs, self.omegas)
+
+
+def trajectory_count(stochastic: bool, shots: int, shots_per_trajectory: int) -> int:
+    """One trajectory per ``shots_per_trajectory`` shots (rounded up) if
+    any noise is stochastic; a single one otherwise."""
+    return max(1, math.ceil(shots / shots_per_trajectory)) if stochastic else 1
+
 def _pauli1(letter: str) -> np.ndarray:
     from .qsim import PAULI_1Q
 
@@ -654,10 +679,10 @@ def _batch_apply(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], widt
 def run_noisy_statevector(circuit: Circuit, spec: NoiseSpec, seed: int,
                           initial: Statevector | None = None) -> Statevector:
     """One noise trajectory: sampled Pauli insertions over the statevector."""
-    plan = _NoisePlan(circuit, spec)
-    init = (initial or Statevector.zero(circuit.width)).amplitudes
-    rng = np.random.default_rng(seed)
-    return Statevector(plan.run(init, rng), check=False)
+    init = initial or Statevector.zero(circuit.width)
+    batch = TrajectoryBatch.start(spec, [np.random.default_rng(seed)], init)
+    batch.advance(_NoisePlan(circuit, spec))
+    return Statevector(batch.amps[0], check=False)
 
 
 def trajectory_expectations(
@@ -676,11 +701,12 @@ def trajectory_expectations(
     from .qsim import expectation_pauli
 
     plan = _NoisePlan(circuit, spec)
-    init = (initial or Statevector.zero(circuit.width)).amplitudes
+    init = initial or Statevector.zero(circuit.width)
     acc = np.zeros(len(paulis))
     for t in range(trajectories):
-        rng = np.random.default_rng([seed, t])
-        state = Statevector(plan.run(init, rng), check=False)
+        batch = TrajectoryBatch.start(spec, [np.random.default_rng([seed, t])], init)
+        batch.advance(plan)
+        state = Statevector(batch.amps[0], check=False)
         for i, p in enumerate(paulis):
             acc[i] += expectation_pauli(state, p)
     return acc / trajectories
@@ -694,8 +720,8 @@ def run_noisy_counts(
     *,
     infinite: bool = False,
     shots_per_trajectory: int = 1024,
-    trajectories: int | None = None,
-    initial: Statevector | None = None,
+    batch: TrajectoryBatch | None = None,
+    basis: Circuit | None = None,
 ) -> Counts:
     """Execute under the noise spec and measure.
 
@@ -703,35 +729,45 @@ def run_noisy_counts(
     pattern per trajectory); with ``infinite=True`` each trajectory
     contributes its exact outcome distribution instead of samples.
     Forward readout confusion is applied last.  ``seed`` may be an int
-    or a sequence of ints; all randomness derives from it.
+    or a sequence of ints; the shots are drawn from ``seed + [4]`` and
+    the readout flips from ``seed + [3]``.
+
+    Without ``batch`` the circuit starts fresh trajectories from
+    |0...0>, seeded ``seed + [2, t]`` (see ``TrajectoryBatch.seeded``).
+    With ``batch`` it continues that batch's trajectories, which it
+    advances in place, so a circuit given block by block is evolved
+    once.  ``basis`` is a measurement basis rotation applied to a copy
+    of the trajectories before sampling; the batch does not carry it
+    forward.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     width = circuit.width
     plan = _NoisePlan(circuit, spec)
-    init = (initial or Statevector.zero(width)).amplitudes
     base = [int(v) for v in np.atleast_1d(seed)]
+    if batch is None:
+        n_traj = trajectory_count(plan.stochastic, shots, shots_per_trajectory)
+        batch = TrajectoryBatch.seeded(spec, n_traj, base, Statevector.zero(width))
+    batch.advance(plan)
+    measured = batch.amps
+    if basis is not None:
+        measured = _NoisePlan(basis, spec).run_batch(measured.copy(), batch.rngs, batch.omegas)
 
-    if not plan.stochastic:
-        n_traj = 1
-    else:
-        n_traj = trajectories or max(1, math.ceil(shots / shots_per_trajectory))
-    rngs = [np.random.default_rng(base + [2, t]) for t in range(n_traj)]
-    batch = plan.run_batch(init, rngs)
-
+    n_traj = len(measured)
     if infinite:
-        probs = np.mean(np.abs(batch) ** 2, axis=0)
+        probs = np.mean(np.abs(measured) ** 2, axis=0)
         counts = Counts.from_vector(probs * shots, width, float(shots), exact=True)
     else:
         share = [shots // n_traj] * n_traj
         for i in range(shots % n_traj):
             share[i] += 1
+        rng = np.random.default_rng(base + [4])
         total = np.zeros(2**width, dtype=np.int64)
         for t in range(n_traj):
             if share[t] == 0:
                 continue
-            p = np.abs(batch[t]) ** 2
-            total += rngs[t].multinomial(share[t], p / p.sum())
+            p = np.abs(measured[t]) ** 2
+            total += rng.multinomial(share[t], p / p.sum())
         counts = Counts.from_vector(total.astype(float), width, float(shots))
 
     if spec.has_readout_error():
@@ -798,16 +834,3 @@ def _apply_idle_dephasing(rho, q, duration_ns, spec, width):
         return rho
     zmat = _embed(_pauli1("Z"), (q,), width)
     return 0.5 * (1.0 + factor) * rho + 0.5 * (1.0 - factor) * (zmat @ rho @ zmat)
-
-
-def exact_noisy_probabilities(circuit: Circuit, spec: NoiseSpec,
-                              initial: Statevector | None = None) -> np.ndarray:
-    """Exact outcome distribution incl. forward readout (width <= 4)."""
-    rho = run_noisy_density(circuit, spec, initial=initial)
-    probs = np.real(np.diag(rho.matrix)).copy()
-    probs[probs < 0] = 0.0
-    probs /= probs.sum()
-    if spec.has_readout_error():
-        m = ConfusionMatrix.from_rates(circuit.width, spec.readout_eps, spec.readout_eta)
-        probs = m.apply_to_vector(probs)
-    return probs

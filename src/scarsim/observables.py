@@ -331,38 +331,6 @@ def build_cy_circuits(p: ModelParams, steps: int, i: int, impl: str = "rzz",
     }
 
 
-@dataclass(frozen=True)
-class CYPlanEntry:
-    source_site: int
-    branch: str
-    parity: str
-
-
-@dataclass(frozen=True)
-class CYPlan:
-    """Measurement settings for one time step of the correlator."""
-
-    L: int
-    entries: tuple[CYPlanEntry, ...]
-
-    def __post_init__(self):
-        expected = 4 * 2 * (self.L // 2)
-        if len(self.entries) != expected:
-            raise ValueError(
-                f"plan must hold 4 x 2 x floor(L/2) = {expected} settings"
-            )
-
-
-def build_cy_plan(L: int) -> CYPlan:
-    entries = [
-        CYPlanEntry(i, b, par)
-        for i in range(2, L + 1, 2)
-        for b in CY_BRANCHES
-        for par in PARITIES
-    ]
-    return CYPlan(L=L, entries=tuple(entries))
-
-
 def assemble_cy(branch_values: dict, L: int) -> complex:
     """Combine per-branch <(PYP)_j> values into C_Y(t).
 

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,7 +340,7 @@ class TestEmission:
         assert data["columns"] == ["step", "Vt", "value_re", "value_im", "std"]
 
     def test_reruns_are_byte_identical(self, tmp_path):
-        cfg_a = tiny_config(
+        cfg = tiny_config(
             out=str(tmp_path / "a"),
             noise_preset="casablanca-like",
             infinite_shots=False,
@@ -347,14 +348,42 @@ class TestEmission:
             readout_mode="tensor",
             postselect=True,
         )
-        cfg_b = ExperimentConfig(**{**cfg_a.to_dict(), "out": str(tmp_path / "b"),
-                                    "zne_factors": cfg_a.zne_factors})
-        emit(run_zpi(cfg_a), cfg_a)
-        emit(run_zpi(cfg_b), cfg_b)
-        for f in sorted((tmp_path / "a").iterdir()):
-            if f.name == "manifest.json":
-                continue  # manifest records the differing out path
-            assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+        _assert_reruns_identical(cfg, run_zpi)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["zpi", "cy"])
+    def test_noisy_reruns_are_byte_identical_in_every_file(self, tmp_path, command, fmt):
+        cfg = tiny_config(
+            sites=4 if command == "zpi" else 3,
+            steps=2,
+            out=str(tmp_path / "run"),
+            format=fmt,
+            noise_preset="casablanca-like",
+            noise_overrides={"idle_stochastic_rate_per_ns": 1e-4},
+            infinite_shots=False,
+            shots=256,
+            shots_per_trajectory=64,
+            readout_mode="tensor",
+            postselect=command == "zpi",
+            dd=command == "zpi",
+        )
+        _assert_reruns_identical(cfg, run_zpi if command == "zpi" else run_cy)
+
+
+def _assert_reruns_identical(cfg: ExperimentConfig, run) -> None:
+    """Two fresh runs emitted to the same out path write the same bytes
+    to every file, the manifest included."""
+    out = Path(cfg.out)
+    emit(run(cfg), cfg)
+    first = {f.name: f.read_bytes() for f in out.iterdir()}
+    for f in out.iterdir():
+        f.unlink()
+    emit(run(ExperimentConfig(**{**cfg.to_dict(), "zne_factors": cfg.zne_factors})), cfg)
+    second = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert "manifest.json" in first and "variants.jsonl" in first
+    assert sorted(first) == sorted(second)
+    for name in first:
+        assert first[name] == second[name], name
 
 
 class TestReferenceSeries:

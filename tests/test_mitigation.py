@@ -4,7 +4,6 @@ import pytest
 
 from scarsim import mitigation, noise
 from scarsim.mitigation import (
-    ZNEConfig,
     calibrate_confusion,
     effective_scale,
     effective_twirled_noise_ptm,
@@ -261,12 +260,6 @@ class TestZNEExtrapolate:
             if abs(res.intercept - a_true) <= 3 * res.intercept_std:
                 hits += 1
         assert hits / n > 0.98
-
-    def test_zne_config_validation(self):
-        with pytest.raises(ValueError):
-            ZNEConfig(scale_factors=(1.5, 2.0))
-        with pytest.raises(ValueError):
-            ZNEConfig(scale_factors=(2.0, 1.0))
 
 
 class TestZNEBiasReduction:

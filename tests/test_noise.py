@@ -219,6 +219,31 @@ class TestReadout:
         vec = np.array([0.2, 0.1, 0.05, 0.15, 0.1, 0.2, 0.1, 0.1])
         np.testing.assert_allclose(m.invert_vector(m.apply_to_vector(vec)), vec, atol=1e-12)
 
+    def test_full_inversion_factors_once(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        factor = scipy.linalg.lu_factor
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+        rng = np.random.default_rng(4)
+        mat = np.eye(16) + 0.05 * rng.random((16, 16))
+        m = ConfusionMatrix("full", 4, matrix=mat / mat.sum(axis=0))
+        for _ in range(3):
+            vec = rng.random(16) * 1000.0
+            want = np.linalg.solve(m.matrix, vec)
+            np.testing.assert_allclose(m.invert_vector(vec), want, rtol=1e-12, atol=0)
+        assert calls == [(16, 16)]
+
+    def test_singular_full_matrix_rejected(self):
+        m = ConfusionMatrix("full", 1, matrix=np.full((2, 2), 0.5))
+        with pytest.raises(np.linalg.LinAlgError):
+            m.invert_vector(np.array([1.0, 0.0]))
+
 
 class TestTrajectoryExecution:
     def test_noiseless_infinite_matches_ideal(self):
@@ -262,22 +287,30 @@ class TestTrajectoryExecution:
         assert sum(counts.data.values()) == 1000.0
 
     def test_batched_trajectories_equal_sequential(self):
-        # sequential-equivalence contract of the batch runner
+        # a batch of T generators evolves each trajectory exactly as T
+        # one-generator batches do: no draw depends on another trajectory
         from scarsim.model import build_trotter_step, qmbs_params
-        from scarsim.qsim import delay
 
         circ = build_trotter_step(qmbs_params(4), impl="two-cnot", idle_ns=200.0)
         spec = NoiseSpec(
             two_qubit_depolarizing=0.1,
+            single_qubit_depolarizing=0.05,
             idle_dephasing_rad_per_ns=0.005,
             idle_stochastic_rate_per_ns=1e-4,
         )
         plan = noise._NoisePlan(circ, spec)
-        init = Statevector.zero(4).amplitudes
-        batch = plan.run_batch(init, [np.random.default_rng([3, t]) for t in range(6)])
+        init = Statevector.zero(4)
+        batch = noise.TrajectoryBatch.start(
+            spec, [np.random.default_rng([3, t]) for t in range(6)], init
+        )
+        batch.advance(plan)
+        batch.advance(plan)  # a second block continues the same trajectories
         for t in range(6):
-            single = plan.run(init, np.random.default_rng([3, t]))
-            np.testing.assert_allclose(batch[t], single, atol=1e-12)
+            single = noise.TrajectoryBatch.start(spec, [np.random.default_rng([3, t])], init)
+            single.advance(plan)
+            single.advance(plan)
+            np.testing.assert_allclose(batch.amps[t], single.amps[0], atol=1e-12)
+        assert len({batch.amps[t].tobytes() for t in range(6)}) > 1
 
 
 class TestPresets:

@@ -7,7 +7,6 @@ from scarsim.observables import (
     accumulated_error,
     assemble_cy,
     build_cy_circuits,
-    build_cy_plan,
     cy_branch_prep,
     cy_oracle,
     loschmidt_echo,
@@ -236,10 +235,6 @@ class TestCYBranches:
             assert describe(circ.gates[-len(evolve.gates):]) == describe(evolve.gates)
             prep_extra = circ.gates[2 : len(circ.gates) - len(evolve.gates)]
             assert {g.qubits for g in prep_extra} == {(1,)}
-
-    def test_plan_size(self):
-        plan = build_cy_plan(5)
-        assert len(plan.entries) == 4 * 2 * 2
 
 
 class TestCYAssembly:
