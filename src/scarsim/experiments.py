@@ -4,15 +4,17 @@ mitigation pipeline, statistics, and deterministic file emission.
 Pipeline order is fixed: readout-matrix inversion, then postselection,
 then per-twirl observable estimation, then linear extrapolation across
 the noise scale factors.  Variants come from a prefix-sharing sweep
-(``_sweep``): each (twirl, scale) chain evolves one batch of noise
+(``_sweep``): each (twirl, scale) chain evolves a batch of noise
 trajectories through the preparation block and then one Trotter step
-per block, measuring a snapshot after every block.  The chain key
-(config seed, trial, 0, twirl, scale) seeds the chain's trajectories for
-all steps; the variant key (config seed, trial, step, twirl, scale)
-seeds that step's folds, twirl, shots and readout flips.  A rerun with
-the same config therefore emits byte-identical files.  Estimates at
-different steps of one chain share its noise and twirl draws, so they
-are correlated across steps, but each is still unbiased.
+per block, measuring a snapshot after every block; under stochastic
+noise a fresh batch re-runs the chain's whole prefix every
+ceil(sqrt(steps + 1)) steps.  The variant key (config seed, trial,
+step, twirl, scale) seeds that step's folds, twirl, shots and readout
+flips; the chain key, the variant key of the first step of the step's
+segment, seeds the trajectories.  A rerun with the same config
+therefore emits byte-identical files.  Estimates at different steps of
+one segment share its noise draws, and all steps of a chain share twirl
+draws, so they are correlated across steps, but each is still unbiased.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ import configparser
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -325,24 +328,45 @@ def _zne_scalar(per_lambda: list[list[float]], lam_effs: list[float]):
     return res.intercept, res.intercept_std
 
 
+def _segment_steps(n_steps: int, stochastic: bool) -> int:
+    """Steps a chain carries one trajectory batch.
+
+    Restarting fresh trajectories every s steps costs about
+    n_steps**2 / (2 s) block evolutions on top of the n_steps of one
+    carried batch, and cuts the series into about (n_steps + 1) / s
+    independent segments.  s = ceil(sqrt(n_steps + 1)) balances the two:
+    about sqrt(n_steps) segments for n_steps**1.5 / 2 extra evolutions,
+    against the n_steps**2 / 2 of re-running every step.  Without
+    stochastic noise every batch is the same, so one is carried
+    throughout.
+    """
+    if not stochastic:
+        return n_steps + 1
+    return math.ceil(math.sqrt(n_steps + 1))
+
+
 def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
            key_head: list[int], estimate, basis: Circuit | None = None):
     """Run one circuit family through every (twirl, scale) chain.
 
     ``blocks[0]`` prepares the state and ``blocks[n]`` is the n-th
     Trotter step, so the circuit of step n is blocks[0..n].  A chain, one
-    twirl and one scale, keeps a single trajectory batch and evolves it
-    block by block: block n gets its share of the prefix's folds
-    (``mitigation.block_fold_counts``) and its own twirl, runs on the
-    batch, and the snapshot after it is measured (in ``basis``, if given)
-    and passed to ``estimate(counts, lam)``.  Each block is evolved once
-    per chain, not once per later step.
+    twirl and one scale, evolves its blocks block by block: block n gets
+    its share of the prefix's folds (``mitigation.block_fold_counts``)
+    and its own twirl, runs on the chain's trajectory batch, and the
+    snapshot after it is measured (in ``basis``, if given) and passed to
+    ``estimate(counts, lam)``.  The chain is cut into segments of
+    ``_segment_steps`` steps: at the first step of each segment a fresh
+    batch runs the chain's whole folded, twirled prefix, and the
+    segment's later steps carry that batch one block at a time.  Steps
+    of one segment share their noise draws; steps of different segments
+    do not, which bounds how far the sharing correlates the series.
 
     The variant key of (step, twirl w, scale li) is key_head + [step, w, li];
     it seeds the block's folds (+[0]) and twirl (+[1]) and the step's
-    shots (+[4]) and readout flips (+[3]).  The chain key is the variant
-    key of step 0; trajectory t of the chain draws its noise from
-    chain key + [2, t] at every step.
+    shots (+[4]) and readout flips (+[3]).  The chain key of a step is
+    the variant key of its segment's first step; trajectory t draws its
+    noise from chain key + [2, t] for every block it evolves.
 
     Returns (estimates, lam_effs, variants), each indexed by step:
     estimates[step][li] lists estimate's results over the twirls,
@@ -355,20 +379,26 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
     lam_effs = [[mitigation.effective_scale(n, lam) for lam in factors] for n in n2]
     n_traj = noise.trajectory_count(spec.is_stochastic(), config.shots,
                                     config.shots_per_trajectory)
+    seg = _segment_steps(len(blocks) - 1, spec.is_stochastic())
     initial = Statevector.zero(blocks[0].width)
     estimates = [[[None] * config.twirls for _ in factors] for _ in blocks]
     for w in range(config.twirls):
         for li, lam in enumerate(factors):
             folds = mitigation.block_fold_counts(n2_blocks, lam)
-            batch = noise.TrajectoryBatch.seeded(spec, n_traj, key_head + [0, w, li], initial)
+            prefix: list = []
             for step, block in enumerate(blocks):
                 key = key_head + [step, w, li]
                 folded = mitigation.fold_gates_random(
                     block, lam, seed=key + [_ROLE_FOLD], folds=folds[step]
                 )
                 twirled = mitigation.twirl_circuit(folded, seed=key + [_ROLE_TWIRL])
+                prefix.extend(twirled.gates)
+                circuit = twirled
+                if step % seg == 0:
+                    batch = noise.TrajectoryBatch.seeded(spec, n_traj, key, initial)
+                    circuit = Circuit(twirled.width, prefix)
                 counts = noise.run_noisy_counts(
-                    twirled,
+                    circuit,
                     spec,
                     config.shots,
                     key,
@@ -387,7 +417,7 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
                 "effective_scale": lam_effs[step][li],
                 "two_qubit_gates": n2[step],
                 "seed_key": key_head + [step, w, li],
-                "chain_key": key_head + [0, w, li],
+                "chain_key": key_head + [step - step % seg, w, li],
             }
             for w in range(config.twirls)
             for li, lam in enumerate(factors)

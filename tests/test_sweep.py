@@ -1,6 +1,8 @@
-"""The prefix-sharing variant sweep: each chain evolves its blocks once,
-and every step still sees exactly the circuit, folds and scale of its
-whole prefix."""
+"""The prefix-sharing variant sweep: each chain evolves its blocks once
+per segment, and every step still sees exactly the circuit, folds and
+scale of its whole prefix."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,11 +143,58 @@ class TestNoiselessSweepMatchesResimulation:
         assert order == sorted(order)
 
 
+def _gate_list(gates) -> list[tuple]:
+    return [(g.kind, g.qubits, g.angle, g.duration_ns) for g in gates]
+
+
+def test_noisy_chains_restart_fresh_trajectories_every_segment(monkeypatch):
+    # 6 steps -> segments of ceil(sqrt(6)) = 3 steps: steps 0 and 3 run
+    # the whole folded, twirled prefix on fresh trajectories seeded by
+    # their own variant key, exactly as a one-off execution of that
+    # prefix would; steps 1, 2, 4 and 5 continue their segment's batch
+    cfg = ExperimentConfig(sites=4, steps=5, shots=256, shots_per_trajectory=64,
+                           twirls=1, zne_factors=(1.0, 2.0), readout_mode="off",
+                           postselect=False, noise_preset="casablanca-like", seed=3)
+    seen = {}
+    run = noise.run_noisy_counts
+
+    def spy(circuit, spec, shots, seed, **kw):
+        counts = run(circuit, spec, shots, seed, **kw)
+        seen[tuple(seed)] = (circuit, counts)
+        return counts
+
+    monkeypatch.setattr(noise, "run_noisy_counts", spy)
+    variants = {tuple(v["seed_key"]): v for v in run_zpi(cfg)["variants"]}
+    spec = cfg.noise_spec()
+    blocks = ([neel_prep_circuit(cfg.sites)]
+              + [build_trotter_step(cfg.model_params(), impl=cfg.impl)] * cfg.steps)
+    seg = math.ceil(math.sqrt(cfg.steps + 1))
+    assert seg == 3
+    for li, lam in enumerate(cfg.zne_factors):
+        folds = mitigation.block_fold_counts([b.n_two_qubit for b in blocks], lam)
+        gates = ()
+        for n, block in enumerate(blocks):
+            key = [cfg.seed, 0, n, 0, li]
+            folded = mitigation.fold_gates_random(block, lam, seed=key + [0], folds=folds[n])
+            twirled = mitigation.twirl_circuit(folded, seed=key + [1])
+            gates += twirled.gates
+            circuit, counts = seen[tuple(key)]
+            assert variants[tuple(key)]["chain_key"] == [cfg.seed, 0, n - n % seg, 0, li]
+            if n % seg:
+                assert _gate_list(circuit.gates) == _gate_list(twirled.gates)
+                continue
+            assert _gate_list(circuit.gates) == _gate_list(gates)
+            fresh = run(Circuit(cfg.sites, gates), spec, cfg.shots, key,
+                        shots_per_trajectory=cfg.shots_per_trajectory)
+            np.testing.assert_array_equal(counts.vector, fresh.vector)
+
+
 def test_shared_trajectories_are_unbiased_at_every_step():
-    # one chain of N single-shot-weight trajectories carried through all
-    # steps: each step's raw estimate still converges to the exact noisy
-    # channel value (5-sigma band; the per-trajectory values lie in
-    # [-1, 1] and [0, 1]), although the steps share their noise draws
+    # one chain of N single-shot-weight trajectories, restarted at step 2
+    # (segments of ceil(sqrt(4)) = 2 steps) and carried otherwise: each
+    # step's raw estimate still converges to the exact noisy channel
+    # value (5-sigma band; the per-trajectory values lie in [-1, 1] and
+    # [0, 1]), although the steps of a segment share their noise draws
     n_traj = 20_000
     cfg = noiseless_config(
         sites=3, steps=3, shots=n_traj, shots_per_trajectory=1, twirls=1,
