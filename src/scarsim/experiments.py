@@ -361,6 +361,8 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
     segment's later steps carry that batch one block at a time.  Steps
     of one segment share their noise draws; steps of different segments
     do not, which bounds how far the sharing correlates the series.
+    Whether the chain's noise is stochastic, which sets its trajectory
+    count and segments, is ``noise.chain_noise`` of its blocks and basis.
 
     The variant key of (step, twirl w, scale li) is key_head + [step, w, li];
     it seeds the block's folds (+[0]) and twirl (+[1]) and the step's
@@ -377,9 +379,11 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
     n2_blocks = [b.n_two_qubit for b in blocks]
     n2 = list(itertools.accumulate(n2_blocks))
     lam_effs = [[mitigation.effective_scale(n, lam) for lam in factors] for n in n2]
-    n_traj = noise.trajectory_count(spec.is_stochastic(), config.shots,
-                                    config.shots_per_trajectory)
-    seg = _segment_steps(len(blocks) - 1, spec.is_stochastic())
+    stochastic, quasi_static = noise.chain_noise(
+        blocks + ([basis] if basis is not None else []), spec
+    )
+    n_traj = noise.trajectory_count(stochastic, config.shots, config.shots_per_trajectory)
+    seg = _segment_steps(len(blocks) - 1, stochastic)
     initial = Statevector.zero(blocks[0].width)
     estimates = [[[None] * config.twirls for _ in factors] for _ in blocks]
     for w in range(config.twirls):
@@ -395,7 +399,8 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
                 prefix.extend(twirled.gates)
                 circuit = twirled
                 if step % seg == 0:
-                    batch = noise.TrajectoryBatch.seeded(spec, n_traj, key, initial)
+                    batch = noise.TrajectoryBatch.seeded(spec, n_traj, key, initial,
+                                                         quasi_static)
                     circuit = Circuit(twirled.width, prefix)
                 counts = noise.run_noisy_counts(
                     circuit,

@@ -238,15 +238,6 @@ class NoiseSpec:
     def has_readout_error(self) -> bool:
         return self.readout_eps > 0.0 or self.readout_eta > 0.0
 
-    def is_stochastic(self) -> bool:
-        """Whether some noise source draws per-trajectory randomness."""
-        return (
-            self.is_gate_noisy()
-            or self.single_qubit_depolarizing > 0.0
-            or self.idle_dephasing_rad_per_ns > 0.0
-            or self.idle_stochastic_rate_per_ns > 0.0
-        )
-
 
 def noiseless() -> NoiseSpec:
     return NoiseSpec(two_qubit_target_error=0.0)
@@ -507,10 +498,12 @@ class _NoisePlan:
     Noiseless single-qubit gates are fused into one 2x2 matrix per qubit
     between interaction points (sequential-equivalence optimization;
     disabled when per-gate single-qubit noise is switched on, since that
-    noise attaches to individual gates).
+    noise attaches to individual gates).  An optional measurement
+    ``basis`` rotation is planned after the circuit, from ``ops[split]``
+    on, with no fusion across the boundary.
     """
 
-    def __init__(self, circuit: Circuit, spec: NoiseSpec):
+    def __init__(self, circuit: Circuit, spec: NoiseSpec, basis: Circuit | None = None):
         self.width = circuit.width
         self.ops: list[tuple] = []
         self.has_stochastic = False
@@ -524,7 +517,13 @@ class _NoisePlan:
             if mat is not None:
                 self.ops.append(("gate", (q,), mat))
 
-        for g in circuit.gates:
+        def add(gates) -> None:
+            for g in gates:
+                add_gate(g)
+            for q in sorted(pending):
+                flush(q)
+
+        def add_gate(g: Gate) -> None:
             if g.kind == "DELAY":
                 flush(g.qubits[0])
                 p_flip = 0.0
@@ -534,7 +533,7 @@ class _NoisePlan:
                 if spec.idle_dephasing_rad_per_ns > 0 and g.duration_ns > 0:
                     self.has_quasi_static = True
                 self.ops.append(("delay", g.qubits, g.duration_ns, p_flip))
-                continue
+                return
             mat = gate_matrix(g)
             if g.is_two_qubit:
                 flush(g.qubits[0])
@@ -558,12 +557,15 @@ class _NoisePlan:
             else:
                 self.has_stochastic = True
                 self.ops.append(("gate1", g.qubits, mat, spec.single_qubit_depolarizing))
-        for q in sorted(pending):
-            self.ops.append(("gate", (q,), pending[q]))
+
+        add(circuit.gates)
+        self.split = len(self.ops)
+        if basis is not None:
+            add(basis.gates)
         self.stochastic = self.has_stochastic or self.has_quasi_static
 
     def run_batch(self, amps: np.ndarray, rngs: list[np.random.Generator],
-                  omegas: np.ndarray | None = None) -> np.ndarray:
+                  omegas: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Evolve a (T, 2^width) stack of trajectories through the plan.
 
         Trajectory t draws one uniform per noisy operation from
@@ -571,11 +573,17 @@ class _NoisePlan:
         quasi-static rates ``omegas[t]``; no draw depends on another
         trajectory, so a batch of T generators equals T one-generator
         batches.  ``amps`` may be overwritten.
+
+        Returns (after the circuit, after the circuit and the basis
+        rotation): the rotation runs on a copy, so the first stack never
+        carries it.  Without a basis both are the same array.
         """
         width = self.width
-        psi = amps
+        psi = kept = amps
         n_traj = len(rngs)
-        for op in self.ops:
+        for i, op in enumerate(self.ops):
+            if i == self.split:
+                kept, psi = psi, psi.copy()
             tag = op[0]
             if tag == "gate":
                 psi = _batch_apply(psi, op[2], op[1], width)
@@ -606,7 +614,7 @@ class _NoisePlan:
                     for t in np.nonzero(us < p_flip)[0]:
                         view = psi[t].reshape(1 << q, 2, -1)
                         view[:, 1, :] *= -1.0
-        return psi
+        return (psi, psi) if self.split == len(self.ops) else (kept, psi)
 
 
 @dataclass
@@ -626,22 +634,37 @@ class TrajectoryBatch:
 
     @classmethod
     def start(cls, spec: NoiseSpec, rngs: list[np.random.Generator],
-              initial: Statevector) -> "TrajectoryBatch":
+              initial: Statevector, quasi_static: bool) -> "TrajectoryBatch":
+        """Trajectories at ``initial``; they draw quasi-static idle rates
+        only if some circuit they will run has ``quasi_static`` idles."""
         omegas = None
-        if spec.idle_dephasing_rad_per_ns > 0:
+        if quasi_static:
             sigma = spec.idle_dephasing_rad_per_ns
             omegas = np.stack([r.normal(0.0, sigma, size=initial.width) for r in rngs])
         return cls(np.tile(initial.amplitudes, (len(rngs), 1)), rngs, omegas)
 
     @classmethod
     def seeded(cls, spec: NoiseSpec, n_traj: int, key: list[int],
-               initial: Statevector) -> "TrajectoryBatch":
+               initial: Statevector, quasi_static: bool) -> "TrajectoryBatch":
         """``n_traj`` trajectories, trajectory t seeded ``key + [2, t]``."""
         rngs = [np.random.default_rng(key + [2, t]) for t in range(n_traj)]
-        return cls.start(spec, rngs, initial)
+        return cls.start(spec, rngs, initial, quasi_static)
 
-    def advance(self, plan: _NoisePlan) -> None:
-        self.amps = plan.run_batch(self.amps, self.rngs, self.omegas)
+    def advance(self, plan: _NoisePlan) -> np.ndarray:
+        """Evolve the batch through ``plan``; returns the trajectories
+        rotated into the plan's measurement basis, which the batch itself
+        does not carry forward."""
+        self.amps, measured = plan.run_batch(self.amps, self.rngs, self.omegas)
+        return measured
+
+
+def chain_noise(circuits: list[Circuit], spec: NoiseSpec) -> tuple[bool, bool]:
+    """(stochastic, quasi_static) of trajectories that run ``circuits``
+    one after another: whether some circuit's plan draws per-trajectory
+    noise, and whether some circuit dephases idles at quasi-static rates.
+    The same rule as a single circuit's ``_NoisePlan``."""
+    plans = [_NoisePlan(c, spec) for c in {id(c): c for c in circuits}.values()]
+    return any(p.stochastic for p in plans), any(p.has_quasi_static for p in plans)
 
 
 def trajectory_count(stochastic: bool, shots: int, shots_per_trajectory: int) -> int:
@@ -680,8 +703,9 @@ def run_noisy_statevector(circuit: Circuit, spec: NoiseSpec, seed: int,
                           initial: Statevector | None = None) -> Statevector:
     """One noise trajectory: sampled Pauli insertions over the statevector."""
     init = initial or Statevector.zero(circuit.width)
-    batch = TrajectoryBatch.start(spec, [np.random.default_rng(seed)], init)
-    batch.advance(_NoisePlan(circuit, spec))
+    plan = _NoisePlan(circuit, spec)
+    batch = TrajectoryBatch.start(spec, [np.random.default_rng(seed)], init, plan.has_quasi_static)
+    batch.advance(plan)
     return Statevector(batch.amps[0], check=False)
 
 
@@ -704,7 +728,8 @@ def trajectory_expectations(
     init = initial or Statevector.zero(circuit.width)
     acc = np.zeros(len(paulis))
     for t in range(trajectories):
-        batch = TrajectoryBatch.start(spec, [np.random.default_rng([seed, t])], init)
+        rngs = [np.random.default_rng([seed, t])]
+        batch = TrajectoryBatch.start(spec, rngs, init, plan.has_quasi_static)
         batch.advance(plan)
         state = Statevector(batch.amps[0], check=False)
         for i, p in enumerate(paulis):
@@ -736,22 +761,20 @@ def run_noisy_counts(
     |0...0>, seeded ``seed + [2, t]`` (see ``TrajectoryBatch.seeded``).
     With ``batch`` it continues that batch's trajectories, which it
     advances in place, so a circuit given block by block is evolved
-    once.  ``basis`` is a measurement basis rotation applied to a copy
-    of the trajectories before sampling; the batch does not carry it
-    forward.
+    once.  ``basis`` is a measurement basis rotation applied, in the
+    same batch evolution, to a copy of the trajectories before sampling;
+    the batch does not carry it forward.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     width = circuit.width
-    plan = _NoisePlan(circuit, spec)
+    plan = _NoisePlan(circuit, spec, basis)
     base = [int(v) for v in np.atleast_1d(seed)]
     if batch is None:
         n_traj = trajectory_count(plan.stochastic, shots, shots_per_trajectory)
-        batch = TrajectoryBatch.seeded(spec, n_traj, base, Statevector.zero(width))
-    batch.advance(plan)
-    measured = batch.amps
-    if basis is not None:
-        measured = _NoisePlan(basis, spec).run_batch(measured.copy(), batch.rngs, batch.omegas)
+        batch = TrajectoryBatch.seeded(spec, n_traj, base, Statevector.zero(width),
+                                       plan.has_quasi_static)
+    measured = batch.advance(plan)
 
     n_traj = len(measured)
     if infinite:

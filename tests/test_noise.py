@@ -300,13 +300,14 @@ class TestTrajectoryExecution:
         )
         plan = noise._NoisePlan(circ, spec)
         init = Statevector.zero(4)
+        assert plan.has_quasi_static
         batch = noise.TrajectoryBatch.start(
-            spec, [np.random.default_rng([3, t]) for t in range(6)], init
+            spec, [np.random.default_rng([3, t]) for t in range(6)], init, True
         )
         batch.advance(plan)
         batch.advance(plan)  # a second block continues the same trajectories
         for t in range(6):
-            single = noise.TrajectoryBatch.start(spec, [np.random.default_rng([3, t])], init)
+            single = noise.TrajectoryBatch.start(spec, [np.random.default_rng([3, t])], init, True)
             single.advance(plan)
             single.advance(plan)
             np.testing.assert_allclose(batch.amps[t], single.amps[0], atol=1e-12)

@@ -283,3 +283,55 @@ def test_fold_count_argument_is_checked():
         mitigation.fold_gates_random(block, 2.0, seed=0, folds=-1)
     with pytest.raises(ValueError):
         mitigation.fold_gates_random(Circuit(2, [h(0)]), 2.0, seed=0, folds=1)
+
+
+def record_batches(monkeypatch) -> list[tuple[int, bool]]:
+    """Spy on the batch executor: (trajectories, quasi-static rates drawn)
+    per ``_NoisePlan.run_batch`` call."""
+    calls = []
+    run_batch = noise._NoisePlan.run_batch
+
+    def spy(plan, amps, rngs, omegas=None):
+        calls.append((len(rngs), omegas is not None))
+        return run_batch(plan, amps, rngs, omegas)
+
+    monkeypatch.setattr(noise._NoisePlan, "run_batch", spy)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["zpi", "cy"])
+def test_one_batch_evolution_per_variant(monkeypatch, command):
+    # the cy parity rotation runs on a copy inside the variant's one batch
+    # evolution, so every variant evolves its ceil(shots / spt) = 2
+    # trajectories once
+    cfg = ExperimentConfig(sites=4, steps=2, shots=256, shots_per_trajectory=128,
+                           twirls=1, zne_factors=(1.0, 2.0), readout_mode="off",
+                           postselect=False, noise_preset="casablanca-like", seed=5)
+    calls = record_batches(monkeypatch)
+    variants = (run_zpi(cfg) if command == "zpi" else run_cy(cfg))["variants"]
+    assert [n for n, _ in calls] == [2] * len(variants)
+
+
+@pytest.mark.parametrize("dd", [False, True])
+def test_idle_only_noise_is_stochastic_only_with_idle_windows(monkeypatch, dd):
+    # quasi-static idle dephasing acts only on DELAY gates, which the
+    # Trotter step has only with dynamical decoupling: without them a
+    # chain runs one trajectory, draws no rates and never restarts
+    cfg = ExperimentConfig(sites=4, steps=3, shots=256, shots_per_trajectory=64,
+                           twirls=1, zne_factors=(1.0,), readout_mode="off",
+                           postselect=False, noise_preset="noiseless", dd=dd, seed=5,
+                           noise_overrides={"idle_dephasing_rad_per_ns": 0.002})
+    calls = record_batches(monkeypatch)
+    seen = {}
+    run = noise.run_noisy_counts
+
+    def spy(circuit, spec, shots, seed, **kw):
+        seen[tuple(seed)] = circuit
+        return run(circuit, spec, shots, seed, **kw)
+
+    monkeypatch.setattr(noise, "run_noisy_counts", spy)
+    run_zpi(cfg)
+    assert calls == ([(4, True)] * 4 if dd else [(1, False)] * 4)
+    # no folds at scale 1: a restart runs every step's two-qubit gates
+    n2 = [seen[(cfg.seed, 0, n, 0, 0)].n_two_qubit for n in range(1, 4)]
+    assert n2 == ([n2[0], 2 * n2[0], n2[0]] if dd else [n2[0]] * 3)
