@@ -659,15 +659,6 @@ def run_loschmidt(config: ExperimentConfig, result: ExperimentResult | None = No
 # Correlator experiment
 # ---------------------------------------------------------------------------
 
-def _cy_reference(params: ModelParams, steps: int, impl: str) -> np.ndarray:
-    """Noiseless Trotter correlator via the measurement protocol itself."""
-    from .observables import simulate_cy_noiseless
-
-    return np.array(
-        [simulate_cy_noiseless(params, n, impl=impl) for n in range(steps + 1)]
-    )
-
-
 def run_cy(config: ExperimentConfig, regime: str | None = None) -> dict:
     """Correlator pipeline: 4 branches x 2 parities x floor(L/2) sources
     per step, twirl x scale variants each, readout mitigation and ZNE per
@@ -741,7 +732,8 @@ def run_cy(config: ExperimentConfig, regime: str | None = None) -> dict:
         for family in variants_by_family.values():
             variants.extend(family[step])
 
-    ref = _cy_reference(params, config.steps, config.impl)
+    # noiseless Trotter correlator via the measurement protocol itself
+    ref = observables.simulate_cy_noiseless(params, config.steps, impl=config.impl)
     out = {
         "cy_mitigated": _series(config, values, stds),
         "cy_abs_mitigated": _series(config, np.abs(values), stds),

@@ -27,9 +27,6 @@ from .qsim import Circuit, Gate, Statevector, cnot, rx, ry, rz, rzx, rzz, x
 
 RZZ_IMPLS = ("two-cnot", "scaled-rzx", "rzz")
 
-QMBS_PARAMS = dict(V=1.0, Omega=0.24, dt=1.0)
-CHAOTIC_PARAMS = dict(V=1.0, Omega=2.0, dt=0.16)
-
 
 @dataclass(frozen=True)
 class ModelParams:

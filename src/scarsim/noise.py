@@ -27,6 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .qsim import (
+    PAULI_1Q,
     Circuit,
     Counts,
     DensityOperator,
@@ -217,24 +218,6 @@ class NoiseSpec:
         p = self.two_qubit_error_prob(gate)
         return TWO_QUBIT_PAULI_LABELS, np.full(15, p / 16.0)
 
-    def is_gate_noisy(self) -> bool:
-        if self.two_qubit_pauli_rates is not None:
-            return sum(self.two_qubit_pauli_rates.values()) > 0
-        if self.two_qubit_depolarizing is not None:
-            return self.two_qubit_depolarizing > 0
-        return self.two_qubit_target_error > 0
-
-    def is_noiseless(self) -> bool:
-        return (
-            not self.is_gate_noisy()
-            and self.single_qubit_depolarizing == 0.0
-            and self.readout_eps == 0.0
-            and self.readout_eta == 0.0
-            and self.idle_dephasing_rad_per_ns == 0.0
-            and self.idle_stochastic_rate_per_ns == 0.0
-            and self.coherent_overrotation == 0.0
-        )
-
     def has_readout_error(self) -> bool:
         return self.readout_eps > 0.0 or self.readout_eta > 0.0
 
@@ -331,25 +314,28 @@ def load_noise_config(path) -> NoiseSpec:
     return replace(spec, **spec_kwargs) if spec_kwargs else spec
 
 
-def noisy_gate_channel(gate: Gate, spec: NoiseSpec) -> KrausChannel:
-    """Ideal two-qubit unitary followed by its error channel.
+def _overrotated_matrix(gate: Gate, over: float) -> np.ndarray:
+    """The gate's unitary followed by the coherent overrotation
+    exp(-i over G/2), G = ZZ after RZZ and ZX after RZX; every other
+    gate, CNOT included, is returned as it is."""
+    mat = gate_matrix(gate)
+    if over and gate.kind in ("RZZ", "RZX"):
+        mat = gate_matrix(Gate(gate.kind, (0, 1), angle=over)) @ mat
+    return mat
 
-    The error is either the stochastic Pauli channel drawn from the
-    spec's rates or, when ``coherent_overrotation`` is set, the coherent
-    unitary exp(-i delta ZZ/2) (a deliberately non-stochastic channel
-    used to exercise the twirl theorem).
-    """
+
+def noisy_gate_channel(gate: Gate, spec: NoiseSpec) -> KrausChannel:
+    """A two-qubit gate as the executor runs it: the unitary, then the
+    coherent overrotation (``_overrotated_matrix``), then the stochastic
+    Pauli channel drawn from the spec's rates."""
     if not gate.is_two_qubit:
         raise ValueError("noisy_gate_channel expects a two-qubit gate")
-    ideal = KrausChannel.unitary(gate_matrix(gate))
-    if spec.coherent_overrotation:
-        over = gate_matrix(Gate("RZZ", (0, 1), angle=spec.coherent_overrotation))
-        return KrausChannel.unitary(over).compose(ideal)
+    unitary = KrausChannel.unitary(_overrotated_matrix(gate, spec.coherent_overrotation))
     labels, probs = spec.pauli_distribution(gate)
     rates = {lab: float(pr) for lab, pr in zip(labels, probs) if pr > 0}
     if not rates:
-        return ideal
-    return KrausChannel.pauli(2, rates).compose(ideal)
+        return unitary
+    return KrausChannel.pauli(2, rates).compose(unitary)
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +520,10 @@ class _NoisePlan:
                     self.has_quasi_static = True
                 self.ops.append(("delay", g.qubits, g.duration_ns, p_flip))
                 return
-            mat = gate_matrix(g)
+            mat = _overrotated_matrix(g, over)
             if g.is_two_qubit:
                 flush(g.qubits[0])
                 flush(g.qubits[1])
-                if over and g.kind in ("RZZ", "RZX"):
-                    gen = "ZZ" if g.kind == "RZZ" else "ZX"
-                    extra = gate_matrix(Gate("R" + gen, (0, 1), angle=over))
-                    mat = extra @ mat
                 labels, probs = spec.pauli_distribution(g)
                 total = float(probs.sum())
                 if total > 0:
@@ -586,21 +568,21 @@ class _NoisePlan:
                 kept, psi = psi, psi.copy()
             tag = op[0]
             if tag == "gate":
-                psi = _batch_apply(psi, op[2], op[1], width)
+                psi = _apply_matrix(psi, op[2], op[1], width)
             elif tag == "gate2":
                 _, qubits, mat, cum, mats, total = op
-                psi = _batch_apply(psi, mat, qubits, width)
+                psi = _apply_matrix(psi, mat, qubits, width)
                 us = np.array([r.random() for r in rngs])
                 for t in np.nonzero(us < total)[0]:
                     k = int(np.searchsorted(cum, us[t], side="right"))
-                    psi[t] = _apply_matrix(psi[t], mats[k], qubits, width)
+                    psi[t:t + 1] = _apply_matrix(psi[t:t + 1], mats[k], qubits, width)
             elif tag == "gate1":
                 _, qubits, mat, p1 = op
-                psi = _batch_apply(psi, mat, qubits, width)
+                psi = _apply_matrix(psi, mat, qubits, width)
                 us = np.array([r.random() for r in rngs])
                 for t in np.nonzero(us < p1 * 0.75)[0]:
-                    pauli = ("X", "Y", "Z")[min(int(us[t] / (p1 * 0.25)), 2)]
-                    psi[t] = _apply_matrix(psi[t], _pauli1(pauli), qubits, width)
+                    pauli = "XYZ"[min(int(us[t] / (p1 * 0.25)), 2)]
+                    psi[t:t + 1] = _apply_matrix(psi[t:t + 1], PAULI_1Q[pauli], qubits, width)
             else:  # delay
                 _, qubits, dur, p_flip = op
                 q = qubits[0]
@@ -671,70 +653,6 @@ def trajectory_count(stochastic: bool, shots: int, shots_per_trajectory: int) ->
     """One trajectory per ``shots_per_trajectory`` shots (rounded up) if
     any noise is stochastic; a single one otherwise."""
     return max(1, math.ceil(shots / shots_per_trajectory)) if stochastic else 1
-
-def _pauli1(letter: str) -> np.ndarray:
-    from .qsim import PAULI_1Q
-
-    return PAULI_1Q[letter]
-
-
-def _batch_apply(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], width: int) -> np.ndarray:
-    """Apply one gate to a (T, 2^width) stack of amplitude arrays."""
-    n_traj = psi.shape[0]
-    if len(qubits) == 1:
-        q = qubits[0]
-        view = psi.reshape(n_traj, 1 << q, 2, -1)
-        a, b = view[:, :, 0, :], view[:, :, 1, :]
-        out = np.empty_like(view)
-        out[:, :, 0, :] = mat[0, 0] * a + mat[0, 1] * b
-        out[:, :, 1, :] = mat[1, 0] * a + mat[1, 1] * b
-        return out.reshape(n_traj, -1)
-    q0, q1 = qubits
-    arr = psi.reshape([n_traj] + [2] * width)
-    moved = np.moveaxis(arr, (1 + q0, 1 + q1), (1, 2)).reshape(n_traj, 4, -1)
-    out = mat @ moved
-    out = np.moveaxis(
-        out.reshape([n_traj, 2, 2] + [2] * (width - 2)), (1, 2), (1 + q0, 1 + q1)
-    )
-    return out.reshape(n_traj, -1)
-
-
-def run_noisy_statevector(circuit: Circuit, spec: NoiseSpec, seed: int,
-                          initial: Statevector | None = None) -> Statevector:
-    """One noise trajectory: sampled Pauli insertions over the statevector."""
-    init = initial or Statevector.zero(circuit.width)
-    plan = _NoisePlan(circuit, spec)
-    batch = TrajectoryBatch.start(spec, [np.random.default_rng(seed)], init, plan.has_quasi_static)
-    batch.advance(plan)
-    return Statevector(batch.amps[0], check=False)
-
-
-def trajectory_expectations(
-    circuit: Circuit,
-    spec: NoiseSpec,
-    paulis,
-    trajectories: int,
-    seed: int,
-    initial: Statevector | None = None,
-) -> np.ndarray:
-    """Monte-Carlo averages of Pauli expectations over noise trajectories.
-
-    Verification hook: for stochastic Pauli noise these converge to the
-    exact channel values obtainable from ``run_noisy_density``.
-    """
-    from .qsim import expectation_pauli
-
-    plan = _NoisePlan(circuit, spec)
-    init = initial or Statevector.zero(circuit.width)
-    acc = np.zeros(len(paulis))
-    for t in range(trajectories):
-        rngs = [np.random.default_rng([seed, t])]
-        batch = TrajectoryBatch.start(spec, rngs, init, plan.has_quasi_static)
-        batch.advance(plan)
-        state = Statevector(batch.amps[0], check=False)
-        for i, p in enumerate(paulis):
-            acc[i] += expectation_pauli(state, p)
-    return acc / trajectories
 
 
 def run_noisy_counts(
@@ -820,11 +738,7 @@ def run_noisy_density(circuit: Circuit, spec: NoiseSpec,
         if g.kind == "DELAY":
             rho = _apply_idle_dephasing(rho, g.qubits[0], g.duration_ns, spec, width)
             continue
-        mat = gate_matrix(g)
-        if g.is_two_qubit and over and g.kind in ("RZZ", "RZX"):
-            gen = "ZZ" if g.kind == "RZZ" else "ZX"
-            mat = gate_matrix(Gate("R" + gen, (0, 1), angle=over)) @ mat
-        u = _embed(mat, g.qubits, width)
+        u = _embed(_overrotated_matrix(g, over), g.qubits, width)
         rho = u @ rho @ u.conj().T
         if g.is_two_qubit:
             labels, probs = spec.pauli_distribution(g)
@@ -840,7 +754,7 @@ def run_noisy_density(circuit: Circuit, spec: NoiseSpec,
             p1 = spec.single_qubit_depolarizing
             mixed = (1.0 - 0.75 * p1) * rho
             for letter in "XYZ":
-                pm = _embed(_pauli1(letter), g.qubits, width)
+                pm = _embed(PAULI_1Q[letter], g.qubits, width)
                 mixed += 0.25 * p1 * (pm @ rho @ pm.conj().T)
             rho = mixed
     return DensityOperator(rho, check=False)
@@ -855,5 +769,5 @@ def _apply_idle_dephasing(rho, q, duration_ns, spec, width):
         factor *= 1.0 - 2.0 * p_flip
     if factor == 1.0:
         return rho
-    zmat = _embed(_pauli1("Z"), (q,), width)
+    zmat = _embed(PAULI_1Q["Z"], (q,), width)
     return 0.5 * (1.0 + factor) * rho + 0.5 * (1.0 - factor) * (zmat @ rho @ zmat)

@@ -22,13 +22,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import ModelParams, neel_bitstring, neel_prep_circuit, trotter_step_matrix
+from .model import (
+    ModelParams,
+    build_trotter_step,
+    neel_bitstring,
+    neel_prep_circuit,
+    trotter_step_matrix,
+)
 from .qsim import (
     Circuit,
     Counts,
     Statevector,
     bit_table,
-    concat,
     h,
     run_circuit,
     ry,
@@ -314,23 +319,6 @@ def cy_branch_prep(L: int, i: int, branch: str) -> Circuit:
     return Circuit(L, gates)
 
 
-def build_cy_circuits(p: ModelParams, steps: int, i: int, impl: str = "rzz",
-                      **trotter_kwargs) -> dict[str, Circuit]:
-    """The four prep+evolve circuits for one even source site.
-
-    Branch circuits differ from the plain evolution circuit only in the
-    preparation layer on qubit i; the measurement-basis rotation is
-    appended separately per parity group.
-    """
-    from .model import trotter_evolution_circuit
-
-    evolve = trotter_evolution_circuit(p, steps, impl=impl, **trotter_kwargs)
-    prep = neel_prep_circuit(p.L)
-    return {
-        b: concat(prep, cy_branch_prep(p.L, i, b), evolve) for b in CY_BRANCHES
-    }
-
-
 def assemble_cy(branch_values: dict, L: int) -> complex:
     """Combine per-branch <(PYP)_j> values into C_Y(t).
 
@@ -350,24 +338,33 @@ def assemble_cy(branch_values: dict, L: int) -> complex:
     return total
 
 
-def simulate_cy_noiseless(p: ModelParams, steps: int, impl: str = "rzz") -> complex:
-    """Full measurement protocol in noiseless infinite-shot mode.
+def simulate_cy_noiseless(p: ModelParams, steps: int, impl: str = "rzz") -> np.ndarray:
+    """Full measurement protocol in noiseless infinite-shot mode: C_Y
+    after 0, 1, ..., ``steps`` Trotter steps, as a complex array.
 
-    This is the convention-pinning check: it must agree with
-    ``cy_oracle`` before the protocol is trusted at scale.
+    Each (source, branch) state is carried forward one Trotter step at a
+    time and measured in both parity bases after every step.  This is
+    the convention-pinning check: it must agree with ``cy_oracle``
+    before the protocol is trusted at scale.
     """
-    values: dict = {}
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    step = build_trotter_step(p, impl=impl)
+    neel = run_circuit(Statevector.zero(p.L), neel_prep_circuit(p.L))
+    values: list[dict] = [{} for _ in range(steps + 1)]
     for i in range(2, p.L + 1, 2):
-        circuits = build_cy_circuits(p, steps, i, impl=impl)
-        for b, circ in circuits.items():
-            psi = run_circuit(Statevector.zero(p.L), circ)
-            per_site: dict[int, float] = {}
-            for parity in PARITIES:
-                rotated = run_circuit(psi, y_basis_rotation(p.L, parity))
-                counts = sample_counts(rotated, shots=1, seed=0, infinite=True)
-                per_site.update(pyp_expectation(counts, parity))
-            values[(i, b)] = per_site
-    return assemble_cy(values, p.L)
+        for b in CY_BRANCHES:
+            psi = run_circuit(neel, cy_branch_prep(p.L, i, b))
+            for n in range(steps + 1):
+                if n:
+                    psi = run_circuit(psi, step)
+                per_site: dict[int, float] = {}
+                for parity in PARITIES:
+                    rotated = run_circuit(psi, y_basis_rotation(p.L, parity))
+                    counts = sample_counts(rotated, shots=1, seed=0, infinite=True)
+                    per_site.update(pyp_expectation(counts, parity))
+                values[n][(i, b)] = per_site
+    return np.array([assemble_cy(v, p.L) for v in values])
 
 
 def cy_oracle(p: ModelParams, steps: int) -> complex:

@@ -25,7 +25,7 @@ SQRT2_INV = 1.0 / sqrt(2.0)
 ROTATION_KINDS = frozenset({"RX", "RY", "RZ", "RZZ", "RZX"})
 TWO_QUBIT_KINDS = frozenset({"RZZ", "RZX", "CNOT"})
 FIXED_KINDS = frozenset({"H", "S", "SDG", "X", "Y", "Z", "CNOT"})
-ALL_KINDS = ROTATION_KINDS | FIXED_KINDS | {"CUSTOM", "DELAY"}
+ALL_KINDS = ROTATION_KINDS | FIXED_KINDS | {"DELAY"}
 
 _FIXED_MATRICES = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) * SQRT2_INV,
@@ -52,15 +52,14 @@ PAULI_LETTERS = "IXYZ"
 class Gate:
     """One circuit operation on an ordered tuple of qubits.
 
-    ``angle`` is required for rotation kinds and forbidden otherwise.
-    ``matrix`` is only set for kind="CUSTOM"; ``duration_ns`` only for
-    kind="DELAY" (an annotated idle window, identity in noiseless runs).
+    ``angle`` is required for rotation kinds and forbidden otherwise;
+    ``duration_ns`` is only set for kind="DELAY" (an annotated idle
+    window, identity in noiseless runs).
     """
 
     kind: str
     qubits: tuple[int, ...]
     angle: float | None = None
-    matrix: np.ndarray | None = None
     duration_ns: float = 0.0
 
     def __post_init__(self):
@@ -75,13 +74,7 @@ class Gate:
                 raise ValueError(f"{self.kind} requires one finite angle")
         elif self.angle is not None:
             raise ValueError(f"{self.kind} must not carry an angle")
-        if self.kind == "CUSTOM":
-            if self.matrix is None:
-                raise ValueError("CUSTOM gate requires a matrix")
-            dim = 2 ** len(self.qubits)
-            if self.matrix.shape != (dim, dim):
-                raise ValueError("CUSTOM matrix shape does not match qubit count")
-        expected = 2 if self.kind in TWO_QUBIT_KINDS else (len(self.qubits) if self.kind == "CUSTOM" else 1)
+        expected = 2 if self.kind in TWO_QUBIT_KINDS else 1
         if len(self.qubits) != expected:
             raise ValueError(f"{self.kind} acts on {expected} qubit(s), got {len(self.qubits)}")
 
@@ -92,13 +85,11 @@ class Gate:
     def inverse(self) -> "Gate":
         if self.kind in ROTATION_KINDS:
             return Gate(self.kind, self.qubits, angle=-self.angle)
-        if self.kind in ("H", "X", "Y", "Z", "CNOT", "DELAY"):
-            return self
         if self.kind == "S":
             return Gate("SDG", self.qubits)
         if self.kind == "SDG":
             return Gate("S", self.qubits)
-        return Gate("CUSTOM", self.qubits, matrix=self.matrix.conj().T)
+        return self
 
 
 # -- terse constructors used throughout the package --
@@ -157,10 +148,6 @@ def delay(q: int, duration_ns: float) -> Gate:
     return Gate("DELAY", (q,), duration_ns=duration_ns)
 
 
-def custom(matrix: np.ndarray, qubits: tuple[int, ...]) -> Gate:
-    return Gate("CUSTOM", tuple(qubits), matrix=np.asarray(matrix, dtype=complex))
-
-
 def pauli_gate(index: int, q: int) -> Gate | None:
     """Pauli index 0..3 -> None (identity skipped) or an X/Y/Z gate."""
     if index == 0:
@@ -175,8 +162,6 @@ def gate_matrix(gate: Gate) -> np.ndarray:
         return _FIXED_MATRICES[k]
     if k == "DELAY":
         return np.eye(2, dtype=complex)
-    if k == "CUSTOM":
-        return gate.matrix
     t = gate.angle
     c, sn = cos(t / 2.0), sin(t / 2.0)
     if k == "RX":
@@ -222,9 +207,6 @@ class Circuit:
     def n_two_qubit(self) -> int:
         return sum(1 for g in self.gates if g.is_two_qubit)
 
-    def extended(self, gates) -> "Circuit":
-        return Circuit(self.width, self.gates + tuple(gates))
-
     def idle_intervals(self) -> dict[int, list[tuple[float, float]]]:
         """Per-qubit (start, length) idle windows in ns.
 
@@ -239,16 +221,6 @@ class Circuit:
                 out.setdefault(q, []).append((clock[q], g.duration_ns))
                 clock[q] += g.duration_ns
         return out
-
-
-def concat(*circuits: Circuit) -> Circuit:
-    widths = {c.width for c in circuits}
-    if len(widths) != 1:
-        raise ValueError(f"cannot concatenate circuits of widths {sorted(widths)}")
-    gates: tuple[Gate, ...] = ()
-    for c in circuits:
-        gates = gates + c.gates
-    return Circuit(circuits[0].width, gates)
 
 
 class Statevector:
@@ -287,45 +259,44 @@ class Statevector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def copy(self) -> "Statevector":
-        return Statevector(self.amplitudes.copy(), check=False)
 
-
-def _apply_matrix(amps: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], width: int) -> np.ndarray:
-    """Apply a 2^k x 2^k unitary to the listed qubits of a raw amplitude array."""
-    k = len(qubits)
-    if k == 1:
+def _apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], width: int) -> np.ndarray:
+    """Apply a 1- or 2-qubit unitary to the listed qubits of every row of a
+    (T, 2^width) stack of amplitude arrays; the only amplitude kernel."""
+    n_traj = psi.shape[0]
+    if len(qubits) == 1:
         q = qubits[0]
-        psi = amps.reshape(1 << q, 2, -1)
-        a, b = psi[:, 0, :], psi[:, 1, :]
-        out = np.empty_like(psi)
-        out[:, 0, :] = mat[0, 0] * a + mat[0, 1] * b
-        out[:, 1, :] = mat[1, 0] * a + mat[1, 1] * b
-        return out.reshape(-1)
-    if k == 2:
-        psi = np.moveaxis(amps.reshape([2] * width), qubits, (0, 1)).reshape(4, -1)
-        out = mat @ psi
-        return np.moveaxis(
-            out.reshape([2, 2] + [2] * (width - 2)), (0, 1), qubits
-        ).reshape(-1)
-    psi = amps.reshape([2] * width)
-    mat_t = mat.reshape([2] * (2 * k))
-    psi = np.tensordot(mat_t, psi, axes=(list(range(k, 2 * k)), list(qubits)))
-    psi = np.moveaxis(psi, range(k), qubits)
-    return psi.reshape(-1)
+        view = psi.reshape(n_traj, 1 << q, 2, -1)
+        a, b = view[:, :, 0, :], view[:, :, 1, :]
+        out = np.empty_like(view)
+        out[:, :, 0, :] = mat[0, 0] * a + mat[0, 1] * b
+        out[:, :, 1, :] = mat[1, 0] * a + mat[1, 1] * b
+        return out.reshape(n_traj, -1)
+    q0, q1 = qubits
+    arr = psi.reshape([n_traj] + [2] * width)
+    moved = np.moveaxis(arr, (1 + q0, 1 + q1), (1, 2)).reshape(n_traj, 4, -1)
+    out = mat @ moved
+    out = np.moveaxis(
+        out.reshape([n_traj, 2, 2] + [2] * (width - 2)), (1, 2), (1 + q0, 1 + q1)
+    )
+    return out.reshape(n_traj, -1)
 
 
-def _apply_gate_arr(amps: np.ndarray, gate: Gate, width: int) -> np.ndarray:
-    if gate.kind == "DELAY":
-        return amps
-    return _apply_matrix(amps, gate_matrix(gate), gate.qubits, width)
+def _run_gates(psi: np.ndarray, gates, width: int) -> np.ndarray:
+    """Apply gates in order, unfused, to a (T, 2^width) stack (DELAY is
+    the identity)."""
+    for g in gates:
+        if g.kind != "DELAY":
+            psi = _apply_matrix(psi, gate_matrix(g), g.qubits, width)
+    return psi
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     """Apply one gate; pure (returns a new state). Norm is preserved to 1e-12."""
     if gate.qubits and max(gate.qubits) >= state.width:
         raise ValueError(f"gate qubits {gate.qubits} out of range for width {state.width}")
-    return Statevector(_apply_gate_arr(state.amplitudes, gate, state.width), check=False)
+    psi = _run_gates(state.amplitudes[None, :], (gate,), state.width)
+    return Statevector(psi[0], check=False)
 
 
 def run_circuit(initial: Statevector, circuit: Circuit) -> Statevector:
@@ -334,25 +305,17 @@ def run_circuit(initial: Statevector, circuit: Circuit) -> Statevector:
         raise ValueError(
             f"state width {initial.width} != circuit width {circuit.width}"
         )
-    amps = initial.amplitudes.copy()
-    for g in circuit.gates:
-        amps = _apply_gate_arr(amps, g, circuit.width)
-    return Statevector(amps, check=False)
+    psi = _run_gates(initial.amplitudes[None, :].copy(), circuit.gates, circuit.width)
+    return Statevector(psi[0], check=False)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full unitary assembled column-by-column; oracle use, width <= 10."""
+    """Full unitary, every basis column evolved as one stack; oracle use,
+    width <= 10."""
     if circuit.width > 10:
         raise ValueError("circuit_unitary limited to width <= 10")
-    dim = 2**circuit.width
-    cols = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[b] = 1.0
-        for g in circuit.gates:
-            amps = _apply_gate_arr(amps, g, circuit.width)
-        cols[:, b] = amps
-    return cols
+    columns = np.eye(2**circuit.width, dtype=complex)
+    return _run_gates(columns, circuit.gates, circuit.width).T
 
 
 def states_equal_up_to_phase(a: Statevector, b: Statevector, tol: float = 1e-10) -> bool:
@@ -387,11 +350,11 @@ def expectation_pauli(state: Statevector, p: PauliString) -> float:
     if len(p) != state.width:
         raise ValueError(f"Pauli width {len(p)} != state width {state.width}")
     amps = state.amplitudes
-    phi = amps
+    phi = amps[None, :]
     for q, ch in enumerate(p.letters):
         if ch != "I":
             phi = _apply_matrix(phi, PAULI_1Q[ch], (q,), state.width)
-    val = p.sign * np.vdot(amps, phi)
+    val = p.sign * np.vdot(amps, phi[0])
     if abs(val.imag) > 1e-10:
         raise ValueError(f"non-real expectation {val} for Hermitian Pauli")
     return float(val.real)

@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mitigation import zne_extrapolate
-from .noise import ConfusionMatrix, NoiseSpec
+from .noise import ConfusionMatrix, NoiseSpec, noisy_gate_channel
 from .qsim import (
     Gate,
     KrausChannel,
     gate_matrix,
-    pauli_basis_labels,
     pauli_basis_matrices,
     pauli_transfer_matrix,
 )
@@ -75,35 +74,9 @@ def gate_ptm(gate: Gate | np.ndarray) -> np.ndarray:
 
 
 def noise_ptm(spec: NoiseSpec, gate: Gate) -> np.ndarray:
-    """PTM of the gate's error channel alone (unitary factored out)."""
-    if spec.coherent_overrotation:
-        over = gate_matrix(Gate("RZZ", (0, 1), angle=spec.coherent_overrotation))
-        return gate_ptm(over)
-    labels, probs = spec.pauli_distribution(gate)
-    if float(probs.sum()) == 0.0:
-        return np.eye(16)
-    return np.diag(_pauli_channel_diag(dict(zip(labels, probs))))
-
-
-def _pauli_channel_diag(rates: dict[str, float]) -> np.ndarray:
-    """Diagonal PTM of a stochastic Pauli channel from its rates."""
-    labels = pauli_basis_labels(2)
-    total = sum(rates.values())
-    diag = np.empty(16)
-    for a, lab_a in enumerate(labels):
-        acc = 1.0 - total
-        for lab_e, r in rates.items():
-            acc += r * _pauli_pair_sign(lab_e, lab_a)
-        diag[a] = acc
-    return diag
-
-
-def _pauli_pair_sign(error: str, observable: str) -> float:
-    sign = 1.0
-    for e, o in zip(error, observable):
-        if e != "I" and o != "I" and e != o:
-            sign = -sign
-    return sign
+    """PTM of the gate's error channel alone (``noisy_gate_channel`` with
+    the ideal unitary factored out; a unitary's PTM is orthogonal)."""
+    return pauli_transfer_matrix(noisy_gate_channel(gate, spec)) @ gate_ptm(gate).T
 
 
 def realized_gate_ptms(gate: Gate, spec: NoiseSpec, realization: str = "atomic"

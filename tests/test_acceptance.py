@@ -116,14 +116,13 @@ def test_04_cy_protocol_correctness():
     with criterion(4, "cy-protocol", 120.0):
         for L in (3, 4, 5):
             p = ModelParams(V=1.0, Omega=0.24, dt=1.0, L=L)
-            t0_val = simulate_cy_noiseless(p, 0)
-            assert abs(t0_val - (L // 2)) < 1e-10
+            series = simulate_cy_noiseless(p, 10)
+            assert abs(series[0] - (L // 2)) < 1e-10
             for steps in range(0, 11):
-                got = simulate_cy_noiseless(p, steps)
                 want = cy_oracle(p, steps)
-                assert abs(got - want) < 1e-8, (L, steps)
+                assert abs(series[steps] - want) < 1e-8, (L, steps)
         p5 = qmbs_params(5)
-        vals = np.array([abs(simulate_cy_noiseless(p5, n)) for n in range(31)])
+        vals = np.abs(simulate_cy_noiseless(p5, 30))
         sig = vals - vals.mean()
         spectrum = np.abs(np.fft.rfft(sig))
         k = 1 + int(np.argmax(spectrum[1:]))

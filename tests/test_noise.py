@@ -26,17 +26,20 @@ from scarsim.noise import (
     scaled_amplitude,
     scaled_width,
     threshold_angle,
-    trajectory_expectations,
 )
 from scarsim.qsim import (
     Circuit,
     Counts,
+    DensityOperator,
     PauliString,
     Statevector,
+    apply_channel,
+    bit_table,
     cnot,
     h,
     pauli_transfer_matrix,
     run_circuit,
+    rzx,
     rzz,
     sample_counts,
 )
@@ -179,6 +182,21 @@ class TestNoisyGateChannel:
         with pytest.raises(ValueError):
             noisy_gate_channel(h(0), noiseless())
 
+    @pytest.mark.parametrize("gate", [rzz(0, 1, 0.9), rzx(0, 1, 0.9), cnot(0, 1)],
+                             ids=lambda g: g.kind)
+    def test_channel_matches_exact_executor(self, gate):
+        # one rule for a two-qubit gate's error: the unitary, then the
+        # overrotation about its own generator (none after CNOT), then
+        # the Pauli channel, exactly as run_noisy_density applies them
+        spec = NoiseSpec(two_qubit_depolarizing=0.05, coherent_overrotation=0.3)
+        rng = np.random.default_rng(8)
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        init = Statevector(amps / np.linalg.norm(amps))
+        rho = DensityOperator.from_statevector(init)
+        got = apply_channel(rho, noisy_gate_channel(gate, spec), gate.qubits)
+        want = run_noisy_density(Circuit(2, [gate]), spec, initial=init)
+        np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)
+
 
 class TestReadout:
     def test_identity_confusion_is_noop(self):
@@ -260,24 +278,32 @@ class TestTrajectoryExecution:
         assert a.data == b.data
 
     def test_trajectories_match_exact_density(self):
-        # Monte-Carlo channel unraveling vs exact evolution, 5-sigma band
+        # Monte-Carlo channel unraveling vs exact evolution, 5-sigma band:
+        # 100k trajectories, each contributing its exact distribution;
+        # XXI is read as Z0 Z1 after an H (x) H basis rotation
         circ = Circuit(3, [h(0), cnot(0, 1), rzz(1, 2, 0.7), cnot(0, 2)])
         spec = NoiseSpec(two_qubit_depolarizing=0.08)
-        paulis = [PauliString("ZZI"), PauliString("XXI"), PauliString("IZZ")]
         n = 100_000
-        mc = trajectory_expectations(circ, spec, paulis, trajectories=n, seed=17)
         rho = run_noisy_density(circ, spec)
-        for i, p in enumerate(paulis):
-            exact = rho.expectation(p.matrix())
-            sigma = 1.0 / math.sqrt(n)  # Pauli variance <= 1
-            assert abs(mc[i] - exact) < 5 * sigma
+        signs = 1 - 2 * bit_table(3).astype(float)  # Z eigenvalue per qubit
+        cases = [(("ZZI", "IZZ"), None), (("XXI",), Circuit(3, [h(0), h(1)]))]
+        for labels, basis in cases:
+            counts = run_noisy_counts(circ, spec, shots=n, seed=17, infinite=True,
+                                      shots_per_trajectory=1, basis=basis)
+            for label in labels:
+                support = [q for q, ch in enumerate(label) if ch != "I"]
+                mc = counts.vector @ np.prod(signs[:, support], axis=1) / n
+                exact = rho.expectation(PauliString(label).matrix())
+                sigma = 1.0 / math.sqrt(n)  # Pauli variance <= 1
+                assert abs(mc - exact) < 5 * sigma
 
     def test_quasi_static_dephasing_acts_on_delays(self):
         circ = Circuit(1, [h(0), noise.Gate("DELAY", (0,), duration_ns=300.0)])
         spec = NoiseSpec(two_qubit_target_error=0.0, idle_dephasing_rad_per_ns=0.01)
-        out = noise.run_noisy_statevector(circ, spec, seed=5)
-        plus = np.array([1, 1]) / np.sqrt(2)
-        fidelity = abs(np.vdot(plus, out.amplitudes)) ** 2
+        # one trajectory; |<+|psi>|^2 is the weight of 0 after an H basis
+        counts = run_noisy_counts(circ, spec, shots=1, seed=5, infinite=True,
+                                  basis=Circuit(1, [h(0)]))
+        fidelity = counts.vector[0]
         assert fidelity < 1.0 - 1e-6
 
     def test_finite_shot_split_preserves_total(self):
@@ -316,8 +342,8 @@ class TestTrajectoryExecution:
 
 class TestPresets:
     def test_preset_lookup(self):
-        assert preset("noiseless").is_noiseless()
-        assert not preset("casablanca-like").is_noiseless()
+        assert preset("noiseless") == noiseless()
+        assert preset("casablanca-like") == casablanca_like()
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,9 @@ import pytest
 
 from scarsim.model import ModelParams, neel_bitstring, neel_state, qmbs_params
 from scarsim.observables import (
+    CY_BRANCHES,
     accumulated_error,
     assemble_cy,
-    build_cy_circuits,
     cy_branch_prep,
     cy_oracle,
     loschmidt_echo,
@@ -220,28 +220,20 @@ class TestCYBranches:
             assert np.real(val) == pytest.approx(sign, abs=1e-12)
 
     def test_branches_differ_only_on_source_qubit(self):
-        p = qmbs_params(4)
-        from scarsim.model import trotter_evolution_circuit
-
-        circuits = build_cy_circuits(p, 2, 2, impl="rzz")
-        evolve = trotter_evolution_circuit(p, 2, impl="rzz")
-
-        def describe(gates):
-            return [(g.kind, g.qubits, g.angle) for g in gates]
-
-        for circ in circuits.values():
-            # every branch ends with the identical evolution block, and the
-            # preparation layer acts on the source qubit only
-            assert describe(circ.gates[-len(evolve.gates):]) == describe(evolve.gates)
-            prep_extra = circ.gates[2 : len(circ.gates) - len(evolve.gates)]
-            assert {g.qubits for g in prep_extra} == {(1,)}
+        # the branches share the Neel prep and the evolution; each
+        # branch's own preparation layer acts on the source qubit only
+        for L, i in ((4, 2), (4, 4), (5, 2), (5, 4)):
+            for b in CY_BRANCHES:
+                prep = cy_branch_prep(L, i, b)
+                assert prep.width == L
+                assert {g.qubits for g in prep.gates} == {(i - 1,)}
 
 
 class TestCYAssembly:
     @pytest.mark.parametrize("L", [3, 4, 5])
     def test_t0_value(self, L):
         p = ModelParams(V=1.0, Omega=0.24, dt=1.0, L=L)
-        val = simulate_cy_noiseless(p, steps=0)
+        val = simulate_cy_noiseless(p, steps=0)[0]
         assert val.real == pytest.approx(L // 2, abs=1e-10)
         assert abs(val.imag) < 1e-10
 
@@ -249,17 +241,15 @@ class TestCYAssembly:
     def test_protocol_matches_dense_oracle(self, L):
         # pins every sign and normalization convention of the protocol
         p = ModelParams(V=1.0, Omega=0.24, dt=1.0, L=L)
+        series = simulate_cy_noiseless(p, 10)
         for steps in (1, 2, 4, 7, 10):
-            got = simulate_cy_noiseless(p, steps)
-            want = cy_oracle(p, steps)
-            assert got == pytest.approx(want, abs=1e-9)
+            assert series[steps] == pytest.approx(cy_oracle(p, steps), abs=1e-9)
 
     def test_protocol_matches_oracle_other_params(self):
         p = ModelParams(V=1.0, Omega=2.0, dt=0.16, L=4)
+        series = simulate_cy_noiseless(p, 6)
         for steps in (3, 6):
-            assert simulate_cy_noiseless(p, steps) == pytest.approx(
-                cy_oracle(p, steps), abs=1e-9
-            )
+            assert series[steps] == pytest.approx(cy_oracle(p, steps), abs=1e-9)
 
     def test_missing_branch_rejected(self):
         with pytest.raises(ValueError):
@@ -273,12 +263,11 @@ class TestCYAssembly:
         # |C_Y| oscillates near pi / (1.33 Omega) in the scar regime, and
         # the protocol tracks the dense oracle over the full 30-step window
         p = qmbs_params(5)
-        vals = []
-        for n in range(31):
-            got = simulate_cy_noiseless(p, n, impl="rzz")
+        series = simulate_cy_noiseless(p, 30, impl="rzz")
+        for n, got in enumerate(series):
             assert got == pytest.approx(cy_oracle(p, n), abs=1e-8)
-            vals.append(abs(got))
-        sig = np.asarray(vals) - np.mean(vals)
+        vals = np.abs(series)
+        sig = vals - np.mean(vals)
         spectrum = np.abs(np.fft.rfft(sig))
         k = 1 + int(np.argmax(spectrum[1:]))
         period = len(sig) / k
@@ -290,9 +279,7 @@ class TestCYAssembly:
         from scarsim.model import chaotic_params
 
         p = chaotic_params(5)
-        vals = np.array(
-            [abs(simulate_cy_noiseless(p, n, impl="rzz")) for n in range(31)]
-        )
+        vals = np.abs(simulate_cy_noiseless(p, 30, impl="rzz"))
         times = 0.16 * np.arange(31)
         initial = vals[0]
         assert initial == pytest.approx(2.0, abs=1e-9)
@@ -305,9 +292,7 @@ class TestCYAssembly:
     def test_l12_scar_correlator_period(self):
         # the 12-site correlator keeps oscillating at the same period
         p = qmbs_params(12)
-        vals = np.array(
-            [abs(simulate_cy_noiseless(p, n, impl="rzz")) for n in range(31)]
-        )
+        vals = np.abs(simulate_cy_noiseless(p, 30, impl="rzz"))
         sig = vals - vals.mean()
         spectrum = np.abs(np.fft.rfft(sig))
         k = 1 + int(np.argmax(spectrum[1:]))

@@ -1,6 +1,8 @@
 """Core simulator: gate algebra, execution, sampling, channels."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scarsim import qsim
 from scarsim.qsim import (
@@ -112,6 +114,33 @@ class TestApplyGate:
         for g in [h(0), rzz(1, 2, 0.77), cnot(2, 0), rx(1, -2.2)]:
             state = apply_gate(state, g)
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(width, ordered qubit tuple of 1 or 2 qubits, stack height, seed)."""
+    width = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(2, width)))
+    qubits = tuple(draw(st.permutations(range(width)))[:k])
+    return width, qubits, draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_kernel_cases())
+def test_kernel_matches_embedded_matrix(case):
+    # every row of the one amplitude kernel equals the dense embedded
+    # operator times that row, for random unitaries in either qubit order
+    width, qubits, n_traj, seed = case
+    rng = np.random.default_rng(seed)
+    dim = 2 ** len(qubits)
+    unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    psi = rng.normal(size=(n_traj, 2**width)) + 1j * rng.normal(size=(n_traj, 2**width))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    out = qsim._apply_matrix(psi, unitary, qubits, width)
+    full = qsim._embed(unitary, qubits, width)
+    assert out.shape == psi.shape
+    for row_in, row_out in zip(psi, out):
+        np.testing.assert_allclose(row_out, full @ row_in, rtol=0, atol=1e-12)
 
 
 class TestRunCircuit:

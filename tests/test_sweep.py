@@ -124,8 +124,9 @@ class TestNoiselessSweepMatchesResimulation:
         cfg = noiseless_config(sites=5, steps=4, twirls=2)
         got = run_cy(cfg)["cy_mitigated"].values
         params = cfg.model_params()
+        protocol = simulate_cy_noiseless(params, cfg.steps, impl=cfg.impl)
         for n in range(cfg.steps + 1):
-            assert abs(got[n] - simulate_cy_noiseless(params, n, impl=cfg.impl)) < 1e-12
+            assert abs(got[n] - protocol[n]) < 1e-12
             assert abs(got[n] - cy_oracle(params, n)) < 1e-10
 
     def test_variant_order_and_keys(self):
