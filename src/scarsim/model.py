@@ -176,14 +176,6 @@ def _bond_gates(q0: int, q1: int, theta: float, impl: str) -> list[Gate]:
     return [rzz(q0, q1, theta)]
 
 
-def trotter_evolution_circuit(p: ModelParams, steps: int, **kwargs) -> Circuit:
-    """``steps`` repetitions of the Trotter step (no state preparation)."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    step = build_trotter_step(p, **kwargs)
-    return Circuit(p.L, step.gates * steps)
-
-
 def neel_prep_circuit(L: int, variant: str = "Z2") -> Circuit:
     if variant == "Z2":
         flips = [q for q in range(L) if (q + 1) % 2 == 0]

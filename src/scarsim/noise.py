@@ -221,6 +221,21 @@ class NoiseSpec:
     def has_readout_error(self) -> bool:
         return self.readout_eps > 0.0 or self.readout_eta > 0.0
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Values the executor derives from this spec, computed once each
+        (the spec is frozen, so none goes stale; ``replace`` starts a new
+        memo): plan entries keyed (kind, angle), forward readout matrices
+        keyed ("readout", width)."""
+        return {}
+
+    def _memoized(self, key, build):
+        """``build()``, computed on the first request for ``key`` only."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
 
 def noiseless() -> NoiseSpec:
     return NoiseSpec(two_qubit_target_error=0.0)
@@ -477,14 +492,37 @@ _PAULI_MATS_2Q = {
     lab: m for lab, m in zip(pauli_basis_labels(2), pauli_basis_matrices(2))
 }
 
+_EYE2 = np.eye(2, dtype=complex)
+
+
+def _plan_entry(spec: NoiseSpec, g: Gate):
+    """A non-DELAY gate as ``_NoisePlan`` runs it under ``spec``: the
+    overrotated matrix, and for a two-qubit gate the tuple (matrix,
+    cumulative Pauli probabilities, Pauli matrices, their total).  Both
+    depend on the gate's kind and angle only, so each is built once per
+    spec."""
+
+    def build():
+        mat = _overrotated_matrix(g, spec.coherent_overrotation)
+        if not g.is_two_qubit:
+            return mat
+        labels, probs = spec.pauli_distribution(g)
+        return mat, np.cumsum(probs), [_PAULI_MATS_2Q[lab] for lab in labels], float(probs.sum())
+
+    return spec._memoized((g.kind, g.angle), build)
+
 
 class _NoisePlan:
-    """Per-circuit cache of gate matrices and error distributions.
+    """Per-circuit list of gate matrices and error distributions.
 
-    Noiseless single-qubit gates are fused into one 2x2 matrix per qubit
-    between interaction points (sequential-equivalence optimization;
-    disabled when per-gate single-qubit noise is switched on, since that
-    noise attaches to individual gates).  An optional measurement
+    Noiseless single-qubit gates are multiplied into one 2x2 matrix per
+    qubit, and a two-qubit gate takes the pending matrices A and B of its
+    qubits into its own op as mat @ (A ⊗ B): they run first, then the
+    gate, its overrotation and its Pauli error, so the modelled channel
+    is unchanged.  A DELAY on the qubit, the end of the circuit and the
+    basis boundary emit a pending matrix as an op of its own.  Fusion is
+    off when per-gate single-qubit noise is switched on, since that
+    noise attaches to individual gates.  An optional measurement
     ``basis`` rotation is planned after the circuit, from ``ops[split]``
     on, with no fusion across the boundary.
     """
@@ -494,7 +532,6 @@ class _NoisePlan:
         self.ops: list[tuple] = []
         self.has_stochastic = False
         self.has_quasi_static = False
-        over = spec.coherent_overrotation
         fuse = spec.single_qubit_depolarizing == 0.0
         pending: dict[int, np.ndarray] = {}
 
@@ -520,25 +557,26 @@ class _NoisePlan:
                     self.has_quasi_static = True
                 self.ops.append(("delay", g.qubits, g.duration_ns, p_flip))
                 return
-            mat = _overrotated_matrix(g, over)
+            entry = _plan_entry(spec, g)
             if g.is_two_qubit:
-                flush(g.qubits[0])
-                flush(g.qubits[1])
-                labels, probs = spec.pauli_distribution(g)
-                total = float(probs.sum())
+                mat, cum, mats, total = entry
+                a, b = (pending.pop(q, None) for q in g.qubits)
+                if a is not None or b is not None:
+                    # a acts on qubits[0], the high bit of the 4x4 index
+                    a = _EYE2 if a is None else a
+                    b = _EYE2 if b is None else b
+                    mat = mat @ (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
                 if total > 0:
                     self.has_stochastic = True
-                    cum = np.cumsum(probs)
-                    mats = [_PAULI_MATS_2Q[lab] for lab in labels]
                     self.ops.append(("gate2", g.qubits, mat, cum, mats, total))
                 else:
                     self.ops.append(("gate", g.qubits, mat))
             elif fuse:
                 q = g.qubits[0]
-                pending[q] = mat @ pending[q] if q in pending else mat
+                pending[q] = entry @ pending[q] if q in pending else entry
             else:
                 self.has_stochastic = True
-                self.ops.append(("gate1", g.qubits, mat, spec.single_qubit_depolarizing))
+                self.ops.append(("gate1", g.qubits, entry, spec.single_qubit_depolarizing))
 
         add(circuit.gates)
         self.split = len(self.ops)
@@ -712,7 +750,8 @@ def run_noisy_counts(
         counts = Counts.from_vector(total.astype(float), width, float(shots))
 
     if spec.has_readout_error():
-        m = ConfusionMatrix.from_rates(width, spec.readout_eps, spec.readout_eta)
+        m = spec._memoized(("readout", width), lambda: ConfusionMatrix.from_rates(
+            width, spec.readout_eps, spec.readout_eta))
         counts = apply_readout_error(counts, m, base + [3])
     return counts
 

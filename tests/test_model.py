@@ -17,10 +17,14 @@ from scarsim.model import (
     project,
     qmbs_params,
     trotter_angles,
-    trotter_evolution_circuit,
     trotter_step_matrix,
 )
-from scarsim.qsim import PauliString, circuit_unitary, expectation_pauli, run_circuit
+from scarsim.qsim import Circuit, PauliString, circuit_unitary, expectation_pauli, run_circuit
+
+
+def _trotter_steps(p: ModelParams, steps: int, **kwargs) -> Circuit:
+    """``steps`` repetitions of the Trotter step (no state preparation)."""
+    return Circuit(p.L, build_trotter_step(p, **kwargs).gates * steps)
 
 
 class TestHamiltonian:
@@ -102,7 +106,7 @@ class TestTrotterStep:
             p = ModelParams(V=1.0, Omega=0.24, dt=dt, L=L)
             steps = round(t / dt)
             psi = run_circuit(
-                neel_state(L), trotter_evolution_circuit(p, steps, impl="rzz")
+                neel_state(L), _trotter_steps(p, steps, impl="rzz")
             )
             ref = exact_evolve(p, t)
             errs[dt] = np.linalg.norm(psi.amplitudes - ref.amplitudes)
@@ -209,7 +213,7 @@ class TestFibonacci:
     def test_projected_state_renormalized(self):
         psi = run_circuit(
             neel_state(4),
-            trotter_evolution_circuit(qmbs_params(4), 3, impl="rzz"),
+            _trotter_steps(qmbs_params(4), 3, impl="rzz"),
         )
         proj, w = project(psi, fibonacci_projector(4))
         assert 0 < w < 1
@@ -220,7 +224,7 @@ class TestFibonacci:
         p = qmbs_params(12)
         mask = fibonacci_projector(12)
         psi = neel_state(12)
-        step = trotter_evolution_circuit(p, 1, impl="rzz")
+        step = build_trotter_step(p, impl="rzz")
         weights = []
         for _ in range(39):
             psi = run_circuit(psi, step)

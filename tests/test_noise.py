@@ -4,9 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scarsim import noise
-from scarsim.model import build_trotter_step, qmbs_params
+from scarsim.mitigation import twirl_circuit
+from scarsim.model import build_trotter_step, neel_prep_circuit, qmbs_params
 from scarsim.noise import (
     ConfusionMatrix,
     NoiseSpec,
@@ -27,10 +30,15 @@ from scarsim.noise import (
     scaled_width,
     threshold_angle,
 )
+from scarsim.observables import y_basis_rotation
 from scarsim.qsim import (
+    ALL_KINDS,
+    ROTATION_KINDS,
+    TWO_QUBIT_KINDS,
     Circuit,
     Counts,
     DensityOperator,
+    Gate,
     PauliString,
     Statevector,
     apply_channel,
@@ -415,3 +423,53 @@ class TestNoiseSpecValidation:
     def test_preset_override_validated(self):
         with pytest.raises(ValueError):
             preset("casablanca-like", idle_stochastic_rate_per_ns=-1.0)
+
+
+@st.composite
+def _plan_circuits(draw, width):
+    """Up to 16 gates of every kind the plan fuses, DELAY included, with
+    two-qubit gates in either qubit order."""
+    gates = []
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(sorted(ALL_KINDS)))
+        if kind in TWO_QUBIT_KINDS:
+            qubits = tuple(draw(st.permutations(range(width)))[:2])
+        else:
+            qubits = (draw(st.integers(0, width - 1)),)
+        angle = draw(st.floats(-math.pi, math.pi)) if kind in ROTATION_KINDS else None
+        gates.append(Gate(kind, qubits, angle=angle,
+                          duration_ns=80.0 if kind == "DELAY" else 0.0))
+    return Circuit(width, gates)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), width=st.integers(2, 4),
+       over=st.floats(0.01, 1.0) | st.floats(-1.0, -0.01), with_basis=st.booleans())
+def test_fused_plan_matches_density_oracle(data, width, over, with_basis):
+    # folding single-qubit gates into the next two-qubit op keeps the
+    # overrotated channel: the executor's outcome distribution equals the
+    # diagonal of the exact unfused density evolution
+    circ = data.draw(_plan_circuits(width))
+    basis = data.draw(_plan_circuits(width)) if with_basis else None
+    spec = NoiseSpec(two_qubit_target_error=0.0, coherent_overrotation=over)
+    got = run_noisy_counts(circ, spec, shots=1, seed=0, infinite=True, basis=basis).vector
+    full = Circuit(width, circ.gates + (basis.gates if basis else ()))
+    want = np.real(np.diag(run_noisy_density(full, spec).matrix))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("impl", ["scaled-rzx", "two-cnot"])
+def test_plan_leaves_no_single_qubit_op_before_a_two_qubit_op(impl):
+    # on either side of the basis boundary, the next op on a single-qubit
+    # op's qubit is never a two-qubit op: that gate was folded into it
+    L = 5
+    step = build_trotter_step(qmbs_params(L), impl=impl, idle_ns=100.0)
+    circ = twirl_circuit(Circuit(L, neel_prep_circuit(L).gates + step.gates), seed=1)
+    plan = noise._NoisePlan(circ, casablanca_like(), basis=y_basis_rotation(L, "even"))
+    assert any(len(op[1]) == 2 for op in plan.ops)
+    for i, op in enumerate(plan.ops):
+        if op[0] != "gate" or len(op[1]) != 1:
+            continue
+        end = plan.split if i < plan.split else len(plan.ops)
+        after = [o for o in plan.ops[i + 1:end] if op[1][0] in o[1]]
+        assert not after or len(after[0][1]) == 1

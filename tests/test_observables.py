@@ -163,10 +163,11 @@ class TestPYP:
     def test_simultaneous_vs_separate_estimation(self):
         # one parity-group measurement == site-by-site rotations
         p = qmbs_params(5)
-        from scarsim.model import trotter_evolution_circuit
+        from scarsim.model import build_trotter_step
+        from scarsim.qsim import Circuit
 
         psi = run_circuit(
-            neel_state(5), trotter_evolution_circuit(p, 3, impl="rzz")
+            neel_state(5), Circuit(5, build_trotter_step(p, impl="rzz").gates * 3)
         )
         rotated = run_circuit(psi, y_basis_rotation(5, "even"))
         counts = sample_counts(rotated, 1, seed=0, infinite=True)
