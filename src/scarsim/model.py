@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .qsim import Circuit, Gate, Statevector, cnot, rx, ry, rz, rzx, rzz, x
 
@@ -220,6 +219,8 @@ def hamiltonian_layers(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def trotter_step_matrix(p: ModelParams) -> np.ndarray:
     """exp(-i H_ZZ dt) exp(-i H_Z dt) exp(-i H_X dt) via dense exponentials."""
+    from scipy.linalg import expm  # oracle only: keeps scipy off the import path
+
     if p.L > 10:
         raise ValueError("dense Trotter step limited to L <= 10")
     h_zz, h_z, h_x = hamiltonian_layers(p)

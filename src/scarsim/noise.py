@@ -21,10 +21,9 @@ import configparser
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .qsim import (
     PAULI_1Q,
@@ -411,6 +410,8 @@ class ConfusionMatrix:
         """LU factorization of the full matrix, computed once (the same
         LAPACK factorization np.linalg.solve repeats on every call).  A
         singular matrix raises LinAlgError, as np.linalg.solve does."""
+        import scipy.linalg  # full mode only: keeps scipy off the import path
+
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(self.matrix)
@@ -427,6 +428,8 @@ class ConfusionMatrix:
     def invert_vector(self, vec: np.ndarray) -> np.ndarray:
         """Inverse direction: p_ideal = M^-1 p_noisy (may go negative)."""
         if self.method == "full":
+            import scipy.linalg
+
             return scipy.linalg.lu_solve(self.lu, vec)
         return _apply_factors(self.inverse_factors, vec)
 
@@ -494,6 +497,15 @@ _PAULI_MATS_2Q = {
 
 _EYE2 = np.eye(2, dtype=complex)
 
+# Widest window of gates the plan runs as one kernel pass.  Up to here a
+# pass costs about as much as a 2-qubit one (1.1-1.4 times, at 4 qubits);
+# the matrix work per amplitude doubles with each further qubit.
+WINDOW_QUBITS = 4
+
+_EYES = [np.eye(1 << k, dtype=complex) for k in range(WINDOW_QUBITS + 1)]
+for _eye in _EYES:
+    _eye.flags.writeable = False
+
 
 def _plan_entry(spec: NoiseSpec, g: Gate):
     """A non-DELAY gate as ``_NoisePlan`` runs it under ``spec``: the
@@ -512,50 +524,203 @@ def _plan_entry(spec: NoiseSpec, g: Gate):
     return spec._memoized((g.kind, g.angle), build)
 
 
+def _noise_flags(gates, spec: NoiseSpec) -> tuple[bool, bool]:
+    """(stochastic, quasi_static) of trajectories that run ``gates``.
+
+    quasi_static: some idle window (a DELAY of positive duration)
+    dephases at the trajectory's quasi-static rates.  stochastic: that,
+    or some gate draws per-trajectory noise (a two-qubit gate with a
+    nonzero Pauli rate, a single-qubit gate under single-qubit
+    depolarizing, an idle window under stochastic flips), so that
+    trajectories differ.  The one rule ``_NoisePlan`` and ``chain_noise``
+    share.
+    """
+    stochastic = quasi_static = False
+    for g in gates:
+        if g.kind == "DELAY":
+            if g.duration_ns > 0:
+                quasi_static |= spec.idle_dephasing_rad_per_ns > 0
+                stochastic |= spec.idle_stochastic_rate_per_ns > 0
+        elif g.is_two_qubit:
+            stochastic |= _plan_entry(spec, g)[3] > 0
+        else:
+            stochastic |= spec.single_qubit_depolarizing > 0
+        if stochastic and (quasi_static or spec.idle_dephasing_rad_per_ns == 0):
+            break
+    return stochastic or quasi_static, quasi_static
+
+
+@lru_cache(maxsize=None)
+def _lift_table(positions: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, mask) with m.ravel()[idx] * mask the matrix m on the local
+    ``positions`` of a k-qubit window, lifted to the window's 2^k space
+    (position 0 is the most significant bit, as in the kernel)."""
+    bits = bit_table(k).astype(np.int64)
+    rest = [p for p in range(k) if p not in positions]
+    sub = bits[:, list(positions)] @ (1 << np.arange(len(positions) - 1, -1, -1))
+    other = bits[:, rest] @ (1 << np.arange(len(rest) - 1, -1, -1))
+    idx = sub[:, None] * (1 << len(positions)) + sub[None, :]
+    mask = (other[:, None] == other[None, :]).astype(float)
+    idx.flags.writeable = mask.flags.writeable = False
+    return idx, mask
+
+
+def _lift(mat: np.ndarray, positions: tuple[int, ...], k: int) -> np.ndarray:
+    """``mat`` on the local ``positions`` of a k-qubit window, lifted to
+    the window's 2^k space."""
+    idx, mask = _lift_table(positions, k)
+    return mat.ravel()[idx] * mask
+
+
+def _lifted_times(mat: np.ndarray, positions: tuple[int, ...], k: int,
+                  right: np.ndarray) -> np.ndarray:
+    """_lift(mat, positions, k) @ right.  On adjacent positions in
+    ascending order (members act on one or two qubits), the usual case
+    in a brickwork window, this is one matmul over a reshape of
+    ``right``, without building the lift."""
+    p = positions[0]
+    if len(positions) == 1 or positions[1] == p + 1:
+        return (mat @ right.reshape(1 << p, len(mat), -1)).reshape(right.shape)
+    return _lift(mat, positions, k) @ right
+
+
+def _window_op(qset: set[int], members: list[tuple]) -> tuple:
+    """The plan op of one window: ("window", qubits, W, members, noisy,
+    draws, totals).  ``members`` lists (local positions, matrix) in run
+    order and W is their product; ``noisy`` lists (member index,
+    cumulative Pauli probabilities, Pauli matrices) of each member that
+    draws an error, with its draw index and total rate in ``draws`` and
+    ``totals``.  Members are kept only if some are noisy."""
+    qubits = tuple(sorted(qset))
+    k = len(qubits)
+    local = {q: i for i, q in enumerate(qubits)}
+    lifted, noisy, draws, totals = [], [], [], []
+    window = _EYES[k]
+    for i, (mq, mat, noise) in enumerate(members):
+        pos = tuple(map(local.__getitem__, mq))
+        lifted.append((pos, mat))
+        window = _lifted_times(mat, pos, k, window)
+        if noise is not None:
+            draw, cum, paulis, total = noise
+            noisy.append((i, cum, paulis))
+            draws.append(draw)
+            totals.append(total)
+    if not noisy:
+        return ("window", qubits, window, [], [], None, None)
+    return ("window", qubits, window, lifted, noisy, np.array(draws), np.array(totals))
+
+
+def _corrections(members, noisy, hit: np.ndarray, u: np.ndarray, k: int) -> list[np.ndarray]:
+    """One correction per row of ``hit`` (rows x noisy members: where the
+    row drew an error; ``u`` holds the draws): the product, in draw
+    order, of C_j = S_j P S_j^dag over the members j where the row drew
+    the Pauli P, with S_j the product of the window's members after j.
+    Only the S_j some row needs are built, in one sweep from the end."""
+    need = {noisy[n][0] for n in np.flatnonzero(hit.any(axis=0))}
+    suffix = {}
+    after = _EYES[k]
+    for i in range(len(members) - 1, min(need) - 1, -1):
+        if i in need:
+            suffix[i] = after
+        pos, mat = members[i]
+        after = after @ _lift(mat, pos, k)
+    out = []
+    for row_hit, row_u in zip(hit, u):
+        corr = _EYES[k]
+        for n in np.flatnonzero(row_hit):
+            i, cum, paulis = noisy[n]
+            pauli = paulis[int(np.searchsorted(cum, row_u[n], side="right"))]
+            s_j = suffix[i]
+            corr = s_j @ _lift(pauli, members[i][0], k) @ s_j.conj().T @ corr
+        out.append(corr)
+    return out
+
+
 class _NoisePlan:
-    """Per-circuit list of gate matrices and error distributions.
+    """Per-circuit list of fused gate windows and noise ops.
 
     Noiseless single-qubit gates are multiplied into one 2x2 matrix per
     qubit, and a two-qubit gate takes the pending matrices A and B of its
-    qubits into its own op as mat @ (A ⊗ B): they run first, then the
-    gate, its overrotation and its Pauli error, so the modelled channel
-    is unchanged.  A DELAY on the qubit, the end of the circuit and the
-    basis boundary emit a pending matrix as an op of its own.  Fusion is
-    off when per-gate single-qubit noise is switched on, since that
-    noise attaches to individual gates.  An optional measurement
-    ``basis`` rotation is planned after the circuit, from ``ops[split]``
-    on, with no fusion across the boundary.
+    qubits into its own matrix as mat @ (A ⊗ B); they run first, then
+    the gate, its overrotation and its Pauli error.  Gates then go, in
+    circuit order, into *windows* of at most ``WINDOW_QUBITS`` qubits: a
+    gate joins the latest window that touches its qubits, or any later
+    window (it commutes past those, being disjoint from them), as long as
+    the window's qubits stay within the cap; otherwise it opens a new
+    window.  A window runs as one kernel pass of W = G_m ... G_1 over the
+    whole stack.  A row that drew the Pauli P after member j is then
+    corrected by C_j = S_j P S_j^dag, S_j = G_m ... G_{j+1}, on that row
+    alone; several errors in a row multiply, in draw order, into one
+    correction.  This is exactly the unfused channel.
+
+    Windows close (and pending single-qubit matrices of the qubit are
+    placed first) at an op that runs on its own: a DELAY under idle
+    noise, emitted as a ``delay`` op, and a single-qubit gate under
+    single-qubit depolarizing, a ``gate1`` op (no single-qubit gate is
+    then fused).  A DELAY without idle noise is the identity and is
+    skipped.  An optional measurement ``basis`` rotation is planned
+    after the circuit, from ``ops[split]`` on; no window or pending
+    matrix crosses that boundary.
+
+    Every noisy operation, in circuit order, owns one draw index: a
+    trajectory draws one uniform per index, ``n_draws`` in all.
+    ``stochastic`` and ``has_quasi_static`` are ``_noise_flags`` of the
+    circuit and basis.
     """
 
     def __init__(self, circuit: Circuit, spec: NoiseSpec, basis: Circuit | None = None):
         self.width = circuit.width
         self.ops: list[tuple] = []
-        self.has_stochastic = False
-        self.has_quasi_static = False
+        self.n_draws = 0
+        basis_gates = basis.gates if basis is not None else ()
+        self.stochastic, self.has_quasi_static = _noise_flags(circuit.gates + basis_gates, spec)
+        idle = spec.idle_dephasing_rad_per_ns > 0 or spec.idle_stochastic_rate_per_ns > 0
         fuse = spec.single_qubit_depolarizing == 0.0
         pending: dict[int, np.ndarray] = {}
+        windows: list[tuple[set[int], list]] = []  # open windows: (qubits, members)
+        latest: dict[int, int] = {}  # qubit -> index of the latest open window on it
 
-        def flush(q: int):
+        def draw() -> int:
+            self.n_draws += 1
+            return self.n_draws - 1
+
+        def place(qubits: tuple[int, ...], mat: np.ndarray, noise=None) -> None:
+            j = max([latest.get(q, 0) for q in qubits])
+            while j < len(windows) and len(windows[j][0].union(qubits)) > WINDOW_QUBITS:
+                j += 1
+            if j == len(windows):
+                windows.append((set(), []))
+            windows[j][0].update(qubits)
+            windows[j][1].append((qubits, mat, noise))
+            for q in qubits:
+                latest[q] = j
+
+        def flush(q: int) -> None:
             mat = pending.pop(q, None)
             if mat is not None:
-                self.ops.append(("gate", (q,), mat))
+                place((q,), mat)
+
+        def close() -> None:
+            self.ops.extend(_window_op(qset, members) for qset, members in windows)
+            windows.clear()
+            latest.clear()
 
         def add(gates) -> None:
             for g in gates:
                 add_gate(g)
             for q in sorted(pending):
                 flush(q)
+            close()
 
         def add_gate(g: Gate) -> None:
             if g.kind == "DELAY":
+                if not idle or g.duration_ns <= 0:
+                    return
                 flush(g.qubits[0])
-                p_flip = 0.0
-                if spec.idle_stochastic_rate_per_ns > 0 and g.duration_ns > 0:
-                    p_flip = 0.5 * (1.0 - math.exp(-g.duration_ns * spec.idle_stochastic_rate_per_ns))
-                    self.has_stochastic = True
-                if spec.idle_dephasing_rad_per_ns > 0 and g.duration_ns > 0:
-                    self.has_quasi_static = True
-                self.ops.append(("delay", g.qubits, g.duration_ns, p_flip))
+                close()
+                p_flip = 0.5 * (1.0 - math.exp(-g.duration_ns * spec.idle_stochastic_rate_per_ns))
+                self.ops.append(("delay", g.qubits, g.duration_ns, p_flip,
+                                 draw() if p_flip > 0 else -1))
                 return
             entry = _plan_entry(spec, g)
             if g.is_two_qubit:
@@ -566,30 +731,25 @@ class _NoisePlan:
                     a = _EYE2 if a is None else a
                     b = _EYE2 if b is None else b
                     mat = mat @ (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-                if total > 0:
-                    self.has_stochastic = True
-                    self.ops.append(("gate2", g.qubits, mat, cum, mats, total))
-                else:
-                    self.ops.append(("gate", g.qubits, mat))
+                place(g.qubits, mat, (draw(), cum, mats, total) if total > 0 else None)
             elif fuse:
                 q = g.qubits[0]
                 pending[q] = entry @ pending[q] if q in pending else entry
             else:
-                self.has_stochastic = True
-                self.ops.append(("gate1", g.qubits, entry, spec.single_qubit_depolarizing))
+                close()
+                self.ops.append(("gate1", g.qubits, entry, spec.single_qubit_depolarizing, draw()))
 
         add(circuit.gates)
         self.split = len(self.ops)
-        if basis is not None:
-            add(basis.gates)
-        self.stochastic = self.has_stochastic or self.has_quasi_static
+        add(basis_gates)
 
     def run_batch(self, amps: np.ndarray, rngs: list[np.random.Generator],
                   omegas: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Evolve a (T, 2^width) stack of trajectories through the plan.
 
-        Trajectory t draws one uniform per noisy operation from
-        ``rngs[t]``, in plan order, and dephases idle windows at its
+        Trajectory t draws its ``n_draws`` uniforms at once from
+        ``rngs[t]`` (the same numbers as one ``random()`` call per noisy
+        operation, in circuit order), and dephases idle windows at its
         quasi-static rates ``omegas[t]``; no draw depends on another
         trajectory, so a batch of T generators equals T one-generator
         batches.  ``amps`` may be overwritten.
@@ -601,37 +761,38 @@ class _NoisePlan:
         width = self.width
         psi = kept = amps
         n_traj = len(rngs)
+        us = np.stack([r.random(self.n_draws) for r in rngs]) if self.n_draws else None
         for i, op in enumerate(self.ops):
             if i == self.split:
                 kept, psi = psi, psi.copy()
             tag = op[0]
-            if tag == "gate":
-                psi = _apply_matrix(psi, op[2], op[1], width)
-            elif tag == "gate2":
-                _, qubits, mat, cum, mats, total = op
+            if tag == "window":
+                _, qubits, mat, members, noisy, draws, totals = op
                 psi = _apply_matrix(psi, mat, qubits, width)
-                us = np.array([r.random() for r in rngs])
-                for t in np.nonzero(us < total)[0]:
-                    k = int(np.searchsorted(cum, us[t], side="right"))
-                    psi[t:t + 1] = _apply_matrix(psi[t:t + 1], mats[k], qubits, width)
+                if noisy:
+                    u = us[:, draws]
+                    hit = u < totals
+                    rows = np.flatnonzero(hit.any(axis=1))
+                    if rows.size:
+                        corrections = _corrections(members, noisy, hit[rows], u[rows], len(qubits))
+                        for t, corr in zip(rows, corrections):
+                            psi[t:t + 1] = _apply_matrix(psi[t:t + 1], corr, qubits, width)
             elif tag == "gate1":
-                _, qubits, mat, p1 = op
+                _, qubits, mat, p1, d = op
                 psi = _apply_matrix(psi, mat, qubits, width)
-                us = np.array([r.random() for r in rngs])
-                for t in np.nonzero(us < p1 * 0.75)[0]:
-                    pauli = "XYZ"[min(int(us[t] / (p1 * 0.25)), 2)]
+                for t in np.nonzero(us[:, d] < p1 * 0.75)[0]:
+                    pauli = "XYZ"[min(int(us[t, d] / (p1 * 0.25)), 2)]
                     psi[t:t + 1] = _apply_matrix(psi[t:t + 1], PAULI_1Q[pauli], qubits, width)
             else:  # delay
-                _, qubits, dur, p_flip = op
+                _, qubits, dur, p_flip, d = op
                 q = qubits[0]
-                if omegas is not None and dur > 0:
+                if omegas is not None:
                     half = 0.5 * omegas[:, q] * dur
                     view = psi.reshape(n_traj, 1 << q, 2, -1)
                     view[:, :, 0, :] *= np.exp(-1j * half)[:, None, None]
                     view[:, :, 1, :] *= np.exp(1j * half)[:, None, None]
                 if p_flip > 0:
-                    us = np.array([r.random() for r in rngs])
-                    for t in np.nonzero(us < p_flip)[0]:
+                    for t in np.nonzero(us[:, d] < p_flip)[0]:
                         view = psi[t].reshape(1 << q, 2, -1)
                         view[:, 1, :] *= -1.0
         return (psi, psi) if self.split == len(self.ops) else (kept, psi)
@@ -680,11 +841,10 @@ class TrajectoryBatch:
 
 def chain_noise(circuits: list[Circuit], spec: NoiseSpec) -> tuple[bool, bool]:
     """(stochastic, quasi_static) of trajectories that run ``circuits``
-    one after another: whether some circuit's plan draws per-trajectory
-    noise, and whether some circuit dephases idles at quasi-static rates.
-    The same rule as a single circuit's ``_NoisePlan``."""
-    plans = [_NoisePlan(c, spec) for c in {id(c): c for c in circuits}.values()]
-    return any(p.stochastic for p in plans), any(p.has_quasi_static for p in plans)
+    one after another: ``_noise_flags`` of all their gates, the rule a
+    single circuit's ``_NoisePlan`` follows."""
+    distinct = {id(c): c for c in circuits}.values()
+    return _noise_flags((g for c in distinct for g in c.gates), spec)
 
 
 def trajectory_count(stochastic: bool, shots: int, shots_per_trajectory: int) -> int:

@@ -261,8 +261,9 @@ class Statevector:
 
 
 def _apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], width: int) -> np.ndarray:
-    """Apply a 1- or 2-qubit unitary to the listed qubits of every row of a
-    (T, 2^width) stack of amplitude arrays; the only amplitude kernel."""
+    """Apply a 2^k x 2^k unitary to the k listed qubits of every row of a
+    (T, 2^width) stack of amplitude arrays; the only amplitude kernel.
+    ``qubits[0]`` is the most significant bit of the matrix index."""
     n_traj = psi.shape[0]
     if len(qubits) == 1:
         q = qubits[0]
@@ -272,14 +273,21 @@ def _apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], wid
         out[:, :, 0, :] = mat[0, 0] * a + mat[0, 1] * b
         out[:, :, 1, :] = mat[1, 0] * a + mat[1, 1] * b
         return out.reshape(n_traj, -1)
-    q0, q1 = qubits
-    arr = psi.reshape([n_traj] + [2] * width)
-    moved = np.moveaxis(arr, (1 + q0, 1 + q1), (1, 2)).reshape(n_traj, 4, -1)
-    out = mat @ moved
-    out = np.moveaxis(
-        out.reshape([n_traj, 2, 2] + [2] * (width - 2)), (1, 2), (1 + q0, 1 + q1)
-    )
+    shape = [n_traj] + [2] * width
+    to_front, back = _front_axes(tuple(qubits), width)
+    moved = psi.reshape(shape).transpose(to_front).reshape(n_traj, 1 << len(qubits), -1)
+    out = (mat @ moved).reshape(shape).transpose(back)
     return out.reshape(n_traj, -1)
+
+
+@lru_cache(maxsize=4096)
+def _front_axes(qubits: tuple[int, ...], width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis orders of a (T, 2, ..., 2) stack that move the axes of
+    ``qubits``, in order, right after the trajectory axis, and back
+    (np.moveaxis without its per-call argument handling)."""
+    axes = [1 + q for q in qubits]
+    to_front = [0] + axes + [a for a in range(1, width + 1) if a not in axes]
+    return tuple(to_front), tuple(int(a) for a in np.argsort(to_front))
 
 
 def _run_gates(psi: np.ndarray, gates, width: int) -> np.ndarray:

@@ -397,6 +397,14 @@ class TestReferenceSeries:
 
 
 class TestCLI:
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy serves only the dense oracles and full-matrix readout, so
+        # starting the CLI must not pay for importing it
+        code = "import sys, scarsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_zpi_smoke(self, tmp_path):
         out = tmp_path / "cli_run"
         cmd = [

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scarsim import noise
-from scarsim.mitigation import twirl_circuit
+from scarsim.mitigation import fold_gates_random, twirl_circuit
 from scarsim.model import build_trotter_step, neel_prep_circuit, qmbs_params
 from scarsim.noise import (
     ConfusionMatrix,
@@ -33,6 +33,7 @@ from scarsim.noise import (
 from scarsim.observables import y_basis_rotation
 from scarsim.qsim import (
     ALL_KINDS,
+    PAULI_LETTERS,
     ROTATION_KINDS,
     TWO_QUBIT_KINDS,
     Circuit,
@@ -45,6 +46,7 @@ from scarsim.qsim import (
     bit_table,
     cnot,
     h,
+    pauli_gate,
     pauli_transfer_matrix,
     run_circuit,
     rzx,
@@ -446,9 +448,10 @@ def _plan_circuits(draw, width):
 @given(data=st.data(), width=st.integers(2, 4),
        over=st.floats(0.01, 1.0) | st.floats(-1.0, -0.01), with_basis=st.booleans())
 def test_fused_plan_matches_density_oracle(data, width, over, with_basis):
-    # folding single-qubit gates into the next two-qubit op keeps the
-    # overrotated channel: the executor's outcome distribution equals the
-    # diagonal of the exact unfused density evolution
+    # folding single-qubit gates into the next two-qubit op, and gates
+    # into windows, keeps the overrotated channel: the executor's outcome
+    # distribution equals the diagonal of the exact unfused density
+    # evolution
     circ = data.draw(_plan_circuits(width))
     basis = data.draw(_plan_circuits(width)) if with_basis else None
     spec = NoiseSpec(two_qubit_target_error=0.0, coherent_overrotation=over)
@@ -459,17 +462,130 @@ def test_fused_plan_matches_density_oracle(data, width, over, with_basis):
 
 
 @pytest.mark.parametrize("impl", ["scaled-rzx", "two-cnot"])
-def test_plan_leaves_no_single_qubit_op_before_a_two_qubit_op(impl):
-    # on either side of the basis boundary, the next op on a single-qubit
-    # op's qubit is never a two-qubit op: that gate was folded into it
+def test_plan_windows_stay_within_four_qubits_and_the_basis_split(impl):
+    # every op spans at most 4 qubits, and no window crosses
+    # the basis boundary: the stack after ops[:split] is the circuit alone
     L = 5
     step = build_trotter_step(qmbs_params(L), impl=impl, idle_ns=100.0)
     circ = twirl_circuit(Circuit(L, neel_prep_circuit(L).gates + step.gates), seed=1)
-    plan = noise._NoisePlan(circ, casablanca_like(), basis=y_basis_rotation(L, "even"))
-    assert any(len(op[1]) == 2 for op in plan.ops)
-    for i, op in enumerate(plan.ops):
-        if op[0] != "gate" or len(op[1]) != 1:
-            continue
-        end = plan.split if i < plan.split else len(plan.ops)
-        after = [o for o in plan.ops[i + 1:end] if op[1][0] in o[1]]
-        assert not after or len(after[0][1]) == 1
+    basis = y_basis_rotation(L, "even")
+    plan = noise._NoisePlan(circ, noiseless(), basis=basis)
+    assert 0 < plan.split < len(plan.ops)
+    assert all(op[0] == "window" and len(op[1]) <= 4 for op in plan.ops)
+    init = Statevector.zero(L)
+    kept, measured = plan.run_batch(init.amplitudes[None, :].copy(), [np.random.default_rng(0)])
+    with_basis = Circuit(L, circ.gates + basis.gates)
+    np.testing.assert_allclose(kept[0], run_circuit(init, circ).amplitudes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(measured[0], run_circuit(init, with_basis).amplitudes,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_twirled_brickwork_step_plans_to_four_windows(lam):
+    # 11 bonds of an L=12 step, their twirl Paulis and folds fit in the
+    # windows {0-3}, {4-7}, {8-11} and {3, 4, 7, 8}
+    L = 12
+    circ = twirl_circuit(fold_gates_random(build_trotter_step(qmbs_params(L)), lam, seed=3),
+                         seed=1)
+    plan = noise._NoisePlan(circ, casablanca_like())
+    assert len(plan.ops) <= 4
+    assert all(op[0] == "window" and len(op[1]) <= 4 for op in plan.ops)
+    assert plan.n_draws == circ.n_two_qubit
+
+
+def test_idle_windows_without_idle_noise_plan_nothing():
+    # without idle noise a DELAY is the identity: it adds no op and splits
+    # no window; with idle noise each one runs as a delay op
+    with_idles = build_trotter_step(qmbs_params(5), idle_ns=100.0)
+    without = build_trotter_step(qmbs_params(5))
+    spec = casablanca_like()
+    plan = noise._NoisePlan(with_idles, spec)
+    assert len(plan.ops) == len(noise._NoisePlan(without, spec).ops)
+    assert not any(op[0] == "delay" for op in plan.ops)
+    idle = noise._NoisePlan(with_idles, casablanca_like(idle_stochastic_rate_per_ns=1e-4))
+    n_delays = sum(g.kind == "DELAY" for g in with_idles.gates)
+    assert sum(op[0] == "delay" for op in idle.ops) == n_delays > 0
+
+
+class _FixedUniforms:
+    """Stand-in for a trajectory generator whose draws are fixed."""
+
+    def __init__(self, row):
+        self.row = np.asarray(row, dtype=float)
+
+    def random(self, n):
+        assert n == self.row.size
+        return self.row.copy()
+
+
+def test_window_corrections_equal_inserted_paulis():
+    # chosen rows draw chosen Paulis after chosen two-qubit gates of a
+    # 7-qubit folded, twirled step (windows cover 4 of the 7 qubits at
+    # most); every row of the fused plan must equal the unfused circuit
+    # with those Paulis inserted as gates, before and after the basis
+    L = 7
+    step = build_trotter_step(qmbs_params(L), impl="scaled-rzx")
+    circ = twirl_circuit(fold_gates_random(
+        Circuit(L, neel_prep_circuit(L).gates + step.gates), 2.0, seed=5), seed=2)
+    basis = y_basis_rotation(L, "odd")
+    spec = NoiseSpec(two_qubit_depolarizing=0.32)  # 0.02 on each of the 15 Paulis
+    plan = noise._NoisePlan(circ, spec, basis=basis)
+    two_qubit = [i for i, g in enumerate(circ.gates) if g.is_two_qubit]
+    n = len(two_qubit)
+    assert plan.n_draws == n
+    shared = next(op[5] for op in plan.ops if op[0] == "window" and len(op[4]) >= 3)
+    rng = np.random.default_rng(11)
+    rows = [
+        {},  # no error
+        {0: 4},
+        {int(shared[0]): 14, int(shared[1]): 1, int(shared[2]): 9},  # one window
+        {d: (d % 15) for d in range(0, n, 3)},
+        {n - 1: 7},
+        {d: int(rng.integers(15)) for d in range(n)},  # an error after every gate
+    ]
+    uniforms = []
+    for errors in rows:
+        u = np.full(n, 0.99)
+        for d, k in errors.items():
+            u[d] = 0.02 * (k + 0.5)  # selects Pauli k of the cumulative rates
+        uniforms.append(_FixedUniforms(u))
+    psi = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
+    init = Statevector(psi / np.linalg.norm(psi))
+    kept, measured = plan.run_batch(np.tile(init.amplitudes, (len(rows), 1)), uniforms)
+    labels = noise.TWO_QUBIT_PAULI_LABELS
+    for t, errors in enumerate(rows):
+        gates = []
+        for i, g in enumerate(circ.gates):
+            gates.append(g)
+            if g.is_two_qubit and two_qubit.index(i) in errors:
+                label = labels[errors[two_qubit.index(i)]]
+                gates += [pauli_gate(PAULI_LETTERS.index(ch), q)
+                          for ch, q in zip(label, g.qubits) if ch != "I"]
+        want = run_circuit(init, Circuit(L, gates))
+        np.testing.assert_allclose(kept[t], want.amplitudes, rtol=0, atol=1e-12)
+        want = run_circuit(want, basis)
+        np.testing.assert_allclose(measured[t], want.amplitudes, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), width=st.integers(2, 4),
+       depolarizing=st.sampled_from([None, 0.0, 0.05]),
+       target=st.sampled_from([0.0, 0.016]),
+       single=st.sampled_from([0.0, 0.01]),
+       dephasing=st.sampled_from([0.0, 0.002]),
+       flips=st.sampled_from([0.0, 1e-4]))
+def test_chain_noise_agrees_with_what_the_plans_do(data, width, depolarizing, target,
+                                                   single, dephasing, flips):
+    # chain noise is stochastic exactly when some plan draws per-trajectory
+    # noise or dephases an idle window, and quasi-static exactly when some
+    # plan dephases one
+    circuits = [data.draw(_plan_circuits(width)) for _ in range(data.draw(st.integers(1, 3)))]
+    spec = NoiseSpec(two_qubit_depolarizing=depolarizing, two_qubit_target_error=target,
+                     single_qubit_depolarizing=single, idle_dephasing_rad_per_ns=dephasing,
+                     idle_stochastic_rate_per_ns=flips)
+    plans = [noise._NoisePlan(c, spec) for c in circuits]
+    dephases = [dephasing > 0 and any(op[0] == "delay" for op in p.ops) for p in plans]
+    for plan, deph in zip(plans, dephases):
+        assert (plan.stochastic, plan.has_quasi_static) == (plan.n_draws > 0 or deph, deph)
+    assert noise.chain_noise(circuits, spec) == (
+        any(p.stochastic for p in plans), any(dephases))

@@ -118,9 +118,9 @@ class TestApplyGate:
 
 @st.composite
 def _kernel_cases(draw):
-    """(width, ordered qubit tuple of 1 or 2 qubits, stack height, seed)."""
+    """(width, random ordered subset of 1 to 4 qubits, stack height, seed)."""
     width = draw(st.integers(1, 6))
-    k = draw(st.integers(1, min(2, width)))
+    k = draw(st.integers(1, min(4, width)))
     qubits = tuple(draw(st.permutations(range(width)))[:k])
     return width, qubits, draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
 
@@ -129,7 +129,8 @@ def _kernel_cases(draw):
 @given(case=_kernel_cases())
 def test_kernel_matches_embedded_matrix(case):
     # every row of the one amplitude kernel equals the dense embedded
-    # operator times that row, for random unitaries in either qubit order
+    # operator times that row, for random unitaries on up to 4 qubits in
+    # any order
     width, qubits, n_traj, seed = case
     rng = np.random.default_rng(seed)
     dim = 2 ** len(qubits)
