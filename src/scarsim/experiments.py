@@ -8,11 +8,12 @@ the noise scale factors.  Variants come from a prefix-sharing sweep
 trajectories through the preparation block and then one Trotter step
 per block, measuring a snapshot after every block; under stochastic
 noise a fresh batch re-runs the chain's whole prefix every
-ceil(sqrt(steps + 1)) steps.  The variant key (config seed, trial,
-step, twirl, scale) seeds that step's folds, twirl, shots and readout
-flips; the chain key, the variant key of the first step of the step's
-segment, seeds the trajectories.  A rerun with the same config
-therefore emits byte-identical files.  Estimates at different steps of
+ceil(sqrt(steps + 1)) steps.  Readout error is a channel on each
+trajectory's outcome probabilities before the shots are drawn.  The
+variant key (config seed, trial, step, twirl, scale) seeds that step's
+folds, twirl and shots; the chain key, the variant key of the first
+step of the step's segment, seeds the trajectories.  A rerun with the
+same config therefore emits byte-identical files.  Estimates at different steps of
 one segment share its noise draws, and all steps of a chain share twirl
 draws, so they are correlated across steps, but each is still unbiased.
 """
@@ -99,6 +100,8 @@ class ExperimentConfig:
             raise ValueError("steps must be >= 0")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.shots_per_trajectory < 1:
+            raise ValueError("shots_per_trajectory must be >= 1")
         if self.twirls < 1:
             raise ValueError("twirls must be >= 1")
         if self.trials < 1:
@@ -366,9 +369,9 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
 
     The variant key of (step, twirl w, scale li) is key_head + [step, w, li];
     it seeds the block's folds (+[0]) and twirl (+[1]) and the step's
-    shots (+[4]) and readout flips (+[3]).  The chain key of a step is
-    the variant key of its segment's first step; trajectory t draws its
-    noise from chain key + [2, t] for every block it evolves.
+    shots (+[4]), drawn after the readout channel.  The chain key of a
+    step is the variant key of its segment's first step; trajectory t
+    draws its noise from chain key + [2, t] for every block it evolves.
 
     Returns (estimates, lam_effs, variants), each indexed by step:
     estimates[step][li] lists estimate's results over the twirls,

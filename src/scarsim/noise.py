@@ -21,7 +21,7 @@ import configparser
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -401,9 +401,9 @@ class ConfusionMatrix:
         return cls("tensor", L, factors=factors)
 
     @cached_property
-    def inverse_factors(self) -> list[np.ndarray]:
-        """Per-qubit inverses of the tensor factors, computed once."""
-        return [np.linalg.inv(f) for f in self.factors]
+    def _blocks(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """``_kron_blocks`` of the factors and of their inverses, built once."""
+        return _kron_blocks(self.factors), _kron_blocks([np.linalg.inv(f) for f in self.factors])
 
     @cached_property
     def lu(self) -> tuple[np.ndarray, np.ndarray]:
@@ -420,71 +420,59 @@ class ConfusionMatrix:
         return lu, piv
 
     def apply_to_vector(self, vec: np.ndarray) -> np.ndarray:
-        """Forward direction: p_noisy = M p_ideal."""
+        """Forward direction: p_noisy = M p_ideal, over the last axis of
+        ``vec`` (one vector or a stack of rows)."""
         if self.method == "full":
-            return self.matrix @ vec
-        return _apply_factors(self.factors, vec)
+            return vec @ self.matrix.T
+        return _apply_factors(self._blocks[0], vec)
 
     def invert_vector(self, vec: np.ndarray) -> np.ndarray:
-        """Inverse direction: p_ideal = M^-1 p_noisy (may go negative)."""
+        """Inverse direction: p_ideal = M^-1 p_noisy (may go negative),
+        over the last axis of ``vec``."""
         if self.method == "full":
             import scipy.linalg
 
-            return scipy.linalg.lu_solve(self.lu, vec)
-        return _apply_factors(self.inverse_factors, vec)
+            return scipy.linalg.lu_solve(self.lu, vec.T).T
+        return _apply_factors(self._blocks[1], vec)
 
     def dense(self) -> np.ndarray:
-        if self.method == "full":
-            return self.matrix
-        out = np.array([[1.0]])
-        for f in self.factors:
-            out = np.kron(out, f)
-        return out
+        return self.matrix if self.method == "full" else reduce(np.kron, self.factors, np.eye(1))
 
 
-def _apply_factors(factors: list[np.ndarray], vec: np.ndarray) -> np.ndarray:
-    """Apply one 2x2 matrix per qubit (qubit 0 most significant)."""
-    out = vec.reshape([2] * len(factors))
-    for q, f in enumerate(factors):
-        out = np.moveaxis(np.tensordot(f, out, axes=([1], [q])), 0, q)
-    return out.reshape(-1)
+# Widest Kronecker block of readout factors: a k-qubit block is one pass
+# at 2^k multiply-adds per entry, so 4 cuts the passes fourfold and keeps
+# each cheap.
+READOUT_BLOCK_QUBITS = 4
 
 
-def apply_readout_error(counts: Counts, m: ConfusionMatrix, seed: int) -> Counts:
-    """Forward (simulation-direction) readout noise on measured counts.
+def _kron_blocks(factors: list[np.ndarray]) -> list[np.ndarray]:
+    """Kronecker products of runs of consecutive 2x2 factors, qubit 0
+    first: ceil(L / READOUT_BLOCK_QUBITS) runs of near-equal length."""
+    runs = np.array_split(np.arange(len(factors)), -(-len(factors) // READOUT_BLOCK_QUBITS))
+    return [reduce(np.kron, [factors[q] for q in run]) for run in runs]
 
-    Exact counts are pushed through M as probabilities; sampled counts
-    get per-shot bit flips at the per-qubit rates (tensor mode) or are
-    resampled from the full-matrix columns.  Outcomes are visited in
-    ascending index order, so a seed fixes the result.
-    """
-    if m.L != counts.width:
+
+def _apply_factors(blocks: list[np.ndarray], vec: np.ndarray) -> np.ndarray:
+    """Apply the Kronecker product of ``blocks`` (qubit 0 most
+    significant) to the last axis of ``vec``, one vector or a (T, 2^L)
+    stack: each block is one matmul over a reshape of that axis."""
+    out, high = vec, 1
+    for b in blocks:
+        d = len(b)
+        low = vec.shape[-1] // (high * d)
+        out = out.reshape(-1, d) @ b.T if low == 1 else b @ out.reshape(-1, d, low)
+        high *= d
+    return out.reshape(vec.shape)
+
+
+def apply_readout_error(probs: np.ndarray, m: ConfusionMatrix) -> np.ndarray:
+    """Forward readout noise as a channel: M over the last axis of
+    ``probs``, one distribution or a (T, 2^L) stack.  Sampling n shots
+    from p and flipping (tensor) or resampling (full) each shot has the
+    law Multinomial(n, M p), so shots drawn after this are read out."""
+    if probs.shape[-1] != 1 << m.L:
         raise ValueError("confusion matrix width mismatch")
-    vec = counts.vector
-    if counts.exact:
-        return Counts.from_vector(m.apply_to_vector(vec), counts.width,
-                                  counts.total_shots, exact=True)
-    rng = np.random.default_rng(seed)
-    dim = vec.size
-    outcomes = np.flatnonzero(vec)
-    shots = np.rint(vec[outcomes]).astype(np.int64)
-    if m.method == "tensor":
-        L = counts.width
-        eps = np.array([f[1, 0] for f in m.factors])
-        eta = np.array([f[0, 1] for f in m.factors])
-        # one row of per-bit flip probabilities per shot, shots grouped by
-        # outcome; a flipped bit k toggles bit k of the outcome index
-        rates = np.repeat(np.where(bit_table(L)[outcomes] == 0, eps, eta), shots, axis=0)
-        flips = rng.random(rates.shape) < rates
-        place = 2.0 ** np.arange(L - 1, -1, -1)
-        flipped = np.repeat(outcomes, shots) ^ (flips @ place).astype(np.int64)
-        out = np.bincount(flipped, minlength=dim)
-    else:
-        out = np.zeros(dim, dtype=np.int64)
-        for i, n in zip(outcomes, shots):
-            col = m.matrix[:, i]
-            out += rng.multinomial(n, col / col.sum())
-    return Counts(out.astype(float), counts.total_shots)
+    return m.apply_to_vector(probs)
 
 
 # ---------------------------------------------------------------------------
@@ -867,11 +855,11 @@ def run_noisy_counts(
     """Execute under the noise spec and measure.
 
     Shots are split across noise trajectories (one Pauli insertion
-    pattern per trajectory); with ``infinite=True`` each trajectory
-    contributes its exact outcome distribution instead of samples.
-    Forward readout confusion is applied last.  ``seed`` may be an int
-    or a sequence of ints; the shots are drawn from ``seed + [4]`` and
-    the readout flips from ``seed + [3]``.
+    pattern per trajectory).  Each trajectory's outcome probabilities go
+    through the readout channel ``apply_readout_error``; then each draws
+    its shots in one multinomial, or with ``infinite=True`` contributes
+    its exact distribution.  ``seed`` may be an int or a sequence of
+    ints; the shots are drawn from ``seed + [4]``.
 
     Without ``batch`` the circuit starts fresh trajectories from
     |0...0>, seeded ``seed + [2, t]`` (see ``TrajectoryBatch.seeded``).
@@ -883,6 +871,8 @@ def run_noisy_counts(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if shots_per_trajectory < 1:
+        raise ValueError("shots_per_trajectory must be >= 1")
     width = circuit.width
     plan = _NoisePlan(circuit, spec, basis)
     base = [int(v) for v in np.atleast_1d(seed)]
@@ -890,30 +880,19 @@ def run_noisy_counts(
         n_traj = trajectory_count(plan.stochastic, shots, shots_per_trajectory)
         batch = TrajectoryBatch.seeded(spec, n_traj, base, Statevector.zero(width),
                                        plan.has_quasi_static)
-    measured = batch.advance(plan)
-
-    n_traj = len(measured)
-    if infinite:
-        probs = np.mean(np.abs(measured) ** 2, axis=0)
-        counts = Counts.from_vector(probs * shots, width, float(shots), exact=True)
-    else:
-        share = [shots // n_traj] * n_traj
-        for i in range(shots % n_traj):
-            share[i] += 1
-        rng = np.random.default_rng(base + [4])
-        total = np.zeros(2**width, dtype=np.int64)
-        for t in range(n_traj):
-            if share[t] == 0:
-                continue
-            p = np.abs(measured[t]) ** 2
-            total += rng.multinomial(share[t], p / p.sum())
-        counts = Counts.from_vector(total.astype(float), width, float(shots))
-
+    probs = np.abs(batch.advance(plan)) ** 2
     if spec.has_readout_error():
         m = spec._memoized(("readout", width), lambda: ConfusionMatrix.from_rates(
             width, spec.readout_eps, spec.readout_eta))
-        counts = apply_readout_error(counts, m, base + [3])
-    return counts
+        probs = apply_readout_error(probs, m)
+    if infinite:
+        return Counts.from_vector(probs.mean(axis=0) * shots, width, float(shots), exact=True)
+    n_traj = len(probs)
+    share = np.full(n_traj, shots // n_traj)
+    share[:shots % n_traj] += 1
+    rng = np.random.default_rng(base + [4])
+    total = rng.multinomial(share, probs / probs.sum(axis=1, keepdims=True)).sum(axis=0)
+    return Counts.from_vector(total.astype(float), width, float(shots))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from scarsim.noise import (
 from scarsim.observables import cy_oracle, simulate_cy_noiseless
 from scarsim.qsim import (
     Circuit,
+    Counts,
     KrausChannel,
     Statevector,
     gate_matrix,
@@ -205,7 +206,8 @@ def test_07_readout_round_trip():
         )
         ideal = sample_counts(psi, shots=8192, seed=0, infinite=True)
         m = ConfusionMatrix.from_rates(L, eps=0.05, eta=0.03)
-        noisy = apply_readout_error(ideal, m, seed=0)
+        probs = apply_readout_error(ideal.vector / ideal.total_shots, m)
+        noisy = Counts.from_vector(probs * ideal.total_shots, L, ideal.total_shots, exact=True)
         recovered = mitigate_readout(noisy, m)
         diff = recovered.to_vector() - ideal.to_vector()
         assert np.max(np.abs(diff)) / ideal.total_shots < 1e-10

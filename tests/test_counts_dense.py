@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scarsim.mitigation import postselect
-from scarsim.noise import ConfusionMatrix, apply_readout_error
+from scarsim.noise import ConfusionMatrix, NoiseSpec, apply_readout_error, run_noisy_counts
 from scarsim.observables import (
     loschmidt_echo,
     parity_sites,
@@ -18,7 +18,7 @@ from scarsim.observables import (
     pyp_expectation,
     staggered_magnetization,
 )
-from scarsim.qsim import Counts
+from scarsim.qsim import Circuit, Counts, Statevector, cnot, run_circuit, ry
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -135,33 +135,65 @@ def _per_outcome_full_reference(c: Counts, m: ConfusionMatrix, seed) -> dict[str
     return out
 
 
-@st.composite
-def rates(draw, width):
-    return [draw(st.floats(0.0, 0.4)) for _ in range(width)]
+def _assert_multinomial_moments(samples: np.ndarray, n: int, q: np.ndarray) -> None:
+    """The mean and covariance of ``samples`` (one count vector per row)
+    match those of Multinomial(n, q): n q and n (diag q - q q^T), each
+    entry within 5 standard errors estimated from the samples (the
+    covariance from products of deviations from the exact mean)."""
+    dev = samples - n * q
+    se_mean = np.sqrt(n * q * (1 - q) / len(samples))
+    assert np.all(np.abs(dev.mean(axis=0)) <= 5 * se_mean + 1e-12)
+    prods = dev[:, :, None] * dev[:, None, :]
+    cov = n * (np.diag(q) - np.outer(q, q))
+    se_cov = prods.std(axis=0) / np.sqrt(len(samples))
+    assert np.all(np.abs(prods.mean(axis=0) - cov) <= 5 * se_cov + 1e-9)
 
 
-@PROPERTY
-@given(counts(quasi_allowed=False), st.data(), st.integers(0, 2**32 - 1))
-def test_tensor_readout_matches_per_shot_reference(c, data, seed):
-    m = ConfusionMatrix.from_rates(c.width, data.draw(rates(c.width)), data.draw(rates(c.width)))
-    out = apply_readout_error(c, m, seed)
-    assert dict(out.data) == _per_shot_tensor_reference(c, m, seed)
-    assert apply_readout_error(c, m, seed).data == out.data
-    assert out.total_shots == c.total_shots and not out.quasi
+def _sample_then_read(p: np.ndarray, n: int, m: ConfusionMatrix, reference, seeds) -> np.ndarray:
+    """One count vector per seed: n shots drawn from p, then read out by
+    ``reference`` (sampled counts in, readout-corrupted counts out)."""
+    width = m.L
+    out = np.zeros((len(seeds), 2**width))
+    for row, seed in zip(out, seeds):
+        shots = np.random.default_rng([seed, 0]).multinomial(n, p).astype(float)
+        for key, value in reference(Counts(shots, float(n)), m, [seed, 1]).items():
+            row[int(key, 2)] = value
+    return out
 
 
-@PROPERTY
-@given(counts(quasi_allowed=False), st.data(), st.integers(0, 2**32 - 1))
-def test_full_readout_matches_per_outcome_reference(c, data, seed):
-    dim = 2**c.width
-    cols = data.draw(st.lists(
-        st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim).filter(lambda v: sum(v) > 0.1),
-        min_size=dim, max_size=dim))
-    mat = np.array(cols, dtype=float).T
-    m = ConfusionMatrix("full", c.width, matrix=mat / mat.sum(axis=0))
-    out = apply_readout_error(c, m, seed)
-    assert dict(out.data) == _per_outcome_full_reference(c, m, seed)
-    assert apply_readout_error(c, m, seed).data == out.data
+SEEDS = range(1500)
+
+
+def test_tensor_readout_matches_per_shot_reference():
+    # the executor's readout channel before sampling against sampling
+    # then flipping each shot's bits: both Multinomial(n, M p)
+    n, width = 40, 3
+    spec = NoiseSpec(two_qubit_target_error=0.0, readout_eps=0.12, readout_eta=0.3)
+    circ = Circuit(width, [ry(0, 1.1), ry(1, 2.2), cnot(1, 2), ry(2, 0.4)])
+    p = np.abs(run_circuit(Statevector.zero(width), circ).amplitudes) ** 2
+    m = ConfusionMatrix.from_rates(width, spec.readout_eps, spec.readout_eta)
+    q = m.dense() @ p
+    channel = np.array([run_noisy_counts(circ, spec, n, seed).vector for seed in SEEDS])
+    _assert_multinomial_moments(channel, n, q)
+    _assert_multinomial_moments(_sample_then_read(p, n, m, _per_shot_tensor_reference, SEEDS),
+                                n, q)
+
+
+def test_full_readout_matches_per_outcome_reference():
+    # a non-product confusion matrix applied to probabilities, then
+    # sampled, against sampling then resampling each outcome's shots
+    # from its matrix column
+    n, width = 40, 2
+    rng = np.random.default_rng(5)
+    mat = np.eye(4) + rng.uniform(0.0, 0.4, (4, 4))
+    m = ConfusionMatrix("full", width, matrix=mat / mat.sum(axis=0))
+    p = np.array([0.1, 0.45, 0.05, 0.4])
+    q = apply_readout_error(p, m)
+    np.testing.assert_allclose(q, m.matrix @ p, rtol=0, atol=1e-15)
+    channel = np.array([np.random.default_rng(seed).multinomial(n, q) for seed in SEEDS])
+    _assert_multinomial_moments(channel.astype(float), n, q)
+    _assert_multinomial_moments(_sample_then_read(p, n, m, _per_outcome_full_reference, SEEDS),
+                                n, q)
 
 
 @PROPERTY

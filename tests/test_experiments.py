@@ -113,6 +113,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="not scalar NoiseSpec fields"):
             ExperimentConfig(noise_overrides={"pulse": 1.0})
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_invalid_shots_per_trajectory_fails_at_load(self, tmp_path, value):
+        # 0 divided by zero mid-run; a negative value ran one trajectory
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[execution]\nshots_per_trajectory = {value}\n")
+        with pytest.raises(ValueError, match="shots_per_trajectory"):
+            config_from_ini(ini)
+
 
 class TestNoiselessPipeline:
     def test_matches_ideal_oracle_exactly(self):
@@ -351,8 +359,11 @@ class TestEmission:
         _assert_reruns_identical(cfg, run_zpi)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("command", ["zpi", "cy"])
-    def test_noisy_reruns_are_byte_identical_in_every_file(self, tmp_path, command, fmt):
+    @pytest.mark.parametrize("command, readout_mode", [
+        ("zpi", "tensor"), ("cy", "tensor"), ("zpi", "full"), ("cy", "full"),
+    ], ids=["zpi", "cy", "zpi-full", "cy-full"])
+    def test_noisy_reruns_are_byte_identical_in_every_file(self, tmp_path, command, readout_mode,
+                                                           fmt):
         cfg = tiny_config(
             sites=4 if command == "zpi" else 3,
             steps=2,
@@ -363,7 +374,7 @@ class TestEmission:
             infinite_shots=False,
             shots=256,
             shots_per_trajectory=64,
-            readout_mode="tensor",
+            readout_mode=readout_mode,
             postselect=command == "zpi",
             dd=command == "zpi",
         )

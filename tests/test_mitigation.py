@@ -307,7 +307,8 @@ class TestReadoutMitigation:
     def test_forward_then_invert_recovers(self):
         m = ConfusionMatrix.from_rates(3, eps=0.1, eta=0.05)
         ideal = Counts.from_dict({"010": 600.0, "101": 400.0}, 1000.0, 3, exact=True)
-        noisy = noise.apply_readout_error(ideal, m, seed=0)
+        probs = noise.apply_readout_error(ideal.vector / ideal.total_shots, m)
+        noisy = Counts.from_vector(probs * ideal.total_shots, 3, ideal.total_shots, exact=True)
         back = mitigate_readout(noisy, m)
         for k, v in ideal.data.items():
             assert back.data.get(k, 0.0) == pytest.approx(v, abs=1e-10)

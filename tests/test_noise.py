@@ -37,7 +37,6 @@ from scarsim.qsim import (
     ROTATION_KINDS,
     TWO_QUBIT_KINDS,
     Circuit,
-    Counts,
     DensityOperator,
     Gate,
     PauliString,
@@ -210,29 +209,58 @@ class TestNoisyGateChannel:
 
 class TestReadout:
     def test_identity_confusion_is_noop(self):
-        counts = Counts.from_dict({"01": 500.0, "10": 500.0}, 1000.0, 2)
-        out = apply_readout_error(counts, ConfusionMatrix.identity(2), seed=0)
-        assert out.data == counts.data
+        probs = np.array([[0.0, 0.5, 0.5, 0.0], [0.25, 0.25, 0.5, 0.0]])
+        out = apply_readout_error(probs, ConfusionMatrix.identity(2))
+        np.testing.assert_array_equal(out, probs)
 
     def test_full_flip(self):
-        counts = Counts.from_dict({"01": 100.0}, 100.0, 2)
+        probs = np.array([0.0, 1.0, 0.0, 0.0])  # "01"
         m = ConfusionMatrix.from_rates(2, eps=1.0, eta=1.0)
-        out = apply_readout_error(counts, m, seed=0)
-        assert out.data == {"10": 100.0}
+        np.testing.assert_array_equal(apply_readout_error(probs, m), [0.0, 0.0, 1.0, 0.0])
 
     def test_infinite_shot_column_read(self):
-        counts = Counts.from_dict({"0": 10000.0}, 10000.0, 1, exact=True)
         m = ConfusionMatrix.from_rates(1, eps=0.1, eta=0.05)
-        out = apply_readout_error(counts, m, seed=0)
-        assert out.data == pytest.approx({"0": 9000.0, "1": 1000.0})
+        out = apply_readout_error(np.array([1.0, 0.0]), m)
+        np.testing.assert_allclose(out, [0.9, 0.1], rtol=0, atol=1e-15)
 
     def test_sampled_rates_converge(self):
-        counts = Counts.from_dict({"00": 50000.0}, 50000.0, 2)
-        m = ConfusionMatrix.from_rates(2, eps=0.1, eta=0.05)
-        out = apply_readout_error(counts, m, seed=3)
+        # 50000 shots of |00> through the sampled executor's readout channel
+        spec = NoiseSpec(two_qubit_target_error=0.0, readout_eps=0.1, readout_eta=0.05)
+        out = run_noisy_counts(Circuit(2), spec, shots=50000, seed=3)
         flipped_first = sum(v for k, v in out.data.items() if k[0] == "1")
         freq = flipped_first / 50000.0
         assert abs(freq - 0.1) < 5 * math.sqrt(0.1 * 0.9 / 50000.0)
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="width"):
+            apply_readout_error(np.ones((2, 8)) / 8, ConfusionMatrix.identity(2))
+
+    @pytest.mark.parametrize("method, width", [("tensor", w) for w in range(1, 14)]
+                             + [("full", w) for w in range(1, 11)])
+    def test_kernel_matches_dense_oracle(self, method, width):
+        # both directions on a single row and a (T, 2^L) stack, against
+        # dense() and its inverse up to width 10; above that (tensor mode
+        # only: a dense matrix would take 32 MB and up) against one
+        # tensordot per qubit, the per-factor contraction dense() encodes
+        rng = np.random.default_rng([width, method == "full"])
+        m = ConfusionMatrix.from_rates(width, rng.uniform(0, 0.3, width),
+                                       rng.uniform(0, 0.3, width))
+        if method == "full":
+            mat = np.eye(2**width) + rng.uniform(0, 0.5 / 2**width, (2**width, 2**width))
+            m = ConfusionMatrix("full", width, matrix=mat / mat.sum(axis=0))
+        stack = rng.random((4, 2**width))
+        if width <= 10:
+            dense = m.dense()
+            forward, inverse = stack @ dense.T, stack @ np.linalg.inv(dense).T
+        else:
+            forward = np.stack([_per_qubit(m.factors, row) for row in stack])
+            inverse = np.stack([_per_qubit([np.linalg.inv(f) for f in m.factors], row)
+                                for row in stack])
+        for vec, fwd, inv in ((stack, forward, inverse), (stack[1], forward[1], inverse[1])):
+            got_fwd, got_inv = m.apply_to_vector(vec), m.invert_vector(vec)
+            assert got_fwd.shape == got_inv.shape == vec.shape
+            np.testing.assert_allclose(got_fwd, fwd, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got_inv, inv, rtol=0, atol=1e-10)
 
     def test_tensor_and_full_agree_on_product_model(self):
         tensor = ConfusionMatrix.from_rates(2, eps=0.07, eta=0.02)
@@ -271,6 +299,15 @@ class TestReadout:
         m = ConfusionMatrix("full", 1, matrix=np.full((2, 2), 0.5))
         with pytest.raises(np.linalg.LinAlgError):
             m.invert_vector(np.array([1.0, 0.0]))
+
+
+def _per_qubit(factors, vec):
+    """One 2x2 factor per qubit (qubit 0 most significant), applied by a
+    tensordot over that qubit's axis."""
+    out = vec.reshape([2] * len(factors))
+    for q, f in enumerate(factors):
+        out = np.moveaxis(np.tensordot(f, out, axes=([1], [q])), 0, q)
+    return out.reshape(-1)
 
 
 class TestTrajectoryExecution:
@@ -315,6 +352,14 @@ class TestTrajectoryExecution:
                                   basis=Circuit(1, [h(0)]))
         fidelity = counts.vector[0]
         assert fidelity < 1.0 - 1e-6
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_invalid_shots_per_trajectory_rejected(self, value):
+        # 0 divided by zero in trajectory_count; a negative value ran one
+        # trajectory
+        with pytest.raises(ValueError, match="shots_per_trajectory"):
+            run_noisy_counts(Circuit(2, [h(0), cnot(0, 1)]), casablanca_like(), 64, 0,
+                             shots_per_trajectory=value)
 
     def test_finite_shot_split_preserves_total(self):
         circ = Circuit(2, [h(0), cnot(0, 1)])

@@ -171,6 +171,11 @@ def test_noisy_chains_restart_fresh_trajectories_every_segment(monkeypatch):
               + [build_trotter_step(cfg.model_params(), impl=cfg.impl)] * cfg.steps)
     seg = math.ceil(math.sqrt(cfg.steps + 1))
     assert seg == 3
+    # the prep block alone draws no noise, so a one-off run of it would
+    # take one trajectory; the reference runs the chain's count
+    stochastic, quasi_static = noise.chain_noise(blocks, spec)
+    n_traj = noise.trajectory_count(stochastic, cfg.shots, cfg.shots_per_trajectory)
+    assert n_traj == 4
     for li, lam in enumerate(cfg.zne_factors):
         folds = mitigation.block_fold_counts([b.n_two_qubit for b in blocks], lam)
         gates = ()
@@ -185,8 +190,9 @@ def test_noisy_chains_restart_fresh_trajectories_every_segment(monkeypatch):
                 assert _gate_list(circuit.gates) == _gate_list(twirled.gates)
                 continue
             assert _gate_list(circuit.gates) == _gate_list(gates)
-            fresh = run(Circuit(cfg.sites, gates), spec, cfg.shots, key,
-                        shots_per_trajectory=cfg.shots_per_trajectory)
+            batch = noise.TrajectoryBatch.seeded(spec, n_traj, key, Statevector.zero(cfg.sites),
+                                                 quasi_static)
+            fresh = run(Circuit(cfg.sites, gates), spec, cfg.shots, key, batch=batch)
             np.testing.assert_array_equal(counts.vector, fresh.vector)
 
 
