@@ -16,6 +16,14 @@ step of the step's segment, seeds the trajectories.  A rerun with the
 same config therefore emits byte-identical files.  Estimates at different steps of
 one segment share its noise draws, and all steps of a chain share twirl
 draws, so they are correlated across steps, but each is still unbiased.
+
+Each variant's estimates are one float row; a sweep's rows form one
+(steps + 1, scales, twirls, columns) array, in which NaN marks a
+missing estimate (postselection kept nothing, or a raw column at a
+scale other than 1).  ``_zne`` reduces one step of it, column by column,
+to values and stds, skipping the missing samples; it is the one ZNE
+reduction every experiment uses.  Every series and table is emitted as
+a ``Table``, in CSV or JSON.
 """
 from __future__ import annotations
 
@@ -49,6 +57,7 @@ from .observables import (
     cy_branch_prep,
     loschmidt_echo,
     loschmidt_echo_state,
+    parity_sites,
     per_site_z,
     pyp_expectation,
     series_from_values,
@@ -200,10 +209,18 @@ def config_from_ini(path, **cli_overrides) -> ExperimentConfig:
 
 @dataclass
 class Table:
-    """Flat tabular result (non-TimeSeries artifacts, e.g. the benchmark)."""
+    """Flat tabular result, the one format every emitted file is written in."""
 
     columns: list[str]
     rows: list[tuple]
+
+    @classmethod
+    def from_series(cls, ts: TimeSeries) -> Table:
+        rows = [
+            (int(step), float(t), complex(v).real, complex(v).imag, float(err))
+            for step, t, v, err in zip(ts.steps, ts.times, ts.values, ts.errors)
+        ]
+        return cls(columns=["step", "Vt", "value_re", "value_im", "std"], rows=rows)
 
     def csv_rows(self) -> list[str]:
         out = [",".join(self.columns)]
@@ -213,10 +230,6 @@ class Table:
             ]
             out.append(",".join(cells))
         return out
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.csv_rows()) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +299,17 @@ def _calibrated_confusion(config, spec, trial):
     )
 
 
-def _process_counts(counts: Counts, confusion, config, reference: str):
-    """Readout inversion -> postselection -> observable estimates."""
+# Columns of the magnetization pipeline's estimate rows and trial tables;
+# a row has L + 4 columns for L sites.
+COL_ZPI = 0
+COL_ECHO = (1, 2)  # 0 and 1 tolerated flips
+COL_SITES = slice(3, -1)
+COL_RETAINED = -1
+
+
+def _process_counts(counts: Counts, confusion, config, reference: str) -> np.ndarray:
+    """Readout inversion -> postselection -> estimate row (all NaN when
+    postselection keeps nothing)."""
     if confusion is not None:
         counts = mitigation.mitigate_readout(counts, confusion)
     retained = 1.0
@@ -295,28 +317,32 @@ def _process_counts(counts: Counts, confusion, config, reference: str):
         sel = mitigation.postselect(counts)
         retained = sel.retained_fraction
         if sel.empty:
-            return None
+            return np.full(counts.width + 4, np.nan)
         counts = sel.counts
     return _estimates(counts, reference, retained)
 
 
-def _estimates(counts: Counts, reference: str, retained: float = 1.0):
-    return {
-        "zpi": staggered_magnetization(counts),
-        "site_z": per_site_z(counts),
-        "echo0": loschmidt_echo(counts, reference, 0),
-        "echo1": loschmidt_echo(counts, reference, 1),
-        "retained": retained,
-    }
+def _estimates(counts: Counts, reference: str, retained: float = 1.0) -> np.ndarray:
+    return np.concatenate((
+        [
+            staggered_magnetization(counts),
+            loschmidt_echo(counts, reference, 0),
+            loschmidt_echo(counts, reference, 1),
+        ],
+        per_site_z(counts),
+        [retained],
+    ))
 
 
-def _zne_scalar(per_lambda: list[list[float]], lam_effs: list[float]):
-    """Extrapolate one observable: per-scale twirl samples -> (value, std)."""
+def _zne_scalar(per_lambda, lam_effs: list[float]):
+    """Extrapolate one observable: per-scale twirl samples -> (value, std).
+    Non-finite samples are missing."""
     pts = []
     present = []
     for li, lam in enumerate(lam_effs):
-        vals = [v for v in per_lambda[li] if v is not None and np.isfinite(v)]
-        if not vals:
+        vals = np.asarray(per_lambda[li], dtype=float)
+        vals = vals[np.isfinite(vals)]
+        if not vals.size:
             continue
         sig = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
         present.append(lam)
@@ -329,6 +355,14 @@ def _zne_scalar(per_lambda: list[list[float]], lam_effs: list[float]):
         return float(np.mean(vals)), spread
     res = mitigation.zne_extrapolate(pts)
     return res.intercept, res.intercept_std
+
+
+def _zne(samples: np.ndarray, lam_effs: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(values, stds) of every column of one step's (scales, twirls,
+    columns) samples, extrapolated one column at a time."""
+    fits = [_zne_scalar(samples[:, :, c], lam_effs) for c in range(samples.shape[2])]
+    values, stds = np.array(fits).T
+    return values, stds
 
 
 def _segment_steps(n_steps: int, stochastic: bool) -> int:
@@ -358,7 +392,9 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
     its share of the prefix's folds (``mitigation.block_fold_counts``)
     and its own twirl, runs on the chain's trajectory batch, and the
     snapshot after it is measured (in ``basis``, if given) and passed to
-    ``estimate(counts, lam)``.  The chain is cut into segments of
+    ``estimate(counts, lam)``, which returns the variant's estimates as
+    one 1-D float row of a fixed length; NaN marks a missing estimate.
+    The chain is cut into segments of
     ``_segment_steps`` steps: at the first step of each segment a fresh
     batch runs the chain's whole folded, twirled prefix, and the
     segment's later steps carry that batch one block at a time.  Steps
@@ -373,18 +409,16 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
     step is the variant key of its segment's first step; trajectory t
     draws its noise from chain key + [2, t] for every block it evolves.
 
-    Returns (estimates, lam_effs, variants), each indexed by step:
-    estimates[step][li] lists estimate's results over the twirls,
-    lam_effs[step] the realized scales, and variants[step] one record per
-    variant in (twirl, scale) order.
+    Returns (samples, lam_effs, variants): samples is one (steps + 1,
+    scales, twirls, columns) array of the rows, lam_effs[step] the
+    realized scales, and variants[step] one record per variant in
+    (twirl, scale) order.
     """
     factors = config.zne_factors
     n2_blocks = [b.n_two_qubit for b in blocks]
     n2 = list(itertools.accumulate(n2_blocks))
     lam_effs = [[mitigation.effective_scale(n, lam) for lam in factors] for n in n2]
-    stochastic, quasi_static = noise.chain_noise(
-        blocks + ([basis] if basis is not None else []), spec
-    )
+    stochastic, quasi_static = noise.chain_noise(blocks + [basis], spec)
     n_traj = noise.trajectory_count(stochastic, config.shots, config.shots_per_trajectory)
     seg = _segment_steps(len(blocks) - 1, stochastic)
     initial = Statevector.zero(blocks[0].width)
@@ -432,23 +466,19 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
         ]
         for step in range(len(blocks))
     ]
-    return estimates, lam_effs, variants
+    return np.array(estimates), lam_effs, variants
 
 
 @dataclass
 class TrialSeries:
-    """Everything measured in one trial of the magnetization pipeline."""
+    """One trial of the magnetization pipeline: (steps + 1, columns)
+    tables of the mitigated and raw estimates and their stds, in the
+    ``COL_*`` column layout, and the variant records."""
 
-    zpi_mit: np.ndarray
-    zpi_mit_std: np.ndarray
-    zpi_raw: np.ndarray
-    zpi_raw_std: np.ndarray
-    echo_mit: dict
-    echo_raw: dict
-    site_mit: np.ndarray
-    site_mit_std: np.ndarray
-    site_raw: np.ndarray
-    retained: np.ndarray
+    mit: np.ndarray
+    mit_std: np.ndarray
+    raw: np.ndarray
+    raw_std: np.ndarray
     variants: list
 
 
@@ -467,78 +497,37 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialSeries:
     if config.dd:
         step_circ = mitigation.insert_dd(step_circ, spec.pulse.single_pulse_ns)
 
-    def estimate(counts, lam):
-        raw = _estimates(counts, reference) if lam == 1.0 else None
-        return raw, _process_counts(counts, confusion, config, reference)
+    width = L + 4
+    no_raw = np.full(width, np.nan)
 
-    per_step, lam_effs, step_variants = _sweep(
+    def estimate(counts, lam):
+        # row: mitigated columns, then raw ones; raw columns and the
+        # retained fraction are measured at lambda = 1 only
+        mit = _process_counts(counts, confusion, config, reference)
+        if lam != 1.0:
+            mit[COL_RETAINED] = np.nan
+            return np.concatenate((mit, no_raw))
+        return np.concatenate((mit, _estimates(counts, reference)))
+
+    samples, lam_effs, step_variants = _sweep(
         config, spec, [prep] + [step_circ] * config.steps, [config.seed, trial], estimate
     )
 
-    n_steps = config.steps
-    n_lam = len(config.zne_factors)
-    zpi_mit = np.empty(n_steps + 1)
-    zpi_mit_std = np.empty(n_steps + 1)
-    zpi_raw = np.empty(n_steps + 1)
-    zpi_raw_std = np.empty(n_steps + 1)
-    echo_mit = {0: np.empty(n_steps + 1), 1: np.empty(n_steps + 1)}
-    echo_mit_std = {0: np.empty(n_steps + 1), 1: np.empty(n_steps + 1)}
-    echo_raw = {0: np.empty(n_steps + 1), 1: np.empty(n_steps + 1)}
-    site_mit = np.empty((n_steps + 1, L))
-    site_mit_std = np.empty((n_steps + 1, L))
-    site_raw = np.empty((n_steps + 1, L))
-    retained = np.empty(n_steps + 1)
-
-    for step in range(n_steps + 1):
-        samples = [[mit for _, mit in per_step[step][li]] for li in range(n_lam)]
-        raws = [
-            per_step[step][li][w][0]
-            for w in range(config.twirls)
-            for li in range(n_lam)
-            if per_step[step][li][w][0] is not None
-        ]
-        zpi_mit[step], zpi_mit_std[step] = _zne_scalar(
-            [[s["zpi"] if s else None for s in samples[li]] for li in range(n_lam)],
-            lam_effs[step],
-        )
-        for flips in (0, 1):
-            echo_mit[flips][step], echo_mit_std[flips][step] = _zne_scalar(
-                [
-                    [s[f"echo{flips}"] if s else None for s in samples[li]]
-                    for li in range(n_lam)
-                ],
-                lam_effs[step],
-            )
-        for q in range(L):
-            site_mit[step, q], site_mit_std[step, q] = _zne_scalar(
-                [
-                    [s["site_z"][q] if s else None for s in samples[li]]
-                    for li in range(n_lam)
-                ],
-                lam_effs[step],
-            )
-        raw_zpi_vals = [r["zpi"] for r in raws]
-        zpi_raw[step] = float(np.mean(raw_zpi_vals))
-        zpi_raw_std[step] = (
-            float(np.std(raw_zpi_vals, ddof=1)) if len(raw_zpi_vals) > 1 else 0.0
-        )
-        for flips in (0, 1):
-            echo_raw[flips][step] = float(np.mean([r[f"echo{flips}"] for r in raws]))
-        site_raw[step] = np.mean([r["site_z"] for r in raws], axis=0)
-        kept = [s["retained"] for s in samples[0] if s is not None]
-        retained[step] = float(np.mean(kept)) if kept else 0.0
+    mit, mit_std, raw, raw_std = (np.empty((config.steps + 1, width)) for _ in range(4))
+    for step, lam in enumerate(lam_effs):
+        mit[step], mit_std[step] = _zne(samples[step, :, :, :width], lam)
+        # raw rows in (twirl, scale) order, pooled as one scale
+        rows = samples[step, :, :, width:].swapaxes(0, 1).reshape(1, -1, width)
+        raw[step], raw_std[step] = _zne(rows, [1.0])
+        # per-site raw means: one axis-0 mean over the rows, not _zne's
+        # per-column mean; from 8 rows on the two round differently, and
+        # the emitted accumulated error is pinned to the axis-0 rounding
+        kept = rows[0][np.isfinite(rows[0, :, COL_ZPI])]
+        raw[step, COL_SITES] = np.mean(kept[:, COL_SITES], axis=0)
+    mit[:, COL_RETAINED] = np.nan_to_num(mit[:, COL_RETAINED])  # nothing kept: 0
 
     return TrialSeries(
-        zpi_mit=zpi_mit,
-        zpi_mit_std=zpi_mit_std,
-        zpi_raw=zpi_raw,
-        zpi_raw_std=zpi_raw_std,
-        echo_mit={k: (echo_mit[k], echo_mit_std[k]) for k in echo_mit},
-        echo_raw=echo_raw,
-        site_mit=site_mit,
-        site_mit_std=site_mit_std,
-        site_raw=site_raw,
-        retained=retained,
+        mit=mit, mit_std=mit_std, raw=raw, raw_std=raw_std,
         variants=[{"trial": trial, **v} for step in step_variants for v in step],
     )
 
@@ -558,12 +547,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config=config, reference=ref, trials=trials)
 
 
-def _mean_std_over_trials(arrays, stds):
-    vals = np.stack(arrays)
-    mean = vals.mean(axis=0)
-    if len(arrays) > 1:
-        return mean, vals.std(axis=0, ddof=1)
-    return mean, stds[0]
+def _over_trials(trials: list[TrialSeries], table: str, col):
+    """Mean over trials of column(s) ``col`` of one table, and its std:
+    the spread over trials, or the one trial's own std."""
+    vals = np.stack([getattr(t, table)[:, col] for t in trials])
+    if len(trials) > 1:
+        return vals.mean(axis=0), vals.std(axis=0, ddof=1)
+    return vals.mean(axis=0), getattr(trials[0], f"{table}_std")[:, col]
 
 
 def _series(config, values, errors) -> TimeSeries:
@@ -577,62 +567,41 @@ def run_zpi(config: ExperimentConfig, result: ExperimentResult | None = None) ->
     per-site tables, accumulated error, and the subspace weight."""
     result = result or run_experiment(config)
     ref = result.reference
+    trials = result.trials
     L = config.sites
     out: dict = {}
 
-    zpi_mean, zpi_std = _mean_std_over_trials(
-        [t.zpi_mit for t in result.trials], [t.zpi_mit_std for t in result.trials]
-    )
-    raw_mean, raw_std = _mean_std_over_trials(
-        [t.zpi_raw for t in result.trials], [t.zpi_raw_std for t in result.trials]
-    )
+    zpi_mean, zpi_std = _over_trials(trials, "mit", COL_ZPI)
+    raw_mean, raw_std = _over_trials(trials, "raw", COL_ZPI)
     out["zpi_density_mitigated"] = _series(config, zpi_mean / L, zpi_std / L)
     out["zpi_density_unmitigated"] = _series(config, raw_mean / L, raw_std / L)
     out["zpi_density_ideal"] = _series(config, ref["zpi"] / L, None)
     out["zpi_density_projected"] = _series(config, ref["zpi_proj"] / L, None)
     out["fibonacci_weight_ideal"] = _series(config, ref["weight"], None)
-    out["postselect_retained"] = _series(
-        config, np.mean([t.retained for t in result.trials], axis=0), None
-    )
+    out["postselect_retained"] = _series(config, _over_trials(trials, "mit", COL_RETAINED)[0],
+                                         None)
 
-    site_mean, site_std = _mean_std_over_trials(
-        [t.site_mit for t in result.trials], [t.site_mit_std for t in result.trials]
-    )
-    if site_std is None:
-        site_std = np.zeros_like(site_mean)
+    site_mean, site_std = _over_trials(trials, "mit", COL_SITES)
     ref_site = ref["site_z_proj"] if config.postselect else ref["site_z"]
     d_vals, d_err = accumulated_error(site_mean, ref_site, site_std)
     out["accumulated_error_mitigated"] = _series(config, d_vals, d_err)
 
-    raw_site = np.mean([t.site_raw for t in result.trials], axis=0)
-    d_raw, _ = accumulated_error(raw_site, ref["site_z"])
+    d_raw, _ = accumulated_error(_over_trials(trials, "raw", COL_SITES)[0], ref["site_z"])
     out["accumulated_error_unmitigated"] = _series(config, d_raw, None)
 
     dt_v = config.model_params().dt * config.model_params().V
-    rows = []
-    for step in range(config.steps + 1):
-        for q in range(L):
-            rows.append(
-                (
-                    step,
-                    float(step * dt_v),
-                    q + 1,
-                    float(site_mean[step, q]),
-                    float(site_std[step, q]),
-                )
-            )
-    out["per_site_z_mitigated"] = Table(
-        columns=["step", "Vt", "site", "value", "std"], rows=rows
-    )
-    ref_rows = [
-        (step, float(step * dt_v), q + 1, float(ref_site[step, q]), 0.0)
-        for step in range(config.steps + 1)
-        for q in range(L)
-    ]
-    out["per_site_z_reference"] = Table(
-        columns=["step", "Vt", "site", "value", "std"], rows=ref_rows
-    )
-    out["variants"] = [v for t in result.trials for v in t.variants]
+
+    def site_table(values, stds) -> Table:
+        rows = [
+            (step, float(step * dt_v), q + 1, float(values[step, q]), float(stds[step, q]))
+            for step in range(config.steps + 1)
+            for q in range(L)
+        ]
+        return Table(columns=["step", "Vt", "site", "value", "std"], rows=rows)
+
+    out["per_site_z_mitigated"] = site_table(site_mean, site_std)
+    out["per_site_z_reference"] = site_table(ref_site, np.zeros_like(ref_site))
+    out["variants"] = [v for t in trials for v in t.variants]
     return out
 
 
@@ -643,12 +612,9 @@ def run_loschmidt(config: ExperimentConfig, result: ExperimentResult | None = No
     ref = result.reference
     out: dict = {}
     for flips in (0, 1):
-        mean, std = _mean_std_over_trials(
-            [t.echo_mit[flips][0] for t in result.trials],
-            [t.echo_mit[flips][1] for t in result.trials],
-        )
+        mean, std = _over_trials(result.trials, "mit", COL_ECHO[flips])
         out[f"loschmidt_f{flips}_mitigated"] = _series(config, mean, std)
-        raw = np.mean([t.echo_raw[flips] for t in result.trials], axis=0)
+        raw, _ = _over_trials(result.trials, "raw", COL_ECHO[flips])
         out[f"loschmidt_f{flips}_unmitigated"] = _series(config, raw, None)
         out[f"loschmidt_f{flips}_ideal"] = _series(config, ref[f"echo{flips}"], None)
         out[f"loschmidt_f{flips}_projected"] = _series(
@@ -675,13 +641,13 @@ def run_cy(config: ExperimentConfig, regime: str | None = None) -> dict:
     step_circ = build_trotter_step(params, impl=config.impl)
     prep = neel_prep_circuit(L)
     sources = list(range(2, L + 1, 2))
-    n_lam = len(config.zne_factors)
 
-    # one sweep per (source, branch, parity) family; per step and family,
-    # {site: (ZNE value, variance)} and the variant records
-    fits: dict = {}
+    # one sweep per (source, branch, parity) family; ZNE value and
+    # variance of every local term, indexed (step, source, branch, site)
+    value = np.zeros((config.steps + 1, len(sources), len(CY_BRANCHES), L))
+    var = np.zeros_like(value)
     variants_by_family: dict = {}
-    for i in sources:
+    for si, i in enumerate(sources):
         for bi, b in enumerate(CY_BRANCHES):
             blocks = [Circuit(L, prep.gates + cy_branch_prep(L, i, b).gates)]
             blocks += [step_circ] * config.steps
@@ -690,19 +656,18 @@ def run_cy(config: ExperimentConfig, regime: str | None = None) -> dict:
                 def estimate(counts, lam):
                     if confusion is not None:
                         counts = mitigation.mitigate_readout(counts, confusion)
-                    return pyp_expectation(counts, parity)
+                    return np.array(list(pyp_expectation(counts, parity).values()))
 
-                per_step, lam_effs, step_variants = _sweep(
+                samples, lam_effs, step_variants = _sweep(
                     config, spec, blocks, [config.seed, 7, i, bi, pi], estimate,
                     basis=y_basis_rotation(L, parity),
                 )
-                for step, per_lam in enumerate(per_step):
-                    for j in per_lam[0][0]:
-                        val, std = _zne_scalar(
-                            [[s[j] for s in per_lam[li]] for li in range(n_lam)],
-                            lam_effs[step],
-                        )
-                        fits[(step, i, b, j)] = (val, std**2 if np.isfinite(std) else 0.0)
+                cols = [j - 1 for j in parity_sites(L, parity)]
+                for step, lam in enumerate(lam_effs):
+                    val, std = _zne(samples[step], lam)
+                    value[step, si, bi, cols] = val
+                    var[step, si, bi, cols] = [x**2 if np.isfinite(x) else 0.0
+                                               for x in std.tolist()]
                 variants_by_family[(i, b, parity)] = [
                     [{"source": i, "branch": b, "parity": parity, **v} for v in vs]
                     for vs in step_variants
@@ -713,17 +678,14 @@ def run_cy(config: ExperimentConfig, regime: str | None = None) -> dict:
     variants = []
     for step in range(config.steps + 1):
         branch_vals = {
-            (i, b): {j: fits[(step, i, b, j)][0] for j in range(1, L + 1)}
-            for i in sources
-            for b in CY_BRANCHES
+            (i, b): dict(enumerate(value[step, si, bi].tolist(), 1))
+            for si, i in enumerate(sources)
+            for bi, b in enumerate(CY_BRANCHES)
         }
         values[step] = assemble_cy(branch_vals, L)
-        var_re = 0.0
-        var_im = 0.0
-        for i in sources:
-            for j in range(1, L + 1):
-                var_re += 0.25 * (fits[(step, i, "M+1", j)][1] + fits[(step, i, "M-1", j)][1])
-                var_im += 0.25 * (fits[(step, i, "+Y", j)][1] + fits[(step, i, "-Y", j)][1])
+        # M+1, M-1, +Y, -Y are branches 0-3; summed in (source, site) order
+        var_re = sum((0.25 * (var[step, :, 0] + var[step, :, 1])).ravel().tolist())
+        var_im = sum((0.25 * (var[step, :, 2] + var[step, :, 3])).ravel().tolist())
         v = values[step]
         mag = abs(v)
         if mag > 0:
@@ -822,15 +784,16 @@ def emit(results: dict, config: ExperimentConfig, out_dir=None) -> list[Path]:
         obj = results[name]
         if name == "variants":
             path = out / "variants.jsonl"
-            lines = [json.dumps(v, sort_keys=True) for v in obj]
-            path.write_text("\n".join(lines) + "\n")
-        elif config.format == "csv":
-            path = out / f"{name}.csv"
-            obj.write_csv(path)
+            text = "\n".join(json.dumps(v, sort_keys=True) for v in obj)
         else:
-            path = out / f"{name}.json"
-            payload = _json_payload(obj)
-            path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+            table = Table.from_series(obj) if isinstance(obj, TimeSeries) else obj
+            path = out / f"{name}.{config.format}"
+            if config.format == "csv":
+                text = "\n".join(table.csv_rows())
+            else:
+                payload = {"columns": table.columns, "rows": [list(r) for r in table.rows]}
+                text = json.dumps(payload, sort_keys=True, indent=1)
+        path.write_text(text + "\n")
         hashes[path.name] = hashlib.sha1(path.read_bytes()).hexdigest()
         written.append(path)
     manifest = {
@@ -842,31 +805,3 @@ def emit(results: dict, config: ExperimentConfig, out_dir=None) -> list[Path]:
     mpath.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     written.append(mpath)
     return written
-
-
-def _json_payload(obj) -> dict:
-    if isinstance(obj, TimeSeries):
-        return {
-            "columns": ["step", "Vt", "value_re", "value_im", "std"],
-            "rows": [
-                [
-                    int(obj.steps[k]),
-                    float(obj.times[k]),
-                    float(complex(obj.values[k]).real),
-                    float(complex(obj.values[k]).imag),
-                    float(obj.errors[k]),
-                ]
-                for k in range(len(obj))
-            ],
-        }
-    if isinstance(obj, Table):
-        return {"columns": obj.columns, "rows": [list(r) for r in obj.rows]}
-    raise TypeError(f"cannot serialize {type(obj)}")
-
-
-def manifest_config_round_trip(path) -> ExperimentConfig:
-    """Rebuild the config recorded in a manifest (audit hook)."""
-    data = json.loads(Path(path).read_text())
-    cfg = dict(data["config"])
-    cfg["zne_factors"] = tuple(cfg["zne_factors"])
-    return ExperimentConfig(**cfg)

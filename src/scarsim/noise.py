@@ -99,15 +99,6 @@ def scaled_width(theta: float, pp: PulseParams) -> float:
     return 2.0 * alpha * theta / (math.pi * pp.amp_ref) - gaussian_flank_area_per_amp(pp)
 
 
-def scaled_amplitude(theta: float, pp: PulseParams) -> float:
-    """|A(theta)| for angles below the threshold (width pinned to zero)."""
-    theta_star = threshold_angle(pp)
-    if not 0.0 <= theta <= theta_star + 1e-12:
-        raise ValueError(f"theta {theta} above the amplitude-scaling threshold {theta_star}")
-    alpha = pulse_area(pp)
-    return 2.0 * alpha * theta / (math.pi * gaussian_flank_area_per_amp(pp))
-
-
 def cr_pulse_ns(theta: float, pp: PulseParams) -> float:
     """Duration of one scaled CR pulse: square width plus both flanks."""
     samples = scaled_width(theta, pp) + 2.0 * pp.n_sigma * pp.sigma
@@ -144,18 +135,17 @@ def gate_error_rate(duration_ns: float, tau_err_ns: float) -> float:
 class NoiseSpec:
     """Phenomenological error model for circuit execution.
 
-    Two-qubit gate errors come from one of three sources, in precedence
-    order: an explicit Pauli-pair rate map, a fixed depolarizing
-    parameter, or the pulse-duration law calibrated so the two-CNOT
-    interaction gate hits ``two_qubit_target_error``.  Readout errors
-    are per-qubit (eps: 0->1, eta: 1->0).  Idle dephasing is a
+    Two-qubit gate errors come from one of two sources, in precedence
+    order: a fixed depolarizing parameter, or the pulse-duration law
+    calibrated so the two-CNOT interaction gate hits
+    ``two_qubit_target_error``.  Readout errors are per-qubit (eps:
+    0->1, eta: 1->0).  Idle dephasing is a
     quasi-static per-trajectory Z rotation rate (std in rad/ns), which
     dynamical decoupling echoes out; the optional stochastic variant is
     a per-idle Z flip that DD does not cancel.
     """
 
     pulse: PulseParams = field(default_factory=PulseParams)
-    two_qubit_pauli_rates: dict | None = None
     two_qubit_depolarizing: float | None = None
     two_qubit_target_error: float = 0.016
     single_qubit_depolarizing: float = 0.0
@@ -166,12 +156,6 @@ class NoiseSpec:
     coherent_overrotation: float = 0.0
 
     def __post_init__(self):
-        if self.two_qubit_pauli_rates is not None:
-            total = sum(self.two_qubit_pauli_rates.values())
-            if total > 1.0 or any(v < 0 for v in self.two_qubit_pauli_rates.values()):
-                raise ValueError("Pauli rates must be nonnegative with sum <= 1")
-            if set(self.two_qubit_pauli_rates) - set(TWO_QUBIT_PAULI_LABELS):
-                raise ValueError("Pauli rate keys must be two-qubit non-identity labels")
         for name in ("two_qubit_depolarizing", "two_qubit_target_error",
                      "single_qubit_depolarizing", "readout_eps", "readout_eta"):
             v = getattr(self, name)
@@ -190,8 +174,6 @@ class NoiseSpec:
 
     def two_qubit_error_prob(self, gate: Gate) -> float:
         """Depolarizing weight attached to one physical two-qubit gate."""
-        if self.two_qubit_pauli_rates is not None:
-            return sum(self.two_qubit_pauli_rates.values())
         if self.two_qubit_depolarizing is not None:
             return self.two_qubit_depolarizing
         if self.two_qubit_target_error == 0.0:
@@ -210,10 +192,6 @@ class NoiseSpec:
         A depolarizing weight p maps to rate p/16 on each non-identity
         pair, i.e. rho -> (1-p) rho + p I/4.
         """
-        if self.two_qubit_pauli_rates is not None:
-            labels = list(self.two_qubit_pauli_rates)
-            probs = np.array([self.two_qubit_pauli_rates[k] for k in labels])
-            return labels, probs
         p = self.two_qubit_error_prob(gate)
         return TWO_QUBIT_PAULI_LABELS, np.full(15, p / 16.0)
 
@@ -273,7 +251,7 @@ def preset(name: str, **overrides) -> NoiseSpec:
 # NoiseSpec fields that hold one number, the only ones an experiment
 # config may set through ``override.<name>``.
 SCALAR_FIELDS = frozenset(
-    f.name for f in fields(NoiseSpec) if f.name not in ("pulse", "two_qubit_pauli_rates")
+    f.name for f in fields(NoiseSpec) if f.name != "pulse"
 )
 
 # INI key -> NoiseSpec (or PulseParams, for [pulse]) field, per section.
@@ -512,32 +490,6 @@ def _plan_entry(spec: NoiseSpec, g: Gate):
     return spec._memoized((g.kind, g.angle), build)
 
 
-def _noise_flags(gates, spec: NoiseSpec) -> tuple[bool, bool]:
-    """(stochastic, quasi_static) of trajectories that run ``gates``.
-
-    quasi_static: some idle window (a DELAY of positive duration)
-    dephases at the trajectory's quasi-static rates.  stochastic: that,
-    or some gate draws per-trajectory noise (a two-qubit gate with a
-    nonzero Pauli rate, a single-qubit gate under single-qubit
-    depolarizing, an idle window under stochastic flips), so that
-    trajectories differ.  The one rule ``_NoisePlan`` and ``chain_noise``
-    share.
-    """
-    stochastic = quasi_static = False
-    for g in gates:
-        if g.kind == "DELAY":
-            if g.duration_ns > 0:
-                quasi_static |= spec.idle_dephasing_rad_per_ns > 0
-                stochastic |= spec.idle_stochastic_rate_per_ns > 0
-        elif g.is_two_qubit:
-            stochastic |= _plan_entry(spec, g)[3] > 0
-        else:
-            stochastic |= spec.single_qubit_depolarizing > 0
-        if stochastic and (quasi_static or spec.idle_dephasing_rad_per_ns == 0):
-            break
-    return stochastic or quasi_static, quasi_static
-
-
 @lru_cache(maxsize=None)
 def _lift_table(positions: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
     """(idx, mask) with m.ravel()[idx] * mask the matrix m on the local
@@ -652,8 +604,6 @@ class _NoisePlan:
 
     Every noisy operation, in circuit order, owns one draw index: a
     trajectory draws one uniform per index, ``n_draws`` in all.
-    ``stochastic`` and ``has_quasi_static`` are ``_noise_flags`` of the
-    circuit and basis.
     """
 
     def __init__(self, circuit: Circuit, spec: NoiseSpec, basis: Circuit | None = None):
@@ -661,7 +611,6 @@ class _NoisePlan:
         self.ops: list[tuple] = []
         self.n_draws = 0
         basis_gates = basis.gates if basis is not None else ()
-        self.stochastic, self.has_quasi_static = _noise_flags(circuit.gates + basis_gates, spec)
         idle = spec.idle_dephasing_rad_per_ns > 0 or spec.idle_stochastic_rate_per_ns > 0
         fuse = spec.single_qubit_depolarizing == 0.0
         pending: dict[int, np.ndarray] = {}
@@ -827,12 +776,32 @@ class TrajectoryBatch:
         return measured
 
 
-def chain_noise(circuits: list[Circuit], spec: NoiseSpec) -> tuple[bool, bool]:
+def chain_noise(circuits: list[Circuit | None], spec: NoiseSpec) -> tuple[bool, bool]:
     """(stochastic, quasi_static) of trajectories that run ``circuits``
-    one after another: ``_noise_flags`` of all their gates, the rule a
-    single circuit's ``_NoisePlan`` follows."""
-    distinct = {id(c): c for c in circuits}.values()
-    return _noise_flags((g for c in distinct for g in c.gates), spec)
+    (None entries skipped) one after another.
+
+    quasi_static: some idle window (a DELAY of positive duration)
+    dephases at the trajectory's quasi-static rates.  stochastic: that,
+    or some gate draws per-trajectory noise (a two-qubit gate with a
+    nonzero Pauli rate, a single-qubit gate under single-qubit
+    depolarizing, an idle window under stochastic flips), so that
+    trajectories differ.  The one reader of this rule: both the sweep and
+    a fresh ``run_noisy_counts`` take their trajectory count from it.
+    """
+    stochastic = quasi_static = False
+    distinct = {id(c): c for c in circuits if c is not None}.values()
+    for g in (g for c in distinct for g in c.gates):
+        if g.kind == "DELAY":
+            if g.duration_ns > 0:
+                quasi_static |= spec.idle_dephasing_rad_per_ns > 0
+                stochastic |= spec.idle_stochastic_rate_per_ns > 0
+        elif g.is_two_qubit:
+            stochastic |= _plan_entry(spec, g)[3] > 0
+        else:
+            stochastic |= spec.single_qubit_depolarizing > 0
+        if stochastic and (quasi_static or spec.idle_dephasing_rad_per_ns == 0):
+            break
+    return stochastic or quasi_static, quasi_static
 
 
 def trajectory_count(stochastic: bool, shots: int, shots_per_trajectory: int) -> int:
@@ -877,9 +846,10 @@ def run_noisy_counts(
     plan = _NoisePlan(circuit, spec, basis)
     base = [int(v) for v in np.atleast_1d(seed)]
     if batch is None:
-        n_traj = trajectory_count(plan.stochastic, shots, shots_per_trajectory)
+        stochastic, quasi_static = chain_noise([circuit, basis], spec)
+        n_traj = trajectory_count(stochastic, shots, shots_per_trajectory)
         batch = TrajectoryBatch.seeded(spec, n_traj, base, Statevector.zero(width),
-                                       plan.has_quasi_static)
+                                       quasi_static)
     probs = np.abs(batch.advance(plan)) ** 2
     if spec.has_readout_error():
         m = spec._memoized(("readout", width), lambda: ConfusionMatrix.from_rates(

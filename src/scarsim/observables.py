@@ -79,20 +79,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def csv_rows(self) -> list[str]:
-        rows = ["step,Vt,value_re,value_im,std"]
-        for k in range(len(self)):
-            v = complex(self.values[k])
-            rows.append(
-                f"{int(self.steps[k])},{self.times[k]:.12e},"
-                f"{v.real:.12e},{v.imag:.12e},{self.errors[k]:.12e}"
-            )
-        return rows
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.csv_rows()) + "\n")
-
 
 def series_from_values(steps, dt_v, values, errors=None) -> TimeSeries:
     steps = np.asarray(steps, dtype=int)

@@ -207,21 +207,6 @@ class Circuit:
     def n_two_qubit(self) -> int:
         return sum(1 for g in self.gates if g.is_two_qubit)
 
-    def idle_intervals(self) -> dict[int, list[tuple[float, float]]]:
-        """Per-qubit (start, length) idle windows in ns.
-
-        Gates are treated as instantaneous in this IR; only DELAY
-        annotations advance a qubit's clock, so intervals never overlap.
-        """
-        out: dict[int, list[tuple[float, float]]] = {}
-        clock = [0.0] * self.width
-        for g in self.gates:
-            if g.kind == "DELAY":
-                q = g.qubits[0]
-                out.setdefault(q, []).append((clock[q], g.duration_ns))
-                clock[q] += g.duration_ns
-        return out
-
 
 class Statevector:
     """Complex amplitude vector over 2^width basis states, unit norm."""

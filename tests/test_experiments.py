@@ -13,7 +13,6 @@ from scarsim.experiments import (
     ExperimentConfig,
     config_from_ini,
     emit,
-    manifest_config_round_trip,
     reference_series,
     run_cy,
     run_experiment,
@@ -288,6 +287,70 @@ class TestNoisyPipeline:
         assert np.all(np.isfinite(bundle["zpi_density_mitigated"].errors))
         assert any(s == 0.0 for res in fits for _, _, s in res.points)
 
+    def test_empty_postselection_drops_only_that_variant(self, monkeypatch):
+        # one variant's postselection comes back empty: its step is the ZNE
+        # over the other samples, the retained fraction averages the kept
+        # variants only, and every output stays finite
+        from scarsim import mitigation
+        from scarsim.model import neel_bitstring
+        from scarsim.observables import loschmidt_echo, per_site_z, staggered_magnetization
+
+        cfg = tiny_config(steps=2, twirls=3, noise_preset="casablanca-like",
+                          infinite_shots=False, shots=512, readout_mode="tensor",
+                          postselect=True)
+        n_lam, n_steps = len(cfg.zne_factors), cfg.steps + 1
+
+        def call(step, twirl, li):  # the sweep runs twirl, then scale, then step
+            return (twirl * n_lam + li) * n_steps + step
+
+        hole = call(step=2, twirl=1, li=0)
+        real = mitigation.postselect
+        seen = []
+
+        def postselect(counts):
+            sel = real(counts)
+            seen.append(sel)
+            if len(seen) - 1 == hole:
+                return mitigation.PostselectionResult(counts=sel.counts, retained_fraction=0.0,
+                                                      empty=True)
+            return sel
+
+        monkeypatch.setattr(mitigation, "postselect", postselect)
+        result = run_experiment(cfg)
+        zpi, echo = run_zpi(cfg, result), run_loschmidt(cfg, result)
+        assert len(seen) == n_steps * cfg.twirls * n_lam
+
+        L = cfg.sites
+        ref = neel_bitstring(L)
+        lam_effs = [v["effective_scale"] for v in zpi["variants"]
+                    if v["step"] == 2 and v["twirl"] == 0]
+        sites = np.array([r[3] for r in zpi["per_site_z_mitigated"].rows]).reshape(n_steps, L)
+
+        def zne(observable, skip):
+            per_lambda = [[observable(seen[call(2, w, li)].counts) for w in range(cfg.twirls)
+                           if call(2, w, li) != skip] for li in range(n_lam)]
+            return experiments._zne_scalar(per_lambda, lam_effs)
+
+        for got, observable in [
+            (zpi["zpi_density_mitigated"].values[2] * L, staggered_magnetization),
+            (echo["loschmidt_f0_mitigated"].values[2], lambda c: loschmidt_echo(c, ref, 0)),
+            (echo["loschmidt_f1_mitigated"].values[2], lambda c: loschmidt_echo(c, ref, 1)),
+        ] + [(sites[2, q], lambda c, q=q: per_site_z(c)[q]) for q in range(L)]:
+            assert got.real == pytest.approx(zne(observable, hole)[0], rel=1e-12, abs=1e-15)
+        kept, _ = zne(staggered_magnetization, hole)
+        assert kept != zne(staggered_magnetization, None)[0]  # the hole changed the fit
+
+        retained = [seen[call(2, w, 0)].retained_fraction for w in (0, 2)]
+        assert zpi["postselect_retained"].values[2] == pytest.approx(np.mean(retained),
+                                                                    rel=1e-15)
+        for name, obj in {**zpi, **echo}.items():
+            if name == "variants":
+                continue
+            cells = ([c for r in obj.rows for c in r if isinstance(c, float)]
+                     if isinstance(obj, experiments.Table)
+                     else list(obj.values.real) + list(obj.errors))
+            assert np.all(np.isfinite(cells)), name
+
 
 class TestCY:
     def test_noiseless_cy_matches_dense_oracle(self):
@@ -338,7 +401,8 @@ class TestEmission:
     def test_manifest_round_trips_to_config(self, tmp_path):
         cfg = tiny_config(out=str(tmp_path / "run"))
         emit(run_zpi(cfg, run_experiment(cfg)), cfg)
-        back = manifest_config_round_trip(tmp_path / "run" / "manifest.json")
+        recorded = json.loads((tmp_path / "run" / "manifest.json").read_text())["config"]
+        back = ExperimentConfig(**{**recorded, "zne_factors": tuple(recorded["zne_factors"])})
         assert back == cfg
 
     def test_json_format(self, tmp_path):

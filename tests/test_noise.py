@@ -26,7 +26,6 @@ from scarsim.noise import (
     run_noisy_counts,
     run_noisy_density,
     rzz_duration,
-    scaled_amplitude,
     scaled_width,
     threshold_angle,
 )
@@ -84,23 +83,6 @@ class TestScaledPulse:
         pp = PulseParams()
         expected = 2 * pp.width_ref + gaussian_flank_area_per_amp(pp)
         assert scaled_width(math.pi, pp) == pytest.approx(expected, rel=1e-12)
-
-    def test_amplitude_zero_at_zero(self):
-        assert scaled_amplitude(0.0, PulseParams()) == 0.0
-
-    def test_amplitude_linear(self):
-        pp = PulseParams()
-        half = threshold_angle(pp) / 2
-        assert scaled_amplitude(half, pp) == pytest.approx(pp.amp_ref / 2)
-
-    def test_amplitude_reaches_reference_at_threshold(self):
-        pp = PulseParams()
-        assert scaled_amplitude(threshold_angle(pp), pp) == pytest.approx(pp.amp_ref, abs=1e-9)
-
-    def test_amplitude_rejected_above_threshold(self):
-        pp = PulseParams()
-        with pytest.raises(ValueError):
-            scaled_amplitude(threshold_angle(pp) + 0.1, pp)
 
     def test_duration_continuous_at_threshold(self):
         pp = PulseParams()
@@ -381,7 +363,7 @@ class TestTrajectoryExecution:
         )
         plan = noise._NoisePlan(circ, spec)
         init = Statevector.zero(4)
-        assert plan.has_quasi_static
+        assert noise.chain_noise([circ], spec) == (True, True)
         batch = noise.TrajectoryBatch.start(
             spec, [np.random.default_rng([3, t]) for t in range(6)], init, True
         )
@@ -630,7 +612,8 @@ def test_chain_noise_agrees_with_what_the_plans_do(data, width, depolarizing, ta
                      idle_stochastic_rate_per_ns=flips)
     plans = [noise._NoisePlan(c, spec) for c in circuits]
     dephases = [dephasing > 0 and any(op[0] == "delay" for op in p.ops) for p in plans]
-    for plan, deph in zip(plans, dephases):
-        assert (plan.stochastic, plan.has_quasi_static) == (plan.n_draws > 0 or deph, deph)
+    flags = [(p.n_draws > 0 or deph, deph) for p, deph in zip(plans, dephases)]
+    for c, want in zip(circuits, flags):
+        assert noise.chain_noise([c], spec) == want
     assert noise.chain_noise(circuits, spec) == (
-        any(p.stochastic for p in plans), any(dephases))
+        any(s for s, _ in flags), any(dephases))

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from scarsim.experiments import Table
 from scarsim.model import ModelParams, neel_bitstring, neel_state, qmbs_params
 from scarsim.observables import (
     CY_BRANCHES,
@@ -108,7 +109,7 @@ class TestAccumulatedError:
 class TestTimeSeries:
     def test_csv_schema(self):
         ts = series_from_values([0, 1, 2], 1.0, [1.0, 0.5, -0.5j], [0.0, 0.1, 0.2])
-        rows = ts.csv_rows()
+        rows = Table.from_series(ts).csv_rows()
         assert rows[0] == "step,Vt,value_re,value_im,std"
         assert rows[1].startswith("0,0.000000000000e+00,1.000000000000e+00")
 

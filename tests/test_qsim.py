@@ -359,12 +359,6 @@ class TestPauliTransferMatrix:
 
 
 class TestIdleIntervals:
-    def test_delays_tracked_per_qubit(self):
-        c = Circuit(2, [qsim.delay(0, 100.0), x(0), qsim.delay(0, 50.0), qsim.delay(1, 30.0)])
-        intervals = c.idle_intervals()
-        assert intervals[0] == [(0.0, 100.0), (100.0, 50.0)]
-        assert intervals[1] == [(0.0, 30.0)]
-
     def test_delay_is_identity_in_noiseless_run(self):
         state = apply_gate(Statevector.zero(1), h(0))
         out = apply_gate(state, qsim.delay(0, 500.0))
