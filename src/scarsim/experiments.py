@@ -8,7 +8,9 @@ the noise scale factors.  Variants come from a prefix-sharing sweep
 trajectories through the preparation block and then one Trotter step
 per block, measuring a snapshot after every block; under stochastic
 noise a fresh batch re-runs the chain's whole prefix every
-ceil(sqrt(steps + 1)) steps.  Readout error is a channel on each
+ceil(sqrt(steps + 1)) steps.  Each block is planned once per chain, and
+a restart runs the planned blocks (executor windows do not cross block
+boundaries).  Readout error is a channel on each
 trajectory's outcome probabilities before the shots are drawn.  The
 variant key (config seed, trial, step, twirl, scale) seeds that step's
 folds, twirl and shots; the chain key, the variant key of the first
@@ -308,8 +310,9 @@ COL_RETAINED = -1
 
 
 def _process_counts(counts: Counts, confusion, config, reference: str) -> np.ndarray:
-    """Readout inversion -> postselection -> estimate row (all NaN when
-    postselection keeps nothing)."""
+    """Readout inversion -> postselection -> estimate row.  When
+    postselection keeps nothing, every estimate is NaN and the retained
+    fraction is 0."""
     if confusion is not None:
         counts = mitigation.mitigate_readout(counts, confusion)
     retained = 1.0
@@ -317,7 +320,9 @@ def _process_counts(counts: Counts, confusion, config, reference: str) -> np.nda
         sel = mitigation.postselect(counts)
         retained = sel.retained_fraction
         if sel.empty:
-            return np.full(counts.width + 4, np.nan)
+            row = np.full(counts.width + 4, np.nan)
+            row[COL_RETAINED] = 0.0
+            return row
         counts = sel.counts
     return _estimates(counts, reference, retained)
 
@@ -397,7 +402,11 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
     The chain is cut into segments of
     ``_segment_steps`` steps: at the first step of each segment a fresh
     batch runs the chain's whole folded, twirled prefix, and the
-    segment's later steps carry that batch one block at a time.  Steps
+    segment's later steps carry that batch one block at a time.  Each
+    block is planned once, when its step runs, into the chain's
+    ``parts`` (see ``noise.run_noisy_counts``); a restart runs those
+    planned blocks joined into one plan, so no gate window crosses a
+    block boundary.  Steps
     of one segment share their noise draws; steps of different segments
     do not, which bounds how far the sharing correlates the series.
     Whether the chain's noise is stochastic, which sets its trajectory
@@ -426,21 +435,18 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
     for w in range(config.twirls):
         for li, lam in enumerate(factors):
             folds = mitigation.block_fold_counts(n2_blocks, lam)
-            prefix: list = []
+            parts: list = []  # the chain's twirled blocks, each planned once
             for step, block in enumerate(blocks):
                 key = key_head + [step, w, li]
                 folded = mitigation.fold_gates_random(
                     block, lam, seed=key + [_ROLE_FOLD], folds=folds[step]
                 )
                 twirled = mitigation.twirl_circuit(folded, seed=key + [_ROLE_TWIRL])
-                prefix.extend(twirled.gates)
-                circuit = twirled
                 if step % seg == 0:
                     batch = noise.TrajectoryBatch.seeded(spec, n_traj, key, initial,
                                                          quasi_static)
-                    circuit = Circuit(twirled.width, prefix)
                 counts = noise.run_noisy_counts(
-                    circuit,
+                    twirled,
                     spec,
                     config.shots,
                     key,
@@ -448,6 +454,7 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
                     shots_per_trajectory=config.shots_per_trajectory,
                     batch=batch,
                     basis=basis,
+                    parts=parts,
                 )
                 estimates[step][li][w] = estimate(counts, lam)
     variants = [
@@ -524,7 +531,6 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialSeries:
         # the emitted accumulated error is pinned to the axis-0 rounding
         kept = rows[0][np.isfinite(rows[0, :, COL_ZPI])]
         raw[step, COL_SITES] = np.mean(kept[:, COL_SITES], axis=0)
-    mit[:, COL_RETAINED] = np.nan_to_num(mit[:, COL_RETAINED])  # nothing kept: 0
 
     return TrialSeries(
         mit=mit, mit_std=mit_std, raw=raw, raw_std=raw_std,

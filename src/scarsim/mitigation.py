@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,34 +84,37 @@ def twirl_circuit(circuit: Circuit, seed) -> Circuit:
 
     The noiseless unitary is unchanged up to a global phase; the added
     Paulis are ideal single-qubit gates (their own error is negligible
-    next to the two-qubit error they tailor).
+    next to the two-qubit error they tailor).  The Pauli indices alpha,
+    beta of each two-qubit gate, in circuit order, come from one draw of
+    2 N2 integers (the same numbers as two scalar draws per gate).
     """
-    rng = np.random.default_rng(seed)
+    draws = iter(np.random.default_rng(seed).integers(4, size=2 * circuit.n_two_qubit).tolist())
     gates: list[Gate] = []
     for g in circuit.gates:
-        if not g.is_two_qubit:
-            gates.append(g)
-            continue
-        alpha, beta = int(rng.integers(4)), int(rng.integers(4))
-        if g.kind == "CNOT":
-            gamma, delta = twirl_cnot(alpha, beta)
-            dressed = g
-        elif g.kind in _GENERATORS:
-            assign = _twirl_rotation(alpha, beta, _GENERATORS[g.kind])
-            gamma, delta = assign.post
-            dressed = Gate(g.kind, g.qubits, angle=assign.angle_sign * g.angle)
+        if g.is_two_qubit:
+            gates.extend(_dressing(g.kind, g.qubits, g.angle, next(draws), next(draws)))
         else:
-            raise ValueError(f"cannot twirl two-qubit kind {g.kind!r}")
-        for idx, q in zip((alpha, beta), g.qubits):
-            pg = pauli_gate(idx, q)
-            if pg is not None:
-                gates.append(pg)
-        gates.append(dressed)
-        for idx, q in zip((gamma, delta), g.qubits):
-            pg = pauli_gate(idx, q)
-            if pg is not None:
-                gates.append(pg)
+            gates.append(g)
     return Circuit(circuit.width, gates)
+
+
+@lru_cache(maxsize=4096)  # a run uses a few angles per qubit pair, times 16 pairs
+def _dressing(kind: str, qubits: tuple[int, int], angle: float | None,
+              alpha: int, beta: int) -> tuple[Gate, ...]:
+    """The two-qubit gate (kind, qubits, angle) dressed by the Pauli pair
+    (alpha, beta) and its closing pair; identities are left out."""
+    if kind == "CNOT":
+        gamma, delta = twirl_cnot(alpha, beta)
+        dressed = Gate(kind, qubits)
+    elif kind in _GENERATORS:
+        assign = _twirl_rotation(alpha, beta, _GENERATORS[kind])
+        gamma, delta = assign.post
+        dressed = Gate(kind, qubits, angle=assign.angle_sign * angle)
+    else:
+        raise ValueError(f"cannot twirl two-qubit kind {kind!r}")
+    pre = [pauli_gate(idx, q) for idx, q in zip((alpha, beta), qubits)]
+    post = [pauli_gate(idx, q) for idx, q in zip((gamma, delta), qubits)]
+    return tuple(g for g in pre + [dressed] + post if g is not None)
 
 
 def effective_twirled_noise_ptm(noise_channel: KrausChannel) -> np.ndarray:

@@ -203,7 +203,8 @@ class NoiseSpec:
         """Values the executor derives from this spec, computed once each
         (the spec is frozen, so none goes stale; ``replace`` starts a new
         memo): plan entries keyed (kind, angle), forward readout matrices
-        keyed ("readout", width)."""
+        keyed ("readout", width) and measurement basis plans keyed
+        ("basis", width, gates)."""
         return {}
 
     def _memoized(self, key, build):
@@ -576,6 +577,13 @@ def _corrections(members, noisy, hit: np.ndarray, u: np.ndarray, k: int) -> list
     return out
 
 
+def _shifted(op: tuple, offset: int) -> tuple:
+    """A plan op whose draw indices are moved ``offset`` later."""
+    if op[0] == "window":
+        return op if op[5] is None else op[:5] + (op[5] + offset,) + op[6:]
+    return op if op[4] < 0 else op[:4] + (op[4] + offset,)  # gate1 or delay
+
+
 class _NoisePlan:
     """Per-circuit list of fused gate windows and noise ops.
 
@@ -604,13 +612,15 @@ class _NoisePlan:
 
     Every noisy operation, in circuit order, owns one draw index: a
     trajectory draws one uniform per index, ``n_draws`` in all.
+
+    ``join`` runs plans of consecutive circuit blocks as one plan; no
+    window or pending matrix crosses a block boundary there either.
     """
 
     def __init__(self, circuit: Circuit, spec: NoiseSpec, basis: Circuit | None = None):
         self.width = circuit.width
         self.ops: list[tuple] = []
         self.n_draws = 0
-        basis_gates = basis.gates if basis is not None else ()
         idle = spec.idle_dephasing_rad_per_ns > 0 or spec.idle_stochastic_rate_per_ns > 0
         fuse = spec.single_qubit_depolarizing == 0.0
         pending: dict[int, np.ndarray] = {}
@@ -642,13 +652,6 @@ class _NoisePlan:
             windows.clear()
             latest.clear()
 
-        def add(gates) -> None:
-            for g in gates:
-                add_gate(g)
-            for q in sorted(pending):
-                flush(q)
-            close()
-
         def add_gate(g: Gate) -> None:
             if g.kind == "DELAY":
                 if not idle or g.duration_ns <= 0:
@@ -676,9 +679,35 @@ class _NoisePlan:
                 close()
                 self.ops.append(("gate1", g.qubits, entry, spec.single_qubit_depolarizing, draw()))
 
-        add(circuit.gates)
+        for g in circuit.gates:
+            add_gate(g)
+        for q in sorted(pending):
+            flush(q)
+        close()
         self.split = len(self.ops)
-        add(basis_gates)
+        if basis is not None:
+            self._append(_NoisePlan(basis, spec))
+
+    @classmethod
+    def join(cls, parts: list[_NoisePlan], basis: _NoisePlan | None = None) -> _NoisePlan:
+        """One plan that runs the circuit plans ``parts`` one after
+        another and then ``basis``, from ``ops[split]`` on.  Each part's
+        draw indices follow those of the parts before it, so a trajectory
+        still draws all its uniforms in one call, in circuit order."""
+        plan = cls.__new__(cls)
+        plan.width, plan.ops, plan.n_draws = parts[0].width, [], 0
+        for part in parts:
+            plan._append(part)
+        plan.split = len(plan.ops)
+        if basis is not None:
+            plan._append(basis)
+        return plan
+
+    def _append(self, part: _NoisePlan) -> None:
+        """Run the ops of ``part`` after this plan's, drawing after its draws."""
+        offset = self.n_draws
+        self.ops.extend(part.ops if not offset else [_shifted(op, offset) for op in part.ops])
+        self.n_draws += part.n_draws
 
     def run_batch(self, amps: np.ndarray, rngs: list[np.random.Generator],
                   omegas: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -743,12 +772,15 @@ class TrajectoryBatch:
     the generator ``rngs[t]``: it first draws the trajectory's
     quasi-static idle rates ``omegas[t]`` (one per qubit, kept for every
     later block), then one uniform per noisy operation, block after
-    block.  Sampling never touches these generators.
+    block.  Sampling never touches these generators.  ``blocks`` counts
+    the planned blocks of its chain the batch has run (see
+    ``run_noisy_counts``).
     """
 
     amps: np.ndarray
     rngs: list[np.random.Generator]
     omegas: np.ndarray | None = None
+    blocks: int = 0
 
     @classmethod
     def start(cls, spec: NoiseSpec, rngs: list[np.random.Generator],
@@ -820,6 +852,7 @@ def run_noisy_counts(
     shots_per_trajectory: int = 1024,
     batch: TrajectoryBatch | None = None,
     basis: Circuit | None = None,
+    parts: list[_NoisePlan] | None = None,
 ) -> Counts:
     """Execute under the noise spec and measure.
 
@@ -834,22 +867,40 @@ def run_noisy_counts(
     |0...0>, seeded ``seed + [2, t]`` (see ``TrajectoryBatch.seeded``).
     With ``batch`` it continues that batch's trajectories, which it
     advances in place, so a circuit given block by block is evolved
-    once.  ``basis`` is a measurement basis rotation applied, in the
-    same batch evolution, to a copy of the trajectories before sampling;
-    the batch does not carry it forward.
+    once.  ``circuit`` is then the next block of a chain, and ``parts``
+    lists the chain's blocks planned so far: the block's plan is
+    appended to it, and the batch runs every part it has not run yet,
+    joined into one plan (``_NoisePlan.join``).  A fresh batch thus
+    re-runs the chain's planned prefix and a carried one the new block
+    alone, so each block is planned once; windows do not cross block
+    boundaries.
+
+    ``basis`` is a measurement basis rotation applied, in the same
+    batch evolution, to a copy of the trajectories before sampling; the
+    batch does not carry it forward.  With ``batch`` it is planned once
+    per spec.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if shots_per_trajectory < 1:
         raise ValueError("shots_per_trajectory must be >= 1")
     width = circuit.width
-    plan = _NoisePlan(circuit, spec, basis)
     base = [int(v) for v in np.atleast_1d(seed)]
     if batch is None:
+        plan = _NoisePlan(circuit, spec, basis)
         stochastic, quasi_static = chain_noise([circuit, basis], spec)
         n_traj = trajectory_count(stochastic, shots, shots_per_trajectory)
         batch = TrajectoryBatch.seeded(spec, n_traj, base, Statevector.zero(width),
                                        quasi_static)
+    else:
+        parts.append(_NoisePlan(circuit, spec))
+        run, batch.blocks = parts[batch.blocks:], len(parts)
+        basis_plan = None
+        if basis is not None:
+            key = ("basis", basis.width,
+                   tuple((g.kind, g.qubits, g.angle, g.duration_ns) for g in basis.gates))
+            basis_plan = spec._memoized(key, lambda: _NoisePlan(basis, spec))
+        plan = _NoisePlan.join(run, basis_plan)
     probs = np.abs(batch.advance(plan)) ** 2
     if spec.has_readout_error():
         m = spec._memoized(("readout", width), lambda: ConfusionMatrix.from_rates(

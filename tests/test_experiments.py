@@ -289,8 +289,9 @@ class TestNoisyPipeline:
 
     def test_empty_postselection_drops_only_that_variant(self, monkeypatch):
         # one variant's postselection comes back empty: its step is the ZNE
-        # over the other samples, the retained fraction averages the kept
-        # variants only, and every output stays finite
+        # over the other samples, the retained fraction averages every
+        # scale-1 variant with the emptied one at 0, and every output
+        # stays finite
         from scarsim import mitigation
         from scarsim.model import neel_bitstring
         from scarsim.observables import loschmidt_echo, per_site_z, staggered_magnetization
@@ -340,7 +341,9 @@ class TestNoisyPipeline:
         kept, _ = zne(staggered_magnetization, hole)
         assert kept != zne(staggered_magnetization, None)[0]  # the hole changed the fit
 
-        retained = [seen[call(2, w, 0)].retained_fraction for w in (0, 2)]
+        retained = [0.0 if call(2, w, 0) == hole else seen[call(2, w, 0)].retained_fraction
+                    for w in range(cfg.twirls)]
+        assert retained[1] == 0.0 < min(retained[0], retained[2])
         assert zpi["postselect_retained"].values[2] == pytest.approx(np.mean(retained),
                                                                     rel=1e-15)
         for name, obj in {**zpi, **echo}.items():
@@ -350,6 +353,24 @@ class TestNoisyPipeline:
                      if isinstance(obj, experiments.Table)
                      else list(obj.values.real) + list(obj.errors))
             assert np.all(np.isfinite(cells)), name
+
+
+    def test_postselection_that_keeps_nothing_reads_zero_retained(self, monkeypatch):
+        from scarsim import mitigation
+
+        real = mitigation.postselect
+
+        def postselect(counts):
+            sel = real(counts)
+            return mitigation.PostselectionResult(counts=sel.counts, retained_fraction=0.5,
+                                                  empty=True)
+
+        monkeypatch.setattr(mitigation, "postselect", postselect)
+        cfg = tiny_config(steps=1, noise_preset="casablanca-like", infinite_shots=False,
+                          shots=256, readout_mode="tensor", postselect=True)
+        zpi = run_zpi(cfg)
+        assert list(zpi["postselect_retained"].values) == [0.0, 0.0]
+        assert np.all(np.isnan(zpi["zpi_density_mitigated"].values.real))
 
 
 class TestCY:
@@ -459,6 +480,53 @@ def _assert_reruns_identical(cfg: ExperimentConfig, run) -> None:
     assert sorted(first) == sorted(second)
     for name in first:
         assert first[name] == second[name], name
+
+
+# sha1 of every file two small noisy finite-shot runs emit, as their
+# manifests list them.  A change that claims byte-identical outputs must
+# keep these; one that changes outputs on purpose updates them and says why.
+PINNED_RUNS = {
+    "zpi": (
+        dict(sites=6, steps=5, twirls=2, shots=1024, shots_per_trajectory=256,
+             noise_preset="casablanca-like",
+             noise_overrides={"idle_stochastic_rate_per_ns": 1e-4},
+             readout_mode="tensor", postselect=True, dd=True, seed=5, format="csv"),
+        {
+            "accumulated_error_mitigated.csv": "9beff875cf677db60b6d07f4f39ade592c3a56a2",
+            "accumulated_error_unmitigated.csv": "5d4ee82f9d62da11ace5d41742d6cc03d59095ea",
+            "fibonacci_weight_ideal.csv": "25332cfbf0609226cef37b5ecf6a5aade93accc9",
+            "per_site_z_mitigated.csv": "41fd7171debf1d13d0cbf0de82a958af92dfd832",
+            "per_site_z_reference.csv": "5c20697a6ea9e5a01afe3119b792fe0253f666cc",
+            "postselect_retained.csv": "7f4ff9bdc01d2195c17a9e6a3cf4255c576d8518",
+            "variants.jsonl": "7ceae55d9b6a7b0f3c6aefb4c6301e50ce37b553",
+            "zpi_density_ideal.csv": "e692677edb7e455f0eaddb31f90a2ab26e8dd527",
+            "zpi_density_mitigated.csv": "e68cafc88a31663ce79b6ad464ee3880636c57bc",
+            "zpi_density_projected.csv": "851fc8fefb20721bff8a13d94a30ac633ff805d7",
+            "zpi_density_unmitigated.csv": "64e697bb76f7c82d7bfd3e18d04e2dfdd9fff269",
+        },
+    ),
+    "cy": (
+        dict(sites=4, steps=2, twirls=2, shots=512, shots_per_trajectory=128,
+             noise_preset="casablanca-like", readout_mode="tensor", seed=9, format="json"),
+        {
+            "cy_abs_ideal.json": "5e8373e76706cac99506ad0670c49257ca4ee0b3",
+            "cy_abs_mitigated.json": "6318a1e4a9b76d87f847277fc54e2aea62e60148",
+            "cy_ideal.json": "f410a96be60e4ac1f0df1d712aac542fb6f62b3e",
+            "cy_mitigated.json": "e87a28ed06165d5e33dd81bcdefb5227784dc1dc",
+            "variants.jsonl": "561c79b5317dc787619da3b4f60c543587965e49",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_RUNS))
+def test_emitted_files_match_pinned_digests(tmp_path, command):
+    # zpi: L=6, 5 steps, so every chain restarts at step 3, with DD and
+    # idle flips; cy: L=4, 2 steps, restarting at step 2, with the basis
+    kwargs, digests = PINNED_RUNS[command]
+    cfg = ExperimentConfig(out=str(tmp_path), **kwargs)
+    emit((run_zpi if command == "zpi" else run_cy)(cfg), cfg)
+    assert json.loads((tmp_path / "manifest.json").read_text())["files"] == digests
 
 
 class TestReferenceSeries:

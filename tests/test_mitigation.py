@@ -22,6 +22,7 @@ from scarsim.noise import ConfusionMatrix, NoiseSpec, noiseless
 from scarsim.qsim import (
     Circuit,
     Counts,
+    Gate,
     KrausChannel,
     Statevector,
     circuit_unitary,
@@ -31,6 +32,7 @@ from scarsim.qsim import (
     h,
     is_pauli_stochastic,
     pauli_basis_matrices,
+    pauli_gate,
     pauli_transfer_matrix,
     run_circuit,
     rx,
@@ -115,7 +117,47 @@ class TestTwirlRzz:
                 np.testing.assert_allclose(total, target, atol=1e-12)
 
 
+def _scalar_draw_twirl(circuit: Circuit, seed) -> list[tuple]:
+    """Reference twirl: two scalar draws per two-qubit gate, gate by gate;
+    rotations flip their angle when the pair anticommutes with the
+    generator.  Returns (kind, qubits, angle) per gate."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for g in circuit.gates:
+        if not g.is_two_qubit:
+            gates.append(g)
+            continue
+        alpha, beta = int(rng.integers(4)), int(rng.integers(4))
+        if g.kind == "CNOT":
+            post, angle = twirl_cnot(alpha, beta), None
+        else:
+            generator = {"RZZ": "ZZ", "RZX": "ZX"}[g.kind]
+            anti = sum(p != 0 and "IXYZ"[p] != axis
+                       for p, axis in zip((alpha, beta), generator)) % 2
+            post, angle = (alpha, beta), -g.angle if anti else g.angle
+        gates += [pauli_gate(i, q) for i, q in zip((alpha, beta), g.qubits)]
+        gates.append(Gate(g.kind, g.qubits, angle=angle))
+        gates += [pauli_gate(i, q) for i, q in zip(post, g.qubits)]
+    return [(g.kind, g.qubits, g.angle) for g in gates if g is not None]
+
+
 class TestTwirlCircuit:
+    def test_matches_per_gate_scalar_draws(self):
+        # one bulk draw of every Pauli index gives, gate for gate, the
+        # circuit of two scalar draws per gate; CNOT, RZZ and RZX in both
+        # qubit orders, between single-qubit gates
+        pairs = [cnot(0, 1), cnot(2, 0), rzz(1, 2, 0.7), rzz(2, 1, -1.3),
+                 rzx(0, 2, 2.1), rzx(2, 0, 0.4)]
+        short = Circuit(3, [h(0)] + pairs + [rx(1, 0.3)] + pairs[::-1])
+        long = Circuit(3, [pairs[k % 6] if k % 5 else h(k % 3) for k in range(400)])
+        for circ, seeds in [(short, range(300)), (long, range(20))]:
+            for seed in seeds:
+                got = [(g.kind, g.qubits, g.angle) for g in twirl_circuit(circ, seed=seed).gates]
+                assert got == _scalar_draw_twirl(circ, seed), seed
+        seed = [3, 0, 2, 1, 1]  # a sweep's twirl seed key
+        assert ([(g.kind, g.qubits, g.angle) for g in twirl_circuit(long, seed=seed).gates]
+                == _scalar_draw_twirl(long, seed))
+
     def test_seed_determinism(self):
         circ = build_trotter_step(qmbs_params(4), impl="two-cnot")
         a = twirl_circuit(circ, seed=5)

@@ -595,6 +595,44 @@ def test_window_corrections_equal_inserted_paulis():
 
 
 @settings(max_examples=80, deadline=None)
+@given(data=st.data(), width=st.integers(2, 5), n_blocks=st.integers(1, 4),
+       with_basis=st.booleans(),
+       depolarizing=st.sampled_from([0.0, 0.4]),
+       single=st.sampled_from([0.0, 0.3]),
+       dephasing=st.sampled_from([0.0, 0.004]),
+       flips=st.sampled_from([0.0, 0.01]),
+       seed=st.integers(0, 2**16))
+def test_joined_block_plans_equal_one_plan_of_the_whole_circuit(
+        data, width, n_blocks, with_basis, depolarizing, single, dephasing, flips, seed):
+    # plans of consecutive blocks joined with a basis plan run every
+    # trajectory as one plan of the concatenated circuit does: the same
+    # uniforms land on the same noisy operations (gate1 ops, delays with
+    # and without flips, windows with and without noisy members), and
+    # windows that no longer cross block boundaries change nothing but
+    # rounding
+    blocks = [data.draw(_plan_circuits(width)) for _ in range(n_blocks)]
+    basis = data.draw(_plan_circuits(width)) if with_basis else None
+    spec = NoiseSpec(two_qubit_depolarizing=depolarizing, single_qubit_depolarizing=single,
+                     idle_dephasing_rad_per_ns=dephasing, idle_stochastic_rate_per_ns=flips)
+    whole = noise._NoisePlan(Circuit(width, [g for b in blocks for g in b.gates]), spec,
+                             basis=basis)
+    joined = noise._NoisePlan.join([noise._NoisePlan(b, spec) for b in blocks],
+                                   noise._NoisePlan(basis, spec) if basis else None)
+    assert joined.n_draws == whole.n_draws
+    assert len(joined.ops) - joined.split == len(whole.ops) - whole.split
+    rng = np.random.default_rng(seed)
+    n_traj = 4
+    uniforms = [_FixedUniforms(rng.random(whole.n_draws)) for _ in range(n_traj)]
+    omegas = rng.normal(0.0, dephasing, size=(n_traj, width)) if dephasing else None
+    amps = rng.normal(size=(n_traj, 2**width)) + 1j * rng.normal(size=(n_traj, 2**width))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    want = whole.run_batch(amps.copy(), uniforms, omegas)
+    got = joined.run_batch(amps.copy(), uniforms, omegas)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
 @given(data=st.data(), width=st.integers(2, 4),
        depolarizing=st.sampled_from([None, 0.0, 0.05]),
        target=st.sampled_from([0.0, 0.016]),

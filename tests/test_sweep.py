@@ -148,24 +148,51 @@ def _gate_list(gates) -> list[tuple]:
     return [(g.kind, g.qubits, g.angle, g.duration_ns) for g in gates]
 
 
-def test_noisy_chains_restart_fresh_trajectories_every_segment(monkeypatch):
-    # 6 steps -> segments of ceil(sqrt(6)) = 3 steps: steps 0 and 3 run
-    # the whole folded, twirled prefix on fresh trajectories seeded by
-    # their own variant key, exactly as a one-off execution of that
-    # prefix would; steps 1, 2, 4 and 5 continue their segment's batch
-    cfg = ExperimentConfig(sites=4, steps=5, shots=256, shots_per_trajectory=64,
-                           twirls=1, zne_factors=(1.0, 2.0), readout_mode="off",
-                           postselect=False, noise_preset="casablanca-like", seed=3)
+def record_plans(monkeypatch) -> list[tuple]:
+    """Spy on the planner: (plan, circuit) for every ``_NoisePlan`` built
+    from a circuit, in order."""
+    built = []
+    init = noise._NoisePlan.__init__
+
+    def spy(plan, circuit, spec, basis=None):
+        init(plan, circuit, spec, basis)
+        built.append((plan, circuit))
+
+    monkeypatch.setattr(noise._NoisePlan, "__init__", spy)
+    return built
+
+
+def record_runs(monkeypatch) -> tuple[dict, list[tuple]]:
+    """Spy on the executor and the planner: variant seed key -> (counts,
+    the planned blocks its batch evolution ran, in order), and every
+    (plan, circuit) built."""
+    built = record_plans(monkeypatch)
     seen = {}
     run = noise.run_noisy_counts
 
     def spy(circuit, spec, shots, seed, **kw):
+        start = kw["batch"].blocks
         counts = run(circuit, spec, shots, seed, **kw)
-        seen[tuple(seed)] = (circuit, counts)
+        seen[tuple(seed)] = (counts, kw["parts"][start:])
         return counts
 
     monkeypatch.setattr(noise, "run_noisy_counts", spy)
+    return seen, built
+
+
+def test_noisy_chains_restart_fresh_trajectories_every_segment(monkeypatch):
+    # 6 steps -> segments of ceil(sqrt(6)) = 3 steps: steps 0 and 3 run
+    # the planned blocks of the whole folded, twirled prefix on fresh
+    # trajectories seeded by their own variant key, exactly as a one-off
+    # execution of those blocks would; steps 1, 2, 4 and 5 continue their
+    # segment's batch through their own block alone
+    cfg = ExperimentConfig(sites=4, steps=5, shots=256, shots_per_trajectory=64,
+                           twirls=1, zne_factors=(1.0, 2.0), readout_mode="off",
+                           postselect=False, noise_preset="casablanca-like", seed=3)
+    run = noise.run_noisy_counts
+    seen, built = record_runs(monkeypatch)
     variants = {tuple(v["seed_key"]): v for v in run_zpi(cfg)["variants"]}
+    source = {id(plan): circuit for plan, circuit in built}
     spec = cfg.noise_spec()
     blocks = ([neel_prep_circuit(cfg.sites)]
               + [build_trotter_step(cfg.model_params(), impl=cfg.impl)] * cfg.steps)
@@ -178,22 +205,27 @@ def test_noisy_chains_restart_fresh_trajectories_every_segment(monkeypatch):
     assert n_traj == 4
     for li, lam in enumerate(cfg.zne_factors):
         folds = mitigation.block_fold_counts([b.n_two_qubit for b in blocks], lam)
-        gates = ()
+        gates, planned = (), []
         for n, block in enumerate(blocks):
             key = [cfg.seed, 0, n, 0, li]
             folded = mitigation.fold_gates_random(block, lam, seed=key + [0], folds=folds[n])
             twirled = mitigation.twirl_circuit(folded, seed=key + [1])
             gates += twirled.gates
-            circuit, counts = seen[tuple(key)]
+            counts, ran = seen[tuple(key)]
             assert variants[tuple(key)]["chain_key"] == [cfg.seed, 0, n - n % seg, 0, li]
+            # the step plans its own block, and reruns earlier plans only
+            assert _gate_list(source[id(ran[-1])].gates) == _gate_list(twirled.gates)
+            planned.append(ran[-1])
             if n % seg:
-                assert _gate_list(circuit.gates) == _gate_list(twirled.gates)
+                assert ran == [planned[n]]
                 continue
-            assert _gate_list(circuit.gates) == _gate_list(gates)
+            assert all(a is b for a, b in zip(ran, planned, strict=True))
+            ran_gates = [g for plan in ran for g in source[id(plan)].gates]
+            assert _gate_list(ran_gates) == _gate_list(gates)
             batch = noise.TrajectoryBatch.seeded(spec, n_traj, key, Statevector.zero(cfg.sites),
                                                  quasi_static)
-            fresh = run(Circuit(cfg.sites, gates), spec, cfg.shots, key, batch=batch)
-            np.testing.assert_array_equal(counts.vector, fresh.vector)
+            once = run(twirled, spec, cfg.shots, key, batch=batch, parts=ran[:-1])
+            np.testing.assert_array_equal(counts.vector, once.vector)
 
 
 def test_shared_trajectories_are_unbiased_at_every_step():
@@ -329,16 +361,38 @@ def test_idle_only_noise_is_stochastic_only_with_idle_windows(monkeypatch, dd):
                            postselect=False, noise_preset="noiseless", dd=dd, seed=5,
                            noise_overrides={"idle_dephasing_rad_per_ns": 0.002})
     calls = record_batches(monkeypatch)
-    seen = {}
-    run = noise.run_noisy_counts
-
-    def spy(circuit, spec, shots, seed, **kw):
-        seen[tuple(seed)] = circuit
-        return run(circuit, spec, shots, seed, **kw)
-
-    monkeypatch.setattr(noise, "run_noisy_counts", spy)
+    seen, built = record_runs(monkeypatch)
     run_zpi(cfg)
     assert calls == ([(4, True)] * 4 if dd else [(1, False)] * 4)
-    # no folds at scale 1: a restart runs every step's two-qubit gates
-    n2 = [seen[(cfg.seed, 0, n, 0, 0)].n_two_qubit for n in range(1, 4)]
+    # no folds at scale 1: a restart runs the planned blocks of every
+    # step's two-qubit gates
+    source = {id(plan): circuit for plan, circuit in built}
+    n2 = [sum(source[id(plan)].n_two_qubit for plan in seen[(cfg.seed, 0, n, 0, 0)][1])
+          for n in range(1, 4)]
     assert n2 == ([n2[0], 2 * n2[0], n2[0]] if dd else [n2[0]] * 3)
+
+
+@pytest.mark.parametrize("command", ["zpi", "cy"])
+def test_each_block_and_basis_is_planned_once(monkeypatch, command):
+    # 4 steps -> segments of ceil(sqrt(5)) = 3 steps, so every chain
+    # restarts at step 3; the restart reruns the plans of steps 0-2, and
+    # a run plans each measurement basis once, however many sweeps use it
+    cfg = ExperimentConfig(sites=4, steps=4, shots=256, shots_per_trajectory=128,
+                           twirls=2, zne_factors=(1.0, 2.0), readout_mode="off",
+                           postselect=False, noise_preset="casablanca-like", seed=5)
+    seen, built = record_runs(monkeypatch)
+    variants = (run_zpi(cfg) if command == "zpi" else run_cy(cfg))["variants"]
+    ran = {id(plan) for _, parts in seen.values() for plan in parts}
+    blocks = [(plan, circuit) for plan, circuit in built if id(plan) in ran]
+    bases = [circuit for plan, circuit in built if id(plan) not in ran]
+    assert len(blocks) == len({id(c) for _, c in blocks}) == len(seen) == len(variants)
+    for v in variants:
+        if v["step"] == 3:
+            assert len(seen[tuple(v["seed_key"])][1]) == 4
+    sweeps = len(variants) // ((cfg.steps + 1) * cfg.twirls * len(cfg.zne_factors))
+    if command == "zpi":
+        assert bases == []
+    else:
+        assert len(bases) == len(PARITIES) < sweeps == 16
+        assert sorted(_gate_list(b.gates) for b in bases) == sorted(
+            _gate_list(y_basis_rotation(cfg.sites, p).gates) for p in PARITIES)
