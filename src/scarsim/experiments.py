@@ -175,6 +175,20 @@ def _noise_key(key: str) -> bool:
     )
 
 
+def _check_ini_keys(cp: configparser.ConfigParser, allowed: dict, path) -> None:
+    """Reject any section or key of ``cp`` that ``allowed`` does not list.
+
+    ``allowed`` maps each section name to a predicate or a collection of
+    key names."""
+    for section in cp.sections():
+        if section not in allowed:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        known = allowed[section]
+        for key in cp.options(section):
+            if not (known(key) if callable(known) else key in known):
+                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
+
+
 def config_from_ini(path, **cli_overrides) -> ExperimentConfig:
     """Build a config from an INI document; keyword overrides win.
 
@@ -188,7 +202,7 @@ def config_from_ini(path, **cli_overrides) -> ExperimentConfig:
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_file(fh)
-    noise.check_ini_keys(cp, {**_INI_FIELDS, "noise": _noise_key}, path)
+    _check_ini_keys(cp, {**_INI_FIELDS, "noise": _noise_key}, path)
     kwargs: dict = {
         key: conv(cp.get(section, key))
         for section, keys in _INI_FIELDS.items()

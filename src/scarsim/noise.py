@@ -17,7 +17,6 @@ dephasing is modeled, leaving damping as a density-matrix extension.
 """
 from __future__ import annotations
 
-import configparser
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -182,16 +181,25 @@ class NoiseSpec:
         if gate.kind == "CNOT":
             return gate_error_rate(cnot_duration_ns(self.pulse), tau)
         if gate.kind in ("RZX", "RZZ"):
-            d = 2.0 * cr_pulse_ns(abs(gate.angle), self.pulse) + 2.0 * self.pulse.single_pulse_ns
-            return gate_error_rate(d, tau)
+            return gate_error_rate(rzz_duration(abs(gate.angle), "scaled-rzx", self.pulse), tau)
         raise ValueError(f"no duration model for two-qubit kind {gate.kind!r}")
 
     def pauli_distribution(self, gate: Gate) -> tuple[list[str], np.ndarray]:
-        """(labels, probabilities) over the 15 non-identity Pauli pairs.
+        """(labels, probabilities) of the stochastic Pauli error after
+        ``gate``, the one statement of every error trajectories draw.
 
-        A depolarizing weight p maps to rate p/16 on each non-identity
-        pair, i.e. rho -> (1-p) rho + p I/4.
+        A two-qubit gate's depolarizing weight p puts p/16 on each of the
+        15 non-identity pairs, i.e. rho -> (1-p) rho + p I/4.  A
+        single-qubit gate puts ``single_qubit_depolarizing``/4 on each of
+        X, Y and Z.  A DELAY of d ns flips Z with probability
+        (1 - exp(-d ``idle_stochastic_rate_per_ns``)) / 2, the stochastic
+        idle error; its quasi-static dephasing is no Pauli draw.
         """
+        if gate.kind == "DELAY":
+            return ["Z"], np.array(
+                [0.5 * (1.0 - math.exp(-gate.duration_ns * self.idle_stochastic_rate_per_ns))])
+        if not gate.is_two_qubit:
+            return ["X", "Y", "Z"], np.full(3, self.single_qubit_depolarizing / 4.0)
         p = self.two_qubit_error_prob(gate)
         return TWO_QUBIT_PAULI_LABELS, np.full(15, p / 16.0)
 
@@ -202,9 +210,9 @@ class NoiseSpec:
     def _memo(self) -> dict:
         """Values the executor derives from this spec, computed once each
         (the spec is frozen, so none goes stale; ``replace`` starts a new
-        memo): plan entries keyed (kind, angle), forward readout matrices
-        keyed ("readout", width) and measurement basis plans keyed
-        ("basis", width, gates)."""
+        memo): plan entries keyed (kind, angle, duration), forward
+        readout matrices keyed ("readout", width) and measurement basis
+        plans keyed ("basis", width, gates)."""
         return {}
 
     def _memoized(self, key, build):
@@ -254,58 +262,6 @@ def preset(name: str, **overrides) -> NoiseSpec:
 SCALAR_FIELDS = frozenset(
     f.name for f in fields(NoiseSpec) if f.name != "pulse"
 )
-
-# INI key -> NoiseSpec (or PulseParams, for [pulse]) field, per section.
-_NOISE_INI_KEYS = {
-    "pulse": {k: k for k in ("amp_ref", "width_ref", "sigma", "n_sigma",
-                             "sample_dt_ns", "single_pulse_ns")},
-    "gates": {k: k for k in ("two_qubit_target_error", "two_qubit_depolarizing",
-                             "single_qubit_depolarizing", "coherent_overrotation")},
-    "readout": {"eps": "readout_eps", "eta": "readout_eta"},
-    "idle": {"dephasing_rad_per_ns": "idle_dephasing_rad_per_ns",
-             "stochastic_rate_per_ns": "idle_stochastic_rate_per_ns"},
-}
-
-
-def check_ini_keys(cp: configparser.ConfigParser, allowed: dict, path) -> None:
-    """Reject any section or key of ``cp`` that ``allowed`` does not list.
-
-    ``allowed`` maps each section name to a predicate or a collection of
-    key names."""
-    for section in cp.sections():
-        if section not in allowed:
-            raise ValueError(f"{path}: unknown section [{section}]")
-        known = allowed[section]
-        for key in cp.options(section):
-            if not (known(key) if callable(known) else key in known):
-                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
-
-
-def load_noise_config(path) -> NoiseSpec:
-    """Read a NoiseSpec from an INI document (see docs/noise-config.md).
-
-    Sections: [pulse], [gates], [readout], [idle].  Unset keys fall back
-    to the preset named by ``[gates] preset`` (default casablanca-like).
-    Unknown sections and keys are rejected.
-    """
-    cp = configparser.ConfigParser()
-    with open(path) as fh:
-        cp.read_file(fh)
-    allowed = {sec: set(keys) for sec, keys in _NOISE_INI_KEYS.items()}
-    allowed["gates"].add("preset")
-    check_ini_keys(cp, allowed, path)
-    spec = preset(cp.get("gates", "preset", fallback="casablanca-like"))
-    read = {
-        sec: {field: cp.getfloat(sec, key) for key, field in keys.items()
-              if cp.has_option(sec, key)}
-        for sec, keys in _NOISE_INI_KEYS.items()
-    }
-    pulse_kwargs = read.pop("pulse")
-    if pulse_kwargs:
-        spec = replace(spec, pulse=replace(spec.pulse, **pulse_kwargs))
-    spec_kwargs = {k: v for sec in read.values() for k, v in sec.items()}
-    return replace(spec, **spec_kwargs) if spec_kwargs else spec
-
 
 def _overrotated_matrix(gate: Gate, over: float) -> np.ndarray:
     """The gate's unitary followed by the coherent overrotation
@@ -458,8 +414,8 @@ def apply_readout_error(probs: np.ndarray, m: ConfusionMatrix) -> np.ndarray:
 # Noisy execution: trajectory unfolding over the statevector
 # ---------------------------------------------------------------------------
 
-_PAULI_MATS_2Q = {
-    lab: m for lab, m in zip(pauli_basis_labels(2), pauli_basis_matrices(2))
+_PAULI_MATS = {
+    lab: m for n in (1, 2) for lab, m in zip(pauli_basis_labels(n), pauli_basis_matrices(n))
 }
 
 _EYE2 = np.eye(2, dtype=complex)
@@ -475,20 +431,18 @@ for _eye in _EYES:
 
 
 def _plan_entry(spec: NoiseSpec, g: Gate):
-    """A non-DELAY gate as ``_NoisePlan`` runs it under ``spec``: the
-    overrotated matrix, and for a two-qubit gate the tuple (matrix,
-    cumulative Pauli probabilities, Pauli matrices, their total).  Both
-    depend on the gate's kind and angle only, so each is built once per
-    spec."""
+    """A gate as ``_NoisePlan`` runs it under ``spec``: (overrotated
+    matrix, cumulative probabilities of ``spec.pauli_distribution(g)``,
+    the Pauli matrices, their total).  It depends on the gate's kind,
+    angle and duration only, so it is built once per spec."""
 
     def build():
-        mat = _overrotated_matrix(g, spec.coherent_overrotation)
-        if not g.is_two_qubit:
-            return mat
         labels, probs = spec.pauli_distribution(g)
-        return mat, np.cumsum(probs), [_PAULI_MATS_2Q[lab] for lab in labels], float(probs.sum())
+        cum = np.cumsum(probs)
+        return (_overrotated_matrix(g, spec.coherent_overrotation), cum,
+                [_PAULI_MATS[lab] for lab in labels], float(cum[-1]))
 
-    return spec._memoized((g.kind, g.angle), build)
+    return spec._memoized((g.kind, g.angle, g.duration_ns), build)
 
 
 @lru_cache(maxsize=None)
@@ -579,39 +533,44 @@ def _corrections(members, noisy, hit: np.ndarray, u: np.ndarray, k: int) -> list
 
 def _shifted(op: tuple, offset: int) -> tuple:
     """A plan op whose draw indices are moved ``offset`` later."""
-    if op[0] == "window":
-        return op if op[5] is None else op[:5] + (op[5] + offset,) + op[6:]
-    return op if op[4] < 0 else op[:4] + (op[4] + offset,)  # gate1 or delay
+    if op[0] != "window" or op[5] is None:
+        return op
+    return op[:5] + (op[5] + offset,) + op[6:]
 
 
 class _NoisePlan:
-    """Per-circuit list of fused gate windows and noise ops.
+    """Per-circuit list of gate windows and dephasing ops.
 
-    Noiseless single-qubit gates are multiplied into one 2x2 matrix per
-    qubit, and a two-qubit gate takes the pending matrices A and B of its
-    qubits into its own matrix as mat @ (A ⊗ B); they run first, then
-    the gate, its overrotation and its Pauli error.  Gates then go, in
-    circuit order, into *windows* of at most ``WINDOW_QUBITS`` qubits: a
-    gate joins the latest window that touches its qubits, or any later
-    window (it commutes past those, being disjoint from them), as long as
-    the window's qubits stay within the cap; otherwise it opens a new
-    window.  A window runs as one kernel pass of W = G_m ... G_1 over the
-    whole stack.  A row that drew the Pauli P after member j is then
-    corrected by C_j = S_j P S_j^dag, S_j = G_m ... G_{j+1}, on that row
-    alone; several errors in a row multiply, in draw order, into one
-    correction.  This is exactly the unfused channel.
+    Every stochastic error is the Pauli channel ``spec.pauli_distribution``
+    states for its gate, and every gate that has one (total rate above
+    zero: a two-qubit gate, a single-qubit gate under single-qubit
+    depolarizing, a DELAY under stochastic idle flips, which runs as the
+    identity) is planned the same way.  It takes the pending matrices of
+    its qubits into its own matrix, as mat @ pending or mat @ (A ⊗ B),
+    and owns one draw index.  Noiseless single-qubit gates are
+    multiplied into one pending 2x2 matrix per qubit, and noiseless
+    two-qubit gates take the pending matrices as noisy ones do.
 
-    Windows close (and pending single-qubit matrices of the qubit are
-    placed first) at an op that runs on its own: a DELAY under idle
-    noise, emitted as a ``delay`` op, and a single-qubit gate under
-    single-qubit depolarizing, a ``gate1`` op (no single-qubit gate is
-    then fused).  A DELAY without idle noise is the identity and is
-    skipped.  An optional measurement ``basis`` rotation is planned
-    after the circuit, from ``ops[split]`` on; no window or pending
-    matrix crosses that boundary.
+    Gates then go, in circuit order, into *windows* of at most
+    ``WINDOW_QUBITS`` qubits: a gate joins the latest window that touches
+    its qubits, or any later window (it commutes past those, being
+    disjoint from them), as long as the window's qubits stay within the
+    cap; otherwise it opens a new window.  A window runs as one kernel
+    pass of W = G_m ... G_1 over the whole stack.  A row that drew the
+    Pauli P after member j is then corrected by C_j = S_j P S_j^dag,
+    S_j = G_m ... G_{j+1}, on that row alone; several errors in a row
+    multiply, in draw order, into one correction.  This is exactly the
+    channel of the gates run one by one.
 
-    Every noisy operation, in circuit order, owns one draw index: a
-    trajectory draws one uniform per index, ``n_draws`` in all.
+    Windows close (and the pending matrix of the qubit is placed first)
+    only at a DELAY under quasi-static idle dephasing, emitted as a
+    ``dephase`` op that turns each row's qubit by its own rate.  A DELAY
+    without idle noise is the identity and is skipped.  An optional
+    measurement ``basis`` rotation is planned after the circuit, from
+    ``ops[split]`` on; no window or pending matrix crosses that boundary.
+
+    A trajectory draws one uniform per draw index, ``n_draws`` in all,
+    in circuit order.
 
     ``join`` runs plans of consecutive circuit blocks as one plan; no
     window or pending matrix crosses a block boundary there either.
@@ -621,15 +580,10 @@ class _NoisePlan:
         self.width = circuit.width
         self.ops: list[tuple] = []
         self.n_draws = 0
-        idle = spec.idle_dephasing_rad_per_ns > 0 or spec.idle_stochastic_rate_per_ns > 0
-        fuse = spec.single_qubit_depolarizing == 0.0
+        dephasing = spec.idle_dephasing_rad_per_ns > 0
         pending: dict[int, np.ndarray] = {}
         windows: list[tuple[set[int], list]] = []  # open windows: (qubits, members)
         latest: dict[int, int] = {}  # qubit -> index of the latest open window on it
-
-        def draw() -> int:
-            self.n_draws += 1
-            return self.n_draws - 1
 
         def place(qubits: tuple[int, ...], mat: np.ndarray, noise=None) -> None:
             j = max([latest.get(q, 0) for q in qubits])
@@ -653,31 +607,30 @@ class _NoisePlan:
             latest.clear()
 
         def add_gate(g: Gate) -> None:
-            if g.kind == "DELAY":
-                if not idle or g.duration_ns <= 0:
-                    return
+            if g.kind == "DELAY" and dephasing and g.duration_ns > 0:
                 flush(g.qubits[0])
                 close()
-                p_flip = 0.5 * (1.0 - math.exp(-g.duration_ns * spec.idle_stochastic_rate_per_ns))
-                self.ops.append(("delay", g.qubits, g.duration_ns, p_flip,
-                                 draw() if p_flip > 0 else -1))
-                return
-            entry = _plan_entry(spec, g)
+                self.ops.append(("dephase", g.qubits[0], g.duration_ns))
+            mat, cum, paulis, total = _plan_entry(spec, g)
             if g.is_two_qubit:
-                mat, cum, mats, total = entry
                 a, b = (pending.pop(q, None) for q in g.qubits)
                 if a is not None or b is not None:
                     # a acts on qubits[0], the high bit of the 4x4 index
                     a = _EYE2 if a is None else a
                     b = _EYE2 if b is None else b
                     mat = mat @ (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-                place(g.qubits, mat, (draw(), cum, mats, total) if total > 0 else None)
-            elif fuse:
+            elif total == 0:
                 q = g.qubits[0]
-                pending[q] = entry @ pending[q] if q in pending else entry
-            else:
-                close()
-                self.ops.append(("gate1", g.qubits, entry, spec.single_qubit_depolarizing, draw()))
+                if g.kind != "DELAY":
+                    pending[q] = mat @ pending[q] if q in pending else mat
+                return
+            elif g.qubits[0] in pending:
+                mat = mat @ pending.pop(g.qubits[0])
+            noise = None
+            if total > 0:
+                noise = (self.n_draws, cum, paulis, total)
+                self.n_draws += 1
+            place(g.qubits, mat, noise)
 
         for g in circuit.gates:
             add_gate(g)
@@ -731,36 +684,23 @@ class _NoisePlan:
         for i, op in enumerate(self.ops):
             if i == self.split:
                 kept, psi = psi, psi.copy()
-            tag = op[0]
-            if tag == "window":
-                _, qubits, mat, members, noisy, draws, totals = op
-                psi = _apply_matrix(psi, mat, qubits, width)
-                if noisy:
-                    u = us[:, draws]
-                    hit = u < totals
-                    rows = np.flatnonzero(hit.any(axis=1))
-                    if rows.size:
-                        corrections = _corrections(members, noisy, hit[rows], u[rows], len(qubits))
-                        for t, corr in zip(rows, corrections):
-                            psi[t:t + 1] = _apply_matrix(psi[t:t + 1], corr, qubits, width)
-            elif tag == "gate1":
-                _, qubits, mat, p1, d = op
-                psi = _apply_matrix(psi, mat, qubits, width)
-                for t in np.nonzero(us[:, d] < p1 * 0.75)[0]:
-                    pauli = "XYZ"[min(int(us[t, d] / (p1 * 0.25)), 2)]
-                    psi[t:t + 1] = _apply_matrix(psi[t:t + 1], PAULI_1Q[pauli], qubits, width)
-            else:  # delay
-                _, qubits, dur, p_flip, d = op
-                q = qubits[0]
-                if omegas is not None:
-                    half = 0.5 * omegas[:, q] * dur
-                    view = psi.reshape(n_traj, 1 << q, 2, -1)
-                    view[:, :, 0, :] *= np.exp(-1j * half)[:, None, None]
-                    view[:, :, 1, :] *= np.exp(1j * half)[:, None, None]
-                if p_flip > 0:
-                    for t in np.nonzero(us[:, d] < p_flip)[0]:
-                        view = psi[t].reshape(1 << q, 2, -1)
-                        view[:, 1, :] *= -1.0
+            if op[0] == "dephase":
+                _, q, dur = op
+                half = 0.5 * omegas[:, q] * dur
+                view = psi.reshape(n_traj, 1 << q, 2, -1)
+                view[:, :, 0, :] *= np.exp(-1j * half)[:, None, None]
+                view[:, :, 1, :] *= np.exp(1j * half)[:, None, None]
+                continue
+            _, qubits, mat, members, noisy, draws, totals = op
+            psi = _apply_matrix(psi, mat, qubits, width)
+            if noisy:
+                u = us[:, draws]
+                hit = u < totals
+                rows = np.flatnonzero(hit.any(axis=1))
+                if rows.size:
+                    corrections = _corrections(members, noisy, hit[rows], u[rows], len(qubits))
+                    for t, corr in zip(rows, corrections):
+                        psi[t:t + 1] = _apply_matrix(psi[t:t + 1], corr, qubits, width)
         return (psi, psi) if self.split == len(self.ops) else (kept, psi)
 
 
@@ -814,23 +754,17 @@ def chain_noise(circuits: list[Circuit | None], spec: NoiseSpec) -> tuple[bool, 
 
     quasi_static: some idle window (a DELAY of positive duration)
     dephases at the trajectory's quasi-static rates.  stochastic: that,
-    or some gate draws per-trajectory noise (a two-qubit gate with a
-    nonzero Pauli rate, a single-qubit gate under single-qubit
-    depolarizing, an idle window under stochastic flips), so that
-    trajectories differ.  The one reader of this rule: both the sweep and
-    a fresh ``run_noisy_counts`` take their trajectory count from it.
+    or some gate draws a Pauli error (``_plan_entry`` total above zero),
+    so that trajectories differ.  The one reader of this rule: both the
+    sweep and a fresh ``run_noisy_counts`` take their trajectory count
+    from it.
     """
     stochastic = quasi_static = False
     distinct = {id(c): c for c in circuits if c is not None}.values()
     for g in (g for c in distinct for g in c.gates):
-        if g.kind == "DELAY":
-            if g.duration_ns > 0:
-                quasi_static |= spec.idle_dephasing_rad_per_ns > 0
-                stochastic |= spec.idle_stochastic_rate_per_ns > 0
-        elif g.is_two_qubit:
-            stochastic |= _plan_entry(spec, g)[3] > 0
-        else:
-            stochastic |= spec.single_qubit_depolarizing > 0
+        if g.kind == "DELAY" and g.duration_ns > 0:
+            quasi_static |= spec.idle_dephasing_rad_per_ns > 0
+        stochastic |= _plan_entry(spec, g)[3] > 0
         if stochastic and (quasi_static or spec.idle_dephasing_rad_per_ns == 0):
             break
     return stochastic or quasi_static, quasi_static
@@ -946,7 +880,7 @@ def run_noisy_density(circuit: Circuit, spec: NoiseSpec,
                 mixed = (1.0 - total) * rho
                 for lab, pr in zip(labels, probs):
                     if pr > 0:
-                        pm = _embed(_PAULI_MATS_2Q[lab], g.qubits, width)
+                        pm = _embed(_PAULI_MATS[lab], g.qubits, width)
                         mixed += pr * (pm @ rho @ pm.conj().T)
                 rho = mixed
         elif spec.single_qubit_depolarizing > 0:

@@ -276,7 +276,7 @@ def _front_axes(qubits: tuple[int, ...], width: int) -> tuple[tuple[int, ...], t
 
 
 def _run_gates(psi: np.ndarray, gates, width: int) -> np.ndarray:
-    """Apply gates in order, unfused, to a (T, 2^width) stack (DELAY is
+    """Apply gates in order, one pass each, to a (T, 2^width) stack (DELAY is
     the identity)."""
     for g in gates:
         if g.kind != "DELAY":

@@ -106,9 +106,12 @@ class TestConfig:
 
     def test_invalid_noise_override_fails_at_load(self, tmp_path):
         ini = tmp_path / "run.ini"
-        ini.write_text("[noise]\noverride.two_qubit_target_error = 1.0\n")
-        with pytest.raises(ValueError, match="two_qubit_target_error"):
-            config_from_ini(ini)
+        for name, value in [("two_qubit_target_error", 1.0),
+                            ("idle_dephasing_rad_per_ns", -0.001),
+                            ("idle_stochastic_rate_per_ns", -1e-5)]:
+            ini.write_text(f"[noise]\noverride.{name} = {value}\n")
+            with pytest.raises(ValueError, match=name):
+                config_from_ini(ini)
         with pytest.raises(ValueError, match="not scalar NoiseSpec fields"):
             ExperimentConfig(noise_overrides={"pulse": 1.0})
 

@@ -1,6 +1,6 @@
 """Pulse-duration model, noise channels, readout confusion, trajectories."""
+import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from scarsim.noise import (
     casablanca_like,
     gate_error_rate,
     gaussian_flank_area_per_amp,
-    load_noise_config,
     noiseless,
     noisy_gate_channel,
     preset,
@@ -43,13 +42,20 @@ from scarsim.qsim import (
     apply_channel,
     bit_table,
     cnot,
+    delay,
     h,
     pauli_gate,
     pauli_transfer_matrix,
     run_circuit,
+    rx,
+    ry,
+    rz,
     rzx,
     rzz,
+    s,
     sample_counts,
+    sdg,
+    x,
 )
 
 
@@ -395,44 +401,6 @@ class TestPresets:
         # the first grid point, so the amplitude threshold sits below it
         assert threshold_angle(casablanca_like().pulse) < 0.2
 
-    def test_config_round_trip(self, tmp_path):
-        cfg = tmp_path / "noise.ini"
-        cfg.write_text(
-            "[pulse]\nsigma = 40\n\n[gates]\npreset = casablanca-like\n"
-            "two_qubit_target_error = 0.01\n\n[readout]\neps = 0.04\neta = 0.01\n\n"
-            "[idle]\ndephasing_rad_per_ns = 0.002\n"
-        )
-        spec = load_noise_config(cfg)
-        assert spec.pulse.sigma == 40.0
-        assert spec.two_qubit_target_error == 0.01
-        assert spec.readout_eps == 0.04
-        assert spec.idle_dephasing_rad_per_ns == 0.002
-
-    @pytest.mark.parametrize(
-        "text, name",
-        [
-            ("[gates]\ntwo_qubit_target_eror = 0.01\n", "'two_qubit_target_eror'"),
-            ("[readout]\nepsilon = 0.01\n", "'epsilon'"),
-            ("[idle]\ndephasing = 0.01\n", "'dephasing'"),
-            ("[pulses]\nsigma = 40\n", "[pulses]"),
-            ("[pulse]\npreset = noiseless\n", "'preset' in [pulse]"),
-        ],
-    )
-    def test_unknown_section_or_key_rejected(self, tmp_path, text, name):
-        cfg = tmp_path / "noise.ini"
-        cfg.write_text(text)
-        with pytest.raises(ValueError, match=re.escape(name)):
-            load_noise_config(cfg)
-
-    def test_invalid_values_rejected_at_load(self, tmp_path):
-        for text in ("[gates]\ntwo_qubit_target_error = 1.0\n",
-                     "[idle]\ndephasing_rad_per_ns = -0.001\n",
-                     "[idle]\nstochastic_rate_per_ns = -1e-5\n"):
-            cfg = tmp_path / "noise.ini"
-            cfg.write_text(text)
-            with pytest.raises(ValueError):
-                load_noise_config(cfg)
-
 
 class TestNoiseSpecValidation:
     def test_target_error_one_rejected(self):
@@ -521,17 +489,22 @@ def test_twirled_brickwork_step_plans_to_four_windows(lam):
 
 
 def test_idle_windows_without_idle_noise_plan_nothing():
-    # without idle noise a DELAY is the identity: it adds no op and splits
-    # no window; with idle noise each one runs as a delay op
+    # without idle noise a DELAY is the identity: it adds no op, no draw
+    # and splits no window; under stochastic idle flips each one adds
+    # exactly one draw, as a window member, and no other op
     with_idles = build_trotter_step(qmbs_params(5), idle_ns=100.0)
     without = build_trotter_step(qmbs_params(5))
     spec = casablanca_like()
     plan = noise._NoisePlan(with_idles, spec)
-    assert len(plan.ops) == len(noise._NoisePlan(without, spec).ops)
-    assert not any(op[0] == "delay" for op in plan.ops)
+    bare = noise._NoisePlan(without, spec)
+    assert len(plan.ops) == len(bare.ops)
+    assert plan.n_draws == bare.n_draws == without.n_two_qubit
+    assert all(op[0] == "window" for op in plan.ops)
     idle = noise._NoisePlan(with_idles, casablanca_like(idle_stochastic_rate_per_ns=1e-4))
     n_delays = sum(g.kind == "DELAY" for g in with_idles.gates)
-    assert sum(op[0] == "delay" for op in idle.ops) == n_delays > 0
+    assert idle.n_draws - plan.n_draws == n_delays > 0
+    assert all(op[0] == "window" for op in idle.ops)
+    assert sum(len(op[4]) for op in idle.ops) == idle.n_draws
 
 
 class _FixedUniforms:
@@ -543,6 +516,88 @@ class _FixedUniforms:
     def random(self, n):
         assert n == self.row.size
         return self.row.copy()
+
+
+def _draw_branches(circuit, spec, at):
+    """Every branch of every draw ``circuit`` makes under ``spec``, in
+    circuit order, from the model's rates stated here: one list of
+    (uniform, probability) per noisy operation.  The uniform lies the
+    fraction ``at`` into its Pauli's interval [lo, hi) of the cumulative
+    rates, or the fraction 1 - ``at`` into [total, 1) for no error: at
+    0.5 every uniform is a midpoint, and near 1 every one lies just
+    inside the interval's edge that a smaller Pauli rate or a larger
+    total would move past it."""
+    draws = []
+    for g in circuit.gates:
+        if g.kind == "DELAY":
+            rates = [0.5 * (1.0 - math.exp(-g.duration_ns * spec.idle_stochastic_rate_per_ns))]
+        elif g.is_two_qubit:
+            rates = [spec.two_qubit_depolarizing / 16.0] * 15
+        else:
+            rates = [spec.single_qubit_depolarizing / 4.0] * 3
+        total = sum(rates)
+        if total > 0:
+            edges = np.concatenate([[0.0], np.cumsum(rates)])
+            branches = [(lo + at * (hi - lo), r) for lo, hi, r in zip(edges, edges[1:], rates)]
+            draws.append(branches + [(total + (1.0 - at) * (1.0 - total), 1.0 - total)])
+    return draws
+
+
+_ENUMERATED = {
+    # name: (width, circuit gates, basis gates or None, two-qubit p, single p, flip rate);
+    # a gate that does not commute with Z follows every flip, which the
+    # outcome probabilities would not show otherwise
+    "two-qubit": (2, [rx(0, 0.7), rzz(0, 1, 1.1), h(1), cnot(1, 0)], None, 0.3, 0.0, 0.0),
+    "two-qubit, basis": (3, [rzx(2, 0, 0.9), s(1), rzz(1, 2, 0.4)], [h(0), sdg(1), h(1)],
+                         0.24, 0.0, 0.0),
+    "single-qubit": (3, [h(0), rzz(0, 1, 0.9), ry(2, 0.4), cnot(2, 1), x(1)], None,
+                     0.0, 0.2, 0.0),
+    "single-qubit, basis": (2, [rzx(0, 1, 1.3), rz(0, 0.8)], [h(0), h(1)], 0.0, 0.3, 0.0),
+    "idle flips, DD": (2, [h(0), ry(1, 0.3), rzz(0, 1, 0.8), ry(0, 0.5), delay(0, 50.0),
+                           rx(0, math.pi), delay(0, 100.0), rx(0, math.pi), delay(0, 50.0),
+                           h(0)], None, 0.0, 0.0, 2e-3),
+    "idle flips, basis": (3, [delay(2, 120.0), cnot(0, 2), delay(1, 0.0), delay(1, 80.0)],
+                          [h(2), h(1)], 0.0, 0.0, 3e-3),
+    "all three": (3, [rzx(0, 1, 0.7), delay(2, 80.0)], [h(2)], 0.2, 0.1, 2e-3),
+    "all three, DD": (2, [delay(0, 60.0), rx(0, math.pi), rzx(1, 0, 0.9)], None,
+                      0.16, 0.12, 4e-3),
+}
+
+
+@pytest.mark.parametrize("at", [0.5, 1.0 - 1e-9])
+@pytest.mark.parametrize("case", sorted(_ENUMERATED))
+def test_enumerated_branches_equal_the_density_oracle(case, at):
+    # one row per branch of every draw: the rows' outcome probabilities,
+    # weighted by their branch probabilities, are the exact channel's,
+    # for two-qubit depolarizing, single-qubit depolarizing and
+    # stochastic idle flips, alone and together, before and after the
+    # basis rotation; uniforms just inside the interval edges also pin
+    # the executor's rates to the model's
+    width, gates, basis_gates, p2, p1, flips = _ENUMERATED[case]
+    circ = Circuit(width, gates)
+    basis = Circuit(width, basis_gates) if basis_gates else None
+    spec = NoiseSpec(two_qubit_depolarizing=p2, single_qubit_depolarizing=p1,
+                     idle_stochastic_rate_per_ns=flips, coherent_overrotation=0.05)
+    draws = _draw_branches(Circuit(width, gates + (basis_gates or [])), spec, at)
+    assert 0 < len(draws) <= 3
+    rows = list(itertools.product(*draws))
+    weights = np.array([math.prod(p for _, p in row) for row in rows])
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+    plan = noise._NoisePlan(circ, spec, basis=basis)
+    assert plan.n_draws == len(draws)
+    rng = np.random.default_rng(len(case))
+    psi = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
+    init = Statevector(psi / np.linalg.norm(psi))
+    kept, measured = plan.run_batch(
+        np.tile(init.amplitudes, (len(rows), 1)),
+        [_FixedUniforms([u for u, _ in row]) for row in rows])
+    want = run_noisy_density(circ, spec, initial=init)
+    np.testing.assert_allclose(weights @ np.abs(kept) ** 2, np.real(np.diag(want.matrix)),
+                               rtol=0, atol=1e-12)
+    if basis is not None:
+        want = run_noisy_density(Circuit(width, gates + basis_gates), spec, initial=init)
+    np.testing.assert_allclose(weights @ np.abs(measured) ** 2, np.real(np.diag(want.matrix)),
+                               rtol=0, atol=1e-12)
 
 
 def test_window_corrections_equal_inserted_paulis():
@@ -606,8 +661,9 @@ def test_joined_block_plans_equal_one_plan_of_the_whole_circuit(
         data, width, n_blocks, with_basis, depolarizing, single, dephasing, flips, seed):
     # plans of consecutive blocks joined with a basis plan run every
     # trajectory as one plan of the concatenated circuit does: the same
-    # uniforms land on the same noisy operations (gate1 ops, delays with
-    # and without flips, windows with and without noisy members), and
+    # uniforms land on the same noisy operations (noisy single-qubit
+    # gates, delays with and without flips or dephasing, windows with and
+    # without noisy members), and
     # windows that no longer cross block boundaries change nothing but
     # rounding
     blocks = [data.draw(_plan_circuits(width)) for _ in range(n_blocks)]
@@ -649,7 +705,7 @@ def test_chain_noise_agrees_with_what_the_plans_do(data, width, depolarizing, ta
                      single_qubit_depolarizing=single, idle_dephasing_rad_per_ns=dephasing,
                      idle_stochastic_rate_per_ns=flips)
     plans = [noise._NoisePlan(c, spec) for c in circuits]
-    dephases = [dephasing > 0 and any(op[0] == "delay" for op in p.ops) for p in plans]
+    dephases = [any(op[0] == "dephase" for op in p.ops) for p in plans]
     flags = [(p.n_draws > 0 or deph, deph) for p, deph in zip(plans, dephases)]
     for c, want in zip(circuits, flags):
         assert noise.chain_noise([c], spec) == want
