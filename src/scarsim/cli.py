@@ -11,10 +11,10 @@ import sys
 
 import numpy as np
 
-from . import experiments, noise
+from . import experiments
 from .experiments import ExperimentConfig, Table, config_from_ini, emit
-from .model import exact_evolve, fibonacci_projector, neel_bitstring, project
-from .observables import loschmidt_echo_state, series_from_values, staggered_magnetization
+from .model import RZZ_IMPLS, exact_evolve
+from .observables import series_from_values
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -24,7 +24,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dt", type=float)
     parser.add_argument("--v", type=float)
     parser.add_argument("--omega", type=float)
-    parser.add_argument("--impl", choices=["two-cnot", "scaled-rzx", "rzz"])
+    parser.add_argument("--impl", choices=RZZ_IMPLS)
     parser.add_argument("--shots", type=int)
     parser.add_argument("--infinite-shots", action="store_true", default=None)
     parser.add_argument("--twirls", type=int)
@@ -176,45 +176,24 @@ def _run_qpt(config: ExperimentConfig, args) -> dict:
 
 def _run_oracle(config: ExperimentConfig, which: str) -> dict:
     params = config.model_params()
-    L = params.L
     if which == "exact":
-        states = [exact_evolve(params, n * params.dt) for n in range(config.steps + 1)]
-        tag = "exact"
+        ref = experiments.state_series(
+            exact_evolve(params, n * params.dt) for n in range(config.steps + 1))
     else:
         ref = experiments.reference_series(params, config.steps, config.impl)
-        projected = which == "projected-trotter"
-        tag = which.replace("-", "_")
-        suffix = "_proj" if projected else ""
-        dt_v = params.dt * params.V
-        out = {
-            f"zpi_density_{tag}": series_from_values(
-                np.arange(config.steps + 1), dt_v, ref[f"zpi{suffix}"] / L
-            ),
-            f"loschmidt_f0_{tag}": series_from_values(
-                np.arange(config.steps + 1), dt_v, ref[f"echo0{suffix}"]
-            ),
-            f"loschmidt_f1_{tag}": series_from_values(
-                np.arange(config.steps + 1), dt_v, ref[f"echo1{suffix}"]
-            ),
-            f"fibonacci_weight_{tag}": series_from_values(
-                np.arange(config.steps + 1), dt_v, ref["weight"]
-            ),
-        }
-        return out
-    mask = fibonacci_projector(L)
-    refbits = neel_bitstring(L)
-    zpi, echo, weight = [], [], []
-    for psi in states:
-        zpi.append(staggered_magnetization(psi) / L)
-        echo.append(loschmidt_echo_state(psi, refbits))
-        weight.append(project(psi, mask)[1])
-    dt_v = params.dt * params.V
-    steps = np.arange(config.steps + 1)
-    return {
-        f"zpi_density_{tag}": series_from_values(steps, dt_v, np.array(zpi)),
-        f"loschmidt_f0_{tag}": series_from_values(steps, dt_v, np.array(echo)),
-        f"fibonacci_weight_{tag}": series_from_values(steps, dt_v, np.array(weight)),
+    suffix = "_proj" if which == "projected-trotter" else ""
+    series = {
+        "zpi_density": ref[f"zpi{suffix}"] / params.L,
+        "loschmidt_f0": ref[f"echo0{suffix}"],
+        "loschmidt_f1": ref[f"echo1{suffix}"],
+        "fibonacci_weight": ref["weight"],
     }
+    if which == "exact":
+        del series["loschmidt_f1"]
+    tag = which.replace("-", "_")
+    steps = np.arange(config.steps + 1)
+    return {f"{name}_{tag}": series_from_values(steps, params.dt * params.V, values)
+            for name, values in series.items()}
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -41,6 +42,7 @@ import numpy as np
 
 from . import __version__, mitigation, noise, observables
 from .model import (
+    RZZ_IMPLS,
     ModelParams,
     fibonacci_projector,
     neel_bitstring,
@@ -58,7 +60,6 @@ from .observables import (
     assemble_cy,
     cy_branch_prep,
     loschmidt_echo,
-    loschmidt_echo_state,
     parity_sites,
     per_site_z,
     pyp_expectation,
@@ -125,8 +126,8 @@ class ExperimentConfig:
             raise ValueError(f"format must be one of {FORMATS}")
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}")
-        if self.impl not in ("two-cnot", "scaled-rzx", "rzz"):
-            raise ValueError("impl must be 'two-cnot', 'scaled-rzx', or 'rzz'")
+        if self.impl not in RZZ_IMPLS:
+            raise ValueError(f"impl must be one of {RZZ_IMPLS}")
         factors = tuple(float(f) for f in self.zne_factors)
         if not factors or sorted(factors) != list(factors) or factors[0] != 1.0:
             raise ValueError("zne_factors must be ascending and start at 1.0")
@@ -252,50 +253,37 @@ class Table:
 # Reference (oracle) series
 # ---------------------------------------------------------------------------
 
-def reference_series(params: ModelParams, steps: int, impl: str) -> dict:
-    """Noiseless Trotter evolution and its subspace-projected twin.
-
-    Returns per-step per-site magnetizations, staggered density, return
-    probabilities (0 and 1 flips allowed), and the subspace weight.
+def state_series(states: Iterable[Statevector]) -> dict:
+    """The noiseless reference observables of each state, as arrays over
+    the states: per-site magnetizations ``site_z``, staggered ``zpi``,
+    return probabilities ``echo0`` and ``echo1`` (0 and 1 flips allowed
+    from the Neel reference), the adjacent-1-free weight ``weight``, and
+    the ``*_proj`` twins of the first four on the state projected onto
+    that subspace and renormalized (NaN where the projection is empty).
+    ``states`` may be a generator; one state is held at a time.
     """
-    L = params.L
-    mask = fibonacci_projector(L)
-    ref = neel_bitstring(L)
+
+    def observe(psi: Statevector, ref: str) -> dict:
+        return {"site_z": per_site_z(psi), "zpi": staggered_magnetization(psi),
+                "echo0": loschmidt_echo(psi, ref, 0), "echo1": loschmidt_echo(psi, ref, 1)}
+
+    rows = []
+    for psi in states:
+        ref = neel_bitstring(psi.width)
+        proj, weight = project(psi, fibonacci_projector(psi.width))
+        plain = observe(psi, ref)
+        twin = observe(proj, ref) if proj is not None else {k: np.nan * v for k, v in plain.items()}
+        rows.append({**plain, **{k + "_proj": v for k, v in twin.items()}, "weight": weight})
+    return {k: np.asarray([row[k] for row in rows]) for k in rows[0]}
+
+
+def reference_series(params: ModelParams, steps: int, impl: str) -> dict:
+    """``state_series`` of the noiseless Trotter evolution of the Neel
+    state, run gate by gate with ``run_circuit``, at steps 0..steps."""
     step_circ = build_trotter_step(params, impl=impl)
-    psi = run_circuit(Statevector.zero(L), neel_prep_circuit(L))
-    out = {
-        "site_z": [],
-        "site_z_proj": [],
-        "zpi": [],
-        "zpi_proj": [],
-        "echo0": [],
-        "echo1": [],
-        "echo0_proj": [],
-        "echo1_proj": [],
-        "weight": [],
-    }
-    for n in range(steps + 1):
-        if n > 0:
-            psi = run_circuit(psi, step_circ)
-        proj, weight = project(psi, mask)
-        out["weight"].append(weight)
-        out["site_z"].append(per_site_z(psi))
-        out["zpi"].append(staggered_magnetization(psi))
-        out["echo0"].append(loschmidt_echo_state(psi, ref))
-        out["echo1"].append(loschmidt_echo(psi, ref, 1))
-        if proj is None:
-            out["site_z_proj"].append(np.full(L, np.nan))
-            out["zpi_proj"].append(np.nan)
-            out["echo0_proj"].append(np.nan)
-            out["echo1_proj"].append(np.nan)
-        else:
-            out["site_z_proj"].append(per_site_z(proj))
-            out["zpi_proj"].append(staggered_magnetization(proj))
-            out["echo0_proj"].append(loschmidt_echo_state(proj, ref))
-            out["echo1_proj"].append(loschmidt_echo(proj, ref, 1))
-    for k in out:
-        out[k] = np.asarray(out[k])
-    return out
+    start = run_circuit(Statevector.zero(params.L), neel_prep_circuit(params.L))
+    return state_series(itertools.accumulate(
+        range(steps), lambda psi, _: run_circuit(psi, step_circ), initial=start))
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +639,10 @@ def run_loschmidt(config: ExperimentConfig, result: ExperimentResult | None = No
 def run_cy(config: ExperimentConfig, regime: str | None = None) -> dict:
     """Correlator pipeline: 4 branches x 2 parities x floor(L/2) sources
     per step, twirl x scale variants each, readout mitigation and ZNE per
-    local term (no postselection: the measurement is not in the Z basis)."""
+    local term (no postselection: the measurement is not in the Z basis).
+    It runs one trial without DD; a config asking for either is refused."""
+    if config.dd or config.trials != 1:
+        raise ValueError("cy runs one trial without DD: needs dd=False and trials=1")
     if regime is not None:
         config = replace(config, regime=regime)
     params = config.model_params()

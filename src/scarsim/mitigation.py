@@ -298,7 +298,6 @@ def calibrate_confusion(
     from .qsim import x as xgate
 
     if method == "tensor":
-        factors = []
         zeros = run_noisy_counts(
             Circuit(L), spec, shots, [seed, 0], infinite=infinite
         )
@@ -309,11 +308,9 @@ def calibrate_confusion(
         p0 = zeros.vector / zeros.total_shots
         p1 = ones.vector / ones.total_shots
         bits = bit_table(L)
-        for q in range(L):
-            eps_q = float(p0[bits[:, q] == 1].sum())
-            eta_q = float(p1[bits[:, q] == 0].sum())
-            factors.append(np.array([[1 - eps_q, eta_q], [eps_q, 1 - eta_q]]))
-        return ConfusionMatrix("tensor", L, factors=factors)
+        eps = [float(p0[bits[:, q] == 1].sum()) for q in range(L)]
+        eta = [float(p1[bits[:, q] == 0].sum()) for q in range(L)]
+        return ConfusionMatrix.from_rates(L, eps, eta)
     if method == "full":
         if L > 12:
             raise ValueError("full calibration limited to L <= 12")

@@ -565,18 +565,17 @@ class _NoisePlan:
     Windows close (and the pending matrix of the qubit is placed first)
     only at a DELAY under quasi-static idle dephasing, emitted as a
     ``dephase`` op that turns each row's qubit by its own rate.  A DELAY
-    without idle noise is the identity and is skipped.  An optional
-    measurement ``basis`` rotation is planned after the circuit, from
-    ``ops[split]`` on; no window or pending matrix crosses that boundary.
+    without idle noise is the identity and is skipped.
 
     A trajectory draws one uniform per draw index, ``n_draws`` in all,
     in circuit order.
 
-    ``join`` runs plans of consecutive circuit blocks as one plan; no
-    window or pending matrix crosses a block boundary there either.
+    ``join`` runs plans of consecutive circuit blocks as one plan, then
+    an optional measurement basis rotation planned from ``ops[split]``
+    on; no window or pending matrix crosses a block or basis boundary.
     """
 
-    def __init__(self, circuit: Circuit, spec: NoiseSpec, basis: Circuit | None = None):
+    def __init__(self, circuit: Circuit, spec: NoiseSpec):
         self.width = circuit.width
         self.ops: list[tuple] = []
         self.n_draws = 0
@@ -638,8 +637,6 @@ class _NoisePlan:
             flush(q)
         close()
         self.split = len(self.ops)
-        if basis is not None:
-            self._append(_NoisePlan(basis, spec))
 
     @classmethod
     def join(cls, parts: list[_NoisePlan], basis: _NoisePlan | None = None) -> _NoisePlan:
@@ -723,22 +720,17 @@ class TrajectoryBatch:
     blocks: int = 0
 
     @classmethod
-    def start(cls, spec: NoiseSpec, rngs: list[np.random.Generator],
-              initial: Statevector, quasi_static: bool) -> "TrajectoryBatch":
-        """Trajectories at ``initial``; they draw quasi-static idle rates
-        only if some circuit they will run has ``quasi_static`` idles."""
+    def seeded(cls, spec: NoiseSpec, n_traj: int, key: list[int],
+               initial: Statevector, quasi_static: bool) -> "TrajectoryBatch":
+        """``n_traj`` trajectories at ``initial``, trajectory t seeded
+        ``key + [2, t]``; they draw quasi-static idle rates only if some
+        circuit they will run has ``quasi_static`` idles."""
+        rngs = [np.random.default_rng(key + [2, t]) for t in range(n_traj)]
         omegas = None
         if quasi_static:
             sigma = spec.idle_dephasing_rad_per_ns
             omegas = np.stack([r.normal(0.0, sigma, size=initial.width) for r in rngs])
-        return cls(np.tile(initial.amplitudes, (len(rngs), 1)), rngs, omegas)
-
-    @classmethod
-    def seeded(cls, spec: NoiseSpec, n_traj: int, key: list[int],
-               initial: Statevector, quasi_static: bool) -> "TrajectoryBatch":
-        """``n_traj`` trajectories, trajectory t seeded ``key + [2, t]``."""
-        rngs = [np.random.default_rng(key + [2, t]) for t in range(n_traj)]
-        return cls.start(spec, rngs, initial, quasi_static)
+        return cls(np.tile(initial.amplitudes, (n_traj, 1)), rngs, omegas)
 
     def advance(self, plan: _NoisePlan) -> np.ndarray:
         """Evolve the batch through ``plan``; returns the trajectories
@@ -797,22 +789,22 @@ def run_noisy_counts(
     its exact distribution.  ``seed`` may be an int or a sequence of
     ints; the shots are drawn from ``seed + [4]``.
 
-    Without ``batch`` the circuit starts fresh trajectories from
-    |0...0>, seeded ``seed + [2, t]`` (see ``TrajectoryBatch.seeded``).
-    With ``batch`` it continues that batch's trajectories, which it
-    advances in place, so a circuit given block by block is evolved
-    once.  ``circuit`` is then the next block of a chain, and ``parts``
-    lists the chain's blocks planned so far: the block's plan is
-    appended to it, and the batch runs every part it has not run yet,
-    joined into one plan (``_NoisePlan.join``).  A fresh batch thus
-    re-runs the chain's planned prefix and a carried one the new block
-    alone, so each block is planned once; windows do not cross block
-    boundaries.
+    ``circuit`` is the next block of a chain of trajectories.  With
+    ``batch`` it continues that batch's trajectories, which it advances
+    in place, so a circuit given block by block is evolved once;
+    ``parts`` lists the chain's blocks planned so far.  Without
+    ``batch`` the circuit is a chain of one block: fresh trajectories
+    start from |0...0>, seeded ``seed + [2, t]`` (see
+    ``TrajectoryBatch.seeded``), with no parts.  Either way the block's
+    plan is appended to ``parts``, and the batch runs every part it has
+    not run yet, joined into one plan (``_NoisePlan.join``).  A fresh
+    batch thus re-runs the chain's planned prefix and a carried one the
+    new block alone, so each block is planned once; windows do not
+    cross block boundaries.
 
     ``basis`` is a measurement basis rotation applied, in the same
     batch evolution, to a copy of the trajectories before sampling; the
-    batch does not carry it forward.  With ``batch`` it is planned once
-    per spec.
+    batch does not carry it forward.  It is planned once per spec.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -821,20 +813,19 @@ def run_noisy_counts(
     width = circuit.width
     base = [int(v) for v in np.atleast_1d(seed)]
     if batch is None:
-        plan = _NoisePlan(circuit, spec, basis)
         stochastic, quasi_static = chain_noise([circuit, basis], spec)
         n_traj = trajectory_count(stochastic, shots, shots_per_trajectory)
         batch = TrajectoryBatch.seeded(spec, n_traj, base, Statevector.zero(width),
                                        quasi_static)
-    else:
-        parts.append(_NoisePlan(circuit, spec))
-        run, batch.blocks = parts[batch.blocks:], len(parts)
-        basis_plan = None
-        if basis is not None:
-            key = ("basis", basis.width,
-                   tuple((g.kind, g.qubits, g.angle, g.duration_ns) for g in basis.gates))
-            basis_plan = spec._memoized(key, lambda: _NoisePlan(basis, spec))
-        plan = _NoisePlan.join(run, basis_plan)
+        parts = []
+    parts.append(_NoisePlan(circuit, spec))
+    run, batch.blocks = parts[batch.blocks:], len(parts)
+    basis_plan = None
+    if basis is not None:
+        key = ("basis", basis.width,
+               tuple((g.kind, g.qubits, g.angle, g.duration_ns) for g in basis.gates))
+        basis_plan = spec._memoized(key, lambda: _NoisePlan(basis, spec))
+    plan = _NoisePlan.join(run, basis_plan)
     probs = np.abs(batch.advance(plan)) ** 2
     if spec.has_readout_error():
         m = spec._memoized(("readout", width), lambda: ConfusionMatrix.from_rates(

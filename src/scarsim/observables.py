@@ -173,11 +173,6 @@ def loschmidt_echo(obj, reference: str, flips_allowed: int = 0) -> float:
     return float(w[_echo_masks(reference)[flips_allowed][idx]].sum())
 
 
-def loschmidt_echo_state(state: Statevector, reference: str) -> float:
-    """|<ref|psi>|^2 (noiseless reference path)."""
-    return float(np.abs(state.amplitudes[int(reference, 2)]) ** 2)
-
-
 def accumulated_error(
     per_site_qpu: np.ndarray,
     per_site_ref: np.ndarray,

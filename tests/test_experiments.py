@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scarsim import experiments
+from scarsim import cli, experiments
 from scarsim.experiments import (
     ExperimentConfig,
     config_from_ini,
@@ -20,7 +20,7 @@ from scarsim.experiments import (
     run_rzz_bench,
     run_zpi,
 )
-from scarsim.model import qmbs_params
+from scarsim.model import exact_evolve, neel_bitstring, neel_state, qmbs_params, trotter_step_matrix
 from scarsim.observables import cy_oracle
 
 
@@ -385,6 +385,15 @@ class TestCY:
             got = complex(bundle["cy_mitigated"].values[step])
             assert got == pytest.approx(want, abs=1e-8)
 
+    @pytest.mark.parametrize("setting", [{"dd": True}, {"trials": 3}])
+    def test_cy_refuses_dd_and_trials(self, monkeypatch, setting):
+        # cy has no DD or trial loop: a config asking for one is refused
+        # before any calibration or sweep runs
+        monkeypatch.setattr(experiments, "_sweep", None)
+        monkeypatch.setattr(experiments, "_calibrated_confusion", None)
+        with pytest.raises(ValueError, match="dd=False and trials=1"):
+            run_cy(tiny_config(sites=4, steps=2, **setting))
+
     def test_cy_t0_analytic(self):
         cfg = tiny_config(sites=5, steps=0, twirls=1, zne_factors=(1.0,))
         bundle = run_cy(cfg)
@@ -592,3 +601,53 @@ class TestCLI:
         assert proc.returncode == 0, proc.stderr
         assert "average gate fidelity" in proc.stdout
         assert (out / "qpt_fit.csv").exists()
+
+
+def _oracle_values(amps: np.ndarray, L: int) -> dict:
+    """zpi density, return probabilities (0 and 1 flips) and
+    adjacent-1-free weight of one state, straight from its amplitudes."""
+    idx = np.arange(2**L)
+    bits = (idx[:, None] >> (L - 1 - np.arange(L))) & 1
+    probs = np.abs(amps) ** 2
+    signs = np.array([-1 if (i + 1) % 2 else 1 for i in range(L)])
+    dist = np.sum(bits != np.array([int(b) for b in neel_bitstring(L)]), axis=1)
+    return {
+        "zpi_density": float(probs @ ((1 - 2 * bits) @ signs)) / L,
+        "loschmidt_f0": float(probs[dist == 0].sum()),
+        "loschmidt_f1": float(probs[dist <= 1].sum()),
+        "fibonacci_weight": float(probs[(idx & (idx >> 1)) == 0].sum()),
+    }
+
+
+@pytest.mark.parametrize("which", ["exact", "trotter", "projected-trotter"])
+def test_oracle_cli_files_and_values(tmp_path, which):
+    L, steps = 5, 6
+    cli.main(["oracle", "--which", which, "--sites", str(L), "--steps", str(steps),
+              "--out", str(tmp_path)])
+    params = ExperimentConfig(sites=L).model_params()
+    if which == "exact":
+        states = [exact_evolve(params, n * params.dt).amplitudes for n in range(steps + 1)]
+    else:
+        step = trotter_step_matrix(params)
+        states = [neel_state(L).amplitudes]
+        for _ in range(steps):
+            states.append(step @ states[-1])
+    want = [_oracle_values(a, L) for a in states]
+    if which == "projected-trotter":
+        mask = (np.arange(2**L) & (np.arange(2**L) >> 1)) == 0
+        for row, a in zip(want, states):
+            kept = np.where(mask, a, 0.0)
+            proj = _oracle_values(kept / np.linalg.norm(kept), L)
+            row.update({k: proj[k] for k in ("zpi_density", "loschmidt_f0", "loschmidt_f1")})
+    names = ["zpi_density", "loschmidt_f0", "fibonacci_weight"]
+    if which != "exact":
+        names.append("loschmidt_f1")
+    tag = which.replace("-", "_")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"{n}_{tag}.csv" for n in names] + ["manifest.json"])
+    for name in names:
+        table = np.loadtxt(tmp_path / f"{name}_{tag}.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table[:, 0], np.arange(steps + 1))
+        np.testing.assert_allclose(table[:, 1], np.arange(steps + 1) * params.dt * params.V)
+        np.testing.assert_allclose(table[:, 2], [row[name] for row in want], rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(table[:, 3:], 0.0)

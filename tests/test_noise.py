@@ -370,13 +370,13 @@ class TestTrajectoryExecution:
         plan = noise._NoisePlan(circ, spec)
         init = Statevector.zero(4)
         assert noise.chain_noise([circ], spec) == (True, True)
-        batch = noise.TrajectoryBatch.start(
-            spec, [np.random.default_rng([3, t]) for t in range(6)], init, True
-        )
+        batch = noise.TrajectoryBatch.seeded(spec, 6, [3], init, True)
         batch.advance(plan)
         batch.advance(plan)  # a second block continues the same trajectories
         for t in range(6):
-            single = noise.TrajectoryBatch.start(spec, [np.random.default_rng([3, t])], init, True)
+            fresh = noise.TrajectoryBatch.seeded(spec, 6, [3], init, True)
+            single = noise.TrajectoryBatch(fresh.amps[t:t + 1], fresh.rngs[t:t + 1],
+                                           fresh.omegas[t:t + 1])
             single.advance(plan)
             single.advance(plan)
             np.testing.assert_allclose(batch.amps[t], single.amps[0], atol=1e-12)
@@ -422,6 +422,13 @@ class TestNoiseSpecValidation:
             preset("casablanca-like", idle_stochastic_rate_per_ns=-1.0)
 
 
+def _with_basis(circuit, spec, basis):
+    """The plan of ``circuit`` followed by its measurement ``basis``
+    (None: no basis), as the executor joins them."""
+    return noise._NoisePlan.join([noise._NoisePlan(circuit, spec)],
+                                 noise._NoisePlan(basis, spec) if basis else None)
+
+
 @st.composite
 def _plan_circuits(draw, width):
     """Up to 16 gates of every kind the plan fuses, DELAY included, with
@@ -464,7 +471,7 @@ def test_plan_windows_stay_within_four_qubits_and_the_basis_split(impl):
     step = build_trotter_step(qmbs_params(L), impl=impl, idle_ns=100.0)
     circ = twirl_circuit(Circuit(L, neel_prep_circuit(L).gates + step.gates), seed=1)
     basis = y_basis_rotation(L, "even")
-    plan = noise._NoisePlan(circ, noiseless(), basis=basis)
+    plan = _with_basis(circ, noiseless(), basis)
     assert 0 < plan.split < len(plan.ops)
     assert all(op[0] == "window" and len(op[1]) <= 4 for op in plan.ops)
     init = Statevector.zero(L)
@@ -583,7 +590,7 @@ def test_enumerated_branches_equal_the_density_oracle(case, at):
     rows = list(itertools.product(*draws))
     weights = np.array([math.prod(p for _, p in row) for row in rows])
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-    plan = noise._NoisePlan(circ, spec, basis=basis)
+    plan = _with_basis(circ, spec, basis)
     assert plan.n_draws == len(draws)
     rng = np.random.default_rng(len(case))
     psi = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
@@ -611,7 +618,7 @@ def test_window_corrections_equal_inserted_paulis():
         Circuit(L, neel_prep_circuit(L).gates + step.gates), 2.0, seed=5), seed=2)
     basis = y_basis_rotation(L, "odd")
     spec = NoiseSpec(two_qubit_depolarizing=0.32)  # 0.02 on each of the 15 Paulis
-    plan = noise._NoisePlan(circ, spec, basis=basis)
+    plan = _with_basis(circ, spec, basis)
     two_qubit = [i for i, g in enumerate(circ.gates) if g.is_two_qubit]
     n = len(two_qubit)
     assert plan.n_draws == n
@@ -670,8 +677,7 @@ def test_joined_block_plans_equal_one_plan_of_the_whole_circuit(
     basis = data.draw(_plan_circuits(width)) if with_basis else None
     spec = NoiseSpec(two_qubit_depolarizing=depolarizing, single_qubit_depolarizing=single,
                      idle_dephasing_rad_per_ns=dephasing, idle_stochastic_rate_per_ns=flips)
-    whole = noise._NoisePlan(Circuit(width, [g for b in blocks for g in b.gates]), spec,
-                             basis=basis)
+    whole = _with_basis(Circuit(width, [g for b in blocks for g in b.gates]), spec, basis)
     joined = noise._NoisePlan.join([noise._NoisePlan(b, spec) for b in blocks],
                                    noise._NoisePlan(basis, spec) if basis else None)
     assert joined.n_draws == whole.n_draws

@@ -11,7 +11,6 @@ from scarsim.observables import (
     cy_branch_prep,
     cy_oracle,
     loschmidt_echo,
-    loschmidt_echo_state,
     pyp_expectation,
     pyp_matrix,
     series_from_values,
@@ -63,7 +62,7 @@ class TestLoschmidt:
         assert loschmidt_echo(counts, "0101", 1) >= loschmidt_echo(counts, "0101", 0)
 
     def test_state_path(self):
-        assert loschmidt_echo_state(neel_state(5), neel_bitstring(5)) == pytest.approx(1.0)
+        assert loschmidt_echo(neel_state(5), neel_bitstring(5), 0) == pytest.approx(1.0)
 
     def test_consistency_with_magnetization_at_t0(self):
         counts = sample_counts(neel_state(6), 100, seed=0, infinite=True)

@@ -154,8 +154,8 @@ def record_plans(monkeypatch) -> list[tuple]:
     built = []
     init = noise._NoisePlan.__init__
 
-    def spy(plan, circuit, spec, basis=None):
-        init(plan, circuit, spec, basis)
+    def spy(plan, circuit, spec):
+        init(plan, circuit, spec)
         built.append((plan, circuit))
 
     monkeypatch.setattr(noise._NoisePlan, "__init__", spy)

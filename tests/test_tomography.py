@@ -1,10 +1,22 @@
 """Process tomography reconstruction and SPAM-free slope extraction."""
+import itertools
+
 import numpy as np
 import pytest
 
+from scarsim import model
 from scarsim.mitigation import effective_twirled_noise_ptm
-from scarsim.noise import NoiseSpec, noiseless
-from scarsim.qsim import KrausChannel, cnot, gate_matrix, is_pauli_stochastic, rzz
+from scarsim.noise import NoiseSpec, casablanca_like, noiseless, run_noisy_density
+from scarsim.qsim import (
+    Circuit,
+    KrausChannel,
+    Statevector,
+    cnot,
+    gate_matrix,
+    is_pauli_stochastic,
+    pauli_basis_matrices,
+    rzz,
+)
 from scarsim.tomography import (
     FidelitySlope,
     average_gate_fidelity,
@@ -14,6 +26,7 @@ from scarsim.tomography import (
     gate_ptm,
     noise_ptm,
     qpt_reconstruct,
+    realized_gate_ptms,
     spam_free_error,
 )
 
@@ -167,3 +180,34 @@ class TestSpamFreeError:
         text = fidelity_report(slope)
         assert "average gate fidelity" in text
         assert "lambda=1" in text
+
+
+_ONE_QUBIT_PREPS = [np.array(v, dtype=complex) / np.linalg.norm(v)
+                    for v in ([1, 0], [0, 1], [1, 1], [1, 1j])]
+
+
+def _density_oracle_ptm(circuit: Circuit, spec: NoiseSpec) -> np.ndarray:
+    """PTM of ``circuit`` under ``spec`` by linear inversion of the exact
+    density evolution of the 16 product preparations."""
+    paulis = pauli_basis_matrices(2)
+    coords_in, coords_out = [], []
+    for a, b in itertools.product(_ONE_QUBIT_PREPS, repeat=2):
+        vec = np.kron(a, b)
+        rho_out = run_noisy_density(circuit, spec, initial=Statevector(vec)).matrix
+        coords_in.append([np.trace(p @ np.outer(vec, vec.conj())).real for p in paulis])
+        coords_out.append([np.trace(p @ rho_out).real for p in paulis])
+    return np.array(coords_out).T @ np.linalg.inv(np.array(coords_in).T)
+
+
+@pytest.mark.parametrize("impl", ["two-cnot", "scaled-rzx"])
+@pytest.mark.parametrize("spec", [casablanca_like(), casablanca_like(coherent_overrotation=0.07),
+                                  NoiseSpec(two_qubit_depolarizing=0.05,
+                                            coherent_overrotation=-0.04)])
+@pytest.mark.parametrize("theta", [0.3, 1.2, 2.4, -0.8])
+def test_compiled_realizations_match_the_density_oracle(impl, spec, theta):
+    # the hand-built forward and inverse PTMs of each compilation equal
+    # the channel the executor's density oracle runs for the same gates
+    fwd, inv = realized_gate_ptms(rzz(0, 1, theta), spec, impl)
+    for sign, got in ((1.0, fwd), (-1.0, inv)):
+        circuit = Circuit(2, model._bond_gates(0, 1, sign * theta, impl))
+        np.testing.assert_allclose(got, _density_oracle_ptm(circuit, spec), rtol=0, atol=1e-12)
