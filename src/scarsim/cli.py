@@ -8,16 +8,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import experiments
-from .experiments import ExperimentConfig, Table, config_from_ini, emit
+from .experiments import _INI_FIELDS, ExperimentConfig, Table, config_from_ini, emit
 from .model import RZZ_IMPLS, exact_evolve
 from .observables import series_from_values
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of every subcommand: the config file, the chain model,
+    the bond-gate compilation and the output."""
     parser.add_argument("--config", type=str, help="INI config file mirroring the experiment settings")
     parser.add_argument("--sites", type=int)
     parser.add_argument("--steps", type=int)
@@ -25,45 +28,29 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--v", type=float)
     parser.add_argument("--omega", type=float)
     parser.add_argument("--impl", choices=RZZ_IMPLS)
-    parser.add_argument("--shots", type=int)
-    parser.add_argument("--infinite-shots", action="store_true", default=None)
-    parser.add_argument("--twirls", type=int)
-    parser.add_argument("--zne-factors", type=str, help="comma-separated scale factors, e.g. 1.0,1.5,2.0")
-    parser.add_argument("--noise-preset", type=str)
-    parser.add_argument("--no-postselect", action="store_true", default=None)
-    parser.add_argument("--readout-mode", choices=["off", "tensor", "full"])
-    parser.add_argument("--dd", action="store_true", default=None)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--trials", type=int)
     parser.add_argument("--out", type=str)
     parser.add_argument("--format", choices=["csv", "json"])
 
 
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    """Model flags plus the sampling, noise and mitigation flags."""
+    _add_model_flags(parser)
+    parser.add_argument("--shots", type=int)
+    parser.add_argument("--infinite-shots", action="store_true", default=None)
+    parser.add_argument("--twirls", type=int)
+    parser.add_argument("--zne-factors", type=_INI_FIELDS["mitigation"]["zne_factors"],
+                        help="comma-separated scale factors, e.g. 1.0,1.5,2.0")
+    parser.add_argument("--noise-preset", type=str)
+    parser.add_argument("--no-postselect", dest="postselect", action="store_false", default=None)
+    parser.add_argument("--readout-mode", choices=["off", "tensor", "full"])
+    parser.add_argument("--dd", action="store_true", default=None)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--trials", type=int)
+
+
 def _config_from_args(args) -> ExperimentConfig:
-    overrides = {
-        "sites": args.sites,
-        "steps": args.steps,
-        "dt": args.dt,
-        "v": args.v,
-        "omega": args.omega,
-        "impl": args.impl,
-        "shots": args.shots,
-        "infinite_shots": args.infinite_shots,
-        "twirls": args.twirls,
-        "noise_preset": args.noise_preset,
-        "readout_mode": args.readout_mode,
-        "dd": args.dd,
-        "seed": args.seed,
-        "trials": args.trials,
-        "out": args.out,
-        "format": args.format,
-    }
-    if args.zne_factors is not None:
-        overrides["zne_factors"] = tuple(float(x) for x in args.zne_factors.split(","))
-    if args.no_postselect:
-        overrides["postselect"] = False
-    if getattr(args, "regime", None) is not None:
-        overrides["regime"] = args.regime
+    # every flag's dest is the config field it sets; an absent flag is None
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
     if args.config:
         return config_from_ini(args.config, **overrides)
     return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
@@ -109,7 +96,7 @@ def main(argv=None) -> int:
                        default="atomic")
 
     p_or = sub.add_parser("oracle", help="dump noiseless reference series")
-    _add_common(p_or)
+    _add_model_flags(p_or)
     p_or.add_argument("--which", choices=["exact", "trotter", "projected-trotter"],
                       default="trotter")
 

@@ -44,6 +44,7 @@ from . import __version__, mitigation, noise, observables
 from .model import (
     RZZ_IMPLS,
     ModelParams,
+    bond_gates,
     fibonacci_projector,
     neel_bitstring,
     neel_prep_circuit,
@@ -136,6 +137,10 @@ class ExperimentConfig:
         unknown = set(self.noise_overrides) - noise.SCALAR_FIELDS
         if unknown:
             raise ValueError(f"noise_overrides: not scalar NoiseSpec fields: {sorted(unknown)}")
+        params = self.model_params()
+        if params.V * params.dt <= 0:
+            raise ValueError(f"v * dt must be positive (the Vt axis of every series must "
+                             f"increase), got v={params.V}, dt={params.dt}")
         self.noise_spec()  # an invalid preset or override fails here, not mid-run
 
     def model_params(self) -> ModelParams:
@@ -156,6 +161,10 @@ def _flag(text: str) -> bool:
     return text.lower() in ("1", "true", "yes")
 
 
+def _float_tuple(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
+
+
 # INI section -> {key: converter}; each key is the ExperimentConfig field.
 _INI_FIELDS = {
     "model": {"sites": int, "steps": int, "v": float, "omega": float, "dt": float},
@@ -163,7 +172,7 @@ _INI_FIELDS = {
                   "shots_per_trajectory": int, "seed": int, "trials": int,
                   "regime": str},
     "mitigation": {"twirls": int,
-                   "zne_factors": lambda s: tuple(float(x) for x in s.split(",")),
+                   "zne_factors": _float_tuple,
                    "readout_mode": str, "postselect": _flag, "dd": _flag},
     "output": {"out": str, "format": str},
 }
@@ -724,18 +733,14 @@ def run_cy(config: ExperimentConfig, regime: str | None = None) -> dict:
 # Interaction-gate benchmark
 # ---------------------------------------------------------------------------
 
-def run_rzz_bench(config: ExperimentConfig, thetas=None, repeats: int = 4) -> dict:
-    """Duration, modeled error rate, and SPAM-free slope per angle and
-    realization over the benchmark grid."""
+def run_rzz_bench(config: ExperimentConfig, thetas, repeats: int = 4) -> dict:
+    """Duration, modeled error rate, and SPAM-free slope per angle in
+    ``thetas`` and realization."""
     from .qsim import rzz as rzz_gate
     from .tomography import spam_free_error
 
     spec = config.noise_spec()
-    grid = (
-        np.asarray(thetas, dtype=float)
-        if thetas is not None
-        else np.linspace(0.2, 2.4, 12)
-    )
+    grid = np.asarray(thetas, dtype=float)
     rows = []
     for theta in grid:
         for impl in ("two-cnot", "scaled-rzx"):
@@ -768,13 +773,9 @@ def run_rzz_bench(config: ExperimentConfig, thetas=None, repeats: int = 4) -> di
 
 
 def _realized_error(theta: float, impl: str, spec: NoiseSpec) -> float:
-    from .qsim import cnot as cnot_gate
-    from .qsim import rzx as rzx_gate
-
-    if impl == "two-cnot":
-        p = spec.two_qubit_error_prob(cnot_gate(0, 1))
-        return 1.0 - (1.0 - p) ** 2
-    return spec.two_qubit_error_prob(rzx_gate(0, 1, theta))
+    """1 - prod(1 - p) over the two-qubit gates of ``bond_gates``."""
+    return 1.0 - math.prod(1.0 - spec.two_qubit_error_prob(g)
+                           for g in bond_gates(0, 1, theta, impl) if g.is_two_qubit)
 
 
 # ---------------------------------------------------------------------------

@@ -145,8 +145,6 @@ def build_trotter_step(
     sub-layer receive DELAY annotations of that duration, giving the
     dynamical-decoupling pass something to fill.
     """
-    if impl not in RZZ_IMPLS:
-        raise ValueError(f"impl must be one of {RZZ_IMPLS}")
     ang = trotter_angles(p)
     L = p.L
     gates: list[Gate] = [rx(q, ang.theta_x) for q in range(L)]
@@ -158,7 +156,7 @@ def build_trotter_step(
             continue
         busy: set[int] = set()
         for b in sub:
-            gates.extend(_bond_gates(b, b + 1, ang.theta_zz, impl))
+            gates.extend(bond_gates(b, b + 1, ang.theta_zz, impl))
             busy.update((b, b + 1))
         if idle_ns is not None:
             for q in range(L):
@@ -167,22 +165,22 @@ def build_trotter_step(
     return Circuit(L, gates)
 
 
-def _bond_gates(q0: int, q1: int, theta: float, impl: str) -> list[Gate]:
+def bond_gates(q0: int, q1: int, theta: float, impl: str) -> list[Gate]:
+    """exp(-i theta/2 Z_q0 Z_q1) compiled as ``impl``, the one statement
+    of each compilation: the circuits, the pulse durations and error
+    rates, process tomography and the interaction-gate benchmark all
+    read it."""
     if impl == "two-cnot":
         return [cnot(q0, q1), rz(q1, theta), cnot(q0, q1)]
     if impl == "scaled-rzx":
         return [ry(q1, np.pi / 2), rzx(q0, q1, theta), ry(q1, -np.pi / 2)]
-    return [rzz(q0, q1, theta)]
+    if impl == "rzz":
+        return [rzz(q0, q1, theta)]
+    raise ValueError(f"impl must be one of {RZZ_IMPLS}, got {impl!r}")
 
 
 def neel_prep_circuit(L: int, variant: str = "Z2") -> Circuit:
-    if variant == "Z2":
-        flips = [q for q in range(L) if (q + 1) % 2 == 0]
-    elif variant == "Z2'":
-        flips = [q for q in range(L) if (q + 1) % 2 == 1]
-    else:
-        raise ValueError("variant must be 'Z2' or 'Z2''")
-    return Circuit(L, [x(q) for q in flips])
+    return Circuit(L, [x(q) for q, bit in enumerate(neel_bitstring(L, variant)) if bit == "1"])
 
 
 def neel_bitstring(L: int, variant: str = "Z2") -> str:

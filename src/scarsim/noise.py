@@ -24,6 +24,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
+from .model import bond_gates
 from .qsim import (
     PAULI_1Q,
     Circuit,
@@ -109,18 +110,25 @@ def cnot_duration_ns(pp: PulseParams) -> float:
     return 2.0 * cr_pulse_ns(math.pi / 2.0, pp) + 2.0 * pp.single_pulse_ns
 
 
-def rzz_duration(theta: float, impl: str, pp: PulseParams) -> float:
-    """Pulse-schedule duration in ns of the interaction gate at ``theta``.
+def gate_duration_ns(gate: Gate, pp: PulseParams) -> float:
+    """Pulse-schedule duration in ns of one physical two-qubit gate.
 
-    two-cnot: two CNOT schedules; the inner Z rotation is a virtual
-    phase shift, so the total does not depend on theta.  scaled-rzx:
-    one echoed pair of angle-scaled CR pulses plus dressing overhead.
+    CNOT: the echoed CR pair at the reference angle.  RZX and RZZ: one
+    echoed pair of CR pulses scaled to |angle| plus dressing overhead.
     """
-    if impl == "two-cnot":
-        return 2.0 * cnot_duration_ns(pp)
-    if impl in ("scaled-rzx", "rzz"):
-        return 2.0 * cr_pulse_ns(theta, pp) + 2.0 * pp.single_pulse_ns
-    raise ValueError(f"unknown impl {impl!r}")
+    if gate.kind == "CNOT":
+        return cnot_duration_ns(pp)
+    if gate.kind in ("RZX", "RZZ"):
+        return 2.0 * cr_pulse_ns(abs(gate.angle), pp) + 2.0 * pp.single_pulse_ns
+    raise ValueError(f"no duration model for two-qubit kind {gate.kind!r}")
+
+
+def rzz_duration(theta: float, impl: str, pp: PulseParams) -> float:
+    """Pulse-schedule duration in ns of the interaction gate at ``theta``
+    compiled as ``impl``: the two-qubit gates of ``bond_gates`` in turn
+    (single-qubit rotations of the two-CNOT form are virtual phase
+    shifts; the RZX dressing is inside its gate duration)."""
+    return sum(gate_duration_ns(g, pp) for g in bond_gates(0, 1, theta, impl) if g.is_two_qubit)
 
 
 def gate_error_rate(duration_ns: float, tau_err_ns: float) -> float:
@@ -177,12 +185,7 @@ class NoiseSpec:
             return self.two_qubit_depolarizing
         if self.two_qubit_target_error == 0.0:
             return 0.0
-        tau = self.tau_err_ns()
-        if gate.kind == "CNOT":
-            return gate_error_rate(cnot_duration_ns(self.pulse), tau)
-        if gate.kind in ("RZX", "RZZ"):
-            return gate_error_rate(rzz_duration(abs(gate.angle), "scaled-rzx", self.pulse), tau)
-        raise ValueError(f"no duration model for two-qubit kind {gate.kind!r}")
+        return gate_error_rate(gate_duration_ns(gate, self.pulse), self.tau_err_ns())
 
     def pauli_distribution(self, gate: Gate) -> tuple[list[str], np.ndarray]:
         """(labels, probabilities) of the stochastic Pauli error after

@@ -21,10 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mitigation import zne_extrapolate
+from .model import bond_gates
 from .noise import ConfusionMatrix, NoiseSpec, noisy_gate_channel
 from .qsim import (
+    Circuit,
     Gate,
     KrausChannel,
+    circuit_unitary,
     gate_matrix,
     pauli_basis_matrices,
     pauli_transfer_matrix,
@@ -73,54 +76,35 @@ def gate_ptm(gate: Gate | np.ndarray) -> np.ndarray:
     return pauli_transfer_matrix(KrausChannel.unitary(u))
 
 
-def noise_ptm(spec: NoiseSpec, gate: Gate) -> np.ndarray:
-    """PTM of the gate's error channel alone (``noisy_gate_channel`` with
-    the ideal unitary factored out; a unitary's PTM is orthogonal)."""
-    return pauli_transfer_matrix(noisy_gate_channel(gate, spec)) @ gate_ptm(gate).T
-
-
 def realized_gate_ptms(gate: Gate, spec: NoiseSpec, realization: str = "atomic"
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(forward, inverse) noisy-channel PTMs of one realized gate.
 
-    atomic: the gate is a single noisy two-qubit unit.  For interaction
-    rotations the hardware compilations are also available: "two-cnot"
-    (noise on each CNOT, virtual inner Z rotation) and "scaled-rzx"
-    (noise on the angle-scaled cross-resonance gate, ideal dressing).
-    Forward and inverse share the same error channel.
+    atomic: the gate (or its inverse) is a single noisy two-qubit unit.
+    An RZZ gate may instead be compiled as any ``bond_gates``
+    realization at +-angle: each of its two-qubit gates runs as
+    ``noisy_gate_channel``, its single-qubit gates are ideal.
     """
-    if realization in ("atomic", "rzz"):
-        fwd = noise_ptm(spec, gate) @ gate_ptm(gate)
-        inv = noise_ptm(spec, gate) @ gate_ptm(gate.inverse())
-        return fwd, inv
-    if gate.kind != "RZZ":
+    if realization == "atomic":
+        sequences = [[gate], [gate.inverse()]]
+    elif gate.kind != "RZZ":
         raise ValueError("compiled realizations exist only for RZZ gates")
-    theta = gate.angle
-    if realization == "two-cnot":
-        from .qsim import cnot as cnot_gate
+    else:
+        sequences = [bond_gates(0, 1, sign * gate.angle, realization) for sign in (1.0, -1.0)]
+    fwd, inv = (_sequence_ptm(gates, spec) for gates in sequences)
+    return fwd, inv
 
-        noisy_cnot = noise_ptm(spec, cnot_gate(0, 1)) @ gate_ptm(cnot_gate(0, 1))
 
-        def build(sign):
-            rz_t = np.kron(np.eye(2), np.diag([np.exp(-0.5j * sign * theta),
-                                               np.exp(0.5j * sign * theta)]))
-            return noisy_cnot @ gate_ptm(rz_t) @ noisy_cnot
-
-        return build(1.0), build(-1.0)
-    if realization == "scaled-rzx":
-        from .qsim import rzx as rzx_gate
-        from .qsim import ry as ry_gate
-
-        ry_mat = gate_matrix(ry_gate(0, np.pi / 2))
-        dress_pre = gate_ptm(np.kron(np.eye(2), ry_mat))
-        dress_post = gate_ptm(np.kron(np.eye(2), ry_mat.conj().T))
-
-        def build(sign):
-            g = rzx_gate(0, 1, sign * theta)
-            return dress_post @ noise_ptm(spec, g) @ gate_ptm(g) @ dress_pre
-
-        return build(1.0), build(-1.0)
-    raise ValueError(f"unknown realization {realization!r}")
+def _sequence_ptm(gates: list[Gate], spec: NoiseSpec) -> np.ndarray:
+    """PTM of ``gates`` in order on two qubits: each two-qubit gate as
+    ``noisy_gate_channel``, each single-qubit gate ideal."""
+    out = np.eye(16)
+    for g in gates:
+        if g.is_two_qubit:
+            out = pauli_transfer_matrix(noisy_gate_channel(g, spec)) @ out
+        else:
+            out = gate_ptm(circuit_unitary(Circuit(2, [g]))) @ out
+    return out
 
 
 def composed_noisy_ptm(gate: Gate, spec: NoiseSpec, scale: int,
@@ -187,11 +171,7 @@ def qpt_reconstruct(
         raise ValueError("tomography targets two-qubit gates")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    r_true = (
-        true_ptm
-        if true_ptm is not None
-        else noise_ptm(spec, gate) @ gate_ptm(gate)
-    )
+    r_true = true_ptm if true_ptm is not None else realized_gate_ptms(gate, spec)[0]
     confusion = None
     if spec.has_readout_error():
         confusion = ConfusionMatrix.from_rates(2, spec.readout_eps, spec.readout_eta)

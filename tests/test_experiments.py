@@ -51,6 +51,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(steps=-1)
 
+    @pytest.mark.parametrize("kw", [{"v": -1.0}, {"dt": 0.0}])
+    def test_time_axis_that_does_not_increase_fails_at_construction(self, kw):
+        # before, the whole run went through and emission then failed
+        with pytest.raises(ValueError, match=r"v \* dt must be positive"):
+            ExperimentConfig(**kw)
+
+    def test_zero_v_in_ini_fails_at_load(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\nv = 0\n")
+        with pytest.raises(ValueError, match=r"v \* dt must be positive"):
+            config_from_ini(ini)
+
+    def test_chaotic_regime_ignores_dt(self):
+        # the chaotic regime fixes dt at 0.16, so dt = 0 is never read
+        assert ExperimentConfig(regime="chaotic", dt=0.0).model_params().dt == 0.16
+
     def test_chaotic_regime_parameters(self):
         cfg = tiny_config(regime="chaotic")
         p = cfg.model_params()
@@ -588,6 +604,14 @@ class TestCLI:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (out / "zpi_density_projected_trotter.csv").exists()
+
+    @pytest.mark.parametrize("flag", [["--dd"], ["--trials", "3"], ["--twirls", "7"]])
+    def test_oracle_rejects_flags_it_does_not_read(self, tmp_path, flag):
+        # a noiseless reference dump has no DD, trials or twirls to record
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--sites", "4", "--steps", "2", "--out", str(tmp_path), *flag])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_qpt_smoke(self, tmp_path):
         out = tmp_path / "cli_qpt"

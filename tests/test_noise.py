@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scarsim import noise
+from scarsim import model, noise
 from scarsim.mitigation import fold_gates_random, twirl_circuit
 from scarsim.model import build_trotter_step, neel_prep_circuit, qmbs_params
 from scarsim.noise import (
@@ -145,6 +145,51 @@ class TestErrorRate:
         p1 = gate_error_rate(800.0, tau)
         p2 = gate_error_rate(400.0, tau)
         assert p2 == pytest.approx(p1 / 2, rel=0.05)
+
+
+# angles on both sides of the amplitude threshold (about 0.174 rad), ends included
+_LAW_THETAS = sorted({*np.linspace(0.0, 2.5, 11).tolist(), 0.1742, 0.1743})
+_LAW_SPECS = [casablanca_like(),
+              NoiseSpec(pulse=PulseParams(width_ref=400.0), two_qubit_target_error=0.03)]
+
+
+class TestCompiledGateLaws:
+    """The pulse and error laws of each interaction-gate compilation in
+    closed form: every duration and rate is exact, not approximate."""
+
+    @pytest.mark.parametrize("impl", model.RZZ_IMPLS)
+    def test_rzz_duration_closed_form(self, impl):
+        for pp in (PulseParams(), PulseParams(width_ref=400.0, single_pulse_ns=20.0)):
+            for theta in _LAW_THETAS:
+                want = (2.0 * noise.cnot_duration_ns(pp) if impl == "two-cnot"
+                        else 2.0 * noise.cr_pulse_ns(theta, pp) + 2.0 * pp.single_pulse_ns)
+                assert rzz_duration(theta, impl, pp) == want
+
+    @pytest.mark.parametrize("spec", _LAW_SPECS)
+    def test_two_qubit_error_prob_is_the_rate_of_the_gate_duration(self, spec):
+        pp, tau = spec.pulse, spec.tau_err_ns()
+        assert spec.two_qubit_error_prob(cnot(0, 1)) == gate_error_rate(
+            noise.cnot_duration_ns(pp), tau)
+        for theta in _LAW_THETAS:
+            want = gate_error_rate(
+                2.0 * noise.cr_pulse_ns(theta, pp) + 2.0 * pp.single_pulse_ns, tau)
+            for g in (rzx(0, 1, theta), rzx(0, 1, -theta), rzz(0, 1, theta), rzz(1, 0, -theta)):
+                assert spec.two_qubit_error_prob(g) == want
+
+    @pytest.mark.parametrize("spec", _LAW_SPECS)
+    def test_realized_error_compounds_the_compiled_gates(self, spec):
+        from scarsim.experiments import _realized_error
+
+        p_cnot = spec.two_qubit_error_prob(cnot(0, 1))
+        for theta in _LAW_THETAS:
+            assert _realized_error(theta, "two-cnot", spec) == pytest.approx(
+                1.0 - (1.0 - p_cnot) ** 2, rel=0, abs=1e-15)
+            assert _realized_error(theta, "scaled-rzx", spec) == pytest.approx(
+                spec.two_qubit_error_prob(rzx(0, 1, theta)), rel=0, abs=1e-15)
+
+    def test_unknown_compilation_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            model.bond_gates(0, 1, 1.0, "bogus")
 
 
 class TestNoisyGateChannel:

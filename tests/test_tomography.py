@@ -6,7 +6,13 @@ import pytest
 
 from scarsim import model
 from scarsim.mitigation import effective_twirled_noise_ptm
-from scarsim.noise import NoiseSpec, casablanca_like, noiseless, run_noisy_density
+from scarsim.noise import (
+    NoiseSpec,
+    casablanca_like,
+    noiseless,
+    noisy_gate_channel,
+    run_noisy_density,
+)
 from scarsim.qsim import (
     Circuit,
     KrausChannel,
@@ -15,6 +21,7 @@ from scarsim.qsim import (
     gate_matrix,
     is_pauli_stochastic,
     pauli_basis_matrices,
+    pauli_transfer_matrix,
     rzz,
 )
 from scarsim.tomography import (
@@ -24,7 +31,6 @@ from scarsim.tomography import (
     composed_noisy_ptm,
     fidelity_report,
     gate_ptm,
-    noise_ptm,
     qpt_reconstruct,
     realized_gate_ptms,
     spam_free_error,
@@ -104,7 +110,8 @@ class TestComposedPTM:
         spec = NoiseSpec(two_qubit_depolarizing=0.03)
         g = rzz(0, 1, 1.1)
         np.testing.assert_allclose(
-            composed_noisy_ptm(g, spec, 1), noise_ptm(spec, g) @ gate_ptm(g), atol=1e-12
+            composed_noisy_ptm(g, spec, 1), pauli_transfer_matrix(noisy_gate_channel(g, spec)),
+            atol=1e-12
         )
 
     def test_even_scale_rejected(self):
@@ -199,15 +206,16 @@ def _density_oracle_ptm(circuit: Circuit, spec: NoiseSpec) -> np.ndarray:
     return np.array(coords_out).T @ np.linalg.inv(np.array(coords_in).T)
 
 
-@pytest.mark.parametrize("impl", ["two-cnot", "scaled-rzx"])
+@pytest.mark.parametrize("impl", ["two-cnot", "scaled-rzx", "rzz"])
 @pytest.mark.parametrize("spec", [casablanca_like(), casablanca_like(coherent_overrotation=0.07),
                                   NoiseSpec(two_qubit_depolarizing=0.05,
                                             coherent_overrotation=-0.04)])
 @pytest.mark.parametrize("theta", [0.3, 1.2, 2.4, -0.8])
 def test_compiled_realizations_match_the_density_oracle(impl, spec, theta):
-    # the hand-built forward and inverse PTMs of each compilation equal
-    # the channel the executor's density oracle runs for the same gates
+    # the forward and inverse PTMs of each compilation ("rzz" is the
+    # atomic gate) equal the channel the executor's density oracle runs
+    # for the same gates
     fwd, inv = realized_gate_ptms(rzz(0, 1, theta), spec, impl)
     for sign, got in ((1.0, fwd), (-1.0, inv)):
-        circuit = Circuit(2, model._bond_gates(0, 1, sign * theta, impl))
+        circuit = Circuit(2, model.bond_gates(0, 1, sign * theta, impl))
         np.testing.assert_allclose(got, _density_oracle_ptm(circuit, spec), rtol=0, atol=1e-12)
