@@ -2,7 +2,11 @@
 
 Subcommands: zpi, loschmidt, cy, rzz-bench, qpt, oracle.  Flags override
 values from an optional --config INI file; omitted settings fall back to
-the dataclass defaults.
+the dataclass defaults.  Each subcommand takes only the command-line
+flags it reads.  A --config file is still loaded into the whole
+ExperimentConfig, which the manifest records, so an INI field a
+subcommand does not read (``twirls`` for ``qpt``, say) is recorded
+without effect.
 """
 from __future__ import annotations
 
@@ -18,33 +22,43 @@ from .model import RZZ_IMPLS, exact_evolve
 from .observables import series_from_values
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags of every subcommand: the config file, the chain model,
-    the bond-gate compilation and the output."""
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of every subcommand: the config file and the output."""
     parser.add_argument("--config", type=str, help="INI config file mirroring the experiment settings")
+    parser.add_argument("--out", type=str)
+    parser.add_argument("--format", choices=["csv", "json"])
+
+
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    """The chain model and the bond-gate compilation."""
     parser.add_argument("--sites", type=int)
     parser.add_argument("--steps", type=int)
     parser.add_argument("--dt", type=float)
     parser.add_argument("--v", type=float)
     parser.add_argument("--omega", type=float)
     parser.add_argument("--impl", choices=RZZ_IMPLS)
-    parser.add_argument("--out", type=str)
-    parser.add_argument("--format", choices=["csv", "json"])
+
+
+def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
+    """The shots, the noise preset and the seed."""
+    parser.add_argument("--shots", type=int)
+    parser.add_argument("--infinite-shots", action="store_true", default=None)
+    parser.add_argument("--noise-preset", type=str)
+    parser.add_argument("--seed", type=int)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    """Model flags plus the sampling, noise and mitigation flags."""
+    """Every flag of the variant-sweep pipelines: output, model and
+    sampling flags plus the mitigation and trial flags."""
+    _add_output_flags(parser)
     _add_model_flags(parser)
-    parser.add_argument("--shots", type=int)
-    parser.add_argument("--infinite-shots", action="store_true", default=None)
+    _add_sampling_flags(parser)
     parser.add_argument("--twirls", type=int)
     parser.add_argument("--zne-factors", type=_INI_FIELDS["mitigation"]["zne_factors"],
                         help="comma-separated scale factors, e.g. 1.0,1.5,2.0")
-    parser.add_argument("--noise-preset", type=str)
     parser.add_argument("--no-postselect", dest="postselect", action="store_false", default=None)
     parser.add_argument("--readout-mode", choices=["off", "tensor", "full"])
     parser.add_argument("--dd", action="store_true", default=None)
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--trials", type=int)
 
 
@@ -81,14 +95,16 @@ def main(argv=None) -> int:
     p_cy.add_argument("--regime", choices=["scar", "chaotic"])
 
     p_bench = sub.add_parser("rzz-bench", help="interaction-gate benchmark table")
-    _add_common(p_bench)
+    _add_output_flags(p_bench)
+    _add_sampling_flags(p_bench)
     p_bench.add_argument("--points", type=int, default=12)
     p_bench.add_argument("--theta-min", type=float, default=0.2)
     p_bench.add_argument("--theta-max", type=float, default=2.4)
     p_bench.add_argument("--repeats", type=int, default=4)
 
     p_qpt = sub.add_parser("qpt", help="process tomography of one interaction gate")
-    _add_common(p_qpt)
+    _add_output_flags(p_qpt)
+    _add_sampling_flags(p_qpt)
     p_qpt.add_argument("--theta", type=float, default=2.0)
     p_qpt.add_argument("--scale-factors", type=str, default="1,3,5")
     p_qpt.add_argument("--repeats", type=int, default=4)
@@ -96,6 +112,7 @@ def main(argv=None) -> int:
                        default="atomic")
 
     p_or = sub.add_parser("oracle", help="dump noiseless reference series")
+    _add_output_flags(p_or)
     _add_model_flags(p_or)
     p_or.add_argument("--which", choices=["exact", "trotter", "projected-trotter"],
                       default="trotter")

@@ -8,14 +8,17 @@ the noise scale factors.  Variants come from a prefix-sharing sweep
 trajectories through the preparation block and then one Trotter step
 per block, measuring a snapshot after every block; under stochastic
 noise a fresh batch re-runs the chain's whole prefix every
-ceil(sqrt(steps + 1)) steps.  Each block is planned once per chain, and
-a restart runs the planned blocks (executor windows do not cross block
-boundaries).  Readout error is a channel on each
-trajectory's outcome probabilities before the shots are drawn.  The
-variant key (config seed, trial, step, twirl, scale) seeds that step's
-folds, twirl and shots; the chain key, the variant key of the first
-step of the step's segment, seeds the trajectories.  A rerun with the
-same config therefore emits byte-identical files.  Estimates at different steps of
+ceil(sqrt(steps + 1)) steps.  Each folded block is twirled only where
+a twirl can change a trajectory (``mitigation.twirl_is_visible``: the
+noise has a coherent overrotation or single-qubit error).  The executor
+plans each distinct block once per run and shares the plan between
+every chain, twirl and family that runs it; a restart runs the chain's
+planned blocks (executor windows do not cross block boundaries).
+Readout error is a channel on each trajectory's outcome probabilities
+before the shots are drawn.  The variant key (config seed, trial, step,
+twirl, scale) seeds that step's folds, twirl and shots; the chain key,
+the variant key of the first step of the step's segment, seeds the
+trajectories.  A rerun with the same config therefore emits byte-identical files.  Estimates at different steps of
 one segment share its noise draws, and all steps of a chain share twirl
 draws, so they are correlated across steps, but each is still unbiased.
 
@@ -406,18 +409,22 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
     Trotter step, so the circuit of step n is blocks[0..n].  A chain, one
     twirl and one scale, evolves its blocks block by block: block n gets
     its share of the prefix's folds (``mitigation.block_fold_counts``)
-    and its own twirl, runs on the chain's trajectory batch, and the
-    snapshot after it is measured (in ``basis``, if given) and passed to
-    ``estimate(counts, lam)``, which returns the variant's estimates as
-    one 1-D float row of a fixed length; NaN marks a missing estimate.
-    The chain is cut into segments of
-    ``_segment_steps`` steps: at the first step of each segment a fresh
-    batch runs the chain's whole folded, twirled prefix, and the
-    segment's later steps carry that batch one block at a time.  Each
-    block is planned once, when its step runs, into the chain's
-    ``parts`` (see ``noise.run_noisy_counts``); a restart runs those
-    planned blocks joined into one plan, so no gate window crosses a
-    block boundary.  Steps
+    and its own twirl, if ``spec`` makes twirls visible
+    (``mitigation.twirl_is_visible``; otherwise every trajectory of the
+    twirled block would end in the folded block's state up to a global
+    phase, so the folded block runs as it is).  The block runs on the
+    chain's trajectory batch, and the snapshot after it is measured (in
+    ``basis``, if given) and passed to ``estimate(counts, lam)``, which
+    returns the variant's estimates as one 1-D float row of a fixed
+    length; NaN marks a missing estimate.  The chain is cut into
+    segments of ``_segment_steps`` steps: at the first step of each
+    segment a fresh batch runs the chain's whole folded, twirled prefix,
+    and the segment's later steps carry that batch one block at a time.
+    Each step appends the plan of its block to the chain's ``parts``
+    (see ``noise.run_noisy_counts``); that plan is built once per run
+    and shared by every chain that runs the same block.  A restart runs
+    the chain's planned blocks joined into one plan, so no gate window
+    crosses a block boundary.  Steps
     of one segment share their noise draws; steps of different segments
     do not, which bounds how far the sharing correlates the series.
     Whether the chain's noise is stochastic, which sets its trajectory
@@ -442,22 +449,24 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
     n_traj = noise.trajectory_count(stochastic, config.shots, config.shots_per_trajectory)
     seg = _segment_steps(len(blocks) - 1, stochastic)
     initial = Statevector.zero(blocks[0].width)
+    twirl = mitigation.twirl_is_visible(spec)
     estimates = [[[None] * config.twirls for _ in factors] for _ in blocks]
     for w in range(config.twirls):
         for li, lam in enumerate(factors):
             folds = mitigation.block_fold_counts(n2_blocks, lam)
-            parts: list = []  # the chain's twirled blocks, each planned once
+            parts: list = []  # the plans of the chain's blocks so far
             for step, block in enumerate(blocks):
                 key = key_head + [step, w, li]
-                folded = mitigation.fold_gates_random(
+                circuit = mitigation.fold_gates_random(
                     block, lam, seed=key + [_ROLE_FOLD], folds=folds[step]
                 )
-                twirled = mitigation.twirl_circuit(folded, seed=key + [_ROLE_TWIRL])
+                if twirl:
+                    circuit = mitigation.twirl_circuit(circuit, seed=key + [_ROLE_TWIRL])
                 if step % seg == 0:
                     batch = noise.TrajectoryBatch.seeded(spec, n_traj, key, initial,
                                                          quasi_static)
                 counts = noise.run_noisy_counts(
-                    twirled,
+                    circuit,
                     spec,
                     config.shots,
                     key,

@@ -79,14 +79,31 @@ def _twirl_rotation(alpha: int, beta: int, generator: str) -> TwirlAssignment:
 _GENERATORS = {"RZZ": "ZZ", "RZX": "ZX"}
 
 
+def twirl_is_visible(spec: NoiseSpec) -> bool:
+    """Whether a twirl can change a trajectory's state under ``spec``
+    beyond a global phase.
+
+    A dressing pair P and its closing pair P' give P' G(s theta) P =
+    G(theta) up to phase, and the stochastic Pauli error Q the executor
+    draws after the gate passes P' as +-Q.  So a twirled gate runs as
+    the bare gate, with the same error drawn from the same uniform,
+    unless the spec gives the rotation a coherent overrotation (P turns
+    O(over) into O(s over)) or gives the dressing Paulis a single-qubit
+    error of their own.  Where it is not visible the sweep runs the
+    folded circuit and draws no twirl.
+    """
+    return spec.coherent_overrotation != 0 or spec.single_qubit_depolarizing > 0
+
+
 def twirl_circuit(circuit: Circuit, seed) -> Circuit:
     """Dress every two-qubit gate with independent uniform Pauli pairs.
 
-    The noiseless unitary is unchanged up to a global phase; the added
-    Paulis are ideal single-qubit gates (their own error is negligible
-    next to the two-qubit error they tailor).  The Pauli indices alpha,
-    beta of each two-qubit gate, in circuit order, come from one draw of
-    2 N2 integers (the same numbers as two scalar draws per gate).
+    The noiseless unitary is unchanged up to a global phase.  The added
+    Paulis are single-qubit gates, so the executor runs each under
+    ``single_qubit_depolarizing`` like any other (see
+    ``twirl_is_visible``).  The Pauli indices alpha, beta of each
+    two-qubit gate, in circuit order, come from one draw of 2 N2
+    integers (the same numbers as two scalar draws per gate).
     """
     draws = iter(np.random.default_rng(seed).integers(4, size=2 * circuit.n_two_qubit).tolist())
     gates: list[Gate] = []

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache, reduce
 
@@ -214,8 +215,8 @@ class NoiseSpec:
         """Values the executor derives from this spec, computed once each
         (the spec is frozen, so none goes stale; ``replace`` starts a new
         memo): plan entries keyed (kind, angle, duration), forward
-        readout matrices keyed ("readout", width) and measurement basis
-        plans keyed ("basis", width, gates)."""
+        readout matrices keyed ("readout", width) and the circuit plans
+        of ``_NoisePlan.of`` under "plans"."""
         return {}
 
     def _memoized(self, key, build):
@@ -427,6 +428,11 @@ _EYE2 = np.eye(2, dtype=complex)
 # pass costs about as much as a 2-qubit one (1.1-1.4 times, at 4 qubits);
 # the matrix work per amplitude doubles with each further qubit.
 WINDOW_QUBITS = 4
+
+# Plans a spec keeps for reuse (``_NoisePlan.of``), least recently used
+# dropped first.  A plan of one folded L=12 Trotter step takes about
+# 30 KiB (measured with tracemalloc), so a full memo holds about 2 MiB.
+PLAN_MEMO = 64
 
 _EYES = [np.eye(1 << k, dtype=complex) for k in range(WINDOW_QUBITS + 1)]
 for _eye in _EYES:
@@ -642,6 +648,26 @@ class _NoisePlan:
         self.split = len(self.ops)
 
     @classmethod
+    def of(cls, circuit: Circuit, spec: NoiseSpec) -> _NoisePlan:
+        """The plan of ``circuit``, built once while it stays among the
+        spec's ``PLAN_MEMO`` most recently used plans.  Plans are keyed
+        by the block's content (each gate's kind, qubits, angle and
+        duration), so every chain, twirl and family that runs the same
+        circuit block shares one plan; a plan is never changed after it
+        is built (``join`` shifts copies of its draw indices)."""
+        key = (circuit.width,
+               tuple((g.kind, g.qubits, g.angle, g.duration_ns) for g in circuit.gates))
+        plans = spec._memoized("plans", OrderedDict)
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = cls(circuit, spec)
+            if len(plans) > PLAN_MEMO:
+                plans.popitem(last=False)
+        else:
+            plans.move_to_end(key)
+        return plan
+
+    @classmethod
     def join(cls, parts: list[_NoisePlan], basis: _NoisePlan | None = None) -> _NoisePlan:
         """One plan that runs the circuit plans ``parts`` one after
         another and then ``basis``, from ``ops[split]`` on.  Each part's
@@ -799,15 +825,15 @@ def run_noisy_counts(
     ``batch`` the circuit is a chain of one block: fresh trajectories
     start from |0...0>, seeded ``seed + [2, t]`` (see
     ``TrajectoryBatch.seeded``), with no parts.  Either way the block's
-    plan is appended to ``parts``, and the batch runs every part it has
-    not run yet, joined into one plan (``_NoisePlan.join``).  A fresh
-    batch thus re-runs the chain's planned prefix and a carried one the
-    new block alone, so each block is planned once; windows do not
-    cross block boundaries.
+    plan (``_NoisePlan.of``, shared by every run of the same block) is
+    appended to ``parts``, and the batch runs every part it has not run
+    yet, joined into one plan (``_NoisePlan.join``).  A fresh batch thus
+    re-runs the chain's planned prefix and a carried one the new block
+    alone; windows do not cross block boundaries.
 
     ``basis`` is a measurement basis rotation applied, in the same
     batch evolution, to a copy of the trajectories before sampling; the
-    batch does not carry it forward.  It is planned once per spec.
+    batch does not carry it forward.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -821,14 +847,9 @@ def run_noisy_counts(
         batch = TrajectoryBatch.seeded(spec, n_traj, base, Statevector.zero(width),
                                        quasi_static)
         parts = []
-    parts.append(_NoisePlan(circuit, spec))
+    parts.append(_NoisePlan.of(circuit, spec))
     run, batch.blocks = parts[batch.blocks:], len(parts)
-    basis_plan = None
-    if basis is not None:
-        key = ("basis", basis.width,
-               tuple((g.kind, g.qubits, g.angle, g.duration_ns) for g in basis.gates))
-        basis_plan = spec._memoized(key, lambda: _NoisePlan(basis, spec))
-    plan = _NoisePlan.join(run, basis_plan)
+    plan = _NoisePlan.join(run, None if basis is None else _NoisePlan.of(basis, spec))
     probs = np.abs(batch.advance(plan)) ** 2
     if spec.has_readout_error():
         m = spec._memoized(("readout", width), lambda: ConfusionMatrix.from_rates(

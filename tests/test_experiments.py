@@ -613,13 +613,25 @@ class TestCLI:
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["qpt", "rzz-bench"])
+    @pytest.mark.parametrize("flag", [["--twirls", "7"], ["--dd"], ["--trials", "3"],
+                                      ["--zne-factors", "1,3"], ["--readout-mode", "full"],
+                                      ["--no-postselect"], ["--sites", "2"], ["--impl", "rzz"]])
+    def test_gate_benchmarks_reject_flags_they_do_not_read(self, tmp_path, command, flag):
+        # one gate's tomography has no sweep, chain model or mitigation
+        # stack to set
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--infinite-shots", "--out", str(tmp_path), *flag])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
     def test_qpt_smoke(self, tmp_path):
         out = tmp_path / "cli_qpt"
         cmd = [
             sys.executable, "-m", "scarsim.cli", "qpt",
             "--theta", "2.0", "--infinite-shots", "--repeats", "1",
             "--noise-preset", "casablanca-like",
-            "--out", str(out), "--sites", "2",
+            "--out", str(out),
         ]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

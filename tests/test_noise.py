@@ -1,4 +1,5 @@
 """Pulse-duration model, noise channels, readout confusion, trajectories."""
+import copy
 import itertools
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scarsim import model, noise
-from scarsim.mitigation import fold_gates_random, twirl_circuit
+from scarsim.mitigation import fold_gates_random, insert_dd, twirl_circuit, twirl_is_visible
 from scarsim.model import build_trotter_step, neel_prep_circuit, qmbs_params
 from scarsim.noise import (
     ConfusionMatrix,
@@ -762,3 +763,137 @@ def test_chain_noise_agrees_with_what_the_plans_do(data, width, depolarizing, ta
         assert noise.chain_noise([c], spec) == want
     assert noise.chain_noise(circuits, spec) == (
         any(s for s, _ in flags), any(dephases))
+
+
+def _rows_equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float) -> None:
+    for row_a, row_b in zip(a, b, strict=True):
+        k = np.argmax(np.abs(row_b))
+        phase = row_a[k] / row_b[k]
+        assert abs(abs(phase) - 1.0) < atol
+        np.testing.assert_allclose(row_a, phase * row_b, rtol=0, atol=atol)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), width=st.integers(2, 4), lam=st.floats(1.0, 3.0),
+       depolarizing=st.sampled_from([0.0, 0.4]),
+       dephasing=st.sampled_from([0.0, 0.004]),
+       flips=st.sampled_from([0.0, 0.01]),
+       seed=st.integers(0, 2**16))
+def test_invisible_twirl_leaves_every_trajectory_as_the_folded_circuit(
+        data, width, lam, depolarizing, dephasing, flips, seed):
+    # with no overrotation and no single-qubit error, a folded circuit
+    # (its inverses included) with DELAYs and DD pulses evolves every
+    # trajectory to the state its twirled circuit gives it, up to a
+    # global phase: the same uniforms land on the same errors, which the
+    # closing Paulis pass up to sign, and the dressing Paulis draw none
+    circ = data.draw(_plan_circuits(width))
+    circ = fold_gates_random(insert_dd(circ, 35.5), lam, seed=[seed, 0])
+    spec = NoiseSpec(two_qubit_depolarizing=depolarizing, idle_dephasing_rad_per_ns=dephasing,
+                     idle_stochastic_rate_per_ns=flips)
+    assert not twirl_is_visible(spec)
+    folded = noise._NoisePlan(circ, spec)
+    twirled = noise._NoisePlan(twirl_circuit(circ, seed=[seed, 1]), spec)
+    assert folded.n_draws == twirled.n_draws
+    n_traj = 6
+    rng = np.random.default_rng(seed)
+    omegas = rng.normal(0.0, dephasing, size=(n_traj, width)) if dephasing else None
+    amps = rng.normal(size=(n_traj, 2**width)) + 1j * rng.normal(size=(n_traj, 2**width))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    got, _ = folded.run_batch(amps.copy(), [np.random.default_rng([seed, t])
+                                            for t in range(n_traj)], omegas)
+    want, _ = twirled.run_batch(amps.copy(), [np.random.default_rng([seed, t])
+                                              for t in range(n_traj)], omegas)
+    _rows_equal_up_to_phase(got, want, 1e-12)
+
+
+@pytest.mark.parametrize("overrides", [{"coherent_overrotation": 0.2},
+                                       {"single_qubit_depolarizing": 0.3}],
+                         ids=["overrotation", "single-qubit"])
+def test_twirl_is_visible_under_overrotation_or_single_qubit_error(overrides):
+    # either error makes the twirled circuit's outcome law differ from
+    # the folded circuit's, so the sweep must run the twirled one
+    circ = Circuit(3, [h(0), rzz(0, 1, 0.9), rzx(1, 2, 0.4), rzz(0, 1, 0.9).inverse()])
+    spec = NoiseSpec(two_qubit_target_error=0.0, **overrides)
+    assert twirl_is_visible(spec)
+    got = run_noisy_counts(circ, spec, 4096, [3], infinite=True)
+    want = run_noisy_counts(twirl_circuit(circ, seed=[3, 1]), spec, 4096, [3], infinite=True)
+    assert np.abs(got.vector - want.vector).max() > 1e-3 * 4096
+
+
+def _memo_spec() -> NoiseSpec:
+    return NoiseSpec(two_qubit_depolarizing=0.4, single_qubit_depolarizing=0.3,
+                     idle_stochastic_rate_per_ns=0.01, coherent_overrotation=0.2)
+
+
+@pytest.mark.parametrize("a, b", [
+    (rzz(0, 1, 0.7), rzz(0, 1, 0.7).inverse()),
+    (rzx(0, 1, 0.7), rzx(0, 1, 0.7).inverse()),
+    (cnot(0, 1), cnot(1, 0)),
+    (rzx(0, 1, 0.7), rzx(1, 0, 0.7)),
+    (delay(0, 80.0), delay(0, 120.0)),
+], ids=["rzz-inverse", "rzx-inverse", "cnot-order", "rzx-order", "delay-duration"])
+def test_plan_memo_tells_apart_blocks_that_differ_in_one_gate(a, b):
+    # blocks that differ only in an angle sign, a qubit order or a DELAY
+    # duration get plans of their own, each the plan of its block; a new
+    # circuit with the same gates shares the memoized one
+    spec = _memo_spec()
+    plans = {}
+    for g in (a, b):
+        block = Circuit(2, [h(0), g, x(1)])
+        plans[g] = noise._NoisePlan.of(block, spec)
+        assert noise._NoisePlan.of(Circuit(2, list(block.gates)), spec) is plans[g]
+        fresh = noise._NoisePlan(block, spec)
+        u = [_FixedUniforms(np.full(fresh.n_draws, p)) for p in (0.01, 0.2, 0.99)]
+        amps = np.tile(Statevector.zero(2).amplitudes, (3, 1))
+        np.testing.assert_array_equal(plans[g].run_batch(amps.copy(), u)[0],
+                                      fresh.run_batch(amps.copy(), u)[0])
+    assert plans[a] is not plans[b]
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def test_memoized_plan_is_unchanged_by_joins_at_different_offsets():
+    spec = _memo_spec()
+    block = Circuit(3, [h(0), cnot(0, 1), rzz(1, 2, 0.4), rx(2, 0.3), delay(0, 50.0)])
+    plan = noise._NoisePlan.of(block, spec)
+    before = copy.deepcopy(plan.ops)
+    other = noise._NoisePlan.of(Circuit(3, [rzx(2, 0, 0.9)]), spec)
+    basis = noise._NoisePlan.of(y_basis_rotation(3, "even"), spec)
+    joins = [noise._NoisePlan.join([plan]),
+             noise._NoisePlan.join([other, plan, plan], basis),
+             noise._NoisePlan.join([plan, other], basis)]
+    n, m, b = plan.n_draws, other.n_draws, basis.n_draws
+    assert n and m and b
+    assert [j.n_draws for j in joins] == [n, m + 2 * n + b, n + m + b]
+    for joined in joins:
+        joined.run_batch(np.tile(Statevector.zero(3).amplitudes, (4, 1)),
+                         [np.random.default_rng([4, t]) for t in range(4)])
+    assert _same(plan.ops, before)
+    assert noise._NoisePlan.of(block, spec) is plan
+    # in the second join the two copies of the plan draw after ``other``
+    # and after each other
+    k, size = len(other.ops), len(plan.ops)
+    copies = joins[1].ops[k:k + size], joins[1].ops[k + size:k + 2 * size]
+    for op, first, second in zip(plan.ops, *copies, strict=True):
+        if op[0] == "window" and op[5] is not None:
+            assert first[5].tolist() == (op[5] + m).tolist()
+            assert second[5].tolist() == (op[5] + m + n).tolist()
+
+
+def test_plan_memo_keeps_the_most_recently_used_plans(monkeypatch):
+    monkeypatch.setattr(noise, "PLAN_MEMO", 3)
+    spec = _memo_spec()
+    blocks = [Circuit(2, [rzz(0, 1, 0.1 * (k + 1))]) for k in range(4)]
+    first = [noise._NoisePlan.of(b, spec) for b in blocks[:3]]
+    assert noise._NoisePlan.of(blocks[0], spec) is first[0]  # now the most recent
+    noise._NoisePlan.of(blocks[3], spec)  # drops blocks[1], the least recent
+    assert len(spec._memo["plans"]) == 3
+    assert noise._NoisePlan.of(blocks[0], spec) is first[0]
+    assert noise._NoisePlan.of(blocks[2], spec) is first[2]
+    assert noise._NoisePlan.of(blocks[1], spec) is not first[1]

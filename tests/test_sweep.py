@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scarsim import mitigation, noise
 from scarsim.experiments import (
     ExperimentConfig,
+    _sweep,
     reference_series,
     run_cy,
     run_experiment,
@@ -164,8 +165,8 @@ def record_plans(monkeypatch) -> list[tuple]:
 
 def record_runs(monkeypatch) -> tuple[dict, list[tuple]]:
     """Spy on the executor and the planner: variant seed key -> (counts,
-    the planned blocks its batch evolution ran, in order), and every
-    (plan, circuit) built."""
+    the planned blocks its batch evolution ran, in order, the circuit it
+    was given), and every (plan, circuit) built."""
     built = record_plans(monkeypatch)
     seen = {}
     run = noise.run_noisy_counts
@@ -173,25 +174,34 @@ def record_runs(monkeypatch) -> tuple[dict, list[tuple]]:
     def spy(circuit, spec, shots, seed, **kw):
         start = kw["batch"].blocks
         counts = run(circuit, spec, shots, seed, **kw)
-        seen[tuple(seed)] = (counts, kw["parts"][start:])
+        seen[tuple(seed)] = (counts, kw["parts"][start:], circuit)
         return counts
 
     monkeypatch.setattr(noise, "run_noisy_counts", spy)
     return seen, built
 
 
+def _plan_keys(built) -> list[tuple]:
+    """The gate list of each built plan: what the plan memo keys on."""
+    return [tuple(_gate_list(c.gates)) for _, c in built]
+
+
 def test_noisy_chains_restart_fresh_trajectories_every_segment(monkeypatch):
-    # 6 steps -> segments of ceil(sqrt(6)) = 3 steps: steps 0 and 3 run
-    # the planned blocks of the whole folded, twirled prefix on fresh
-    # trajectories seeded by their own variant key, exactly as a one-off
-    # execution of those blocks would; steps 1, 2, 4 and 5 continue their
-    # segment's batch through their own block alone
+    # 6 steps -> segments of ceil(sqrt(6)) = 3 steps: steps 0 and 3 rerun
+    # the chain's planned prefix on fresh trajectories seeded by their own
+    # variant key, exactly as a one-off execution of those blocks would;
+    # steps 1, 2, 4 and 5 continue their segment's batch through the plan
+    # of their own folded block alone
     cfg = ExperimentConfig(sites=4, steps=5, shots=256, shots_per_trajectory=64,
                            twirls=1, zne_factors=(1.0, 2.0), readout_mode="off",
                            postselect=False, noise_preset="casablanca-like", seed=3)
     run = noise.run_noisy_counts
     seen, built = record_runs(monkeypatch)
     variants = {tuple(v["seed_key"]): v for v in run_zpi(cfg)["variants"]}
+    # each distinct folded block is planned once per run: at scale 1 the
+    # five Trotter steps share one plan
+    run_plans = _plan_keys(built)
+    assert len(run_plans) == len(set(run_plans)) < len(variants)
     source = {id(plan): circuit for plan, circuit in built}
     spec = cfg.noise_spec()
     blocks = ([neel_prep_circuit(cfg.sites)]
@@ -209,12 +219,14 @@ def test_noisy_chains_restart_fresh_trajectories_every_segment(monkeypatch):
         for n, block in enumerate(blocks):
             key = [cfg.seed, 0, n, 0, li]
             folded = mitigation.fold_gates_random(block, lam, seed=key + [0], folds=folds[n])
-            twirled = mitigation.twirl_circuit(folded, seed=key + [1])
-            gates += twirled.gates
-            counts, ran = seen[tuple(key)]
+            gates += folded.gates
+            counts, ran, circuit = seen[tuple(key)]
+            # no overrotation and no single-qubit error: no twirl is drawn
+            assert _gate_list(circuit.gates) == _gate_list(folded.gates)
             assert variants[tuple(key)]["chain_key"] == [cfg.seed, 0, n - n % seg, 0, li]
-            # the step plans its own block, and reruns earlier plans only
-            assert _gate_list(source[id(ran[-1])].gates) == _gate_list(twirled.gates)
+            # the step runs the plan of its own folded block, and reruns
+            # earlier plans of its chain only
+            assert _gate_list(source[id(ran[-1])].gates) == _gate_list(folded.gates)
             planned.append(ran[-1])
             if n % seg:
                 assert ran == [planned[n]]
@@ -224,7 +236,7 @@ def test_noisy_chains_restart_fresh_trajectories_every_segment(monkeypatch):
             assert _gate_list(ran_gates) == _gate_list(gates)
             batch = noise.TrajectoryBatch.seeded(spec, n_traj, key, Statevector.zero(cfg.sites),
                                                  quasi_static)
-            once = run(twirled, spec, cfg.shots, key, batch=batch, parts=ran[:-1])
+            once = run(folded, spec, cfg.shots, key, batch=batch, parts=ran[:-1])
             np.testing.assert_array_equal(counts.vector, once.vector)
 
 
@@ -375,17 +387,23 @@ def test_idle_only_noise_is_stochastic_only_with_idle_windows(monkeypatch, dd):
 @pytest.mark.parametrize("command", ["zpi", "cy"])
 def test_each_block_and_basis_is_planned_once(monkeypatch, command):
     # 4 steps -> segments of ceil(sqrt(5)) = 3 steps, so every chain
-    # restarts at step 3; the restart reruns the plans of steps 0-2, and
-    # a run plans each measurement basis once, however many sweeps use it
+    # restarts at step 3 and reruns the plans of steps 0-2.  A run plans
+    # each distinct folded block once, however many chains, twirls and cy
+    # families run it, and each measurement basis once
     cfg = ExperimentConfig(sites=4, steps=4, shots=256, shots_per_trajectory=128,
                            twirls=2, zne_factors=(1.0, 2.0), readout_mode="off",
                            postselect=False, noise_preset="casablanca-like", seed=5)
     seen, built = record_runs(monkeypatch)
     variants = (run_zpi(cfg) if command == "zpi" else run_cy(cfg))["variants"]
-    ran = {id(plan) for _, parts in seen.values() for plan in parts}
-    blocks = [(plan, circuit) for plan, circuit in built if id(plan) in ran]
+    assert len(seen) == len(variants)
+    ran = {id(plan) for _, parts, _ in seen.values() for plan in parts}
+    blocks = [entry for entry in built if id(entry[0]) in ran]
     bases = [circuit for plan, circuit in built if id(plan) not in ran]
-    assert len(blocks) == len({id(c) for _, c in blocks}) == len(seen) == len(variants)
+    keys = dict(zip((id(entry[0]) for entry in blocks), _plan_keys(blocks)))
+    assert len(set(keys.values())) == len(keys) < len(variants)
+    # each variant runs the plan of its own folded block
+    for _, parts, circuit in seen.values():
+        assert keys[id(parts[-1])] == tuple(_gate_list(circuit.gates))
     for v in variants:
         if v["step"] == 3:
             assert len(seen[tuple(v["seed_key"])][1]) == 4
@@ -396,3 +414,65 @@ def test_each_block_and_basis_is_planned_once(monkeypatch, command):
         assert len(bases) == len(PARITIES) < sweeps == 16
         assert sorted(_gate_list(b.gates) for b in bases) == sorted(
             _gate_list(y_basis_rotation(cfg.sites, p).gates) for p in PARITIES)
+
+
+def _sweep_blocks(cfg: ExperimentConfig, command: str):
+    """(blocks, basis) of one zpi chain with DD, or of one cy family."""
+    spec = cfg.noise_spec()
+    params = cfg.model_params()
+    prep = neel_prep_circuit(cfg.sites)
+    basis = None
+    if command == "zpi":
+        step = mitigation.insert_dd(build_trotter_step(params, impl=cfg.impl, idle_ns=400.0),
+                                    spec.pulse.single_pulse_ns)
+    else:
+        step = build_trotter_step(params, impl=cfg.impl)
+        prep = Circuit(cfg.sites, prep.gates + cy_branch_prep(cfg.sites, 2, "+Y").gates)
+        basis = y_basis_rotation(cfg.sites, "odd")
+    return [prep] + [step] * cfg.steps, basis
+
+
+def _probabilities(counts, lam):
+    return counts.vector / counts.total_shots
+
+
+@pytest.mark.parametrize("command", ["zpi", "cy"])
+def test_untwirled_sweep_rows_equal_twirled_sweep_rows(monkeypatch, command):
+    # with two-qubit, idle-flip and quasi-static noise but no overrotation
+    # and no single-qubit error, the sweep runs its folded blocks
+    # untwirled, and every infinite-shot row equals the row of a sweep
+    # that twirls them
+    cfg = ExperimentConfig(sites=4, steps=4, shots=256, shots_per_trajectory=64,
+                           infinite_shots=True, twirls=2, zne_factors=(1.0, 2.0),
+                           noise_preset="casablanca-like", seed=9,
+                           noise_overrides={"idle_stochastic_rate_per_ns": 1e-4,
+                                            "idle_dephasing_rad_per_ns": 0.002})
+    blocks, basis = _sweep_blocks(cfg, command)
+    assert not mitigation.twirl_is_visible(cfg.noise_spec())
+    twirled = []
+    twirl = mitigation.twirl_circuit
+    monkeypatch.setattr(mitigation, "twirl_circuit",
+                        lambda circuit, seed: twirled.append(seed) or twirl(circuit, seed))
+    got = _sweep(cfg, cfg.noise_spec(), blocks, [cfg.seed, 0], _probabilities, basis)[0]
+    assert twirled == []
+    monkeypatch.setattr(mitigation, "twirl_is_visible", lambda spec: True)
+    want = _sweep(cfg, cfg.noise_spec(), blocks, [cfg.seed, 0], _probabilities, basis)[0]
+    assert len(twirled) == got.shape[0] * 2 * 2
+    assert got.shape == want.shape == (cfg.steps + 1, 2, 2, 2**cfg.sites)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_sweep_twirls_every_block_where_a_twirl_is_visible(monkeypatch):
+    # under a coherent overrotation each variant's block is twirled from
+    # its own variant key + [1]
+    cfg = ExperimentConfig(sites=4, steps=2, shots=256, shots_per_trajectory=64,
+                           infinite_shots=True, twirls=2, zne_factors=(1.0, 2.0),
+                           noise_preset="casablanca-like", seed=9,
+                           noise_overrides={"coherent_overrotation": 0.15})
+    blocks, basis = _sweep_blocks(cfg, "cy")
+    twirled = []
+    twirl = mitigation.twirl_circuit
+    monkeypatch.setattr(mitigation, "twirl_circuit",
+                        lambda circuit, seed: twirled.append(seed) or twirl(circuit, seed))
+    variants = _sweep(cfg, cfg.noise_spec(), blocks, [cfg.seed, 0], _probabilities, basis)[2]
+    assert sorted(twirled) == sorted(v["seed_key"] + [1] for step in variants for v in step)
