@@ -3,21 +3,30 @@
 Subcommands: zpi, loschmidt, cy, rzz-bench, qpt, oracle.  Flags override
 values from an optional --config INI file; omitted settings fall back to
 the dataclass defaults.  Each subcommand takes only the command-line
-flags it reads.  A --config file is still loaded into the whole
-ExperimentConfig, which the manifest records, so an INI field a
-subcommand does not read (``twirls`` for ``qpt``, say) is recorded
-without effect.
+flags it reads, and the gate benchmarks (``qpt`` and ``rzz-bench``) take
+only the INI keys they read: the shots, the seed, the noise and the
+output.  A flag or INI key a subcommand does not read (``twirls`` for
+``qpt``, say), or a config that fails validation, ends the run with
+exit status 2 before anything is written.
 """
 from __future__ import annotations
 
 import argparse
+import configparser
 import sys
 from dataclasses import fields
 
 import numpy as np
 
 from . import experiments
-from .experiments import _INI_FIELDS, ExperimentConfig, Table, config_from_ini, emit
+from .experiments import (
+    _INI_FIELDS,
+    ExperimentConfig,
+    Table,
+    _noise_key,
+    config_from_ini,
+    emit,
+)
 from .model import RZZ_IMPLS, exact_evolve
 from .observables import series_from_values
 
@@ -62,11 +71,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int)
 
 
+# The INI sections and keys a gate benchmark reads, the counterpart of
+# its flags (_add_output_flags and _add_sampling_flags).
+_GATE_BENCH_INI = {"execution": {"shots", "infinite_shots", "seed"}, "noise": _noise_key,
+                   "output": {"out", "format"}}
+
+
 def _config_from_args(args) -> ExperimentConfig:
     # every flag's dest is the config field it sets; an absent flag is None
     overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
     if args.config:
-        return config_from_ini(args.config, **overrides)
+        allowed = _GATE_BENCH_INI if args.command in ("qpt", "rzz-bench") else None
+        return config_from_ini(args.config, allowed, **overrides)
     return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
@@ -118,7 +134,10 @@ def main(argv=None) -> int:
                       default="trotter")
 
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except (ValueError, configparser.Error) as exc:
+        parser.error(str(exc))
 
     if args.command == "zpi":
         results = experiments.run_zpi(config)

@@ -25,9 +25,9 @@ draws, so they are correlated across steps, but each is still unbiased.
 Each variant's estimates are one float row; a sweep's rows form one
 (steps + 1, scales, twirls, columns) array, in which NaN marks a
 missing estimate (postselection kept nothing, or a raw column at a
-scale other than 1).  ``_zne`` reduces one step of it, column by column,
-to values and stds, skipping the missing samples; it is the one ZNE
-reduction every experiment uses.  Every series and table is emitted as
+scale other than 1).  ``_zne`` reduces it, step by step and column by
+column, to values and stds, skipping the missing samples; it is the one
+ZNE reduction every experiment uses.  Every series and table is emitted as
 a ``Table``, in CSV or JSON.
 """
 from __future__ import annotations
@@ -202,20 +202,21 @@ def _check_ini_keys(cp: configparser.ConfigParser, allowed: dict, path) -> None:
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
 
 
-def config_from_ini(path, **cli_overrides) -> ExperimentConfig:
+def config_from_ini(path, allowed: dict | None = None, **cli_overrides) -> ExperimentConfig:
     """Build a config from an INI document; keyword overrides win.
 
     Sections mirror the dataclass: [model] sites/steps/v/omega/dt,
     [execution] impl/shots/infinite_shots/seed/trials/shots_per_trajectory/
     regime, [noise] preset plus override.<field> entries for scalar
     NoiseSpec fields, [mitigation] twirls/zne_factors/readout_mode/
-    postselect/dd, [output] out/format.  Unknown sections and keys are
-    rejected.
+    postselect/dd, [output] out/format.  ``allowed`` narrows that to the
+    sections and keys a reader uses (a ``_check_ini_keys`` map).  Unknown
+    sections and keys are rejected.
     """
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_file(fh)
-    _check_ini_keys(cp, {**_INI_FIELDS, "noise": _noise_key}, path)
+    _check_ini_keys(cp, allowed or {**_INI_FIELDS, "noise": _noise_key}, path)
     kwargs: dict = {
         key: conv(cp.get(section, key))
         for section, keys in _INI_FIELDS.items()
@@ -376,12 +377,60 @@ def _zne_scalar(per_lambda, lam_effs: list[float]):
     return res.intercept, res.intercept_std
 
 
-def _zne(samples: np.ndarray, lam_effs: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """(values, stds) of every column of one step's (scales, twirls,
-    columns) samples, extrapolated one column at a time."""
-    fits = [_zne_scalar(samples[:, :, c], lam_effs) for c in range(samples.shape[2])]
-    values, stds = np.array(fits).T
-    return values, stds
+def _zne(samples: np.ndarray, lam_effs) -> tuple[np.ndarray, np.ndarray]:
+    """(values, stds), each (steps, columns), of a sweep's (steps,
+    scales, twirls, columns) samples, with lam_effs[step] the realized
+    scales of a step; each entry equals ``_zne_scalar`` of its step and
+    column.
+
+    The (step, column) rows whose scales are each complete or empty are
+    reduced together, grouped by their complete scales: over one distinct
+    scale, the mean and ddof-1 std of the pooled samples; over more, one
+    stacked ``mitigation.weighted_line_fits``.  Rows with a partly missing
+    scale, or a per-scale sigma at or below ``mitigation.SIGMA_FLOOR``
+    (the unweighted fallback), go through ``_zne_scalar`` one at a time.
+    Every reduction runs along the contiguous last axis of a (rows, ...)
+    array, which rounds as ``_zne_scalar``'s 1-D reductions do.
+    """
+    n_steps, n_scales, n_twirls, n_cols = samples.shape
+    rows = np.ascontiguousarray(samples.transpose(0, 3, 1, 2)).reshape(-1, n_scales, n_twirls)
+    lams = np.repeat(np.asarray(lam_effs, dtype=float), n_cols, axis=0)  # per row
+    values, stds = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
+    finite = np.isfinite(rows)
+    full = finite.all(axis=2)
+    whole = (full | ~finite.any(axis=2)).all(axis=1)
+    single = np.flatnonzero(~whole).tolist()  # rows for _zne_scalar
+    codes = np.where(whole, full @ (1 << np.arange(n_scales)), 0)  # complete scales, as bits
+    for code in sorted(set(codes.tolist()) - {0}):
+        idx = np.flatnonzero(codes == code)
+        scales = [li for li in range(n_scales) if code >> li & 1]
+        x = rows[idx][:, scales]  # (rows, scales, twirls), contiguous
+        pooled = x.reshape(len(idx), -1)
+        lam = lams[idx][:, scales]
+        one = (lam == lam[:, :1]).all(axis=1)  # one distinct scale: pool
+        if one.any():
+            values[idx[one]] = pooled[one].mean(axis=1)
+            stds[idx[one]] = pooled[one].std(axis=1, ddof=1) if pooled.shape[1] > 1 else 0.0
+            if one.all():
+                continue
+        idx, x, pooled, lam = idx[~one], x[~one], pooled[~one], lam[~one]
+        sig = x.std(axis=2, ddof=1) if n_twirls > 1 else np.zeros(x.shape[:2])
+        floor = mitigation.SIGMA_FLOOR * np.maximum(1.0, np.abs(pooled).max(axis=1))
+        fit = ~(sig <= floor[:, None]).any(axis=1)
+        single += idx[~fit].tolist()
+        if not fit.any():
+            continue
+        coef, cov = mitigation.weighted_line_fits(np.repeat(lam[fit], n_twirls, axis=1),
+                                                  pooled[fit], np.repeat(sig[fit], n_twirls, axis=1))
+        # what ZNEResult refuses goes to _zne_scalar, which raises
+        ok = np.isfinite(coef[:, 0]) & (np.linalg.eigvalsh(cov).min(axis=1) >= -1e-12)
+        single += idx[fit][~ok].tolist()
+        values[idx[fit][ok]] = coef[ok, 0]
+        stds[idx[fit][ok]] = np.sqrt(np.maximum(cov[ok, 0, 0], 0.0))
+    for r in single:
+        step, c = divmod(r, n_cols)
+        values[r], stds[r] = _zne_scalar(samples[step, :, :, c], lam_effs[step])
+    return values.reshape(n_steps, n_cols), stds.reshape(n_steps, n_cols)
 
 
 def _segment_steps(n_steps: int, stochastic: bool) -> int:
@@ -540,17 +589,17 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialSeries:
         config, spec, [prep] + [step_circ] * config.steps, [config.seed, trial], estimate
     )
 
-    mit, mit_std, raw, raw_std = (np.empty((config.steps + 1, width)) for _ in range(4))
-    for step, lam in enumerate(lam_effs):
-        mit[step], mit_std[step] = _zne(samples[step, :, :, :width], lam)
-        # raw rows in (twirl, scale) order, pooled as one scale
-        rows = samples[step, :, :, width:].swapaxes(0, 1).reshape(1, -1, width)
-        raw[step], raw_std[step] = _zne(rows, [1.0])
+    mit, mit_std = _zne(samples[..., :width], lam_effs)
+    # raw rows of the lambda = 1 scales in (twirl, scale) order, pooled as
+    # one scale
+    ones = [li for li, lam in enumerate(config.zne_factors) if lam == 1.0]
+    rows = samples[:, ones, :, width:].swapaxes(1, 2).reshape(len(lam_effs), 1, -1, width)
+    raw, raw_std = _zne(rows, [[1.0]] * len(lam_effs))
+    for step in range(len(lam_effs)):
         # per-site raw means: one axis-0 mean over the rows, not _zne's
         # per-column mean; from 8 rows on the two round differently, and
         # the emitted accumulated error is pinned to the axis-0 rounding
-        kept = rows[0][np.isfinite(rows[0, :, COL_ZPI])]
-        raw[step, COL_SITES] = np.mean(kept[:, COL_SITES], axis=0)
+        raw[step, COL_SITES] = np.mean(rows[step, 0, :, COL_SITES], axis=0)
 
     return TrialSeries(
         mit=mit, mit_std=mit_std, raw=raw, raw_std=raw_std,
@@ -692,11 +741,9 @@ def run_cy(config: ExperimentConfig, regime: str | None = None) -> dict:
                     basis=y_basis_rotation(L, parity),
                 )
                 cols = [j - 1 for j in parity_sites(L, parity)]
-                for step, lam in enumerate(lam_effs):
-                    val, std = _zne(samples[step], lam)
-                    value[step, si, bi, cols] = val
-                    var[step, si, bi, cols] = [x**2 if np.isfinite(x) else 0.0
-                                               for x in std.tolist()]
+                val, std = _zne(samples, lam_effs)
+                value[:, si, bi, cols] = val
+                var[:, si, bi, cols] = np.where(np.isfinite(std), std**2, 0.0)
                 variants_by_family[(i, b, parity)] = [
                     [{"source": i, "branch": b, "parity": parity, **v} for v in vs]
                     for vs in step_variants

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import fibonacci_projector
-from .noise import ConfusionMatrix, NoiseSpec, run_noisy_counts
+from .noise import ConfusionMatrix, NoiseSpec, _rng, run_noisy_counts
 from .qsim import (
     Circuit,
     Counts,
@@ -105,7 +105,7 @@ def twirl_circuit(circuit: Circuit, seed) -> Circuit:
     two-qubit gate, in circuit order, come from one draw of 2 N2
     integers (the same numbers as two scalar draws per gate).
     """
-    draws = iter(np.random.default_rng(seed).integers(4, size=2 * circuit.n_two_qubit).tolist())
+    draws = iter(_rng(seed).integers(4, size=2 * circuit.n_two_qubit).tolist())
     gates: list[Gate] = []
     for g in circuit.gates:
         if g.is_two_qubit:
@@ -192,7 +192,7 @@ def fold_gates_random(circuit: Circuit, lam: float, seed, folds: int | None = No
     """
     if lam < 1.0:
         raise ValueError("scale factor must be >= 1")
-    two_q = [i for i, g in enumerate(circuit.gates) if g.is_two_qubit]
+    two_q = circuit.two_qubit_positions
     n2 = len(two_q)
     k = fold_count(n2, lam) if folds is None else folds
     if k < 0 or (k and not n2):
@@ -201,17 +201,14 @@ def fold_gates_random(circuit: Circuit, lam: float, seed, folds: int | None = No
         return circuit
     per_gate = [k // n2] * n2
     remainder = k % n2
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if remainder:
         for j in rng.choice(n2, size=remainder, replace=False):
             per_gate[j] += 1
-    folds_at = dict(zip(two_q, per_gate))
-    gates: list[Gate] = []
-    for i, g in enumerate(circuit.gates):
-        gates.append(g)
-        for _ in range(folds_at.get(i, 0)):
-            gates.append(g.inverse())
-            gates.append(g)
+    gates = list(circuit.gates)
+    for i, f in reversed(list(zip(two_q, per_gate))):  # from the end: earlier i stay put
+        if f:
+            gates[i + 1:i + 1] = [gates[i].inverse(), gates[i]] * f
     return Circuit(circuit.width, gates)
 
 
@@ -241,8 +238,30 @@ class ZNEResult:
 SIGMA_FLOOR = 1e-10
 
 
+def weighted_line_fits(lams: np.ndarray, vals: np.ndarray,
+                       sigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted least-squares lines value = c0 + c1 lam, one per row of
+    the (C, n) ``vals`` and ``sigs``, with weights 1/sigma^2, over the n
+    scales ``lams``, shared (n,) or one row each (C, n): (coefficients
+    (C, 2), covariances (C, 2, 2)).
+
+    The one weighted fit.  Every row is computed with the BLAS and
+    LAPACK calls a single fit makes (the normal matrix and right-hand
+    side as one stacked matmul each, then one stacked solve and one
+    stacked inverse), so a row's result does not depend on how many
+    rows are fitted with it.
+    """
+    design = np.stack([np.ones_like(lams), lams], axis=-1)
+    design_t = np.swapaxes(design, -1, -2)
+    w = 1.0 / sigs**2
+    xtwx = design_t @ (design * w[:, :, None])
+    coef = np.linalg.solve(xtwx, design_t @ (vals * w)[:, :, None])[:, :, 0]
+    return coef, np.linalg.inv(xtwx)
+
+
 def zne_extrapolate(points) -> ZNEResult:
-    """Weighted least-squares line through (lam, value, sigma) points.
+    """Weighted least-squares line through (lam, value, sigma) points
+    (``weighted_line_fits``).
 
     Weights are 1/sigma^2; if any sigma is zero (exact values, or at most
     SIGMA_FLOOR of the value scale) the fit falls back to an unweighted
@@ -267,10 +286,8 @@ def zne_extrapolate(points) -> ZNEResult:
         s2 = float(resid @ resid) / dof
         cov = s2 * np.linalg.inv(design.T @ design)
     else:
-        w = 1.0 / sigs**2
-        xtwx = design.T @ (design * w[:, None])
-        coef = np.linalg.solve(xtwx, design.T @ (vals * w))
-        cov = np.linalg.inv(xtwx)
+        coef, cov = weighted_line_fits(lams, vals[None], sigs[None])
+        coef, cov = coef[0], cov[0]
     return ZNEResult(intercept=float(coef[0]), slope=float(coef[1]),
                      covariance=cov, points=pts)
 

@@ -434,9 +434,31 @@ WINDOW_QUBITS = 4
 # 30 KiB (measured with tracemalloc), so a full memo holds about 2 MiB.
 PLAN_MEMO = 64
 
+# Bytes of window suffix products (``_SuffixCache``) the plans of one spec
+# may cache at once, 64 four-qubit S_j.  The benchmark workloads cache
+# about 200-250 KiB; uncapped, the caches of a full memo grew to about
+# 1.2 MiB at L=12 with 39 steps, 10 twirls and 3 scales.
+SUFFIX_CACHE_BYTES = 1 << 18
+
 _EYES = [np.eye(1 << k, dtype=complex) for k in range(WINDOW_QUBITS + 1)]
 for _eye in _EYES:
     _eye.flags.writeable = False
+
+_UINT32 = 1 << 32
+
+
+def _rng(key) -> np.random.Generator:
+    """``np.random.default_rng(key)`` for an int or a sequence of ints.
+
+    A key whose parts are all ints in [0, 2^32) is passed as the uint32
+    array ``SeedSequence`` would coerce it to (one word per part), so the
+    pool and the stream are the same while the per-part coercion, most
+    of a construction's cost, is skipped.  Any other key goes to
+    ``default_rng`` as it is."""
+    parts = [key] if isinstance(key, int) else key
+    if all(type(p) is int and 0 <= p < _UINT32 for p in parts):
+        key = np.array(parts, dtype=np.uint32)
+    return np.random.default_rng(key)
 
 
 def _plan_entry(spec: NoiseSpec, g: Gate):
@@ -490,44 +512,89 @@ def _lifted_times(mat: np.ndarray, positions: tuple[int, ...], k: int,
 
 def _window_op(qset: set[int], members: list[tuple]) -> tuple:
     """The plan op of one window: ("window", qubits, W, members, noisy,
-    draws, totals).  ``members`` lists (local positions, matrix) in run
-    order and W is their product; ``noisy`` lists (member index,
-    cumulative Pauli probabilities, Pauli matrices) of each member that
-    draws an error, with its draw index and total rate in ``draws`` and
-    ``totals``.  Members are kept only if some are noisy."""
+    draws).  ``members`` lists (local positions, matrix) in run order and
+    W is their product; ``noisy`` lists (member index, cumulative Pauli
+    probabilities, Pauli matrices) of each member that draws an error,
+    with its draw index in ``draws``.  Members are kept only if some are
+    noisy."""
     qubits = tuple(sorted(qset))
     k = len(qubits)
     local = {q: i for i, q in enumerate(qubits)}
-    lifted, noisy, draws, totals = [], [], [], []
+    lifted, noisy, draws = [], [], []
     window = _EYES[k]
     for i, (mq, mat, noise) in enumerate(members):
         pos = tuple(map(local.__getitem__, mq))
         lifted.append((pos, mat))
         window = _lifted_times(mat, pos, k, window)
         if noise is not None:
-            draw, cum, paulis, total = noise
+            draw, cum, paulis = noise
             noisy.append((i, cum, paulis))
             draws.append(draw)
-            totals.append(total)
     if not noisy:
-        return ("window", qubits, window, [], [], None, None)
-    return ("window", qubits, window, lifted, noisy, np.array(draws), np.array(totals))
+        return ("window", qubits, window, [], [], None)
+    return ("window", qubits, window, lifted, noisy, np.array(draws))
 
 
-def _corrections(members, noisy, hit: np.ndarray, u: np.ndarray, k: int) -> list[np.ndarray]:
+class _SuffixCache(dict):
+    """The suffix products S_j of one window of a plan, by member index
+    j.  ``budget`` is the spec's one-element list of bytes its plans may
+    still cache (``SUFFIX_CACHE_BYTES`` at first), or None once the plan
+    has left the memo and its cache is released."""
+
+    __slots__ = ("budget",)
+
+    def __init__(self, budget: list[int]):
+        super().__init__()
+        self.budget = budget
+
+    def keep(self, j: int, s_j: np.ndarray) -> None:
+        """Cache S_j if the budget has room for it."""
+        if self.budget is not None and self.budget[0] >= s_j.nbytes:
+            self[j] = s_j
+            self.budget[0] -= s_j.nbytes
+
+    def release(self) -> None:
+        """Return the bytes held to the budget, drop them and keep no more."""
+        if self.budget is not None:
+            self.budget[0] += sum(m.nbytes for m in self.values())
+        self.clear()
+        self.budget = None
+
+
+def _suffixes(members, need: list[int], k: int, cache: _SuffixCache) -> dict:
+    """S_j = G_m ... G_{j+1}, the product of the window's members after
+    j, for every member index j in ``need`` (descending).  Those not in
+    ``cache`` are built by a sweep from the window's end, or from the
+    nearest cached S_j above, and offered to the cache: every S_j is the
+    same product, multiplied in the same order, whether cached or not."""
+    found = {j: cache[j] for j in need if j in cache}
+    missing = [j for j in need if j not in found]
+    if missing:
+        above = [j for j in cache if j > missing[0]]
+        if above:
+            top = min(above)
+            pos, mat = members[top]
+            after = cache[top] @ _lift(mat, pos, k)
+        else:
+            top, after = len(members), _EYES[k]
+        for j in range(top - 1, missing[-1] - 1, -1):
+            if j in missing:
+                found[j] = after
+                cache.keep(j, after)
+            pos, mat = members[j]
+            after = after @ _lift(mat, pos, k)
+    return found
+
+
+def _corrections(members, noisy, hit: np.ndarray, u: np.ndarray, k: int,
+                 cache: _SuffixCache) -> list[np.ndarray]:
     """One correction per row of ``hit`` (rows x noisy members: where the
     row drew an error; ``u`` holds the draws): the product, in draw
     order, of C_j = S_j P S_j^dag over the members j where the row drew
-    the Pauli P, with S_j the product of the window's members after j.
-    Only the S_j some row needs are built, in one sweep from the end."""
-    need = {noisy[n][0] for n in np.flatnonzero(hit.any(axis=0))}
-    suffix = {}
-    after = _EYES[k]
-    for i in range(len(members) - 1, min(need) - 1, -1):
-        if i in need:
-            suffix[i] = after
-        pos, mat = members[i]
-        after = after @ _lift(mat, pos, k)
+    the Pauli P, with S_j the product of the window's members after j
+    (``_suffixes``, through the window's ``cache``)."""
+    need = sorted({noisy[n][0] for n in np.flatnonzero(hit.any(axis=0))}, reverse=True)
+    suffix = _suffixes(members, need, k, cache)
     out = []
     for row_hit, row_u in zip(hit, u):
         corr = _EYES[k]
@@ -544,7 +611,7 @@ def _shifted(op: tuple, offset: int) -> tuple:
     """A plan op whose draw indices are moved ``offset`` later."""
     if op[0] != "window" or op[5] is None:
         return op
-    return op[:5] + (op[5] + offset,) + op[6:]
+    return op[:5] + (op[5] + offset,)
 
 
 class _NoisePlan:
@@ -577,7 +644,14 @@ class _NoisePlan:
     without idle noise is the identity and is skipped.
 
     A trajectory draws one uniform per draw index, ``n_draws`` in all,
-    in circuit order.
+    in circuit order.  The plan keeps, per draw index, the total rate of
+    its Pauli channel (``totals``) and the op that owns it (``owner``),
+    so ``run_batch`` tests every draw of a batch against its rate at
+    once.  Each noisy window also has a ``_SuffixCache`` in ``suffixes``
+    (None for every other op) of its suffix products S_j: it starts
+    empty, ``_corrections`` fills it for the members some row hits,
+    within the spec's ``SUFFIX_CACHE_BYTES``, and it is released when
+    the plan leaves the memo (see ``of``).
 
     ``join`` runs plans of consecutive circuit blocks as one plan, then
     an optional measurement basis rotation planned from ``ops[split]``
@@ -588,6 +662,7 @@ class _NoisePlan:
         self.width = circuit.width
         self.ops: list[tuple] = []
         self.n_draws = 0
+        totals: list[float] = []  # per draw index
         dephasing = spec.idle_dephasing_rad_per_ns > 0
         pending: dict[int, np.ndarray] = {}
         windows: list[tuple[set[int], list]] = []  # open windows: (qubits, members)
@@ -636,8 +711,9 @@ class _NoisePlan:
                 mat = mat @ pending.pop(g.qubits[0])
             noise = None
             if total > 0:
-                noise = (self.n_draws, cum, paulis, total)
+                noise = (self.n_draws, cum, paulis)
                 self.n_draws += 1
+                totals.append(total)
             place(g.qubits, mat, noise)
 
         for g in circuit.gates:
@@ -646,6 +722,15 @@ class _NoisePlan:
             flush(q)
         close()
         self.split = len(self.ops)
+        self.totals = np.array(totals, dtype=float)
+        self.owner = np.zeros(self.n_draws, dtype=np.intp)
+        self.suffixes: list[_SuffixCache | None] = []
+        budget = spec._memoized("suffix budget", lambda: [SUFFIX_CACHE_BYTES])
+        for i, op in enumerate(self.ops):
+            noisy = op[0] == "window" and op[5] is not None
+            if noisy:
+                self.owner[op[5]] = i
+            self.suffixes.append(_SuffixCache(budget) if noisy else None)
 
     @classmethod
     def of(cls, circuit: Circuit, spec: NoiseSpec) -> _NoisePlan:
@@ -653,8 +738,10 @@ class _NoisePlan:
         spec's ``PLAN_MEMO`` most recently used plans.  Plans are keyed
         by the block's content (each gate's kind, qubits, angle and
         duration), so every chain, twirl and family that runs the same
-        circuit block shares one plan; a plan is never changed after it
-        is built (``join`` shifts copies of its draw indices)."""
+        circuit block shares one plan; its ops are never changed after it
+        is built (``join`` shifts copies of its draw indices), and the
+        suffix products its windows cache are released when it leaves
+        the memo."""
         key = (circuit.width,
                tuple((g.kind, g.qubits, g.angle, g.duration_ns) for g in circuit.gates))
         plans = spec._memoized("plans", OrderedDict)
@@ -662,7 +749,10 @@ class _NoisePlan:
         if plan is None:
             plan = plans[key] = cls(circuit, spec)
             if len(plans) > PLAN_MEMO:
-                plans.popitem(last=False)
+                _, dropped = plans.popitem(last=False)
+                for cache in dropped.suffixes:
+                    if cache is not None:
+                        cache.release()
         else:
             plans.move_to_end(key)
         return plan
@@ -672,21 +762,27 @@ class _NoisePlan:
         """One plan that runs the circuit plans ``parts`` one after
         another and then ``basis``, from ``ops[split]`` on.  Each part's
         draw indices follow those of the parts before it, so a trajectory
-        still draws all its uniforms in one call, in circuit order."""
+        still draws all its uniforms in one call, in circuit order.  The
+        joined windows share the parts' suffix caches."""
         plan = cls.__new__(cls)
-        plan.width, plan.ops, plan.n_draws = parts[0].width, [], 0
+        plan.width, plan.ops, plan.n_draws, plan.suffixes = parts[0].width, [], 0, []
+        totals, owners = [], []
+
+        def append(part: _NoisePlan) -> None:
+            offset = plan.n_draws
+            totals.append(part.totals)
+            owners.append(part.owner + len(plan.ops))
+            plan.ops.extend(part.ops if not offset else [_shifted(op, offset) for op in part.ops])
+            plan.suffixes.extend(part.suffixes)
+            plan.n_draws += part.n_draws
+
         for part in parts:
-            plan._append(part)
+            append(part)
         plan.split = len(plan.ops)
         if basis is not None:
-            plan._append(basis)
+            append(basis)
+        plan.totals, plan.owner = np.concatenate(totals), np.concatenate(owners)
         return plan
-
-    def _append(self, part: _NoisePlan) -> None:
-        """Run the ops of ``part`` after this plan's, drawing after its draws."""
-        offset = self.n_draws
-        self.ops.extend(part.ops if not offset else [_shifted(op, offset) for op in part.ops])
-        self.n_draws += part.n_draws
 
     def run_batch(self, amps: np.ndarray, rngs: list[np.random.Generator],
                   omegas: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -697,7 +793,9 @@ class _NoisePlan:
         operation, in circuit order), and dephases idle windows at its
         quasi-static rates ``omegas[t]``; no draw depends on another
         trajectory, so a batch of T generators equals T one-generator
-        batches.  ``amps`` may be overwritten.
+        batches.  The (T, n_draws) uniforms are compared with ``totals``
+        once, and only the windows that own a draw some row hit build
+        corrections.  ``amps`` may be overwritten.
 
         Returns (after the circuit, after the circuit and the basis
         rotation): the rotation runs on a copy, so the first stack never
@@ -706,7 +804,13 @@ class _NoisePlan:
         width = self.width
         psi = kept = amps
         n_traj = len(rngs)
-        us = np.stack([r.random(self.n_draws) for r in rngs]) if self.n_draws else None
+        hit_ops = ()
+        if self.n_draws:
+            us = np.empty((n_traj, self.n_draws))
+            for t, r in enumerate(rngs):
+                us[t] = r.random(self.n_draws)
+            hits = us < self.totals
+            hit_ops = set(self.owner[hits.any(axis=0)].tolist())
         for i, op in enumerate(self.ops):
             if i == self.split:
                 kept, psi = psi, psi.copy()
@@ -717,16 +821,15 @@ class _NoisePlan:
                 view[:, :, 0, :] *= np.exp(-1j * half)[:, None, None]
                 view[:, :, 1, :] *= np.exp(1j * half)[:, None, None]
                 continue
-            _, qubits, mat, members, noisy, draws, totals = op
+            _, qubits, mat, members, noisy, draws = op
             psi = _apply_matrix(psi, mat, qubits, width)
-            if noisy:
-                u = us[:, draws]
-                hit = u < totals
+            if i in hit_ops:
+                hit = hits[:, draws]
                 rows = np.flatnonzero(hit.any(axis=1))
-                if rows.size:
-                    corrections = _corrections(members, noisy, hit[rows], u[rows], len(qubits))
-                    for t, corr in zip(rows, corrections):
-                        psi[t:t + 1] = _apply_matrix(psi[t:t + 1], corr, qubits, width)
+                corrections = _corrections(members, noisy, hit[rows], us[rows][:, draws],
+                                           len(qubits), self.suffixes[i])
+                for t, corr in zip(rows, corrections):
+                    psi[t:t + 1] = _apply_matrix(psi[t:t + 1], corr, qubits, width)
         return (psi, psi) if self.split == len(self.ops) else (kept, psi)
 
 
@@ -754,7 +857,7 @@ class TrajectoryBatch:
         """``n_traj`` trajectories at ``initial``, trajectory t seeded
         ``key + [2, t]``; they draw quasi-static idle rates only if some
         circuit they will run has ``quasi_static`` idles."""
-        rngs = [np.random.default_rng(key + [2, t]) for t in range(n_traj)]
+        rngs = [_rng(key + [2, t]) for t in range(n_traj)]
         omegas = None
         if quasi_static:
             sigma = spec.idle_dephasing_rad_per_ns
@@ -840,7 +943,7 @@ def run_noisy_counts(
     if shots_per_trajectory < 1:
         raise ValueError("shots_per_trajectory must be >= 1")
     width = circuit.width
-    base = [int(v) for v in np.atleast_1d(seed)]
+    base = [int(v) for v in (seed if isinstance(seed, (list, tuple)) else np.atleast_1d(seed))]
     if batch is None:
         stochastic, quasi_static = chain_noise([circuit, basis], spec)
         n_traj = trajectory_count(stochastic, shots, shots_per_trajectory)
@@ -860,7 +963,7 @@ def run_noisy_counts(
     n_traj = len(probs)
     share = np.full(n_traj, shots // n_traj)
     share[:shots % n_traj] += 1
-    rng = np.random.default_rng(base + [4])
+    rng = _rng(base + [4])
     total = rng.multinomial(share, probs / probs.sum(axis=1, keepdims=True)).sum(axis=0)
     return Counts.from_vector(total.astype(float), width, float(shots))
 

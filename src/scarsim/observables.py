@@ -33,12 +33,12 @@ from .qsim import (
     Circuit,
     Counts,
     Statevector,
+    _run_gates,
     bit_table,
     h,
     run_circuit,
     ry,
     s,
-    sample_counts,
     sdg,
     x,
 )
@@ -323,29 +323,32 @@ def simulate_cy_noiseless(p: ModelParams, steps: int, impl: str = "rzz") -> np.n
     """Full measurement protocol in noiseless infinite-shot mode: C_Y
     after 0, 1, ..., ``steps`` Trotter steps, as a complex array.
 
-    Each (source, branch) state is carried forward one Trotter step at a
-    time and measured in both parity bases after every step.  This is
-    the convention-pinning check: it must agree with ``cy_oracle``
+    The (source, branch) states are carried forward as one stack, one
+    Trotter step at a time, and measured in both parity bases after
+    every step (rows never mix, so each evolves as it would alone).  This
+    is the convention-pinning check: it must agree with ``cy_oracle``
     before the protocol is trusted at scale.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    L = p.L
     step = build_trotter_step(p, impl=impl)
-    neel = run_circuit(Statevector.zero(p.L), neel_prep_circuit(p.L))
-    values: list[dict] = [{} for _ in range(steps + 1)]
-    for i in range(2, p.L + 1, 2):
-        for b in CY_BRANCHES:
-            psi = run_circuit(neel, cy_branch_prep(p.L, i, b))
-            for n in range(steps + 1):
-                if n:
-                    psi = run_circuit(psi, step)
-                per_site: dict[int, float] = {}
-                for parity in PARITIES:
-                    rotated = run_circuit(psi, y_basis_rotation(p.L, parity))
-                    counts = sample_counts(rotated, shots=1, seed=0, infinite=True)
-                    per_site.update(pyp_expectation(counts, parity))
-                values[n][(i, b)] = per_site
-    return np.array([assemble_cy(v, p.L) for v in values])
+    neel = run_circuit(Statevector.zero(L), neel_prep_circuit(L))
+    families = [(i, b) for i in range(2, L + 1, 2) for b in CY_BRANCHES]
+    psi = np.stack([run_circuit(neel, cy_branch_prep(L, i, b)).amplitudes for i, b in families])
+    bases = {parity: y_basis_rotation(L, parity).gates for parity in PARITIES}
+    values = []
+    for n in range(steps + 1):
+        if n:
+            psi = _run_gates(psi, step.gates, L)
+        per_site: dict = {f: {} for f in families}
+        for parity, basis in bases.items():
+            probs = np.abs(_run_gates(psi, basis, L)) ** 2
+            for f, row in zip(families, probs):
+                counts = Counts(row / row.sum(), 1.0, exact=True)  # one infinite shot
+                per_site[f].update(pyp_expectation(counts, parity))
+        values.append(assemble_cy(per_site, L))
+    return np.array(values)
 
 
 def cy_oracle(p: ModelParams, steps: int) -> complex:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import cos, sin, sqrt
 
 import numpy as np
@@ -83,6 +83,12 @@ class Gate:
         return len(self.qubits) == 2
 
     def inverse(self) -> "Gate":
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "Gate":
+        """The inverse, built once per gate (folding asks for it at
+        every fold of the gate)."""
         if self.kind in ROTATION_KINDS:
             return Gate(self.kind, self.qubits, angle=-self.angle)
         if self.kind == "S":
@@ -203,9 +209,14 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
+    @cached_property
+    def two_qubit_positions(self) -> tuple[int, ...]:
+        """Indices in ``gates`` of the two-qubit gates, found once."""
+        return tuple(i for i, g in enumerate(self.gates) if g.is_two_qubit)
+
     @property
     def n_two_qubit(self) -> int:
-        return sum(1 for g in self.gates if g.is_two_qubit)
+        return len(self.two_qubit_positions)
 
 
 class Statevector:

@@ -1,4 +1,5 @@
 """Experiment runner: config handling, pipeline, emission, CLI, determinism."""
+import itertools
 import json
 import re
 import subprocess
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scarsim import cli, experiments
+from scarsim import cli, experiments, mitigation
 from scarsim.experiments import (
     ExperimentConfig,
     config_from_ini,
@@ -625,6 +628,49 @@ class TestCLI:
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["qpt", "rzz-bench"])
+    @pytest.mark.parametrize("section, line", [("mitigation", "twirls = 7"),
+                                               ("mitigation", "dd = true"),
+                                               ("model", "sites = 2"),
+                                               ("execution", "impl = rzz")])
+    def test_gate_benchmarks_reject_ini_keys_they_do_not_read(self, tmp_path, command,
+                                                               section, line):
+        # an INI key a gate benchmark never reads is refused at load like
+        # its flag, so the manifest records no setting without effect
+        sections = {"execution": ["shots = 64", "infinite_shots = true"]}
+        sections.setdefault(section, []).append(line)
+        ini = tmp_path / "run.ini"
+        ini.write_text("".join(f"[{name}]\n" + "".join(f"{kv}\n" for kv in kvs)
+                               for name, kvs in sections.items()))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(ini), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[model]\nsites = 5\n[model]\nsteps = 2\n",
+                                      "sites = 5\n", "[model]\nsites = many\n"],
+                             ids=["duplicate-section", "no-section", "bad-value"])
+    def test_config_that_fails_to_load_exits_with_status_2(self, tmp_path, text):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["zpi", "--config", str(ini), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_gate_benchmarks_take_the_ini_keys_they_read(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[execution]\nshots = 64\ninfinite_shots = true\nseed = 3\n"
+                       "[noise]\npreset = casablanca-like\noverride.readout_eps = 0.01\n"
+                       f"[output]\nout = {tmp_path / 'out'}\nformat = json\n")
+        cli.main(["rzz-bench", "--config", str(ini), "--points", "2", "--repeats", "1"])
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 3
+        assert manifest["config"]["noise_overrides"] == {"readout_eps": 0.01}
+        assert (tmp_path / "out" / "rzz_bench.json").exists()
+
     def test_qpt_smoke(self, tmp_path):
         out = tmp_path / "cli_qpt"
         cmd = [
@@ -687,3 +733,102 @@ def test_oracle_cli_files_and_values(tmp_path, which):
         np.testing.assert_allclose(table[:, 1], np.arange(steps + 1) * params.dt * params.V)
         np.testing.assert_allclose(table[:, 2], [row[name] for row in want], rtol=0, atol=1e-10)
         np.testing.assert_array_equal(table[:, 3:], 0.0)
+
+
+# The stacked ZNE of ``experiments._zne`` must equal the per-column
+# ``_zne_scalar`` bit for bit, or near-ties in the weighted fit magnify the
+# difference into the emitted files.  Its reductions (means and ddof-1
+# stds over twirls or pooled samples) run along the contiguous last axis
+# of a (columns, ...) array: numpy sums a contiguous axis pairwise in
+# blocks of 8, as it does a 1-D array, while an axis-0 reduction adds row
+# by row, so from 8 rows on the two round differently (of 1,400 random
+# cases with 2 to 29 rows, 1,065 differed, none of them below 8 rows).
+_LAM_PATTERNS = {1: [[1.0]], 2: [[1.0, 2.0], [1.0, 1.0]],
+                 3: [[1.0, 1.5, 2.0], [1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 1.5714285714285714,
+                                                                        2.142857142857143]]}
+_COLUMN_KINDS = ["plain", "tie", "near-tie", "at-floor", "above-floor", "scale-missing",
+                 "one-missing", "all-missing", "huge"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_steps=st.integers(1, 4), n_scales=st.integers(1, 3),
+       n_twirls=st.integers(2, 12), n_cols=st.integers(1, 20), seed=st.integers(0, 2**16))
+def test_stacked_zne_equals_the_per_column_fit(data, n_steps, n_scales, n_twirls, n_cols, seed):
+    lam_effs = [data.draw(st.sampled_from(_LAM_PATTERNS[n_scales])) for _ in range(n_steps)]
+    rng = np.random.default_rng(seed)
+    samples = (rng.normal(size=(n_steps, n_scales, n_twirls, n_cols)) * 0.1
+               + rng.normal(size=n_cols))
+    floor = mitigation.SIGMA_FLOOR
+    for step, c in itertools.product(range(n_steps), range(n_cols)):
+        kind = data.draw(st.sampled_from(_COLUMN_KINDS))
+        li = data.draw(st.integers(0, n_scales - 1))
+        col = samples[step, :, :, c]  # a view: edits land in samples
+        if kind == "tie":  # sigma 0 at one scale: the unweighted fallback
+            col[li] = col[li, 0]
+        elif kind in ("near-tie", "at-floor"):
+            step_size = 1e-7 if kind == "near-tie" else floor / 2
+            col[li] = col[li, 0] + step_size * np.arange(n_twirls) / n_twirls
+        elif kind == "above-floor":  # every scale's twirls nearly agree
+            col[:] = col[:, :1] + 4 * floor * rng.random((n_scales, n_twirls))
+        elif kind == "scale-missing":  # like the retained fraction at scales other than 1
+            col[li] = np.nan
+        elif kind == "one-missing":  # like an emptied postselection
+            col[li, data.draw(st.integers(0, n_twirls - 1))] = np.nan
+        elif kind == "all-missing":
+            col[:] = np.nan
+        elif kind == "huge":
+            col *= 1e6
+    try:
+        want = np.array([[experiments._zne_scalar(samples[step, :, :, c], lam_effs[step])
+                          for c in range(n_cols)] for step in range(n_steps)])
+    except (np.linalg.LinAlgError, ValueError):
+        # a weight ratio past double precision makes the normal matrix
+        # singular: the stacked fit fails too
+        with pytest.raises((np.linalg.LinAlgError, ValueError)):
+            experiments._zne(samples, lam_effs)
+        return
+    values, stds = experiments._zne(samples, lam_effs)
+    np.testing.assert_array_equal(values, want[..., 0])
+    np.testing.assert_array_equal(stds, want[..., 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_points=st.integers(2, 36), n_rows=st.integers(1, 20), seed=st.integers(0, 2**16))
+def test_weighted_line_fits_equal_one_fit_per_row(n_points, n_rows, seed):
+    # every row of the stacked fit, over shared or per-row scales, equals
+    # the single fit of its points written out with 2-D arrays
+    rng = np.random.default_rng(seed)
+    lams = np.sort(rng.choice([1.0, 1.5, 2.0, 2.5, 3.0], size=n_points))
+    lams[:2] = [1.0, 3.0]
+    vals = rng.normal(size=(n_rows, n_points))
+    sigs = 10.0 ** rng.uniform(-4, 0, size=(n_rows, n_points))  # weight ratios to 1e8
+    per_row = np.stack([rng.permutation(lams) for _ in range(n_rows)])
+    for shared in (lams, per_row):
+        coef, cov = mitigation.weighted_line_fits(shared, vals, sigs)
+        for r in range(n_rows):
+            row_lams = shared if shared.ndim == 1 else shared[r]
+            design = np.column_stack([np.ones_like(row_lams), row_lams])
+            w = 1.0 / sigs[r] ** 2
+            xtwx = design.T @ (design * w[:, None])
+            np.testing.assert_array_equal(coef[r],
+                                          np.linalg.solve(xtwx, design.T @ (vals[r] * w)))
+            np.testing.assert_array_equal(cov[r], np.linalg.inv(xtwx))
+
+
+def test_sigma_exactly_at_the_floor_takes_the_unweighted_fit(monkeypatch):
+    # a per-scale sigma equal to SIGMA_FLOOR (scale 1: every value within
+    # [-1, 1]) counts as exact in the stacked reduction as in _zne_scalar
+    rng = np.random.default_rng(3)
+    samples = rng.uniform(-0.5, 0.5, size=(1, 3, 4, 2))
+    lam_effs = [[1.0, 1.5, 2.0]]
+    at = float(np.std(samples[0, 1, :, 0], ddof=1))
+    monkeypatch.setattr(mitigation, "SIGMA_FLOOR", at)
+    unweighted = []
+    fit = mitigation.zne_extrapolate
+    monkeypatch.setattr(mitigation, "zne_extrapolate",
+                        lambda pts: unweighted.append(fit(pts)) or unweighted[-1])
+    values, stds = experiments._zne(samples, lam_effs)
+    assert len(unweighted) == 1 and any(s == 0.0 for _, _, s in unweighted[0].points)
+    want = [experiments._zne_scalar(samples[0, :, :, c], lam_effs[0]) for c in range(2)]
+    np.testing.assert_array_equal(values[0], [v for v, _ in want])
+    np.testing.assert_array_equal(stds[0], [s for _, s in want])

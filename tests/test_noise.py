@@ -897,3 +897,130 @@ def test_plan_memo_keeps_the_most_recently_used_plans(monkeypatch):
     assert noise._NoisePlan.of(blocks[0], spec) is first[0]
     assert noise._NoisePlan.of(blocks[2], spec) is first[2]
     assert noise._NoisePlan.of(blocks[1], spec) is not first[1]
+
+
+@pytest.mark.parametrize("key", [7, 0, [0], [3, 7, 2, 0, 1, 0, 2, 4], [2**32 - 1, 0, 5],
+                                 [1, 2**32, 3], [2**40 + 5], 2**33, [0, 0]],
+                         ids=["int", "zero", "list-zero", "list", "top-word", "part-2^32",
+                              "part-2^40", "int-2^33", "zeros"])
+def test_rng_gives_the_default_rng_stream(key):
+    # the uint32 fast path and the fallback both seed exactly the
+    # generator np.random.default_rng(key) does
+    got, want = noise._rng(key), np.random.default_rng(key)
+    np.testing.assert_array_equal(got.random(64), want.random(64))
+    np.testing.assert_array_equal(got.integers(4, size=32), want.integers(4, size=32))
+
+
+def test_rng_refuses_what_default_rng_refuses():
+    with pytest.raises(ValueError):
+        noise._rng([3, -1])
+    with pytest.raises(TypeError):
+        noise._rng([1.5])
+
+
+def _cache_sizes(plan) -> list[int]:
+    return [len(c) for c in plan.suffixes if c is not None]
+
+
+def test_suffix_cache_leaves_every_stack_bit_identical():
+    # a memoized plan runs the same stacks with a cold and a warm cache,
+    # alone and joined at three draw offsets (the joins share its
+    # cache); uniforms of 0.3 make every noisy member draw an error, so
+    # every suffix product is built, cached and read back
+    spec = _memo_spec()
+    block = Circuit(4, [h(0), cnot(0, 1), rzz(1, 2, 0.4), rx(2, 0.3), rzx(2, 3, 0.8),
+                        cnot(3, 0), rzz(0, 1, 0.7).inverse(), delay(2, 50.0), ry(1, 0.2)])
+    other = noise._NoisePlan.of(Circuit(4, [rzx(2, 0, 0.9), cnot(1, 3)]), spec)
+    basis = noise._NoisePlan.of(y_basis_rotation(4, "even"), spec)
+    amps = np.tile(Statevector.zero(4).amplitudes, (3, 1))
+
+    def runs(plan):
+        m, n, b = other.n_draws, plan.n_draws, basis.n_draws
+        joins = [([plan], None, n), ([other, plan], basis, m + n + b),
+                 ([plan, other, plan], basis, 2 * n + m + b)]
+        out = []
+        for parts, bas, draws in joins:
+            u = [_FixedUniforms(np.full(draws, p)) for p in (0.3, 0.01, 0.99)]
+            out.append(noise._NoisePlan.join(parts, bas).run_batch(amps.copy(), u))
+        return out
+
+    plan = noise._NoisePlan.of(block, spec)
+    assert all(size == 0 for size in _cache_sizes(plan))
+    cold = runs(plan)
+    assert any(_cache_sizes(plan))
+    warm = runs(plan)
+    fresh = runs(noise._NoisePlan(block, _memo_spec()))  # a new spec: an empty cache
+    for a, b, c in zip(cold, warm, fresh):
+        for x_, y_, z_ in zip(a, b, c):
+            np.testing.assert_array_equal(x_, y_)
+            np.testing.assert_array_equal(x_, z_)
+
+
+def test_suffix_cache_is_released_with_its_plan_and_bounded(monkeypatch):
+    # a plan that leaves the memo gives its cache back to the spec's
+    # budget, and the plan rebuilt for the same block starts empty; a
+    # spent budget caches nothing and changes no result
+    monkeypatch.setattr(noise, "PLAN_MEMO", 1)
+    spec = _memo_spec()
+    block = Circuit(3, [cnot(0, 1), rzz(1, 2, 0.4), rzx(0, 2, 0.5)])
+    plan = noise._NoisePlan.of(block, spec)
+    amps = np.tile(Statevector.zero(3).amplitudes, (2, 1))
+    u = [_FixedUniforms(np.full(plan.n_draws, 0.3))] * 2
+    want = plan.run_batch(amps.copy(), u)
+    budget = spec._memo["suffix budget"]
+    held = sum(m.nbytes for c in plan.suffixes if c for m in c.values())
+    assert held > 0 and budget[0] == noise.SUFFIX_CACHE_BYTES - held
+    noise._NoisePlan.of(Circuit(3, [h(0)]), spec)  # evicts ``plan``
+    assert budget[0] == noise.SUFFIX_CACHE_BYTES
+    assert all(size == 0 for size in _cache_sizes(plan))
+    rebuilt = noise._NoisePlan.of(block, spec)
+    assert rebuilt is not plan and all(size == 0 for size in _cache_sizes(rebuilt))
+    budget[0] = 0
+    got = rebuilt.run_batch(amps.copy(), u)
+    assert all(size == 0 for size in _cache_sizes(rebuilt))
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_run_batch_corrects_only_the_windows_some_row_hit():
+    # the batch's uniforms are tested against the plan's per-draw rates
+    # once: a window whose draws no row hit builds no correction
+    spec = _memo_spec()
+    gates = [cnot(0, 1), rzz(2, 3, 0.4), rzx(4, 5, 0.6), cnot(3, 4), h(0), rzz(0, 1, 0.3)]
+    plan = noise._NoisePlan(Circuit(6, gates), spec)
+    windows = [i for i, op in enumerate(plan.ops) if plan.suffixes[i] is not None]
+    assert len(windows) == 2
+    assert plan.n_draws == len(plan.totals) == len(plan.owner) == len(gates)
+    for i in windows:
+        assert (plan.owner[plan.ops[i][5]] == i).all()
+    np.testing.assert_array_equal(plan.totals, [noise._plan_entry(spec, g)[3] for g in gates])
+    amps = np.tile(Statevector.zero(6).amplitudes, (1, 1))
+    clean = plan.run_batch(amps.copy(), [_FixedUniforms(np.full(plan.n_draws, 0.99))])
+    # a uniform equal to its draw's total rate draws no error
+    edge = plan.run_batch(amps.copy(), [_FixedUniforms(plan.totals.copy())])
+    assert not any(plan.suffixes[i] for i in windows)
+    np.testing.assert_array_equal(edge[0], clean[0])
+    u = np.full(plan.n_draws, 0.99)
+    u[plan.ops[windows[-1]][5][0]] = 1e-4
+    plan.run_batch(amps.copy(), [_FixedUniforms(u)])
+    assert [bool(plan.suffixes[i]) for i in windows] == [False, True]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), width=st.integers(2, 4), seed=st.integers(0, 2**16))
+def test_suffix_cache_filled_in_any_order_matches_a_cold_cache(data, width, seed):
+    # batch after batch hits random members of a plan's windows, so its
+    # cache fills in any order and sweeps resume at cached products; every
+    # batch equals the same batch on a plan with an empty cache, bit for bit
+    circ = data.draw(_plan_circuits(width))
+    spec = NoiseSpec(two_qubit_depolarizing=0.4, single_qubit_depolarizing=0.3,
+                     idle_stochastic_rate_per_ns=0.01, coherent_overrotation=0.2)
+    plan = noise._NoisePlan(circ, spec)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(3, 2**width)) + 1j * rng.normal(size=(3, 2**width))
+    for _ in range(4):
+        u = [_FixedUniforms(rng.random(plan.n_draws) ** 3) for _ in range(3)]
+        got = plan.run_batch(amps.copy(), u)
+        want = noise._NoisePlan(circ, spec).run_batch(amps.copy(), u)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)

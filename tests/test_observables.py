@@ -252,6 +252,33 @@ class TestCYAssembly:
         for steps in (3, 6):
             assert series[steps] == pytest.approx(cy_oracle(p, steps), abs=1e-9)
 
+    @pytest.mark.parametrize("L, impl", [(2, "rzz"), (3, "two-cnot"), (5, "scaled-rzx"),
+                                         (6, "rzz")])
+    def test_stacked_families_equal_each_family_run_alone(self, L, impl):
+        # the reference evolves every (source, branch) state in one stack;
+        # run family by family, gate by gate, each gives the same bits
+        from scarsim.model import build_trotter_step, neel_prep_circuit
+        from scarsim.observables import CY_BRANCHES, PARITIES, cy_branch_prep
+
+        p = ModelParams(V=1.0, Omega=0.24, dt=1.0, L=L)
+        step = build_trotter_step(p, impl=impl)
+        neel = run_circuit(Statevector.zero(L), neel_prep_circuit(L))
+        values = [{} for _ in range(5)]
+        for i in range(2, L + 1, 2):
+            for b in CY_BRANCHES:
+                psi = run_circuit(neel, cy_branch_prep(L, i, b))
+                for n in range(5):
+                    if n:
+                        psi = run_circuit(psi, step)
+                    per_site = {}
+                    for parity in PARITIES:
+                        rotated = run_circuit(psi, y_basis_rotation(L, parity))
+                        counts = sample_counts(rotated, shots=1, seed=0, infinite=True)
+                        per_site.update(pyp_expectation(counts, parity))
+                    values[n][(i, b)] = per_site
+        want = np.array([assemble_cy(v, L) for v in values])
+        np.testing.assert_array_equal(simulate_cy_noiseless(p, 4, impl=impl), want)
+
     def test_missing_branch_rejected(self):
         with pytest.raises(ValueError):
             assemble_cy({(2, "M+1"): {1: 0.0}}, L=4)
