@@ -10,9 +10,6 @@ from .qsim import (  # noqa: F401
     KrausChannel,
     PauliString,
     Statevector,
-    apply_channel,
-    apply_gate,
-    expectation_pauli,
     pauli_transfer_matrix,
     run_circuit,
     sample_counts,

@@ -1,13 +1,16 @@
 """Command-line entry point for the experiment workflows.
 
-Subcommands: zpi, loschmidt, cy, rzz-bench, qpt, oracle.  Flags override
-values from an optional --config INI file; omitted settings fall back to
-the dataclass defaults.  Each subcommand takes only the command-line
-flags it reads, and the gate benchmarks (``qpt`` and ``rzz-bench``) take
-only the INI keys they read: the shots, the seed, the noise and the
-output.  A flag or INI key a subcommand does not read (``twirls`` for
-``qpt``, say), or a config that fails validation, ends the run with
-exit status 2 before anything is written.
+Subcommands: zpi, cy, rzz-bench, qpt, oracle.  ``zpi`` writes the
+magnetization and the return-probability (echo) files of one sweep;
+``--flips`` keeps only the echo files of that flip tolerance.  Flags
+override values from an optional --config INI file; omitted settings
+fall back to the dataclass defaults.  Each subcommand takes only the
+command-line flags it reads, and the gate benchmarks (``qpt`` and
+``rzz-bench``) take only the INI keys they read: the shots, the seed,
+the noise and the output.  A flag or INI key a subcommand does not read
+(``twirls`` for ``qpt``, say), a flag value out of range, or a config
+that fails validation, ends the run with exit status 2 before anything
+is written.
 """
 from __future__ import annotations
 
@@ -56,6 +59,21 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _scale_factors(text: str) -> tuple[int, ...]:
+    factors = tuple(int(x) for x in text.split(","))
+    if len(set(factors)) < 2 or any(f < 1 or f % 2 == 0 for f in factors):
+        raise argparse.ArgumentTypeError(
+            f"need at least two distinct odd positive integers, got {text!r}")
+    return factors
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     """Every flag of the variant-sweep pipelines: output, model and
     sampling flags plus the mitigation and trial flags."""
@@ -98,13 +116,10 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_zpi = sub.add_parser("zpi", help="staggered magnetization pipeline")
+    p_zpi = sub.add_parser("zpi", help="staggered magnetization and return-probability pipeline")
     _add_common(p_zpi)
-
-    p_lo = sub.add_parser("loschmidt", help="return-probability pipeline")
-    _add_common(p_lo)
-    p_lo.add_argument("--flips", type=int, choices=[0, 1], default=None,
-                      help="emit only the series with this flip tolerance")
+    p_zpi.add_argument("--flips", type=int, choices=[0, 1], default=None,
+                       help="emit only the return-probability series with this flip tolerance")
 
     p_cy = sub.add_parser("cy", help="unequal-time correlator pipeline")
     _add_common(p_cy)
@@ -113,17 +128,17 @@ def main(argv=None) -> int:
     p_bench = sub.add_parser("rzz-bench", help="interaction-gate benchmark table")
     _add_output_flags(p_bench)
     _add_sampling_flags(p_bench)
-    p_bench.add_argument("--points", type=int, default=12)
+    p_bench.add_argument("--points", type=_positive_int, default=12)
     p_bench.add_argument("--theta-min", type=float, default=0.2)
     p_bench.add_argument("--theta-max", type=float, default=2.4)
-    p_bench.add_argument("--repeats", type=int, default=4)
+    p_bench.add_argument("--repeats", type=_positive_int, default=4)
 
     p_qpt = sub.add_parser("qpt", help="process tomography of one interaction gate")
     _add_output_flags(p_qpt)
     _add_sampling_flags(p_qpt)
     p_qpt.add_argument("--theta", type=float, default=2.0)
-    p_qpt.add_argument("--scale-factors", type=str, default="1,3,5")
-    p_qpt.add_argument("--repeats", type=int, default=4)
+    p_qpt.add_argument("--scale-factors", type=_scale_factors, default="1,3,5")
+    p_qpt.add_argument("--repeats", type=_positive_int, default=4)
     p_qpt.add_argument("--realization", choices=["atomic", "two-cnot", "scaled-rzx"],
                        default="atomic")
 
@@ -141,27 +156,19 @@ def main(argv=None) -> int:
 
     if args.command == "zpi":
         results = experiments.run_zpi(config)
-        _report(emit(results, config))
-    elif args.command == "loschmidt":
-        results = experiments.run_loschmidt(config)
         if args.flips is not None:
-            keep = {k: v for k, v in results.items()
-                    if f"_f{args.flips}_" in k or k == "variants"}
-            results = keep
-        _report(emit(results, config))
+            other = f"loschmidt_f{1 - args.flips}_"
+            results = {k: v for k, v in results.items() if not k.startswith(other)}
     elif args.command == "cy":
         results = experiments.run_cy(config)
-        _report(emit(results, config))
     elif args.command == "rzz-bench":
         grid = np.linspace(args.theta_min, args.theta_max, args.points)
         results = experiments.run_rzz_bench(config, thetas=grid, repeats=args.repeats)
-        _report(emit(results, config))
     elif args.command == "qpt":
         results = _run_qpt(config, args)
-        _report(emit(results, config))
-    elif args.command == "oracle":
+    else:
         results = _run_oracle(config, args.which)
-        _report(emit(results, config))
+    _report(emit(results, config))
     return 0
 
 
@@ -169,11 +176,10 @@ def _run_qpt(config: ExperimentConfig, args) -> dict:
     from .qsim import rzz
     from .tomography import fidelity_report, spam_free_error
 
-    factors = tuple(int(x) for x in args.scale_factors.split(","))
     slope = spam_free_error(
         rzz(0, 1, args.theta),
         config.noise_spec(),
-        scale_factors=factors,
+        scale_factors=args.scale_factors,
         repeats=args.repeats,
         shots=config.shots,
         seed=config.seed,

@@ -38,7 +38,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +161,10 @@ class ExperimentConfig:
 
 
 def _flag(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"not a boolean: {text!r} (use 1/true/yes or 0/false/no)")
+    return word in ("1", "true", "yes")
 
 
 def _float_tuple(text: str) -> tuple[float, ...]:
@@ -217,12 +220,15 @@ def config_from_ini(path, allowed: dict | None = None, **cli_overrides) -> Exper
     with open(path) as fh:
         cp.read_file(fh)
     _check_ini_keys(cp, allowed or {**_INI_FIELDS, "noise": _noise_key}, path)
-    kwargs: dict = {
-        key: conv(cp.get(section, key))
-        for section, keys in _INI_FIELDS.items()
-        for key, conv in keys.items()
-        if cp.has_option(section, key)
-    }
+    kwargs: dict = {}
+    for section, keys in _INI_FIELDS.items():
+        for key, conv in keys.items():
+            if not cp.has_option(section, key):
+                continue
+            try:
+                kwargs[key] = conv(cp.get(section, key))
+            except ValueError as exc:  # name the key: "flase" alone does not say where
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
     if cp.has_option("noise", "preset"):
         kwargs["noise_preset"] = cp.get("noise", "preset")
     if cp.has_section("noise"):
@@ -607,21 +613,6 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialSeries:
     )
 
 
-@dataclass
-class ExperimentResult:
-    config: ExperimentConfig
-    reference: dict
-    trials: list[TrialSeries]
-
-
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the magnetization/echo pipeline for every trial."""
-    params = config.model_params()
-    ref = reference_series(params, config.steps, config.impl)
-    trials = [_run_trial(config, t) for t in range(config.trials)]
-    return ExperimentResult(config=config, reference=ref, trials=trials)
-
-
 def _over_trials(trials: list[TrialSeries], table: str, col):
     """Mean over trials of column(s) ``col`` of one table, and its std:
     the spread over trials, or the one trial's own std."""
@@ -637,12 +628,15 @@ def _series(config, values, errors) -> TimeSeries:
     return series_from_values(steps, dt_v, values, errors)
 
 
-def run_zpi(config: ExperimentConfig, result: ExperimentResult | None = None) -> dict:
-    """Staggered-magnetization bundle: mitigated, unmitigated, references,
-    per-site tables, accumulated error, and the subspace weight."""
-    result = result or run_experiment(config)
-    ref = result.reference
-    trials = result.trials
+def run_zpi(config: ExperimentConfig) -> dict:
+    """Magnetization and echo bundle of one sweep per trial: staggered
+    magnetization (mitigated, unmitigated, references), per-site tables,
+    accumulated error, subspace weight, and the return-probability series
+    ``loschmidt_f{0,1}_*`` for 0 and 1 tolerated flips, all read from the
+    same counts."""
+    params = config.model_params()
+    ref = reference_series(params, config.steps, config.impl)
+    trials = [_run_trial(config, t) for t in range(config.trials)]
     L = config.sites
     out: dict = {}
 
@@ -664,7 +658,15 @@ def run_zpi(config: ExperimentConfig, result: ExperimentResult | None = None) ->
     d_raw, _ = accumulated_error(_over_trials(trials, "raw", COL_SITES)[0], ref["site_z"])
     out["accumulated_error_unmitigated"] = _series(config, d_raw, None)
 
-    dt_v = config.model_params().dt * config.model_params().V
+    for flips in (0, 1):
+        mean, std = _over_trials(trials, "mit", COL_ECHO[flips])
+        out[f"loschmidt_f{flips}_mitigated"] = _series(config, mean, std)
+        raw, _ = _over_trials(trials, "raw", COL_ECHO[flips])
+        out[f"loschmidt_f{flips}_unmitigated"] = _series(config, raw, None)
+        out[f"loschmidt_f{flips}_ideal"] = _series(config, ref[f"echo{flips}"], None)
+        out[f"loschmidt_f{flips}_projected"] = _series(config, ref[f"echo{flips}_proj"], None)
+
+    dt_v = params.dt * params.V
 
     def site_table(values, stds) -> Table:
         rows = [
@@ -680,38 +682,17 @@ def run_zpi(config: ExperimentConfig, result: ExperimentResult | None = None) ->
     return out
 
 
-def run_loschmidt(config: ExperimentConfig, result: ExperimentResult | None = None) -> dict:
-    """Return-probability series for 0 and 1 tolerated flips; reuses the
-    magnetization pipeline's counts."""
-    result = result or run_experiment(config)
-    ref = result.reference
-    out: dict = {}
-    for flips in (0, 1):
-        mean, std = _over_trials(result.trials, "mit", COL_ECHO[flips])
-        out[f"loschmidt_f{flips}_mitigated"] = _series(config, mean, std)
-        raw, _ = _over_trials(result.trials, "raw", COL_ECHO[flips])
-        out[f"loschmidt_f{flips}_unmitigated"] = _series(config, raw, None)
-        out[f"loschmidt_f{flips}_ideal"] = _series(config, ref[f"echo{flips}"], None)
-        out[f"loschmidt_f{flips}_projected"] = _series(
-            config, ref[f"echo{flips}_proj"], None
-        )
-    out["variants"] = [v for t in result.trials for v in t.variants]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Correlator experiment
 # ---------------------------------------------------------------------------
 
-def run_cy(config: ExperimentConfig, regime: str | None = None) -> dict:
+def run_cy(config: ExperimentConfig) -> dict:
     """Correlator pipeline: 4 branches x 2 parities x floor(L/2) sources
     per step, twirl x scale variants each, readout mitigation and ZNE per
     local term (no postselection: the measurement is not in the Z basis).
     It runs one trial without DD; a config asking for either is refused."""
     if config.dd or config.trials != 1:
         raise ValueError("cy runs one trial without DD: needs dd=False and trials=1")
-    if regime is not None:
-        config = replace(config, regime=regime)
     params = config.model_params()
     spec = config.noise_spec()
     L = params.L

@@ -308,9 +308,7 @@ def mitigate_readout(counts: Counts, m: ConfusionMatrix) -> Counts:
         raise ValueError("full-matrix inversion limited to L <= 12")
     vec = m.invert_vector(counts.vector)
     quasi = bool(np.any(vec < -1e-12))
-    return Counts.from_vector(
-        vec, counts.width, counts.total_shots, exact=counts.exact, quasi=quasi
-    )
+    return Counts.from_vector(vec, counts.width, counts.total_shots, quasi=quasi)
 
 
 def calibrate_confusion(
@@ -382,7 +380,7 @@ def postselect(counts: Counts) -> PostselectionResult:
     total_kept = float(kept.sum())
     retained = total_kept / total_in if total_in != 0 else 0.0
     empty = not kept.any() or total_kept <= 0
-    out = Counts(kept, total_shots=total_kept, exact=counts.exact, quasi=counts.quasi)
+    out = Counts(kept, total_shots=total_kept, quasi=counts.quasi)
     return PostselectionResult(counts=out, retained_fraction=retained, empty=empty)
 
 

@@ -46,10 +46,6 @@ def qmbs_params(L: int, dt: float = 1.0) -> ModelParams:
     return ModelParams(V=1.0, Omega=0.24, dt=dt, L=L)
 
 
-def chaotic_params(L: int) -> ModelParams:
-    return ModelParams(V=1.0, Omega=2.0, dt=0.16, L=L)
-
-
 @dataclass(frozen=True)
 class TrotterAngles:
     """Rotation angles of one first-order Trotter step."""
@@ -113,20 +109,9 @@ def build_hamiltonian_occupation(p: ModelParams) -> np.ndarray:
     return mat
 
 
-def _bond_sublayers(L: int, order: str) -> list[list[int]]:
-    """Bond indices (bond b joins qubits b, b+1) grouped into sub-layers."""
-    bonds = list(range(L - 1))
-    if order == "even-odd":
-        return [bonds[0::2], bonds[1::2]]
-    if order == "sequential":
-        return [bonds]
-    raise ValueError(f"unknown bond order {order!r}")
-
-
 def build_trotter_step(
     p: ModelParams,
     impl: str = "scaled-rzx",
-    bond_order: str = "even-odd",
     idle_ns: float | None = None,
 ) -> Circuit:
     """One first-order Trotter step as a circuit.
@@ -151,7 +136,8 @@ def build_trotter_step(
     for q in range(L):
         edge = q in (0, L - 1)
         gates.append(rz(q, ang.theta_z_edge if edge else ang.theta_z_bulk))
-    for sub in _bond_sublayers(L, bond_order):
+    bonds = range(L - 1)  # bond b joins qubits b, b+1
+    for sub in (bonds[0::2], bonds[1::2]):
         if not sub:
             continue
         busy: set[int] = set()

@@ -327,10 +327,6 @@ class ConfusionMatrix:
             raise ValueError("method must be 'tensor' or 'full'")
 
     @classmethod
-    def identity(cls, L: int) -> "ConfusionMatrix":
-        return cls("tensor", L, factors=[np.eye(2) for _ in range(L)])
-
-    @classmethod
     def from_rates(cls, L: int, eps, eta) -> "ConfusionMatrix":
         eps = np.broadcast_to(np.asarray(eps, dtype=float), (L,))
         eta = np.broadcast_to(np.asarray(eta, dtype=float), (L,))
@@ -373,9 +369,6 @@ class ConfusionMatrix:
 
             return scipy.linalg.lu_solve(self.lu, vec.T).T
         return _apply_factors(self._blocks[1], vec)
-
-    def dense(self) -> np.ndarray:
-        return self.matrix if self.method == "full" else reduce(np.kron, self.factors, np.eye(1))
 
 
 # Widest Kronecker block of readout factors: a k-qubit block is one pass
@@ -959,7 +952,7 @@ def run_noisy_counts(
             width, spec.readout_eps, spec.readout_eta))
         probs = apply_readout_error(probs, m)
     if infinite:
-        return Counts.from_vector(probs.mean(axis=0) * shots, width, float(shots), exact=True)
+        return Counts.from_vector(probs.mean(axis=0) * shots, width, float(shots))
     n_traj = len(probs)
     share = np.full(n_traj, shots // n_traj)
     share[:shots % n_traj] += 1

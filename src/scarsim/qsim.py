@@ -144,10 +144,6 @@ def y(q: int) -> Gate:
     return Gate("Y", (q,))
 
 
-def z(q: int) -> Gate:
-    return Gate("Z", (q,))
-
-
 def delay(q: int, duration_ns: float) -> Gate:
     if duration_ns < 0:
         raise ValueError("delay duration must be nonnegative")
@@ -295,14 +291,6 @@ def _run_gates(psi: np.ndarray, gates, width: int) -> np.ndarray:
     return psi
 
 
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Apply one gate; pure (returns a new state). Norm is preserved to 1e-12."""
-    if gate.qubits and max(gate.qubits) >= state.width:
-        raise ValueError(f"gate qubits {gate.qubits} out of range for width {state.width}")
-    psi = _run_gates(state.amplitudes[None, :], (gate,), state.width)
-    return Statevector(psi[0], check=False)
-
-
 def run_circuit(initial: Statevector, circuit: Circuit) -> Statevector:
     """Apply gates in order; deterministic for noiseless circuits."""
     if initial.width != circuit.width:
@@ -320,10 +308,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         raise ValueError("circuit_unitary limited to width <= 10")
     columns = np.eye(2**circuit.width, dtype=complex)
     return _run_gates(columns, circuit.gates, circuit.width).T
-
-
-def states_equal_up_to_phase(a: Statevector, b: Statevector, tol: float = 1e-10) -> bool:
-    return abs(abs(np.vdot(a.amplitudes, b.amplitudes)) - 1.0) < tol
 
 
 @dataclass(frozen=True)
@@ -347,21 +331,6 @@ class PauliString:
         for ch in self.letters:
             out = np.kron(out, PAULI_1Q[ch])
         return out
-
-
-def expectation_pauli(state: Statevector, p: PauliString) -> float:
-    """<psi|P|psi>, real to 1e-10 for the Hermitian Pauli string P."""
-    if len(p) != state.width:
-        raise ValueError(f"Pauli width {len(p)} != state width {state.width}")
-    amps = state.amplitudes
-    phi = amps[None, :]
-    for q, ch in enumerate(p.letters):
-        if ch != "I":
-            phi = _apply_matrix(phi, PAULI_1Q[ch], (q,), state.width)
-    val = p.sign * np.vdot(amps, phi[0])
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"non-real expectation {val} for Hermitian Pauli")
-    return float(val.real)
 
 
 @lru_cache(maxsize=8)
@@ -409,8 +378,8 @@ class Counts:
 
     ``vector[i]`` is the weight of outcome i; bit k of i, counted from
     the left, is the measured bit of qubit k (site k+1), the amplitude
-    order of ``Statevector``.  ``exact`` marks infinite-shot data (float
-    counts = probabilities x shots); ``quasi`` marks signed quasi-counts
+    order of ``Statevector``.  Infinite-shot data are float counts
+    (probabilities x shots).  ``quasi`` marks signed quasi-counts
     produced by readout inversion, where individual values may be
     negative and need not sum to ``total_shots``.  The vector is
     read-only.
@@ -418,7 +387,6 @@ class Counts:
 
     vector: np.ndarray
     total_shots: float
-    exact: bool = False
     quasi: bool = False
 
     def __post_init__(self):
@@ -448,21 +416,21 @@ class Counts:
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, width: int, total_shots: float,
-                    exact: bool = False, quasi: bool = False) -> "Counts":
+                    quasi: bool = False) -> "Counts":
         if np.shape(vec) != (2**width,):
             raise ValueError(f"counts vector must have length 2^{width}")
-        return cls(vec, total_shots, exact=exact, quasi=quasi)
+        return cls(vec, total_shots, quasi=quasi)
 
     @classmethod
     def from_dict(cls, data: dict[str, float], total_shots: float, width: int,
-                  exact: bool = False, quasi: bool = False) -> "Counts":
+                  quasi: bool = False) -> "Counts":
         """Counts from bitstring keys (leftmost character = site 1)."""
         vec = np.zeros(2**width)
         for key, n in data.items():
             if len(key) != width or set(key) - {"0", "1"}:
                 raise ValueError(f"bad bitstring key {key!r} for width {width}")
             vec[int(key, 2)] += n
-        return cls(vec, total_shots, exact=exact, quasi=quasi)
+        return cls(vec, total_shots, quasi=quasi)
 
 
 def sample_counts(state: Statevector, shots: int, seed: int, infinite: bool = False) -> Counts:
@@ -476,7 +444,7 @@ def sample_counts(state: Statevector, shots: int, seed: int, infinite: bool = Fa
     probs = state.probabilities()
     probs = probs / probs.sum()
     if infinite:
-        return Counts(probs * shots, float(shots), exact=True)
+        return Counts(probs * shots, float(shots))
     draws = np.random.default_rng(seed).multinomial(shots, probs)
     return Counts(draws.astype(float), float(shots))
 
@@ -508,10 +476,6 @@ class DensityOperator:
     def n_qubits(self) -> int:
         return int(self.matrix.shape[0]).bit_length() - 1
 
-    @classmethod
-    def from_statevector(cls, state: Statevector) -> "DensityOperator":
-        return cls(np.outer(state.amplitudes, state.amplitudes.conj()), check=False)
-
     def expectation(self, op: np.ndarray) -> float:
         val = np.trace(op @ self.matrix)
         return float(val.real)
@@ -542,19 +506,6 @@ class KrausChannel:
     @classmethod
     def unitary(cls, u: np.ndarray) -> "KrausChannel":
         return cls([np.asarray(u, dtype=complex)])
-
-    @classmethod
-    def depolarizing(cls, n: int, p: float) -> "KrausChannel":
-        """rho -> (1-p) rho + p I/2^n, expanded over the Pauli basis."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("depolarizing strength must lie in [0, 1]")
-        dim4 = 4**n
-        ops = []
-        for idx, pm in enumerate(pauli_basis_matrices(n)):
-            w = 1.0 - p + p / dim4 if idx == 0 else p / dim4
-            if w > 0.0:
-                ops.append(np.sqrt(w) * pm)
-        return cls(ops)
 
     @classmethod
     def pauli(cls, n: int, rates: dict[str, float]) -> "KrausChannel":
@@ -593,28 +544,20 @@ def _embed(mat: np.ndarray, qubits: tuple[int, ...], width: int) -> np.ndarray:
     return full.reshape(dim, dim)
 
 
-def apply_channel(rho: DensityOperator, ch: KrausChannel, qubits: tuple[int, ...] | list[int]) -> DensityOperator:
-    """rho -> sum_h E_h rho E_h^dag with the channel embedded on ``qubits``."""
-    qubits = tuple(qubits)
-    if len(qubits) != ch.n_qubits:
-        raise ValueError("channel arity does not match qubit list")
-    width = rho.n_qubits
-    out = np.zeros_like(rho.matrix)
-    for e in ch.kraus_ops:
-        e_full = _embed(e, qubits, width)
-        out += e_full @ rho.matrix @ e_full.conj().T
-    tr = np.trace(out).real
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"channel application broke the trace: {tr}")
-    return DensityOperator(out, check=False)
-
-
 def pauli_basis_matrices(n: int) -> list[np.ndarray]:
-    """4^n Pauli matrices ordered (I,X,Y,Z)^n, first qubit most significant."""
+    """4^n Pauli matrices ordered (I,X,Y,Z)^n, first qubit most significant.
+    Built once per n: a fresh list of shared, read-only matrices."""
+    return list(_pauli_basis(n))
+
+
+@lru_cache(maxsize=None)
+def _pauli_basis(n: int) -> tuple[np.ndarray, ...]:
     mats = [np.array([[1]], dtype=complex)]
     for _ in range(n):
         mats = [np.kron(m, PAULI_1Q[ch]) for m in mats for ch in PAULI_LETTERS]
-    return mats
+    for m in mats:
+        m.flags.writeable = False
+    return tuple(mats)
 
 
 def pauli_basis_labels(n: int) -> list[str]:

@@ -207,7 +207,7 @@ def test_07_readout_round_trip():
         ideal = sample_counts(psi, shots=8192, seed=0, infinite=True)
         m = ConfusionMatrix.from_rates(L, eps=0.05, eta=0.03)
         probs = apply_readout_error(ideal.vector / ideal.total_shots, m)
-        noisy = Counts.from_vector(probs * ideal.total_shots, L, ideal.total_shots, exact=True)
+        noisy = Counts.from_vector(probs * ideal.total_shots, L, ideal.total_shots)
         recovered = mitigate_readout(noisy, m)
         diff = recovered.to_vector() - ideal.to_vector()
         assert np.max(np.abs(diff)) / ideal.total_shots < 1e-10

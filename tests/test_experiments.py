@@ -1,4 +1,5 @@
 """Experiment runner: config handling, pipeline, emission, CLI, determinism."""
+import hashlib
 import itertools
 import json
 import re
@@ -18,8 +19,6 @@ from scarsim.experiments import (
     emit,
     reference_series,
     run_cy,
-    run_experiment,
-    run_loschmidt,
     run_rzz_bench,
     run_zpi,
 )
@@ -134,6 +133,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="not scalar NoiseSpec fields"):
             ExperimentConfig(noise_overrides={"pulse": 1.0})
 
+    @pytest.mark.parametrize("key", ["postselect", "dd"])
+    def test_misspelled_boolean_fails_at_load(self, tmp_path, key):
+        # any word but 1/true/yes used to read as False, so a typo in
+        # `postselect = true` silently turned postselection off
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[mitigation]\n{key} = flase\n")
+        with pytest.raises(ValueError, match=rf"\[mitigation\] {key}: not a boolean: 'flase'"):
+            config_from_ini(ini)
+
+    @pytest.mark.parametrize("word, value", [("1", True), ("TRUE", True), ("Yes", True),
+                                             ("0", False), ("false", False), ("NO", False)])
+    def test_boolean_words(self, tmp_path, word, value):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[mitigation]\npostselect = {word}\ndd = {word}\n")
+        cfg = config_from_ini(ini)
+        assert cfg.postselect is value and cfg.dd is value
+
     @pytest.mark.parametrize("value", [0, -3])
     def test_invalid_shots_per_trajectory_fails_at_load(self, tmp_path, value):
         # 0 divided by zero mid-run; a negative value ran one trajectory
@@ -147,8 +163,7 @@ class TestNoiselessPipeline:
     def test_matches_ideal_oracle_exactly(self):
         # no noise to mitigate: pipeline output == ideal reference
         cfg = tiny_config()
-        res = run_experiment(cfg)
-        bundle = run_zpi(cfg, res)
+        bundle = run_zpi(cfg)
         ideal = bundle["zpi_density_ideal"].values.real
         mitigated = bundle["zpi_density_mitigated"].values.real
         np.testing.assert_allclose(mitigated, ideal, atol=1e-10)
@@ -158,14 +173,14 @@ class TestNoiselessPipeline:
         # reproduce the plain oracle; adding postselection reproduces the
         # subspace-projected oracle (the projection is physics, not noise)
         cfg_stack = tiny_config(readout_mode="tensor", postselect=False, twirls=3)
-        stack = run_zpi(cfg_stack, run_experiment(cfg_stack))
+        stack = run_zpi(cfg_stack)
         np.testing.assert_allclose(
             stack["zpi_density_mitigated"].values.real,
             stack["zpi_density_ideal"].values.real,
             atol=1e-9,
         )
         cfg_full = tiny_config(readout_mode="tensor", postselect=True, twirls=3)
-        full = run_zpi(cfg_full, run_experiment(cfg_full))
+        full = run_zpi(cfg_full)
         np.testing.assert_allclose(
             full["zpi_density_mitigated"].values.real,
             full["zpi_density_projected"].values.real,
@@ -174,12 +189,12 @@ class TestNoiselessPipeline:
 
     def test_loschmidt_t0_is_one(self):
         cfg = tiny_config()
-        bundle = run_loschmidt(cfg, run_experiment(cfg))
+        bundle = run_zpi(cfg)
         assert bundle["loschmidt_f0_mitigated"].values[0].real == pytest.approx(1.0, abs=1e-10)
 
     def test_flip_tolerance_ordering(self):
         cfg = tiny_config(steps=5)
-        bundle = run_loschmidt(cfg, run_experiment(cfg))
+        bundle = run_zpi(cfg)
         f0 = bundle["loschmidt_f0_mitigated"].values.real
         f1 = bundle["loschmidt_f1_mitigated"].values.real
         assert np.all(f1 >= f0 - 1e-12)
@@ -189,8 +204,7 @@ class TestBatchArithmetic:
     def test_variant_count_matches_run_description(self):
         # 39 steps + t=0, 10 twirls, 3 scale factors -> 1200 variants
         cfg = tiny_config(sites=2, steps=39, twirls=10, shots=1)
-        res = run_experiment(cfg)
-        assert len(res.trials[0].variants) == 40 * 10 * 3
+        assert len(experiments._run_trial(cfg, 0).variants) == 40 * 10 * 3
 
     def test_cy_settings_per_step(self):
         cfg = tiny_config(sites=5, steps=0, twirls=1, zne_factors=(1.0,))
@@ -268,7 +282,7 @@ class TestNoisyPipeline:
             postselect=True,
             infinite_shots=True,
         )
-        bundle = run_loschmidt(cfg, run_experiment(cfg))
+        bundle = run_zpi(cfg)
         assert bundle["loschmidt_f0_mitigated"].values[0].real == pytest.approx(
             1.0, abs=1e-9
         )
@@ -304,7 +318,7 @@ class TestNoisyPipeline:
         monkeypatch.setattr(mitigation, "zne_extrapolate", spy)
         cfg = ExperimentConfig(sites=4, steps=3, twirls=3, shots=4096, seed=7,
                                infinite_shots=True)
-        bundle = run_zpi(cfg, run_experiment(cfg))
+        bundle = run_zpi(cfg)
         assert np.all(np.isfinite(bundle["zpi_density_mitigated"].values.real))
         assert np.all(np.isfinite(bundle["zpi_density_mitigated"].errors))
         assert any(s == 0.0 for res in fits for _, _, s in res.points)
@@ -339,8 +353,7 @@ class TestNoisyPipeline:
             return sel
 
         monkeypatch.setattr(mitigation, "postselect", postselect)
-        result = run_experiment(cfg)
-        zpi, echo = run_zpi(cfg, result), run_loschmidt(cfg, result)
+        zpi = run_zpi(cfg)
         assert len(seen) == n_steps * cfg.twirls * n_lam
 
         L = cfg.sites
@@ -356,8 +369,8 @@ class TestNoisyPipeline:
 
         for got, observable in [
             (zpi["zpi_density_mitigated"].values[2] * L, staggered_magnetization),
-            (echo["loschmidt_f0_mitigated"].values[2], lambda c: loschmidt_echo(c, ref, 0)),
-            (echo["loschmidt_f1_mitigated"].values[2], lambda c: loschmidt_echo(c, ref, 1)),
+            (zpi["loschmidt_f0_mitigated"].values[2], lambda c: loschmidt_echo(c, ref, 0)),
+            (zpi["loschmidt_f1_mitigated"].values[2], lambda c: loschmidt_echo(c, ref, 1)),
         ] + [(sites[2, q], lambda c, q=q: per_site_z(c)[q]) for q in range(L)]:
             assert got.real == pytest.approx(zne(observable, hole)[0], rel=1e-12, abs=1e-15)
         kept, _ = zne(staggered_magnetization, hole)
@@ -368,7 +381,7 @@ class TestNoisyPipeline:
         assert retained[1] == 0.0 < min(retained[0], retained[2])
         assert zpi["postselect_retained"].values[2] == pytest.approx(np.mean(retained),
                                                                     rel=1e-15)
-        for name, obj in {**zpi, **echo}.items():
+        for name, obj in zpi.items():
             if name == "variants":
                 continue
             cells = ([c for r in obj.rows for c in r if isinstance(c, float)]
@@ -439,7 +452,7 @@ class TestRzzBench:
 class TestEmission:
     def test_csv_schema_and_manifest(self, tmp_path):
         cfg = tiny_config(out=str(tmp_path / "run"))
-        bundle = run_zpi(cfg, run_experiment(cfg))
+        bundle = run_zpi(cfg)
         paths = emit(bundle, cfg)
         names = {p.name for p in paths}
         assert "zpi_density_mitigated.csv" in names
@@ -452,14 +465,14 @@ class TestEmission:
 
     def test_manifest_round_trips_to_config(self, tmp_path):
         cfg = tiny_config(out=str(tmp_path / "run"))
-        emit(run_zpi(cfg, run_experiment(cfg)), cfg)
+        emit(run_zpi(cfg), cfg)
         recorded = json.loads((tmp_path / "run" / "manifest.json").read_text())["config"]
         back = ExperimentConfig(**{**recorded, "zne_factors": tuple(recorded["zne_factors"])})
         assert back == cfg
 
     def test_json_format(self, tmp_path):
         cfg = tiny_config(out=str(tmp_path / "runj"), format="json")
-        emit(run_zpi(cfg, run_experiment(cfg)), cfg)
+        emit(run_zpi(cfg), cfg)
         data = json.loads((tmp_path / "runj" / "zpi_density_ideal.json").read_text())
         assert data["columns"] == ["step", "Vt", "value_re", "value_im", "std"]
 
@@ -526,6 +539,14 @@ PINNED_RUNS = {
             "accumulated_error_mitigated.csv": "9beff875cf677db60b6d07f4f39ade592c3a56a2",
             "accumulated_error_unmitigated.csv": "5d4ee82f9d62da11ace5d41742d6cc03d59095ea",
             "fibonacci_weight_ideal.csv": "25332cfbf0609226cef37b5ecf6a5aade93accc9",
+            "loschmidt_f0_ideal.csv": "2b4fd4e9365bd0621cdf47117b007091c9bafb54",
+            "loschmidt_f0_mitigated.csv": "ba1a71bac9c457bff3fcca6b2b6a8aa0ce1d5b27",
+            "loschmidt_f0_projected.csv": "f93eb915dfef94053800abdcccbd5c927bc93240",
+            "loschmidt_f0_unmitigated.csv": "c9c90616b801af60a1ed7b455ccfe0bcffcbac84",
+            "loschmidt_f1_ideal.csv": "8a10323bfd0180ccfce326bc0d345b9321bbd47a",
+            "loschmidt_f1_mitigated.csv": "221ea85f20b30eff10f0bd3b1b59fa0ea2caf450",
+            "loschmidt_f1_projected.csv": "986a0520f90c48a0117b0c2f22cb09ac9fc10936",
+            "loschmidt_f1_unmitigated.csv": "608f55e4953a294ab1bc76c62b9cfeafb2c4ffde",
             "per_site_z_mitigated.csv": "41fd7171debf1d13d0cbf0de82a958af92dfd832",
             "per_site_z_reference.csv": "5c20697a6ea9e5a01afe3119b792fe0253f666cc",
             "postselect_retained.csv": "7f4ff9bdc01d2195c17a9e6a3cf4255c576d8518",
@@ -649,14 +670,56 @@ class TestCLI:
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["[model]\nsites = 5\n[model]\nsteps = 2\n",
-                                      "sites = 5\n", "[model]\nsites = many\n"],
-                             ids=["duplicate-section", "no-section", "bad-value"])
+                                      "sites = 5\n", "[model]\nsites = many\n",
+                                      "[mitigation]\npostselect = flase\n"],
+                             ids=["duplicate-section", "no-section", "bad-value", "bad-boolean"])
     def test_config_that_fails_to_load_exits_with_status_2(self, tmp_path, text):
         ini = tmp_path / "run.ini"
         ini.write_text(text)
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             cli.main(["zpi", "--config", str(ini), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["qpt", "--scale-factors", "2,4"],
+                                      ["qpt", "--scale-factors", "1,1"],
+                                      ["qpt", "--scale-factors", "1,x"],
+                                      ["qpt", "--repeats", "0"],
+                                      ["rzz-bench", "--points", "-1"],
+                                      ["rzz-bench", "--repeats", "0", "--points", "1"]])
+    def test_gate_benchmark_values_out_of_range_exit_with_status_2(self, tmp_path, argv):
+        # each used to end in a traceback with status 1 after the parse
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--infinite-shots", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flips", [0, 1])
+    def test_zpi_flips_drops_only_the_other_tolerance(self, tmp_path, flips):
+        argv = ["zpi", "--sites", "3", "--steps", "2", "--twirls", "1", "--shots", "64",
+                "--seed", "1"]
+        cli.main(argv + ["--out", str(tmp_path / "all")])
+        cli.main(argv + ["--out", str(tmp_path / "some"), "--flips", str(flips)])
+        every = {p.name: p.read_bytes() for p in (tmp_path / "all").iterdir()}
+        kept = {p.name: p.read_bytes() for p in (tmp_path / "some").iterdir()}
+
+        def echo(f):
+            return {f"loschmidt_f{f}_{kind}.csv"
+                    for kind in ("mitigated", "unmitigated", "ideal", "projected")}
+
+        assert echo(0) | echo(1) | {"zpi_density_mitigated.csv", "variants.jsonl"} <= set(every)
+        assert set(kept) == set(every) - echo(1 - flips)
+        assert all(kept[name] == every[name] for name in kept if name != "manifest.json")
+        files = json.loads(kept.pop("manifest.json"))["files"]
+        assert files == {name: hashlib.sha1(data).hexdigest() for name, data in kept.items()}
+
+    def test_loschmidt_subcommand_is_gone(self, tmp_path):
+        # zpi writes the echo files from its own sweep
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["loschmidt", "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
 

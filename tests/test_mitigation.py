@@ -1,4 +1,6 @@
 """Twirling, folding ZNE, readout inversion, postselection, decoupling."""
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,6 @@ from scarsim.qsim import (
     rx,
     rzz,
     rzx,
-    states_equal_up_to_phase,
     x,
 )
 
@@ -187,7 +188,7 @@ class TestTwirlCircuit:
         ref = run_circuit(init, circ)
         for seed in range(5):
             out = run_circuit(init, twirl_circuit(circ, seed=seed))
-            assert states_equal_up_to_phase(out, ref, tol=1e-9)
+            assert abs(abs(np.vdot(out.amplitudes, ref.amplitudes)) - 1.0) < 1e-9
 
     def test_unitary_preserved_up_to_phase(self):
         p = qmbs_params(3)
@@ -343,21 +344,21 @@ def _staggered_op(L: int) -> np.ndarray:
 class TestReadoutMitigation:
     def test_identity_noop(self):
         c = Counts.from_dict({"01": 3.0, "11": 5.0}, 8.0, 2)
-        out = mitigate_readout(c, ConfusionMatrix.identity(2))
+        out = mitigate_readout(c, ConfusionMatrix.from_rates(2, 0.0, 0.0))
         assert out.data == pytest.approx(c.data)
 
     def test_forward_then_invert_recovers(self):
         m = ConfusionMatrix.from_rates(3, eps=0.1, eta=0.05)
-        ideal = Counts.from_dict({"010": 600.0, "101": 400.0}, 1000.0, 3, exact=True)
+        ideal = Counts.from_dict({"010": 600.0, "101": 400.0}, 1000.0, 3)
         probs = noise.apply_readout_error(ideal.vector / ideal.total_shots, m)
-        noisy = Counts.from_vector(probs * ideal.total_shots, 3, ideal.total_shots, exact=True)
+        noisy = Counts.from_vector(probs * ideal.total_shots, 3, ideal.total_shots)
         back = mitigate_readout(noisy, m)
         for k, v in ideal.data.items():
             assert back.data.get(k, 0.0) == pytest.approx(v, abs=1e-10)
 
     def test_tensor_and_full_modes_agree(self):
         tensor = ConfusionMatrix.from_rates(3, eps=0.08, eta=0.02)
-        full = ConfusionMatrix("full", 3, matrix=tensor.dense())
+        full = ConfusionMatrix("full", 3, matrix=reduce(np.kron, tensor.factors))
         c = Counts.from_dict({"010": 500.0, "011": 300.0, "110": 200.0}, 1000.0, 3)
         out_t = mitigate_readout(c, tensor)
         out_f = mitigate_readout(c, full)
@@ -380,7 +381,7 @@ class TestReadoutMitigation:
 class TestCalibration:
     def test_noiseless_gives_identity(self):
         m = calibrate_confusion(noiseless(), 3, shots=100, method="tensor", infinite=True)
-        np.testing.assert_allclose(m.dense(), np.eye(8), atol=1e-12)
+        np.testing.assert_allclose(reduce(np.kron, m.factors), np.eye(8), atol=1e-12)
 
     def test_tensor_infinite_exact(self):
         spec = NoiseSpec(two_qubit_target_error=0.0, readout_eps=0.07, readout_eta=0.04)
@@ -392,7 +393,7 @@ class TestCalibration:
         spec = NoiseSpec(two_qubit_target_error=0.0, readout_eps=0.05, readout_eta=0.02)
         full = calibrate_confusion(spec, 2, shots=1, method="full", infinite=True)
         tensor = calibrate_confusion(spec, 2, shots=1, method="tensor", infinite=True)
-        np.testing.assert_allclose(full.dense(), tensor.dense(), atol=1e-10)
+        np.testing.assert_allclose(full.matrix, np.kron(*tensor.factors), atol=1e-10)
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 import copy
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -36,11 +37,9 @@ from scarsim.qsim import (
     ROTATION_KINDS,
     TWO_QUBIT_KINDS,
     Circuit,
-    DensityOperator,
     Gate,
     PauliString,
     Statevector,
-    apply_channel,
     bit_table,
     cnot,
     delay,
@@ -235,16 +234,16 @@ class TestNoisyGateChannel:
         rng = np.random.default_rng(8)
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         init = Statevector(amps / np.linalg.norm(amps))
-        rho = DensityOperator.from_statevector(init)
-        got = apply_channel(rho, noisy_gate_channel(gate, spec), gate.qubits)
+        rho = np.outer(init.amplitudes, init.amplitudes.conj())
+        got = noisy_gate_channel(gate, spec).apply_matrix(rho)
         want = run_noisy_density(Circuit(2, [gate]), spec, initial=init)
-        np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, want.matrix, rtol=0, atol=1e-12)
 
 
 class TestReadout:
     def test_identity_confusion_is_noop(self):
         probs = np.array([[0.0, 0.5, 0.5, 0.0], [0.25, 0.25, 0.5, 0.0]])
-        out = apply_readout_error(probs, ConfusionMatrix.identity(2))
+        out = apply_readout_error(probs, ConfusionMatrix.from_rates(2, 0.0, 0.0))
         np.testing.assert_array_equal(out, probs)
 
     def test_full_flip(self):
@@ -267,15 +266,16 @@ class TestReadout:
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="width"):
-            apply_readout_error(np.ones((2, 8)) / 8, ConfusionMatrix.identity(2))
+            apply_readout_error(np.ones((2, 8)) / 8, ConfusionMatrix.from_rates(2, 0.0, 0.0))
 
     @pytest.mark.parametrize("method, width", [("tensor", w) for w in range(1, 14)]
                              + [("full", w) for w in range(1, 11)])
     def test_kernel_matches_dense_oracle(self, method, width):
         # both directions on a single row and a (T, 2^L) stack, against
-        # dense() and its inverse up to width 10; above that (tensor mode
+        # the dense matrix (the Kronecker product of the factors in tensor
+        # mode) and its inverse up to width 10; above that (tensor mode
         # only: a dense matrix would take 32 MB and up) against one
-        # tensordot per qubit, the per-factor contraction dense() encodes
+        # tensordot per qubit, the per-factor contraction the product encodes
         rng = np.random.default_rng([width, method == "full"])
         m = ConfusionMatrix.from_rates(width, rng.uniform(0, 0.3, width),
                                        rng.uniform(0, 0.3, width))
@@ -284,7 +284,7 @@ class TestReadout:
             m = ConfusionMatrix("full", width, matrix=mat / mat.sum(axis=0))
         stack = rng.random((4, 2**width))
         if width <= 10:
-            dense = m.dense()
+            dense = m.matrix if method == "full" else reduce(np.kron, m.factors)
             forward, inverse = stack @ dense.T, stack @ np.linalg.inv(dense).T
         else:
             forward = np.stack([_per_qubit(m.factors, row) for row in stack])
@@ -298,7 +298,7 @@ class TestReadout:
 
     def test_tensor_and_full_agree_on_product_model(self):
         tensor = ConfusionMatrix.from_rates(2, eps=0.07, eta=0.02)
-        full = ConfusionMatrix("full", 2, matrix=tensor.dense())
+        full = ConfusionMatrix("full", 2, matrix=np.kron(*tensor.factors))
         vec = np.array([0.4, 0.1, 0.3, 0.2])
         np.testing.assert_allclose(
             tensor.apply_to_vector(vec), full.apply_to_vector(vec), atol=1e-12

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from scarsim.experiments import Table
+from scarsim.experiments import ExperimentConfig, Table
 from scarsim.model import ModelParams, neel_bitstring, neel_state, qmbs_params
 from scarsim.observables import (
     CY_BRANCHES,
@@ -304,9 +304,7 @@ class TestCYAssembly:
 
     def test_chaotic_regime_single_revival_then_decay(self):
         # one approximate revival, then incoherent low-amplitude dynamics
-        from scarsim.model import chaotic_params
-
-        p = chaotic_params(5)
+        p = ExperimentConfig(sites=5, regime="chaotic").model_params()
         vals = np.abs(simulate_cy_noiseless(p, 30, impl="rzz"))
         times = 0.16 * np.arange(31)
         initial = vals[0]

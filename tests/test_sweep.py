@@ -14,8 +14,6 @@ from scarsim.experiments import (
     _sweep,
     reference_series,
     run_cy,
-    run_experiment,
-    run_loschmidt,
     run_zpi,
 )
 from scarsim.model import build_trotter_step, neel_bitstring, neel_prep_circuit
@@ -76,17 +74,15 @@ class TestNoiselessSweepMatchesResimulation:
     @pytest.mark.parametrize("postselect", [True, False])
     def test_zpi_and_loschmidt_infinite_shots(self, postselect):
         cfg = noiseless_config(postselect=postselect)
-        result = run_experiment(cfg)
         ref = reference_series(cfg.model_params(), cfg.steps, cfg.impl)
         tag = "_proj" if postselect else ""
-        zpi = run_zpi(cfg, result)
+        zpi = run_zpi(cfg)
         np.testing.assert_allclose(zpi["zpi_density_mitigated"].values.real,
                                    ref["zpi" + tag] / cfg.sites, rtol=0, atol=1e-12)
         np.testing.assert_allclose(zpi["zpi_density_unmitigated"].values.real,
                                    ref["zpi"] / cfg.sites, rtol=0, atol=1e-12)
-        echo = run_loschmidt(cfg, result)
         for flips in (0, 1):
-            np.testing.assert_allclose(echo[f"loschmidt_f{flips}_mitigated"].values.real,
+            np.testing.assert_allclose(zpi[f"loschmidt_f{flips}_mitigated"].values.real,
                                        ref[f"echo{flips}{tag}"], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("infinite", [True, False])
@@ -253,9 +249,7 @@ def test_shared_trajectories_are_unbiased_at_every_step():
         noise_overrides={"two_qubit_target_error": 0.3, "readout_eps": 0.0,
                          "readout_eta": 0.0},
     )
-    result = run_experiment(cfg)
-    zpi = run_zpi(cfg, result)
-    echo = run_loschmidt(cfg, result)
+    zpi = run_zpi(cfg)
     spec = cfg.noise_spec()
     step = build_trotter_step(cfg.model_params(), impl=cfg.impl)
     ref = neel_bitstring(cfg.sites)
@@ -268,7 +262,7 @@ def test_shared_trajectories_are_unbiased_at_every_step():
         want_zpi = sum(stagger_sign(q + 1) * z[q] for q in range(3)) / 3
         want_echo = float(np.real(rho.matrix[int(ref, 2), int(ref, 2)]))
         assert abs(zpi["zpi_density_unmitigated"].values[n].real - want_zpi) < band
-        assert abs(echo["loschmidt_f0_unmitigated"].values[n].real - want_echo) < band
+        assert abs(zpi["loschmidt_f0_unmitigated"].values[n].real - want_echo) < band
         moved = max(moved, abs(want_zpi - zpi["zpi_density_ideal"].values[n].real))
     assert moved > 10 * band  # the noise is far larger than the tolerance
 
