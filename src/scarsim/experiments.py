@@ -126,6 +126,9 @@ class ExperimentConfig:
             raise ValueError("seed must be >= 0")
         if self.readout_mode not in READOUT_MODES:
             raise ValueError(f"readout_mode must be one of {READOUT_MODES}")
+        if self.readout_mode == "full" and self.sites > mitigation.FULL_READOUT_MAX_SITES:
+            raise ValueError(f"readout_mode = full needs sites <= "
+                             f"{mitigation.FULL_READOUT_MAX_SITES}, got {self.sites}")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
         if self.regime not in REGIMES:

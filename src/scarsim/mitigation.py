@@ -296,6 +296,11 @@ def zne_extrapolate(points) -> ZNEResult:
 # Readout mitigation
 # ---------------------------------------------------------------------------
 
+# Widest register the full 2^L x 2^L readout matrix is calibrated and
+# inverted for: 2^L calibration circuits, and at 12 the matrix is 128 MiB.
+FULL_READOUT_MAX_SITES = 12
+
+
 def mitigate_readout(counts: Counts, m: ConfusionMatrix) -> Counts:
     """Invert the confusion matrix: quasi-counts, negatives preserved.
 
@@ -304,8 +309,8 @@ def mitigate_readout(counts: Counts, m: ConfusionMatrix) -> Counts:
     """
     if m.L != counts.width:
         raise ValueError("confusion matrix width mismatch")
-    if m.method == "full" and counts.width > 12:
-        raise ValueError("full-matrix inversion limited to L <= 12")
+    if m.method == "full" and counts.width > FULL_READOUT_MAX_SITES:
+        raise ValueError(f"full-matrix inversion limited to L <= {FULL_READOUT_MAX_SITES}")
     vec = m.invert_vector(counts.vector)
     quasi = bool(np.any(vec < -1e-12))
     return Counts.from_vector(vec, counts.width, counts.total_shots, quasi=quasi)
@@ -322,8 +327,8 @@ def calibrate_confusion(
     """Estimate the readout matrix from simulated calibration circuits.
 
     tensor: prepare all-zeros and all-ones, read per-qubit flip rates.
-    full (L <= 12): prepare every basis state; columns are the measured
-    distributions.
+    full (L <= ``FULL_READOUT_MAX_SITES``): prepare every basis state;
+    columns are the measured distributions.
     """
     if shots < 1:
         raise ValueError("calibration needs at least one shot")
@@ -344,8 +349,8 @@ def calibrate_confusion(
         eta = [float(p1[bits[:, q] == 0].sum()) for q in range(L)]
         return ConfusionMatrix.from_rates(L, eps, eta)
     if method == "full":
-        if L > 12:
-            raise ValueError("full calibration limited to L <= 12")
+        if L > FULL_READOUT_MAX_SITES:
+            raise ValueError(f"full calibration limited to L <= {FULL_READOUT_MAX_SITES}")
         dim = 2**L
         mat = np.zeros((dim, dim))
         for b, bits in enumerate(bit_table(L)):

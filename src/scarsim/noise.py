@@ -171,6 +171,10 @@ class NoiseSpec:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.two_qubit_target_error == 1.0:
             raise ValueError("two_qubit_target_error must be below 1 (it sets a finite tau)")
+        for name in ("idle_dephasing_rad_per_ns", "idle_stochastic_rate_per_ns",
+                     "coherent_overrotation"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("idle_dephasing_rad_per_ns", "idle_stochastic_rate_per_ns"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -427,12 +431,6 @@ WINDOW_QUBITS = 4
 # 30 KiB (measured with tracemalloc), so a full memo holds about 2 MiB.
 PLAN_MEMO = 64
 
-# Bytes of window suffix products (``_SuffixCache``) the plans of one spec
-# may cache at once, 64 four-qubit S_j.  The benchmark workloads cache
-# about 200-250 KiB; uncapped, the caches of a full memo grew to about
-# 1.2 MiB at L=12 with 39 steps, 10 twirls and 3 scales.
-SUFFIX_CACHE_BYTES = 1 << 18
-
 _EYES = [np.eye(1 << k, dtype=complex) for k in range(WINDOW_QUBITS + 1)]
 for _eye in _EYES:
     _eye.flags.writeable = False
@@ -528,66 +526,20 @@ def _window_op(qset: set[int], members: list[tuple]) -> tuple:
     return ("window", qubits, window, lifted, noisy, np.array(draws))
 
 
-class _SuffixCache(dict):
-    """The suffix products S_j of one window of a plan, by member index
-    j.  ``budget`` is the spec's one-element list of bytes its plans may
-    still cache (``SUFFIX_CACHE_BYTES`` at first), or None once the plan
-    has left the memo and its cache is released."""
-
-    __slots__ = ("budget",)
-
-    def __init__(self, budget: list[int]):
-        super().__init__()
-        self.budget = budget
-
-    def keep(self, j: int, s_j: np.ndarray) -> None:
-        """Cache S_j if the budget has room for it."""
-        if self.budget is not None and self.budget[0] >= s_j.nbytes:
-            self[j] = s_j
-            self.budget[0] -= s_j.nbytes
-
-    def release(self) -> None:
-        """Return the bytes held to the budget, drop them and keep no more."""
-        if self.budget is not None:
-            self.budget[0] += sum(m.nbytes for m in self.values())
-        self.clear()
-        self.budget = None
-
-
-def _suffixes(members, need: list[int], k: int, cache: _SuffixCache) -> dict:
-    """S_j = G_m ... G_{j+1}, the product of the window's members after
-    j, for every member index j in ``need`` (descending).  Those not in
-    ``cache`` are built by a sweep from the window's end, or from the
-    nearest cached S_j above, and offered to the cache: every S_j is the
-    same product, multiplied in the same order, whether cached or not."""
-    found = {j: cache[j] for j in need if j in cache}
-    missing = [j for j in need if j not in found]
-    if missing:
-        above = [j for j in cache if j > missing[0]]
-        if above:
-            top = min(above)
-            pos, mat = members[top]
-            after = cache[top] @ _lift(mat, pos, k)
-        else:
-            top, after = len(members), _EYES[k]
-        for j in range(top - 1, missing[-1] - 1, -1):
-            if j in missing:
-                found[j] = after
-                cache.keep(j, after)
-            pos, mat = members[j]
-            after = after @ _lift(mat, pos, k)
-    return found
-
-
-def _corrections(members, noisy, hit: np.ndarray, u: np.ndarray, k: int,
-                 cache: _SuffixCache) -> list[np.ndarray]:
+def _corrections(members, noisy, hit: np.ndarray, u: np.ndarray, k: int) -> list[np.ndarray]:
     """One correction per row of ``hit`` (rows x noisy members: where the
     row drew an error; ``u`` holds the draws): the product, in draw
     order, of C_j = S_j P S_j^dag over the members j where the row drew
-    the Pauli P, with S_j the product of the window's members after j
-    (``_suffixes``, through the window's ``cache``)."""
-    need = sorted({noisy[n][0] for n in np.flatnonzero(hit.any(axis=0))}, reverse=True)
-    suffix = _suffixes(members, need, k, cache)
+    the Pauli P.  S_j = G_m ... G_{j+1}, the product of the window's
+    members after j, is built for each member some row hit by one sweep
+    from the window's end."""
+    need = {noisy[n][0] for n in np.flatnonzero(hit.any(axis=0))}
+    suffix, after = {}, _EYES[k]
+    for j in range(len(members) - 1, min(need) - 1, -1):
+        if j in need:
+            suffix[j] = after
+        pos, mat = members[j]
+        after = after @ _lift(mat, pos, k)
     out = []
     for row_hit, row_u in zip(hit, u):
         corr = _EYES[k]
@@ -640,11 +592,7 @@ class _NoisePlan:
     in circuit order.  The plan keeps, per draw index, the total rate of
     its Pauli channel (``totals``) and the op that owns it (``owner``),
     so ``run_batch`` tests every draw of a batch against its rate at
-    once.  Each noisy window also has a ``_SuffixCache`` in ``suffixes``
-    (None for every other op) of its suffix products S_j: it starts
-    empty, ``_corrections`` fills it for the members some row hits,
-    within the spec's ``SUFFIX_CACHE_BYTES``, and it is released when
-    the plan leaves the memo (see ``of``).
+    once.
 
     ``join`` runs plans of consecutive circuit blocks as one plan, then
     an optional measurement basis rotation planned from ``ops[split]``
@@ -717,13 +665,9 @@ class _NoisePlan:
         self.split = len(self.ops)
         self.totals = np.array(totals, dtype=float)
         self.owner = np.zeros(self.n_draws, dtype=np.intp)
-        self.suffixes: list[_SuffixCache | None] = []
-        budget = spec._memoized("suffix budget", lambda: [SUFFIX_CACHE_BYTES])
         for i, op in enumerate(self.ops):
-            noisy = op[0] == "window" and op[5] is not None
-            if noisy:
+            if op[0] == "window" and op[5] is not None:
                 self.owner[op[5]] = i
-            self.suffixes.append(_SuffixCache(budget) if noisy else None)
 
     @classmethod
     def of(cls, circuit: Circuit, spec: NoiseSpec) -> _NoisePlan:
@@ -732,9 +676,7 @@ class _NoisePlan:
         by the block's content (each gate's kind, qubits, angle and
         duration), so every chain, twirl and family that runs the same
         circuit block shares one plan; its ops are never changed after it
-        is built (``join`` shifts copies of its draw indices), and the
-        suffix products its windows cache are released when it leaves
-        the memo."""
+        is built (``join`` shifts copies of its draw indices)."""
         key = (circuit.width,
                tuple((g.kind, g.qubits, g.angle, g.duration_ns) for g in circuit.gates))
         plans = spec._memoized("plans", OrderedDict)
@@ -742,10 +684,7 @@ class _NoisePlan:
         if plan is None:
             plan = plans[key] = cls(circuit, spec)
             if len(plans) > PLAN_MEMO:
-                _, dropped = plans.popitem(last=False)
-                for cache in dropped.suffixes:
-                    if cache is not None:
-                        cache.release()
+                plans.popitem(last=False)
         else:
             plans.move_to_end(key)
         return plan
@@ -755,10 +694,9 @@ class _NoisePlan:
         """One plan that runs the circuit plans ``parts`` one after
         another and then ``basis``, from ``ops[split]`` on.  Each part's
         draw indices follow those of the parts before it, so a trajectory
-        still draws all its uniforms in one call, in circuit order.  The
-        joined windows share the parts' suffix caches."""
+        still draws all its uniforms in one call, in circuit order."""
         plan = cls.__new__(cls)
-        plan.width, plan.ops, plan.n_draws, plan.suffixes = parts[0].width, [], 0, []
+        plan.width, plan.ops, plan.n_draws = parts[0].width, [], 0
         totals, owners = [], []
 
         def append(part: _NoisePlan) -> None:
@@ -766,7 +704,6 @@ class _NoisePlan:
             totals.append(part.totals)
             owners.append(part.owner + len(plan.ops))
             plan.ops.extend(part.ops if not offset else [_shifted(op, offset) for op in part.ops])
-            plan.suffixes.extend(part.suffixes)
             plan.n_draws += part.n_draws
 
         for part in parts:
@@ -820,7 +757,7 @@ class _NoisePlan:
                 hit = hits[:, draws]
                 rows = np.flatnonzero(hit.any(axis=1))
                 corrections = _corrections(members, noisy, hit[rows], us[rows][:, draws],
-                                           len(qubits), self.suffixes[i])
+                                           len(qubits))
                 for t, corr in zip(rows, corrections):
                     psi[t:t + 1] = _apply_matrix(psi[t:t + 1], corr, qubits, width)
         return (psi, psi) if self.split == len(self.ops) else (kept, psi)
@@ -856,13 +793,6 @@ class TrajectoryBatch:
             sigma = spec.idle_dephasing_rad_per_ns
             omegas = np.stack([r.normal(0.0, sigma, size=initial.width) for r in rngs])
         return cls(np.tile(initial.amplitudes, (n_traj, 1)), rngs, omegas)
-
-    def advance(self, plan: _NoisePlan) -> np.ndarray:
-        """Evolve the batch through ``plan``; returns the trajectories
-        rotated into the plan's measurement basis, which the batch itself
-        does not carry forward."""
-        self.amps, measured = plan.run_batch(self.amps, self.rngs, self.omegas)
-        return measured
 
 
 def chain_noise(circuits: list[Circuit | None], spec: NoiseSpec) -> tuple[bool, bool]:
@@ -946,7 +876,8 @@ def run_noisy_counts(
     parts.append(_NoisePlan.of(circuit, spec))
     run, batch.blocks = parts[batch.blocks:], len(parts)
     plan = _NoisePlan.join(run, None if basis is None else _NoisePlan.of(basis, spec))
-    probs = np.abs(batch.advance(plan)) ** 2
+    batch.amps, measured = plan.run_batch(batch.amps, batch.rngs, batch.omegas)
+    probs = np.abs(measured) ** 2
     if spec.has_readout_error():
         m = spec._memoized(("readout", width), lambda: ConfusionMatrix.from_rates(
             width, spec.readout_eps, spec.readout_eta))

@@ -472,10 +472,6 @@ class DensityOperator:
                 raise ValueError("density matrix has eigenvalue < -1e-10")
         self.matrix = mat
 
-    @property
-    def n_qubits(self) -> int:
-        return int(self.matrix.shape[0]).bit_length() - 1
-
     def expectation(self, op: np.ndarray) -> float:
         val = np.trace(op @ self.matrix)
         return float(val.real)

@@ -236,10 +236,6 @@ class FidelitySlope:
     epsilon_std: float
     per_lambda: dict[int, list[float]] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.epsilon < -3.0 * self.epsilon_std - 1e-12:
-            raise ValueError("significantly negative error rate")
-
 
 def spam_free_error(
     gate: Gate,
@@ -255,7 +251,10 @@ def spam_free_error(
 
     QPT fidelities at each odd scale factor, ``repeats`` times; one
     unweighted linear fit over the full data set; the slope's standard
-    deviation comes from the fit covariance.
+    deviation comes from the fit covariance.  With finite shots the
+    slope is reported as fitted, negative or not; with infinite shots
+    the fidelities are exact, and a slope more than three deviations
+    below zero is an error.
     """
     factors = tuple(sorted(set(int(s) for s in scale_factors)))
     if len(factors) < 2:
@@ -279,6 +278,8 @@ def spam_free_error(
             points.append((float(s), res.fidelity, 0.0))
     fit = zne_extrapolate(points)
     eps_std = float(np.sqrt(max(fit.covariance[1, 1], 0.0)))
+    if infinite and -fit.slope < -3.0 * eps_std - 1e-12:
+        raise ValueError("significantly negative error rate")
     return FidelitySlope(
         f0=fit.intercept,
         epsilon=-fit.slope,

@@ -53,6 +53,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(steps=-1)
 
+    def test_full_readout_too_wide_fails_at_construction(self):
+        # before, the reference series ran and calibration then failed
+        with pytest.raises(ValueError, match="readout_mode = full needs sites <= 12"):
+            ExperimentConfig(sites=13, readout_mode="full")
+        assert ExperimentConfig(sites=12, readout_mode="full").sites == 12
+
     @pytest.mark.parametrize("kw", [{"v": -1.0}, {"dt": 0.0}])
     def test_time_axis_that_does_not_increase_fails_at_construction(self, kw):
         # before, the whole run went through and emission then failed
@@ -671,8 +677,11 @@ class TestCLI:
 
     @pytest.mark.parametrize("text", ["[model]\nsites = 5\n[model]\nsteps = 2\n",
                                       "sites = 5\n", "[model]\nsites = many\n",
-                                      "[mitigation]\npostselect = flase\n"],
-                             ids=["duplicate-section", "no-section", "bad-value", "bad-boolean"])
+                                      "[mitigation]\npostselect = flase\n",
+                                      "[noise]\noverride.coherent_overrotation = nan\n",
+                                      "[model]\nsites = 13\n[mitigation]\nreadout_mode = full\n"],
+                             ids=["duplicate-section", "no-section", "bad-value", "bad-boolean",
+                                  "non-finite-rate", "full-readout-too-wide"])
     def test_config_that_fails_to_load_exits_with_status_2(self, tmp_path, text):
         ini = tmp_path / "run.ini"
         ini.write_text(text)
@@ -733,6 +742,16 @@ class TestCLI:
         assert manifest["config"]["seed"] == 3
         assert manifest["config"]["noise_overrides"] == {"readout_eps": 0.01}
         assert (tmp_path / "out" / "rzz_bench.json").exists()
+
+    def test_rzz_bench_reports_a_negative_finite_shot_slope(self, tmp_path):
+        # a sampled slope below zero used to end the run in a ValueError
+        # after all its work was done
+        out = tmp_path / "out"
+        assert cli.main(["rzz-bench", "--shots", "256", "--points", "3", "--repeats", "1",
+                         "--seed", "4", "--out", str(out)]) == 0
+        rows = (out / "rzz_bench.csv").read_text().splitlines()[1:]
+        assert len(rows) == 6 and min(float(r.split(",")[4]) for r in rows) < 0
+        assert (out / "manifest.json").exists()
 
     def test_qpt_smoke(self, tmp_path):
         out = tmp_path / "cli_qpt"

@@ -417,16 +417,16 @@ class TestTrajectoryExecution:
         init = Statevector.zero(4)
         assert noise.chain_noise([circ], spec) == (True, True)
         batch = noise.TrajectoryBatch.seeded(spec, 6, [3], init, True)
-        batch.advance(plan)
-        batch.advance(plan)  # a second block continues the same trajectories
+        amps = batch.amps
+        for _ in range(2):  # a second block continues the same trajectories
+            amps, _ = plan.run_batch(amps, batch.rngs, batch.omegas)
         for t in range(6):
             fresh = noise.TrajectoryBatch.seeded(spec, 6, [3], init, True)
-            single = noise.TrajectoryBatch(fresh.amps[t:t + 1], fresh.rngs[t:t + 1],
-                                           fresh.omegas[t:t + 1])
-            single.advance(plan)
-            single.advance(plan)
-            np.testing.assert_allclose(batch.amps[t], single.amps[0], atol=1e-12)
-        assert len({batch.amps[t].tobytes() for t in range(6)}) > 1
+            single = fresh.amps[t:t + 1]
+            for _ in range(2):
+                single, _ = plan.run_batch(single, fresh.rngs[t:t + 1], fresh.omegas[t:t + 1])
+            np.testing.assert_allclose(amps[t], single[0], atol=1e-12)
+        assert len({amps[t].tobytes() for t in range(6)}) > 1
 
 
 class TestPresets:
@@ -462,6 +462,15 @@ class TestNoiseSpecValidation:
     def test_negative_idle_stochastic_rate_rejected(self):
         with pytest.raises(ValueError, match="idle_stochastic_rate_per_ns"):
             NoiseSpec(idle_stochastic_rate_per_ns=-1e-5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["coherent_overrotation", "idle_dephasing_rad_per_ns",
+                                      "idle_stochastic_rate_per_ns"])
+    def test_non_finite_rate_rejected(self, name, value):
+        # nan passed the sign checks, and an infinite overrotation made
+        # every gate matrix nan
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            NoiseSpec(**{name: value})
 
     def test_preset_override_validated(self):
         with pytest.raises(ValueError):
@@ -918,15 +927,11 @@ def test_rng_refuses_what_default_rng_refuses():
         noise._rng([1.5])
 
 
-def _cache_sizes(plan) -> list[int]:
-    return [len(c) for c in plan.suffixes if c is not None]
-
-
-def test_suffix_cache_leaves_every_stack_bit_identical():
-    # a memoized plan runs the same stacks with a cold and a warm cache,
-    # alone and joined at three draw offsets (the joins share its
-    # cache); uniforms of 0.3 make every noisy member draw an error, so
-    # every suffix product is built, cached and read back
+def test_memoized_plan_runs_every_stack_bit_identical_to_a_fresh_one():
+    # a memoized plan, run twice, alone and joined at three draw offsets,
+    # gives the stacks of a plan built fresh for a new spec bit for bit;
+    # uniforms of 0.3 make every noisy member draw an error, so every
+    # suffix product S_j is built
     spec = _memo_spec()
     block = Circuit(4, [h(0), cnot(0, 1), rzz(1, 2, 0.4), rx(2, 0.3), rzx(2, 3, 0.8),
                         cnot(3, 0), rzz(0, 1, 0.7).inverse(), delay(2, 50.0), ry(1, 0.2)])
@@ -945,50 +950,30 @@ def test_suffix_cache_leaves_every_stack_bit_identical():
         return out
 
     plan = noise._NoisePlan.of(block, spec)
-    assert all(size == 0 for size in _cache_sizes(plan))
-    cold = runs(plan)
-    assert any(_cache_sizes(plan))
-    warm = runs(plan)
-    fresh = runs(noise._NoisePlan(block, _memo_spec()))  # a new spec: an empty cache
-    for a, b, c in zip(cold, warm, fresh):
+    assert noise._NoisePlan.of(block, spec) is plan
+    first, again = runs(plan), runs(plan)
+    fresh = runs(noise._NoisePlan(block, _memo_spec()))
+    for a, b, c in zip(first, again, fresh):
         for x_, y_, z_ in zip(a, b, c):
             np.testing.assert_array_equal(x_, y_)
             np.testing.assert_array_equal(x_, z_)
 
 
-def test_suffix_cache_is_released_with_its_plan_and_bounded(monkeypatch):
-    # a plan that leaves the memo gives its cache back to the spec's
-    # budget, and the plan rebuilt for the same block starts empty; a
-    # spent budget caches nothing and changes no result
-    monkeypatch.setattr(noise, "PLAN_MEMO", 1)
-    spec = _memo_spec()
-    block = Circuit(3, [cnot(0, 1), rzz(1, 2, 0.4), rzx(0, 2, 0.5)])
-    plan = noise._NoisePlan.of(block, spec)
-    amps = np.tile(Statevector.zero(3).amplitudes, (2, 1))
-    u = [_FixedUniforms(np.full(plan.n_draws, 0.3))] * 2
-    want = plan.run_batch(amps.copy(), u)
-    budget = spec._memo["suffix budget"]
-    held = sum(m.nbytes for c in plan.suffixes if c for m in c.values())
-    assert held > 0 and budget[0] == noise.SUFFIX_CACHE_BYTES - held
-    noise._NoisePlan.of(Circuit(3, [h(0)]), spec)  # evicts ``plan``
-    assert budget[0] == noise.SUFFIX_CACHE_BYTES
-    assert all(size == 0 for size in _cache_sizes(plan))
-    rebuilt = noise._NoisePlan.of(block, spec)
-    assert rebuilt is not plan and all(size == 0 for size in _cache_sizes(rebuilt))
-    budget[0] = 0
-    got = rebuilt.run_batch(amps.copy(), u)
-    assert all(size == 0 for size in _cache_sizes(rebuilt))
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
-
-
-def test_run_batch_corrects_only_the_windows_some_row_hit():
+def test_run_batch_corrects_only_the_windows_some_row_hit(monkeypatch):
     # the batch's uniforms are tested against the plan's per-draw rates
     # once: a window whose draws no row hit builds no correction
     spec = _memo_spec()
     gates = [cnot(0, 1), rzz(2, 3, 0.4), rzx(4, 5, 0.6), cnot(3, 4), h(0), rzz(0, 1, 0.3)]
     plan = noise._NoisePlan(Circuit(6, gates), spec)
-    windows = [i for i, op in enumerate(plan.ops) if plan.suffixes[i] is not None]
+    windows = [i for i, op in enumerate(plan.ops) if op[0] == "window" and op[5] is not None]
+    corrected = []
+    corrections = noise._corrections
+
+    def spy(members, *args):
+        corrected.append(next(i for i in windows if plan.ops[i][3] is members))
+        return corrections(members, *args)
+
+    monkeypatch.setattr(noise, "_corrections", spy)
     assert len(windows) == 2
     assert plan.n_draws == len(plan.totals) == len(plan.owner) == len(gates)
     for i in windows:
@@ -998,29 +983,9 @@ def test_run_batch_corrects_only_the_windows_some_row_hit():
     clean = plan.run_batch(amps.copy(), [_FixedUniforms(np.full(plan.n_draws, 0.99))])
     # a uniform equal to its draw's total rate draws no error
     edge = plan.run_batch(amps.copy(), [_FixedUniforms(plan.totals.copy())])
-    assert not any(plan.suffixes[i] for i in windows)
+    assert corrected == []
     np.testing.assert_array_equal(edge[0], clean[0])
     u = np.full(plan.n_draws, 0.99)
     u[plan.ops[windows[-1]][5][0]] = 1e-4
     plan.run_batch(amps.copy(), [_FixedUniforms(u)])
-    assert [bool(plan.suffixes[i]) for i in windows] == [False, True]
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), width=st.integers(2, 4), seed=st.integers(0, 2**16))
-def test_suffix_cache_filled_in_any_order_matches_a_cold_cache(data, width, seed):
-    # batch after batch hits random members of a plan's windows, so its
-    # cache fills in any order and sweeps resume at cached products; every
-    # batch equals the same batch on a plan with an empty cache, bit for bit
-    circ = data.draw(_plan_circuits(width))
-    spec = NoiseSpec(two_qubit_depolarizing=0.4, single_qubit_depolarizing=0.3,
-                     idle_stochastic_rate_per_ns=0.01, coherent_overrotation=0.2)
-    plan = noise._NoisePlan(circ, spec)
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=(3, 2**width)) + 1j * rng.normal(size=(3, 2**width))
-    for _ in range(4):
-        u = [_FixedUniforms(rng.random(plan.n_draws) ** 3) for _ in range(3)]
-        got = plan.run_batch(amps.copy(), u)
-        want = noise._NoisePlan(circ, spec).run_batch(amps.copy(), u)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+    assert corrected == [windows[-1]]

@@ -8,10 +8,16 @@ imported name; a method as an attribute only, so a local variable of
 the same name does not count), or when the benchmark's tracer patches
 it: the ``TARGETS`` and ``HOOKS`` of ``bench/tracing.py``, read as text
 so that the benchmark is not imported.  The tracer looks each of those
-up by name, so they must keep it.
+up by name, so they must keep it.  Only names that are read count: an
+assignment to a name or an attribute calls nothing.
 
 A name with no caller is either deleted or listed in ``KEEP`` with a
 test that uses it as an independent oracle or fixture.
+
+A method is matched by its bare name, so one class's caller would count
+for every other public class that defines the same name.  Such a shared
+name is therefore refused unless ``SHARED`` lists it with the reason
+each definition has callers of its own.
 """
 import ast
 import re
@@ -43,6 +49,12 @@ KEEP = {
         "tests/test_noise.py::TestTrajectoryExecution::test_noiseless_infinite_matches_ideal",
 }
 
+# method or property name -> why every public class that defines it has callers
+SHARED = {
+    "width": "Statevector.width (the executor's initial states) and Counts.width "
+             "(readout inversion, estimators) are each read",
+}
+
 
 def _public_definitions() -> dict[str, str]:
     """module.name and module.Class.method -> the bare name."""
@@ -69,9 +81,9 @@ def _references() -> tuple[set[str], set[str]]:
         if path.name == "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attrs.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
@@ -92,6 +104,18 @@ def test_every_public_name_has_a_caller_or_a_kept_oracle_test():
     missing = sorted(_unreferenced() - set(KEEP))
     assert not missing, ("public names that nothing in src or the benchmark calls; delete "
                          f"them or add them to KEEP with the test they serve: {missing}")
+
+
+def test_no_method_name_is_shared_by_two_classes_unless_listed():
+    owners: dict[str, list[str]] = {}
+    for qualified, name in _public_definitions().items():
+        if qualified.count(".") == 2:
+            owners.setdefault(name, []).append(qualified)
+    shared = {name: sorted(qs) for name, qs in owners.items() if len(qs) > 1}
+    unlisted = {name: qs for name, qs in shared.items() if name not in SHARED}
+    assert not unlisted, ("method names that two public classes define, so a caller of one "
+                          f"hides the other; rename, delete or list them in SHARED: {unlisted}")
+    assert not sorted(set(SHARED) - set(shared)), "SHARED lists names only one class defines"
 
 
 def test_keep_list_holds_only_uncalled_names():

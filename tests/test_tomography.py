@@ -1,5 +1,6 @@
 """Process tomography reconstruction and SPAM-free slope extraction."""
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,6 +176,21 @@ class TestSpamFreeError:
         f3 = np.mean(slope.per_lambda[3])
         f5 = np.mean(slope.per_lambda[5])
         assert f5 <= f3 <= f1
+
+    def test_negative_slope_is_an_error_only_with_infinite_shots(self, monkeypatch):
+        # fidelity rising with the scale factor: sampling noise at finite
+        # shots, a broken channel when the PTMs are exact
+        import scarsim.tomography as tomography
+
+        monkeypatch.setattr(tomography, "composed_noisy_ptm",
+                            lambda gate, spec, s, realization: np.full((1, 1), float(s)))
+        monkeypatch.setattr(tomography, "qpt_reconstruct", lambda gate, spec, true_ptm, **kw:
+                            SimpleNamespace(fidelity=0.9 + 0.01 * true_ptm[0, 0]))
+        spec = NoiseSpec(two_qubit_depolarizing=0.05)
+        sampled = spam_free_error(rzz(0, 1, 1.0), spec, repeats=2)
+        assert sampled.epsilon == pytest.approx(-0.01)
+        with pytest.raises(ValueError, match="significantly negative error rate"):
+            spam_free_error(rzz(0, 1, 1.0), spec, repeats=2, infinite=True)
 
     def test_fewer_than_two_factors_rejected(self):
         with pytest.raises(ValueError):
