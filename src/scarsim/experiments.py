@@ -301,11 +301,20 @@ def state_series(states: Iterable[Statevector]) -> dict:
 
 def reference_series(params: ModelParams, steps: int, impl: str) -> dict:
     """``state_series`` of the noiseless Trotter evolution of the Neel
-    state, run gate by gate with ``run_circuit``, at steps 0..steps."""
-    step_circ = build_trotter_step(params, impl=impl)
+    state at steps 0..steps.  Each step runs through one noiseless plan
+    of the Trotter step, built once per call; ``run_circuit``, gate by
+    gate, stays the oracle it is checked against."""
+    step = noise._NoisePlan(build_trotter_step(params, impl=impl), noise.noiseless())
     start = run_circuit(Statevector.zero(params.L), neel_prep_circuit(params.L))
-    return state_series(itertools.accumulate(
-        range(steps), lambda psi, _: run_circuit(psi, step_circ), initial=start))
+
+    def states():
+        yield start
+        psi = start.amplitudes[None].copy()
+        for _ in range(steps):
+            psi = step.run_batch(psi, [])[0]
+            yield Statevector(psi[0], check=False)
+
+    return state_series(states())
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +405,9 @@ def _zne(samples: np.ndarray, lam_effs) -> tuple[np.ndarray, np.ndarray]:
     reduced together, grouped by their complete scales: over one distinct
     scale, the mean and ddof-1 std of the pooled samples; over more, one
     stacked ``mitigation.weighted_line_fits``.  Rows with a partly missing
-    scale, or a per-scale sigma at or below ``mitigation.SIGMA_FLOOR``
-    (the unweighted fallback), go through ``_zne_scalar`` one at a time.
+    scale, a per-scale sigma at or below ``mitigation.SIGMA_FLOOR``, or
+    a weighted fit ``mitigation.valid_fits`` refuses (the unweighted
+    fallbacks) go through ``_zne_scalar`` one at a time.
     Every reduction runs along the contiguous last axis of a (rows, ...)
     array, which rounds as ``_zne_scalar``'s 1-D reductions do.
     """
@@ -431,8 +441,8 @@ def _zne(samples: np.ndarray, lam_effs) -> tuple[np.ndarray, np.ndarray]:
             continue
         coef, cov = mitigation.weighted_line_fits(np.repeat(lam[fit], n_twirls, axis=1),
                                                   pooled[fit], np.repeat(sig[fit], n_twirls, axis=1))
-        # what ZNEResult refuses goes to _zne_scalar, which raises
-        ok = np.isfinite(coef[:, 0]) & (np.linalg.eigvalsh(cov).min(axis=1) >= -1e-12)
+        # a fit ZNEResult would refuse goes to _zne_scalar's unweighted fallback
+        ok = mitigation.valid_fits(coef, cov)
         single += idx[fit][~ok].tolist()
         values[idx[fit][ok]] = coef[ok, 0]
         stds[idx[fit][ok]] = np.sqrt(np.maximum(cov[ok, 0, 0], 0.0))

@@ -249,14 +249,26 @@ def weighted_line_fits(lams: np.ndarray, vals: np.ndarray,
     LAPACK calls a single fit makes (the normal matrix and right-hand
     side as one stacked matmul each, then one stacked solve and one
     stacked inverse), so a row's result does not depend on how many
-    rows are fitted with it.
+    rows are fitted with it.  A row whose normal matrix is singular
+    (weight ratios past double precision) gets NaN coefficients and
+    covariance instead of failing the whole stack.
     """
     design = np.stack([np.ones_like(lams), lams], axis=-1)
     design_t = np.swapaxes(design, -1, -2)
     w = 1.0 / sigs**2
     xtwx = design_t @ (design * w[:, :, None])
+    singular = np.linalg.det(xtwx) == 0  # the LU pivot solve would refuse
+    xtwx[singular] = np.eye(2)
     coef = np.linalg.solve(xtwx, design_t @ (vals * w)[:, :, None])[:, :, 0]
-    return coef, np.linalg.inv(xtwx)
+    cov = np.linalg.inv(xtwx)
+    coef[singular] = cov[singular] = np.nan
+    return coef, cov
+
+
+def valid_fits(coef: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Which of a stack of line fits ``ZNEResult`` accepts: a finite
+    intercept and a positive semidefinite covariance."""
+    return np.isfinite(coef[..., 0]) & (np.linalg.eigvalsh(cov).min(axis=-1) >= -1e-12)
 
 
 def zne_extrapolate(points) -> ZNEResult:
@@ -266,6 +278,9 @@ def zne_extrapolate(points) -> ZNEResult:
     Weights are 1/sigma^2; if any sigma is zero (exact values, or at most
     SIGMA_FLOOR of the value scale) the fit falls back to an unweighted
     one with residual-based covariance, and those points are recorded
+    with sigma 0.  A weighted fit ``valid_fits`` refuses (a singular
+    normal matrix or an indefinite covariance, from weight ratios past
+    double precision) takes the same fallback, with every point recorded
     with sigma 0.
     """
     pts = [(float(l), float(v), float(s)) for l, v, s in points]
@@ -278,16 +293,18 @@ def zne_extrapolate(points) -> ZNEResult:
         raise ValueError("degenerate design matrix: all scale factors equal")
     design = np.column_stack([np.ones_like(lams), lams])
     exact = sigs <= SIGMA_FLOOR * max(1.0, float(np.max(np.abs(vals))))
-    if np.any(exact):
-        pts = [(l, v, 0.0 if e else s) for (l, v, s), e in zip(pts, exact)]
-        coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-        resid = vals - design @ coef
-        dof = max(len(pts) - 2, 1)
-        s2 = float(resid @ resid) / dof
-        cov = s2 * np.linalg.inv(design.T @ design)
-    else:
+    if not np.any(exact):
         coef, cov = weighted_line_fits(lams, vals[None], sigs[None])
-        coef, cov = coef[0], cov[0]
+        if valid_fits(coef, cov)[0]:
+            return ZNEResult(intercept=float(coef[0, 0]), slope=float(coef[0, 1]),
+                             covariance=cov[0], points=pts)
+        exact[:] = True
+    pts = [(l, v, 0.0 if e else s) for (l, v, s), e in zip(pts, exact)]
+    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
+    resid = vals - design @ coef
+    dof = max(len(pts) - 2, 1)
+    s2 = float(resid @ resid) / dof
+    cov = s2 * np.linalg.inv(design.T @ design)
     return ZNEResult(intercept=float(coef[0]), slope=float(coef[1]),
                      covariance=cov, points=pts)
 

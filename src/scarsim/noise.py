@@ -526,13 +526,13 @@ def _window_op(qset: set[int], members: list[tuple]) -> tuple:
     return ("window", qubits, window, lifted, noisy, np.array(draws))
 
 
-def _corrections(members, noisy, hit: np.ndarray, u: np.ndarray, k: int) -> list[np.ndarray]:
+def _corrections(members, noisy, hit: np.ndarray, u: np.ndarray, k: int):
     """One correction per row of ``hit`` (rows x noisy members: where the
-    row drew an error; ``u`` holds the draws): the product, in draw
-    order, of C_j = S_j P S_j^dag over the members j where the row drew
-    the Pauli P.  S_j = G_m ... G_{j+1}, the product of the window's
-    members after j, is built for each member some row hit by one sweep
-    from the window's end."""
+    row drew an error; ``u`` holds the draws), yielded row by row: the
+    product, in draw order, of C_j = S_j P S_j^dag over the members j
+    where the row drew the Pauli P.  S_j = G_m ... G_{j+1}, the product
+    of the window's members after j, is built for each member some row
+    hit by one sweep from the window's end."""
     need = {noisy[n][0] for n in np.flatnonzero(hit.any(axis=0))}
     suffix, after = {}, _EYES[k]
     for j in range(len(members) - 1, min(need) - 1, -1):
@@ -540,7 +540,6 @@ def _corrections(members, noisy, hit: np.ndarray, u: np.ndarray, k: int) -> list
             suffix[j] = after
         pos, mat = members[j]
         after = after @ _lift(mat, pos, k)
-    out = []
     for row_hit, row_u in zip(hit, u):
         corr = _EYES[k]
         for n in np.flatnonzero(row_hit):
@@ -548,8 +547,7 @@ def _corrections(members, noisy, hit: np.ndarray, u: np.ndarray, k: int) -> list
             pauli = paulis[int(np.searchsorted(cum, row_u[n], side="right"))]
             s_j = suffix[i]
             corr = s_j @ _lift(pauli, members[i][0], k) @ s_j.conj().T @ corr
-        out.append(corr)
-    return out
+        yield corr
 
 
 def _shifted(op: tuple, offset: int) -> tuple:
@@ -725,7 +723,11 @@ class _NoisePlan:
         trajectory, so a batch of T generators equals T one-generator
         batches.  The (T, n_draws) uniforms are compared with ``totals``
         once, and only the windows that own a draw some row hit build
-        corrections.  ``amps`` may be overwritten.
+        corrections.  The row count is taken from ``amps``, so a plan
+        without draws runs with no generators.  ``amps`` may be
+        overwritten: the stack moves between it and one spare array of
+        its shape through the kernel, and each correction runs on its row
+        in place.
 
         Returns (after the circuit, after the circuit and the basis
         rotation): the rotation runs on a copy, so the first stack never
@@ -733,7 +735,8 @@ class _NoisePlan:
         """
         width = self.width
         psi = kept = amps
-        n_traj = len(rngs)
+        spare = np.empty_like(amps)
+        n_traj = len(amps)
         hit_ops = ()
         if self.n_draws:
             us = np.empty((n_traj, self.n_draws))
@@ -752,14 +755,19 @@ class _NoisePlan:
                 view[:, :, 1, :] *= np.exp(1j * half)[:, None, None]
                 continue
             _, qubits, mat, members, noisy, draws = op
-            psi = _apply_matrix(psi, mat, qubits, width)
+            out = _apply_matrix(psi, mat, qubits, width, spare)
+            if out is spare:
+                psi, spare = spare, psi
             if i in hit_ops:
                 hit = hits[:, draws]
                 rows = np.flatnonzero(hit.any(axis=1))
                 corrections = _corrections(members, noisy, hit[rows], us[rows][:, draws],
                                            len(qubits))
                 for t, corr in zip(rows, corrections):
-                    psi[t:t + 1] = _apply_matrix(psi[t:t + 1], corr, qubits, width)
+                    row = psi[t:t + 1]
+                    out = _apply_matrix(row, corr, qubits, width, spare[t:t + 1])
+                    if out is not row:
+                        row[...] = out
         return (psi, psi) if self.split == len(self.ops) else (kept, psi)
 
 

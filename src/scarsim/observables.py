@@ -29,11 +29,11 @@ from .model import (
     neel_prep_circuit,
     trotter_step_matrix,
 )
+from .noise import _NoisePlan, noiseless
 from .qsim import (
     Circuit,
     Counts,
     Statevector,
-    _run_gates,
     bit_table,
     h,
     run_circuit,
@@ -324,26 +324,28 @@ def simulate_cy_noiseless(p: ModelParams, steps: int, impl: str = "rzz") -> np.n
     after 0, 1, ..., ``steps`` Trotter steps, as a complex array.
 
     The (source, branch) states are carried forward as one stack, one
-    Trotter step at a time, and measured in both parity bases after
-    every step (rows never mix, so each evolves as it would alone).  This
+    Trotter step at a time through one noiseless plan of the step, and
+    measured in both parity bases, each planned once, after every step
+    (rows never mix, so each evolves as it would alone).  This
     is the convention-pinning check: it must agree with ``cy_oracle``
     before the protocol is trusted at scale.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     L = p.L
-    step = build_trotter_step(p, impl=impl)
+    spec = noiseless()
+    step = _NoisePlan(build_trotter_step(p, impl=impl), spec)
+    bases = {parity: _NoisePlan(y_basis_rotation(L, parity), spec) for parity in PARITIES}
     neel = run_circuit(Statevector.zero(L), neel_prep_circuit(L))
     families = [(i, b) for i in range(2, L + 1, 2) for b in CY_BRANCHES]
     psi = np.stack([run_circuit(neel, cy_branch_prep(L, i, b)).amplitudes for i, b in families])
-    bases = {parity: y_basis_rotation(L, parity).gates for parity in PARITIES}
     values = []
     for n in range(steps + 1):
         if n:
-            psi = _run_gates(psi, step.gates, L)
+            psi = step.run_batch(psi, [])[0]
         per_site: dict = {f: {} for f in families}
         for parity, basis in bases.items():
-            probs = np.abs(_run_gates(psi, basis, L)) ** 2
+            probs = np.abs(basis.run_batch(psi.copy(), [])[0]) ** 2
             for f, row in zip(families, probs):
                 counts = Counts(row / row.sum(), 1.0)  # one infinite shot
                 per_site[f].update(pyp_expectation(counts, parity))

@@ -252,42 +252,108 @@ class Statevector:
         return np.abs(self.amplitudes) ** 2
 
 
-def _apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], width: int) -> np.ndarray:
+def _apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], width: int,
+                  spare: np.ndarray | None = None) -> np.ndarray:
     """Apply a 2^k x 2^k unitary to the k listed qubits of every row of a
-    (T, 2^width) stack of amplitude arrays; the only amplitude kernel.
-    ``qubits[0]`` is the most significant bit of the matrix index."""
+    C-contiguous (T, 2^width) stack of amplitude arrays; the only
+    amplitude kernel.  ``qubits[0]`` is the most significant bit of the
+    matrix index.
+
+    ``spare`` is caller-owned scratch of the stack's shape and dtype.
+    With it the kernel allocates nothing: it returns whichever of ``psi``
+    and ``spare`` holds the result and leaves the other overwritten, so a
+    caller passes the two buffers back and forth.  Without it ``psi`` is
+    left as it is and the result is a new array.
+
+    A window on consecutive qubits in ascending order multiplies a
+    reshaped view of the stack into ``spare`` (``_layout`` says where);
+    any other window is gathered into ``spare``, multiplied into ``psi``
+    and scattered back into ``spare``.  A single qubit runs elementwise,
+    with ``spare`` as scratch, into ``psi``.  Each row comes out bit for
+    bit as it would run alone, and as the gathered form gives it."""
+    if spare is None:
+        return _apply_matrix(psi.copy(), mat, qubits, width, np.empty_like(psi))
     n_traj = psi.shape[0]
-    if len(qubits) == 1:
+    layout = _layout(qubits, width)
+    if layout is None:  # one qubit
         q = qubits[0]
         view = psi.reshape(n_traj, 1 << q, 2, -1)
         a, b = view[:, :, 0, :], view[:, :, 1, :]
-        out = np.empty_like(view)
-        out[:, :, 0, :] = mat[0, 0] * a + mat[0, 1] * b
-        out[:, :, 1, :] = mat[1, 0] * a + mat[1, 1] * b
-        return out.reshape(n_traj, -1)
-    shape = [n_traj] + [2] * width
-    to_front, back = _front_axes(tuple(qubits), width)
-    moved = psi.reshape(shape).transpose(to_front).reshape(n_traj, 1 << len(qubits), -1)
-    out = (mat @ moved).reshape(shape).transpose(back)
-    return out.reshape(n_traj, -1)
+        out = spare.reshape(view.shape)
+        lo, hi = out[:, :, 0, :], out[:, :, 1, :]
+        # every product reads psi and writes spare: a ufunc that reads one
+        # half of psi and writes the other copies its input (the halves'
+        # bounds overlap), and one that scales a single amplitude in place
+        # rounds differently from a longer stack
+        np.multiply(mat[0, 0], a, out=lo)
+        np.multiply(mat[0, 1], b, out=hi)
+        np.add(lo, hi, out=lo)
+        np.multiply(mat[1, 0], a, out=hi)
+        a[...] = lo
+        np.multiply(mat[1, 1], b, out=lo)
+        np.add(hi, lo, out=b)
+        return psi
+    if layout == "rows":  # consecutive, ending at the last qubit
+        dim = len(mat)
+        np.matmul(psi.reshape(-1, dim), mat.T, out=spare.reshape(-1, dim))
+        return spare
+    if layout == "view":  # consecutive, with qubits after them
+        shape = (-1, len(mat), 1 << (width - qubits[0] - len(qubits)))
+        np.matmul(mat, psi.reshape(shape), out=spare.reshape(shape))
+        return spare
+    full, to_front, back = layout
+    spare.reshape(full)[...] = psi.reshape(full).transpose(to_front)
+    moved = (n_traj, len(mat), -1)
+    np.matmul(mat, spare.reshape(moved), out=psi.reshape(moved))
+    spare.reshape(full)[...] = psi.reshape(full).transpose(back)
+    return spare
+
+
+# A view's matmuls each cover 2^(k + rest) amplitudes of a row, for a
+# window of k qubits with ``rest`` qubits after it.  Below this many the
+# per-matmul overhead makes gathering the window faster (measured at 12
+# qubits, 4 rows).
+_VIEW_MIN_AMPS = 1 << 7
 
 
 @lru_cache(maxsize=4096)
-def _front_axes(qubits: tuple[int, ...], width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis orders of a (T, 2, ..., 2) stack that move the axes of
-    ``qubits``, in order, right after the trajectory axis, and back
-    (np.moveaxis without its per-call argument handling)."""
+def _layout(qubits: tuple[int, ...], width: int):
+    """How the kernel runs a window on ``qubits``: None for one qubit;
+    "rows" or "view" for consecutive ascending qubits, run on a reshape
+    of the stack; else the gathered form: the (T, 2, ..., 2) shape of a
+    stack and the axis orders that move the axes of ``qubits``, in
+    order, right after the trajectory axis, and back.
+
+    A reshape is used only where it rounds as the gathered form, whose
+    matmul has 2^(width - k) columns: BLAS rounds a product one or two
+    columns wide differently from a wider one.  Starting at qubit 0, the
+    view is the gathered form's own shape; otherwise both must be at
+    least four columns wide."""
+    k, q = len(qubits), qubits[0]
+    if k == 1:
+        return None
+    if qubits == tuple(range(q, q + k)):
+        rest = width - q - k
+        if q == 0:
+            return "view"
+        if width - k >= 2 and rest == 0:
+            return "rows"
+        if rest >= 2 and 1 << (k + rest) >= _VIEW_MIN_AMPS:
+            return "view"
     axes = [1 + q for q in qubits]
     to_front = [0] + axes + [a for a in range(1, width + 1) if a not in axes]
-    return tuple(to_front), tuple(int(a) for a in np.argsort(to_front))
+    return (-1,) + (2,) * width, tuple(to_front), tuple(int(a) for a in np.argsort(to_front))
 
 
 def _run_gates(psi: np.ndarray, gates, width: int) -> np.ndarray:
     """Apply gates in order, one pass each, to a (T, 2^width) stack (DELAY is
-    the identity)."""
+    the identity); ``psi`` is overwritten."""
+    spare = np.empty_like(psi)
     for g in gates:
         if g.kind != "DELAY":
-            psi = _apply_matrix(psi, gate_matrix(g), g.qubits, width)
+            out = _apply_matrix(psi, gate_matrix(g), g.qubits, width, spare)
+            if out is spare:
+                psi, spare = spare, psi
     return psi
 
 

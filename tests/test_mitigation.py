@@ -283,6 +283,26 @@ class TestZNEExtrapolate:
         unweighted = zne_extrapolate([(l, v, 0.0) for l, v, _ in pts])
         assert res.intercept == unweighted.intercept
 
+    @pytest.mark.parametrize("pts", [
+        [(1.0, -0.376, 0.01), (1.0, 0.0676, 0.01), (1.5, 0.3, 1.1169311454556775e-10),
+         (1.5, 0.3000000001116931, 1.1169311454556775e-10), (2.0, -0.2913, 0.003),
+         (2.0, 0.294, 0.003)],
+        [(1.0, 1.1839, 0.01), (1.0, 0.3038, 0.01), (1.5, 0.3, 1.3828638644349605e-10),
+         (1.5, 0.30000000013828637, 1.3828638644349605e-10), (2.0, 0.1921, 0.003),
+         (2.0, 0.2659, 0.003)],
+    ], ids=["indefinite-covariance", "singular-normal-matrix"])
+    def test_weights_past_double_precision_take_the_unweighted_fit(self, pts):
+        # sigmas just above SIGMA_FLOOR at one scale weigh ~1e18 times the
+        # others: the weighted fit is refused, and the unweighted one of
+        # the same points is returned with every sigma recorded as 0
+        lams, vals, sigs = (np.array([p[i] for p in pts])[None] for i in range(3))
+        assert not mitigation.valid_fits(*mitigation.weighted_line_fits(lams, vals, sigs))[0]
+        res = zne_extrapolate(pts)
+        unweighted = zne_extrapolate([(l, v, 0.0) for l, v, _ in pts])
+        assert (res.intercept, res.slope) == (unweighted.intercept, unweighted.slope)
+        np.testing.assert_array_equal(res.covariance, unweighted.covariance)
+        assert [s for _, _, s in res.points] == [0.0] * len(pts)
+
     def test_small_but_real_sigma_keeps_weights(self):
         pts = [(1.0, 0.9, 1e-6), (1.5, 0.85, 2e-6), (2.0, 0.8, 1e-6)]
         res = zne_extrapolate(pts)

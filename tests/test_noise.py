@@ -2,6 +2,7 @@
 import copy
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -989,3 +990,31 @@ def test_run_batch_corrects_only_the_windows_some_row_hit(monkeypatch):
     u[plan.ops[windows[-1]][5][0]] = 1e-4
     plan.run_batch(amps.copy(), [_FixedUniforms(u)])
     assert corrected == [windows[-1]]
+
+
+def test_run_batch_keeps_one_spare_stack():
+    # windows pass the stack between amps and one spare array, and a
+    # correction runs on its row in place: over a 5-block plan at L=10
+    # with 4 trajectories, one of which draws an error, run_batch's traced
+    # peak above its input stays within 1.5 stacks (a row copy per
+    # correction alone would add a quarter stack)
+    L, n_traj = 10, 4
+    spec = casablanca_like()
+    step = build_trotter_step(qmbs_params(L), impl="scaled-rzx")
+    plan = noise._NoisePlan.join([noise._NoisePlan(neel_prep_circuit(L), spec)]
+                                 + [noise._NoisePlan(step, spec)] * 4)
+    amps = np.tile(Statevector.zero(L).amplitudes, (n_traj, 1))
+
+    def rngs():
+        return [np.random.default_rng([7, t]) for t in range(n_traj)]
+
+    assert (np.stack([r.random(plan.n_draws) for r in rngs()]) < plan.totals).sum() == 1
+    plan.run_batch(amps.copy(), rngs())  # fills the kernel's and the planner's caches
+    generators = rngs()
+    tracemalloc.start()
+    try:
+        plan.run_batch(amps, generators)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * amps.nbytes

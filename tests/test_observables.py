@@ -255,29 +255,45 @@ class TestCYAssembly:
     @pytest.mark.parametrize("L, impl", [(2, "rzz"), (3, "two-cnot"), (5, "scaled-rzx"),
                                          (6, "rzz")])
     def test_stacked_families_equal_each_family_run_alone(self, L, impl):
-        # the reference evolves every (source, branch) state in one stack;
-        # run family by family, gate by gate, each gives the same bits
+        # the reference evolves every (source, branch) state in one stack
+        # through noiseless plans of the step and the parity rotations;
+        # run family by family through the same plans, each gives the
+        # same bits, and gate by gate the same values to 1e-12
         from scarsim.model import build_trotter_step, neel_prep_circuit
+        from scarsim.noise import _NoisePlan, noiseless
         from scarsim.observables import CY_BRANCHES, PARITIES, cy_branch_prep
 
         p = ModelParams(V=1.0, Omega=0.24, dt=1.0, L=L)
         step = build_trotter_step(p, impl=impl)
+        spec = noiseless()
+        plans = {"step": _NoisePlan(step, spec)}
+        plans.update({parity: _NoisePlan(y_basis_rotation(L, parity), spec)
+                      for parity in PARITIES})
         neel = run_circuit(Statevector.zero(L), neel_prep_circuit(L))
-        values = [{} for _ in range(5)]
+        planned, gate_by_gate = [{} for _ in range(5)], [{} for _ in range(5)]
         for i in range(2, L + 1, 2):
             for b in CY_BRANCHES:
                 psi = run_circuit(neel, cy_branch_prep(L, i, b))
+                row = psi.amplitudes[None].copy()
                 for n in range(5):
                     if n:
                         psi = run_circuit(psi, step)
-                    per_site = {}
+                        row = plans["step"].run_batch(row, [])[0]
+                    per_site, per_site_gates = {}, {}
                     for parity in PARITIES:
+                        rotated = plans[parity].run_batch(row.copy(), [])[0][0]
+                        counts = sample_counts(Statevector(rotated, check=False), shots=1,
+                                               seed=0, infinite=True)
+                        per_site.update(pyp_expectation(counts, parity))
                         rotated = run_circuit(psi, y_basis_rotation(L, parity))
                         counts = sample_counts(rotated, shots=1, seed=0, infinite=True)
-                        per_site.update(pyp_expectation(counts, parity))
-                    values[n][(i, b)] = per_site
-        want = np.array([assemble_cy(v, L) for v in values])
-        np.testing.assert_array_equal(simulate_cy_noiseless(p, 4, impl=impl), want)
+                        per_site_gates.update(pyp_expectation(counts, parity))
+                    planned[n][(i, b)] = per_site
+                    gate_by_gate[n][(i, b)] = per_site_gates
+        got = simulate_cy_noiseless(p, 4, impl=impl)
+        np.testing.assert_array_equal(got, [assemble_cy(v, L) for v in planned])
+        np.testing.assert_allclose(got, [assemble_cy(v, L) for v in gate_by_gate],
+                                   rtol=0, atol=1e-12)
 
     def test_missing_branch_rejected(self):
         with pytest.raises(ValueError):

@@ -131,30 +131,56 @@ class TestApplyGate:
 
 @st.composite
 def _kernel_cases(draw):
-    """(width, random ordered subset of 1 to 4 qubits, stack height, seed)."""
-    width = draw(st.integers(1, 6))
-    k = draw(st.integers(1, min(4, width)))
-    qubits = tuple(draw(st.permutations(range(width)))[:k])
-    return width, qubits, draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
+    """(width, ordered subset of 1 to width qubits: any order, or an
+    ascending run of consecutive qubits starting at the first qubit, at a
+    middle one or ending at the last, stack height, whether a spare is
+    passed, seed)."""
+    width = draw(st.integers(1, 7))
+    k = draw(st.integers(1, width))
+    where = draw(st.sampled_from(["any", "first", "middle", "last"]))
+    if where == "any":
+        qubits = tuple(draw(st.permutations(range(width)))[:k])
+    else:
+        inner = (1, width - k - 1) if width - k >= 2 else (0, width - k)
+        start = {"first": 0, "last": width - k}.get(where)
+        start = draw(st.integers(*inner)) if start is None else start
+        qubits = tuple(range(start, start + k))
+    return (width, qubits, draw(st.integers(1, 4)), draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(case=_kernel_cases())
 def test_kernel_matches_embedded_matrix(case):
     # every row of the one amplitude kernel equals the dense embedded
-    # operator times that row, for random unitaries on up to 4 qubits in
-    # any order
-    width, qubits, n_traj, seed = case
+    # operator times that row, for random unitaries on up to 7 qubits in
+    # any order, and is bit for bit the row run alone.  With a spare the
+    # result is one of the two buffers; without one the input is kept
+    width, qubits, n_traj, with_spare, seed = case
     rng = np.random.default_rng(seed)
     dim = 2 ** len(qubits)
     unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    psi = rng.normal(size=(n_traj, 2**width)) + 1j * rng.normal(size=(n_traj, 2**width))
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    out = qsim._apply_matrix(psi, unitary, qubits, width)
+    given = rng.normal(size=(n_traj, 2**width)) + 1j * rng.normal(size=(n_traj, 2**width))
+    given /= np.linalg.norm(given, axis=1, keepdims=True)
+    psi = given.copy()
+
+    def spare_for(stack):
+        return np.empty_like(stack) if with_spare else None
+
+    spare = spare_for(psi)
+    out = qsim._apply_matrix(psi, unitary, qubits, width, spare)
+    if with_spare:
+        assert out is psi or out is spare
+    else:
+        assert out is not psi
+        np.testing.assert_array_equal(psi, given)
     full = qsim._embed(unitary, qubits, width)
-    assert out.shape == psi.shape
-    for row_in, row_out in zip(psi, out):
+    assert out.shape == given.shape
+    for row_in, row_out in zip(given, out):
         np.testing.assert_allclose(row_out, full @ row_in, rtol=0, atol=1e-12)
+        alone = row_in[None].copy()
+        alone = qsim._apply_matrix(alone, unitary, qubits, width, spare_for(alone))
+        np.testing.assert_array_equal(alone[0], row_out)
 
 
 class TestRunCircuit:

@@ -145,15 +145,35 @@ def _gate_list(gates) -> list[tuple]:
     return [(g.kind, g.qubits, g.angle, g.duration_ns) for g in gates]
 
 
+def sweep_depth(monkeypatch) -> list[int]:
+    """[number of open ``noise.run_noisy_counts`` calls].  The spies below
+    record only inside one, so they see the sweep's executions and not
+    the noiseless plans of the reference series."""
+    depth = [0]
+    run = noise.run_noisy_counts
+
+    def spy(*args, **kw):
+        depth[0] += 1
+        try:
+            return run(*args, **kw)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(noise, "run_noisy_counts", spy)
+    return depth
+
+
 def record_plans(monkeypatch) -> list[tuple]:
-    """Spy on the planner: (plan, circuit) for every ``_NoisePlan`` built
-    from a circuit, in order."""
+    """Spy on the planner: (plan, circuit) for every ``_NoisePlan`` the
+    sweep builds from a circuit, in order."""
     built = []
     init = noise._NoisePlan.__init__
+    depth = sweep_depth(monkeypatch)
 
     def spy(plan, circuit, spec):
         init(plan, circuit, spec)
-        built.append((plan, circuit))
+        if depth[0]:
+            built.append((plan, circuit))
 
     monkeypatch.setattr(noise._NoisePlan, "__init__", spy)
     return built
@@ -332,12 +352,14 @@ def test_fold_count_argument_is_checked():
 
 def record_batches(monkeypatch) -> list[tuple[int, bool]]:
     """Spy on the batch executor: (trajectories, quasi-static rates drawn)
-    per ``_NoisePlan.run_batch`` call."""
+    per ``_NoisePlan.run_batch`` call of the sweep."""
     calls = []
     run_batch = noise._NoisePlan.run_batch
+    depth = sweep_depth(monkeypatch)
 
     def spy(plan, amps, rngs, omegas=None):
-        calls.append((len(rngs), omegas is not None))
+        if depth[0]:
+            calls.append((len(rngs), omegas is not None))
         return run_batch(plan, amps, rngs, omegas)
 
     monkeypatch.setattr(noise._NoisePlan, "run_batch", spy)
