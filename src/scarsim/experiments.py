@@ -14,13 +14,15 @@ noise has a coherent overrotation or single-qubit error).  The executor
 plans each distinct block once per run and shares the plan between
 every chain, twirl and family that runs it; a restart runs the chain's
 planned blocks (executor windows do not cross block boundaries).
-Readout error is a channel on each trajectory's outcome probabilities
-before the shots are drawn.  The variant key (config seed, trial, step,
-twirl, scale) seeds that step's folds, twirl and shots; the chain key,
-the variant key of the first step of the step's segment, seeds the
-trajectories.  A rerun with the same config therefore emits byte-identical files.  Estimates at different steps of
-one segment share its noise draws, and all steps of a chain share twirl
-draws, so they are correlated across steps, but each is still unbiased.
+Readout error is a channel on the mixture of the trajectories' outcome
+probabilities, from which all the variant's shots are then drawn.  The
+variant key (config seed, trial, step, twirl, scale) seeds that step's
+folds, twirl and shots; the chain key, the variant key of the first
+step of the step's segment, seeds the trajectories.  A rerun with the
+same config therefore emits byte-identical files.  Estimates at
+different steps of one segment share its noise draws, and all steps of
+a chain share twirl draws, so they are correlated across steps, but
+each is still unbiased.
 
 Each variant's estimates are one float row; a sweep's rows form one
 (steps + 1, scales, twirls, columns) array, in which NaN marks a
@@ -51,7 +53,6 @@ from .model import (
     fibonacci_projector,
     neel_bitstring,
     neel_prep_circuit,
-    project,
     trotter_angles,
     build_trotter_step,
 )
@@ -59,6 +60,7 @@ from .noise import NoiseSpec, rzz_duration
 from .observables import (
     CY_BRANCHES,
     PARITIES,
+    Support,
     TimeSeries,
     accumulated_error,
     assemble_cy,
@@ -68,7 +70,9 @@ from .observables import (
     per_site_z,
     pyp_expectation,
     series_from_values,
-    staggered_magnetization,
+    stagger_sum,
+    staggered_magnetization,  # not called here; the benchmark's tracer patches this name
+    support,
     y_basis_rotation,
 )
 from .qsim import Circuit, Counts, Statevector, run_circuit
@@ -271,6 +275,14 @@ class Table:
         return out
 
 
+# Columns of the magnetization pipeline's estimate rows and trial tables;
+# a row has L + 4 columns for L sites.
+COL_ZPI = 0
+COL_ECHO = (1, 2)  # 0 and 1 tolerated flips
+COL_SITES = slice(3, -1)
+COL_RETAINED = -1
+
+
 # ---------------------------------------------------------------------------
 # Reference (oracle) series
 # ---------------------------------------------------------------------------
@@ -282,21 +294,28 @@ def state_series(states: Iterable[Statevector]) -> dict:
     from the Neel reference), the adjacent-1-free weight ``weight``, and
     the ``*_proj`` twins of the first four on the state projected onto
     that subspace and renormalized (NaN where the projection is empty).
-    ``states`` may be a generator; one state is held at a time.
+    Each state's probabilities are computed once; the twin reads them
+    masked and renormalized, and each set of observables is one
+    ``_estimates`` pass.  ``states`` may be a generator; one state is
+    held at a time.
     """
-
-    def observe(psi: Statevector, ref: str) -> dict:
-        return {"site_z": per_site_z(psi), "zpi": staggered_magnetization(psi),
-                "echo0": loschmidt_echo(psi, ref, 0), "echo1": loschmidt_echo(psi, ref, 1)}
-
     rows = []
     for psi in states:
-        ref = neel_bitstring(psi.width)
-        proj, weight = project(psi, fibonacci_projector(psi.width))
-        plain = observe(psi, ref)
-        twin = observe(proj, ref) if proj is not None else {k: np.nan * v for k, v in plain.items()}
-        rows.append({**plain, **{k + "_proj": v for k, v in twin.items()}, "weight": weight})
-    return {k: np.asarray([row[k] for row in rows]) for k in rows[0]}
+        L = psi.width
+        ref = neel_bitstring(L)
+        probs = psi.probabilities()
+        masked = np.where(fibonacci_projector(L).mask, probs, 0.0)
+        weight = float(np.sum(masked))
+        plain = _estimates(Support(slice(None), probs, L), ref)
+        twin = (_estimates(Support(slice(None), masked / weight, L), ref) if weight > 0.0
+                else np.full_like(plain, np.nan))
+        rows.append((plain, twin, weight))
+    plain, twin, weights = (np.array(column) for column in zip(*rows))
+    out = {"weight": weights}
+    for suffix, table in (("", plain), ("_proj", twin)):
+        out.update({"site_z" + suffix: table[:, COL_SITES], "zpi" + suffix: table[:, COL_ZPI],
+                    "echo0" + suffix: table[:, COL_ECHO[0]], "echo1" + suffix: table[:, COL_ECHO[1]]})
+    return out
 
 
 def reference_series(params: ModelParams, steps: int, impl: str) -> dict:
@@ -334,14 +353,6 @@ def _calibrated_confusion(config, spec, trial):
     )
 
 
-# Columns of the magnetization pipeline's estimate rows and trial tables;
-# a row has L + 4 columns for L sites.
-COL_ZPI = 0
-COL_ECHO = (1, 2)  # 0 and 1 tolerated flips
-COL_SITES = slice(3, -1)
-COL_RETAINED = -1
-
-
 def _process_counts(counts: Counts, confusion, config, reference: str) -> np.ndarray:
     """Readout inversion -> postselection -> estimate row.  When
     postselection keeps nothing, every estimate is NaN and the retained
@@ -360,14 +371,16 @@ def _process_counts(counts: Counts, confusion, config, reference: str) -> np.nda
     return _estimates(counts, reference, retained)
 
 
-def _estimates(counts: Counts, reference: str, retained: float = 1.0) -> np.ndarray:
+def _estimates(obj, reference: str, retained: float = 1.0) -> np.ndarray:
+    """The estimate row of counts or a ``Support``, from one support
+    pass: per-site <Z> once, the staggered magnetization from it, and
+    both echoes from the same support; each value is bit for bit what
+    its own estimator gives."""
+    sup = support(obj)
+    zs = per_site_z(sup)
     return np.concatenate((
-        [
-            staggered_magnetization(counts),
-            loschmidt_echo(counts, reference, 0),
-            loschmidt_echo(counts, reference, 1),
-        ],
-        per_site_z(counts),
+        [stagger_sum(zs), loschmidt_echo(sup, reference, 0), loschmidt_echo(sup, reference, 1)],
+        zs,
         [retained],
     ))
 

@@ -845,12 +845,14 @@ def run_noisy_counts(
 ) -> Counts:
     """Execute under the noise spec and measure.
 
-    Shots are split across noise trajectories (one Pauli insertion
-    pattern per trajectory).  Each trajectory's outcome probabilities go
-    through the readout channel ``apply_readout_error``; then each draws
-    its shots in one multinomial, or with ``infinite=True`` contributes
-    its exact distribution.  ``seed`` may be an int or a sequence of
-    ints; the shots are drawn from ``seed + [4]``.
+    The noisy output distribution is estimated as the uniform mixture of
+    the trajectories' outcome probabilities (one Pauli insertion pattern
+    per trajectory; ``shots_per_trajectory`` sets only how many there
+    are).  That mixture goes once through the readout channel
+    ``apply_readout_error``; then every shot is an independent draw from
+    it, all of them in one multinomial, or with ``infinite=True`` the
+    exact mixture scaled to ``shots`` is returned.  ``seed`` may be an
+    int or a sequence of ints; the shots are drawn from ``seed + [4]``.
 
     ``circuit`` is the next block of a chain of trajectories.  With
     ``batch`` it continues that batch's trajectories, which it advances
@@ -885,18 +887,14 @@ def run_noisy_counts(
     run, batch.blocks = parts[batch.blocks:], len(parts)
     plan = _NoisePlan.join(run, None if basis is None else _NoisePlan.of(basis, spec))
     batch.amps, measured = plan.run_batch(batch.amps, batch.rngs, batch.omegas)
-    probs = np.abs(measured) ** 2
+    probs = (np.abs(measured) ** 2).mean(axis=0)
     if spec.has_readout_error():
         m = spec._memoized(("readout", width), lambda: ConfusionMatrix.from_rates(
             width, spec.readout_eps, spec.readout_eta))
         probs = apply_readout_error(probs, m)
     if infinite:
-        return Counts.from_vector(probs.mean(axis=0) * shots, width, float(shots))
-    n_traj = len(probs)
-    share = np.full(n_traj, shots // n_traj)
-    share[:shots % n_traj] += 1
-    rng = _rng(base + [4])
-    total = rng.multinomial(share, probs / probs.sum(axis=1, keepdims=True)).sum(axis=0)
+        return Counts.from_vector(probs * shots, width, float(shots))
+    total = _rng(base + [4]).multinomial(shots, probs / probs.sum())
     return Counts.from_vector(total.astype(float), width, float(shots))
 
 

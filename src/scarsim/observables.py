@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,16 +130,29 @@ def _pyp_table(L: int, parity: str) -> np.ndarray:
     return _read_only(np.array(rows).reshape(len(rows), 2**L))
 
 
-def _support(obj) -> tuple[np.ndarray | slice, np.ndarray]:
-    """(outcome indices, normalized weights) of a state or of counts.
+class Support(NamedTuple):
+    """The outcomes an estimator reads: outcome indices ``idx``, their
+    normalized ``weights`` and the register ``width``."""
+
+    idx: np.ndarray | slice
+    weights: np.ndarray
+    width: int
+
+
+def support(obj) -> Support:
+    """The ``Support`` of a state (every outcome, ``idx = slice(None)``)
+    or of counts; a ``Support`` is returned as it is, so several
+    estimates of one object can share one pass.
 
     For counts only the nonzero outcomes are kept, in ascending order,
     so the rounding of every sum is independent of the zeros the vector
     holds: the ZNE fit can magnify last-digit differences by many orders
     of magnitude when two twirls nearly agree.
     """
+    if isinstance(obj, Support):
+        return obj
     if isinstance(obj, Statevector):
-        return slice(None), obj.probabilities()
+        return Support(slice(None), obj.probabilities(), obj.width)
     idx = np.flatnonzero(obj.vector)
     if idx.size == 0:
         raise ValueError("empty counts")
@@ -146,30 +160,34 @@ def _support(obj) -> tuple[np.ndarray | slice, np.ndarray]:
     total = w.sum()
     if total == 0:
         raise ValueError("counts carry zero total weight")
-    return idx, w / total
+    return Support(idx, w / total, obj.width)
 
 
 def per_site_z(obj) -> np.ndarray:
-    """<Z_i> for each site, from a state or from counts."""
-    idx, w = _support(obj)
-    return w @ _z_table(obj.width)[idx]
+    """<Z_i> for each site, from a state, counts or their support."""
+    idx, w, width = support(obj)
+    return w @ _z_table(width)[idx]
 
 
-def staggered_magnetization(obj) -> float:
-    """sum_i (-1)^i <Z_i> (1-based sites): -L on |Z2>, +L on |Z2'>."""
-    zs = per_site_z(obj)
+def stagger_sum(zs: np.ndarray) -> float:
+    """sum_i (-1)^i zs_i over per-site values (1-based sites)."""
     signs = np.array([stagger_sign(q + 1) for q in range(len(zs))])
     return float(signs @ zs)
 
 
+def staggered_magnetization(obj) -> float:
+    """sum_i (-1)^i <Z_i> (1-based sites): -L on |Z2>, +L on |Z2'>."""
+    return stagger_sum(per_site_z(obj))
+
+
 def loschmidt_echo(obj, reference: str, flips_allowed: int = 0) -> float:
     """Weight fraction within Hamming distance ``flips_allowed`` of the
-    reference bitstring, from counts or from a state."""
+    reference bitstring, from counts, a state or their support."""
     if len(reference) != obj.width:
         raise ValueError("reference length must match counts width")
     if flips_allowed not in (0, 1):
         raise ValueError("flips_allowed must be 0 or 1")
-    idx, w = _support(obj)
+    idx, w, _ = support(obj)
     return float(w[_echo_masks(reference)[flips_allowed][idx]].sum())
 
 
@@ -237,8 +255,7 @@ def pyp_expectation(counts: Counts, parity: str) -> dict[int, float]:
     (1 - 2b_j), the unrotated neighbors enter as ground-state
     indicators, one-sided at the chain ends.
     """
-    L = counts.width
-    idx, w = _support(counts)
+    idx, w, L = support(counts)
     table = _pyp_table(L, parity)
     return {j: float(w @ row[idx]) for j, row in zip(parity_sites(L, parity), table)}
 

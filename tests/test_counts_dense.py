@@ -8,9 +8,10 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scarsim.experiments import _estimates
 from scarsim.mitigation import postselect
 from scarsim.noise import ConfusionMatrix, NoiseSpec, apply_readout_error, run_noisy_counts
 from scarsim.observables import (
@@ -70,6 +71,22 @@ def test_loschmidt_echo_against_bitstrings(c, data):
             if sum(a != b for a, b in zip(key, reference)) <= flips
         )
         assert loschmidt_echo(c, reference, flips) == pytest.approx(expected, abs=1e-9)
+
+
+@PROPERTY
+@given(counts(), st.booleans(), st.data())
+def test_estimate_row_equals_the_separate_estimators_bit_for_bit(c, select, data):
+    # sampled counts, quasi-counts with negative entries, or either after
+    # postselection: one support pass gives the values the estimators give
+    if select:
+        sel = postselect(c)
+        assume(not sel.empty)
+        c = sel.counts
+    reference = data.draw(st.text("01", min_size=c.width, max_size=c.width))
+    row = _estimates(c, reference, retained=0.25)
+    want = np.concatenate(([staggered_magnetization(c), loschmidt_echo(c, reference, 0),
+                            loschmidt_echo(c, reference, 1)], per_site_z(c), [0.25]))
+    assert row.tobytes() == want.tobytes()
 
 
 @PROPERTY

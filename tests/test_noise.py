@@ -402,6 +402,59 @@ class TestTrajectoryExecution:
         counts = run_noisy_counts(circ, spec, shots=1000, seed=1, shots_per_trajectory=64)
         assert sum(counts.data.values()) == 1000.0
 
+    # A stochastic width-3 circuit: Pauli errors on the two-qubit gates and
+    # Z flips (probability 0.197) in an idle window between two H on qubit 2.
+    LAW_CIRCUIT = Circuit(3, [h(0), h(2), cnot(0, 1), delay(2, 500.0), rzz(1, 2, 0.7), h(2),
+                              cnot(0, 2)])
+    LAW_SPEC = casablanca_like(idle_stochastic_rate_per_ns=1e-3)
+
+    def test_shot_mean_is_the_read_out_density_diagonal(self):
+        # Over seeds, counts / shots averages to M diag(rho): the readout
+        # channel on the exact channel's outcome law.  Tolerance: 5 standard
+        # errors of the mean over the K seeds, per outcome.
+        circ, spec = self.LAW_CIRCUIT, self.LAW_SPEC
+        m = ConfusionMatrix.from_rates(3, spec.readout_eps, spec.readout_eta)
+        want = apply_readout_error(np.real(np.diag(run_noisy_density(circ, spec).matrix)), m)
+        shots, k = 256, 2000
+        freq = np.array([run_noisy_counts(circ, spec, shots, [s], shots_per_trajectory=64).vector
+                         for s in range(k)]) / shots
+        stderr = freq.std(axis=0, ddof=1) / math.sqrt(k)
+        assert np.all(np.abs(freq.mean(axis=0) - want) < 5 * stderr)
+
+    def test_shots_are_one_multinomial_from_the_trajectory_mixture(self):
+        # With the trajectories fixed (one batch seed), the counts of
+        # different shot seeds are Multinomial(shots, q) with q = M p-bar,
+        # which the infinite-shot run of the same batch returns: per-outcome
+        # mean q and variance q (1 - q) / shots.  Splitting the shots into
+        # per-trajectory quotas would shrink that variance by the spread
+        # of the trajectories' distributions.  Tolerances: 5 standard errors
+        # for the mean, 20% for the variance (its relative standard error
+        # over K = 2000 draws is about 3.5%).
+        circ, spec = self.LAW_CIRCUIT, self.LAW_SPEC
+        shots, n_traj, k = 256, 4, 2000
+
+        def run(seed, infinite=False):
+            batch = noise.TrajectoryBatch.seeded(spec, n_traj, [99], Statevector.zero(3), False)
+            return run_noisy_counts(circ, spec, shots, [seed], infinite=infinite, batch=batch,
+                                    parts=[]).vector
+
+        q = run(0, infinite=True) / shots
+        freq = np.array([run(s) for s in range(k)]) / shots
+        var = q * (1 - q) / shots
+        assert np.all(np.abs(freq.mean(axis=0) - q) < 5 * np.sqrt(var / k))
+        np.testing.assert_allclose(freq.var(axis=0, ddof=1), var, rtol=0.2)
+
+    def test_single_trajectory_counts_are_one_multinomial_from_seed_4(self):
+        # without stochastic noise one trajectory runs, and its counts are
+        # exactly rng.multinomial(shots, M p) with rng seeded seed + [4]
+        circ = build_trotter_step(qmbs_params(3), impl="two-cnot")
+        spec = casablanca_like(two_qubit_depolarizing=0.0)
+        assert noise.chain_noise([circ], spec) == (False, False)
+        q = run_noisy_counts(circ, spec, shots=1, seed=[6, 1], infinite=True).vector
+        want = np.random.default_rng([6, 1, 4]).multinomial(1000, q / q.sum())
+        got = run_noisy_counts(circ, spec, shots=1000, seed=[6, 1]).vector
+        np.testing.assert_array_equal(got, want)
+
     def test_batched_trajectories_equal_sequential(self):
         # a batch of T generators evolves each trajectory exactly as T
         # one-generator batches do: no draw depends on another trajectory

@@ -34,6 +34,8 @@ KEEP = {
     "model.build_hamiltonian_occupation":
         "tests/test_model.py::TestHamiltonian::test_pauli_and_occupation_forms_differ_by_identity",
     "model.fibonacci_dimension": "tests/test_acceptance.py::test_03_fibonacci_diagnostics",
+    "model.project": "tests/test_experiments.py::TestReferenceSeries::"
+                     "test_series_equal_the_estimators_on_the_state_and_its_projection",
     "model.qmbs_params": "tests/test_model.py::TestTrotterAngles::test_qmbs_zz_angle",
     "noise.run_noisy_density":
         "tests/test_noise.py::TestNoisyGateChannel::test_channel_matches_exact_executor",
