@@ -27,10 +27,10 @@ each is still unbiased.
 Each variant's estimates are one float row; a sweep's rows form one
 (steps + 1, scales, twirls, columns) array, in which NaN marks a
 missing estimate (postselection kept nothing, or a raw column at a
-scale other than 1).  ``_zne`` reduces it, step by step and column by
-column, to values and stds, skipping the missing samples; it is the one
-ZNE reduction every experiment uses.  Every series and table is emitted as
-a ``Table``, in CSV or JSON.
+scale other than 1).  ``_zne`` reduces it to values and stds with one
+least-squares line per step and column over the samples that are not
+missing; it is the one ZNE reduction every experiment uses.  Every
+series and table is emitted as a ``Table``, in CSV or JSON.
 """
 from __future__ import annotations
 
@@ -385,84 +385,24 @@ def _estimates(obj, reference: str, retained: float = 1.0) -> np.ndarray:
     ))
 
 
-def _zne_scalar(per_lambda, lam_effs: list[float]):
-    """Extrapolate one observable: per-scale twirl samples -> (value, std).
-    Non-finite samples are missing."""
-    pts = []
-    present = []
-    for li, lam in enumerate(lam_effs):
-        vals = np.asarray(per_lambda[li], dtype=float)
-        vals = vals[np.isfinite(vals)]
-        if not vals.size:
-            continue
-        sig = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-        present.append(lam)
-        pts.extend((lam, v, sig) for v in vals)
-    if not pts:
-        return np.nan, np.nan
-    if len(set(present)) < 2:
-        vals = [v for _, v, _ in pts]
-        spread = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-        return float(np.mean(vals)), spread
-    res = mitigation.zne_extrapolate(pts)
-    return res.intercept, res.intercept_std
-
-
 def _zne(samples: np.ndarray, lam_effs) -> tuple[np.ndarray, np.ndarray]:
     """(values, stds), each (steps, columns), of a sweep's (steps,
     scales, twirls, columns) samples, with lam_effs[step] the realized
-    scales of a step; each entry equals ``_zne_scalar`` of its step and
-    column.
+    scales of a step: one ``mitigation.line_fits`` row per (step, column)
+    over every finite twirl sample at its scale.
 
-    The (step, column) rows whose scales are each complete or empty are
-    reduced together, grouped by their complete scales: over one distinct
-    scale, the mean and ddof-1 std of the pooled samples; over more, one
-    stacked ``mitigation.weighted_line_fits``.  Rows with a partly missing
-    scale, a per-scale sigma at or below ``mitigation.SIGMA_FLOOR``, or
-    a weighted fit ``mitigation.valid_fits`` refuses (the unweighted
-    fallbacks) go through ``_zne_scalar`` one at a time.
-    Every reduction runs along the contiguous last axis of a (rows, ...)
-    array, which rounds as ``_zne_scalar``'s 1-D reductions do.
+    Over two or more distinct scales the value is the extrapolated
+    intercept and the std its fit std (residual variance over n - 2
+    degrees of freedom, at least 1).  Over one distinct scale the value
+    is the mean of the pooled samples and the std their ddof-1 spread,
+    0 for one sample.  A row without samples is NaN.
     """
     n_steps, n_scales, n_twirls, n_cols = samples.shape
-    rows = np.ascontiguousarray(samples.transpose(0, 3, 1, 2)).reshape(-1, n_scales, n_twirls)
-    lams = np.repeat(np.asarray(lam_effs, dtype=float), n_cols, axis=0)  # per row
-    values, stds = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
-    finite = np.isfinite(rows)
-    full = finite.all(axis=2)
-    whole = (full | ~finite.any(axis=2)).all(axis=1)
-    single = np.flatnonzero(~whole).tolist()  # rows for _zne_scalar
-    codes = np.where(whole, full @ (1 << np.arange(n_scales)), 0)  # complete scales, as bits
-    for code in sorted(set(codes.tolist()) - {0}):
-        idx = np.flatnonzero(codes == code)
-        scales = [li for li in range(n_scales) if code >> li & 1]
-        x = rows[idx][:, scales]  # (rows, scales, twirls), contiguous
-        pooled = x.reshape(len(idx), -1)
-        lam = lams[idx][:, scales]
-        one = (lam == lam[:, :1]).all(axis=1)  # one distinct scale: pool
-        if one.any():
-            values[idx[one]] = pooled[one].mean(axis=1)
-            stds[idx[one]] = pooled[one].std(axis=1, ddof=1) if pooled.shape[1] > 1 else 0.0
-            if one.all():
-                continue
-        idx, x, pooled, lam = idx[~one], x[~one], pooled[~one], lam[~one]
-        sig = x.std(axis=2, ddof=1) if n_twirls > 1 else np.zeros(x.shape[:2])
-        floor = mitigation.SIGMA_FLOOR * np.maximum(1.0, np.abs(pooled).max(axis=1))
-        fit = ~(sig <= floor[:, None]).any(axis=1)
-        single += idx[~fit].tolist()
-        if not fit.any():
-            continue
-        coef, cov = mitigation.weighted_line_fits(np.repeat(lam[fit], n_twirls, axis=1),
-                                                  pooled[fit], np.repeat(sig[fit], n_twirls, axis=1))
-        # a fit ZNEResult would refuse goes to _zne_scalar's unweighted fallback
-        ok = mitigation.valid_fits(coef, cov)
-        single += idx[fit][~ok].tolist()
-        values[idx[fit][ok]] = coef[ok, 0]
-        stds[idx[fit][ok]] = np.sqrt(np.maximum(cov[ok, 0, 0], 0.0))
-    for r in single:
-        step, c = divmod(r, n_cols)
-        values[r], stds[r] = _zne_scalar(samples[step, :, :, c], lam_effs[step])
-    return values.reshape(n_steps, n_cols), stds.reshape(n_steps, n_cols)
+    vals = samples.transpose(0, 3, 1, 2).reshape(n_steps * n_cols, n_scales * n_twirls)
+    lams = np.repeat(np.repeat(np.asarray(lam_effs, dtype=float), n_twirls, axis=1),
+                     n_cols, axis=0)
+    coef, cov = mitigation.line_fits(lams, vals)
+    return coef[:, 0].reshape(n_steps, n_cols), np.sqrt(cov[:, 0, 0]).reshape(n_steps, n_cols)
 
 
 def _segment_steps(n_steps: int, stochastic: bool) -> int:
@@ -622,16 +562,9 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialSeries:
     )
 
     mit, mit_std = _zne(samples[..., :width], lam_effs)
-    # raw rows of the lambda = 1 scales in (twirl, scale) order, pooled as
-    # one scale
+    # raw rows of the lambda = 1 scales, pooled as one scale
     ones = [li for li, lam in enumerate(config.zne_factors) if lam == 1.0]
-    rows = samples[:, ones, :, width:].swapaxes(1, 2).reshape(len(lam_effs), 1, -1, width)
-    raw, raw_std = _zne(rows, [[1.0]] * len(lam_effs))
-    for step in range(len(lam_effs)):
-        # per-site raw means: one axis-0 mean over the rows, not _zne's
-        # per-column mean; from 8 rows on the two round differently, and
-        # the emitted accumulated error is pinned to the axis-0 rounding
-        raw[step, COL_SITES] = np.mean(rows[step, 0, :, COL_SITES], axis=0)
+    raw, raw_std = _zne(samples[:, ones, :, width:], [[1.0] * len(ones)] * len(lam_effs))
 
     return TrialSeries(
         mit=mit, mit_std=mit_std, raw=raw, raw_std=raw_std,
@@ -766,9 +699,11 @@ def run_cy(config: ExperimentConfig) -> dict:
             for bi, b in enumerate(CY_BRANCHES)
         }
         values[step] = assemble_cy(branch_vals, L)
-        # M+1, M-1, +Y, -Y are branches 0-3; summed in (source, site) order
-        var_re = sum((0.25 * (var[step, :, 0] + var[step, :, 1])).ravel().tolist())
-        var_im = sum((0.25 * (var[step, :, 2] + var[step, :, 3])).ravel().tolist())
+        # Re C_Y sums +-(M+1 - M-1) / 2 and Im C_Y +-(+Y - -Y) / 2 over
+        # every (source, site) term (branches 0-3), so the ZNE variance of
+        # each independent term enters with weight 1/4; a NaN std counts as 0
+        var_re = 0.25 * (var[step, :, 0] + var[step, :, 1]).sum()
+        var_im = 0.25 * (var[step, :, 2] + var[step, :, 3]).sum()
         v = values[step]
         mag = abs(v)
         if mag > 0:

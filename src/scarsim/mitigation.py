@@ -227,86 +227,58 @@ class ZNEResult:
         if np.min(np.linalg.eigvalsh(self.covariance)) < -1e-12:
             raise ValueError("fit covariance is not positive semidefinite")
 
-    @property
-    def intercept_std(self) -> float:
-        return float(np.sqrt(max(self.covariance[0, 0], 0.0)))
 
+def line_fits(lams, vals) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares lines value = c0 + c1 lam, one per row of the (R, n)
+    samples ``vals`` at the scales ``lams`` (shared (n,) or one row each
+    (R, n)), a non-finite value (NaN) marking a missing sample:
+    (coefficients (R, 2), covariances (R, 2, 2)).
 
-# A sigma at or below this fraction of the value scale, max(1, max|value|),
-# is rounding noise between exact values (for example identical twirls
-# with infinite shots), not a spread: it counts as zero.
-SIGMA_FLOOR = 1e-10
-
-
-def weighted_line_fits(lams: np.ndarray, vals: np.ndarray,
-                       sigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted least-squares lines value = c0 + c1 lam, one per row of
-    the (C, n) ``vals`` and ``sigs``, with weights 1/sigma^2, over the n
-    scales ``lams``, shared (n,) or one row each (C, n): (coefficients
-    (C, 2), covariances (C, 2, 2)).
-
-    The one weighted fit.  Every row is computed with the BLAS and
-    LAPACK calls a single fit makes (the normal matrix and right-hand
-    side as one stacked matmul each, then one stacked solve and one
-    stacked inverse), so a row's result does not depend on how many
-    rows are fitted with it.  A row whose normal matrix is singular
-    (weight ratios past double precision) gets NaN coefficients and
-    covariance instead of failing the whole stack.
+    Every finite sample of a row weighs the same.  Over two or more
+    distinct scales a row gets the closed-form fit and the covariance
+    s^2 (X^T X)^-1, with s^2 = RSS / max(n - 2, 1) over its n samples.
+    Over one distinct scale it gets the mean of its samples as c0 and
+    their ddof-1 variance (0 for one sample) as the (0, 0) covariance;
+    the slope and the rest of the covariance are NaN.  A row without
+    samples is all NaN.
     """
-    design = np.stack([np.ones_like(lams), lams], axis=-1)
-    design_t = np.swapaxes(design, -1, -2)
-    w = 1.0 / sigs**2
-    xtwx = design_t @ (design * w[:, :, None])
-    singular = np.linalg.det(xtwx) == 0  # the LU pivot solve would refuse
-    xtwx[singular] = np.eye(2)
-    coef = np.linalg.solve(xtwx, design_t @ (vals * w)[:, :, None])[:, :, 0]
-    cov = np.linalg.inv(xtwx)
-    coef[singular] = cov[singular] = np.nan
-    return coef, cov
-
-
-def valid_fits(coef: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Which of a stack of line fits ``ZNEResult`` accepts: a finite
-    intercept and a positive semidefinite covariance."""
-    return np.isfinite(coef[..., 0]) & (np.linalg.eigvalsh(cov).min(axis=-1) >= -1e-12)
+    vals = np.asarray(vals, dtype=float)
+    ok = np.isfinite(vals)
+    lams = np.where(ok, lams, np.nan)
+    n = ok.sum(axis=1)
+    line = np.fmax.reduce(lams, axis=1) > np.fmin.reduce(lams, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x_bar = np.nansum(lams, axis=1) / n
+        y_bar = np.nansum(vals, axis=1) / n
+        dx = np.where(line[:, None], lams - x_bar[:, None], 0.0)
+        dy = vals - y_bar[:, None]
+        sxx = np.nansum(dx * dx, axis=1)
+        slope = np.where(line, np.nansum(dx * dy, axis=1) / sxx, 0.0)
+        rss = np.nansum((dy - slope[:, None] * dx) ** 2, axis=1)
+        # residual dof: n less the 2 parameters of a line, or the 1 of a mean
+        s2 = np.where(n > 0, rss / np.maximum(n - 1 - line, 1), np.nan)
+        inv = np.stack([1.0 / n + x_bar**2 / sxx, -x_bar / sxx,
+                        -x_bar / sxx, 1.0 / sxx], axis=1).reshape(-1, 2, 2)  # (X^T X)^-1
+    inv[~line] = [[1.0, np.nan], [np.nan, np.nan]]
+    coef = np.stack([y_bar - slope * x_bar, np.where(line, slope, np.nan)], axis=1)
+    return coef, s2[:, None, None] * inv
 
 
 def zne_extrapolate(points) -> ZNEResult:
-    """Weighted least-squares line through (lam, value, sigma) points
-    (``weighted_line_fits``).
-
-    Weights are 1/sigma^2; if any sigma is zero (exact values, or at most
-    SIGMA_FLOOR of the value scale) the fit falls back to an unweighted
-    one with residual-based covariance, and those points are recorded
-    with sigma 0.  A weighted fit ``valid_fits`` refuses (a singular
-    normal matrix or an indefinite covariance, from weight ratios past
-    double precision) takes the same fallback, with every point recorded
-    with sigma 0.
-    """
-    pts = [(float(l), float(v), float(s)) for l, v, s in points]
+    """Least-squares line through (lam, value, sigma) points, the one-row
+    case of ``line_fits``.  Every point weighs the same, so sigma is not
+    used; the points are recorded with sigma 0."""
+    pts = [(float(l), float(v), 0.0) for l, v, _ in points]
     if len(pts) < 2:
         raise ValueError("need at least two points")
-    lams = np.array([p[0] for p in pts])
-    vals = np.array([p[1] for p in pts])
-    sigs = np.array([p[2] for p in pts])
+    lams, vals = np.array([p[:2] for p in pts]).T
+    if not (np.isfinite(lams).all() and np.isfinite(vals).all()):
+        raise ValueError("non-finite point")
     if np.ptp(lams) == 0:
         raise ValueError("degenerate design matrix: all scale factors equal")
-    design = np.column_stack([np.ones_like(lams), lams])
-    exact = sigs <= SIGMA_FLOOR * max(1.0, float(np.max(np.abs(vals))))
-    if not np.any(exact):
-        coef, cov = weighted_line_fits(lams, vals[None], sigs[None])
-        if valid_fits(coef, cov)[0]:
-            return ZNEResult(intercept=float(coef[0, 0]), slope=float(coef[0, 1]),
-                             covariance=cov[0], points=pts)
-        exact[:] = True
-    pts = [(l, v, 0.0 if e else s) for (l, v, s), e in zip(pts, exact)]
-    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    resid = vals - design @ coef
-    dof = max(len(pts) - 2, 1)
-    s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(design.T @ design)
-    return ZNEResult(intercept=float(coef[0]), slope=float(coef[1]),
-                     covariance=cov, points=pts)
+    coef, cov = line_fits(lams, vals[None])
+    return ZNEResult(intercept=float(coef[0, 0]), slope=float(coef[0, 1]),
+                     covariance=cov[0], points=pts)
 
 
 # ---------------------------------------------------------------------------

@@ -887,7 +887,10 @@ def run_noisy_counts(
     run, batch.blocks = parts[batch.blocks:], len(parts)
     plan = _NoisePlan.join(run, None if basis is None else _NoisePlan.of(basis, spec))
     batch.amps, measured = plan.run_batch(batch.amps, batch.rngs, batch.omegas)
-    probs = (np.abs(measured) ** 2).mean(axis=0)
+    probs = np.zeros(measured.shape[1])
+    for row in measured:  # the rows' mean, added in their order, without a (T, 2^L) stack
+        probs += np.abs(row) ** 2
+    probs /= len(measured)
     if spec.has_readout_error():
         m = spec._memoized(("readout", width), lambda: ConfusionMatrix.from_rates(
             width, spec.readout_eps, spec.readout_eta))

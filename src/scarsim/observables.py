@@ -146,8 +146,7 @@ def support(obj) -> Support:
 
     For counts only the nonzero outcomes are kept, in ascending order,
     so the rounding of every sum is independent of the zeros the vector
-    holds: the ZNE fit can magnify last-digit differences by many orders
-    of magnitude when two twirls nearly agree.
+    holds.
     """
     if isinstance(obj, Support):
         return obj

@@ -1,6 +1,5 @@
 """Experiment runner: config handling, pipeline, emission, CLI, determinism."""
 import hashlib
-import itertools
 import json
 import re
 import subprocess
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scarsim import cli, experiments, mitigation
+from scarsim import cli, experiments, mitigation, noise
 from scarsim.experiments import (
     ExperimentConfig,
     config_from_ini,
@@ -41,7 +40,8 @@ from scarsim.observables import (
     per_site_z,
     staggered_magnetization,
 )
-from scarsim.qsim import Statevector, run_circuit
+from scarsim.noise import ConfusionMatrix
+from scarsim.qsim import Circuit, Counts, Statevector, run_circuit
 
 
 def tiny_config(**kw) -> ExperimentConfig:
@@ -325,27 +325,16 @@ class TestNoisyPipeline:
         assert np.all(np.isfinite(bundle["zpi_density_mitigated"].errors))
 
 
-    def test_noisy_infinite_shots_take_the_unweighted_fallback(self, monkeypatch):
+    def test_noisy_infinite_shots_take_the_unweighted_fallback(self):
         # `scarsim zpi --sites 4 --steps 3 --twirls 3 --shots 4096 --seed 7
         # --infinite-shots` used to raise LinAlgError: identical twirls
-        # left spreads of ~4e-16 that became 1/sigma^2 weights
-        from scarsim import mitigation
-
-        fits = []
-        fit = mitigation.zne_extrapolate
-
-        def spy(points):
-            result = fit(points)
-            fits.append(result)
-            return result
-
-        monkeypatch.setattr(mitigation, "zne_extrapolate", spy)
+        # left spreads of ~4e-16 that became 1/sigma^2 weights.  Every fit
+        # is unweighted now; the run's mitigated series stays finite
         cfg = ExperimentConfig(sites=4, steps=3, twirls=3, shots=4096, seed=7,
                                infinite_shots=True)
         bundle = run_zpi(cfg)
         assert np.all(np.isfinite(bundle["zpi_density_mitigated"].values.real))
         assert np.all(np.isfinite(bundle["zpi_density_mitigated"].errors))
-        assert any(s == 0.0 for res in fits for _, _, s in res.points)
 
     def test_empty_postselection_drops_only_that_variant(self, monkeypatch):
         # one variant's postselection comes back empty: its step is the ZNE
@@ -386,19 +375,20 @@ class TestNoisyPipeline:
                     if v["step"] == 2 and v["twirl"] == 0]
         sites = np.array([r[3] for r in zpi["per_site_z_mitigated"].rows]).reshape(n_steps, L)
 
-        def zne(observable, skip):
-            per_lambda = [[observable(seen[call(2, w, li)].counts) for w in range(cfg.twirls)
-                           if call(2, w, li) != skip] for li in range(n_lam)]
-            return experiments._zne_scalar(per_lambda, lam_effs)
+        def zne(observable, skip):  # the fit of the finite samples
+            pts = [(lam, observable(seen[call(2, w, li)].counts), 0.0)
+                   for li, lam in enumerate(lam_effs) for w in range(cfg.twirls)
+                   if call(2, w, li) != skip]
+            return mitigation.zne_extrapolate(pts).intercept
 
         for got, observable in [
             (zpi["zpi_density_mitigated"].values[2] * L, staggered_magnetization),
             (zpi["loschmidt_f0_mitigated"].values[2], lambda c: loschmidt_echo(c, ref, 0)),
             (zpi["loschmidt_f1_mitigated"].values[2], lambda c: loschmidt_echo(c, ref, 1)),
         ] + [(sites[2, q], lambda c, q=q: per_site_z(c)[q]) for q in range(L)]:
-            assert got.real == pytest.approx(zne(observable, hole)[0], rel=1e-12, abs=1e-15)
-        kept, _ = zne(staggered_magnetization, hole)
-        assert kept != zne(staggered_magnetization, None)[0]  # the hole changed the fit
+            assert got.real == pytest.approx(zne(observable, hole), rel=1e-12, abs=1e-15)
+        kept = zne(staggered_magnetization, hole)
+        assert kept != zne(staggered_magnetization, None)  # the hole changed the fit
 
         retained = [0.0 if call(2, w, 0) == hole else seen[call(2, w, 0)].retained_fraction
                     for w in range(cfg.twirls)]
@@ -560,23 +550,23 @@ PINNED_RUNS = {
              noise_overrides={"idle_stochastic_rate_per_ns": 1e-4},
              readout_mode="tensor", postselect=True, dd=True, seed=5, format="csv"),
         {
-            "accumulated_error_mitigated.csv": "85a7570771d15b2b04d92ce16cd767c87ef7463a",
+            "accumulated_error_mitigated.csv": "6957eebb878b7e711852fe009ccba8bc1343e4d4",
             "accumulated_error_unmitigated.csv": "ab5e2d185f3e271ef40b30ae8ae51b27341660e6",
             "fibonacci_weight_ideal.csv": "25332cfbf0609226cef37b5ecf6a5aade93accc9",
             "loschmidt_f0_ideal.csv": "2b4fd4e9365bd0621cdf47117b007091c9bafb54",
-            "loschmidt_f0_mitigated.csv": "7cd916869da9eb990b702d5fc8730618c7084357",
+            "loschmidt_f0_mitigated.csv": "cdb95235a44141e08ca746fba90b814c90827b7c",
             "loschmidt_f0_projected.csv": "f93eb915dfef94053800abdcccbd5c927bc93240",
             "loschmidt_f0_unmitigated.csv": "4a5229c1aa4d556135738d858916b51d387246bc",
             "loschmidt_f1_ideal.csv": "8a10323bfd0180ccfce326bc0d345b9321bbd47a",
-            "loschmidt_f1_mitigated.csv": "c65177e4df663a03deb29f82c7347941ee3c15d4",
+            "loschmidt_f1_mitigated.csv": "7626d3d1696b749e8e22d12fa7f1b56efdf3864b",
             "loschmidt_f1_projected.csv": "986a0520f90c48a0117b0c2f22cb09ac9fc10936",
             "loschmidt_f1_unmitigated.csv": "9f72dc9f75f1dd8538a5a279791f89147ff49e03",
-            "per_site_z_mitigated.csv": "b05892f5deb51271157ebdee1e90aed3319894ca",
+            "per_site_z_mitigated.csv": "6922c699222687c1652d0192f8f5aed40c242268",
             "per_site_z_reference.csv": "5c20697a6ea9e5a01afe3119b792fe0253f666cc",
             "postselect_retained.csv": "095a5aa79780f281c9fea9e5d4c560991bf36ca4",
             "variants.jsonl": "7ceae55d9b6a7b0f3c6aefb4c6301e50ce37b553",
             "zpi_density_ideal.csv": "e692677edb7e455f0eaddb31f90a2ab26e8dd527",
-            "zpi_density_mitigated.csv": "e828439105c237d27e149de5da1c566976f325b0",
+            "zpi_density_mitigated.csv": "6db774b8678b3b10f2d033c0a465db5699f1358e",
             "zpi_density_projected.csv": "851fc8fefb20721bff8a13d94a30ac633ff805d7",
             "zpi_density_unmitigated.csv": "1a559f3d62cfef7dfe3f98a78f268486591d55b6",
         },
@@ -586,9 +576,9 @@ PINNED_RUNS = {
              noise_preset="casablanca-like", readout_mode="tensor", seed=9, format="json"),
         {
             "cy_abs_ideal.json": "0497f2a02ac4e3ebde26a38a01cbd7ab2fc1d607",
-            "cy_abs_mitigated.json": "ccf65a0a6cb6b6af490b7c48d48c19fcb3ee9503",
+            "cy_abs_mitigated.json": "fa7ff2545b83a2aec0d952092781bc71693b544f",
             "cy_ideal.json": "bdc8e33cad18a361a697a69e27bd64a484539a40",
-            "cy_mitigated.json": "92f4ebc4ce112a5e22b7162872f4523c7257d877",
+            "cy_mitigated.json": "540899b0a76b0ef6d6bf9149703e2bd416469b09",
             "variants.jsonl": "561c79b5317dc787619da3b4f60c543587965e49",
         },
     ),
@@ -884,114 +874,107 @@ def test_oracle_cli_files_and_values(tmp_path, which):
         np.testing.assert_array_equal(table[:, 3:], 0.0)
 
 
-# The stacked ZNE of ``experiments._zne`` must equal the per-column
-# ``_zne_scalar`` bit for bit, or near-ties in the weighted fit magnify the
-# difference into the emitted files.  Its reductions (means and ddof-1
-# stds over twirls or pooled samples) run along the contiguous last axis
-# of a (columns, ...) array: numpy sums a contiguous axis pairwise in
-# blocks of 8, as it does a 1-D array, while an axis-0 reduction adds row
-# by row, so from 8 rows on the two round differently (of 1,400 random
-# cases with 2 to 29 rows, 1,065 differed, none of them below 8 rows).
-_LAM_PATTERNS = {1: [[1.0]], 2: [[1.0, 2.0], [1.0, 1.0]],
-                 3: [[1.0, 1.5, 2.0], [1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 1.5714285714285714,
-                                                                        2.142857142857143]]}
-_COLUMN_KINDS = ["plain", "tie", "near-tie", "at-floor", "above-floor", "scale-missing",
-                 "one-missing", "all-missing", "huge"]
+def _exact_rows(cfg: ExperimentConfig, variants: list) -> dict:
+    """(step, twirl, scale index) -> the estimate row of that variant's
+    exact output distribution: its folded blocks, rebuilt from its own
+    fold keys, through ``run_noisy_density``, then the spec's readout
+    channel (the counts pass through it even with readout mitigation off)."""
+    spec, L = cfg.noise_spec(), cfg.sites
+    assert not mitigation.twirl_is_visible(spec)  # the sweep runs the folded blocks as they are
+    trotter = build_trotter_step(cfg.model_params(), impl=cfg.impl)
+    blocks = [neel_prep_circuit(L)] + [trotter] * cfg.steps
+    n2_blocks = [b.n_two_qubit for b in blocks]
+    readout = ConfusionMatrix.from_rates(L, spec.readout_eps, spec.readout_eta)
+    rows, memo = {}, {}
+    for v in variants:
+        head, (step, w, li) = v["seed_key"][:-3], v["seed_key"][-3:]
+        folds = mitigation.block_fold_counts(n2_blocks, v["scale"])
+        gates = tuple(g for s in range(step + 1) for g in mitigation.fold_gates_random(
+            blocks[s], v["scale"], seed=head + [s, w, li, experiments._ROLE_FOLD],
+            folds=folds[s]).gates)
+        if gates not in memo:  # unfolded chains share their circuit
+            rho = noise.run_noisy_density(Circuit(L, list(gates)), spec)
+            probs = readout.apply_to_vector(np.diag(rho.matrix).real)
+            memo[gates] = experiments._estimates(Counts.from_vector(probs, L, 1.0),
+                                                 neel_bitstring(L))
+        rows[step, w, li] = memo[gates]
+    return rows
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), n_steps=st.integers(1, 4), n_scales=st.integers(1, 3),
-       n_twirls=st.integers(2, 12), n_cols=st.integers(1, 20), seed=st.integers(0, 2**16))
-def test_stacked_zne_equals_the_per_column_fit(data, n_steps, n_scales, n_twirls, n_cols, seed):
-    lam_effs = [data.draw(st.sampled_from(_LAM_PATTERNS[n_scales])) for _ in range(n_steps)]
-    rng = np.random.default_rng(seed)
-    samples = (rng.normal(size=(n_steps, n_scales, n_twirls, n_cols)) * 0.1
-               + rng.normal(size=n_cols))
-    floor = mitigation.SIGMA_FLOOR
-    for step, c in itertools.product(range(n_steps), range(n_cols)):
-        kind = data.draw(st.sampled_from(_COLUMN_KINDS))
-        li = data.draw(st.integers(0, n_scales - 1))
-        col = samples[step, :, :, c]  # a view: edits land in samples
-        if kind == "tie":  # sigma 0 at one scale: the unweighted fallback
-            col[li] = col[li, 0]
-        elif kind in ("near-tie", "at-floor"):
-            step_size = 1e-7 if kind == "near-tie" else floor / 2
-            col[li] = col[li, 0] + step_size * np.arange(n_twirls) / n_twirls
-        elif kind == "above-floor":  # every scale's twirls nearly agree
-            col[:] = col[:, :1] + 4 * floor * rng.random((n_scales, n_twirls))
-        elif kind == "scale-missing":  # like the retained fraction at scales other than 1
-            col[li] = np.nan
-        elif kind == "one-missing":  # like an emptied postselection
-            col[li, data.draw(st.integers(0, n_twirls - 1))] = np.nan
-        elif kind == "all-missing":
-            col[:] = np.nan
-        elif kind == "huge":
-            col *= 1e6
-    want = np.array([[experiments._zne_scalar(samples[step, :, :, c], lam_effs[step])
-                      for c in range(n_cols)] for step in range(n_steps)])
-    values, stds = experiments._zne(samples, lam_effs)
-    np.testing.assert_array_equal(values, want[..., 0])
-    np.testing.assert_array_equal(stds, want[..., 1])
-
-
-@settings(max_examples=100, deadline=None)
-@given(n_points=st.integers(2, 36), n_rows=st.integers(1, 20), seed=st.integers(0, 2**16))
-def test_weighted_line_fits_equal_one_fit_per_row(n_points, n_rows, seed):
-    # every row of the stacked fit, over shared or per-row scales, equals
-    # the single fit of its points written out with 2-D arrays
-    rng = np.random.default_rng(seed)
-    lams = np.sort(rng.choice([1.0, 1.5, 2.0, 2.5, 3.0], size=n_points))
-    lams[:2] = [1.0, 3.0]
-    vals = rng.normal(size=(n_rows, n_points))
-    sigs = 10.0 ** rng.uniform(-4, 0, size=(n_rows, n_points))  # weight ratios to 1e8
-    per_row = np.stack([rng.permutation(lams) for _ in range(n_rows)])
-    for shared in (lams, per_row):
-        coef, cov = mitigation.weighted_line_fits(shared, vals, sigs)
-        for r in range(n_rows):
-            row_lams = shared if shared.ndim == 1 else shared[r]
-            design = np.column_stack([np.ones_like(row_lams), row_lams])
-            w = 1.0 / sigs[r] ** 2
-            xtwx = design.T @ (design * w[:, None])
-            np.testing.assert_array_equal(coef[r],
-                                          np.linalg.solve(xtwx, design.T @ (vals[r] * w)))
-            np.testing.assert_array_equal(cov[r], np.linalg.inv(xtwx))
-
-
-def test_sigma_exactly_at_the_floor_takes_the_unweighted_fit(monkeypatch):
-    # a per-scale sigma equal to SIGMA_FLOOR (scale 1: every value within
-    # [-1, 1]) counts as exact in the stacked reduction as in _zne_scalar
-    rng = np.random.default_rng(3)
-    samples = rng.uniform(-0.5, 0.5, size=(1, 3, 4, 2))
-    lam_effs = [[1.0, 1.5, 2.0]]
-    at = float(np.std(samples[0, 1, :, 0], ddof=1))
-    monkeypatch.setattr(mitigation, "SIGMA_FLOOR", at)
-    unweighted = []
-    fit = mitigation.zne_extrapolate
-    monkeypatch.setattr(mitigation, "zne_extrapolate",
-                        lambda pts: unweighted.append(fit(pts)) or unweighted[-1])
-    values, stds = experiments._zne(samples, lam_effs)
-    assert len(unweighted) == 1 and any(s == 0.0 for _, _, s in unweighted[0].points)
-    want = [experiments._zne_scalar(samples[0, :, :, c], lam_effs[0]) for c in range(2)]
-    np.testing.assert_array_equal(values[0], [v for v, _ in want])
-    np.testing.assert_array_equal(stds[0], [s for _, s in want])
+def test_zne_and_raw_error_bars_cover_the_exact_channel_values():
+    # Pulls (estimate - target) / std of the staggered magnetization, both
+    # echoes and every per-site <Z>, after ZNE and raw, over 40 seeds of a
+    # 4-site zpi (3 steps, 2 twirls x scales 1/1.5/2, casablanca-like,
+    # no readout mitigation or postselection, 64 trajectories per chain,
+    # so a variant's mean over them is not far from normal).
+    # The target is what the estimate is unbiased for: the line fit
+    # through the variants' exact values (ZNE over two or more distinct
+    # scales), or their mean (one scale: step 0, and the raw lambda = 1
+    # pool).  The std of a fit over n samples has n - 2 degrees of
+    # freedom; a pooled row reports the ddof-1 spread of its n samples,
+    # so its mean has std / sqrt(n) with n - 1.  A std of 0 with the
+    # estimate off target (two raw samples that tie) counts as a miss.
+    # Pass: nominal-95% Student-t intervals cover 0.90-0.99 of the pulls
+    # and nominal-68% ones 0.62-0.74 (the narrower interval is the more
+    # sensitive to a std off by a constant factor: with s^2 = RSS / n
+    # instead of RSS / (n - 2) it covers 0.57), and the pulls are
+    # centred: the ZNE mean, and the raw median (a two-sample pull
+    # follows t(1), which has no mean), within 0.2.  Here: ZNE 0.942 and
+    # 0.654 covered, mean -0.063; raw 0.936 and 0.667, median -0.059.  A
+    # fit weighting each scale by 1/sigma^2, sigma from its 2 twirls,
+    # covered 0.805 and 0.502 with mean -0.337 and a largest pull of 132.
+    t = pytest.importorskip("scipy.stats").t
+    pulls = {"zne": [], "raw": []}
+    for seed in range(40):
+        cfg = tiny_config(seed=seed, shots=8192, shots_per_trajectory=128,
+                          noise_preset="casablanca-like", infinite_shots=False)
+        trial = experiments._run_trial(cfg, 0)
+        exact = _exact_rows(cfg, trial.variants)
+        n_cols = cfg.sites + 3  # staggered, echoes, sites
+        for step in range(cfg.steps + 1):
+            at = [v for v in trial.variants if v["step"] == step]
+            lams = np.array([v["effective_scale"] for v in at])
+            values = np.array([exact[step, w, li][:n_cols] for w, li in
+                               (v["seed_key"][-2:] for v in at)])
+            ones = np.array([exact[step, w, 0][:n_cols] for w in range(cfg.twirls)])  # lambda = 1
+            if np.ptp(lams) > 0:
+                design = np.column_stack([np.ones_like(lams), lams])
+                target = np.linalg.lstsq(design, values, rcond=None)[0][0]
+                zne = (trial.mit[step, :n_cols], trial.mit_std[step, :n_cols], target,
+                       len(lams) - 2)
+            else:
+                zne = (trial.mit[step, :n_cols],
+                       trial.mit_std[step, :n_cols] / np.sqrt(len(lams)),
+                       values.mean(axis=0), len(lams) - 1)
+            raw = (trial.raw[step, :n_cols], trial.raw_std[step, :n_cols] / np.sqrt(len(ones)),
+                   ones.mean(axis=0), len(ones) - 1)
+            for name, (est, std, target, dof) in (("zne", zne), ("raw", raw)):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    pull = np.where(est == target, 0.0, (est - target) / std)
+                pulls[name] += [(p, dof) for p in pull]
+    for name, centre in (("zne", np.mean), ("raw", np.median)):
+        pull, dof = np.array(pulls[name]).T
+        for level, (low, high) in ((0.95, (0.90, 0.99)), (0.68, (0.62, 0.74))):
+            covered = np.mean(np.abs(pull) <= t.ppf(0.5 + level / 2, dof))
+            assert low <= covered <= high, (name, level, covered)
+        assert abs(centre(pull)) <= 0.2, (name, centre(pull))
 
 
 @pytest.mark.parametrize("tie", [2e-10, 1e-9], ids=["singular-normal-matrix",
                                                     "indefinite-covariance"])
 def test_a_refused_weighted_fit_takes_the_unweighted_fallback(tie):
-    # column 1's twirls at scale 1.5 agree to `tie`, just above the floor:
-    # its weighted fit is refused, so it alone takes the unweighted fit,
-    # and the stacked reduction of the other column is not disturbed
+    # column 1's twirls at scale 1.5 agree to `tie`, which once made a
+    # 1/sigma^2 fit singular or indefinite: each column of the stacked
+    # reduction is the least-squares fit of its own samples, and the
+    # other column is not disturbed
     samples = np.empty((1, 3, 2, 2))
     samples[0, :, :, 0] = [[0.9, 0.92], [0.85, 0.8], [0.7, 0.75]]
     samples[0, :, :, 1] = [[-0.376, 0.0676], [0.3, 0.3 + tie], [-0.2913, 0.294]]
     lam_effs = [[1.0, 1.5, 2.0]]
-    fits = []
-    fit = mitigation.zne_extrapolate
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mitigation, "zne_extrapolate", lambda pts: fits.append(fit(pts)) or fits[-1])
-        values, stds = experiments._zne(samples, lam_effs)
-    assert len(fits) == 1 and all(s == 0.0 for _, _, s in fits[0].points)
-    want = [experiments._zne_scalar(samples[0, :, :, c], lam_effs[0]) for c in range(2)]
-    np.testing.assert_array_equal(values[0], [v for v, _ in want])
-    np.testing.assert_array_equal(stds[0], [s for _, s in want])
+    values, stds = experiments._zne(samples, lam_effs)
+    for c in range(2):
+        fit = mitigation.zne_extrapolate([(lam, v, 0.0) for lam, vs in zip(lam_effs[0],
+                                                                          samples[0, :, :, c])
+                                          for v in vs])
+        assert values[0, c] == pytest.approx(fit.intercept, rel=1e-12)
+        assert stds[0, c] == pytest.approx(np.sqrt(fit.covariance[0, 0]), rel=1e-12)

@@ -12,6 +12,7 @@ from scarsim.mitigation import (
     fold_count,
     fold_gates_random,
     insert_dd,
+    line_fits,
     mitigate_readout,
     postselect,
     twirl_circuit,
@@ -273,13 +274,14 @@ class TestZNEExtrapolate:
             zne_extrapolate([(1.0, 0.5, 0.1), (1.0, 0.6, 0.1)])
 
     def test_rounding_level_sigma_counts_as_exact(self):
-        # twirl spreads of ~4e-16 between exact values must not become
-        # 1/sigma^2 weights of ~1e31 (that made the normal matrix singular)
+        # twirl spreads of ~4e-16 between exact values once became 1/sigma^2
+        # weights of ~1e31 (that made the normal matrix singular); sigma is
+        # not a weight, so the fit is that of the points with sigma 0
         pts = [(1.0, 0.7, 4e-16), (1.0, 0.7, 4e-16), (1.5, 0.61, 0.02),
                (1.5, 0.65, 0.02), (2.0, 0.55, 0.03), (2.0, 0.5, 0.03)]
         res = zne_extrapolate(pts)
-        assert np.isfinite(res.intercept) and np.isfinite(res.intercept_std)
-        assert [s for _, _, s in res.points] == [0.0, 0.0, 0.02, 0.02, 0.03, 0.03]
+        assert np.isfinite(res.intercept) and np.isfinite(res.covariance).all()
+        assert [s for _, _, s in res.points] == [0.0] * len(pts)
         unweighted = zne_extrapolate([(l, v, 0.0) for l, v, _ in pts])
         assert res.intercept == unweighted.intercept
 
@@ -292,37 +294,90 @@ class TestZNEExtrapolate:
          (2.0, 0.2659, 0.003)],
     ], ids=["indefinite-covariance", "singular-normal-matrix"])
     def test_weights_past_double_precision_take_the_unweighted_fit(self, pts):
-        # sigmas just above SIGMA_FLOOR at one scale weigh ~1e18 times the
-        # others: the weighted fit is refused, and the unweighted one of
-        # the same points is returned with every sigma recorded as 0
-        lams, vals, sigs = (np.array([p[i] for p in pts])[None] for i in range(3))
-        assert not mitigation.valid_fits(*mitigation.weighted_line_fits(lams, vals, sigs))[0]
+        # sigmas that once weighed one scale ~1e18 times the others (an
+        # indefinite covariance, a singular normal matrix) give the fit of
+        # the same points with sigma 0, with a positive semidefinite
+        # covariance and every sigma recorded as 0
         res = zne_extrapolate(pts)
         unweighted = zne_extrapolate([(l, v, 0.0) for l, v, _ in pts])
         assert (res.intercept, res.slope) == (unweighted.intercept, unweighted.slope)
         np.testing.assert_array_equal(res.covariance, unweighted.covariance)
+        assert np.linalg.eigvalsh(res.covariance).min() >= 0
         assert [s for _, _, s in res.points] == [0.0] * len(pts)
 
-    def test_small_but_real_sigma_keeps_weights(self):
-        pts = [(1.0, 0.9, 1e-6), (1.5, 0.85, 2e-6), (2.0, 0.8, 1e-6)]
-        res = zne_extrapolate(pts)
-        assert [s for _, _, s in res.points] == [1e-6, 2e-6, 1e-6]
-        assert res.intercept_std > 0
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(ValueError):
+            zne_extrapolate([(1.0, 0.5, 0.0), (1.5, np.nan, 0.0), (2.0, 0.4, 0.0)])
 
     def test_covariance_calibration_monte_carlo(self):
-        # 1000 resamples of a known line: quoted intercept std must cover
-        # the truth at the 3-sigma level nearly always
+        # 1000 resamples of a known line: the quoted intercept std, from
+        # the residuals over n - 2 = 4 degrees of freedom, must cover the
+        # truth at the 3-sigma level (99.73%, as a Student-t(4) interval)
+        # nearly always, and its square must average to the intercept's
+        # true variance sigma^2 (X^T X)^-1_00
+        stats = pytest.importorskip("scipy.stats")
         a_true, b_true, sig = 0.95, -0.08, 0.02
         lams = np.array([1.0, 1.0, 1.5, 1.5, 2.0, 2.0])
         rng = np.random.default_rng(123)
+        t3 = stats.t.ppf(stats.norm.cdf(3.0), df=lams.size - 2)
         hits = 0
+        variances = []
         n = 1000
         for _ in range(n):
             vals = a_true + b_true * lams + rng.normal(0, sig, size=lams.size)
             res = zne_extrapolate([(l, v, sig) for l, v in zip(lams, vals)])
-            if abs(res.intercept - a_true) <= 3 * res.intercept_std:
+            variances.append(res.covariance[0, 0])
+            if abs(res.intercept - a_true) <= t3 * np.sqrt(variances[-1]):
                 hits += 1
         assert hits / n > 0.98
+        design = np.column_stack([np.ones_like(lams), lams])
+        true_var = sig**2 * np.linalg.inv(design.T @ design)[0, 0]
+        assert np.mean(variances) == pytest.approx(true_var, rel=0.05)
+
+
+class TestLineFits:
+    def test_exact_lines_over_shared_and_per_row_scales(self):
+        lams = np.array([1.0, 1.0, 1.5, 1.5, 2.0, 2.0])
+        c0, c1 = np.array([[0.9], [-0.3], [2.0]]), np.array([[-0.1], [0.25], [0.0]])
+        vals = c0 + c1 * lams
+        for scales in (lams, np.tile(lams, (3, 1))):
+            coef, cov = line_fits(scales, vals)
+            np.testing.assert_allclose(coef, np.hstack([c0, c1]), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(cov, 0.0, atol=1e-28)
+
+    def test_missing_samples_are_left_out(self):
+        # NaN holes: a row's fit is the fit of its finite samples alone
+        rng = np.random.default_rng(5)
+        lams = np.array([1.0, 1.0, 1.5, 1.5, 2.0, 2.0])
+        vals = rng.normal(size=(4, 6))
+        vals[0, 1] = vals[1, [2, 3]] = vals[2, [0, 4]] = np.nan
+        coef, cov = line_fits(lams, vals)
+        for r in range(4):
+            keep = np.isfinite(vals[r])
+            res = zne_extrapolate([(l, v, 0.0) for l, v in zip(lams[keep], vals[r, keep])])
+            design = np.column_stack([np.ones(keep.sum()), lams[keep]])
+            want, *_ = np.linalg.lstsq(design, vals[r, keep], rcond=None)
+            resid = vals[r, keep] - design @ want
+            want_cov = resid @ resid / (keep.sum() - 2) * np.linalg.inv(design.T @ design)
+            np.testing.assert_allclose(coef[r], want, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(cov[r], want_cov, rtol=1e-12, atol=1e-16)
+            np.testing.assert_array_equal(coef[r], [res.intercept, res.slope])
+            np.testing.assert_array_equal(cov[r], res.covariance)
+
+    def test_one_distinct_scale_pools_its_samples(self):
+        # rows left with one distinct scale give the mean and the ddof-1
+        # variance of their samples (0 for one sample); a row without
+        # samples is NaN
+        lams = np.array([1.0, 1.0, 1.0, 2.0])
+        vals = np.array([[0.2, 0.4, 0.9, np.nan],
+                         [0.5, np.nan, np.nan, np.nan],
+                         [np.nan] * 4])
+        coef, cov = line_fits(lams, vals)
+        np.testing.assert_allclose(coef[:, 0], [0.5, 0.5, np.nan], rtol=1e-15)
+        np.testing.assert_allclose(cov[:, 0, 0], [np.var([0.2, 0.4, 0.9], ddof=1), 0.0, np.nan],
+                                   rtol=1e-15)
+        assert np.isnan(coef[:, 1]).all()
+        assert np.isnan(cov[:, [0, 1, 1], [1, 0, 1]]).all()
 
 
 class TestZNEBiasReduction:

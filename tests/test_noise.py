@@ -1045,12 +1045,14 @@ def test_run_batch_corrects_only_the_windows_some_row_hit(monkeypatch):
     assert corrected == [windows[-1]]
 
 
-def test_run_batch_keeps_one_spare_stack():
+def test_run_batch_keeps_one_spare_stack(monkeypatch):
     # windows pass the stack between amps and one spare array, and a
     # correction runs on its row in place: over a 5-block plan at L=10
     # with 4 trajectories, one of which draws an error, run_batch's traced
     # peak above its input stays within 1.5 stacks (a row copy per
-    # correction alone would add a quarter stack)
+    # correction alone would add a quarter stack).  The measurement after
+    # it in run_noisy_counts (the |psi|^2 mixture, the readout channel and
+    # the shots) adds at most 4 float rows of 2^L: no (T, 2^L) stack
     L, n_traj = 10, 4
     spec = casablanca_like()
     step = build_trotter_step(qmbs_params(L), impl="scaled-rzx")
@@ -1071,3 +1073,27 @@ def test_run_batch_keeps_one_spare_stack():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * amps.nbytes
+
+    evolved = []  # traced bytes when the evolution returns; the peak restarts there
+    real = noise._NoisePlan.run_batch
+
+    def run_batch(self, *args):
+        out = real(self, *args)
+        evolved.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return out
+
+    def measure():
+        batch = noise.TrajectoryBatch.seeded(spec, n_traj, [7], Statevector.zero(L), False)
+        run_noisy_counts(circuit, spec, 4096, [7], batch=batch, parts=[])
+
+    monkeypatch.setattr(noise._NoisePlan, "run_batch", run_batch)
+    circuit = Circuit(L, neel_prep_circuit(L).gates + step.gates * 4)
+    measure()  # fills the plan and readout memos
+    tracemalloc.start()
+    try:
+        measure()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - evolved[-1] <= 4 * 2**L * 8
