@@ -206,8 +206,7 @@ def _run_qpt(config: ExperimentConfig, args) -> dict:
 def _run_oracle(config: ExperimentConfig, which: str) -> dict:
     params = config.model_params()
     if which == "exact":
-        ref = experiments.state_series(
-            exact_evolve(params, n * params.dt) for n in range(config.steps + 1))
+        ref = experiments.state_series(exact_evolve(params, config.steps))
     else:
         ref = experiments.reference_series(params, config.steps, config.impl)
     suffix = "_proj" if which == "projected-trotter" else ""

@@ -10,6 +10,12 @@ which equals the occupation form 4V sum n_i n_{i+1} + Omega sum X_i up
 to a constant shift V(L-1), n_i = (I - Z_i)/2.  Scarred dynamics appear
 for V >> Omega starting from the alternating (Neel) states.
 
+Both forms are built as one sparse matrix: the diagonal of the Z terms
+plus one bit flip per site for Omega X.  The exact oracle applies its
+exponential to the Neel state without diagonalizing it, so it has no
+width cap; the dense Trotter-step oracle is limited to L <= 10.  scipy
+is imported inside the oracles only.
+
 At large step sizes the repeated splitting circuit can equally be read
 as stroboscopic evolution under a square-wave drive that alternates
 between the transverse-field part and the diagonal part; the circuit is
@@ -18,7 +24,7 @@ identical either way, so no separate periodic-drive builder exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -76,37 +82,37 @@ def _z_diagonals(L: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def build_hamiltonian(p: ModelParams) -> np.ndarray:
-    """Dense Hermitian matrix of the Pauli form above; L <= 14."""
-    if p.L > 14:
-        raise ValueError("dense Hamiltonian limited to L <= 14")
-    L = p.L
-    zs = _z_diagonals(L)
+def _pauli_diagonal(p: ModelParams) -> np.ndarray:
+    """The ZZ and Z terms of the Pauli form: the diagonal of H."""
+    zs = _z_diagonals(p.L)
     diag = p.V * np.sum(zs[:, :-1] * zs[:, 1:], axis=1)
     diag -= 2.0 * p.V * np.sum(zs[:, 1:-1], axis=1)
     diag -= p.V * (zs[:, 0] + zs[:, -1])
-    mat = np.diag(diag)
-    idx = np.arange(2**L)
-    for q in range(L):
-        flipped = idx ^ (1 << (L - 1 - q))
-        mat[idx, flipped] += p.Omega
-    return mat
+    return diag
 
 
-def build_hamiltonian_occupation(p: ModelParams) -> np.ndarray:
+def _with_x_term(diag: np.ndarray, Omega: float):
+    """CSR matrix diag + Omega sum_i X_i: each row holds its diagonal
+    entry, then one bit flip per site."""
+    from scipy.sparse import csr_array  # oracle only: keeps scipy off the import path
+
+    n = diag.size
+    L = n.bit_length() - 1
+    cols = np.arange(n)[:, None] ^ np.concatenate(([0], 1 << np.arange(L)))
+    data = np.column_stack([diag, np.full((n, L), Omega)])
+    return csr_array((data.ravel(), cols.ravel(), np.arange(0, n * (L + 1) + 1, L + 1)),
+                     shape=(n, n))
+
+
+def build_hamiltonian(p: ModelParams):
+    """Sparse (CSR) Hermitian matrix of the Pauli form above."""
+    return _with_x_term(_pauli_diagonal(p), p.Omega)
+
+
+def build_hamiltonian_occupation(p: ModelParams):
     """Occupation form 4V sum n_i n_{i+1} + Omega sum X_i (oracle use)."""
-    if p.L > 14:
-        raise ValueError("dense Hamiltonian limited to L <= 14")
-    L = p.L
-    zs = _z_diagonals(L)
-    ns = (1.0 - zs) / 2.0
-    diag = 4.0 * p.V * np.sum(ns[:, :-1] * ns[:, 1:], axis=1)
-    mat = np.diag(diag)
-    idx = np.arange(2**L)
-    for q in range(L):
-        flipped = idx ^ (1 << (L - 1 - q))
-        mat[idx, flipped] += p.Omega
-    return mat
+    ns = (1.0 - _z_diagonals(p.L)) / 2.0
+    return _with_x_term(4.0 * p.V * np.sum(ns[:, :-1] * ns[:, 1:], axis=1), p.Omega)
 
 
 def build_trotter_step(
@@ -183,57 +189,39 @@ def neel_state(L: int, variant: str = "Z2") -> Statevector:
 
 
 # ---------------------------------------------------------------------------
-# Dense oracles (independent of the circuit code path)
+# Oracles (independent of the circuit code path)
 # ---------------------------------------------------------------------------
 
-def hamiltonian_layers(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(H_ZZ, H_Z, H_X) as dense matrices for the splitting oracle."""
-    L = p.L
-    zs = _z_diagonals(L)
-    h_zz = np.diag(p.V * np.sum(zs[:, :-1] * zs[:, 1:], axis=1))
-    h_z = np.diag(
-        -2.0 * p.V * np.sum(zs[:, 1:-1], axis=1) - p.V * (zs[:, 0] + zs[:, -1])
-    )
-    h_x = np.zeros((2**L, 2**L))
-    idx = np.arange(2**L)
-    for q in range(L):
-        h_x[idx, idx ^ (1 << (L - 1 - q))] += p.Omega
-    return h_zz, h_z, h_x
-
-
 def trotter_step_matrix(p: ModelParams) -> np.ndarray:
-    """exp(-i H_ZZ dt) exp(-i H_Z dt) exp(-i H_X dt) via dense exponentials."""
-    from scipy.linalg import expm  # oracle only: keeps scipy off the import path
-
+    """exp(-i H_ZZ dt) exp(-i H_Z dt) exp(-i H_X dt) as a dense matrix:
+    diagonal phases times the L-fold Kronecker power of the exact
+    single-site factor exp(-i Omega X dt)."""
     if p.L > 10:
         raise ValueError("dense Trotter step limited to L <= 10")
-    h_zz, h_z, h_x = hamiltonian_layers(p)
-    u_zz = np.diag(np.exp(-1j * np.diag(h_zz) * p.dt))
-    u_z = np.diag(np.exp(-1j * np.diag(h_z) * p.dt))
-    u_x = expm(-1j * h_x * p.dt)
-    return u_zz @ u_z @ u_x
+    c, s = np.cos(p.Omega * p.dt), np.sin(p.Omega * p.dt)
+    u_x = reduce(np.kron, [np.array([[c, -1j * s], [-1j * s, c]])] * p.L)
+    return np.exp(-1j * _pauli_diagonal(p) * p.dt)[:, None] * u_x
 
 
-@lru_cache(maxsize=4)
-def _eigensystem(V: float, Omega: float, L: int):
-    # the Hamiltonian is real symmetric, so the real eigensolver applies
-    ham = build_hamiltonian(ModelParams(V=V, Omega=Omega, dt=1.0, L=L))
-    return np.linalg.eigh(ham)
+def exact_evolve(p: ModelParams, steps: int) -> list[Statevector]:
+    """exp(-i H n dt) |Z2> for n = 0..steps, independent of the Trotter
+    circuit code path.
 
-
-def exact_evolve(p: ModelParams, t: float, variant: str = "Z2") -> Statevector:
-    """exp(-i H t) |Z2> via dense eigendecomposition; L <= 14.
-
-    Independent of the Trotter circuit code path; the decomposition is
-    cached per (V, Omega, L) so sweeping t is cheap.
+    One ``expm_multiply`` pass over the evenly spaced times applies the
+    exponential of the sparse Hamiltonian to the state (Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33 (2011) 488), with no dense matrix
+    and no restart from t = 0 per time.  dt is folded into the matrix so
+    that the interval runs over n = 0..steps: expm_multiply mishandles
+    a negative ``stop``, and needs at least two time points.
     """
-    if p.L > 14:
-        raise ValueError("exact evolution limited to L <= 14")
-    vals, vecs = _eigensystem(p.V, p.Omega, p.L)
-    psi0 = neel_state(p.L, variant).amplitudes
-    coeffs = vecs.T @ psi0
-    amps = vecs @ (np.exp(-1j * vals * t) * coeffs)
-    return Statevector(amps, check=False)
+    from scipy.sparse.linalg import expm_multiply  # oracle only: keeps scipy off the import path
+
+    psi0 = neel_state(p.L)
+    if steps == 0:
+        return [psi0]
+    amps = expm_multiply(-1j * p.dt * build_hamiltonian(p), psi0.amplitudes,
+                         start=0, stop=steps, num=steps + 1, endpoint=True)
+    return [Statevector(a, check=False) for a in amps]
 
 
 # ---------------------------------------------------------------------------

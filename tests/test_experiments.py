@@ -656,8 +656,9 @@ class TestReferenceSeries:
 
 class TestCLI:
     def test_import_leaves_scipy_unloaded(self):
-        # scipy serves only the dense oracles and full-matrix readout, so
-        # starting the CLI must not pay for importing it
+        # scipy serves only the oracles (scipy.sparse for exact evolution)
+        # and full-matrix readout, so starting the CLI must not pay for
+        # importing it
         code = "import sys, scarsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -847,7 +848,7 @@ def test_oracle_cli_files_and_values(tmp_path, which):
               "--out", str(tmp_path)])
     params = ExperimentConfig(sites=L).model_params()
     if which == "exact":
-        states = [exact_evolve(params, n * params.dt).amplitudes for n in range(steps + 1)]
+        states = [psi.amplitudes for psi in exact_evolve(params, steps)]
     else:
         step = trotter_step_matrix(params)
         states = [neel_state(L).amplitudes]
@@ -872,6 +873,23 @@ def test_oracle_cli_files_and_values(tmp_path, which):
         np.testing.assert_allclose(table[:, 1], np.arange(steps + 1) * params.dt * params.V)
         np.testing.assert_allclose(table[:, 2], [row[name] for row in want], rtol=0, atol=1e-10)
         np.testing.assert_array_equal(table[:, 3:], 0.0)
+
+
+def test_exact_oracle_cli_at_zero_steps_is_the_neel_row(tmp_path):
+    assert cli.main(["oracle", "--which", "exact", "--sites", "6", "--steps", "0",
+                     "--out", str(tmp_path)]) == 0
+    # |Z2> has staggered magnetization -L, returns to itself and has no adjacent 1s
+    for name, want in (("zpi_density", -1.0), ("loschmidt_f0", 1.0), ("fibonacci_weight", 1.0)):
+        table = np.loadtxt(tmp_path / f"{name}_exact.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert table.shape[0] == 1
+        assert table[0, 2] == pytest.approx(want, abs=1e-12)
+
+
+def test_exact_oracle_cli_runs_above_fourteen_sites(tmp_path):
+    assert cli.main(["oracle", "--which", "exact", "--sites", "15", "--steps", "2",
+                     "--out", str(tmp_path)]) == 0
+    table = np.loadtxt(tmp_path / "loschmidt_f0_exact.csv", delimiter=",", skiprows=1)
+    assert table.shape[0] == 3 and table[0, 2] == pytest.approx(1.0, abs=1e-12)
 
 
 def _exact_rows(cfg: ExperimentConfig, variants: list) -> dict:
