@@ -84,7 +84,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--zne-factors", type=_INI_FIELDS["mitigation"]["zne_factors"],
                         help="comma-separated scale factors, e.g. 1.0,1.5,2.0")
     parser.add_argument("--no-postselect", dest="postselect", action="store_false", default=None)
-    parser.add_argument("--readout-mode", choices=["off", "tensor", "full"])
+    parser.add_argument("--readout-mode", choices=experiments.READOUT_MODES)
     parser.add_argument("--dd", action="store_true", default=None)
     parser.add_argument("--trials", type=int)
 

@@ -77,7 +77,7 @@ from .observables import (
 )
 from .qsim import Circuit, Counts, Statevector, run_circuit
 
-READOUT_MODES = ("off", "tensor", "full")
+READOUT_MODES = ("off", "tensor")
 FORMATS = ("csv", "json")
 REGIMES = ("scar", "chaotic")
 
@@ -130,9 +130,6 @@ class ExperimentConfig:
             raise ValueError("seed must be >= 0")
         if self.readout_mode not in READOUT_MODES:
             raise ValueError(f"readout_mode must be one of {READOUT_MODES}")
-        if self.readout_mode == "full" and self.sites > mitigation.FULL_READOUT_MAX_SITES:
-            raise ValueError(f"readout_mode = full needs sites <= "
-                             f"{mitigation.FULL_READOUT_MAX_SITES}, got {self.sites}")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
         if self.regime not in REGIMES:
@@ -178,6 +175,12 @@ def _float_tuple(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
+def _readout_mode(text: str) -> str:
+    if text not in READOUT_MODES:
+        raise ValueError(f"not one of {READOUT_MODES}: {text!r}")
+    return text
+
+
 # INI section -> {key: converter}; each key is the ExperimentConfig field.
 _INI_FIELDS = {
     "model": {"sites": int, "steps": int, "v": float, "omega": float, "dt": float},
@@ -186,7 +189,7 @@ _INI_FIELDS = {
                   "regime": str},
     "mitigation": {"twirls": int,
                    "zne_factors": _float_tuple,
-                   "readout_mode": str, "postselect": _flag, "dd": _flag},
+                   "readout_mode": _readout_mode, "postselect": _flag, "dd": _flag},
     "output": {"out": str, "format": str},
 }
 _OVERRIDE = "override."
@@ -227,21 +230,22 @@ def config_from_ini(path, allowed: dict | None = None, **cli_overrides) -> Exper
     with open(path) as fh:
         cp.read_file(fh)
     _check_ini_keys(cp, allowed or {**_INI_FIELDS, "noise": _noise_key}, path)
-    kwargs: dict = {}
-    for section, keys in _INI_FIELDS.items():
-        for key, conv in keys.items():
-            if not cp.has_option(section, key):
-                continue
-            try:
-                kwargs[key] = conv(cp.get(section, key))
-            except ValueError as exc:  # name the key: "flase" alone does not say where
-                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+
+    def value(section, key, conv):
+        try:
+            return conv(cp.get(section, key))
+        except ValueError as exc:  # name the key: "flase" alone does not say where
+            raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+
+    kwargs: dict = {key: value(section, key, conv)
+                    for section, keys in _INI_FIELDS.items()
+                    for key, conv in keys.items() if cp.has_option(section, key)}
     if cp.has_option("noise", "preset"):
         kwargs["noise_preset"] = cp.get("noise", "preset")
     if cp.has_section("noise"):
         overrides = {
-            k[len(_OVERRIDE):]: float(v)
-            for k, v in cp.items("noise")
+            k[len(_OVERRIDE):]: value("noise", k, float)
+            for k in cp.options("noise")
             if k.startswith(_OVERRIDE)
         }
         if overrides:
@@ -347,7 +351,6 @@ def _calibrated_confusion(config, spec, trial):
         spec,
         config.sites,
         shots=config.shots,
-        method=config.readout_mode,
         seed=config.seed * 1000003 + trial * 101 + _ROLE_CAL,
         infinite=config.infinite_shots,
     )

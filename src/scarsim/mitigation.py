@@ -285,11 +285,6 @@ def zne_extrapolate(points) -> ZNEResult:
 # Readout mitigation
 # ---------------------------------------------------------------------------
 
-# Widest register the full 2^L x 2^L readout matrix is calibrated and
-# inverted for: 2^L calibration circuits, and at 12 the matrix is 128 MiB.
-FULL_READOUT_MAX_SITES = 12
-
-
 def mitigate_readout(counts: Counts, m: ConfusionMatrix) -> Counts:
     """Invert the confusion matrix: quasi-counts, negatives preserved.
 
@@ -298,8 +293,6 @@ def mitigate_readout(counts: Counts, m: ConfusionMatrix) -> Counts:
     """
     if m.L != counts.width:
         raise ValueError("confusion matrix width mismatch")
-    if m.method == "full" and counts.width > FULL_READOUT_MAX_SITES:
-        raise ValueError(f"full-matrix inversion limited to L <= {FULL_READOUT_MAX_SITES}")
     vec = m.invert_vector(counts.vector)
     quasi = bool(np.any(vec < -1e-12))
     return Counts.from_vector(vec, counts.width, counts.total_shots, quasi=quasi)
@@ -309,45 +302,29 @@ def calibrate_confusion(
     spec: NoiseSpec,
     L: int,
     shots: int,
-    method: str = "tensor",
     seed: int = 0,
     infinite: bool = False,
 ) -> ConfusionMatrix:
-    """Estimate the readout matrix from simulated calibration circuits.
-
-    tensor: prepare all-zeros and all-ones, read per-qubit flip rates.
-    full (L <= ``FULL_READOUT_MAX_SITES``): prepare every basis state;
-    columns are the measured distributions.
-    """
+    """Estimate the per-qubit readout factors from two simulated
+    calibration circuits: prepare all-zeros and all-ones and read each
+    qubit's flip rates 0 -> 1 (eps) and 1 -> 0 (eta)."""
     if shots < 1:
         raise ValueError("calibration needs at least one shot")
     from .qsim import x as xgate
 
-    if method == "tensor":
-        zeros = run_noisy_counts(
-            Circuit(L), spec, shots, [seed, 0], infinite=infinite
-        )
-        ones = run_noisy_counts(
-            Circuit(L, [xgate(q) for q in range(L)]), spec, shots, [seed, 1],
-            infinite=infinite,
-        )
-        p0 = zeros.vector / zeros.total_shots
-        p1 = ones.vector / ones.total_shots
-        bits = bit_table(L)
-        eps = [float(p0[bits[:, q] == 1].sum()) for q in range(L)]
-        eta = [float(p1[bits[:, q] == 0].sum()) for q in range(L)]
-        return ConfusionMatrix.from_rates(L, eps, eta)
-    if method == "full":
-        if L > FULL_READOUT_MAX_SITES:
-            raise ValueError(f"full calibration limited to L <= {FULL_READOUT_MAX_SITES}")
-        dim = 2**L
-        mat = np.zeros((dim, dim))
-        for b, bits in enumerate(bit_table(L)):
-            prep = Circuit(L, [xgate(q) for q in np.flatnonzero(bits)])
-            counts = run_noisy_counts(prep, spec, shots, [seed, 2, b], infinite=infinite)
-            mat[:, b] = counts.vector / counts.total_shots
-        return ConfusionMatrix("full", L, matrix=mat)
-    raise ValueError("method must be 'tensor' or 'full'")
+    zeros = run_noisy_counts(
+        Circuit(L), spec, shots, [seed, 0], infinite=infinite
+    )
+    ones = run_noisy_counts(
+        Circuit(L, [xgate(q) for q in range(L)]), spec, shots, [seed, 1],
+        infinite=infinite,
+    )
+    p0 = zeros.vector / zeros.total_shots
+    p1 = ones.vector / ones.total_shots
+    bits = bit_table(L)
+    eps = [float(p0[bits[:, q] == 1].sum()) for q in range(L)]
+    eta = [float(p1[bits[:, q] == 0].sum()) for q in range(L)]
+    return ConfusionMatrix.from_rates(L, eps, eta)
 
 
 # ---------------------------------------------------------------------------

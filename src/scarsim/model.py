@@ -171,21 +171,17 @@ def bond_gates(q0: int, q1: int, theta: float, impl: str) -> list[Gate]:
     raise ValueError(f"impl must be one of {RZZ_IMPLS}, got {impl!r}")
 
 
-def neel_prep_circuit(L: int, variant: str = "Z2") -> Circuit:
-    return Circuit(L, [x(q) for q, bit in enumerate(neel_bitstring(L, variant)) if bit == "1"])
+def neel_prep_circuit(L: int) -> Circuit:
+    return Circuit(L, [x(q) for q, bit in enumerate(neel_bitstring(L)) if bit == "1"])
 
 
-def neel_bitstring(L: int, variant: str = "Z2") -> str:
-    if variant == "Z2":
-        return "".join("1" if (q + 1) % 2 == 0 else "0" for q in range(L))
-    if variant == "Z2'":
-        return "".join("1" if (q + 1) % 2 == 1 else "0" for q in range(L))
-    raise ValueError("variant must be 'Z2' or 'Z2''")
+def neel_bitstring(L: int) -> str:
+    return "".join("1" if (q + 1) % 2 == 0 else "0" for q in range(L))
 
 
-def neel_state(L: int, variant: str = "Z2") -> Statevector:
-    """|Z2> carries 1s on even sites (1-based); |Z2'> is the complement."""
-    return Statevector.from_bitstring(neel_bitstring(L, variant))
+def neel_state(L: int) -> Statevector:
+    """|Z2>: 1s on even sites (1-based), 0101... from qubit 0."""
+    return Statevector.from_bitstring(neel_bitstring(L))
 
 
 # ---------------------------------------------------------------------------

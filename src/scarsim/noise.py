@@ -18,7 +18,6 @@ dephasing is modeled, leaving damping as a density-matrix extension.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache, reduce
@@ -301,34 +300,21 @@ def noisy_gate_channel(gate: Gate, spec: NoiseSpec) -> KrausChannel:
 
 @dataclass
 class ConfusionMatrix:
-    """Readout error matrix M with M @ p_ideal = p_noisy.
+    """Readout error matrix M with M @ p_ideal = p_noisy, stored as one
+    2x2 factor per qubit (qubit 0 first): M is their Kronecker product.
+    Columns of each factor sum to one."""
 
-    tensor mode stores L single-qubit 2x2 factors; full mode the dense
-    2^L x 2^L matrix.  Columns of a stochastic M sum to one.
-    """
-
-    method: str
     L: int
-    factors: list[np.ndarray] | None = None
-    matrix: np.ndarray | None = None
+    factors: list[np.ndarray]
 
     def __post_init__(self):
-        if self.method == "tensor":
-            if self.factors is None or len(self.factors) != self.L:
-                raise ValueError("tensor mode needs one 2x2 factor per qubit")
-            for f in self.factors:
-                if f.shape != (2, 2) or np.any(f < -1e-12):
-                    raise ValueError("confusion factors must be nonnegative 2x2")
-                if np.max(np.abs(f.sum(axis=0) - 1.0)) > 1e-9:
-                    raise ValueError("confusion factor columns must sum to 1")
-        elif self.method == "full":
-            dim = 2**self.L
-            if self.matrix is None or self.matrix.shape != (dim, dim):
-                raise ValueError("full mode needs the 2^L x 2^L matrix")
-            if np.max(np.abs(self.matrix.sum(axis=0) - 1.0)) > 1e-9:
-                raise ValueError("confusion matrix columns must sum to 1")
-        else:
-            raise ValueError("method must be 'tensor' or 'full'")
+        if len(self.factors) != self.L:
+            raise ValueError("need one 2x2 factor per qubit")
+        for f in self.factors:
+            if f.shape != (2, 2) or np.any(f < -1e-12):
+                raise ValueError("confusion factors must be nonnegative 2x2")
+            if np.max(np.abs(f.sum(axis=0) - 1.0)) > 1e-9:
+                raise ValueError("confusion factor columns must sum to 1")
 
     @classmethod
     def from_rates(cls, L: int, eps, eta) -> "ConfusionMatrix":
@@ -337,41 +323,21 @@ class ConfusionMatrix:
         factors = [
             np.array([[1.0 - e, n], [e, 1.0 - n]]) for e, n in zip(eps, eta)
         ]
-        return cls("tensor", L, factors=factors)
+        return cls(L, factors)
 
     @cached_property
     def _blocks(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """``_kron_blocks`` of the factors and of their inverses, built once."""
         return _kron_blocks(self.factors), _kron_blocks([np.linalg.inv(f) for f in self.factors])
 
-    @cached_property
-    def lu(self) -> tuple[np.ndarray, np.ndarray]:
-        """LU factorization of the full matrix, computed once (the same
-        LAPACK factorization np.linalg.solve repeats on every call).  A
-        singular matrix raises LinAlgError, as np.linalg.solve does."""
-        import scipy.linalg  # full mode only: keeps scipy off the import path
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(self.matrix)
-        if not np.all(np.diag(lu)):
-            raise np.linalg.LinAlgError("singular confusion matrix")
-        return lu, piv
-
     def apply_to_vector(self, vec: np.ndarray) -> np.ndarray:
         """Forward direction: p_noisy = M p_ideal, over the last axis of
         ``vec`` (one vector or a stack of rows)."""
-        if self.method == "full":
-            return vec @ self.matrix.T
         return _apply_factors(self._blocks[0], vec)
 
     def invert_vector(self, vec: np.ndarray) -> np.ndarray:
         """Inverse direction: p_ideal = M^-1 p_noisy (may go negative),
         over the last axis of ``vec``."""
-        if self.method == "full":
-            import scipy.linalg
-
-            return scipy.linalg.lu_solve(self.lu, vec.T).T
         return _apply_factors(self._blocks[1], vec)
 
 
@@ -404,8 +370,8 @@ def _apply_factors(blocks: list[np.ndarray], vec: np.ndarray) -> np.ndarray:
 def apply_readout_error(probs: np.ndarray, m: ConfusionMatrix) -> np.ndarray:
     """Forward readout noise as a channel: M over the last axis of
     ``probs``, one distribution or a (T, 2^L) stack.  Sampling n shots
-    from p and flipping (tensor) or resampling (full) each shot has the
-    law Multinomial(n, M p), so shots drawn after this are read out."""
+    from p and flipping each bit of each shot by its qubit's factor has
+    the law Multinomial(n, M p), so shots drawn after this are read out."""
     if probs.shape[-1] != 1 << m.L:
         raise ValueError("confusion matrix width mismatch")
     return m.apply_to_vector(probs)

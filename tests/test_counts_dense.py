@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from scarsim.experiments import _estimates
 from scarsim.mitigation import postselect
-from scarsim.noise import ConfusionMatrix, NoiseSpec, apply_readout_error, run_noisy_counts
+from scarsim.noise import ConfusionMatrix, NoiseSpec, run_noisy_counts
 from scarsim.observables import (
     loschmidt_echo,
     parity_sites,
@@ -140,20 +140,6 @@ def _per_shot_tensor_reference(c: Counts, m: ConfusionMatrix, seed) -> dict[str,
     return out
 
 
-def _per_outcome_full_reference(c: Counts, m: ConfusionMatrix, seed) -> dict[str, float]:
-    """One multinomial over the matrix column of each outcome, ascending."""
-    rng = np.random.default_rng(seed)
-    out: dict[str, float] = {}
-    for key in sorted(c.data):
-        col = m.matrix[:, int(key, 2)]
-        draws = rng.multinomial(int(round(c.data[key])), col / col.sum())
-        for i, n in enumerate(draws):
-            if n:
-                new = format(i, f"0{c.width}b")
-                out[new] = out.get(new, 0.0) + float(n)
-    return out
-
-
 def _assert_multinomial_moments(samples: np.ndarray, n: int, q: np.ndarray) -> None:
     """The mean and covariance of ``samples`` (one count vector per row)
     match those of Multinomial(n, q): n q and n (diag q - q q^T), each
@@ -168,14 +154,15 @@ def _assert_multinomial_moments(samples: np.ndarray, n: int, q: np.ndarray) -> N
     assert np.all(np.abs(prods.mean(axis=0) - cov) <= 5 * se_cov + 1e-9)
 
 
-def _sample_then_read(p: np.ndarray, n: int, m: ConfusionMatrix, reference, seeds) -> np.ndarray:
+def _sample_then_read(p: np.ndarray, n: int, m: ConfusionMatrix, seeds) -> np.ndarray:
     """One count vector per seed: n shots drawn from p, then read out by
-    ``reference`` (sampled counts in, readout-corrupted counts out)."""
+    ``_per_shot_tensor_reference``."""
     width = m.L
     out = np.zeros((len(seeds), 2**width))
     for row, seed in zip(out, seeds):
         shots = np.random.default_rng([seed, 0]).multinomial(n, p).astype(float)
-        for key, value in reference(Counts(shots, float(n)), m, [seed, 1]).items():
+        read = _per_shot_tensor_reference(Counts(shots, float(n)), m, [seed, 1])
+        for key, value in read.items():
             row[int(key, 2)] = value
     return out
 
@@ -194,25 +181,7 @@ def test_tensor_readout_matches_per_shot_reference():
     q = reduce(np.kron, m.factors) @ p
     channel = np.array([run_noisy_counts(circ, spec, n, seed).vector for seed in SEEDS])
     _assert_multinomial_moments(channel, n, q)
-    _assert_multinomial_moments(_sample_then_read(p, n, m, _per_shot_tensor_reference, SEEDS),
-                                n, q)
-
-
-def test_full_readout_matches_per_outcome_reference():
-    # a non-product confusion matrix applied to probabilities, then
-    # sampled, against sampling then resampling each outcome's shots
-    # from its matrix column
-    n, width = 40, 2
-    rng = np.random.default_rng(5)
-    mat = np.eye(4) + rng.uniform(0.0, 0.4, (4, 4))
-    m = ConfusionMatrix("full", width, matrix=mat / mat.sum(axis=0))
-    p = np.array([0.1, 0.45, 0.05, 0.4])
-    q = apply_readout_error(p, m)
-    np.testing.assert_allclose(q, m.matrix @ p, rtol=0, atol=1e-15)
-    channel = np.array([np.random.default_rng(seed).multinomial(n, q) for seed in SEEDS])
-    _assert_multinomial_moments(channel.astype(float), n, q)
-    _assert_multinomial_moments(_sample_then_read(p, n, m, _per_outcome_full_reference, SEEDS),
-                                n, q)
+    _assert_multinomial_moments(_sample_then_read(p, n, m, SEEDS), n, q)
 
 
 @PROPERTY

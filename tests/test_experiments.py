@@ -71,11 +71,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(steps=-1)
 
-    def test_full_readout_too_wide_fails_at_construction(self):
-        # before, the reference series ran and calibration then failed
-        with pytest.raises(ValueError, match="readout_mode = full needs sites <= 12"):
-            ExperimentConfig(sites=13, readout_mode="full")
-        assert ExperimentConfig(sites=12, readout_mode="full").sites == 12
+    def test_full_readout_is_refused_at_every_width(self):
+        # the simulated readout is a per-qubit product, so `tensor` is the
+        # one readout model and `full` is an unknown value at any width
+        for sites in (2, 12, 13):
+            with pytest.raises(ValueError, match="readout_mode must be one of"):
+                ExperimentConfig(sites=sites, readout_mode="full")
 
     @pytest.mark.parametrize("kw", [{"v": -1.0}, {"dt": 0.0}])
     def test_time_axis_that_does_not_increase_fails_at_construction(self, kw):
@@ -502,11 +503,8 @@ class TestEmission:
         _assert_reruns_identical(cfg, run_zpi)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("command, readout_mode", [
-        ("zpi", "tensor"), ("cy", "tensor"), ("zpi", "full"), ("cy", "full"),
-    ], ids=["zpi", "cy", "zpi-full", "cy-full"])
-    def test_noisy_reruns_are_byte_identical_in_every_file(self, tmp_path, command, readout_mode,
-                                                           fmt):
+    @pytest.mark.parametrize("command", ["zpi", "cy"])
+    def test_noisy_reruns_are_byte_identical_in_every_file(self, tmp_path, command, fmt):
         cfg = tiny_config(
             sites=4 if command == "zpi" else 3,
             steps=2,
@@ -517,7 +515,7 @@ class TestEmission:
             infinite_shots=False,
             shots=256,
             shots_per_trajectory=64,
-            readout_mode=readout_mode,
+            readout_mode="tensor",
             postselect=command == "zpi",
             dd=command == "zpi",
         )
@@ -656,9 +654,8 @@ class TestReferenceSeries:
 
 class TestCLI:
     def test_import_leaves_scipy_unloaded(self):
-        # scipy serves only the oracles (scipy.sparse for exact evolution)
-        # and full-matrix readout, so starting the CLI must not pay for
-        # importing it
+        # scipy serves only the oracles (scipy.sparse for exact evolution),
+        # so starting the CLI must not pay for importing it
         code = "import sys, scarsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -703,7 +700,7 @@ class TestCLI:
 
     @pytest.mark.parametrize("command", ["qpt", "rzz-bench"])
     @pytest.mark.parametrize("flag", [["--twirls", "7"], ["--dd"], ["--trials", "3"],
-                                      ["--zne-factors", "1,3"], ["--readout-mode", "full"],
+                                      ["--zne-factors", "1,3"], ["--readout-mode", "tensor"],
                                       ["--no-postselect"], ["--sites", "2"], ["--impl", "rzz"]])
     def test_gate_benchmarks_reject_flags_they_do_not_read(self, tmp_path, command, flag):
         # one gate's tomography has no sweep, chain model or mitigation
@@ -736,16 +733,38 @@ class TestCLI:
     @pytest.mark.parametrize("text", ["[model]\nsites = 5\n[model]\nsteps = 2\n",
                                       "sites = 5\n", "[model]\nsites = many\n",
                                       "[mitigation]\npostselect = flase\n",
-                                      "[noise]\noverride.coherent_overrotation = nan\n",
-                                      "[model]\nsites = 13\n[mitigation]\nreadout_mode = full\n"],
+                                      "[noise]\noverride.coherent_overrotation = nan\n"],
                              ids=["duplicate-section", "no-section", "bad-value", "bad-boolean",
-                                  "non-finite-rate", "full-readout-too-wide"])
+                                  "non-finite-rate"])
     def test_config_that_fails_to_load_exits_with_status_2(self, tmp_path, text):
         ini = tmp_path / "run.ini"
         ini.write_text(text)
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             cli.main(["zpi", "--config", str(ini), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, line", [("model", "sites = many"),
+                                               ("noise", "override.readout_eps = abc"),
+                                               ("mitigation", "readout_mode = full")],
+                             ids=["sites", "override", "full-readout"])
+    def test_bad_ini_value_names_file_section_and_key(self, tmp_path, capsys, section, line):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[{section}]\n{line}\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["zpi", "--config", str(ini), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        key = line.partition(" = ")[0]
+        assert f"{ini}: [{section}] {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["zpi", "cy"])
+    def test_full_readout_flag_is_refused(self, tmp_path, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--readout-mode", "full", "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
 

@@ -431,14 +431,11 @@ class TestReadoutMitigation:
         for k, v in ideal.data.items():
             assert back.data.get(k, 0.0) == pytest.approx(v, abs=1e-10)
 
-    def test_tensor_and_full_modes_agree(self):
-        tensor = ConfusionMatrix.from_rates(3, eps=0.08, eta=0.02)
-        full = ConfusionMatrix("full", 3, matrix=reduce(np.kron, tensor.factors))
+    def test_matches_dense_solve(self):
+        m = ConfusionMatrix.from_rates(3, eps=0.08, eta=0.02)
         c = Counts.from_dict({"010": 500.0, "011": 300.0, "110": 200.0}, 1000.0, 3)
-        out_t = mitigate_readout(c, tensor)
-        out_f = mitigate_readout(c, full)
-        for k in set(out_t.data) | set(out_f.data):
-            assert out_t.data.get(k, 0.0) == pytest.approx(out_f.data.get(k, 0.0), abs=1e-10)
+        want = np.linalg.solve(reduce(np.kron, m.factors), c.vector)
+        np.testing.assert_allclose(mitigate_readout(c, m).vector, want, rtol=0, atol=1e-10)
 
     def test_negative_quasi_counts_flagged(self):
         m = ConfusionMatrix.from_rates(1, eps=0.2, eta=0.1)
@@ -455,20 +452,29 @@ class TestReadoutMitigation:
 
 class TestCalibration:
     def test_noiseless_gives_identity(self):
-        m = calibrate_confusion(noiseless(), 3, shots=100, method="tensor", infinite=True)
+        m = calibrate_confusion(noiseless(), 3, shots=100, infinite=True)
         np.testing.assert_allclose(reduce(np.kron, m.factors), np.eye(8), atol=1e-12)
 
     def test_tensor_infinite_exact(self):
         spec = NoiseSpec(two_qubit_target_error=0.0, readout_eps=0.07, readout_eta=0.04)
-        m = calibrate_confusion(spec, 2, shots=1, method="tensor", infinite=True)
+        m = calibrate_confusion(spec, 2, shots=1, infinite=True)
         for f in m.factors:
             np.testing.assert_allclose(f, [[0.93, 0.04], [0.07, 0.96]], atol=1e-12)
 
-    def test_full_matches_tensor_product_for_product_noise(self):
+    def test_finite_shot_rates_within_binomial_error(self):
+        # each factor's off-diagonal is a Binomial(shots, rate) / shots
+        # estimate of the spec's rate: every one within 5 standard errors,
+        # and their mean over the seeds within 5 standard errors of the mean
+        L, shots, seeds = 3, 4096, range(24)
         spec = NoiseSpec(two_qubit_target_error=0.0, readout_eps=0.05, readout_eta=0.02)
-        full = calibrate_confusion(spec, 2, shots=1, method="full", infinite=True)
-        tensor = calibrate_confusion(spec, 2, shots=1, method="tensor", infinite=True)
-        np.testing.assert_allclose(full.matrix, np.kron(*tensor.factors), atol=1e-10)
+        est = np.array([[(f[1, 0], f[0, 1])
+                         for f in calibrate_confusion(spec, L, shots, seed=s).factors]
+                        for s in seeds])  # (seed, qubit, eps/eta)
+        rates = np.array([spec.readout_eps, spec.readout_eta])
+        se = np.sqrt(rates * (1 - rates) / shots)
+        assert np.all(np.abs(est - rates) <= 5 * se)
+        assert np.all(np.abs(est.mean(axis=0) - rates) <= 5 * se / np.sqrt(len(seeds)))
+        assert len({e.tobytes() for e in est}) == len(seeds)  # each seed draws its own shots
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):

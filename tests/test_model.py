@@ -130,9 +130,6 @@ class TestNeelStates:
     def test_z2_bitstring(self):
         assert neel_bitstring(5) == "01010"
 
-    def test_z2prime_bitstring(self):
-        assert neel_bitstring(5, "Z2'") == "10101"
-
     def test_staggered_extremal_value(self):
         # Z_pi = sum_i (-1)^i Z_i takes -L on |Z2>
         L = 6

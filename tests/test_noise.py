@@ -269,23 +269,19 @@ class TestReadout:
         with pytest.raises(ValueError, match="width"):
             apply_readout_error(np.ones((2, 8)) / 8, ConfusionMatrix.from_rates(2, 0.0, 0.0))
 
-    @pytest.mark.parametrize("method, width", [("tensor", w) for w in range(1, 14)]
-                             + [("full", w) for w in range(1, 11)])
-    def test_kernel_matches_dense_oracle(self, method, width):
+    @pytest.mark.parametrize("width", range(1, 14), ids="tensor-{}".format)
+    def test_kernel_matches_dense_oracle(self, width):
         # both directions on a single row and a (T, 2^L) stack, against
-        # the dense matrix (the Kronecker product of the factors in tensor
-        # mode) and its inverse up to width 10; above that (tensor mode
-        # only: a dense matrix would take 32 MB and up) against one
-        # tensordot per qubit, the per-factor contraction the product encodes
-        rng = np.random.default_rng([width, method == "full"])
+        # the dense matrix (the Kronecker product of the factors) and its
+        # inverse up to width 10; above that (a dense matrix would take
+        # 32 MB and up) against one tensordot per qubit, the per-factor
+        # contraction the product encodes
+        rng = np.random.default_rng(width)
         m = ConfusionMatrix.from_rates(width, rng.uniform(0, 0.3, width),
                                        rng.uniform(0, 0.3, width))
-        if method == "full":
-            mat = np.eye(2**width) + rng.uniform(0, 0.5 / 2**width, (2**width, 2**width))
-            m = ConfusionMatrix("full", width, matrix=mat / mat.sum(axis=0))
         stack = rng.random((4, 2**width))
         if width <= 10:
-            dense = m.matrix if method == "full" else reduce(np.kron, m.factors)
+            dense = reduce(np.kron, m.factors)
             forward, inverse = stack @ dense.T, stack @ np.linalg.inv(dense).T
         else:
             forward = np.stack([_per_qubit(m.factors, row) for row in stack])
@@ -297,43 +293,10 @@ class TestReadout:
             np.testing.assert_allclose(got_fwd, fwd, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got_inv, inv, rtol=0, atol=1e-10)
 
-    def test_tensor_and_full_agree_on_product_model(self):
-        tensor = ConfusionMatrix.from_rates(2, eps=0.07, eta=0.02)
-        full = ConfusionMatrix("full", 2, matrix=np.kron(*tensor.factors))
-        vec = np.array([0.4, 0.1, 0.3, 0.2])
-        np.testing.assert_allclose(
-            tensor.apply_to_vector(vec), full.apply_to_vector(vec), atol=1e-12
-        )
-
     def test_forward_then_inverse_round_trip(self):
         m = ConfusionMatrix.from_rates(3, eps=0.05, eta=0.03)
         vec = np.array([0.2, 0.1, 0.05, 0.15, 0.1, 0.2, 0.1, 0.1])
         np.testing.assert_allclose(m.invert_vector(m.apply_to_vector(vec)), vec, atol=1e-12)
-
-    def test_full_inversion_factors_once(self, monkeypatch):
-        import scipy.linalg
-
-        calls = []
-        factor = scipy.linalg.lu_factor
-
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return factor(a, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
-        rng = np.random.default_rng(4)
-        mat = np.eye(16) + 0.05 * rng.random((16, 16))
-        m = ConfusionMatrix("full", 4, matrix=mat / mat.sum(axis=0))
-        for _ in range(3):
-            vec = rng.random(16) * 1000.0
-            want = np.linalg.solve(m.matrix, vec)
-            np.testing.assert_allclose(m.invert_vector(vec), want, rtol=1e-12, atol=0)
-        assert calls == [(16, 16)]
-
-    def test_singular_full_matrix_rejected(self):
-        m = ConfusionMatrix("full", 1, matrix=np.full((2, 2), 0.5))
-        with pytest.raises(np.linalg.LinAlgError):
-            m.invert_vector(np.array([1.0, 0.0]))
 
 
 def _per_qubit(factors, vec):
