@@ -5,12 +5,13 @@ magnetization and the return-probability (echo) files of one sweep;
 ``--flips`` keeps only the echo files of that flip tolerance.  Flags
 override values from an optional --config INI file; omitted settings
 fall back to the dataclass defaults.  Each subcommand takes only the
-command-line flags it reads, and the gate benchmarks (``qpt`` and
-``rzz-bench``) take only the INI keys they read: the shots, the seed,
-the noise and the output.  A flag or INI key a subcommand does not read
-(``twirls`` for ``qpt``, say), a flag value out of range, or a config
-that fails validation, ends the run with exit status 2 before anything
-is written.
+command-line flags and INI keys it reads: each group of flags below
+names the INI keys it stands for.  A flag or INI key a subcommand does
+not read (``twirls`` for ``qpt`` or ``oracle``, say), a flag value out
+of range, or a config that fails validation, ends the run with exit
+status 2 before anything is written.  ``cy`` has no DD: it takes
+``dd = false`` in an INI file, so that one file can serve both
+pipelines, and refuses ``dd = true`` at load.
 """
 from __future__ import annotations
 
@@ -21,27 +22,36 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import experiments
+from . import experiments, noise
 from .experiments import (
     _INI_FIELDS,
+    INI_KEYS,
     ExperimentConfig,
     Table,
-    _noise_key,
     config_from_ini,
     emit,
 )
 from .model import RZZ_IMPLS, exact_evolve
 from .observables import series_from_values
 
+# Each _add_*_flags adds a group of flags and returns the INI keys of the
+# same settings as (section, key) pairs; a subcommand reads the union of
+# its groups.
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+
+def _section(name: str) -> set:
+    return {(s, k) for s, k in INI_KEYS if s == name}
+
+
+def _add_output_flags(parser: argparse.ArgumentParser) -> set:
     """The flags of every subcommand: the config file and the output."""
     parser.add_argument("--config", type=str, help="INI config file mirroring the experiment settings")
     parser.add_argument("--out", type=str)
-    parser.add_argument("--format", choices=["csv", "json"])
+    parser.add_argument("--format", choices=experiments.FORMATS)
+    return _section("output")
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+def _add_model_flags(parser: argparse.ArgumentParser) -> set:
     """The chain model and the bond-gate compilation."""
     parser.add_argument("--sites", type=int)
     parser.add_argument("--steps", type=int)
@@ -49,14 +59,16 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--v", type=float)
     parser.add_argument("--omega", type=float)
     parser.add_argument("--impl", choices=RZZ_IMPLS)
+    return _section("model") | {("execution", "impl")}
 
 
-def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
-    """The shots, the noise preset and the seed."""
+def _add_sampling_flags(parser: argparse.ArgumentParser) -> set:
+    """The shots, the noise and the seed (noise overrides are INI keys only)."""
     parser.add_argument("--shots", type=int)
     parser.add_argument("--infinite-shots", action="store_true", default=None)
-    parser.add_argument("--noise-preset", type=str)
+    parser.add_argument("--noise-preset", choices=noise.PRESETS)
     parser.add_argument("--seed", type=int)
+    return {("execution", k) for k in ("shots", "infinite_shots", "seed")} | _section("noise")
 
 
 def _positive_int(text: str) -> int:
@@ -74,34 +86,28 @@ def _scale_factors(text: str) -> tuple[int, ...]:
     return factors
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    """Every flag of the variant-sweep pipelines: output, model and
-    sampling flags plus the mitigation and trial flags."""
-    _add_output_flags(parser)
-    _add_model_flags(parser)
-    _add_sampling_flags(parser)
+def _add_sweep_flags(parser: argparse.ArgumentParser) -> set:
+    """The flags of the variant-sweep pipelines beyond the output, model
+    and sampling ones: the trajectory count and the mitigation stack (DD
+    is zpi's own flag)."""
     parser.add_argument("--twirls", type=int)
     parser.add_argument("--zne-factors", type=_INI_FIELDS["mitigation"]["zne_factors"],
                         help="comma-separated scale factors, e.g. 1.0,1.5,2.0")
     parser.add_argument("--no-postselect", dest="postselect", action="store_false", default=None)
     parser.add_argument("--readout-mode", choices=experiments.READOUT_MODES)
-    parser.add_argument("--dd", action="store_true", default=None)
-    parser.add_argument("--trials", type=int)
-
-
-# The INI sections and keys a gate benchmark reads, the counterpart of
-# its flags (_add_output_flags and _add_sampling_flags).
-_GATE_BENCH_INI = {"execution": {"shots", "infinite_shots", "seed"}, "noise": _noise_key,
-                   "output": {"out", "format"}}
+    return {("execution", "shots_per_trajectory")} | _section("mitigation")
 
 
 def _config_from_args(args) -> ExperimentConfig:
     # every flag's dest is the config field it sets; an absent flag is None
     overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
-    if args.config:
-        allowed = _GATE_BENCH_INI if args.command in ("qpt", "rzz-bench") else None
-        return config_from_ini(args.config, allowed, **overrides)
-    return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
+    if not args.config:
+        return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
+    config = config_from_ini(args.config, args.ini_keys, **overrides)
+    if args.command == "cy" and config.dd:  # cy has no --dd, so the INI set it
+        raise ValueError(f"{args.config}: [mitigation] dd: cy runs without dynamical "
+                         "decoupling")
+    return config
 
 
 def _report(paths) -> None:
@@ -117,25 +123,25 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_zpi = sub.add_parser("zpi", help="staggered magnetization and return-probability pipeline")
-    _add_common(p_zpi)
+    p_zpi.set_defaults(ini_keys=_add_output_flags(p_zpi) | _add_model_flags(p_zpi)
+                       | _add_sampling_flags(p_zpi) | _add_sweep_flags(p_zpi))
+    p_zpi.add_argument("--dd", action="store_true", default=None)
     p_zpi.add_argument("--flips", type=int, choices=[0, 1], default=None,
                        help="emit only the return-probability series with this flip tolerance")
 
     p_cy = sub.add_parser("cy", help="unequal-time correlator pipeline")
-    _add_common(p_cy)
-    p_cy.add_argument("--regime", choices=["scar", "chaotic"])
+    p_cy.set_defaults(ini_keys=_add_output_flags(p_cy) | _add_model_flags(p_cy)
+                      | _add_sampling_flags(p_cy) | _add_sweep_flags(p_cy))
 
     p_bench = sub.add_parser("rzz-bench", help="interaction-gate benchmark table")
-    _add_output_flags(p_bench)
-    _add_sampling_flags(p_bench)
+    p_bench.set_defaults(ini_keys=_add_output_flags(p_bench) | _add_sampling_flags(p_bench))
     p_bench.add_argument("--points", type=_positive_int, default=12)
     p_bench.add_argument("--theta-min", type=float, default=0.2)
     p_bench.add_argument("--theta-max", type=float, default=2.4)
     p_bench.add_argument("--repeats", type=_positive_int, default=4)
 
     p_qpt = sub.add_parser("qpt", help="process tomography of one interaction gate")
-    _add_output_flags(p_qpt)
-    _add_sampling_flags(p_qpt)
+    p_qpt.set_defaults(ini_keys=_add_output_flags(p_qpt) | _add_sampling_flags(p_qpt))
     p_qpt.add_argument("--theta", type=float, default=2.0)
     p_qpt.add_argument("--scale-factors", type=_scale_factors, default="1,3,5")
     p_qpt.add_argument("--repeats", type=_positive_int, default=4)
@@ -143,8 +149,7 @@ def main(argv=None) -> int:
                        default="atomic")
 
     p_or = sub.add_parser("oracle", help="dump noiseless reference series")
-    _add_output_flags(p_or)
-    _add_model_flags(p_or)
+    p_or.set_defaults(ini_keys=_add_output_flags(p_or) | _add_model_flags(p_or))
     p_or.add_argument("--which", choices=["exact", "trotter", "projected-trotter"],
                       default="trotter")
 

@@ -16,13 +16,13 @@ every chain, twirl and family that runs it; a restart runs the chain's
 planned blocks (executor windows do not cross block boundaries).
 Readout error is a channel on the mixture of the trajectories' outcome
 probabilities, from which all the variant's shots are then drawn.  The
-variant key (config seed, trial, step, twirl, scale) seeds that step's
-folds, twirl and shots; the chain key, the variant key of the first
-step of the step's segment, seeds the trajectories.  A rerun with the
-same config therefore emits byte-identical files.  Estimates at
-different steps of one segment share its noise draws, and all steps of
-a chain share twirl draws, so they are correlated across steps, but
-each is still unbiased.
+variant key (config seed, pipeline tag, step, twirl, scale; cy adds its
+family between tag and step) seeds that step's folds, twirl and shots;
+the chain key, the variant key of the first step of the step's segment,
+seeds the trajectories.  A rerun with the same config therefore emits
+byte-identical files.  Estimates at different steps of one segment
+share its noise draws, and all steps of a chain share twirl draws, so
+they are correlated across steps, but each is still unbiased.
 
 Each variant's estimates are one float row; a sweep's rows form one
 (steps + 1, scales, twirls, columns) array, in which NaN marks a
@@ -79,7 +79,6 @@ from .qsim import Circuit, Counts, Statevector, run_circuit
 
 READOUT_MODES = ("off", "tensor")
 FORMATS = ("csv", "json")
-REGIMES = ("scar", "chaotic")
 
 # seed-derivation role keys
 _ROLE_FOLD = 0
@@ -107,8 +106,6 @@ class ExperimentConfig:
     readout_mode: str = "tensor"
     postselect: bool = True
     dd: bool = False
-    regime: str = "scar"
-    trials: int = 1
     seed: int = 0
     out: str = "results"
     format: str = "csv"
@@ -124,19 +121,17 @@ class ExperimentConfig:
             raise ValueError("shots_per_trajectory must be >= 1")
         if self.twirls < 1:
             raise ValueError("twirls must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.readout_mode not in READOUT_MODES:
             raise ValueError(f"readout_mode must be one of {READOUT_MODES}")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}")
         if self.impl not in RZZ_IMPLS:
             raise ValueError(f"impl must be one of {RZZ_IMPLS}")
         factors = tuple(float(f) for f in self.zne_factors)
+        if not all(map(math.isfinite, factors)):  # NaN passes the order check below
+            raise ValueError(f"zne_factors must be finite, got {factors}")
         if not factors or sorted(factors) != list(factors) or factors[0] != 1.0:
             raise ValueError("zne_factors must be ascending and start at 1.0")
         object.__setattr__(self, "zne_factors", factors)
@@ -148,11 +143,13 @@ class ExperimentConfig:
         if params.V * params.dt <= 0:
             raise ValueError(f"v * dt must be positive (the Vt axis of every series must "
                              f"increase), got v={params.V}, dt={params.dt}")
-        self.noise_spec()  # an invalid preset or override fails here, not mid-run
+        spec = self.noise_spec()  # an invalid preset or override fails here, not mid-run
+        if self.readout_mode == "tensor" and noise.singular_readout(spec.readout_eps,
+                                                                    spec.readout_eta):
+            raise ValueError("readout_eps + readout_eta = 1 leaves the readout channel without "
+                             "an inverse; use readout_mode = off")
 
     def model_params(self) -> ModelParams:
-        if self.regime == "chaotic":
-            return ModelParams(V=self.v, Omega=2.0, dt=0.16, L=self.sites)
         return ModelParams(V=self.v, Omega=self.omega, dt=self.dt, L=self.sites)
 
     def noise_spec(self) -> NoiseSpec:
@@ -175,61 +172,62 @@ def _float_tuple(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
-def _readout_mode(text: str) -> str:
-    if text not in READOUT_MODES:
-        raise ValueError(f"not one of {READOUT_MODES}: {text!r}")
-    return text
+def _choice(options):
+    """A converter that passes a value of ``options`` and refuses any other."""
+    def convert(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"not one of {tuple(options)}: {text!r}")
+        return text
+    return convert
 
 
-# INI section -> {key: converter}; each key is the ExperimentConfig field.
+# INI section -> {key: converter}; each key is the ExperimentConfig field,
+# except [noise] preset (noise_preset) and override.<field> (noise_overrides).
+_OVERRIDE = "override."
 _INI_FIELDS = {
     "model": {"sites": int, "steps": int, "v": float, "omega": float, "dt": float},
-    "execution": {"impl": str, "shots": int, "infinite_shots": _flag,
-                  "shots_per_trajectory": int, "seed": int, "trials": int,
-                  "regime": str},
+    "execution": {"impl": _choice(RZZ_IMPLS), "shots": int, "infinite_shots": _flag,
+                  "shots_per_trajectory": int, "seed": int},
+    "noise": {"preset": _choice(noise.PRESETS),
+              **{_OVERRIDE + name: float for name in sorted(noise.SCALAR_FIELDS)}},
     "mitigation": {"twirls": int,
                    "zne_factors": _float_tuple,
-                   "readout_mode": _readout_mode, "postselect": _flag, "dd": _flag},
-    "output": {"out": str, "format": str},
+                   "readout_mode": _choice(READOUT_MODES), "postselect": _flag, "dd": _flag},
+    "output": {"out": str, "format": _choice(FORMATS)},
 }
-_OVERRIDE = "override."
 
 
-def _noise_key(key: str) -> bool:
-    return key == "preset" or (
-        key.startswith(_OVERRIDE) and key[len(_OVERRIDE):] in noise.SCALAR_FIELDS
-    )
+INI_KEYS = frozenset((section, key) for section, keys in _INI_FIELDS.items() for key in keys)
 
 
-def _check_ini_keys(cp: configparser.ConfigParser, allowed: dict, path) -> None:
-    """Reject any section or key of ``cp`` that ``allowed`` does not list.
-
-    ``allowed`` maps each section name to a predicate or a collection of
-    key names."""
+def _check_ini_keys(cp: configparser.ConfigParser, allowed, path) -> None:
+    """Reject any section or key of ``cp`` that ``allowed``, a set of
+    (section, key) pairs, does not list."""
+    sections = {s for s, _ in allowed}
     for section in cp.sections():
-        if section not in allowed:
+        if section not in sections:
             raise ValueError(f"{path}: unknown section [{section}]")
-        known = allowed[section]
         for key in cp.options(section):
-            if not (known(key) if callable(known) else key in known):
+            if (section, key) not in allowed:
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
 
 
-def config_from_ini(path, allowed: dict | None = None, **cli_overrides) -> ExperimentConfig:
+def config_from_ini(path, allowed=INI_KEYS, **cli_overrides) -> ExperimentConfig:
     """Build a config from an INI document; keyword overrides win.
 
     Sections mirror the dataclass: [model] sites/steps/v/omega/dt,
-    [execution] impl/shots/infinite_shots/seed/trials/shots_per_trajectory/
-    regime, [noise] preset plus override.<field> entries for scalar
-    NoiseSpec fields, [mitigation] twirls/zne_factors/readout_mode/
-    postselect/dd, [output] out/format.  ``allowed`` narrows that to the
-    sections and keys a reader uses (a ``_check_ini_keys`` map).  Unknown
-    sections and keys are rejected.
+    [execution] impl/shots/infinite_shots/seed/shots_per_trajectory,
+    [noise] preset plus override.<field> entries for scalar NoiseSpec
+    fields, [mitigation] twirls/zne_factors/readout_mode/postselect/dd,
+    [output] out/format.  ``allowed`` narrows that to the sections and
+    keys a reader uses ((section, key) pairs).  Unknown sections and
+    keys are rejected, and a value its converter refuses is named by
+    file, section and key.
     """
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_file(fh)
-    _check_ini_keys(cp, allowed or {**_INI_FIELDS, "noise": _noise_key}, path)
+    _check_ini_keys(cp, allowed, path)
 
     def value(section, key, conv):
         try:
@@ -240,16 +238,12 @@ def config_from_ini(path, allowed: dict | None = None, **cli_overrides) -> Exper
     kwargs: dict = {key: value(section, key, conv)
                     for section, keys in _INI_FIELDS.items()
                     for key, conv in keys.items() if cp.has_option(section, key)}
-    if cp.has_option("noise", "preset"):
-        kwargs["noise_preset"] = cp.get("noise", "preset")
-    if cp.has_section("noise"):
-        overrides = {
-            k[len(_OVERRIDE):]: value("noise", k, float)
-            for k in cp.options("noise")
-            if k.startswith(_OVERRIDE)
-        }
-        if overrides:
-            kwargs["noise_overrides"] = overrides
+    if "preset" in kwargs:
+        kwargs["noise_preset"] = kwargs.pop("preset")
+    overrides = {k[len(_OVERRIDE):]: kwargs.pop(k) for k in list(kwargs)
+                 if k.startswith(_OVERRIDE)}
+    if overrides:
+        kwargs["noise_overrides"] = overrides
     kwargs.update({k: v for k, v in cli_overrides.items() if v is not None})
     return ExperimentConfig(**kwargs)
 
@@ -279,7 +273,7 @@ class Table:
         return out
 
 
-# Columns of the magnetization pipeline's estimate rows and trial tables;
+# Columns of the magnetization pipeline's estimate rows and tables;
 # a row has L + 4 columns for L sites.
 COL_ZPI = 0
 COL_ECHO = (1, 2)  # 0 and 1 tolerated flips
@@ -344,14 +338,14 @@ def reference_series(params: ModelParams, steps: int, impl: str) -> dict:
 # Counts pipeline
 # ---------------------------------------------------------------------------
 
-def _calibrated_confusion(config, spec, trial):
+def _calibrated_confusion(config, spec):
     if config.readout_mode == "off":
         return None
     return mitigation.calibrate_confusion(
         spec,
         config.sites,
         shots=config.shots,
-        seed=config.seed * 1000003 + trial * 101 + _ROLE_CAL,
+        seed=config.seed * 1000003 + _ROLE_CAL,
         infinite=config.infinite_shots,
     )
 
@@ -520,25 +514,16 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
     return np.array(estimates), lam_effs, variants
 
 
-@dataclass
-class TrialSeries:
-    """One trial of the magnetization pipeline: (steps + 1, columns)
-    tables of the mitigated and raw estimates and their stds, in the
+def _zpi_sweep(config: ExperimentConfig):
+    """The magnetization pipeline's one sweep, reduced by ``_zne``:
+    (mit, mit_std, raw, raw_std, variants), the (steps + 1, columns)
+    tables of the mitigated and raw estimates and their stds in the
     ``COL_*`` column layout, and the variant records."""
-
-    mit: np.ndarray
-    mit_std: np.ndarray
-    raw: np.ndarray
-    raw_std: np.ndarray
-    variants: list
-
-
-def _run_trial(config: ExperimentConfig, trial: int) -> TrialSeries:
     params = config.model_params()
     spec = config.noise_spec()
     L = params.L
     reference = neel_bitstring(L)
-    confusion = _calibrated_confusion(config, spec, trial)
+    confusion = _calibrated_confusion(config, spec)
 
     idle_ns = None
     if config.dd:
@@ -560,71 +545,54 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialSeries:
             return np.concatenate((mit, no_raw))
         return np.concatenate((mit, _estimates(counts, reference)))
 
+    # key head [seed, 0]: 0 tags the zpi sweep, as 7 tags the cy families
     samples, lam_effs, step_variants = _sweep(
-        config, spec, [prep] + [step_circ] * config.steps, [config.seed, trial], estimate
+        config, spec, [prep] + [step_circ] * config.steps, [config.seed, 0], estimate
     )
 
     mit, mit_std = _zne(samples[..., :width], lam_effs)
     # raw rows of the lambda = 1 scales, pooled as one scale
     ones = [li for li, lam in enumerate(config.zne_factors) if lam == 1.0]
     raw, raw_std = _zne(samples[:, ones, :, width:], [[1.0] * len(ones)] * len(lam_effs))
-
-    return TrialSeries(
-        mit=mit, mit_std=mit_std, raw=raw, raw_std=raw_std,
-        variants=[{"trial": trial, **v} for step in step_variants for v in step],
-    )
-
-
-def _over_trials(trials: list[TrialSeries], table: str, col):
-    """Mean over trials of column(s) ``col`` of one table, and its std:
-    the spread over trials, or the one trial's own std."""
-    vals = np.stack([getattr(t, table)[:, col] for t in trials])
-    if len(trials) > 1:
-        return vals.mean(axis=0), vals.std(axis=0, ddof=1)
-    return vals.mean(axis=0), getattr(trials[0], f"{table}_std")[:, col]
+    return mit, mit_std, raw, raw_std, [v for step in step_variants for v in step]
 
 
 def _series(config, values, errors) -> TimeSeries:
-    steps = np.arange(config.steps + 1)
-    dt_v = config.model_params().dt * config.model_params().V
-    return series_from_values(steps, dt_v, values, errors)
+    return series_from_values(np.arange(config.steps + 1), config.dt * config.v, values, errors)
 
 
 def run_zpi(config: ExperimentConfig) -> dict:
-    """Magnetization and echo bundle of one sweep per trial: staggered
+    """Magnetization and echo bundle of one sweep: staggered
     magnetization (mitigated, unmitigated, references), per-site tables,
     accumulated error, subspace weight, and the return-probability series
     ``loschmidt_f{0,1}_*`` for 0 and 1 tolerated flips, all read from the
     same counts."""
     params = config.model_params()
     ref = reference_series(params, config.steps, config.impl)
-    trials = [_run_trial(config, t) for t in range(config.trials)]
+    mit, mit_std, raw, raw_std, variants = _zpi_sweep(config)
     L = config.sites
     out: dict = {}
 
-    zpi_mean, zpi_std = _over_trials(trials, "mit", COL_ZPI)
-    raw_mean, raw_std = _over_trials(trials, "raw", COL_ZPI)
-    out["zpi_density_mitigated"] = _series(config, zpi_mean / L, zpi_std / L)
-    out["zpi_density_unmitigated"] = _series(config, raw_mean / L, raw_std / L)
+    out["zpi_density_mitigated"] = _series(config, mit[:, COL_ZPI] / L, mit_std[:, COL_ZPI] / L)
+    out["zpi_density_unmitigated"] = _series(config, raw[:, COL_ZPI] / L,
+                                             raw_std[:, COL_ZPI] / L)
     out["zpi_density_ideal"] = _series(config, ref["zpi"] / L, None)
     out["zpi_density_projected"] = _series(config, ref["zpi_proj"] / L, None)
     out["fibonacci_weight_ideal"] = _series(config, ref["weight"], None)
-    out["postselect_retained"] = _series(config, _over_trials(trials, "mit", COL_RETAINED)[0],
-                                         None)
+    out["postselect_retained"] = _series(config, mit[:, COL_RETAINED], None)
 
-    site_mean, site_std = _over_trials(trials, "mit", COL_SITES)
+    site_mean, site_std = mit[:, COL_SITES], mit_std[:, COL_SITES]
     ref_site = ref["site_z_proj"] if config.postselect else ref["site_z"]
     d_vals, d_err = accumulated_error(site_mean, ref_site, site_std)
     out["accumulated_error_mitigated"] = _series(config, d_vals, d_err)
 
-    d_raw, _ = accumulated_error(_over_trials(trials, "raw", COL_SITES)[0], ref["site_z"])
+    d_raw, _ = accumulated_error(raw[:, COL_SITES], ref["site_z"])
     out["accumulated_error_unmitigated"] = _series(config, d_raw, None)
 
     for flips in (0, 1):
-        mean, std = _over_trials(trials, "mit", COL_ECHO[flips])
-        out[f"loschmidt_f{flips}_mitigated"] = _series(config, mean, std)
-        raw, _ = _over_trials(trials, "raw", COL_ECHO[flips])
-        out[f"loschmidt_f{flips}_unmitigated"] = _series(config, raw, None)
+        col = COL_ECHO[flips]
+        out[f"loschmidt_f{flips}_mitigated"] = _series(config, mit[:, col], mit_std[:, col])
+        out[f"loschmidt_f{flips}_unmitigated"] = _series(config, raw[:, col], None)
         out[f"loschmidt_f{flips}_ideal"] = _series(config, ref[f"echo{flips}"], None)
         out[f"loschmidt_f{flips}_projected"] = _series(config, ref[f"echo{flips}_proj"], None)
 
@@ -640,7 +608,7 @@ def run_zpi(config: ExperimentConfig) -> dict:
 
     out["per_site_z_mitigated"] = site_table(site_mean, site_std)
     out["per_site_z_reference"] = site_table(ref_site, np.zeros_like(ref_site))
-    out["variants"] = [v for t in trials for v in t.variants]
+    out["variants"] = variants
     return out
 
 
@@ -652,13 +620,13 @@ def run_cy(config: ExperimentConfig) -> dict:
     """Correlator pipeline: 4 branches x 2 parities x floor(L/2) sources
     per step, twirl x scale variants each, readout mitigation and ZNE per
     local term (no postselection: the measurement is not in the Z basis).
-    It runs one trial without DD; a config asking for either is refused."""
-    if config.dd or config.trials != 1:
-        raise ValueError("cy runs one trial without DD: needs dd=False and trials=1")
+    It runs without DD; a config asking for DD is refused."""
+    if config.dd:
+        raise ValueError("cy runs without dynamical decoupling: needs dd=False")
     params = config.model_params()
     spec = config.noise_spec()
     L = params.L
-    confusion = _calibrated_confusion(config, spec, trial=0)
+    confusion = _calibrated_confusion(config, spec)
     step_circ = build_trotter_step(params, impl=config.impl)
     prep = neel_prep_circuit(L)
     sources = list(range(2, L + 1, 2))

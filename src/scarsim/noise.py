@@ -326,19 +326,39 @@ class ConfusionMatrix:
         return cls(L, factors)
 
     @cached_property
-    def _blocks(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """``_kron_blocks`` of the factors and of their inverses, built once."""
-        return _kron_blocks(self.factors), _kron_blocks([np.linalg.inv(f) for f in self.factors])
+    def _forward(self) -> list[np.ndarray]:
+        """``_kron_blocks`` of the factors, built once."""
+        return _kron_blocks(self.factors)
+
+    @cached_property
+    def _inverse(self) -> list[np.ndarray]:
+        """``_kron_blocks`` of the factors' inverses, built on the first
+        inversion only, so a forward channel needs none.  A factor without
+        a usable inverse raises ``LinAlgError`` (a ``ValueError``) naming
+        its qubit and rates."""
+        for q, f in enumerate(self.factors):
+            eps, eta = float(f[1, 0]), float(f[0, 1])
+            if singular_readout(eps, eta):
+                raise np.linalg.LinAlgError(f"the readout factor of qubit {q} has no inverse: "
+                                            f"eps = {eps} and eta = {eta} sum to 1")
+        return _kron_blocks([np.linalg.inv(f) for f in self.factors])
 
     def apply_to_vector(self, vec: np.ndarray) -> np.ndarray:
         """Forward direction: p_noisy = M p_ideal, over the last axis of
         ``vec`` (one vector or a stack of rows)."""
-        return _apply_factors(self._blocks[0], vec)
+        return _apply_factors(self._forward, vec)
 
     def invert_vector(self, vec: np.ndarray) -> np.ndarray:
         """Inverse direction: p_ideal = M^-1 p_noisy (may go negative),
         over the last axis of ``vec``."""
-        return _apply_factors(self._blocks[1], vec)
+        return _apply_factors(self._inverse, vec)
+
+
+def singular_readout(eps: float, eta: float) -> bool:
+    """Whether the factor [[1-eps, eta], [eps, 1-eta]] has no usable inverse:
+    its determinant 1 - eps - eta is 0 up to the 1e-9 below which rounding,
+    amplified by the inverse, no longer keeps an inverted vector's total."""
+    return abs(1.0 - eps - eta) <= 1e-9
 
 
 # Widest Kronecker block of readout factors: a k-qubit block is one pass

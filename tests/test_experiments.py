@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from scarsim import cli, experiments, mitigation, noise
@@ -84,20 +84,34 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"v \* dt must be positive"):
             ExperimentConfig(**kw)
 
+    @pytest.mark.parametrize("factors", [(1.0, np.inf), (1.0, np.nan), (1.0, 1.5, np.inf),
+                                         (np.nan, 1.0)])
+    def test_non_finite_zne_factors_fail_at_construction(self, factors):
+        # inf used to load and overflow in fold_count mid-run; NaN passed
+        # the ascending check
+        with pytest.raises(ValueError, match="zne_factors must be finite"):
+            ExperimentConfig(zne_factors=factors)
+
+    def test_readout_without_an_inverse_fails_at_load_when_inverted(self, tmp_path):
+        # eps + eta = 1 has no inverse, so tensor mode is refused at load;
+        # with readout_mode = off the forward channel alone runs
+        ini = tmp_path / "run.ini"
+        ini.write_text("[noise]\noverride.readout_eps = 0.5\noverride.readout_eta = 0.5\n")
+        with pytest.raises(ValueError, match="readout_eps \\+ readout_eta = 1"):
+            config_from_ini(ini)
+        assert config_from_ini(ini, readout_mode="off").readout_mode == "off"
+
     def test_zero_v_in_ini_fails_at_load(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text("[model]\nv = 0\n")
         with pytest.raises(ValueError, match=r"v \* dt must be positive"):
             config_from_ini(ini)
 
-    def test_chaotic_regime_ignores_dt(self):
-        # the chaotic regime fixes dt at 0.16, so dt = 0 is never read
-        assert ExperimentConfig(regime="chaotic", dt=0.0).model_params().dt == 0.16
-
     def test_chaotic_regime_parameters(self):
-        cfg = tiny_config(regime="chaotic")
-        p = cfg.model_params()
-        assert p.Omega == 2.0 and p.dt == pytest.approx(0.16)
+        # the chaotic chain is the same chain at Omega = 2 and dt = 0.16,
+        # spelled out in the config the manifest records
+        p = tiny_config(omega=2.0, dt=0.16).model_params()
+        assert (p.V, p.Omega, p.dt, p.L) == (1.0, 2.0, 0.16, 4)
 
     def test_ini_round_trip(self, tmp_path):
         ini = tmp_path / "run.ini"
@@ -229,7 +243,7 @@ class TestBatchArithmetic:
     def test_variant_count_matches_run_description(self):
         # 39 steps + t=0, 10 twirls, 3 scale factors -> 1200 variants
         cfg = tiny_config(sites=2, steps=39, twirls=10, shots=1)
-        assert len(experiments._run_trial(cfg, 0).variants) == 40 * 10 * 3
+        assert len(experiments._zpi_sweep(cfg)[4]) == 40 * 10 * 3
 
     def test_cy_settings_per_step(self):
         cfg = tiny_config(sites=5, steps=0, twirls=1, zne_factors=(1.0,))
@@ -312,19 +326,24 @@ class TestNoisyPipeline:
             1.0, abs=1e-9
         )
 
-    def test_trials_aggregate(self):
-        cfg = tiny_config(
-            noise_preset="casablanca-like",
-            infinite_shots=False,
-            shots=512,
-            trials=3,
-            readout_mode="tensor",
-            postselect=True,
-        )
-        bundle = run_zpi(cfg)
-        assert len(bundle["zpi_density_mitigated"]) == cfg.steps + 1
-        assert np.all(np.isfinite(bundle["zpi_density_mitigated"].errors))
 
+    def test_singular_forward_readout_runs_without_inversion(self, tmp_path):
+        # eps + eta = 1 used to fail in the forward channel, which built the
+        # inverse factors with the forward ones
+        cfg = tiny_config(steps=1, twirls=1, noise_preset="casablanca-like",
+                          noise_overrides={"readout_eps": 0.5, "readout_eta": 0.5},
+                          infinite_shots=False, shots=64, readout_mode="off")
+        bundle = run_zpi(cfg)
+        assert np.all(np.isfinite(bundle["zpi_density_mitigated"].values.real))
+
+    def test_singular_calibration_names_the_qubit_and_its_rates(self):
+        # 16 calibration shots estimate qubit 0's rates as 0.5 and 0.5, a
+        # factor without an inverse; this used to end in "LinAlgError:
+        # Singular matrix", which named neither the qubit nor the rates
+        cfg = ExperimentConfig(sites=3, steps=1, twirls=1, shots=16, seed=5,
+                               noise_overrides={"readout_eps": 0.5, "readout_eta": 0.4})
+        with pytest.raises(ValueError, match="qubit 0 has no inverse: eps = 0.5 and eta = 0.5"):
+            run_zpi(cfg)
 
     def test_noisy_infinite_shots_take_the_unweighted_fallback(self):
         # `scarsim zpi --sites 4 --steps 3 --twirls 3 --shots 4096 --seed 7
@@ -432,14 +451,31 @@ class TestCY:
             got = complex(bundle["cy_mitigated"].values[step])
             assert got == pytest.approx(want, abs=1e-8)
 
-    @pytest.mark.parametrize("setting", [{"dd": True}, {"trials": 3}])
-    def test_cy_refuses_dd_and_trials(self, monkeypatch, setting):
-        # cy has no DD or trial loop: a config asking for one is refused
-        # before any calibration or sweep runs
+    @pytest.mark.parametrize("setting", [("[mitigation]\ndd = true\n", "[mitigation] dd: "),
+                                         ("[execution]\ntrials = 3\n",
+                                          "unknown key 'trials' in [execution]")])
+    def test_cy_refuses_dd_and_trials(self, tmp_path, capsys, setting):
+        # cy has no DD and no trial loop: an INI asking for either is
+        # refused at load, before anything is written, naming the file,
+        # the section and the key (the run used to raise a bare ValueError
+        # traceback with exit 1 after loading)
+        text, message = setting
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cy", "--config", str(ini), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert f"{ini}: {message}" in capsys.readouterr().err
+
+    def test_run_cy_refuses_dd(self, monkeypatch):
+        # a library caller gets the same refusal before any calibration
+        # or sweep runs
         monkeypatch.setattr(experiments, "_sweep", None)
         monkeypatch.setattr(experiments, "_calibrated_confusion", None)
-        with pytest.raises(ValueError, match="dd=False and trials=1"):
-            run_cy(tiny_config(sites=4, steps=2, **setting))
+        with pytest.raises(ValueError, match="needs dd=False"):
+            run_cy(tiny_config(sites=4, steps=2, dd=True))
 
     def test_cy_t0_analytic(self):
         cfg = tiny_config(sites=5, steps=0, twirls=1, zne_factors=(1.0,))
@@ -562,7 +598,7 @@ PINNED_RUNS = {
             "per_site_z_mitigated.csv": "6922c699222687c1652d0192f8f5aed40c242268",
             "per_site_z_reference.csv": "5c20697a6ea9e5a01afe3119b792fe0253f666cc",
             "postselect_retained.csv": "095a5aa79780f281c9fea9e5d4c560991bf36ca4",
-            "variants.jsonl": "7ceae55d9b6a7b0f3c6aefb4c6301e50ce37b553",
+            "variants.jsonl": "996e746a278742a5ec586474355bca8f2f00e8a2",
             "zpi_density_ideal.csv": "e692677edb7e455f0eaddb31f90a2ab26e8dd527",
             "zpi_density_mitigated.csv": "6db774b8678b3b10f2d033c0a465db5699f1358e",
             "zpi_density_projected.csv": "851fc8fefb20721bff8a13d94a30ac633ff805d7",
@@ -747,8 +783,12 @@ class TestCLI:
 
     @pytest.mark.parametrize("section, line", [("model", "sites = many"),
                                                ("noise", "override.readout_eps = abc"),
-                                               ("mitigation", "readout_mode = full")],
-                             ids=["sites", "override", "full-readout"])
+                                               ("mitigation", "readout_mode = full"),
+                                               ("output", "format = xml"),
+                                               ("execution", "impl = cz"),
+                                               ("noise", "preset = foo")],
+                             ids=["sites", "override", "full-readout", "format", "impl",
+                                  "preset"])
     def test_bad_ini_value_names_file_section_and_key(self, tmp_path, capsys, section, line):
         ini = tmp_path / "bad.ini"
         ini.write_text(f"[{section}]\n{line}\n")
@@ -759,6 +799,63 @@ class TestCLI:
         assert not out.exists()
         key = line.partition(" = ")[0]
         assert f"{ini}: [{section}] {key}: " in capsys.readouterr().err
+
+    def test_unknown_noise_preset_flag_is_an_invalid_choice(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["zpi", "--noise-preset", "foo", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "argument --noise-preset: invalid choice: 'foo'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, argv", [
+        *((command, argv) for command in ("zpi", "cy")
+          for argv in (["--trials", "3"], ["--regime", "chaotic"], ["--zne-factors", "1.0,inf"],
+                       ["--zne-factors", "1.0,nan"])),
+        ("cy", ["--dd"]),
+    ])
+    def test_sweep_flags_out_of_the_config_are_refused(self, tmp_path, command, argv):
+        # one sweep per run, the chain's omega and dt are the ones given,
+        # and cy has no DD
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--sites", "3", "--steps", "1", "--twirls", "1", *argv,
+                      "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["zpi", "cy"])
+    @pytest.mark.parametrize("section, line, message", [
+        ("execution", "trials = 3", "unknown key 'trials' in [execution]"),
+        ("execution", "regime = chaotic", "unknown key 'regime' in [execution]"),
+        ("mitigation", "zne_factors = 1.0, inf", "zne_factors must be finite"),
+    ])
+    def test_sweep_ini_keys_out_of_the_config_are_refused(self, tmp_path, capsys, command,
+                                                          section, line, message):
+        # `regime = chaotic` used to run at Omega = 2, dt = 0.16 while the
+        # manifest recorded the file's omega and dt
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[model]\nsites = 3\nsteps = 1\nomega = 0.7\ndt = 0.5\n"
+                       f"[{section}]\n{line}\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(ini), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, line", [("mitigation", "twirls = 7"),
+                                               ("mitigation", "dd = true"),
+                                               ("execution", "shots = 5")])
+    def test_oracle_rejects_ini_keys_it_does_not_read(self, tmp_path, section, line):
+        # a noiseless reference dump reads the model and the output only
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[model]\nsites = 4\nsteps = 2\n[{section}]\n{line}\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--config", str(ini), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["zpi", "cy"])
     def test_full_readout_flag_is_refused(self, tmp_path, command):
@@ -965,11 +1062,11 @@ def test_zne_and_raw_error_bars_cover_the_exact_channel_values():
     for seed in range(40):
         cfg = tiny_config(seed=seed, shots=8192, shots_per_trajectory=128,
                           noise_preset="casablanca-like", infinite_shots=False)
-        trial = experiments._run_trial(cfg, 0)
-        exact = _exact_rows(cfg, trial.variants)
+        mit, mit_std, raw_vals, raw_std, variants = experiments._zpi_sweep(cfg)
+        exact = _exact_rows(cfg, variants)
         n_cols = cfg.sites + 3  # staggered, echoes, sites
         for step in range(cfg.steps + 1):
-            at = [v for v in trial.variants if v["step"] == step]
+            at = [v for v in variants if v["step"] == step]
             lams = np.array([v["effective_scale"] for v in at])
             values = np.array([exact[step, w, li][:n_cols] for w, li in
                                (v["seed_key"][-2:] for v in at)])
@@ -977,13 +1074,11 @@ def test_zne_and_raw_error_bars_cover_the_exact_channel_values():
             if np.ptp(lams) > 0:
                 design = np.column_stack([np.ones_like(lams), lams])
                 target = np.linalg.lstsq(design, values, rcond=None)[0][0]
-                zne = (trial.mit[step, :n_cols], trial.mit_std[step, :n_cols], target,
-                       len(lams) - 2)
+                zne = (mit[step, :n_cols], mit_std[step, :n_cols], target, len(lams) - 2)
             else:
-                zne = (trial.mit[step, :n_cols],
-                       trial.mit_std[step, :n_cols] / np.sqrt(len(lams)),
+                zne = (mit[step, :n_cols], mit_std[step, :n_cols] / np.sqrt(len(lams)),
                        values.mean(axis=0), len(lams) - 1)
-            raw = (trial.raw[step, :n_cols], trial.raw_std[step, :n_cols] / np.sqrt(len(ones)),
+            raw = (raw_vals[step, :n_cols], raw_std[step, :n_cols] / np.sqrt(len(ones)),
                    ones.mean(axis=0), len(ones) - 1)
             for name, (est, std, target, dof) in (("zne", zne), ("raw", raw)):
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -1015,3 +1110,161 @@ def test_a_refused_weighted_fit_takes_the_unweighted_fallback(tie):
                                           for v in vs])
         assert values[0, c] == pytest.approx(fit.intercept, rel=1e-12)
         assert stds[0, c] == pytest.approx(np.sqrt(fit.covariance[0, 0]), rel=1e-12)
+
+
+# Edge values of each noise override the loader accepts: 0 and the ends
+# of its range (the idle rates have no upper end; 1 rad/ns scrambles
+# every idle window).
+_OVERRIDE_EDGES = {
+    "two_qubit_depolarizing": (0.0, 1.0),
+    "two_qubit_target_error": (0.0, 0.999),
+    "single_qubit_depolarizing": (0.0, 1.0),
+    "readout_eps": (0.0, 1.0),
+    "readout_eta": (0.0, 1.0),
+    "idle_dephasing_rad_per_ns": (0.0, 1.0),
+    "idle_stochastic_rate_per_ns": (0.0, 1.0),
+    "coherent_overrotation": (0.0, -np.pi, np.pi),
+}
+
+
+@st.composite
+def _ini_drafts(draw):
+    """(command, INI sections) of a small zpi or cy run."""
+    command = draw(st.sampled_from(["zpi", "cy"]))
+    names = draw(st.lists(st.sampled_from(sorted(_OVERRIDE_EDGES)), unique=True, max_size=3))
+    return command, {
+        "model": {"sites": draw(st.integers(2, 4)), "steps": draw(st.integers(0, 2)),
+                  "v": draw(st.sampled_from([1.0, 0.5])),
+                  "omega": draw(st.sampled_from([0.24, 2.0])),
+                  "dt": draw(st.sampled_from([1.0, 0.16]))},
+        "execution": {"impl": draw(st.sampled_from(RZZ_IMPLS)),
+                      "shots": draw(st.sampled_from([16, 256])),
+                      "infinite_shots": draw(st.booleans()),
+                      "shots_per_trajectory": draw(st.sampled_from([16, 1024])),
+                      "seed": draw(st.integers(0, 3))},
+        "noise": {"preset": draw(st.sampled_from(sorted(noise.PRESETS))),
+                  **{f"override.{name}": draw(st.sampled_from(_OVERRIDE_EDGES[name]))
+                     for name in names}},
+        "mitigation": {"twirls": draw(st.integers(1, 2)),
+                       "zne_factors": draw(st.sampled_from(
+                           [(1.0,), (1.0, 2.0), (1.0, 1.5, 2.0), (1.0, 1.0, 3.0)])),
+                       "readout_mode": draw(st.sampled_from(experiments.READOUT_MODES)),
+                       "postselect": draw(st.booleans()),
+                       "dd": command == "zpi" and draw(st.booleans())},
+        "output": {"format": draw(st.sampled_from(experiments.FORMATS))},
+    }
+
+
+def _write_ini(path: Path, sections: dict) -> None:
+    def text(value):
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, tuple):
+            return ", ".join(map(repr, value))
+        return repr(value) if isinstance(value, float) else str(value)
+
+    path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {text(v)}\n" for k, v in keys.items())
+                            for name, keys in sections.items()))
+
+
+def _emitted_tables(out: Path) -> dict:
+    """name -> (columns, rows of floats and strings) of every emitted table."""
+    tables = {}
+    for path in out.iterdir():
+        if path.suffix == ".csv":
+            header, *lines = path.read_text().splitlines()
+            tables[path.name] = (header.split(","), [line.split(",") for line in lines])
+        elif path.suffix == ".json" and path.name != "manifest.json":
+            data = json.loads(path.read_text())
+            tables[path.name] = (data["columns"], data["rows"])
+    return tables
+
+
+def _noisy_draft(command: str) -> tuple:
+    """A noisy finite-shot draft of ``command`` (the two explicit reruns)."""
+    return command, {
+        "model": {"sites": 3, "steps": 2, "v": 1.0, "omega": 2.0, "dt": 0.16},
+        "execution": {"impl": "two-cnot" if command == "zpi" else "rzz", "shots": 256,
+                      "infinite_shots": False, "shots_per_trajectory": 16, "seed": 2},
+        "noise": {"preset": "casablanca-like", "override.idle_stochastic_rate_per_ns": 1e-3,
+                  "override.single_qubit_depolarizing": 0.01},
+        "mitigation": {"twirls": 2, "zne_factors": (1.0, 1.0, 3.0), "readout_mode": "tensor",
+                       "postselect": True, "dd": command == "zpi"},
+        "output": {"format": "json" if command == "zpi" else "csv"},
+    }
+
+
+# Bound: at most 20 s on a 2-core VM (200 examples took about 5 s there).
+@settings(max_examples=200, deadline=None)
+@given(draft=_ini_drafts(), rerun=st.just(False))
+@example(draft=_noisy_draft("zpi"), rerun=True)
+@example(draft=_noisy_draft("cy"), rerun=True)
+def test_every_config_the_loader_accepts_runs_as_its_manifest_records(tmp_path_factory, draft,
+                                                                       rerun):
+    # each draw is written as an INI file and run through the CLI in
+    # process.  The loader refuses only tensor readout without an inverse
+    # (eps + eta = 1).  A run whose calibration estimates such a factor
+    # (one trajectory under single-qubit depolarizing reads every
+    # calibration shot alike) raises the ValueError naming the qubit and
+    # writes nothing.  Every other draw exits 0, its manifest lists the
+    # files' hashes and records a config that loads, equals the one the
+    # INI gives, and whose dt * v steps every emitted Vt axis.  Noiseless
+    # infinite-shot draws reproduce the dense references, and the two
+    # explicit noisy examples rerun into the same directory byte for byte.
+    command, sections = draft
+    tmp = tmp_path_factory.mktemp("draw")
+    ini, out = tmp / "run.ini", tmp / "out"
+    _write_ini(ini, sections)
+    spec = noise.preset(sections["noise"]["preset"], **{
+        k[len("override."):]: v for k, v in sections["noise"].items() if k != "preset"})
+    if (sections["mitigation"]["readout_mode"] == "tensor"
+            and spec.readout_eps + spec.readout_eta == 1.0):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(ini), "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+        event("refused: readout without an inverse")
+        return
+    try:
+        assert cli.main([command, "--config", str(ini), "--out", str(out)]) == 0
+    except ValueError as exc:
+        assert re.match(r"the readout factor of qubit \d+ has no inverse", str(exc))
+        assert sections["mitigation"]["readout_mode"] == "tensor" and not out.exists()
+        event("calibration estimated a factor without an inverse")
+        return
+
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == {p.name: hashlib.sha1(p.read_bytes()).hexdigest()
+                                 for p in out.iterdir() if p.name != "manifest.json"}
+    recorded = ExperimentConfig(**manifest["config"])
+    assert recorded == config_from_ini(ini, out=str(out))
+    dt_v = recorded.dt * recorded.v
+    tables = _emitted_tables(out)
+    assert tables
+    for name, (columns, rows) in tables.items():
+        if "Vt" in columns:
+            steps = np.array([float(r[columns.index("step")]) for r in rows])
+            vt = np.array([float(r[columns.index("Vt")]) for r in rows])
+            np.testing.assert_allclose(vt, steps * dt_v, rtol=1e-11, atol=0, err_msg=name)
+    if rerun:
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        for p in out.iterdir():
+            p.unlink()
+        assert cli.main([command, "--config", str(ini), "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    noiseless = all(not getattr(spec, f) for f in noise.SCALAR_FIELDS)
+    if not (noiseless and recorded.infinite_shots):
+        return
+    event(f"{command} checked against its dense reference")
+    params = recorded.model_params()
+    if command == "zpi":
+        ref = reference_series(params, recorded.steps, recorded.impl)
+        want = ref["zpi_proj" if recorded.postselect else "zpi"] / recorded.sites
+        name = "zpi_density_mitigated"
+    else:
+        want = [cy_oracle(params, n) for n in range(recorded.steps + 1)]
+        name = "cy_mitigated"
+    columns, rows = tables[f"{name}.{recorded.format}"]
+    got = [complex(float(r[columns.index("value_re")]), float(r[columns.index("value_im")]))
+           for r in rows]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)

@@ -269,6 +269,15 @@ class TestReadout:
         with pytest.raises(ValueError, match="width"):
             apply_readout_error(np.ones((2, 8)) / 8, ConfusionMatrix.from_rates(2, 0.0, 0.0))
 
+    def test_singular_factor_runs_forward_and_refuses_inversion(self):
+        # eps + eta = 1 sends both states of a qubit to one distribution:
+        # the forward channel exists, and only an inversion is refused
+        m = ConfusionMatrix.from_rates(2, eps=[0.1, 0.5], eta=[0.2, 0.5])
+        out = apply_readout_error(np.array([1.0, 0.0, 0.0, 0.0]), m)
+        np.testing.assert_allclose(out, [0.45, 0.45, 0.05, 0.05], rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match="qubit 1 has no inverse: eps = 0.5 and eta = 0.5"):
+            m.invert_vector(out)
+
     @pytest.mark.parametrize("width", range(1, 14), ids="tensor-{}".format)
     def test_kernel_matches_dense_oracle(self, width):
         # both directions on a single row and a (T, 2^L) stack, against

@@ -320,7 +320,7 @@ class TestCYAssembly:
 
     def test_chaotic_regime_single_revival_then_decay(self):
         # one approximate revival, then incoherent low-amplitude dynamics
-        p = ExperimentConfig(sites=5, regime="chaotic").model_params()
+        p = ExperimentConfig(sites=5, omega=2.0, dt=0.16).model_params()
         vals = np.abs(simulate_cy_noiseless(p, 30, impl="rzz"))
         times = 0.16 * np.arange(31)
         initial = vals[0]

@@ -127,14 +127,17 @@ class TestNoiselessSweepMatchesResimulation:
             assert abs(got[n] - cy_oracle(params, n)) < 1e-10
 
     def test_variant_order_and_keys(self):
-        cfg = noiseless_config(steps=2, twirls=2, zne_factors=(1.0, 2.0), trials=2)
+        # zpi keys are [seed, 0, step, twirl, scale index]: 0 tags the zpi
+        # sweep as 7 tags the cy families
+        cfg = noiseless_config(steps=2, twirls=2, zne_factors=(1.0, 2.0))
         variants = run_zpi(cfg)["variants"]
-        order = [(v["trial"], v["step"], v["twirl"], v["scale"]) for v in variants]
-        assert order == sorted(order)
+        order = [(v["step"], v["twirl"], v["scale"]) for v in variants]
+        assert order == sorted(order) and len(order) == 3 * 2 * 2
         for v in variants:
+            assert "trial" not in v
             li = cfg.zne_factors.index(v["scale"])
-            assert v["seed_key"] == [cfg.seed, v["trial"], v["step"], v["twirl"], li]
-            assert v["chain_key"] == [cfg.seed, v["trial"], 0, v["twirl"], li]
+            assert v["seed_key"] == [cfg.seed, 0, v["step"], v["twirl"], li]
+            assert v["chain_key"] == [cfg.seed, 0, 0, v["twirl"], li]
         cy = run_cy(noiseless_config(sites=4, steps=1, twirls=1, zne_factors=(1.0,)))
         order = [(v["step"], v["source"], CY_BRANCHES.index(v["branch"]),
                   PARITIES.index(v["parity"])) for v in cy["variants"]]
