@@ -79,6 +79,9 @@ from .qsim import Circuit, Counts, Statevector, run_circuit
 
 READOUT_MODES = ("off", "tensor")
 FORMATS = ("csv", "json")
+# Largest ZNE scale factor a config accepts: a variant runs about lambda
+# times its unfolded gates (README, "Command line", gives the reason).
+MAX_ZNE_FACTOR = 100.0
 
 # seed-derivation role keys
 _ROLE_FOLD = 0
@@ -134,6 +137,8 @@ class ExperimentConfig:
             raise ValueError(f"zne_factors must be finite, got {factors}")
         if not factors or sorted(factors) != list(factors) or factors[0] != 1.0:
             raise ValueError("zne_factors must be ascending and start at 1.0")
+        if factors[-1] > MAX_ZNE_FACTOR:
+            raise ValueError(f"zne_factors must be at most {MAX_ZNE_FACTOR:g}, got {factors}")
         object.__setattr__(self, "zne_factors", factors)
         object.__setattr__(self, "noise_overrides", dict(self.noise_overrides))
         unknown = set(self.noise_overrides) - noise.SCALAR_FIELDS
@@ -742,9 +747,13 @@ def run_rzz_bench(config: ExperimentConfig, thetas, repeats: int = 4) -> dict:
 
 
 def _realized_error(theta: float, impl: str, spec: NoiseSpec) -> float:
-    """1 - prod(1 - p) over the two-qubit gates of ``bond_gates``."""
-    return 1.0 - math.prod(1.0 - spec.two_qubit_error_prob(g)
-                           for g in bond_gates(0, 1, theta, impl) if g.is_two_qubit)
+    """1 - prod(1 - p) over every gate of ``bond_gates``, with p the
+    depolarizing weight the executor draws after it:
+    ``two_qubit_error_prob`` for a two-qubit gate,
+    ``single_qubit_depolarizing`` for a single-qubit one."""
+    return 1.0 - math.prod(
+        1.0 - (spec.two_qubit_error_prob(g) if g.is_two_qubit else spec.single_qubit_depolarizing)
+        for g in bond_gates(0, 1, theta, impl))
 
 
 # ---------------------------------------------------------------------------

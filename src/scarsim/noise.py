@@ -9,8 +9,9 @@ p = 1 - exp(-duration / tau), with tau calibrated so the two-CNOT
 compilation hits a configurable target error rate.
 
 Noisy execution samples Pauli-insertion trajectories over the
-statevector (exact for stochastic Pauli channels); exact density-matrix
-evolution is available at width <= 4 as the verification substrate.
+statevector (exact for stochastic Pauli channels).  Exact density-matrix
+evolution at width <= 4 (``run_noisy_density``) is its independent
+oracle, and also gives process tomography the realized gate channels.
 Relaxation (amplitude damping) is deliberately absent: it is not a Pauli
 channel and would break exact trajectory unraveling; only Z-type
 dephasing is modeled, leaving damping as a density-matrix extension.
@@ -31,7 +32,6 @@ from .qsim import (
     Counts,
     DensityOperator,
     Gate,
-    KrausChannel,
     Statevector,
     _apply_matrix,
     _embed,
@@ -218,8 +218,9 @@ class NoiseSpec:
         """Values the executor derives from this spec, computed once each
         (the spec is frozen, so none goes stale; ``replace`` starts a new
         memo): plan entries keyed (kind, angle, duration), forward
-        readout matrices keyed ("readout", width) and the circuit plans
-        of ``_NoisePlan.of`` under "plans"."""
+        readout matrices keyed ("readout", width), the circuit plans
+        of ``_NoisePlan.of`` under "plans" and the realized gate PTMs of
+        ``tomography.realized_gate_ptms`` keyed ("ptms", ...)."""
         return {}
 
     def _memoized(self, key, build):
@@ -278,20 +279,6 @@ def _overrotated_matrix(gate: Gate, over: float) -> np.ndarray:
     if over and gate.kind in ("RZZ", "RZX"):
         mat = gate_matrix(Gate(gate.kind, (0, 1), angle=over)) @ mat
     return mat
-
-
-def noisy_gate_channel(gate: Gate, spec: NoiseSpec) -> KrausChannel:
-    """A two-qubit gate as the executor runs it: the unitary, then the
-    coherent overrotation (``_overrotated_matrix``), then the stochastic
-    Pauli channel drawn from the spec's rates."""
-    if not gate.is_two_qubit:
-        raise ValueError("noisy_gate_channel expects a two-qubit gate")
-    unitary = KrausChannel.unitary(_overrotated_matrix(gate, spec.coherent_overrotation))
-    labels, probs = spec.pauli_distribution(gate)
-    rates = {lab: float(pr) for lab, pr in zip(labels, probs) if pr > 0}
-    if not rates:
-        return unitary
-    return KrausChannel.pauli(2, rates).compose(unitary)
 
 
 # ---------------------------------------------------------------------------

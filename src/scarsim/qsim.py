@@ -140,10 +140,6 @@ def x(q: int) -> Gate:
     return Gate("X", (q,))
 
 
-def y(q: int) -> Gate:
-    return Gate("Y", (q,))
-
-
 def delay(q: int, duration_ns: float) -> Gate:
     if duration_ns < 0:
         raise ValueError("delay duration must be nonnegative")
@@ -588,6 +584,7 @@ class KrausChannel:
         return KrausChannel([a @ b for a in self.kraus_ops for b in other.kraus_ops])
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
+        """The channel applied to ``mat``, one matrix or a stack."""
         out = np.zeros_like(mat)
         for e in self.kraus_ops:
             out += e @ mat @ e.conj().T
@@ -634,15 +631,9 @@ def pauli_transfer_matrix(ch: KrausChannel) -> np.ndarray:
     n = ch.n_qubits
     if n > 2:
         raise ValueError("pauli_transfer_matrix limited to n <= 2")
-    basis = pauli_basis_matrices(n)
-    dim4 = len(basis)
-    norm = 1.0 / 2**n
-    out = np.zeros((dim4, dim4))
-    for b, pb in enumerate(basis):
-        image = ch.apply_matrix(pb)
-        for a, pa in enumerate(basis):
-            out[a, b] = (np.trace(pa @ image) * norm).real
-    return out
+    basis = np.array(pauli_basis_matrices(n))
+    images = ch.apply_matrix(basis)  # ch(P_b) for every b
+    return np.einsum("aij,bji->ab", basis, images).real / 2**n
 
 
 def is_pauli_stochastic(ptm: np.ndarray, tol: float = 1e-10) -> bool:

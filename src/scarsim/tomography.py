@@ -4,9 +4,12 @@ The tomography runs all 16 product preparations drawn from
 {|0>, |1>, |X+>, |Y+>} per qubit against all 9 product measurement
 bases {X, Y, Z}^2, reconstructs the Pauli transfer matrix by linear
 inversion, and scores the average gate fidelity against the ideal
-unitary.  Readout confusion (when present in the noise spec) distorts
-the measured distributions exactly as in circuit execution, so the
-reconstruction sees SPAM.
+unitary.  The channel under test is read from the exact density oracle
+``noise.run_noisy_density``, so every gate of a realization, single-qubit
+ones included, carries the noise the executor gives it.  Readout
+confusion (when present in the noise spec) distorts the measured
+distributions exactly as in circuit execution, so the reconstruction
+sees SPAM.
 
 The SPAM-free benchmark folds the gate into the logically equivalent
 sequences G, G Gdag G, G Gdag G Gdag G (scale factors 1, 3, 5, ...),
@@ -22,26 +25,21 @@ import numpy as np
 
 from .mitigation import zne_extrapolate
 from .model import bond_gates
-from .noise import ConfusionMatrix, NoiseSpec, noisy_gate_channel
+from .noise import ConfusionMatrix, NoiseSpec, _rng, run_noisy_density
 from .qsim import (
     Circuit,
     Gate,
     KrausChannel,
-    circuit_unitary,
+    Statevector,
     gate_matrix,
     pauli_basis_matrices,
     pauli_transfer_matrix,
 )
 
-_P1 = pauli_basis_matrices(1)
-_PREP_STATES = {
-    "0": np.array([1, 0], dtype=complex),
-    "1": np.array([0, 1], dtype=complex),
-    "X+": np.array([1, 1], dtype=complex) / np.sqrt(2),
-    "Y+": np.array([1, 1j], dtype=complex) / np.sqrt(2),
-}
-_PREP_LABELS = ("0", "1", "X+", "Y+")
-_MEAS_BASES = ("X", "Y", "Z")
+_P2 = np.array(pauli_basis_matrices(2))  # P_a, a = 4 a1 + a2 over (I, X, Y, Z)^2
+_PREP_STATES = [np.array(v, dtype=complex) / np.linalg.norm(v)
+                for v in ([1, 0], [0, 1], [1, 1], [1, 1j])]  # |0>, |1>, |X+>, |Y+>
+_PAULI_INDEX = {"X": 1, "Y": 2, "Z": 3}
 # rotation mapping the measured basis onto Z: B_rot^dag Z B_rot = basis
 _BASIS_ROT = {
     "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),  # H
@@ -49,25 +47,35 @@ _BASIS_ROT = {
     @ np.array([[1, 0], [0, -1j]], dtype=complex),  # H S^dag
     "Z": np.eye(2, dtype=complex),
 }
-_PAULI_INDEX = {"I": 0, "X": 1, "Y": 2, "Z": 3}
-
-
-def _prep_density(labels: tuple[str, str]) -> np.ndarray:
-    vec = np.kron(_PREP_STATES[labels[0]], _PREP_STATES[labels[1]])
-    return np.outer(vec, vec.conj())
 
 
 def _pauli_coords(rho: np.ndarray) -> np.ndarray:
-    basis = pauli_basis_matrices(2)
-    return np.array([np.trace(p @ rho).real for p in basis])
+    """Tr[P_a rho] over the last two axes of ``rho``, one matrix or a stack."""
+    return np.einsum("aij,...ji->...a", _P2, rho).real
 
 
 def _rho_from_coords(coords: np.ndarray) -> np.ndarray:
-    basis = pauli_basis_matrices(2)
-    rho = np.zeros((4, 4), dtype=complex)
-    for c, p in zip(coords, basis):
-        rho += c * p
-    return rho / 4.0
+    """sum_a coords[a] P_a / 4 over the last axis of ``coords``."""
+    return np.tensordot(coords, _P2, axes=1) / 4.0
+
+
+# The tomography set, built once.  The 16 product preparations (qubit 0
+# first) with S[k, b] = Tr[P_b rho_k]: every reconstruction inverts S.
+_PREP_VECTORS = np.array([np.kron(a, b) for a in _PREP_STATES for b in _PREP_STATES])
+_PREP_COORDS = _pauli_coords(np.einsum("ki,kj->kij", _PREP_VECTORS, _PREP_VECTORS.conj()))
+_PREP_COORDS_INV_T = np.linalg.inv(_PREP_COORDS).T
+_PREP_CONDITION = float(np.linalg.cond(_PREP_COORDS.T))
+# The 9 settings {X, Y, Z}^2: the rotation of each, and the Paulis P_a1 I,
+# I P_a2 and P_a1 P_a2 it measures as Z1, Z2 and Z1 Z2, whose signs over
+# the outcomes 00, 01, 10, 11 are the columns of _Z_SIGNS.
+_SETTINGS = [(b1, b2) for b1 in "XYZ" for b2 in "XYZ"]
+_SETTING_ROTS = np.array([np.kron(_BASIS_ROT[b1], _BASIS_ROT[b2]) for b1, b2 in _SETTINGS])
+_SETTING_TARGETS = np.array([[4 * _PAULI_INDEX[b1], _PAULI_INDEX[b2],
+                              4 * _PAULI_INDEX[b1] + _PAULI_INDEX[b2]] for b1, b2 in _SETTINGS])
+_TARGET_COUNTS = np.bincount(_SETTING_TARGETS.ravel(), minlength=16)
+_Z_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+# kron(P_a, P_b^T) for every pair (a, b), the basis of ``choi_from_ptm``
+_CHOI_BASIS = np.array([[np.kron(pa, pb.T) for pb in _P2] for pa in _P2])
 
 
 def gate_ptm(gate: Gate | np.ndarray) -> np.ndarray:
@@ -80,10 +88,14 @@ def realized_gate_ptms(gate: Gate, spec: NoiseSpec, realization: str = "atomic"
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(forward, inverse) noisy-channel PTMs of one realized gate.
 
-    atomic: the gate (or its inverse) is a single noisy two-qubit unit.
-    An RZZ gate may instead be compiled as any ``bond_gates``
-    realization at +-angle: each of its two-qubit gates runs as
-    ``noisy_gate_channel``, its single-qubit gates are ideal.
+    atomic: the gate (or its inverse) alone.  An RZZ gate may instead be
+    compiled as any ``bond_gates`` realization at +-angle on qubits 0
+    and 1.  Each PTM is the channel the exact density oracle
+    ``run_noisy_density`` gives the realization's 2-qubit circuit, every
+    gate with its noise (single-qubit gates included), recovered by
+    linear inversion over the 16 product preparations of the tomography
+    set.  The pair depends on the gate and the realization only, so it
+    is built once per spec; the arrays are read-only.
     """
     if realization == "atomic":
         sequences = [[gate], [gate.inverse()]]
@@ -91,27 +103,28 @@ def realized_gate_ptms(gate: Gate, spec: NoiseSpec, realization: str = "atomic"
         raise ValueError("compiled realizations exist only for RZZ gates")
     else:
         sequences = [bond_gates(0, 1, sign * gate.angle, realization) for sign in (1.0, -1.0)]
-    fwd, inv = (_sequence_ptm(gates, spec) for gates in sequences)
-    return fwd, inv
+
+    def build():
+        ptms = tuple(_circuit_ptm(Circuit(2, gates), spec) for gates in sequences)
+        for ptm in ptms:
+            ptm.flags.writeable = False
+        return ptms
+
+    return spec._memoized(("ptms", gate.kind, gate.qubits, gate.angle, realization), build)
 
 
-def _sequence_ptm(gates: list[Gate], spec: NoiseSpec) -> np.ndarray:
-    """PTM of ``gates`` in order on two qubits: each two-qubit gate as
-    ``noisy_gate_channel``, each single-qubit gate ideal."""
-    out = np.eye(16)
-    for g in gates:
-        if g.is_two_qubit:
-            out = pauli_transfer_matrix(noisy_gate_channel(g, spec)) @ out
-        else:
-            out = gate_ptm(circuit_unitary(Circuit(2, [g]))) @ out
-    return out
+def _circuit_ptm(circuit: Circuit, spec: NoiseSpec) -> np.ndarray:
+    """PTM of a 2-qubit ``circuit`` under ``spec``: R = M S^-T, M[:, k]
+    the Pauli coordinates of ``run_noisy_density`` on preparation k."""
+    out = _pauli_coords(np.array([run_noisy_density(circuit, spec, Statevector(v)).matrix
+                                  for v in _PREP_VECTORS]))
+    return out.T @ _PREP_COORDS_INV_T
 
 
 def composed_noisy_ptm(gate: Gate, spec: NoiseSpec, scale: int,
                        realization: str = "atomic") -> np.ndarray:
-    """PTM of the folded sequence G (Gdag G)^((scale-1)/2), each
-    application followed by the gate's error channel (identical for G
-    and Gdag)."""
+    """PTM of the folded sequence G (Gdag G)^((scale-1)/2), each G and
+    Gdag the realized channel of ``realized_gate_ptms``."""
     if scale < 1 or scale % 2 == 0:
         raise ValueError("scale factors must be odd and >= 1")
     fwd, inv = realized_gate_ptms(gate, spec, realization)
@@ -131,14 +144,7 @@ def average_gate_fidelity(ptm: np.ndarray, ideal_unitary: np.ndarray) -> float:
 
 def choi_from_ptm(ptm: np.ndarray) -> np.ndarray:
     """Choi matrix (trace 1): C = (1/d^2) sum_ab R[a,b] P_a (x) P_b^T."""
-    basis = pauli_basis_matrices(2)
-    d2 = len(basis)
-    out = np.zeros((16, 16), dtype=complex)
-    for a in range(d2):
-        for b in range(d2):
-            if ptm[a, b] != 0.0:
-                out += ptm[a, b] * np.kron(basis[a], basis[b].T)
-    return out / d2
+    return np.tensordot(ptm, _CHOI_BASIS, axes=2) / 16.0
 
 
 @dataclass
@@ -172,57 +178,35 @@ def qpt_reconstruct(
     if shots < 1:
         raise ValueError("shots must be >= 1")
     r_true = true_ptm if true_ptm is not None else realized_gate_ptms(gate, spec)[0]
-    confusion = None
+    rho_out = _rho_from_coords(_PREP_COORDS @ r_true.T)  # the 16 outputs
+    # applying rot then reading Z measures rot^dag Z rot = the basis:
+    # probs[k, s] = diag(rot_s rho_k rot_s^dag)
+    probs = np.einsum("sij,kjl,sil->ksi", _SETTING_ROTS, rho_out, _SETTING_ROTS.conj()).real
+    probs = np.maximum(probs, 0.0)
+    probs /= probs.sum(axis=-1, keepdims=True)
     if spec.has_readout_error():
         confusion = ConfusionMatrix.from_rates(2, spec.readout_eps, spec.readout_eta)
+        probs = confusion.apply_to_vector(probs)
+    if not infinite:
+        draws = [_rng([int(seed), k, s]).multinomial(shots, probs[k, s])
+                 for k in range(len(_PREP_VECTORS)) for s in range(len(_SETTINGS))]
+        probs = np.reshape(draws, probs.shape) / shots
 
-    preps = [(a, b) for a in _PREP_LABELS for b in _PREP_LABELS]
-    prep_coords = np.array([_pauli_coords(_prep_density(p)) for p in preps])
-    meas_sum = np.zeros((16, 16))
-    meas_cnt = np.zeros((16, 16))
-
-    for k, prep in enumerate(preps):
-        out_coords = r_true @ prep_coords[k]
-        rho_out = _rho_from_coords(out_coords)
-        for s_idx, (b1, b2) in enumerate(
-            (x, y) for x in _MEAS_BASES for y in _MEAS_BASES
-        ):
-            # applying rot then reading Z measures rot^dag Z rot = basis
-            rot = np.kron(_BASIS_ROT[b1], _BASIS_ROT[b2])
-            probs = np.real(np.diag(rot @ rho_out @ rot.conj().T)).copy()
-            probs[probs < 0] = 0.0
-            probs /= probs.sum()
-            if confusion is not None:
-                probs = confusion.apply_to_vector(probs)
-            if not infinite:
-                rng = np.random.default_rng([seed, k, s_idx])
-                draws = rng.multinomial(shots, probs)
-                probs = draws / shots
-            # expectations of all Paulis supported by this basis setting
-            z1 = np.array([1, 1, -1, -1]) * 1.0
-            z2 = np.array([1, -1, 1, -1]) * 1.0
-            ev = {
-                (0, 0): 1.0,
-                (_PAULI_INDEX[b1], 0): float(probs @ z1),
-                (0, _PAULI_INDEX[b2]): float(probs @ z2),
-                (_PAULI_INDEX[b1], _PAULI_INDEX[b2]): float(probs @ (z1 * z2)),
-            }
-            for (a1, a2), val in ev.items():
-                a = 4 * a1 + a2
-                meas_sum[a, k] += val
-                meas_cnt[a, k] += 1.0
-
-    m = meas_sum / meas_cnt
-    s_t = prep_coords.T  # S^T with S[k, b] = Tr[P_b rho_k]
-    cond = float(np.linalg.cond(s_t))
-    r_est = m @ np.linalg.inv(prep_coords).T
+    # m[a, k]: the mean of Tr[P_a rho_k] over the settings that measure P_a
+    ev = probs @ _Z_SIGNS
+    m = np.zeros((16, 16))
+    for s, targets in enumerate(_SETTING_TARGETS):
+        m[targets] += ev[:, s].T
+    m[1:] /= _TARGET_COUNTS[1:, None]
+    m[0] = 1.0
+    r_est = m @ _PREP_COORDS_INV_T
     fid = average_gate_fidelity(r_est, gate_matrix(gate))
     choi_eigs = np.linalg.eigvalsh(choi_from_ptm(r_est))
     return QPTResult(
         ptm=r_est,
         fidelity=fid,
         shots=float(shots),
-        condition_number=cond,
+        condition_number=_PREP_CONDITION,
         negative_choi=bool(choi_eigs.min() < -1e-9),
     )
 

@@ -92,6 +92,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="zne_factors must be finite"):
             ExperimentConfig(zne_factors=factors)
 
+    @pytest.mark.parametrize("factors", [(1.0, 1e308), (1.0, 1e19), (1.0, 2.0, 100.5)])
+    def test_huge_zne_factors_fail_at_construction(self, factors):
+        # 1e308 used to overflow the fold count and 1e19 to exhaust memory
+        # mid-run; the bound itself still loads
+        with pytest.raises(ValueError, match="zne_factors must be at most 100"):
+            ExperimentConfig(zne_factors=factors)
+        bound = (1.0, experiments.MAX_ZNE_FACTOR)
+        assert ExperimentConfig(zne_factors=bound).zne_factors == bound
+
     def test_readout_without_an_inverse_fails_at_load_when_inverted(self, tmp_path):
         # eps + eta = 1 has no inverse, so tensor mode is refused at load;
         # with readout_mode = off the forward channel alone runs
@@ -823,6 +832,28 @@ class TestCLI:
                       "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["zpi", "cy"])
+    @pytest.mark.parametrize("factors", ["1.0,1e308", "1.0,1e19"])
+    @pytest.mark.parametrize("source", ["flag", "ini"])
+    def test_huge_zne_factors_exit_with_status_2_before_folding(self, tmp_path, capsys,
+                                                                monkeypatch, command, factors,
+                                                                source):
+        def refuse(*args, **kwargs):
+            raise AssertionError("folding started before the config was refused")
+
+        monkeypatch.setattr(mitigation, "block_fold_counts", refuse)
+        monkeypatch.setattr(mitigation, "fold_gates_random", refuse)
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[mitigation]\nzne_factors = {factors}\n")
+        given = ["--zne-factors", factors] if source == "flag" else ["--config", str(ini)]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--sites", "2", "--steps", "1", "--twirls", "1", "--shots", "16",
+                      *given, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "zne_factors must be at most 100" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["zpi", "cy"])
     @pytest.mark.parametrize("section, line, message", [

@@ -22,7 +22,6 @@ from scarsim.noise import (
     gate_error_rate,
     gaussian_flank_area_per_amp,
     noiseless,
-    noisy_gate_channel,
     preset,
     pulse_area,
     run_noisy_counts,
@@ -45,8 +44,8 @@ from scarsim.qsim import (
     cnot,
     delay,
     h,
+    pauli_basis_matrices,
     pauli_gate,
-    pauli_transfer_matrix,
     run_circuit,
     rx,
     ry,
@@ -58,6 +57,7 @@ from scarsim.qsim import (
     sdg,
     x,
 )
+from scarsim.tomography import gate_ptm, realized_gate_ptms
 
 
 class TestPulseArea:
@@ -188,55 +188,66 @@ class TestCompiledGateLaws:
             assert _realized_error(theta, "scaled-rzx", spec) == pytest.approx(
                 spec.two_qubit_error_prob(rzx(0, 1, theta)), rel=0, abs=1e-15)
 
+    def test_realized_error_counts_the_single_qubit_gates(self):
+        # the executor draws an error after every gate of a compilation,
+        # so the inner RZ of two-cnot and both RY of scaled-rzx count at
+        # the single-qubit rate
+        from scarsim.experiments import _realized_error
+
+        p1 = 0.004
+        spec = casablanca_like(single_qubit_depolarizing=p1)
+        p_cnot = spec.two_qubit_error_prob(cnot(0, 1))
+        for theta in _LAW_THETAS:
+            assert _realized_error(theta, "two-cnot", spec) == pytest.approx(
+                1.0 - (1.0 - p_cnot) ** 2 * (1.0 - p1), rel=0, abs=1e-15)
+            assert _realized_error(theta, "scaled-rzx", spec) == pytest.approx(
+                1.0 - (1.0 - spec.two_qubit_error_prob(rzx(0, 1, theta))) * (1.0 - p1) ** 2,
+                rel=0, abs=1e-15)
+            assert _realized_error(theta, "rzz", spec) == spec.two_qubit_error_prob(
+                rzz(0, 1, theta))
+
     def test_unknown_compilation_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
             model.bond_gates(0, 1, 1.0, "bogus")
 
 
 class TestNoisyGateChannel:
-    def test_zero_rates_gives_pure_unitary(self):
-        ch = noisy_gate_channel(rzz(0, 1, 1.0), noiseless())
-        assert len(ch.kraus_ops) == 1
+    """The channel of one atomic gate as process tomography reads it,
+    ``realized_gate_ptms(..., "atomic")``."""
 
     def test_depolarizing_ptm_pattern(self):
         # remove the ideal unitary: residual noise PTM is diag(1, 1-p x15)
         p = 0.02
         spec = NoiseSpec(two_qubit_depolarizing=p)
         gate = rzz(0, 1, 1.3)
-        ptm = pauli_transfer_matrix(noisy_gate_channel(gate, spec))
-        from scarsim.qsim import KrausChannel, gate_matrix
-
-        ptm_u = pauli_transfer_matrix(KrausChannel.unitary(gate_matrix(gate)))
-        residual = ptm @ ptm_u.T
+        ptm = realized_gate_ptms(gate, spec, "atomic")[0]
+        residual = ptm @ gate_ptm(gate).T
         np.testing.assert_allclose(residual, np.diag([1.0] + [1 - p] * 15), atol=1e-10)
 
     def test_coherent_overrotation_is_not_stochastic(self):
         spec = NoiseSpec(two_qubit_target_error=0.0, coherent_overrotation=0.1)
         gate = rzz(0, 1, 2.0)
-        ptm = pauli_transfer_matrix(noisy_gate_channel(gate, spec))
-        from scarsim.qsim import KrausChannel, gate_matrix
-
-        ptm_u = pauli_transfer_matrix(KrausChannel.unitary(gate_matrix(gate)))
-        residual = ptm @ ptm_u.T
+        ptm = realized_gate_ptms(gate, spec, "atomic")[0]
+        residual = ptm @ gate_ptm(gate).T
         off = residual - np.diag(np.diag(residual))
         assert np.max(np.abs(off)) > 1e-3
-
-    def test_rejects_single_qubit_gate(self):
-        with pytest.raises(ValueError):
-            noisy_gate_channel(h(0), noiseless())
 
     @pytest.mark.parametrize("gate", [rzz(0, 1, 0.9), rzx(0, 1, 0.9), cnot(0, 1)],
                              ids=lambda g: g.kind)
     def test_channel_matches_exact_executor(self, gate):
         # one rule for a two-qubit gate's error: the unitary, then the
         # overrotation about its own generator (none after CNOT), then
-        # the Pauli channel, exactly as run_noisy_density applies them
+        # the Pauli channel, exactly as run_noisy_density applies them;
+        # the PTM, recovered from product inputs, carries it to an
+        # entangled one
         spec = NoiseSpec(two_qubit_depolarizing=0.05, coherent_overrotation=0.3)
         rng = np.random.default_rng(8)
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         init = Statevector(amps / np.linalg.norm(amps))
-        rho = np.outer(init.amplitudes, init.amplitudes.conj())
-        got = noisy_gate_channel(gate, spec).apply_matrix(rho)
+        paulis = pauli_basis_matrices(2)
+        coords = [np.vdot(init.amplitudes, p @ init.amplitudes).real for p in paulis]
+        got = sum(c * p for c, p in zip(realized_gate_ptms(gate, spec, "atomic")[0] @ coords,
+                                        paulis)) / 4
         want = run_noisy_density(Circuit(2, [gate]), spec, initial=init)
         np.testing.assert_allclose(got, want.matrix, rtol=0, atol=1e-12)
 

@@ -37,13 +37,12 @@ KEEP = {
     "model.project": "tests/test_experiments.py::TestReferenceSeries::"
                      "test_series_equal_the_estimators_on_the_state_and_its_projection",
     "model.qmbs_params": "tests/test_model.py::TestTrotterAngles::test_qmbs_zz_angle",
-    "noise.run_noisy_density":
-        "tests/test_noise.py::TestNoisyGateChannel::test_channel_matches_exact_executor",
     "observables.cy_oracle": "tests/test_experiments.py::TestCY::test_noiseless_cy_matches_dense_oracle",
     # bench/tracing.py's counters read .data too (not through TARGETS)
     "qsim.Counts.data": "tests/test_counts_dense.py::test_data_view_is_read_only_and_lazy",
     "qsim.Counts.from_dict": "tests/test_counts_dense.py::test_from_dict_and_data_round_trip",
     "qsim.DensityOperator.expectation": "tests/test_acceptance.py::test_06_zne_efficacy",
+    "qsim.circuit_unitary": "tests/test_mitigation.py::TestFolding::test_unitary_unchanged",
     "qsim.delay": "tests/test_qsim.py::TestIdleIntervals::test_delay_is_identity_in_noiseless_run",
     "qsim.is_pauli_stochastic":
         "tests/test_qsim.py::TestPauliTransferMatrix::test_stochastic_predicate",

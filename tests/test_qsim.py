@@ -382,6 +382,19 @@ class TestPauliTransferMatrix:
         expected = np.diag([1.0] + [1 - p] * 15)
         np.testing.assert_allclose(ptm, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_the_trace_loop_on_a_random_channel(self, n):
+        # reference: R[a, b] = Re Tr[P_a ch(P_b)] / 2^n one entry at a time
+        rng = np.random.default_rng(n)
+        d = 2**n
+        a = rng.normal(size=(3 * d, d)) + 1j * rng.normal(size=(3 * d, d))
+        iso, _ = np.linalg.qr(a)  # stacked Kraus operators: an isometry
+        ch = KrausChannel([iso[k * d:(k + 1) * d] for k in range(3)])
+        basis = pauli_basis_matrices(n)
+        want = np.array([[np.trace(pa @ sum(e @ pb @ e.conj().T for e in ch.kraus_ops)).real / d
+                          for pb in basis] for pa in basis])
+        np.testing.assert_allclose(pauli_transfer_matrix(ch), want, rtol=0, atol=1e-12)
+
     def test_stochastic_predicate(self):
         assert is_pauli_stochastic(pauli_transfer_matrix(depolarizing(2, 0.1)))
         # a Hadamard rotation mixes Pauli axes: not stochastic

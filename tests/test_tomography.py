@@ -8,10 +8,10 @@ import pytest
 from scarsim import model
 from scarsim.mitigation import effective_twirled_noise_ptm
 from scarsim.noise import (
+    ConfusionMatrix,
     NoiseSpec,
     casablanca_like,
     noiseless,
-    noisy_gate_channel,
     run_noisy_density,
 )
 from scarsim.qsim import (
@@ -20,9 +20,9 @@ from scarsim.qsim import (
     Statevector,
     cnot,
     gate_matrix,
+    h,
     is_pauli_stochastic,
     pauli_basis_matrices,
-    pauli_transfer_matrix,
     rzz,
 )
 from scarsim.tomography import (
@@ -86,9 +86,57 @@ class TestQPTReconstruct:
         res = qpt_reconstruct(rzz(0, 1, 0.7), spec, infinite=True)
         assert not res.negative_choi
 
+    @pytest.mark.parametrize("infinite", [True, False])
+    def test_matches_the_per_setting_loop(self, infinite):
+        # the stacked reconstruction against one (preparation, setting)
+        # pair at a time, with readout error and a channel whose outputs
+        # are mixed and not Pauli-diagonal
+        spec = casablanca_like(single_qubit_depolarizing=0.004, coherent_overrotation=0.07)
+        r_true = realized_gate_ptms(rzz(0, 1, 1.2), spec, "scaled-rzx")[0]
+        res = qpt_reconstruct(rzz(0, 1, 1.2), spec, shots=512, seed=3, infinite=infinite,
+                              true_ptm=r_true)
+        want = _per_setting_reconstruction(r_true, spec, 512, 3, infinite)
+        np.testing.assert_allclose(res.ptm, want, rtol=0, atol=1e-12)
+        if infinite:  # no shot noise: the readout error is all that is left
+            assert not np.allclose(want, r_true, atol=1e-3)
+
+    def test_single_qubit_gate_rejected(self):
+        with pytest.raises(ValueError, match="two-qubit gates"):
+            qpt_reconstruct(h(0), noiseless(), infinite=True)
+
     def test_condition_number_reported(self):
         res = qpt_reconstruct(rzz(0, 1, 0.3), noiseless(), infinite=True)
         assert np.isfinite(res.condition_number) and res.condition_number >= 1.0
+
+
+def _per_setting_reconstruction(r_true, spec, shots, seed, infinite):
+    """Linear-inversion PTM of the 16 x 9 tomography set, one preparation
+    and setting at a time: the reference for ``qpt_reconstruct``."""
+    paulis = pauli_basis_matrices(2)
+    one = [np.array(v, dtype=complex) / np.linalg.norm(v)
+           for v in ([1, 0], [0, 1], [1, 1], [1, 1j])]
+    had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    rot = {"X": had, "Y": had @ np.diag([1, -1j]), "Z": np.eye(2)}
+    letter = {"I": 0, "X": 1, "Y": 2, "Z": 3}
+    confusion = ConfusionMatrix.from_rates(2, spec.readout_eps, spec.readout_eta)
+    z1, z2 = np.array([1.0, 1, -1, -1]), np.array([1.0, -1, 1, -1])
+    coords_in, sums, counts = [], np.zeros((16, 16)), np.zeros((16, 16))
+    for k, (a, b) in enumerate(itertools.product(one, repeat=2)):
+        rho = np.outer(np.kron(a, b), np.kron(a, b).conj())
+        coords = np.array([np.trace(p @ rho).real for p in paulis])
+        coords_in.append(coords)
+        rho_out = sum(c * p for c, p in zip(r_true @ coords, paulis)) / 4
+        for s_idx, (b1, b2) in enumerate(itertools.product("XYZ", repeat=2)):
+            u = np.kron(rot[b1], rot[b2])
+            probs = np.maximum(np.diag(u @ rho_out @ u.conj().T).real, 0.0)
+            probs = confusion.apply_to_vector(probs / probs.sum())
+            if not infinite:
+                probs = np.random.default_rng([seed, k, s_idx]).multinomial(shots, probs) / shots
+            for (i, j), signs in (((0, 0), 1.0), ((letter[b1], 0), z1), ((0, letter[b2]), z2),
+                                  ((letter[b1], letter[b2]), z1 * z2)):
+                sums[4 * i + j, k] += float(np.sum(probs * signs))
+                counts[4 * i + j, k] += 1
+    return (sums / counts) @ np.linalg.inv(np.array(coords_in)).T
 
 
 class TestChoi:
@@ -99,6 +147,14 @@ class TestChoi:
         assert np.trace(choi).real == pytest.approx(1.0)
         # maximally entangled state: rank 1
         assert np.sum(eigs > 1e-9) == 1
+
+    def test_matches_the_kronecker_sum(self):
+        # reference: C = sum_ab R[a, b] P_a (x) P_b^T / 16, term by term
+        ptm = np.random.default_rng(4).normal(size=(16, 16))
+        paulis = pauli_basis_matrices(2)
+        want = sum(ptm[a, b] * np.kron(paulis[a], paulis[b].T)
+                   for a in range(16) for b in range(16)) / 16
+        np.testing.assert_allclose(choi_from_ptm(ptm), want, rtol=0, atol=1e-12)
 
     def test_unphysical_ptm_flagged_negative(self):
         ptm = np.diag([1.0] + [1.2] * 15)  # trace-increasing on Paulis
@@ -111,8 +167,7 @@ class TestComposedPTM:
         spec = NoiseSpec(two_qubit_depolarizing=0.03)
         g = rzz(0, 1, 1.1)
         np.testing.assert_allclose(
-            composed_noisy_ptm(g, spec, 1), pauli_transfer_matrix(noisy_gate_channel(g, spec)),
-            atol=1e-12
+            composed_noisy_ptm(g, spec, 1), realized_gate_ptms(g, spec)[0], atol=1e-12
         )
 
     def test_even_scale_rejected(self):
@@ -205,33 +260,40 @@ class TestSpamFreeError:
         assert "lambda=1" in text
 
 
-_ONE_QUBIT_PREPS = [np.array(v, dtype=complex) / np.linalg.norm(v)
-                    for v in ([1, 0], [0, 1], [1, 1], [1, 1j])]
-
-
-def _density_oracle_ptm(circuit: Circuit, spec: NoiseSpec) -> np.ndarray:
-    """PTM of ``circuit`` under ``spec`` by linear inversion of the exact
-    density evolution of the 16 product preparations."""
-    paulis = pauli_basis_matrices(2)
-    coords_in, coords_out = [], []
-    for a, b in itertools.product(_ONE_QUBIT_PREPS, repeat=2):
-        vec = np.kron(a, b)
-        rho_out = run_noisy_density(circuit, spec, initial=Statevector(vec)).matrix
-        coords_in.append([np.trace(p @ np.outer(vec, vec.conj())).real for p in paulis])
-        coords_out.append([np.trace(p @ rho_out).real for p in paulis])
-    return np.array(coords_out).T @ np.linalg.inv(np.array(coords_in).T)
+def _entangled_states(rng, n: int) -> list[Statevector]:
+    """``n`` random 2-qubit pure states, none a product state (the
+    reduced state of qubit 0 is mixed), so none is in the tomography
+    set."""
+    states = []
+    while len(states) < n:
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        amps /= np.linalg.norm(amps)
+        m = amps.reshape(2, 2)
+        if np.trace(np.linalg.matrix_power(m @ m.conj().T, 2)).real < 0.99:
+            states.append(Statevector(amps))
+    return states
 
 
 @pytest.mark.parametrize("impl", ["two-cnot", "scaled-rzx", "rzz"])
 @pytest.mark.parametrize("spec", [casablanca_like(), casablanca_like(coherent_overrotation=0.07),
                                   NoiseSpec(two_qubit_depolarizing=0.05,
-                                            coherent_overrotation=-0.04)])
+                                            coherent_overrotation=-0.04),
+                                  casablanca_like(single_qubit_depolarizing=0.004)])
 @pytest.mark.parametrize("theta", [0.3, 1.2, 2.4, -0.8])
 def test_compiled_realizations_match_the_density_oracle(impl, spec, theta):
     # the forward and inverse PTMs of each compilation ("rzz" is the
-    # atomic gate) equal the channel the executor's density oracle runs
-    # for the same gates
+    # atomic gate), recovered from product inputs, carry entangled inputs
+    # to the density oracle's outputs for the same gates; under a
+    # single-qubit rate that includes the noise of the inner RZ and the
+    # RY dressing
+    paulis = pauli_basis_matrices(2)
     fwd, inv = realized_gate_ptms(rzz(0, 1, theta), spec, impl)
-    for sign, got in ((1.0, fwd), (-1.0, inv)):
+    rng = np.random.default_rng(17)
+    for sign, ptm in ((1.0, fwd), (-1.0, inv)):
         circuit = Circuit(2, model.bond_gates(0, 1, sign * theta, impl))
-        np.testing.assert_allclose(got, _density_oracle_ptm(circuit, spec), rtol=0, atol=1e-12)
+        for init in _entangled_states(rng, 3):
+            rho = np.outer(init.amplitudes, init.amplitudes.conj())
+            coords = ptm @ [np.trace(p @ rho).real for p in paulis]
+            got = sum(c * p for c, p in zip(coords, paulis)) / 4
+            want = run_noisy_density(circuit, spec, initial=init).matrix
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
