@@ -12,7 +12,6 @@ from .qsim import (  # noqa: F401
     Statevector,
     pauli_transfer_matrix,
     run_circuit,
-    sample_counts,
 )
 from .model import (  # noqa: F401
     ModelParams,

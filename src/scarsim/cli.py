@@ -80,9 +80,10 @@ def _positive_int(text: str) -> int:
 
 def _scale_factors(text: str) -> tuple[int, ...]:
     factors = tuple(int(x) for x in text.split(","))
-    if len(set(factors)) < 2 or any(f < 1 or f % 2 == 0 for f in factors):
+    top = experiments.MAX_ZNE_FACTOR
+    if len(set(factors)) < 2 or any(f < 1 or f % 2 == 0 or f > top for f in factors):
         raise argparse.ArgumentTypeError(
-            f"need at least two distinct odd positive integers, got {text!r}")
+            f"need at least two distinct odd positive integers, at most {top:g}, got {text!r}")
     return factors
 
 

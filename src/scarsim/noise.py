@@ -10,7 +10,8 @@ compilation hits a configurable target error rate.
 
 Noisy execution samples Pauli-insertion trajectories over the
 statevector (exact for stochastic Pauli channels).  Exact density-matrix
-evolution at width <= 4 (``run_noisy_density``) is its independent
+evolution (``run_noisy_density``, each gate a local superoperator on the
+tensor of rho, width <= ``DENSITY_MAX_WIDTH``) is its independent
 oracle, and also gives process tomography the realized gate channels.
 Relaxation (amplitude damping) is deliberately absent: it is not a Pauli
 channel and would break exact trajectory unraveling; only Z-type
@@ -27,14 +28,12 @@ import numpy as np
 
 from .model import bond_gates
 from .qsim import (
-    PAULI_1Q,
     Circuit,
     Counts,
     DensityOperator,
     Gate,
     Statevector,
     _apply_matrix,
-    _embed,
     bit_table,
     gate_matrix,
     pauli_basis_labels,
@@ -219,8 +218,10 @@ class NoiseSpec:
         (the spec is frozen, so none goes stale; ``replace`` starts a new
         memo): plan entries keyed (kind, angle, duration), forward
         readout matrices keyed ("readout", width), the circuit plans
-        of ``_NoisePlan.of`` under "plans" and the realized gate PTMs of
-        ``tomography.realized_gate_ptms`` keyed ("ptms", ...)."""
+        of ``_NoisePlan.of`` under "plans", the density oracle's gate
+        superoperators keyed ("superoperator", kind, angle, duration) and
+        the realized gate PTMs of ``tomography.realized_gate_ptms`` keyed
+        ("ptms", ...)."""
         return {}
 
     def _memoized(self, key, build):
@@ -875,56 +876,66 @@ def run_noisy_counts(
 
 
 # ---------------------------------------------------------------------------
-# Exact channel evolution (verification substrate, width <= 4)
+# Exact channel evolution (verification substrate, width <= DENSITY_MAX_WIDTH)
 # ---------------------------------------------------------------------------
+
+# Widest register the density oracle takes: rho holds 4^width complex
+# entries (16 MiB at width 10) and each gate makes one more of them.
+DENSITY_MAX_WIDTH = 10
+
+
+def _gate_superoperator(spec: NoiseSpec, g: Gate) -> np.ndarray:
+    """The channel of a non-DELAY gate as one 4^k x 4^k superoperator on
+    row-major vec(rho), reshaped to (2,)*4k: the overrotated unitary U,
+    then the Pauli channel, sum_P w_P (P U) (x) conj(P U).  Two-qubit
+    gates take ``spec.pauli_distribution``; single-qubit gates put
+    ``single_qubit_depolarizing``/4 on each of X, Y and Z, stated here
+    apart from the executor.  Built once per spec and (kind, angle,
+    duration)."""
+
+    def build():
+        u = _overrotated_matrix(g, spec.coherent_overrotation)
+        if g.is_two_qubit:
+            labels, probs = spec.pauli_distribution(g)
+        else:
+            labels, probs = "XYZ", np.full(3, spec.single_qubit_depolarizing / 4.0)
+        terms = [(1.0 - float(probs.sum()), u)]
+        terms += [(pr, _PAULI_MATS[lab] @ u) for lab, pr in zip(labels, probs)]
+        sup = sum(w * np.kron(k, k.conj()) for w, k in terms).reshape((2,) * (4 * len(g.qubits)))
+        sup.flags.writeable = False
+        return sup
+
+    return spec._memoized(("superoperator", g.kind, g.angle, g.duration_ns), build)
+
 
 def run_noisy_density(circuit: Circuit, spec: NoiseSpec,
                       initial: Statevector | None = None) -> DensityOperator:
-    """Exact evolution of the full noise model at width <= 4.
+    """Exact evolution of the full noise model at width <=
+    ``DENSITY_MAX_WIDTH``, never through an operator on the whole register.
 
-    Quasi-static idle dephasing enters as its Gaussian ensemble average
-    (off-diagonal decay exp(-(rate * T)^2 / 2)).
+    rho is a (2,)*2w tensor, row axes first.  A gate's superoperator
+    (``_gate_superoperator``) acts on its qubits' row and column axes by
+    one tensordot.  A DELAY of T ns scales its qubit's off-diagonals by
+    exp(-(rate T)^2 / 2), the Gaussian average of quasi-static dephasing,
+    times 1 - 2 p_flip = exp(-T flip rate) of the stochastic idle flip.
     """
     width = circuit.width
-    if width > 4:
-        raise ValueError("exact density evolution limited to width <= 4")
-    init = initial or Statevector.zero(width)
-    rho = np.outer(init.amplitudes, init.amplitudes.conj())
-    over = spec.coherent_overrotation
+    if width > DENSITY_MAX_WIDTH:
+        raise ValueError(f"exact density evolution is limited to width <= "
+                         f"DENSITY_MAX_WIDTH = {DENSITY_MAX_WIDTH}, got {width}")
+    init = (initial or Statevector.zero(width)).amplitudes
+    rho = np.outer(init, init.conj()).reshape((2,) * (2 * width))
     for g in circuit.gates:
         if g.kind == "DELAY":
-            rho = _apply_idle_dephasing(rho, g.qubits[0], g.duration_ns, spec, width)
+            t, (q,) = g.duration_ns, g.qubits
+            f = math.exp(-0.5 * (spec.idle_dephasing_rad_per_ns * t) ** 2
+                         - t * spec.idle_stochastic_rate_per_ns)
+            shape = [1] * (2 * width)
+            shape[q] = shape[width + q] = 2
+            rho = rho * np.array([[1.0, f], [f, 1.0]]).reshape(shape)
             continue
-        u = _embed(_overrotated_matrix(g, over), g.qubits, width)
-        rho = u @ rho @ u.conj().T
-        if g.is_two_qubit:
-            labels, probs = spec.pauli_distribution(g)
-            total = float(probs.sum())
-            if total > 0:
-                mixed = (1.0 - total) * rho
-                for lab, pr in zip(labels, probs):
-                    if pr > 0:
-                        pm = _embed(_PAULI_MATS[lab], g.qubits, width)
-                        mixed += pr * (pm @ rho @ pm.conj().T)
-                rho = mixed
-        elif spec.single_qubit_depolarizing > 0:
-            p1 = spec.single_qubit_depolarizing
-            mixed = (1.0 - 0.75 * p1) * rho
-            for letter in "XYZ":
-                pm = _embed(PAULI_1Q[letter], g.qubits, width)
-                mixed += 0.25 * p1 * (pm @ rho @ pm.conj().T)
-            rho = mixed
-    return DensityOperator(rho, check=False)
-
-
-def _apply_idle_dephasing(rho, q, duration_ns, spec, width):
-    factor = 1.0
-    if spec.idle_dephasing_rad_per_ns > 0 and duration_ns > 0:
-        factor *= math.exp(-0.5 * (spec.idle_dephasing_rad_per_ns * duration_ns) ** 2)
-    if spec.idle_stochastic_rate_per_ns > 0 and duration_ns > 0:
-        p_flip = 0.5 * (1.0 - math.exp(-duration_ns * spec.idle_stochastic_rate_per_ns))
-        factor *= 1.0 - 2.0 * p_flip
-    if factor == 1.0:
-        return rho
-    zmat = _embed(PAULI_1Q["Z"], (q,), width)
-    return 0.5 * (1.0 + factor) * rho + 0.5 * (1.0 - factor) * (zmat @ rho @ zmat)
+        k = len(g.qubits)
+        axes = list(g.qubits) + [width + q for q in g.qubits]
+        rho = np.tensordot(_gate_superoperator(spec, g), rho, axes=(range(2 * k, 4 * k), axes))
+        rho = np.moveaxis(rho, range(2 * k), axes)
+    return DensityOperator(rho.reshape(1 << width, 1 << width), check=False)

@@ -28,7 +28,7 @@ from .model import (
     build_trotter_step,
     neel_bitstring,
     neel_prep_circuit,
-    trotter_step_matrix,
+    trotter_step,
 )
 from .noise import _NoisePlan, noiseless
 from .qsim import (
@@ -278,14 +278,6 @@ def pyp_matrix(L: int, j: int) -> np.ndarray:
     return out
 
 
-def ypi_matrix(L: int) -> np.ndarray:
-    """Y_pi = sum_i (-1)^i (PYP)_i as a dense matrix."""
-    out = np.zeros((2**L, 2**L), dtype=complex)
-    for j in range(1, L + 1):
-        out += stagger_sign(j) * pyp_matrix(L, j)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Correlator circuits and assembly
 # ---------------------------------------------------------------------------
@@ -369,14 +361,28 @@ def simulate_cy_noiseless(p: ModelParams, steps: int, impl: str = "rzz") -> np.n
     return np.array(values)
 
 
+def _apply_ypi(psi: np.ndarray, L: int) -> np.ndarray:
+    """Y_pi psi over the last axis of ``psi``, from bit masks: (PYP)_j
+    takes each basis state whose neighbors of site j read 0 to the state
+    with bit j flipped, with Y's phase i (1 - 2 b_j)."""
+    idx = np.arange(1 << L)
+    out = np.zeros(np.shape(psi), dtype=complex)
+    for j in range(1, L + 1):
+        coef = 1j * (1 - 2 * ((idx >> (L - j)) & 1))
+        for nb in (j - 1, j + 1):
+            if 1 <= nb <= L:
+                coef = coef * (((idx >> (L - nb)) & 1) == 0)
+        out += stagger_sign(j) * (coef * psi)[..., idx ^ (1 << (L - j))]
+    return out
+
+
 def cy_oracle(p: ModelParams, steps: int) -> complex:
-    """Dense two-time correlator <Z2| U^dag Y_pi U Y_pi |Z2> with U the
-    ``steps``-fold dense Trotter step, applied to |Z2> and Y_pi |Z2> one
-    step at a time."""
-    u_step = trotter_step_matrix(p)
-    ypi = ypi_matrix(p.L)
+    """Two-time correlator <Z2| U^dag Y_pi U Y_pi |Z2> with U the
+    ``steps``-fold Trotter step, applied to |Z2> and Y_pi |Z2> as one
+    two-row stack one step at a time (``trotter_step``); Y_pi is applied
+    from bit masks, so no 2^L x 2^L matrix is formed."""
     bra = Statevector.from_bitstring(neel_bitstring(p.L)).amplitudes
-    ket = ypi @ bra
+    pair = np.stack([bra, _apply_ypi(bra, p.L)])
     for _ in range(steps):
-        bra, ket = u_step @ bra, u_step @ ket
-    return complex(bra.conj() @ ypi @ ket)
+        pair = trotter_step(p, pair)
+    return complex(pair[0].conj() @ _apply_ypi(pair[1], p.L))

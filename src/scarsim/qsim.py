@@ -495,36 +495,20 @@ class Counts:
         return cls(vec, total_shots, quasi=quasi)
 
 
-def sample_counts(state: Statevector, shots: int, seed: int, infinite: bool = False) -> Counts:
-    """Multinomial sample from |amplitudes|^2, reproducible per seed.
-
-    With ``infinite=True`` the exact probabilities scaled to ``shots``
-    are returned instead of a sample.
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    if infinite:
-        return Counts(probs * shots, float(shots))
-    draws = np.random.default_rng(seed).multinomial(shots, probs)
-    return Counts(draws.astype(float), float(shots))
-
-
 # ---------------------------------------------------------------------------
-# Small-system channel algebra (verification substrate, n <= 4)
+# Small-system channel algebra (verification substrate)
 # ---------------------------------------------------------------------------
 
 class DensityOperator:
-    """Dense 2^n x 2^n density matrix, n <= 4."""
+    """Dense 2^n x 2^n density matrix (the density oracle's result)."""
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: np.ndarray, check: bool = True):
         mat = np.asarray(matrix, dtype=complex)
         n = int(mat.shape[0]).bit_length() - 1
-        if mat.shape != (2**n, 2**n) or n > 4:
-            raise ValueError("density operator must be 2^n x 2^n with n <= 4")
+        if mat.shape != (2**n, 2**n):
+            raise ValueError("density operator must be 2^n x 2^n")
         if check:
             if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
                 raise ValueError("density matrix not Hermitian within 1e-12")
@@ -589,18 +573,6 @@ class KrausChannel:
         for e in self.kraus_ops:
             out += e @ mat @ e.conj().T
         return out
-
-
-def _embed(mat: np.ndarray, qubits: tuple[int, ...], width: int) -> np.ndarray:
-    """Lift a 2^k operator on the listed qubits to the full 2^width space."""
-    k = len(qubits)
-    dim = 2**width
-    mat_t = np.asarray(mat, dtype=complex).reshape([2] * (2 * k))
-    full = np.eye(dim, dtype=complex).reshape([2] * (2 * width))
-    # contract the k output axes of the identity with the gate inputs
-    full = np.tensordot(mat_t, full, axes=(list(range(k, 2 * k)), list(qubits)))
-    full = np.moveaxis(full, range(k), qubits)
-    return full.reshape(dim, dim)
 
 
 def pauli_basis_matrices(n: int) -> list[np.ndarray]:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from scarsim import cli, experiments, mitigation, noise
+from scarsim import cli, experiments, mitigation, noise, tomography
 from scarsim.experiments import (
     ExperimentConfig,
     config_from_ini,
@@ -32,7 +32,7 @@ from scarsim.model import (
     neel_state,
     project,
     qmbs_params,
-    trotter_step_matrix,
+    trotter_step,
 )
 from scarsim.observables import (
     cy_oracle,
@@ -910,6 +910,25 @@ class TestCLI:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("factors", ["1,101", "1,1000000001"])
+    def test_huge_qpt_scale_factors_exit_with_status_2_before_any_ptm(self, tmp_path, capsys,
+                                                                     monkeypatch, factors):
+        # 1,1000000001 used to run 5e8 PTM products, writing nothing
+        def refuse(*args, **kwargs):
+            raise AssertionError("a PTM was composed before the flag was refused")
+
+        monkeypatch.setattr(tomography, "composed_noisy_ptm", refuse)
+        monkeypatch.setattr(tomography, "realized_gate_ptms", refuse)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["qpt", "--scale-factors", factors, "--infinite-shots", "--repeats", "1",
+                      "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "--scale-factors" in err and "at most 100" in err
+        assert cli._scale_factors("1,99") == (1, 99)
+
     @pytest.mark.parametrize("flips", [0, 1])
     def test_zpi_flips_drops_only_the_other_tolerance(self, tmp_path, flips):
         argv = ["zpi", "--sites", "3", "--steps", "2", "--twirls", "1", "--shots", "64",
@@ -997,10 +1016,9 @@ def test_oracle_cli_files_and_values(tmp_path, which):
     if which == "exact":
         states = [psi.amplitudes for psi in exact_evolve(params, steps)]
     else:
-        step = trotter_step_matrix(params)
         states = [neel_state(L).amplitudes]
         for _ in range(steps):
-            states.append(step @ states[-1])
+            states.append(trotter_step(params, states[-1]))
     want = [_oracle_values(a, L) for a in states]
     if which == "projected-trotter":
         mask = (np.arange(2**L) & (np.arange(2**L) >> 1)) == 0

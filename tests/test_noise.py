@@ -53,11 +53,11 @@ from scarsim.qsim import (
     rzx,
     rzz,
     s,
-    sample_counts,
     sdg,
     x,
 )
 from scarsim.tomography import gate_ptm, realized_gate_ptms
+from test_qsim import _embed
 
 
 class TestPulseArea:
@@ -332,8 +332,8 @@ class TestTrajectoryExecution:
     def test_noiseless_infinite_matches_ideal(self):
         circ = Circuit(2, [h(0), cnot(0, 1)])
         counts = run_noisy_counts(circ, noiseless(), shots=4096, seed=0, infinite=True)
-        ideal = sample_counts(run_circuit(Statevector.zero(2), circ), 4096, 0, infinite=True)
-        assert counts.data == pytest.approx(ideal.data, abs=1e-10)
+        ideal = run_circuit(Statevector.zero(2), circ).probabilities() * 4096
+        np.testing.assert_allclose(counts.to_vector(), ideal, rtol=0, atol=1e-10)
 
     def test_seed_determinism(self):
         circ = build_trotter_step(qmbs_params(3), impl="two-cnot")
@@ -342,16 +342,26 @@ class TestTrajectoryExecution:
         b = run_noisy_counts(circ, spec, shots=512, seed=7)
         assert a.data == b.data
 
-    def test_trajectories_match_exact_density(self):
+    @pytest.mark.parametrize("width", [3, 6])
+    def test_trajectories_match_exact_density(self, width):
         # Monte-Carlo channel unraveling vs exact evolution, 5-sigma band:
-        # 100k trajectories, each contributing its exact distribution;
-        # XXI is read as Z0 Z1 after an H (x) H basis rotation
-        circ = Circuit(3, [h(0), cnot(0, 1), rzz(1, 2, 0.7), cnot(0, 2)])
-        spec = NoiseSpec(two_qubit_depolarizing=0.08)
-        n = 100_000
+        # n trajectories, each contributing its exact distribution; X
+        # letters are read as Z after an H basis rotation.  Width 6 runs
+        # a Neel-prepared Trotter step with idles under every error source
+        if width == 3:
+            circ = Circuit(3, [h(0), cnot(0, 1), rzz(1, 2, 0.7), cnot(0, 2)])
+            spec = NoiseSpec(two_qubit_depolarizing=0.08)
+            n = 100_000
+            cases = [(("ZZI", "IZZ"), None), (("XXI",), Circuit(3, [h(0), h(1)]))]
+        else:
+            step = build_trotter_step(qmbs_params(6), impl="scaled-rzx", idle_ns=200.0)
+            circ = Circuit(6, neel_prep_circuit(6).gates + step.gates)
+            spec = NoiseSpec(single_qubit_depolarizing=0.02, idle_dephasing_rad_per_ns=0.002,
+                             idle_stochastic_rate_per_ns=5e-4, coherent_overrotation=0.05)
+            n = 20_000
+            cases = [(("ZZIIII", "IIZIZI"), None), (("XXIIII",), Circuit(6, [h(0), h(1)]))]
         rho = run_noisy_density(circ, spec)
-        signs = 1 - 2 * bit_table(3).astype(float)  # Z eigenvalue per qubit
-        cases = [(("ZZI", "IZZ"), None), (("XXI",), Circuit(3, [h(0), h(1)]))]
+        signs = 1 - 2 * bit_table(width).astype(float)  # Z eigenvalue per qubit
         for labels, basis in cases:
             counts = run_noisy_counts(circ, spec, shots=n, seed=17, infinite=True,
                                       shots_per_trajectory=1, basis=basis)
@@ -526,8 +536,9 @@ def _plan_circuits(draw, width):
     """Up to 16 gates of every kind the plan fuses, DELAY included, with
     two-qubit gates in either qubit order."""
     gates = []
+    kinds = sorted(ALL_KINDS if width > 1 else ALL_KINDS - TWO_QUBIT_KINDS)
     for _ in range(draw(st.integers(0, 16))):
-        kind = draw(st.sampled_from(sorted(ALL_KINDS)))
+        kind = draw(st.sampled_from(kinds))
         if kind in TWO_QUBIT_KINDS:
             qubits = tuple(draw(st.permutations(range(width)))[:2])
         else:
@@ -553,6 +564,67 @@ def test_fused_plan_matches_density_oracle(data, width, over, with_basis):
     full = Circuit(width, circ.gates + (basis.gates if basis else ()))
     want = np.real(np.diag(run_noisy_density(full, spec).matrix))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _dense_density(circuit, spec, initial):
+    """The density oracle's channel restated with every operator embedded
+    in the whole register: U rho U^dag for the overrotated gate, then its
+    Pauli channel (1 - sum w) rho + sum_P w_P P rho P (two-qubit gates:
+    ``pauli_distribution``; single-qubit gates: X, Y and Z at
+    ``single_qubit_depolarizing``/4); a DELAY mixes in Z rho Z so that the
+    qubit's off-diagonals scale by exp(-(rate T)^2 / 2) exp(-T flip rate)."""
+    width = circuit.width
+    rho = np.outer(initial.amplitudes, initial.amplitudes.conj())
+    for g in circuit.gates:
+        if g.kind == "DELAY":
+            f = math.exp(-0.5 * (spec.idle_dephasing_rad_per_ns * g.duration_ns) ** 2
+                         - g.duration_ns * spec.idle_stochastic_rate_per_ns)
+            z = _embed(np.diag([1.0, -1.0]), g.qubits, width)
+            rho = 0.5 * (1.0 + f) * rho + 0.5 * (1.0 - f) * (z @ rho @ z)
+            continue
+        u = _embed(noise._overrotated_matrix(g, spec.coherent_overrotation), g.qubits, width)
+        rho = u @ rho @ u.conj().T
+        if g.is_two_qubit:
+            labels, probs = spec.pauli_distribution(g)
+        else:
+            labels, probs = "XYZ", [spec.single_qubit_depolarizing / 4.0] * 3
+        mixed = (1.0 - sum(probs)) * rho
+        for label, pr in zip(labels, probs):
+            pm = _embed(PauliString(label).matrix(), g.qubits, width)
+            mixed += pr * (pm @ rho @ pm.conj().T)
+        rho = mixed
+    return rho
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), width=st.integers(1, 4), over=st.floats(-0.3, 0.3),
+       p1=st.sampled_from([0.0, 0.05]), p2=st.sampled_from([None, 0.0, 0.12]),
+       dephasing=st.sampled_from([0.0, 0.004]), flips=st.sampled_from([0.0, 0.003]),
+       seed=st.integers(0, 2**16) | st.none())
+def test_density_oracle_equals_the_dense_formula(data, width, over, p1, p2, dephasing, flips,
+                                                 seed):
+    # the local superoperators on the tensor of rho equal the dense
+    # embedded operators, for every gate kind under two-qubit (pulse law
+    # or fixed) and single-qubit depolarizing, overrotation and both idle
+    # noises, from |0...0> or a random initial state
+    circ = data.draw(_plan_circuits(width))
+    spec = NoiseSpec(two_qubit_depolarizing=p2, single_qubit_depolarizing=p1,
+                     idle_dephasing_rad_per_ns=dephasing, idle_stochastic_rate_per_ns=flips,
+                     coherent_overrotation=over)
+    init = None
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
+        init = Statevector(amps / np.linalg.norm(amps))
+    got = run_noisy_density(circ, spec, initial=init).matrix
+    want = _dense_density(circ, spec, init or Statevector.zero(width))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_density_oracle_refuses_widths_above_its_cap():
+    # width 10 holds a 16 MiB rho; width 11 is refused before any is built
+    with pytest.raises(ValueError, match="DENSITY_MAX_WIDTH = 10"):
+        run_noisy_density(Circuit(11, [h(0)]), casablanca_like())
 
 
 @pytest.mark.parametrize("impl", ["scaled-rzx", "two-cnot"])

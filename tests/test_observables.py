@@ -1,9 +1,11 @@
 """Observables and the four-branch correlator measurement protocol."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scarsim.experiments import ExperimentConfig, Table
-from scarsim.model import ModelParams, neel_bitstring, neel_state, qmbs_params
+from scarsim.model import ModelParams, neel_bitstring, neel_state, qmbs_params, trotter_step
 from scarsim.observables import (
     CY_BRANCHES,
     accumulated_error,
@@ -17,9 +19,15 @@ from scarsim.observables import (
     simulate_cy_noiseless,
     staggered_magnetization,
     y_basis_rotation,
-    ypi_matrix,
 )
-from scarsim.qsim import Counts, Statevector, run_circuit, sample_counts
+from scarsim.qsim import Counts, Statevector, run_circuit
+
+
+def _exact_counts(state: Statevector, shots: float = 1.0) -> Counts:
+    """Infinite-shot counts of ``state``: its normalized probabilities
+    times ``shots``."""
+    probs = state.probabilities()
+    return Counts(probs / probs.sum() * shots, float(shots))
 
 
 class TestStaggeredMagnetization:
@@ -35,7 +43,7 @@ class TestStaggeredMagnetization:
 
     def test_counts_and_state_agree(self):
         state = neel_state(4)
-        counts = sample_counts(state, 100, seed=0, infinite=True)
+        counts = _exact_counts(state, 100)
         assert staggered_magnetization(counts) == pytest.approx(
             staggered_magnetization(state)
         )
@@ -65,7 +73,7 @@ class TestLoschmidt:
         assert loschmidt_echo(neel_state(5), neel_bitstring(5), 0) == pytest.approx(1.0)
 
     def test_consistency_with_magnetization_at_t0(self):
-        counts = sample_counts(neel_state(6), 100, seed=0, infinite=True)
+        counts = _exact_counts(neel_state(6), 100)
         assert loschmidt_echo(counts, neel_bitstring(6)) == pytest.approx(1.0)
         assert staggered_magnetization(counts) == pytest.approx(-6.0)
 
@@ -122,7 +130,7 @@ class TestPYP:
         # Y expectation vanishes in any Z-basis state
         for parity in ("even", "odd"):
             rotated = run_circuit(neel_state(5), y_basis_rotation(5, parity))
-            counts = sample_counts(rotated, 1, seed=0, infinite=True)
+            counts = _exact_counts(rotated)
             vals = pyp_expectation(counts, parity)
             for v in vals.values():
                 assert v == pytest.approx(0.0, abs=1e-12)
@@ -152,7 +160,7 @@ class TestPYP:
         psi = Statevector(amps / np.linalg.norm(amps))
         for parity in ("even", "odd"):
             rotated = run_circuit(psi, y_basis_rotation(4, parity))
-            counts = sample_counts(rotated, 1, seed=0, infinite=True)
+            counts = _exact_counts(rotated)
             est = pyp_expectation(counts, parity)
             for j, v in est.items():
                 dense = np.real(
@@ -170,13 +178,13 @@ class TestPYP:
             neel_state(5), Circuit(5, build_trotter_step(p, impl="rzz").gates * 3)
         )
         rotated = run_circuit(psi, y_basis_rotation(5, "even"))
-        counts = sample_counts(rotated, 1, seed=0, infinite=True)
+        counts = _exact_counts(rotated)
         grouped = pyp_expectation(counts, "even")
         for j in (2, 4):
             single_rot = run_circuit(
                 psi, Circuit_single_rotation(5, j)
             )
-            counts_j = sample_counts(single_rot, 1, seed=0, infinite=True)
+            counts_j = _exact_counts(single_rot)
             bits, w = _bw(counts_j)
             val = 1.0 - 2.0 * bits[:, j - 1]
             for nb in (j - 1, j + 1):
@@ -282,11 +290,10 @@ class TestCYAssembly:
                     per_site, per_site_gates = {}, {}
                     for parity in PARITIES:
                         rotated = plans[parity].run_batch(row.copy(), [])[0][0]
-                        counts = sample_counts(Statevector(rotated, check=False), shots=1,
-                                               seed=0, infinite=True)
+                        counts = _exact_counts(Statevector(rotated, check=False))
                         per_site.update(pyp_expectation(counts, parity))
                         rotated = run_circuit(psi, y_basis_rotation(L, parity))
-                        counts = sample_counts(rotated, shots=1, seed=0, infinite=True)
+                        counts = _exact_counts(rotated)
                         per_site_gates.update(pyp_expectation(counts, parity))
                     planned[n][(i, b)] = per_site
                     gate_by_gate[n][(i, b)] = per_site_gates
@@ -298,10 +305,6 @@ class TestCYAssembly:
     def test_missing_branch_rejected(self):
         with pytest.raises(ValueError):
             assemble_cy({(2, "M+1"): {1: 0.0}}, L=4)
-
-    def test_ypi_matrix_is_hermitian(self):
-        m = ypi_matrix(4)
-        np.testing.assert_allclose(m, m.conj().T, atol=1e-14)
 
     def test_scar_regime_oscillation_period_and_30_step_oracle(self):
         # |C_Y| oscillates near pi / (1.33 Omega) in the scar regime, and
@@ -340,6 +343,31 @@ class TestCYAssembly:
         period = len(sig) / k
         expected = np.pi / (1.33 * 0.24)
         assert abs(period - expected) / expected < 0.15
+
+    def test_l12_oracle_matches_the_protocol(self):
+        # the matrix-free oracle reaches past the old dense L <= 10 cap
+        p = qmbs_params(12)
+        series = simulate_cy_noiseless(p, 12, impl="rzz")
+        for n in range(13):
+            assert abs(series[n] - cy_oracle(p, n)) < 1e-10, n
+
+
+def test_oracles_allocate_no_dense_operator():
+    # at L=14 a dense 2^L x 2^L operator would take 4 GiB; the Trotter
+    # step and the correlator oracle keep their traced peak within a few
+    # 2^14 states (cy_oracle carries a two-row stack)
+    p = qmbs_params(14)
+    psi = neel_state(14).amplitudes
+    state_bytes = psi.nbytes
+    cy_oracle(qmbs_params(3), 1)  # imports and caches outside the traced run
+    for run, states in ((lambda: trotter_step(p, psi), 6), (lambda: cy_oracle(p, 2), 12)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < states * state_bytes
 
 
 def neel_state_circ(L):

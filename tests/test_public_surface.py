@@ -3,9 +3,11 @@
 A public name (no leading underscore) defined at the top level of a
 module in ``src/scarsim``, or in the body of a public class there, counts
 as called when a module of the package other than ``__init__`` refers to
-it by name (a function or class as a bare name, an attribute or an
-imported name; a method as an attribute only, so a local variable of
-the same name does not count), or when the benchmark's tracer patches
+it by name (a function or class as an attribute, an imported name or a
+bare name that resolves to a module-level name: read at module scope or
+as a global inside a function or class, found with ``symtable``, so a
+local, parameter or comprehension variable of the same name does not
+count; a method as an attribute only), or when the benchmark's tracer patches
 it: the ``TARGETS`` and ``HOOKS`` of ``bench/tracing.py``, read as text
 so that the benchmark is not imported.  The tracer looks each of those
 up by name, so they must keep it.  Only names that are read count: an
@@ -21,6 +23,7 @@ each definition has callers of its own.
 """
 import ast
 import re
+import symtable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +41,8 @@ KEEP = {
                      "test_series_equal_the_estimators_on_the_state_and_its_projection",
     "model.qmbs_params": "tests/test_model.py::TestTrotterAngles::test_qmbs_zz_angle",
     "observables.cy_oracle": "tests/test_experiments.py::TestCY::test_noiseless_cy_matches_dense_oracle",
+    "observables.pyp_matrix":
+        "tests/test_observables.py::TestPYP::test_estimator_matches_dense_operator",
     # bench/tracing.py's counters read .data too (not through TARGETS)
     "qsim.Counts.data": "tests/test_counts_dense.py::test_data_view_is_read_only_and_lazy",
     "qsim.Counts.from_dict": "tests/test_counts_dense.py::test_from_dict_and_data_round_trip",
@@ -46,8 +51,6 @@ KEEP = {
     "qsim.delay": "tests/test_qsim.py::TestIdleIntervals::test_delay_is_identity_in_noiseless_run",
     "qsim.is_pauli_stochastic":
         "tests/test_qsim.py::TestPauliTransferMatrix::test_stochastic_predicate",
-    "qsim.sample_counts":
-        "tests/test_noise.py::TestTrajectoryExecution::test_noiseless_infinite_matches_ideal",
 }
 
 # method or property name -> why every public class that defines it has callers
@@ -74,17 +77,29 @@ def _public_definitions() -> dict[str, str]:
     return out
 
 
+def _module_names_read(source: str) -> set[str]:
+    """Bare names ``source`` reads where they resolve to a module-level
+    name: at module scope, or as a global inside a function or class."""
+    names, tables = set(), [symtable.symtable(source, "<module>", "exec")]
+    while tables:
+        table = tables.pop()
+        names.update(sym.get_name() for sym in table.get_symbols()
+                     if sym.is_referenced() and sym.is_global())
+        tables.extend(table.get_children())
+    return names
+
+
 def _references() -> tuple[set[str], set[str]]:
-    """(bare and imported names, attribute names) the package refers to,
-    with the benchmark's patched names in both."""
+    """(module-level and imported names, attribute names) the package
+    refers to, with the benchmark's patched names in both."""
     names, attrs = set(), set()
     for path in SRC.glob("*.py"):
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        source = path.read_text()
+        names |= _module_names_read(source)
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attrs.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
@@ -105,6 +120,17 @@ def test_every_public_name_has_a_caller_or_a_kept_oracle_test():
     missing = sorted(_unreferenced() - set(KEEP))
     assert not missing, ("public names that nothing in src or the benchmark calls; delete "
                          f"them or add them to KEEP with the test they serve: {missing}")
+
+
+def test_a_local_of_the_same_name_is_no_caller():
+    # a comprehension variable or a parameter named like an uncalled
+    # function reads the local, not the function; a global read does call it
+    source = ("def y():\n    pass\n\n"
+              "def first(bases):\n    return [y for y in bases]\n\n"
+              "def second(y):\n    return y\n")
+    assert "y" not in _module_names_read(source)
+    assert "y" in _module_names_read(source + "\ndef third():\n    return y()\n")
+    assert "y" in _module_names_read(source + "\nCALLS = [y]\n")
 
 
 def test_no_method_name_is_shared_by_two_classes_unless_listed():

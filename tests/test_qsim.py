@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scarsim import qsim
+from scarsim.noise import noiseless, run_noisy_counts
 from scarsim.qsim import (
     Circuit,
     Counts,
@@ -13,7 +14,6 @@ from scarsim.qsim import (
     KrausChannel,
     PauliString,
     Statevector,
-    _embed,
     circuit_unitary,
     cnot,
     gate_matrix,
@@ -30,9 +30,21 @@ from scarsim.qsim import (
     rzz,
     rzx,
     s,
-    sample_counts,
     x,
 )
+
+
+def _embed(mat: np.ndarray, qubits: tuple[int, ...], width: int) -> np.ndarray:
+    """Lift a 2^k operator on the listed qubits to the full 2^width space
+    (the kernel's dense oracle)."""
+    k = len(qubits)
+    dim = 2**width
+    mat_t = np.asarray(mat, dtype=complex).reshape([2] * (2 * k))
+    full = np.eye(dim, dtype=complex).reshape([2] * (2 * width))
+    # contract the k output axes of the identity with the gate inputs
+    full = np.tensordot(mat_t, full, axes=(list(range(k, 2 * k)), list(qubits)))
+    full = np.moveaxis(full, range(k), qubits)
+    return full.reshape(dim, dim)
 
 
 class TestGateConstruction:
@@ -174,7 +186,7 @@ def test_kernel_matches_embedded_matrix(case):
     else:
         assert out is not psi
         np.testing.assert_array_equal(psi, given)
-    full = qsim._embed(unitary, qubits, width)
+    full = _embed(unitary, qubits, width)
     assert out.shape == given.shape
     for row_in, row_out in zip(given, out):
         np.testing.assert_allclose(row_out, full @ row_in, rtol=0, atol=1e-12)
@@ -271,39 +283,41 @@ class TestExpectation:
 
 
 class TestSampling:
+    # the one sampler, run_noisy_counts, in the noiseless case
     def test_basis_state_all_counts_on_one_string(self):
-        counts = sample_counts(Statevector.from_bitstring("0101"), 500, seed=1)
+        counts = run_noisy_counts(Circuit(4, [x(1), x(3)]), noiseless(), 500, seed=1)
         assert counts.data == {"0101": 500.0}
 
     def test_infinite_shot_bell(self):
-        bell = run_circuit(Statevector.zero(2), Circuit(2, [h(0), cnot(0, 1)]))
-        counts = sample_counts(bell, 8192, seed=0, infinite=True)
+        bell = Circuit(2, [h(0), cnot(0, 1)])
+        counts = run_noisy_counts(bell, noiseless(), 8192, seed=0, infinite=True)
         assert counts.data == pytest.approx({"00": 4096.0, "11": 4096.0})
 
     def test_seed_determinism(self):
-        plus = apply_gate(Statevector.zero(1), h(0))
-        a = sample_counts(plus, 1000, seed=42)
-        b = sample_counts(plus, 1000, seed=42)
+        plus = Circuit(1, [h(0)])
+        a = run_noisy_counts(plus, noiseless(), 1000, seed=42)
+        b = run_noisy_counts(plus, noiseless(), 1000, seed=42)
         assert a.data == b.data
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
-            sample_counts(Statevector.zero(1), 0, seed=0)
+            run_noisy_counts(Circuit(1, []), noiseless(), 0, seed=0)
 
     def test_finite_shot_convergence_5_sigma(self):
-        bell = run_circuit(Statevector.zero(2), Circuit(2, [h(0), cnot(0, 1)]))
+        bell = Circuit(2, [h(0), cnot(0, 1)])
         shots = 100_000
-        counts = sample_counts(bell, shots, seed=9)
+        counts = run_noisy_counts(bell, noiseless(), shots, seed=9)
         freq = counts.data.get("00", 0.0) / shots
         assert abs(freq - 0.5) < 5 * np.sqrt(0.25 / shots)
 
     def test_infinite_shot_matches_probabilities_exactly(self):
         rng = np.random.default_rng(5)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state = Statevector(amps / np.linalg.norm(amps))
-        counts = sample_counts(state, 1, seed=0, infinite=True)
-        vec = counts.to_vector()
-        np.testing.assert_allclose(vec, state.probabilities(), atol=1e-15)
+        circ = Circuit(3, [g for q in range(3) for g in (rx(q, rng.uniform(0, 3)),
+                                                        rz(q, rng.uniform(0, 3)))]
+                       + [cnot(0, 1), rzz(1, 2, 0.7), ry(2, 1.1)])
+        counts = run_noisy_counts(circ, noiseless(), 1, seed=0, infinite=True)
+        want = run_circuit(Statevector.zero(3), circ).probabilities()
+        np.testing.assert_allclose(counts.to_vector(), want, atol=1e-15)
 
 
 class TestCounts:
@@ -355,7 +369,7 @@ class TestChannels:
             KrausChannel([np.diag([1.0, 0.5]).astype(complex)])
 
     def test_channel_on_subset_of_qubits(self):
-        # the embedding the density oracle lifts each gate and Pauli with
+        # the dense embedding the kernel test compares with
         flip = KrausChannel.unitary(_embed(qsim.PAULI_1Q["X"], (1,), 2))
         out = flip.apply_matrix(density(Statevector.from_bitstring("10")))
         np.testing.assert_allclose(out, density(Statevector.from_bitstring("11")), atol=1e-14)
