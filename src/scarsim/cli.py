@@ -9,7 +9,8 @@ command-line flags and INI keys it reads: each group of flags below
 names the INI keys it stands for.  A flag or INI key a subcommand does
 not read (``twirls`` for ``qpt`` or ``oracle``, say), a flag value out
 of range, or a config that fails validation, ends the run with exit
-status 2 before anything is written.  ``cy`` has no DD: it takes
+status 2 before anything is written; a calibrated readout factor
+without an inverse, with exit status 1.  ``cy`` has no DD: it takes
 ``dd = false`` in an INI file, so that one file can serve both
 pipelines, and refuses ``dd = true`` at load.
 """
@@ -160,20 +161,23 @@ def main(argv=None) -> int:
     except (ValueError, configparser.Error) as exc:
         parser.error(str(exc))
 
-    if args.command == "zpi":
-        results = experiments.run_zpi(config)
-        if args.flips is not None:
-            other = f"loschmidt_f{1 - args.flips}_"
-            results = {k: v for k, v in results.items() if not k.startswith(other)}
-    elif args.command == "cy":
-        results = experiments.run_cy(config)
-    elif args.command == "rzz-bench":
-        grid = np.linspace(args.theta_min, args.theta_max, args.points)
-        results = experiments.run_rzz_bench(config, thetas=grid, repeats=args.repeats)
-    elif args.command == "qpt":
-        results = _run_qpt(config, args)
-    else:
-        results = _run_oracle(config, args.which)
+    try:
+        if args.command == "zpi":
+            results = experiments.run_zpi(config)
+            if args.flips is not None:
+                other = f"loschmidt_f{1 - args.flips}_"
+                results = {k: v for k, v in results.items() if not k.startswith(other)}
+        elif args.command == "cy":
+            results = experiments.run_cy(config)
+        elif args.command == "rzz-bench":
+            grid = np.linspace(args.theta_min, args.theta_max, args.points)
+            results = experiments.run_rzz_bench(config, thetas=grid, repeats=args.repeats)
+        elif args.command == "qpt":
+            results = _run_qpt(config, args)
+        else:
+            results = _run_oracle(config, args.which)
+    except np.linalg.LinAlgError as exc:  # a calibrated readout factor without an inverse
+        parser.exit(1, f"{parser.prog}: error: {exc}\n")
     _report(emit(results, config))
     return 0
 

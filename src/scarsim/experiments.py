@@ -352,6 +352,7 @@ def _calibrated_confusion(config, spec):
         shots=config.shots,
         seed=config.seed * 1000003 + _ROLE_CAL,
         infinite=config.infinite_shots,
+        shots_per_trajectory=config.shots_per_trajectory,
     )
 
 
@@ -471,7 +472,6 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
     stochastic, quasi_static = noise.chain_noise(blocks + [basis], spec)
     n_traj = noise.trajectory_count(stochastic, config.shots, config.shots_per_trajectory)
     seg = _segment_steps(len(blocks) - 1, stochastic)
-    initial = Statevector.zero(blocks[0].width)
     twirl = mitigation.twirl_is_visible(spec)
     estimates = [[[None] * config.twirls for _ in factors] for _ in blocks]
     for w in range(config.twirls):
@@ -486,7 +486,7 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
                 if twirl:
                     circuit = mitigation.twirl_circuit(circuit, seed=key + [_ROLE_TWIRL])
                 if step % seg == 0:
-                    batch = noise.TrajectoryBatch.seeded(spec, n_traj, key, initial,
+                    batch = noise.TrajectoryBatch.seeded(spec, n_traj, key, blocks[0].width,
                                                          quasi_static)
                 counts = noise.run_noisy_counts(
                     circuit,
@@ -494,7 +494,6 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
                     config.shots,
                     key,
                     infinite=config.infinite_shots,
-                    shots_per_trajectory=config.shots_per_trajectory,
                     batch=batch,
                     basis=basis,
                     parts=parts,
@@ -637,10 +636,10 @@ def run_cy(config: ExperimentConfig) -> dict:
     sources = list(range(2, L + 1, 2))
 
     # one sweep per (source, branch, parity) family; ZNE value and
-    # variance of every local term, indexed (step, source, branch, site)
+    # variance of every local term in the ``assemble_cy`` layout
     value = np.zeros((config.steps + 1, len(sources), len(CY_BRANCHES), L))
     var = np.zeros_like(value)
-    variants_by_family: dict = {}
+    families = []  # (source, branch, parity, variant records by step)
     for si, i in enumerate(sources):
         for bi, b in enumerate(CY_BRANCHES):
             blocks = [Circuit(L, prep.gates + cy_branch_prep(L, i, b).gates)]
@@ -650,7 +649,7 @@ def run_cy(config: ExperimentConfig) -> dict:
                 def estimate(counts, lam):
                     if confusion is not None:
                         counts = mitigation.mitigate_readout(counts, confusion)
-                    return np.array(list(pyp_expectation(counts, parity).values()))
+                    return pyp_expectation(counts, parity)
 
                 samples, lam_effs, step_variants = _sweep(
                     config, spec, blocks, [config.seed, 7, i, bi, pi], estimate,
@@ -660,36 +659,25 @@ def run_cy(config: ExperimentConfig) -> dict:
                 val, std = _zne(samples, lam_effs)
                 value[:, si, bi, cols] = val
                 var[:, si, bi, cols] = np.where(np.isfinite(std), std**2, 0.0)
-                variants_by_family[(i, b, parity)] = [
-                    [{"source": i, "branch": b, "parity": parity, **v} for v in vs]
-                    for vs in step_variants
-                ]
+                families.append((i, b, parity, step_variants))
 
-    values = np.zeros(config.steps + 1, dtype=complex)
+    values = assemble_cy(value)
+    # Re C_Y sums +-(M+1 - M-1) / 2 and Im C_Y +-(+Y - -Y) / 2 over every
+    # (source, site) term (branches 0-3), so the ZNE variance of each
+    # independent term enters with weight 1/4; a NaN std counts as 0.  It
+    # stays per step, in scalars: abs and sqrt over an array of steps can
+    # round a std one ulp apart
     stds = np.zeros(config.steps + 1)
-    variants = []
-    for step in range(config.steps + 1):
-        branch_vals = {
-            (i, b): dict(enumerate(value[step, si, bi].tolist(), 1))
-            for si, i in enumerate(sources)
-            for bi, b in enumerate(CY_BRANCHES)
-        }
-        values[step] = assemble_cy(branch_vals, L)
-        # Re C_Y sums +-(M+1 - M-1) / 2 and Im C_Y +-(+Y - -Y) / 2 over
-        # every (source, site) term (branches 0-3), so the ZNE variance of
-        # each independent term enters with weight 1/4; a NaN std counts as 0
-        var_re = 0.25 * (var[step, :, 0] + var[step, :, 1]).sum()
-        var_im = 0.25 * (var[step, :, 2] + var[step, :, 3]).sum()
-        v = values[step]
+    for step, (v, var_step) in enumerate(zip(values, var)):
+        var_re = 0.25 * (var_step[:, 0] + var_step[:, 1]).sum()
+        var_im = 0.25 * (var_step[:, 2] + var_step[:, 3]).sum()
         mag = abs(v)
-        if mag > 0:
-            stds[step] = np.sqrt(
-                (v.real**2 * var_re + v.imag**2 * var_im)
-            ) / mag
-        else:
-            stds[step] = np.sqrt(var_re + var_im)
-        for family in variants_by_family.values():
-            variants.extend(family[step])
+        stds[step] = (np.sqrt(v.real**2 * var_re + v.imag**2 * var_im) / mag if mag > 0
+                      else np.sqrt(var_re + var_im))
+    variants = [{"source": i, "branch": b, "parity": parity, **v}
+                for step in range(config.steps + 1)
+                for i, b, parity, step_variants in families
+                for v in step_variants[step]]
 
     # noiseless Trotter correlator via the measurement protocol itself
     ref = observables.simulate_cy_noiseless(params, config.steps, impl=config.impl)

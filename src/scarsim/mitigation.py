@@ -304,27 +304,29 @@ def calibrate_confusion(
     shots: int,
     seed: int = 0,
     infinite: bool = False,
+    shots_per_trajectory: int = 1024,
 ) -> ConfusionMatrix:
     """Estimate the per-qubit readout factors from two simulated
     calibration circuits: prepare all-zeros and all-ones and read each
-    qubit's flip rates 0 -> 1 (eps) and 1 -> 0 (eta)."""
+    qubit's flip rates 0 -> 1 (eps) and 1 -> 0 (eta).  Each circuit runs
+    as ``run_noisy_counts`` runs it at ``shots_per_trajectory``.  The
+    inverse is built here: a factor without one raises its ``LinAlgError``
+    before any counts are inverted."""
     if shots < 1:
         raise ValueError("calibration needs at least one shot")
     from .qsim import x as xgate
 
-    zeros = run_noisy_counts(
-        Circuit(L), spec, shots, [seed, 0], infinite=infinite
-    )
-    ones = run_noisy_counts(
-        Circuit(L, [xgate(q) for q in range(L)]), spec, shots, [seed, 1],
-        infinite=infinite,
-    )
+    kw = dict(infinite=infinite, shots_per_trajectory=shots_per_trajectory)
+    zeros = run_noisy_counts(Circuit(L), spec, shots, [seed, 0], **kw)
+    ones = run_noisy_counts(Circuit(L, [xgate(q) for q in range(L)]), spec, shots, [seed, 1], **kw)
     p0 = zeros.vector / zeros.total_shots
     p1 = ones.vector / ones.total_shots
     bits = bit_table(L)
     eps = [float(p0[bits[:, q] == 1].sum()) for q in range(L)]
     eta = [float(p1[bits[:, q] == 0].sum()) for q in range(L)]
-    return ConfusionMatrix.from_rates(L, eps, eta)
+    m = ConfusionMatrix.from_rates(L, eps, eta)
+    m._inverse  # raises here if a factor has no inverse
+    return m
 
 
 # ---------------------------------------------------------------------------

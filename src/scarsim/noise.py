@@ -765,16 +765,16 @@ class TrajectoryBatch:
 
     @classmethod
     def seeded(cls, spec: NoiseSpec, n_traj: int, key: list[int],
-               initial: Statevector, quasi_static: bool) -> "TrajectoryBatch":
-        """``n_traj`` trajectories at ``initial``, trajectory t seeded
+               width: int, quasi_static: bool) -> "TrajectoryBatch":
+        """``n_traj`` trajectories at |0...0>, trajectory t seeded
         ``key + [2, t]``; they draw quasi-static idle rates only if some
         circuit they will run has ``quasi_static`` idles."""
         rngs = [_rng(key + [2, t]) for t in range(n_traj)]
         omegas = None
         if quasi_static:
             sigma = spec.idle_dephasing_rad_per_ns
-            omegas = np.stack([r.normal(0.0, sigma, size=initial.width) for r in rngs])
-        return cls(np.tile(initial.amplitudes, (n_traj, 1)), rngs, omegas)
+            omegas = np.stack([r.normal(0.0, sigma, size=width) for r in rngs])
+        return cls(np.tile(Statevector.zero(width).amplitudes, (n_traj, 1)), rngs, omegas)
 
 
 def chain_noise(circuits: list[Circuit | None], spec: NoiseSpec) -> tuple[bool, bool]:
@@ -854,8 +854,7 @@ def run_noisy_counts(
     if batch is None:
         stochastic, quasi_static = chain_noise([circuit, basis], spec)
         n_traj = trajectory_count(stochastic, shots, shots_per_trajectory)
-        batch = TrajectoryBatch.seeded(spec, n_traj, base, Statevector.zero(width),
-                                       quasi_static)
+        batch = TrajectoryBatch.seeded(spec, n_traj, base, width, quasi_static)
         parts = []
     parts.append(_NoisePlan.of(circuit, spec))
     run, batch.blocks = parts[batch.blocks:], len(parts)

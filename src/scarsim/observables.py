@@ -246,17 +246,18 @@ def y_basis_rotation(L: int, parity: str) -> Circuit:
     return Circuit(L, gates)
 
 
-def pyp_expectation(counts: Counts, parity: str) -> dict[int, float]:
-    """<(PYP)_j> for every site j of the parity, from one counts object.
+def pyp_expectation(counts: Counts, parity: str) -> np.ndarray:
+    """<(PYP)_j> for every site j of the parity, in ``parity_sites``
+    order, from one counts object.
 
     The counts come from a circuit whose parity-group qubits were
     rotated Y->Z before measurement: the rotated bit contributes
     (1 - 2b_j), the unrotated neighbors enter as ground-state
-    indicators, one-sided at the chain ends.
+    indicators, one-sided at the chain ends.  Each site is its own dot
+    product (one matrix-vector product would round differently).
     """
     idx, w, L = support(counts)
-    table = _pyp_table(L, parity)
-    return {j: float(w @ row[idx]) for j, row in zip(parity_sites(L, parity), table)}
+    return np.array([w @ row[idx] for row in _pyp_table(L, parity)])
 
 
 def pyp_matrix(L: int, j: int) -> np.ndarray:
@@ -308,22 +309,24 @@ def cy_branch_prep(L: int, i: int, branch: str) -> Circuit:
     return Circuit(L, gates)
 
 
-def assemble_cy(branch_values: dict, L: int) -> complex:
-    """Combine per-branch <(PYP)_j> values into C_Y(t).
-
-    ``branch_values`` maps (source_site, branch) to {j: value} over all
-    sites j.  Raises if any branch is missing.
-    """
-    total = 0.0 + 0.0j
-    for i in range(2, L + 1, 2):
-        for b in CY_BRANCHES:
-            if (i, b) not in branch_values:
-                raise ValueError(f"missing branch {(i, b)}")
+def assemble_cy(terms: np.ndarray) -> np.ndarray:
+    """C_Y of the local terms <(PYP)_j>, shaped (..., sources, branches,
+    L): sources i = 2, 4, ... <= L, branches in ``CY_BRANCHES`` order,
+    sites j = 1..L; any other trailing shape is refused.  One complex
+    value per leading index, summed source by source and site by site
+    across every leading index at once."""
+    terms = np.asarray(terms)
+    L = terms.shape[-1] if terms.ndim else 0
+    if L < 2 or terms.shape[-3:] != (L // 2, len(CY_BRANCHES), L):
+        raise ValueError(f"terms must be shaped (..., L // 2 sources, {len(CY_BRANCHES)} "
+                         f"branches, L >= 2 sites), got {terms.shape}")
+    total = np.zeros(terms.shape[:-3], dtype=complex)
+    for si, i in enumerate(range(2, L + 1, 2)):
+        m_plus, m_minus, y_plus, y_minus = np.moveaxis(terms[..., si, :, :], -2, 0)
         for j in range(1, L + 1):
-            vm = branch_values[(i, "M+1")][j] - branch_values[(i, "M-1")][j]
-            vy = branch_values[(i, "+Y")][j] - branch_values[(i, "-Y")][j]
-            local = 0.5 * vm - 0.5j * vy
-            total += stagger_sign(i) * stagger_sign(j) * local
+            vm = m_plus[..., j - 1] - m_minus[..., j - 1]
+            vy = y_plus[..., j - 1] - y_minus[..., j - 1]
+            total += stagger_sign(i) * stagger_sign(j) * (0.5 * vm - 0.5j * vy)
     return total
 
 
@@ -334,9 +337,9 @@ def simulate_cy_noiseless(p: ModelParams, steps: int, impl: str = "rzz") -> np.n
     The (source, branch) states are carried forward as one stack, one
     Trotter step at a time through one noiseless plan of the step, and
     measured in both parity bases, each planned once, after every step
-    (rows never mix, so each evolves as it would alone).  This
-    is the convention-pinning check: it must agree with ``cy_oracle``
-    before the protocol is trusted at scale.
+    (rows never mix, so each evolves as it would alone), into one
+    ``assemble_cy`` array.  This is the convention-pinning check: it
+    must agree with ``cy_oracle`` before the protocol is trusted at scale.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -347,18 +350,16 @@ def simulate_cy_noiseless(p: ModelParams, steps: int, impl: str = "rzz") -> np.n
     neel = run_circuit(Statevector.zero(L), neel_prep_circuit(L))
     families = [(i, b) for i in range(2, L + 1, 2) for b in CY_BRANCHES]
     psi = np.stack([run_circuit(neel, cy_branch_prep(L, i, b)).amplitudes for i, b in families])
-    values = []
+    terms = np.empty((steps + 1, len(families), L))
     for n in range(steps + 1):
         if n:
             psi = step.run_batch(psi, [])[0]
-        per_site: dict = {f: {} for f in families}
         for parity, basis in bases.items():
+            cols = [j - 1 for j in parity_sites(L, parity)]
             probs = np.abs(basis.run_batch(psi.copy(), [])[0]) ** 2
-            for f, row in zip(families, probs):
-                counts = Counts(row / row.sum(), 1.0)  # one infinite shot
-                per_site[f].update(pyp_expectation(counts, parity))
-        values.append(assemble_cy(per_site, L))
-    return np.array(values)
+            for f, row in enumerate(probs):  # one infinite shot each
+                terms[n, f, cols] = pyp_expectation(Counts(row / row.sum(), 1.0), parity)
+    return assemble_cy(terms.reshape(steps + 1, L // 2, len(CY_BRANCHES), L))
 
 
 def _apply_ypi(psi: np.ndarray, L: int) -> np.ndarray:

@@ -249,17 +249,16 @@ class Statevector:
 
 
 def _apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], width: int,
-                  spare: np.ndarray | None = None) -> np.ndarray:
+                  spare: np.ndarray) -> np.ndarray:
     """Apply a 2^k x 2^k unitary to the k listed qubits of every row of a
     C-contiguous (T, 2^width) stack of amplitude arrays; the only
     amplitude kernel.  ``qubits[0]`` is the most significant bit of the
     matrix index.
 
     ``spare`` is caller-owned scratch of the stack's shape and dtype.
-    With it the kernel allocates nothing: it returns whichever of ``psi``
-    and ``spare`` holds the result and leaves the other overwritten, so a
-    caller passes the two buffers back and forth.  Without it ``psi`` is
-    left as it is and the result is a new array.
+    The kernel allocates nothing: it returns whichever of ``psi`` and
+    ``spare`` holds the result and leaves the other overwritten, so a
+    caller passes the two buffers back and forth.
 
     A window on consecutive qubits in ascending order multiplies a
     reshaped view of the stack into ``spare`` (``_layout`` says where);
@@ -267,8 +266,6 @@ def _apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], wid
     and scattered back into ``spare``.  A single qubit runs elementwise,
     with ``spare`` as scratch, into ``psi``.  Each row comes out bit for
     bit as it would run alone, and as the gathered form gives it."""
-    if spare is None:
-        return _apply_matrix(psi.copy(), mat, qubits, width, np.empty_like(psi))
     n_traj = psi.shape[0]
     layout = _layout(qubits, width)
     if layout is None:  # one qubit

@@ -1,5 +1,7 @@
 """Experiment runner: config handling, pipeline, emission, CLI, determinism."""
+import contextlib
 import hashlib
+import io
 import json
 import re
 import subprocess
@@ -345,14 +347,38 @@ class TestNoisyPipeline:
         bundle = run_zpi(cfg)
         assert np.all(np.isfinite(bundle["zpi_density_mitigated"].values.real))
 
-    def test_singular_calibration_names_the_qubit_and_its_rates(self):
+    @pytest.mark.parametrize("run", [run_zpi, run_cy])
+    def test_singular_calibration_names_the_qubit_and_its_rates(self, monkeypatch, run):
         # 16 calibration shots estimate qubit 0's rates as 0.5 and 0.5, a
         # factor without an inverse; this used to end in "LinAlgError:
-        # Singular matrix", which named neither the qubit nor the rates
+        # Singular matrix", which named neither the qubit nor the rates.
+        # The calibration raises it, before any variant runs
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a variant ran")
+
+        monkeypatch.setattr(experiments, "_sweep", no_sweep)
         cfg = ExperimentConfig(sites=3, steps=1, twirls=1, shots=16, seed=5,
                                noise_overrides={"readout_eps": 0.5, "readout_eta": 0.4})
         with pytest.raises(ValueError, match="qubit 0 has no inverse: eps = 0.5 and eta = 0.5"):
-            run_zpi(cfg)
+            run(cfg)
+
+    def test_calibration_runs_one_trajectory_per_shots_per_trajectory(self, monkeypatch):
+        # the all-ones calibration circuit draws single-qubit errors, so it
+        # runs ceil(100 / 16) = 7 trajectories; the empty all-zeros one has
+        # no stochastic noise and runs one
+        real = noise.TrajectoryBatch.seeded.__func__
+        n_trajs = []
+
+        def seeded(cls, spec, n_traj, *args):
+            n_trajs.append(n_traj)
+            return real(cls, spec, n_traj, *args)
+
+        monkeypatch.setattr(noise.TrajectoryBatch, "seeded", classmethod(seeded))
+        cfg = tiny_config(noise_preset="casablanca-like", readout_mode="tensor",
+                          infinite_shots=False, shots=100, shots_per_trajectory=16,
+                          noise_overrides={"single_qubit_depolarizing": 0.3})
+        experiments._calibrated_confusion(cfg, cfg.noise_spec())
+        assert n_trajs == [1, 7]
 
     def test_noisy_infinite_shots_take_the_unweighted_fallback(self):
         # `scarsim zpi --sites 4 --steps 3 --twirls 3 --shots 4096 --seed 7
@@ -698,6 +724,20 @@ class TestReferenceSeries:
 
 
 class TestCLI:
+    def test_singular_calibration_is_one_error_line_and_exit_1(self, tmp_path, capsys):
+        # one calibration shot reads qubit 2 as 1 in the all-zeros circuit
+        # (eps = 1, eta = 0): the run ends with one line and no traceback,
+        # and writes nothing
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["zpi", "--sites", "4", "--steps", "1", "--twirls", "1", "--shots", "1",
+                      "--zne-factors", "1.0", "--seed", "0", "--out", str(out)])
+        assert exc.value.code == 1 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("scarsim: error: the readout factor of qubit 2 has no inverse: "
+                                "eps = 1.0 and eta = 0.0 sum to 1\n")
+
     def test_import_leaves_scipy_unloaded(self):
         # scipy serves only the oracles (scipy.sparse for exact evolution),
         # so starting the CLI must not pay for importing it
@@ -1187,7 +1227,7 @@ def _ini_drafts(draw):
                   "omega": draw(st.sampled_from([0.24, 2.0])),
                   "dt": draw(st.sampled_from([1.0, 0.16]))},
         "execution": {"impl": draw(st.sampled_from(RZZ_IMPLS)),
-                      "shots": draw(st.sampled_from([16, 256])),
+                      "shots": draw(st.sampled_from([1, 16, 256])),
                       "infinite_shots": draw(st.booleans()),
                       "shots_per_trajectory": draw(st.sampled_from([16, 1024])),
                       "seed": draw(st.integers(0, 3))},
@@ -1253,11 +1293,11 @@ def test_every_config_the_loader_accepts_runs_as_its_manifest_records(tmp_path_f
     # each draw is written as an INI file and run through the CLI in
     # process.  The loader refuses only tensor readout without an inverse
     # (eps + eta = 1).  A run whose calibration estimates such a factor
-    # (one trajectory under single-qubit depolarizing reads every
-    # calibration shot alike) raises the ValueError naming the qubit and
-    # writes nothing.  Every other draw exits 0, its manifest lists the
-    # files' hashes and records a config that loads, equals the one the
-    # INI gives, and whose dt * v steps every emitted Vt axis.  Noiseless
+    # (a single calibration shot reads every qubit at 0 or 1) exits 1 with
+    # one error line naming the qubit and writes nothing.  Every other
+    # draw exits 0, its manifest lists the files' hashes and records a
+    # config that loads, equals the one the INI gives, and whose dt * v
+    # steps every emitted Vt axis.  Noiseless
     # infinite-shot draws reproduce the dense references, and the two
     # explicit noisy examples rerun into the same directory byte for byte.
     command, sections = draft
@@ -1273,10 +1313,14 @@ def test_every_config_the_loader_accepts_runs_as_its_manifest_records(tmp_path_f
         assert exc.value.code == 2 and not out.exists()
         event("refused: readout without an inverse")
         return
+    err = io.StringIO()
     try:
-        assert cli.main([command, "--config", str(ini), "--out", str(out)]) == 0
-    except ValueError as exc:
-        assert re.match(r"the readout factor of qubit \d+ has no inverse", str(exc))
+        with contextlib.redirect_stderr(err):
+            assert cli.main([command, "--config", str(ini), "--out", str(out)]) == 0
+    except SystemExit as exc:
+        assert exc.code == 1
+        assert re.fullmatch(r"scarsim: error: the readout factor of qubit \d+ has no inverse: "
+                            r"[^\n]*\n", err.getvalue())
         assert sections["mitigation"]["readout_mode"] == "tensor" and not out.exists()
         event("calibration estimated a factor without an inverse")
         return

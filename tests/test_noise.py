@@ -427,7 +427,7 @@ class TestTrajectoryExecution:
         shots, n_traj, k = 256, 4, 2000
 
         def run(seed, infinite=False):
-            batch = noise.TrajectoryBatch.seeded(spec, n_traj, [99], Statevector.zero(3), False)
+            batch = noise.TrajectoryBatch.seeded(spec, n_traj, [99], 3, False)
             return run_noisy_counts(circ, spec, shots, [seed], infinite=infinite, batch=batch,
                                     parts=[]).vector
 
@@ -461,14 +461,13 @@ class TestTrajectoryExecution:
             idle_stochastic_rate_per_ns=1e-4,
         )
         plan = noise._NoisePlan(circ, spec)
-        init = Statevector.zero(4)
         assert noise.chain_noise([circ], spec) == (True, True)
-        batch = noise.TrajectoryBatch.seeded(spec, 6, [3], init, True)
+        batch = noise.TrajectoryBatch.seeded(spec, 6, [3], 4, True)
         amps = batch.amps
         for _ in range(2):  # a second block continues the same trajectories
             amps, _ = plan.run_batch(amps, batch.rngs, batch.omegas)
         for t in range(6):
-            fresh = noise.TrajectoryBatch.seeded(spec, 6, [3], init, True)
+            fresh = noise.TrajectoryBatch.seeded(spec, 6, [3], 4, True)
             single = fresh.amps[t:t + 1]
             for _ in range(2):
                 single, _ = plan.run_batch(single, fresh.rngs[t:t + 1], fresh.omegas[t:t + 1])
@@ -1139,7 +1138,7 @@ def test_run_batch_keeps_one_spare_stack(monkeypatch):
         return out
 
     def measure():
-        batch = noise.TrajectoryBatch.seeded(spec, n_traj, [7], Statevector.zero(L), False)
+        batch = noise.TrajectoryBatch.seeded(spec, n_traj, [7], L, False)
         run_noisy_counts(circuit, spec, 4096, [7], batch=batch, parts=[])
 
     monkeypatch.setattr(noise._NoisePlan, "run_batch", run_batch)

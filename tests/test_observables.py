@@ -13,6 +13,7 @@ from scarsim.observables import (
     cy_branch_prep,
     cy_oracle,
     loschmidt_echo,
+    parity_sites,
     pyp_expectation,
     pyp_matrix,
     series_from_values,
@@ -132,7 +133,8 @@ class TestPYP:
             rotated = run_circuit(neel_state(5), y_basis_rotation(5, parity))
             counts = _exact_counts(rotated)
             vals = pyp_expectation(counts, parity)
-            for v in vals.values():
+            assert vals.shape == (len(parity_sites(5, parity)),)
+            for v in vals:
                 assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_local_correlator_t0_structure(self):
@@ -162,7 +164,9 @@ class TestPYP:
             rotated = run_circuit(psi, y_basis_rotation(4, parity))
             counts = _exact_counts(rotated)
             est = pyp_expectation(counts, parity)
-            for j, v in est.items():
+            sites = parity_sites(4, parity)
+            assert est.shape == (len(sites),)
+            for j, v in zip(sites, est):
                 dense = np.real(
                     psi.amplitudes.conj() @ pyp_matrix(4, j) @ psi.amplitudes
                 )
@@ -179,7 +183,8 @@ class TestPYP:
         )
         rotated = run_circuit(psi, y_basis_rotation(5, "even"))
         counts = _exact_counts(rotated)
-        grouped = pyp_expectation(counts, "even")
+        grouped = dict(zip(parity_sites(5, "even"), pyp_expectation(counts, "even"),
+                           strict=True))
         for j in (2, 4):
             single_rot = run_circuit(
                 psi, Circuit_single_rotation(5, j)
@@ -278,33 +283,39 @@ class TestCYAssembly:
         plans.update({parity: _NoisePlan(y_basis_rotation(L, parity), spec)
                       for parity in PARITIES})
         neel = run_circuit(Statevector.zero(L), neel_prep_circuit(L))
-        planned, gate_by_gate = [{} for _ in range(5)], [{} for _ in range(5)]
-        for i in range(2, L + 1, 2):
-            for b in CY_BRANCHES:
+        # terms of each step, (step, source, branch, site)
+        planned, gate_by_gate = (np.full((5, L // 2, len(CY_BRANCHES), L), np.nan)
+                                 for _ in range(2))
+        for si, i in enumerate(range(2, L + 1, 2)):
+            for bi, b in enumerate(CY_BRANCHES):
                 psi = run_circuit(neel, cy_branch_prep(L, i, b))
                 row = psi.amplitudes[None].copy()
                 for n in range(5):
                     if n:
                         psi = run_circuit(psi, step)
                         row = plans["step"].run_batch(row, [])[0]
-                    per_site, per_site_gates = {}, {}
                     for parity in PARITIES:
+                        cols = [j - 1 for j in parity_sites(L, parity)]
                         rotated = plans[parity].run_batch(row.copy(), [])[0][0]
                         counts = _exact_counts(Statevector(rotated, check=False))
-                        per_site.update(pyp_expectation(counts, parity))
+                        planned[n, si, bi, cols] = pyp_expectation(counts, parity)
                         rotated = run_circuit(psi, y_basis_rotation(L, parity))
                         counts = _exact_counts(rotated)
-                        per_site_gates.update(pyp_expectation(counts, parity))
-                    planned[n][(i, b)] = per_site
-                    gate_by_gate[n][(i, b)] = per_site_gates
+                        gate_by_gate[n, si, bi, cols] = pyp_expectation(counts, parity)
+        assert not np.isnan(planned).any() and not np.isnan(gate_by_gate).any()
         got = simulate_cy_noiseless(p, 4, impl=impl)
-        np.testing.assert_array_equal(got, [assemble_cy(v, L) for v in planned])
-        np.testing.assert_allclose(got, [assemble_cy(v, L) for v in gate_by_gate],
+        np.testing.assert_array_equal(got, [assemble_cy(v) for v in planned])
+        np.testing.assert_allclose(got, [assemble_cy(v) for v in gate_by_gate],
                                    rtol=0, atol=1e-12)
 
-    def test_missing_branch_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_cy({(2, "M+1"): {1: 0.0}}, L=4)
+    @pytest.mark.parametrize("shape", [(4,), (1, 4, 4), (2, 3, 4), (3, 4, 5), (3, 2, 4, 6),
+                                       (0, 4, 1)])
+    def test_terms_of_a_wrong_shape_rejected(self, shape):
+        # (..., L // 2 sources, 4 branches, L sites) and nothing else: a
+        # missing source or branch, or a site count that does not match
+        # the sources, is refused
+        with pytest.raises(ValueError, match="terms must be shaped"):
+            assemble_cy(np.zeros(shape))
 
     def test_scar_regime_oscillation_period_and_30_step_oracle(self):
         # |C_Y| oscillates near pi / (1.33 Omega) in the scar regime, and

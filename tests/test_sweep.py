@@ -253,8 +253,7 @@ def test_noisy_chains_restart_fresh_trajectories_every_segment(monkeypatch):
             assert all(a is b for a, b in zip(ran, planned, strict=True))
             ran_gates = [g for plan in ran for g in source[id(plan)].gates]
             assert _gate_list(ran_gates) == _gate_list(gates)
-            batch = noise.TrajectoryBatch.seeded(spec, n_traj, key, Statevector.zero(cfg.sites),
-                                                 quasi_static)
+            batch = noise.TrajectoryBatch.seeded(spec, n_traj, key, cfg.sites, quasi_static)
             once = run(folded, spec, cfg.shots, key, batch=batch, parts=ran[:-1])
             np.testing.assert_array_equal(counts.vector, once.vector)
 
