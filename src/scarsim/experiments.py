@@ -7,10 +7,11 @@ the noise scale factors.  Variants come from a prefix-sharing sweep
 (``_sweep``): each (twirl, scale) chain evolves a batch of noise
 trajectories through the preparation block and then one Trotter step
 per block, measuring a snapshot after every block; under stochastic
-noise a fresh batch re-runs the chain's whole prefix every
-ceil(sqrt(steps + 1)) steps.  Each folded block is twirled only where
-a twirl can change a trajectory (``mitigation.twirl_is_visible``: the
-noise has a coherent overrotation or single-qubit error).  The executor
+noise the sweep restarts the chain every ceil(sqrt(steps + 1)) steps,
+and its fresh batch re-runs the chain's whole prefix.  Each folded
+block is twirled only where a twirl can change a trajectory
+(``mitigation.twirl_is_visible``: the noise has a coherent
+overrotation or single-qubit error).  The executor
 plans each distinct block once per run and shares the plan between
 every chain, twirl and family that runs it; a restart runs the chain's
 planned blocks (executor windows do not cross block boundaries).
@@ -151,7 +152,7 @@ class ExperimentConfig:
         spec = self.noise_spec()  # an invalid preset or override fails here, not mid-run
         if self.readout_mode == "tensor" and noise.singular_readout(spec.readout_eps,
                                                                     spec.readout_eta):
-            raise ValueError("readout_eps + readout_eta = 1 leaves the readout channel without "
+            raise ValueError("readout_eps + readout_eta >= 1 leaves the readout channel without "
                              "an inverse; use readout_mode = off")
 
     def model_params(self) -> ModelParams:
@@ -442,15 +443,16 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
     returns the variant's estimates as one 1-D float row of a fixed
     length; NaN marks a missing estimate.  The chain is cut into
     segments of ``_segment_steps`` steps: at the first step of each
-    segment a fresh batch runs the chain's whole folded, twirled prefix,
-    and the segment's later steps carry that batch one block at a time.
-    Each step appends the plan of its block to the chain's ``parts``
-    (see ``noise.run_noisy_counts``); that plan is built once per run
-    and shared by every chain that runs the same block.  A restart runs
-    the chain's planned blocks joined into one plan, so no gate window
-    crosses a block boundary.  Steps
-    of one segment share their noise draws; steps of different segments
-    do not, which bounds how far the sharing correlates the series.
+    segment the sweep restarts the chain (``noise.TrajectoryChain``), so
+    that step starts fresh trajectories that run the chain's whole
+    folded, twirled prefix, and the segment's later steps carry that
+    batch one block at a time.  Each step appends the plan of its block
+    to the chain (see ``noise.run_noisy_counts``); that plan is built
+    once per run and shared by every chain that runs the same block.  A
+    restart runs the chain's planned blocks joined into one plan, so no
+    gate window crosses a block boundary.  Steps of one segment share
+    their noise draws; steps of different segments do not, which bounds
+    how far the sharing correlates the series.
     Whether the chain's noise is stochastic, which sets its trajectory
     count and segments, is ``noise.chain_noise`` of its blocks and basis.
 
@@ -463,7 +465,8 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
     Returns (samples, lam_effs, variants): samples is one (steps + 1,
     scales, twirls, columns) array of the rows, lam_effs[step] the
     realized scales, and variants[step] one record per variant in
-    (twirl, scale) order.
+    (twirl, scale) order, built as the variant runs from its key and the
+    chain key.
     """
     factors = config.zne_factors
     n2_blocks = [b.n_two_qubit for b in blocks]
@@ -474,10 +477,11 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
     seg = _segment_steps(len(blocks) - 1, stochastic)
     twirl = mitigation.twirl_is_visible(spec)
     estimates = [[[None] * config.twirls for _ in factors] for _ in blocks]
+    variants: list[list[dict]] = [[] for _ in blocks]
     for w in range(config.twirls):
         for li, lam in enumerate(factors):
             folds = mitigation.block_fold_counts(n2_blocks, lam)
-            parts: list = []  # the plans of the chain's blocks so far
+            chain = noise.TrajectoryChain(n_traj, quasi_static)
             for step, block in enumerate(blocks):
                 key = key_head + [step, w, li]
                 circuit = mitigation.fold_gates_random(
@@ -486,35 +490,27 @@ def _sweep(config: ExperimentConfig, spec: NoiseSpec, blocks: list[Circuit],
                 if twirl:
                     circuit = mitigation.twirl_circuit(circuit, seed=key + [_ROLE_TWIRL])
                 if step % seg == 0:
-                    batch = noise.TrajectoryBatch.seeded(spec, n_traj, key, blocks[0].width,
-                                                         quasi_static)
+                    chain.restart()
+                    chain_key = key
                 counts = noise.run_noisy_counts(
                     circuit,
                     spec,
                     config.shots,
                     key,
                     infinite=config.infinite_shots,
-                    batch=batch,
                     basis=basis,
-                    parts=parts,
+                    chain=chain,
                 )
                 estimates[step][li][w] = estimate(counts, lam)
-    variants = [
-        [
-            {
-                "step": step,
-                "twirl": w,
-                "scale": lam,
-                "effective_scale": lam_effs[step][li],
-                "two_qubit_gates": n2[step],
-                "seed_key": key_head + [step, w, li],
-                "chain_key": key_head + [step - step % seg, w, li],
-            }
-            for w in range(config.twirls)
-            for li, lam in enumerate(factors)
-        ]
-        for step in range(len(blocks))
-    ]
+                variants[step].append({
+                    "step": step,
+                    "twirl": w,
+                    "scale": lam,
+                    "effective_scale": lam_effs[step][li],
+                    "two_qubit_gates": n2[step],
+                    "seed_key": key,
+                    "chain_key": chain_key,
+                })
     return np.array(estimates), lam_effs, variants
 
 

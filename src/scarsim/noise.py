@@ -328,7 +328,7 @@ class ConfusionMatrix:
             eps, eta = float(f[1, 0]), float(f[0, 1])
             if singular_readout(eps, eta):
                 raise np.linalg.LinAlgError(f"the readout factor of qubit {q} has no inverse: "
-                                            f"eps = {eps} and eta = {eta} sum to 1")
+                                            f"eps = {eps} and eta = {eta} sum to 1 or more")
         return _kron_blocks([np.linalg.inv(f) for f in self.factors])
 
     def apply_to_vector(self, vec: np.ndarray) -> np.ndarray:
@@ -344,9 +344,12 @@ class ConfusionMatrix:
 
 def singular_readout(eps: float, eta: float) -> bool:
     """Whether the factor [[1-eps, eta], [eps, 1-eta]] has no usable inverse:
-    its determinant 1 - eps - eta is 0 up to the 1e-9 below which rounding,
-    amplified by the inverse, no longer keeps an inverted vector's total."""
-    return abs(1.0 - eps - eta) <= 1e-9
+    its determinant 1 - eps - eta is 0 or below, up to the 1e-9 below
+    which rounding, amplified by the inverse, no longer keeps an inverted
+    vector's total.  Below 0 an inverse exists, but the factor reads a 1
+    no likelier from a 1 than from a 0 (eps = eta = 1 is a bit swap), so
+    inverting it turns a qubit's readout around instead of mending it."""
+    return eps + eta >= 1.0 - 1e-9
 
 
 # Widest Kronecker block of readout factors: a k-qubit block is one pass
@@ -746,57 +749,48 @@ class _NoisePlan:
 
 
 @dataclass
-class TrajectoryBatch:
-    """Noise trajectories carried from one circuit block to the next.
+class TrajectoryChain:
+    """Circuit blocks run one after another on one batch of noise
+    trajectories, the unit ``run_noisy_counts`` advances.
 
-    ``amps`` holds one amplitude row per trajectory.  Trajectory t owns
-    the generator ``rngs[t]``: it first draws the trajectory's
-    quasi-static idle rates ``omegas[t]`` (one per qubit, kept for every
-    later block), then one uniform per noisy operation, block after
-    block.  Sampling never touches these generators.  ``blocks`` counts
-    the planned blocks of its chain the batch has run (see
-    ``run_noisy_counts``).
+    ``plans`` lists the plans of the chain's blocks so far, in order.
+    The live batch holds one amplitude row per trajectory (``amps``,
+    None before the chain's first block and after ``restart``) and has
+    run the first ``ran`` planned blocks.  Trajectory t owns the
+    generator ``rngs[t]``: it first draws the trajectory's quasi-static
+    idle rates ``omegas[t]`` (one per qubit, kept for every later block,
+    drawn only if the chain is ``quasi_static``), then one uniform per
+    noisy operation, block after block.  Sampling never touches these
+    generators.
     """
 
-    amps: np.ndarray
-    rngs: list[np.random.Generator]
+    n_traj: int
+    quasi_static: bool
+    plans: list[_NoisePlan] = field(default_factory=list)
+    amps: np.ndarray | None = None
+    rngs: list[np.random.Generator] = field(default_factory=list)
     omegas: np.ndarray | None = None
-    blocks: int = 0
+    ran: int = 0
 
-    @classmethod
-    def seeded(cls, spec: NoiseSpec, n_traj: int, key: list[int],
-               width: int, quasi_static: bool) -> "TrajectoryBatch":
-        """``n_traj`` trajectories at |0...0>, trajectory t seeded
-        ``key + [2, t]``; they draw quasi-static idle rates only if some
-        circuit they will run has ``quasi_static`` idles."""
-        rngs = [_rng(key + [2, t]) for t in range(n_traj)]
-        omegas = None
-        if quasi_static:
-            sigma = spec.idle_dephasing_rad_per_ns
-            omegas = np.stack([r.normal(0.0, sigma, size=width) for r in rngs])
-        return cls(np.tile(Statevector.zero(width).amplitudes, (n_traj, 1)), rngs, omegas)
+    def restart(self) -> None:
+        """Drop the live batch: the next block starts fresh trajectories,
+        which run every planned block."""
+        self.amps, self.ran = None, 0
 
 
 def chain_noise(circuits: list[Circuit | None], spec: NoiseSpec) -> tuple[bool, bool]:
     """(stochastic, quasi_static) of trajectories that run ``circuits``
-    (None entries skipped) one after another.
+    (None entries skipped) one after another, read off their plans
+    (``_NoisePlan.of``, so a block run as it is reuses the plan).
 
-    quasi_static: some idle window (a DELAY of positive duration)
-    dephases at the trajectory's quasi-static rates.  stochastic: that,
-    or some gate draws a Pauli error (``_plan_entry`` total above zero),
-    so that trajectories differ.  The one reader of this rule: both the
-    sweep and a fresh ``run_noisy_counts`` take their trajectory count
-    from it.
+    quasi_static: some plan dephases an idle window at the trajectory's
+    quasi-static rates.  stochastic: that, or some plan draws a Pauli
+    error, so that trajectories differ.  Both the sweep and a one-block
+    ``run_noisy_counts`` take their trajectory count from it.
     """
-    stochastic = quasi_static = False
-    distinct = {id(c): c for c in circuits if c is not None}.values()
-    for g in (g for c in distinct for g in c.gates):
-        if g.kind == "DELAY" and g.duration_ns > 0:
-            quasi_static |= spec.idle_dephasing_rad_per_ns > 0
-        stochastic |= _plan_entry(spec, g)[3] > 0
-        if stochastic and (quasi_static or spec.idle_dephasing_rad_per_ns == 0):
-            break
-    return stochastic or quasi_static, quasi_static
+    plans = [_NoisePlan.of(c, spec) for c in {id(c): c for c in circuits if c is not None}.values()]
+    quasi_static = any(op[0] == "dephase" for plan in plans for op in plan.ops)
+    return quasi_static or any(plan.n_draws for plan in plans), quasi_static
 
 
 def trajectory_count(stochastic: bool, shots: int, shots_per_trajectory: int) -> int:
@@ -813,9 +807,8 @@ def run_noisy_counts(
     *,
     infinite: bool = False,
     shots_per_trajectory: int = 1024,
-    batch: TrajectoryBatch | None = None,
     basis: Circuit | None = None,
-    parts: list[_NoisePlan] | None = None,
+    chain: TrajectoryChain | None = None,
 ) -> Counts:
     """Execute under the noise spec and measure.
 
@@ -828,22 +821,21 @@ def run_noisy_counts(
     exact mixture scaled to ``shots`` is returned.  ``seed`` may be an
     int or a sequence of ints; the shots are drawn from ``seed + [4]``.
 
-    ``circuit`` is the next block of a chain of trajectories.  With
-    ``batch`` it continues that batch's trajectories, which it advances
-    in place, so a circuit given block by block is evolved once;
-    ``parts`` lists the chain's blocks planned so far.  Without
-    ``batch`` the circuit is a chain of one block: fresh trajectories
-    start from |0...0>, seeded ``seed + [2, t]`` (see
-    ``TrajectoryBatch.seeded``), with no parts.  Either way the block's
-    plan (``_NoisePlan.of``, shared by every run of the same block) is
-    appended to ``parts``, and the batch runs every part it has not run
-    yet, joined into one plan (``_NoisePlan.join``).  A fresh batch thus
-    re-runs the chain's planned prefix and a carried one the new block
-    alone; windows do not cross block boundaries.
+    ``circuit`` is the next block of ``chain``, which this call advances
+    in place, so a circuit given block by block is evolved once.  Without
+    ``chain`` the circuit is a chain of one block, its trajectory count
+    and noise class ``chain_noise`` of the circuit and ``basis``.  The
+    block's plan (``_NoisePlan.of``, shared by every run of the same
+    block) is appended to the chain's plans.  A chain without a live
+    batch starts ``n_traj`` fresh trajectories at |0...0>, trajectory t
+    seeded ``seed + [2, t]``.  The batch then runs every planned block it
+    has not run yet, joined into one plan (``_NoisePlan.join``): a fresh
+    batch re-runs the chain's planned prefix and a carried one the new
+    block alone; windows do not cross block boundaries.
 
     ``basis`` is a measurement basis rotation applied, in the same
     batch evolution, to a copy of the trajectories before sampling; the
-    batch does not carry it forward.
+    chain does not carry it forward.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -851,15 +843,21 @@ def run_noisy_counts(
         raise ValueError("shots_per_trajectory must be >= 1")
     width = circuit.width
     base = [int(v) for v in (seed if isinstance(seed, (list, tuple)) else np.atleast_1d(seed))]
-    if batch is None:
+    if chain is None:
         stochastic, quasi_static = chain_noise([circuit, basis], spec)
-        n_traj = trajectory_count(stochastic, shots, shots_per_trajectory)
-        batch = TrajectoryBatch.seeded(spec, n_traj, base, width, quasi_static)
-        parts = []
-    parts.append(_NoisePlan.of(circuit, spec))
-    run, batch.blocks = parts[batch.blocks:], len(parts)
-    plan = _NoisePlan.join(run, None if basis is None else _NoisePlan.of(basis, spec))
-    batch.amps, measured = plan.run_batch(batch.amps, batch.rngs, batch.omegas)
+        chain = TrajectoryChain(trajectory_count(stochastic, shots, shots_per_trajectory),
+                                quasi_static)
+    chain.plans.append(_NoisePlan.of(circuit, spec))
+    if chain.amps is None:
+        chain.rngs = [_rng(base + [2, t]) for t in range(chain.n_traj)]
+        sigma = spec.idle_dephasing_rad_per_ns
+        chain.omegas = (np.stack([r.normal(0.0, sigma, size=width) for r in chain.rngs])
+                        if chain.quasi_static else None)
+        chain.amps = np.tile(Statevector.zero(width).amplitudes, (chain.n_traj, 1))
+    plan = _NoisePlan.join(chain.plans[chain.ran:],
+                           None if basis is None else _NoisePlan.of(basis, spec))
+    chain.ran = len(chain.plans)
+    chain.amps, measured = plan.run_batch(chain.amps, chain.rngs, chain.omegas)
     probs = np.zeros(measured.shape[1])
     for row in measured:  # the rows' mean, added in their order, without a (T, 2^L) stack
         probs += np.abs(row) ** 2

@@ -104,13 +104,15 @@ class TestConfig:
         assert ExperimentConfig(zne_factors=bound).zne_factors == bound
 
     def test_readout_without_an_inverse_fails_at_load_when_inverted(self, tmp_path):
-        # eps + eta = 1 has no inverse, so tensor mode is refused at load;
-        # with readout_mode = off the forward channel alone runs
+        # eps + eta = 1 has no inverse, and above 1 the inverse turns the
+        # read around, so tensor mode is refused at load; with
+        # readout_mode = off the forward channel alone runs
         ini = tmp_path / "run.ini"
-        ini.write_text("[noise]\noverride.readout_eps = 0.5\noverride.readout_eta = 0.5\n")
-        with pytest.raises(ValueError, match="readout_eps \\+ readout_eta = 1"):
-            config_from_ini(ini)
-        assert config_from_ini(ini, readout_mode="off").readout_mode == "off"
+        for eps, eta in [(0.5, 0.5), (0.7, 0.6)]:
+            ini.write_text(f"[noise]\noverride.readout_eps = {eps}\noverride.readout_eta = {eta}\n")
+            with pytest.raises(ValueError, match="readout_eps \\+ readout_eta >= 1"):
+                config_from_ini(ini)
+            assert config_from_ini(ini, readout_mode="off").readout_mode == "off"
 
     def test_zero_v_in_ini_fails_at_load(self, tmp_path):
         ini = tmp_path / "run.ini"
@@ -366,14 +368,14 @@ class TestNoisyPipeline:
         # the all-ones calibration circuit draws single-qubit errors, so it
         # runs ceil(100 / 16) = 7 trajectories; the empty all-zeros one has
         # no stochastic noise and runs one
-        real = noise.TrajectoryBatch.seeded.__func__
+        real = noise._NoisePlan.run_batch
         n_trajs = []
 
-        def seeded(cls, spec, n_traj, *args):
-            n_trajs.append(n_traj)
-            return real(cls, spec, n_traj, *args)
+        def run_batch(plan, amps, rngs, omegas=None):
+            n_trajs.append(len(amps))
+            return real(plan, amps, rngs, omegas)
 
-        monkeypatch.setattr(noise.TrajectoryBatch, "seeded", classmethod(seeded))
+        monkeypatch.setattr(noise._NoisePlan, "run_batch", run_batch)
         cfg = tiny_config(noise_preset="casablanca-like", readout_mode="tensor",
                           infinite_shots=False, shots=100, shots_per_trajectory=16,
                           noise_overrides={"single_qubit_depolarizing": 0.3})
@@ -651,16 +653,64 @@ PINNED_RUNS = {
             "variants.jsonl": "561c79b5317dc787619da3b4f60c543587965e49",
         },
     ),
+    "zpi-quasi-static": (
+        dict(sites=5, steps=4, twirls=2, zne_factors=(1.0, 2.0), shots=512,
+             shots_per_trajectory=128, noise_preset="casablanca-like",
+             noise_overrides={"idle_dephasing_rad_per_ns": 0.002,
+                              "idle_stochastic_rate_per_ns": 1e-4,
+                              "single_qubit_depolarizing": 0.004,
+                              "coherent_overrotation": 0.05},
+             readout_mode="tensor", postselect=True, dd=True, seed=11, format="csv"),
+        {
+            "accumulated_error_mitigated.csv": "78345265ff77c9777f2c8ed7763da3b8826c1aa2",
+            "accumulated_error_unmitigated.csv": "f60c96061fa0d9161c757c593d8d9e797a0d4983",
+            "fibonacci_weight_ideal.csv": "ed39b1e76ea4e3878a137e1681ecd87b8a3699e5",
+            "loschmidt_f0_ideal.csv": "70eecbf4a074e169bbb5b965beb84f8b6a6bdc66",
+            "loschmidt_f0_mitigated.csv": "4d33e7329e5ee3eebc73a053d06307c19c65f008",
+            "loschmidt_f0_projected.csv": "ebb7c4dcfd4d3451a92d46dd70c5529b2082ff38",
+            "loschmidt_f0_unmitigated.csv": "2a3e516bd8cd9008469fa3394ad1d2626cfbac1d",
+            "loschmidt_f1_ideal.csv": "ac8518b252c773687699514dadc942c5e2ca819d",
+            "loschmidt_f1_mitigated.csv": "97480b11084322d0ad0f56e9a755fa8250752755",
+            "loschmidt_f1_projected.csv": "ea4dff967cecbc880fa5f5c6a41244dc3301b9bd",
+            "loschmidt_f1_unmitigated.csv": "ea37b2467f5477bf21adcf6180864dbf85ce4f5f",
+            "per_site_z_mitigated.csv": "41ab24ee63966dc65afebfbdb0e440e2ed8223a5",
+            "per_site_z_reference.csv": "c94d5933f7b4bbc2159168ede48855927a24c623",
+            "postselect_retained.csv": "328488d5803b0f37920d1efb7e203622a8878077",
+            "variants.jsonl": "814722488ddc894832b191d879c3bd1837184aef",
+            "zpi_density_ideal.csv": "04c14958bf52c6f1f2eb743c153640a89cbc8e4f",
+            "zpi_density_mitigated.csv": "c030bc0619bab72e40b27d8567e1ea71fbf42dfa",
+            "zpi_density_projected.csv": "99f3ddbac8c6bcbf93bd62376f92951750e61b74",
+            "zpi_density_unmitigated.csv": "5b04c2ba8345be3f1eed5ec7fde766eddcb9cc1e",
+        },
+    ),
+    "cy-twirled": (
+        dict(sites=4, steps=3, twirls=1, zne_factors=(1.0, 2.0), shots=256,
+             shots_per_trajectory=64, noise_preset="casablanca-like",
+             noise_overrides={"single_qubit_depolarizing": 0.004,
+                              "coherent_overrotation": 0.05},
+             readout_mode="tensor", seed=11, format="json"),
+        {
+            "cy_abs_ideal.json": "4df7a4a512a4c2b64c33c9037832594b83820dc1",
+            "cy_abs_mitigated.json": "68c15a92a9d5f459ac149bdde7a9e5b65e064676",
+            "cy_ideal.json": "1a9c6451ad49b61836dc6217886b60afc6fd4c4b",
+            "cy_mitigated.json": "e74cd24c7bee07d22f3e8c8cc06ec82c18a3c7e4",
+            "variants.jsonl": "35ea57754cac17c224b64eb213b80aae12265bbd",
+        },
+    ),
 }
 
 
-@pytest.mark.parametrize("command", sorted(PINNED_RUNS))
-def test_emitted_files_match_pinned_digests(tmp_path, command):
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_emitted_files_match_pinned_digests(tmp_path, name):
     # zpi: L=6, 5 steps, so every chain restarts at step 3, with DD and
-    # idle flips; cy: L=4, 2 steps, restarting at step 2, with the basis
-    kwargs, digests = PINNED_RUNS[command]
+    # idle flips; cy: L=4, 2 steps, restarting at step 2, with the basis.
+    # zpi-quasi-static: L=5, 4 steps (restart at step 3) with DD, drawn
+    # quasi-static rates, idle flips and a visible twirl (single-qubit
+    # error and overrotation); cy-twirled: L=4, 3 steps (restart at step
+    # 2) with a visible twirl and basis draws
+    kwargs, digests = PINNED_RUNS[name]
     cfg = ExperimentConfig(out=str(tmp_path), **kwargs)
-    emit((run_zpi if command == "zpi" else run_cy)(cfg), cfg)
+    emit((run_zpi if name.startswith("zpi") else run_cy)(cfg), cfg)
     assert json.loads((tmp_path / "manifest.json").read_text())["files"] == digests
 
 
@@ -736,7 +786,22 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("scarsim: error: the readout factor of qubit 2 has no inverse: "
-                                "eps = 1.0 and eta = 0.0 sum to 1\n")
+                                "eps = 1.0 and eta = 0.0 sum to 1 or more\n")
+
+    @pytest.mark.parametrize("seed", [339, 2520])
+    def test_a_bit_swap_calibration_is_one_error_line_and_exit_1(self, tmp_path, capsys, seed):
+        # one calibration shot reads a qubit flipped in both circuits (eps =
+        # eta = 1): that factor is a bit swap, which has an inverse, and
+        # these runs used to exit 0 with all-NaN mitigated series
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["zpi", "--sites", "4", "--steps", "1", "--twirls", "1", "--shots", "1",
+                      "--zne-factors", "1.0", "--seed", str(seed), "--out", str(out)])
+        assert exc.value.code == 1 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"scarsim: error: the readout factor of qubit \d has no inverse: "
+                            r"eps = 1\.0 and eta = 1\.0 sum to 1 or more\n", captured.err)
 
     def test_import_leaves_scipy_unloaded(self):
         # scipy serves only the oracles (scipy.sparse for exact evolution),
@@ -1292,7 +1357,7 @@ def test_every_config_the_loader_accepts_runs_as_its_manifest_records(tmp_path_f
                                                                        rerun):
     # each draw is written as an INI file and run through the CLI in
     # process.  The loader refuses only tensor readout without an inverse
-    # (eps + eta = 1).  A run whose calibration estimates such a factor
+    # (eps + eta >= 1).  A run whose calibration estimates such a factor
     # (a single calibration shot reads every qubit at 0 or 1) exits 1 with
     # one error line naming the qubit and writes nothing.  Every other
     # draw exits 0, its manifest lists the files' hashes and records a
@@ -1307,7 +1372,7 @@ def test_every_config_the_loader_accepts_runs_as_its_manifest_records(tmp_path_f
     spec = noise.preset(sections["noise"]["preset"], **{
         k[len("override."):]: v for k, v in sections["noise"].items() if k != "preset"})
     if (sections["mitigation"]["readout_mode"] == "tensor"
-            and spec.readout_eps + spec.readout_eta == 1.0):
+            and spec.readout_eps + spec.readout_eta >= 1.0 - 1e-9):
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--config", str(ini), "--out", str(out)])
         assert exc.value.code == 2 and not out.exists()
@@ -1320,7 +1385,7 @@ def test_every_config_the_loader_accepts_runs_as_its_manifest_records(tmp_path_f
     except SystemExit as exc:
         assert exc.code == 1
         assert re.fullmatch(r"scarsim: error: the readout factor of qubit \d+ has no inverse: "
-                            r"[^\n]*\n", err.getvalue())
+                            r"eps = \S+ and eta = \S+ sum to 1 or more\n", err.getvalue())
         assert sections["mitigation"]["readout_mode"] == "tensor" and not out.exists()
         event("calibration estimated a factor without an inverse")
         return

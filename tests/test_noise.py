@@ -289,6 +289,23 @@ class TestReadout:
         with pytest.raises(ValueError, match="qubit 1 has no inverse: eps = 0.5 and eta = 0.5"):
             m.invert_vector(out)
 
+    @pytest.mark.parametrize("eps, eta, singular", [
+        (0.5, 0.5, True), (1.0, 1.0, True), (0.7, 0.6, True), (0.5, 0.5 - 1e-10, True),
+        (0.5, 0.5 - 1e-8, False), (0.03, 0.02, False), (1.0, 0.0, True), (0.0, 0.0, False)])
+    def test_rates_summing_to_1_or_more_refuse_inversion_only(self, eps, eta, singular):
+        # a bit swap (eps = eta = 1) has an inverse, but one that turns the
+        # read around; every sum of 1 or more (within 1e-9) is refused, and
+        # the forward channel takes any rates
+        assert noise.singular_readout(eps, eta) is singular
+        m = ConfusionMatrix.from_rates(1, eps, eta)
+        np.testing.assert_allclose(apply_readout_error(np.array([1.0, 0.0]), m), [1 - eps, eps],
+                                   rtol=0, atol=1e-15)
+        if singular:
+            with pytest.raises(ValueError, match="qubit 0 has no inverse: .* sum to 1 or more"):
+                m.invert_vector(np.array([0.5, 0.5]))
+        else:
+            m.invert_vector(np.array([0.5, 0.5]))
+
     @pytest.mark.parametrize("width", range(1, 14), ids="tensor-{}".format)
     def test_kernel_matches_dense_oracle(self, width):
         # both directions on a single row and a (T, 2^L) stack, against
@@ -427,9 +444,12 @@ class TestTrajectoryExecution:
         shots, n_traj, k = 256, 4, 2000
 
         def run(seed, infinite=False):
-            batch = noise.TrajectoryBatch.seeded(spec, n_traj, [99], 3, False)
-            return run_noisy_counts(circ, spec, shots, [seed], infinite=infinite, batch=batch,
-                                    parts=[]).vector
+            # an empty first block starts the chain's trajectories from
+            # [99]; the circuit continues them, its shots drawn from seed
+            chain = noise.TrajectoryChain(n_traj, False)
+            run_noisy_counts(Circuit(3), spec, shots, [99], chain=chain)
+            return run_noisy_counts(circ, spec, shots, [seed], infinite=infinite,
+                                    chain=chain).vector
 
         q = run(0, infinite=True) / shots
         freq = np.array([run(s) for s in range(k)]) / shots
@@ -462,15 +482,23 @@ class TestTrajectoryExecution:
         )
         plan = noise._NoisePlan(circ, spec)
         assert noise.chain_noise([circ], spec) == (True, True)
-        batch = noise.TrajectoryBatch.seeded(spec, 6, [3], 4, True)
+
+        def fresh():
+            # an empty block starts 6 trajectories seeded [3, 2, t], which
+            # draw their quasi-static rates and evolve nothing
+            chain = noise.TrajectoryChain(6, True)
+            run_noisy_counts(Circuit(4), spec, 6, [3], chain=chain)
+            return chain
+
+        batch = fresh()
         amps = batch.amps
         for _ in range(2):  # a second block continues the same trajectories
             amps, _ = plan.run_batch(amps, batch.rngs, batch.omegas)
         for t in range(6):
-            fresh = noise.TrajectoryBatch.seeded(spec, 6, [3], 4, True)
-            single = fresh.amps[t:t + 1]
+            chain = fresh()
+            single = chain.amps[t:t + 1]
             for _ in range(2):
-                single, _ = plan.run_batch(single, fresh.rngs[t:t + 1], fresh.omegas[t:t + 1])
+                single, _ = plan.run_batch(single, chain.rngs[t:t + 1], chain.omegas[t:t + 1])
             np.testing.assert_allclose(amps[t], single[0], atol=1e-12)
         assert len({amps[t].tobytes() for t in range(6)}) > 1
 
@@ -866,20 +894,24 @@ def test_joined_block_plans_equal_one_plan_of_the_whole_circuit(
        flips=st.sampled_from([0.0, 1e-4]))
 def test_chain_noise_agrees_with_what_the_plans_do(data, width, depolarizing, target,
                                                    single, dephasing, flips):
-    # chain noise is stochastic exactly when some plan draws per-trajectory
-    # noise or dephases an idle window, and quasi-static exactly when some
-    # plan dephases one
+    # chain_noise reads the plans; the oracle is the gate-level rule.  A
+    # chain is quasi-static exactly when some gate is a DELAY of positive
+    # duration under quasi-static dephasing, and stochastic exactly when
+    # it is quasi-static or some gate's Pauli channel
+    # (spec.pauli_distribution) has a positive total
     circuits = [data.draw(_plan_circuits(width)) for _ in range(data.draw(st.integers(1, 3)))]
     spec = NoiseSpec(two_qubit_depolarizing=depolarizing, two_qubit_target_error=target,
                      single_qubit_depolarizing=single, idle_dephasing_rad_per_ns=dephasing,
                      idle_stochastic_rate_per_ns=flips)
-    plans = [noise._NoisePlan(c, spec) for c in circuits]
-    dephases = [any(op[0] == "dephase" for op in p.ops) for p in plans]
-    flags = [(p.n_draws > 0 or deph, deph) for p, deph in zip(plans, dephases)]
-    for c, want in zip(circuits, flags):
-        assert noise.chain_noise([c], spec) == want
-    assert noise.chain_noise(circuits, spec) == (
-        any(s for s, _ in flags), any(dephases))
+
+    def gate_rule(gates):
+        quasi = dephasing > 0 and any(g.kind == "DELAY" and g.duration_ns > 0 for g in gates)
+        return quasi or any(spec.pauli_distribution(g)[1].sum() > 0 for g in gates), quasi
+
+    for c in circuits:
+        assert noise.chain_noise([c], spec) == gate_rule(c.gates)
+    assert noise.chain_noise(circuits + [None], spec) == gate_rule(
+        [g for c in circuits for g in c.gates])
 
 
 def _rows_equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float) -> None:
@@ -1138,8 +1170,7 @@ def test_run_batch_keeps_one_spare_stack(monkeypatch):
         return out
 
     def measure():
-        batch = noise.TrajectoryBatch.seeded(spec, n_traj, [7], L, False)
-        run_noisy_counts(circuit, spec, 4096, [7], batch=batch, parts=[])
+        run_noisy_counts(circuit, spec, 4096, [7], chain=noise.TrajectoryChain(n_traj, False))
 
     monkeypatch.setattr(noise._NoisePlan, "run_batch", run_batch)
     circuit = Circuit(L, neel_prep_circuit(L).gates + step.gates * 4)

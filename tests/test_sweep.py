@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scarsim import mitigation, noise
+from scarsim import experiments, mitigation, noise
 from scarsim.experiments import (
     ExperimentConfig,
     _sweep,
@@ -33,6 +33,7 @@ from scarsim.qsim import (
     Statevector,
     circuit_unitary,
     cnot,
+    delay,
     h,
     run_circuit,
     rzz,
@@ -149,20 +150,20 @@ def _gate_list(gates) -> list[tuple]:
 
 
 def sweep_depth(monkeypatch) -> list[int]:
-    """[number of open ``noise.run_noisy_counts`` calls].  The spies below
-    record only inside one, so they see the sweep's executions and not
-    the noiseless plans of the reference series."""
+    """[number of open ``experiments._sweep`` calls].  The spies below
+    record only inside one, so they see the sweep's plans and executions
+    and not the noiseless plans of the reference series."""
     depth = [0]
-    run = noise.run_noisy_counts
+    sweep = experiments._sweep
 
     def spy(*args, **kw):
         depth[0] += 1
         try:
-            return run(*args, **kw)
+            return sweep(*args, **kw)
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(noise, "run_noisy_counts", spy)
+    monkeypatch.setattr(experiments, "_sweep", spy)
     return depth
 
 
@@ -191,9 +192,10 @@ def record_runs(monkeypatch) -> tuple[dict, list[tuple]]:
     run = noise.run_noisy_counts
 
     def spy(circuit, spec, shots, seed, **kw):
-        start = kw["batch"].blocks
+        chain = kw["chain"]
+        start = chain.ran  # 0 after a restart: a fresh batch runs every plan
         counts = run(circuit, spec, shots, seed, **kw)
-        seen[tuple(seed)] = (counts, kw["parts"][start:], circuit)
+        seen[tuple(seed)] = (counts, chain.plans[start:], circuit)
         return counts
 
     monkeypatch.setattr(noise, "run_noisy_counts", spy)
@@ -253,9 +255,50 @@ def test_noisy_chains_restart_fresh_trajectories_every_segment(monkeypatch):
             assert all(a is b for a, b in zip(ran, planned, strict=True))
             ran_gates = [g for plan in ran for g in source[id(plan)].gates]
             assert _gate_list(ran_gates) == _gate_list(gates)
-            batch = noise.TrajectoryBatch.seeded(spec, n_traj, key, cfg.sites, quasi_static)
-            once = run(folded, spec, cfg.shots, key, batch=batch, parts=ran[:-1])
+            chain = noise.TrajectoryChain(n_traj, quasi_static, ran[:-1])
+            once = run(folded, spec, cfg.shots, key, chain=chain)
             np.testing.assert_array_equal(counts.vector, once.vector)
+
+
+@pytest.mark.parametrize("infinite", [False, True])
+def test_a_chainless_call_starts_trajectories_as_a_chain_does(monkeypatch, infinite):
+    # the sweep starts each chain's trajectories through the one path a
+    # run_noisy_counts call without a chain takes: that call, given a
+    # chain's step-0 circuit and key, returns the chain's step-0 counts
+    # bit for bit.  Block 0 idles under quasi-static dephasing, so both
+    # draw rates first, and single-qubit error makes the twirl and the
+    # basis rotation draw errors
+    cfg = ExperimentConfig(sites=3, steps=2, shots=256, shots_per_trajectory=64,
+                           infinite_shots=infinite, twirls=2, zne_factors=(1.0, 2.0),
+                           noise_preset="casablanca-like", seed=4,
+                           noise_overrides={"idle_dephasing_rad_per_ns": 0.004,
+                                            "single_qubit_depolarizing": 0.02})
+    spec = cfg.noise_spec()
+    prep = Circuit(3, [*neel_prep_circuit(3).gates, h(0), delay(0, 300.0), cnot(0, 1)])
+    blocks = [prep] + [build_trotter_step(cfg.model_params(), impl=cfg.impl)] * cfg.steps
+    basis = y_basis_rotation(3, "odd")
+    assert noise.chain_noise([prep, basis], spec) == noise.chain_noise(blocks + [basis], spec)
+    assert noise.chain_noise([prep, basis], spec) == (True, True)
+    assert mitigation.twirl_is_visible(spec)
+    run = noise.run_noisy_counts
+    starts = []
+
+    def spy(circuit, spec, shots, seed, **kw):
+        fresh = kw["chain"].amps is None
+        counts = run(circuit, spec, shots, seed, **kw)
+        if seed[2] == 0:
+            assert fresh
+            starts.append((circuit, list(seed), kw["chain"].n_traj, counts))
+        return counts
+
+    monkeypatch.setattr(noise, "run_noisy_counts", spy)
+    _sweep(cfg, spec, blocks, [cfg.seed, 0], _probabilities, basis)
+    assert len(starts) == 4  # 2 twirls x 2 scales
+    for circuit, key, n_traj, counts in starts:
+        assert n_traj == 4
+        once = run(circuit, spec, cfg.shots, key, infinite=infinite,
+                   shots_per_trajectory=cfg.shots_per_trajectory, basis=basis)
+        np.testing.assert_array_equal(once.vector, counts.vector)
 
 
 def test_shared_trajectories_are_unbiased_at_every_step():
