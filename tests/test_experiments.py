@@ -714,6 +714,32 @@ def test_emitted_files_match_pinned_digests(tmp_path, name):
     assert json.loads((tmp_path / "manifest.json").read_text())["files"] == digests
 
 
+# sha1 of every file two small finite-shot gate benchmarks emit under the
+# casablanca-like readout error: a last-bit change in a PTM can move a
+# tomography shot, so these hold the PTMs' float path fixed.
+PINNED_GATE_BENCHMARKS = {
+    "qpt": (
+        ["qpt", "--seed", "2", "--theta", "1.3", "--shots", "512", "--repeats", "2",
+         "--realization", "scaled-rzx"],
+        {
+            "qpt_fidelities.csv": "c9977bc04bf4b407d2ea50d815f72ceb4994e1c9",
+            "qpt_fit.csv": "72c3a69d610a550e89cc10b685bcf970c756aad1",
+        },
+    ),
+    "rzz-bench": (
+        ["rzz-bench", "--points", "3", "--repeats", "2", "--shots", "256", "--seed", "3"],
+        {"rzz_bench.csv": "021a78d336367628759d31a515fea2a4c5099998"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GATE_BENCHMARKS))
+def test_gate_benchmark_files_match_pinned_digests(tmp_path, name, capsys):
+    argv, digests = PINNED_GATE_BENCHMARKS[name]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["files"] == digests
+
+
 class TestReferenceSeries:
     def test_weight_starts_at_one(self):
         ref = reference_series(qmbs_params(5), 3, "rzz")
