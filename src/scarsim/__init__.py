@@ -5,12 +5,8 @@ __version__ = "0.1.0"
 from .qsim import (  # noqa: F401
     Circuit,
     Counts,
-    DensityOperator,
     Gate,
-    KrausChannel,
-    PauliString,
     Statevector,
-    pauli_transfer_matrix,
     run_circuit,
 )
 from .model import (  # noqa: F401

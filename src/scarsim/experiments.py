@@ -586,13 +586,13 @@ def run_zpi(config: ExperimentConfig) -> dict:
     d_vals, d_err = accumulated_error(site_mean, ref_site, site_std)
     out["accumulated_error_mitigated"] = _series(config, d_vals, d_err)
 
-    d_raw, _ = accumulated_error(raw[:, COL_SITES], ref["site_z"])
-    out["accumulated_error_unmitigated"] = _series(config, d_raw, None)
+    d_raw, d_raw_err = accumulated_error(raw[:, COL_SITES], ref["site_z"], raw_std[:, COL_SITES])
+    out["accumulated_error_unmitigated"] = _series(config, d_raw, d_raw_err)
 
     for flips in (0, 1):
         col = COL_ECHO[flips]
         out[f"loschmidt_f{flips}_mitigated"] = _series(config, mit[:, col], mit_std[:, col])
-        out[f"loschmidt_f{flips}_unmitigated"] = _series(config, raw[:, col], None)
+        out[f"loschmidt_f{flips}_unmitigated"] = _series(config, raw[:, col], raw_std[:, col])
         out[f"loschmidt_f{flips}_ideal"] = _series(config, ref[f"echo{flips}"], None)
         out[f"loschmidt_f{flips}_projected"] = _series(config, ref[f"echo{flips}_proj"], None)
 

@@ -24,11 +24,10 @@ from .qsim import (
     Circuit,
     Counts,
     Gate,
-    KrausChannel,
     bit_table,
-    pauli_basis_labels,
+    delay,
     pauli_gate,
-    pauli_transfer_matrix,
+    rx,
 )
 
 # index convention: 0 = I, 1 = X, 2 = Y, 3 = Z
@@ -132,23 +131,6 @@ def _dressing(kind: str, qubits: tuple[int, int], angle: float | None,
     pre = [pauli_gate(idx, q) for idx, q in zip((alpha, beta), qubits)]
     post = [pauli_gate(idx, q) for idx, q in zip((gamma, delta), qubits)]
     return tuple(g for g in pre + [dressed] + post if g is not None)
-
-
-def effective_twirled_noise_ptm(noise_channel: KrausChannel) -> np.ndarray:
-    """Pauli transfer matrix of the twirl-averaged two-qubit noise.
-
-    Averages [s] N [s] over all 16 Pauli pairs; the result is the
-    diagonal part of N's PTM, i.e. a stochastic Pauli channel.
-    """
-    if noise_channel.n_qubits != 2:
-        raise ValueError("expects a two-qubit channel")
-    labels = pauli_basis_labels(2)
-    acc = np.zeros((16, 16))
-    for lab in labels:
-        pauli = KrausChannel.pauli(2, {lab: 1.0}) if lab != "II" else KrausChannel.unitary(np.eye(4))
-        sandwich = pauli.compose(noise_channel.compose(pauli))
-        acc += pauli_transfer_matrix(sandwich)
-    return acc / 16.0
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +362,11 @@ def insert_dd(circuit: Circuit, t_x_pi_ns: float) -> Circuit:
         tau = g.duration_ns - 2 * t_x_pi_ns
         gates.extend(
             [
-                Gate("DELAY", (q,), duration_ns=tau / 4),
-                Gate("RX", (q,), angle=np.pi),
-                Gate("DELAY", (q,), duration_ns=tau / 2),
-                Gate("RX", (q,), angle=-np.pi),
-                Gate("DELAY", (q,), duration_ns=tau / 4),
+                delay(q, tau / 4),
+                rx(q, np.pi),
+                delay(q, tau / 2),
+                rx(q, -np.pi),
+                delay(q, tau / 4),
             ]
         )
     return Circuit(circuit.width, gates)

@@ -30,7 +30,6 @@ from .model import bond_gates
 from .qsim import (
     Circuit,
     Counts,
-    DensityOperator,
     Gate,
     Statevector,
     _apply_matrix,
@@ -906,9 +905,10 @@ def _gate_superoperator(spec: NoiseSpec, g: Gate) -> np.ndarray:
 
 
 def run_noisy_density(circuit: Circuit, spec: NoiseSpec,
-                      initial: Statevector | None = None) -> DensityOperator:
+                      initial: Statevector | None = None) -> np.ndarray:
     """Exact evolution of the full noise model at width <=
-    ``DENSITY_MAX_WIDTH``, never through an operator on the whole register.
+    ``DENSITY_MAX_WIDTH``, never through an operator on the whole register;
+    returns the (2^w, 2^w) density matrix rho.
 
     rho is a (2,)*2w tensor, row axes first.  A gate's superoperator
     (``_gate_superoperator``) acts on its qubits' row and column axes by
@@ -935,4 +935,4 @@ def run_noisy_density(circuit: Circuit, spec: NoiseSpec,
         axes = list(g.qubits) + [width + q for q in g.qubits]
         rho = np.tensordot(_gate_superoperator(spec, g), rho, axes=(range(2 * k, 4 * k), axes))
         rho = np.moveaxis(rho, range(2 * k), axes)
-    return DensityOperator(rho.reshape(1 << width, 1 << width), check=False)
+    return rho.reshape(1 << width, 1 << width)

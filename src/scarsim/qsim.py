@@ -1,4 +1,4 @@
-"""Dense statevector circuit simulation and small-system channel algebra.
+"""Dense statevector circuit simulation, outcome counts and the Pauli basis.
 
 Conventions, fixed once and used everywhere:
 
@@ -14,7 +14,7 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import cos, sin, sqrt
 
@@ -369,29 +369,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return _run_gates(columns, circuit.gates, circuit.width).T
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """Tensor product of single-qubit Paulis with an overall sign."""
-
-    letters: str
-    sign: int = 1
-
-    def __post_init__(self):
-        if set(self.letters) - set(PAULI_LETTERS):
-            raise ValueError(f"invalid Pauli letters {self.letters!r}")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def matrix(self) -> np.ndarray:
-        out = np.array([[self.sign]], dtype=complex)
-        for ch in self.letters:
-            out = np.kron(out, PAULI_1Q[ch])
-        return out
-
-
 @lru_cache(maxsize=8)
 def bit_table(width: int) -> np.ndarray:
     """(2^width, width) int8 table: entry [i, k] is bit k of outcome i,
@@ -493,84 +470,8 @@ class Counts:
 
 
 # ---------------------------------------------------------------------------
-# Small-system channel algebra (verification substrate)
+# Pauli basis
 # ---------------------------------------------------------------------------
-
-class DensityOperator:
-    """Dense 2^n x 2^n density matrix (the density oracle's result)."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray, check: bool = True):
-        mat = np.asarray(matrix, dtype=complex)
-        n = int(mat.shape[0]).bit_length() - 1
-        if mat.shape != (2**n, 2**n):
-            raise ValueError("density operator must be 2^n x 2^n")
-        if check:
-            if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-                raise ValueError("density matrix not Hermitian within 1e-12")
-            if abs(np.trace(mat) - 1.0) > 1e-12:
-                raise ValueError("density matrix trace deviates from 1")
-            if np.min(np.linalg.eigvalsh(mat)) < -1e-10:
-                raise ValueError("density matrix has eigenvalue < -1e-10")
-        self.matrix = mat
-
-    def expectation(self, op: np.ndarray) -> float:
-        val = np.trace(op @ self.matrix)
-        return float(val.real)
-
-
-@dataclass
-class KrausChannel:
-    """Channel in Kraus form: rho -> sum_h E_h rho E_h^dag."""
-
-    kraus_ops: list[np.ndarray] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.kraus_ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        dim = self.kraus_ops[0].shape[0]
-        acc = np.zeros((dim, dim), dtype=complex)
-        for e in self.kraus_ops:
-            if e.shape != (dim, dim):
-                raise ValueError("inconsistent Kraus operator shapes")
-            acc += e.conj().T @ e
-        if np.max(np.abs(acc - np.eye(dim))) > 1e-10:
-            raise ValueError("Kraus operators do not sum to identity (not trace preserving)")
-
-    @property
-    def n_qubits(self) -> int:
-        return int(self.kraus_ops[0].shape[0]).bit_length() - 1
-
-    @classmethod
-    def unitary(cls, u: np.ndarray) -> "KrausChannel":
-        return cls([np.asarray(u, dtype=complex)])
-
-    @classmethod
-    def pauli(cls, n: int, rates: dict[str, float]) -> "KrausChannel":
-        """Stochastic Pauli channel; identity weight fills the remainder."""
-        total = sum(rates.values())
-        if total > 1.0 + 1e-12 or any(r < 0 for r in rates.values()):
-            raise ValueError("Pauli rates must be nonnegative and sum to <= 1")
-        ops = [np.sqrt(max(0.0, 1.0 - total)) * np.eye(2**n, dtype=complex)]
-        for label, r in rates.items():
-            if len(label) != n:
-                raise ValueError(f"Pauli label {label!r} does not act on {n} qubits")
-            if r > 0.0:
-                ops.append(np.sqrt(r) * PauliString(label).matrix())
-        return cls(ops)
-
-    def compose(self, other: "KrausChannel") -> "KrausChannel":
-        """self after other: (self . other)(rho)."""
-        return KrausChannel([a @ b for a in self.kraus_ops for b in other.kraus_ops])
-
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """The channel applied to ``mat``, one matrix or a stack."""
-        out = np.zeros_like(mat)
-        for e in self.kraus_ops:
-            out += e @ mat @ e.conj().T
-        return out
-
 
 def pauli_basis_matrices(n: int) -> list[np.ndarray]:
     """4^n Pauli matrices ordered (I,X,Y,Z)^n, first qubit most significant.
@@ -593,19 +494,3 @@ def pauli_basis_labels(n: int) -> list[str]:
     for _ in range(n):
         labels = [lab + ch for lab in labels for ch in PAULI_LETTERS]
     return labels
-
-
-def pauli_transfer_matrix(ch: KrausChannel) -> np.ndarray:
-    """R[a, b] = Tr[P_a ch(P_b)] / 2^n over the Pauli basis, n <= 2."""
-    n = ch.n_qubits
-    if n > 2:
-        raise ValueError("pauli_transfer_matrix limited to n <= 2")
-    basis = np.array(pauli_basis_matrices(n))
-    images = ch.apply_matrix(basis)  # ch(P_b) for every b
-    return np.einsum("aij,bji->ab", basis, images).real / 2**n
-
-
-def is_pauli_stochastic(ptm: np.ndarray, tol: float = 1e-10) -> bool:
-    """A channel is a stochastic Pauli channel iff its PTM is diagonal."""
-    off = ptm - np.diag(np.diag(ptm))
-    return float(np.max(np.abs(off))) < tol

@@ -26,15 +26,7 @@ import numpy as np
 from .mitigation import zne_extrapolate
 from .model import bond_gates
 from .noise import ConfusionMatrix, NoiseSpec, _rng, run_noisy_density
-from .qsim import (
-    Circuit,
-    Gate,
-    KrausChannel,
-    Statevector,
-    gate_matrix,
-    pauli_basis_matrices,
-    pauli_transfer_matrix,
-)
+from .qsim import Circuit, Gate, Statevector, gate_matrix, pauli_basis_matrices
 
 _P2 = np.array(pauli_basis_matrices(2))  # P_a, a = 4 a1 + a2 over (I, X, Y, Z)^2
 _PREP_STATES = [np.array(v, dtype=complex) / np.linalg.norm(v)
@@ -79,9 +71,10 @@ _CHOI_BASIS = np.array([[np.kron(pa, pb.T) for pb in _P2] for pa in _P2])
 
 
 def gate_ptm(gate: Gate | np.ndarray) -> np.ndarray:
-    """PTM of an ideal two-qubit gate or unitary matrix."""
+    """PTM of an ideal two-qubit gate or unitary matrix U:
+    R[a, b] = Tr[P_a U P_b U^dag] / 4."""
     u = gate_matrix(gate) if isinstance(gate, Gate) else np.asarray(gate)
-    return pauli_transfer_matrix(KrausChannel.unitary(u))
+    return _pauli_coords(u @ _P2 @ u.conj().T).T / 4
 
 
 def realized_gate_ptms(gate: Gate, spec: NoiseSpec, realization: str = "atomic"
@@ -116,7 +109,7 @@ def realized_gate_ptms(gate: Gate, spec: NoiseSpec, realization: str = "atomic"
 def _circuit_ptm(circuit: Circuit, spec: NoiseSpec) -> np.ndarray:
     """PTM of a 2-qubit ``circuit`` under ``spec``: R = M S^-T, M[:, k]
     the Pauli coordinates of ``run_noisy_density`` on preparation k."""
-    out = _pauli_coords(np.array([run_noisy_density(circuit, spec, Statevector(v)).matrix
+    out = _pauli_coords(np.array([run_noisy_density(circuit, spec, Statevector(v))
                                   for v in _PREP_VECTORS]))
     return out.T @ _PREP_COORDS_INV_T
 

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from scarsim import mitigation, noise
+from scarsim import noise
 from scarsim.experiments import ExperimentConfig, emit, reference_series, run_zpi
 from scarsim.mitigation import (
     effective_scale,
@@ -42,16 +42,13 @@ from scarsim.observables import cy_oracle, simulate_cy_noiseless
 from scarsim.qsim import (
     Circuit,
     Counts,
-    KrausChannel,
     Statevector,
     gate_matrix,
     pauli_basis_matrices,
-    pauli_transfer_matrix,
     run_circuit,
     rzz,
-    x,
 )
-from scarsim.tomography import spam_free_error
+from scarsim.tomography import gate_ptm, spam_free_error
 
 
 @contextmanager
@@ -137,7 +134,7 @@ def test_05_twirl_theorem():
         theta, delta = 2.0, 0.15
         u_gate = gate_matrix(rzz(0, 1, theta))
         noise_mat = gate_matrix(rzz(0, 1, delta))
-        pre_ptm = pauli_transfer_matrix(KrausChannel.unitary(noise_mat))
+        pre_ptm = gate_ptm(noise_mat)
         off_pre = pre_ptm - np.diag(np.diag(pre_ptm))
         assert np.max(np.abs(off_pre)) > 1e-3
         paulis = pauli_basis_matrices(1)
@@ -148,9 +145,9 @@ def test_05_twirl_theorem():
                 sandwich = np.kron(paulis[alpha], paulis[beta])
                 gate_u = gate_matrix(rzz(0, 1, assign.angle_sign * theta))
                 total = sandwich @ noise_mat @ gate_u @ sandwich
-                avg += pauli_transfer_matrix(KrausChannel.unitary(total))
+                avg += gate_ptm(total)
         avg /= 16.0
-        ideal_ptm = pauli_transfer_matrix(KrausChannel.unitary(u_gate))
+        ideal_ptm = gate_ptm(u_gate)
         effective = avg @ ideal_ptm.T
         off = effective - np.diag(np.diag(effective))
         assert np.max(np.abs(off)) < 1e-12
@@ -177,7 +174,7 @@ def test_06_zne_efficacy():
                 folded = fold_gates_random(circ, lam, seed=3)
                 rho = run_noisy_density(folded, spec)
                 pts.append(
-                    (effective_scale(circ.n_two_qubit, lam), rho.expectation(zpi_op), 0.0)
+                    (effective_scale(circ.n_two_qubit, lam), np.trace(zpi_op @ rho).real, 0.0)
                 )
             fit = zne_extrapolate(pts)
             unmitigated = pts[0][1]

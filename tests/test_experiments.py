@@ -37,6 +37,7 @@ from scarsim.model import (
     trotter_step,
 )
 from scarsim.observables import (
+    accumulated_error,
     cy_oracle,
     loschmidt_echo,
     per_site_z,
@@ -283,6 +284,24 @@ class TestNoisyPipeline:
         d_mit = bundle["accumulated_error_mitigated"].values.real
         d_raw = bundle["accumulated_error_unmitigated"].values.real
         assert d_mit[-1] < d_raw[-1]
+
+    def test_unmitigated_series_carry_the_raw_error_bars(self):
+        # every unmitigated series reads its std from the twirls' spread
+        # of the raw estimates, as the mitigated ones read theirs
+        cfg = tiny_config(sites=4, steps=3, twirls=3, noise_preset="casablanca-like",
+                          readout_mode="tensor", postselect=True, shots=512,
+                          infinite_shots=False, seed=7)
+        bundle = run_zpi(cfg)
+        _, _, raw, raw_std, _ = experiments._zpi_sweep(cfg)
+        ref = reference_series(cfg.model_params(), cfg.steps, cfg.impl)
+        d_err = bundle["accumulated_error_unmitigated"].errors
+        want = accumulated_error(raw[:, experiments.COL_SITES], ref["site_z"],
+                                 raw_std[:, experiments.COL_SITES])[1]
+        np.testing.assert_array_equal(d_err, want)
+        assert np.max(d_err[1:]) > 0
+        for flips in (0, 1):
+            np.testing.assert_array_equal(bundle[f"loschmidt_f{flips}_unmitigated"].errors,
+                                          raw_std[:, experiments.COL_ECHO[flips]])
 
     def test_dd_cancels_quasi_static_idle_dephasing(self):
         # idle windows carry quasi-static Z noise; the inserted echo
@@ -622,16 +641,16 @@ PINNED_RUNS = {
              readout_mode="tensor", postselect=True, dd=True, seed=5, format="csv"),
         {
             "accumulated_error_mitigated.csv": "6957eebb878b7e711852fe009ccba8bc1343e4d4",
-            "accumulated_error_unmitigated.csv": "ab5e2d185f3e271ef40b30ae8ae51b27341660e6",
+            "accumulated_error_unmitigated.csv": "b33c587d516418e1d8f96858f19c10f33f5568c9",
             "fibonacci_weight_ideal.csv": "25332cfbf0609226cef37b5ecf6a5aade93accc9",
             "loschmidt_f0_ideal.csv": "2b4fd4e9365bd0621cdf47117b007091c9bafb54",
             "loschmidt_f0_mitigated.csv": "cdb95235a44141e08ca746fba90b814c90827b7c",
             "loschmidt_f0_projected.csv": "f93eb915dfef94053800abdcccbd5c927bc93240",
-            "loschmidt_f0_unmitigated.csv": "4a5229c1aa4d556135738d858916b51d387246bc",
+            "loschmidt_f0_unmitigated.csv": "c6084b0def1fc5187699155e15b7f9f9fa602c8f",
             "loschmidt_f1_ideal.csv": "8a10323bfd0180ccfce326bc0d345b9321bbd47a",
             "loschmidt_f1_mitigated.csv": "7626d3d1696b749e8e22d12fa7f1b56efdf3864b",
             "loschmidt_f1_projected.csv": "986a0520f90c48a0117b0c2f22cb09ac9fc10936",
-            "loschmidt_f1_unmitigated.csv": "9f72dc9f75f1dd8538a5a279791f89147ff49e03",
+            "loschmidt_f1_unmitigated.csv": "cb9c22b527e3179c423328a06fc515cfb13b517f",
             "per_site_z_mitigated.csv": "6922c699222687c1652d0192f8f5aed40c242268",
             "per_site_z_reference.csv": "5c20697a6ea9e5a01afe3119b792fe0253f666cc",
             "postselect_retained.csv": "095a5aa79780f281c9fea9e5d4c560991bf36ca4",
@@ -663,16 +682,16 @@ PINNED_RUNS = {
              readout_mode="tensor", postselect=True, dd=True, seed=11, format="csv"),
         {
             "accumulated_error_mitigated.csv": "78345265ff77c9777f2c8ed7763da3b8826c1aa2",
-            "accumulated_error_unmitigated.csv": "f60c96061fa0d9161c757c593d8d9e797a0d4983",
+            "accumulated_error_unmitigated.csv": "c5c5b53cd9e145c9abe94179e2eea0a40a992e4a",
             "fibonacci_weight_ideal.csv": "ed39b1e76ea4e3878a137e1681ecd87b8a3699e5",
             "loschmidt_f0_ideal.csv": "70eecbf4a074e169bbb5b965beb84f8b6a6bdc66",
             "loschmidt_f0_mitigated.csv": "4d33e7329e5ee3eebc73a053d06307c19c65f008",
             "loschmidt_f0_projected.csv": "ebb7c4dcfd4d3451a92d46dd70c5529b2082ff38",
-            "loschmidt_f0_unmitigated.csv": "2a3e516bd8cd9008469fa3394ad1d2626cfbac1d",
+            "loschmidt_f0_unmitigated.csv": "f7cade7e642c15a393f74506bdf2951068093fbf",
             "loschmidt_f1_ideal.csv": "ac8518b252c773687699514dadc942c5e2ca819d",
             "loschmidt_f1_mitigated.csv": "97480b11084322d0ad0f56e9a755fa8250752755",
             "loschmidt_f1_projected.csv": "ea4dff967cecbc880fa5f5c6a41244dc3301b9bd",
-            "loschmidt_f1_unmitigated.csv": "ea37b2467f5477bf21adcf6180864dbf85ce4f5f",
+            "loschmidt_f1_unmitigated.csv": "1a48de71551e15101c6d9039644cc7571dcb5725",
             "per_site_z_mitigated.csv": "41ab24ee63966dc65afebfbdb0e440e2ed8223a5",
             "per_site_z_reference.csv": "c94d5933f7b4bbc2159168ede48855927a24c623",
             "postselect_retained.csv": "328488d5803b0f37920d1efb7e203622a8878077",
@@ -1208,7 +1227,7 @@ def _exact_rows(cfg: ExperimentConfig, variants: list) -> dict:
             folds=folds[s]).gates)
         if gates not in memo:  # unfolded chains share their circuit
             rho = noise.run_noisy_density(Circuit(L, list(gates)), spec)
-            probs = readout.apply_to_vector(np.diag(rho.matrix).real)
+            probs = readout.apply_to_vector(np.diag(rho).real)
             memo[gates] = experiments._estimates(Counts.from_vector(probs, L, 1.0),
                                                  neel_bitstring(L))
         rows[step, w, li] = memo[gates]

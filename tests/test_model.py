@@ -22,7 +22,7 @@ from scarsim.model import (
     trotter_angles,
     trotter_step,
 )
-from scarsim.qsim import Circuit, PauliString, circuit_unitary, run_circuit
+from scarsim.qsim import Circuit, bit_table, circuit_unitary, run_circuit
 
 
 def _trotter_steps(p: ModelParams, steps: int, **kwargs) -> Circuit:
@@ -126,6 +126,12 @@ class TestTrotterStep:
         # busies 1..4 -> qubit 0 idles
         assert {g.qubits[0] for g in delays} == {0, 4}
 
+    def test_negative_idle_window_refused(self):
+        # the idle windows are built by qsim.delay, which refuses a
+        # negative duration
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_trotter_step(qmbs_params(5), impl="rzz", idle_ns=-1.0)
+
 
 class TestNeelStates:
     def test_z2_bitstring(self):
@@ -135,12 +141,8 @@ class TestNeelStates:
         # Z_pi = sum_i (-1)^i Z_i takes -L on |Z2>
         L = 6
         state = neel_state(L)
-        val = sum(
-            (-1) ** (q + 1)
-            * np.vdot(state.amplitudes,
-                      PauliString("I" * q + "Z" + "I" * (L - q - 1)).matrix() @ state.amplitudes).real
-            for q in range(L)
-        )
+        z = 1 - 2 * bit_table(L).astype(float)  # Z eigenvalue of each qubit per outcome
+        val = state.probabilities() @ z @ (-1.0) ** np.arange(1, L + 1)
         assert val == pytest.approx(-L)
 
 
@@ -171,6 +173,7 @@ class TestExactEvolve:
     @given(L=st.integers(2, 8), V=st.floats(-2.0, 2.0), Omega=st.floats(-2.0, 2.0),
            dt=st.floats(-1.5, 1.5), steps=st.integers(0, 5))
     @example(L=3, V=1.0, Omega=0.4, dt=1.7, steps=1)
+    @example(L=3, V=2.0, Omega=2.6899415272651496e-164, dt=1.5, steps=4)
     def test_matches_expm_oracle(self, L, V, Omega, dt, steps):
         p = ModelParams(V=V, Omega=Omega, dt=dt, L=L)
         ham = _dense_hamiltonian(p)

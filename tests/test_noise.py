@@ -38,7 +38,6 @@ from scarsim.qsim import (
     TWO_QUBIT_KINDS,
     Circuit,
     Gate,
-    PauliString,
     Statevector,
     bit_table,
     cnot,
@@ -57,7 +56,7 @@ from scarsim.qsim import (
     x,
 )
 from scarsim.tomography import gate_ptm, realized_gate_ptms
-from test_qsim import _embed
+from test_qsim import _embed, pauli_string
 
 
 class TestPulseArea:
@@ -249,7 +248,7 @@ class TestNoisyGateChannel:
         got = sum(c * p for c, p in zip(realized_gate_ptms(gate, spec, "atomic")[0] @ coords,
                                         paulis)) / 4
         want = run_noisy_density(Circuit(2, [gate]), spec, initial=init)
-        np.testing.assert_allclose(got, want.matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestReadout:
@@ -385,7 +384,7 @@ class TestTrajectoryExecution:
             for label in labels:
                 support = [q for q, ch in enumerate(label) if ch != "I"]
                 mc = counts.vector @ np.prod(signs[:, support], axis=1) / n
-                exact = rho.expectation(PauliString(label).matrix())
+                exact = np.trace(pauli_string(label) @ rho).real
                 sigma = 1.0 / math.sqrt(n)  # Pauli variance <= 1
                 assert abs(mc - exact) < 5 * sigma
 
@@ -424,7 +423,7 @@ class TestTrajectoryExecution:
         # errors of the mean over the K seeds, per outcome.
         circ, spec = self.LAW_CIRCUIT, self.LAW_SPEC
         m = ConfusionMatrix.from_rates(3, spec.readout_eps, spec.readout_eta)
-        want = apply_readout_error(np.real(np.diag(run_noisy_density(circ, spec).matrix)), m)
+        want = apply_readout_error(np.real(np.diag(run_noisy_density(circ, spec))), m)
         shots, k = 256, 2000
         freq = np.array([run_noisy_counts(circ, spec, shots, [s], shots_per_trajectory=64).vector
                          for s in range(k)]) / shots
@@ -589,7 +588,7 @@ def test_fused_plan_matches_density_oracle(data, width, over, with_basis):
     spec = NoiseSpec(two_qubit_target_error=0.0, coherent_overrotation=over)
     got = run_noisy_counts(circ, spec, shots=1, seed=0, infinite=True, basis=basis).vector
     full = Circuit(width, circ.gates + (basis.gates if basis else ()))
-    want = np.real(np.diag(run_noisy_density(full, spec).matrix))
+    want = np.real(np.diag(run_noisy_density(full, spec)))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -617,7 +616,7 @@ def _dense_density(circuit, spec, initial):
             labels, probs = "XYZ", [spec.single_qubit_depolarizing / 4.0] * 3
         mixed = (1.0 - sum(probs)) * rho
         for label, pr in zip(labels, probs):
-            pm = _embed(PauliString(label).matrix(), g.qubits, width)
+            pm = _embed(pauli_string(label), g.qubits, width)
             mixed += pr * (pm @ rho @ pm.conj().T)
         rho = mixed
     return rho
@@ -643,7 +642,7 @@ def test_density_oracle_equals_the_dense_formula(data, width, over, p1, p2, deph
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
         init = Statevector(amps / np.linalg.norm(amps))
-    got = run_noisy_density(circ, spec, initial=init).matrix
+    got = run_noisy_density(circ, spec, initial=init)
     want = _dense_density(circ, spec, init or Statevector.zero(width))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -790,11 +789,11 @@ def test_enumerated_branches_equal_the_density_oracle(case, at):
         np.tile(init.amplitudes, (len(rows), 1)),
         [_FixedUniforms([u for u, _ in row]) for row in rows])
     want = run_noisy_density(circ, spec, initial=init)
-    np.testing.assert_allclose(weights @ np.abs(kept) ** 2, np.real(np.diag(want.matrix)),
+    np.testing.assert_allclose(weights @ np.abs(kept) ** 2, np.real(np.diag(want)),
                                rtol=0, atol=1e-12)
     if basis is not None:
         want = run_noisy_density(Circuit(width, gates + basis_gates), spec, initial=init)
-    np.testing.assert_allclose(weights @ np.abs(measured) ** 2, np.real(np.diag(want.matrix)),
+    np.testing.assert_allclose(weights @ np.abs(measured) ** 2, np.real(np.diag(want)),
                                rtol=0, atol=1e-12)
 
 

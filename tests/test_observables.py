@@ -22,6 +22,7 @@ from scarsim.observables import (
     y_basis_rotation,
 )
 from scarsim.qsim import Counts, Statevector, run_circuit
+from test_qsim import pauli_string
 
 
 def _exact_counts(state: Statevector, shots: float = 1.0) -> Counts:
@@ -141,9 +142,7 @@ class TestPYP:
         # <Z2|(PYP)_j Y_i|Z2> = delta_ij for the even source site (L=3)
         L, i = 3, 2
         psi = neel_state(L).amplitudes
-        from scarsim.qsim import PauliString
-
-        y_i = PauliString("I" * (i - 1) + "Y" + "I" * (L - i)).matrix()
+        y_i = pauli_string("I" * (i - 1) + "Y" + "I" * (L - i))
         for j in range(1, L + 1):
             val = psi.conj() @ pyp_matrix(L, j) @ y_i @ psi
             expected = 1.0 if j == i else 0.0
@@ -226,9 +225,7 @@ class TestCYBranches:
             states[b] = out.amplitudes
         assert abs(np.vdot(states["M+1"], states["M-1"])) < 1e-12
         # verify the produced eigenstates of Y_i match the labels
-        from scarsim.qsim import PauliString
-
-        y_i = PauliString("IYI").matrix()
+        y_i = pauli_string("IYI")
         for b, sign in (("M+1", 1.0), ("M-1", -1.0)):
             val = states[b].conj() @ y_i @ states[b]
             assert np.real(val) == pytest.approx(sign, abs=1e-12)

@@ -31,8 +31,6 @@ SRC = ROOT / "src" / "scarsim"
 
 # module.name -> "file::Class::test" (or "file::test") that uses it
 KEEP = {
-    "mitigation.effective_twirled_noise_ptm":
-        "tests/test_mitigation.py::TestTwirlTheorem::test_coherent_overrotation_becomes_stochastic",
     "mitigation.twirl_rzz": "tests/test_acceptance.py::test_05_twirl_theorem",
     "model.build_hamiltonian_occupation":
         "tests/test_model.py::TestHamiltonian::test_pauli_and_occupation_forms_differ_by_identity",
@@ -46,11 +44,7 @@ KEEP = {
     # bench/tracing.py's counters read .data too (not through TARGETS)
     "qsim.Counts.data": "tests/test_counts_dense.py::test_data_view_is_read_only_and_lazy",
     "qsim.Counts.from_dict": "tests/test_counts_dense.py::test_from_dict_and_data_round_trip",
-    "qsim.DensityOperator.expectation": "tests/test_acceptance.py::test_06_zne_efficacy",
     "qsim.circuit_unitary": "tests/test_mitigation.py::TestFolding::test_unitary_unchanged",
-    "qsim.delay": "tests/test_qsim.py::TestIdleIntervals::test_delay_is_identity_in_noiseless_run",
-    "qsim.is_pauli_stochastic":
-        "tests/test_qsim.py::TestPauliTransferMatrix::test_stochastic_predicate",
 }
 
 # method or property name -> why every public class that defines it has callers
@@ -89,6 +83,15 @@ def _module_names_read(source: str) -> set[str]:
     return names
 
 
+def _patched() -> list[tuple[str, str]]:
+    """(module, name) of every TARGETS and HOOKS entry of bench/tracing.py,
+    read as text; a "Class.method" name is a method."""
+    tracing = (ROOT / "bench" / "tracing.py").read_text()
+    patched = re.findall(r'\("scarsim\.(\w+)", "([\w.]+)"', tracing)
+    assert patched, "no TARGETS or HOOKS found in bench/tracing.py"
+    return patched
+
+
 def _references() -> tuple[set[str], set[str]]:
     """(module-level and imported names, attribute names) the package
     refers to, with the benchmark's patched names in both."""
@@ -103,10 +106,7 @@ def _references() -> tuple[set[str], set[str]]:
                 attrs.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
-    tracing = (ROOT / "bench" / "tracing.py").read_text()
-    patched = re.findall(r'\("scarsim\.\w+", "([\w.]+)"', tracing)
-    assert patched, "no TARGETS or HOOKS found in bench/tracing.py"
-    patched = {name.rpartition(".")[2] for name in patched}
+    patched = {name.rpartition(".")[2] for _, name in _patched()}
     return names | patched, attrs | patched
 
 
@@ -120,6 +120,27 @@ def test_every_public_name_has_a_caller_or_a_kept_oracle_test():
     missing = sorted(_unreferenced() - set(KEEP))
     assert not missing, ("public names that nothing in src or the benchmark calls; delete "
                          f"them or add them to KEEP with the test they serve: {missing}")
+
+
+def test_every_name_the_benchmark_patches_resolves_in_src():
+    # the tracer looks each name up in its module's (or class's) own
+    # namespace: a def, a class or a from-import there
+    unresolved = []
+    for module, name in _patched():
+        body = ast.parse((SRC / f"{module}.py").read_text()).body
+        owner, _, attr = name.rpartition(".")
+        if owner:
+            body = next((n.body for n in body if isinstance(n, ast.ClassDef)
+                         and n.name == owner), [])
+        bound = set()
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, ast.ImportFrom):
+                bound.update(alias.asname or alias.name for alias in node.names)
+        if attr not in bound:
+            unresolved.append(f"{module}.{name}")
+    assert not unresolved, f"bench/tracing.py patches names src no longer has: {unresolved}"
 
 
 def test_a_local_of_the_same_name_is_no_caller():

@@ -1,4 +1,6 @@
-"""Core simulator: gate algebra, execution, sampling, channels."""
+"""Core simulator: gate algebra, execution, sampling, the Pauli basis."""
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,20 +11,14 @@ from scarsim.noise import noiseless, run_noisy_counts
 from scarsim.qsim import (
     Circuit,
     Counts,
-    DensityOperator,
     Gate,
-    KrausChannel,
-    PauliString,
     Statevector,
     circuit_unitary,
     cnot,
     gate_matrix,
     h,
-    is_pauli_stochastic,
-    pauli_basis_labels,
     pauli_basis_matrices,
     pauli_gate,
-    pauli_transfer_matrix,
     run_circuit,
     rx,
     ry,
@@ -45,6 +41,11 @@ def _embed(mat: np.ndarray, qubits: tuple[int, ...], width: int) -> np.ndarray:
     full = np.tensordot(mat_t, full, axes=(list(range(k, 2 * k)), list(qubits)))
     full = np.moveaxis(full, range(k), qubits)
     return full.reshape(dim, dim)
+
+
+def pauli_string(letters: str) -> np.ndarray:
+    """Dense matrix of a Pauli string, letter k on qubit k."""
+    return reduce(np.kron, (qsim.PAULI_1Q[ch] for ch in letters))
 
 
 class TestGateConstruction:
@@ -90,7 +91,7 @@ class TestGateMatrices:
         theta = 1.234
         from scipy.linalg import expm
 
-        expected = expm(-0.5j * theta * PauliString(letters).matrix())
+        expected = expm(-0.5j * theta * pauli_string(letters))
         got = gate_matrix(Gate(kind, (0, 1), angle=theta))
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -104,13 +105,8 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     return run_circuit(state, Circuit(state.width, [gate]))
 
 
-def expectation(state: Statevector, p: PauliString) -> float:
-    return np.vdot(state.amplitudes, p.matrix() @ state.amplitudes).real
-
-
-def depolarizing(n: int, p: float) -> KrausChannel:
-    """rho -> (1-p) rho + p I/2^n, as a stochastic Pauli channel."""
-    return KrausChannel.pauli(n, {lab: p / 4**n for lab in pauli_basis_labels(n)[1:]})
+def expectation(state: Statevector, letters: str) -> float:
+    return np.vdot(state.amplitudes, pauli_string(letters) @ state.amplitudes).real
 
 
 class TestApplyGate:
@@ -248,15 +244,15 @@ class TestRunCircuit:
 
 class TestExpectation:
     def test_z_on_zero(self):
-        assert expectation(Statevector.zero(1), PauliString("Z")) == pytest.approx(1.0)
+        assert expectation(Statevector.zero(1), "Z") == pytest.approx(1.0)
 
     def test_x_on_plus(self):
         plus = apply_gate(Statevector.zero(1), h(0))
-        assert expectation(plus, PauliString("X")) == pytest.approx(1.0)
+        assert expectation(plus, "X") == pytest.approx(1.0)
 
     def test_zz_on_01(self):
         state = Statevector.from_bitstring("01")
-        assert expectation(state, PauliString("ZZ")) == pytest.approx(-1.0)
+        assert expectation(state, "ZZ") == pytest.approx(-1.0)
 
     def test_random_state_against_dense_matrix(self):
         # the Pauli string's dense matrix against its letters run as gates,
@@ -268,7 +264,7 @@ class TestExpectation:
             gates = [pauli_gate("IXYZ".index(ch), q) for q, ch in enumerate(letters)]
             phi = run_circuit(state, Circuit(4, [g for g in gates if g is not None]))
             gated = np.vdot(state.amplitudes, phi.amplitudes).real
-            assert expectation(state, PauliString(letters)) == pytest.approx(gated, abs=1e-12)
+            assert expectation(state, letters) == pytest.approx(gated, abs=1e-12)
 
 
 class TestSampling:
@@ -324,86 +320,14 @@ class TestCounts:
         assert back.data == c.data
 
 
-def density(state: Statevector) -> np.ndarray:
-    return np.outer(state.amplitudes, state.amplitudes.conj())
+def test_embedding_acts_on_the_listed_qubit():
+    # the dense embedding the kernel test compares with
+    flip = _embed(qsim.PAULI_1Q["X"], (1,), 2)
+    out = flip @ Statevector.from_bitstring("10").amplitudes
+    np.testing.assert_array_equal(out, Statevector.from_bitstring("11").amplitudes)
 
 
-class TestChannels:
-    def test_identity_channel(self):
-        rho = density(Statevector.from_bitstring("01"))
-        out = KrausChannel.unitary(np.eye(4)).apply_matrix(rho)
-        np.testing.assert_allclose(out, rho, atol=1e-14)
-
-    def test_full_dephasing_on_plus(self):
-        plus = apply_gate(Statevector.zero(1), h(0))
-        out = KrausChannel.pauli(1, {"Z": 0.5}).apply_matrix(density(plus))
-        np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-14)
-
-    def test_two_qubit_depolarizing_kraus_sum(self):
-        # oracle: evaluate (1-p) rho + p I/4 directly
-        p = 0.13
-        rng = np.random.default_rng(2)
-        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        rho = density(Statevector(amps / np.linalg.norm(amps)))
-        expected = (1 - p) * rho + p * np.eye(4) / 4
-        np.testing.assert_allclose(depolarizing(2, p).apply_matrix(rho), expected, atol=1e-12)
-
-    def test_trace_preserved(self):
-        rho = DensityOperator(np.eye(4) / 4)
-        out = depolarizing(2, 0.2).apply_matrix(rho.matrix)
-        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_non_trace_preserving_rejected(self):
-        with pytest.raises(ValueError):
-            KrausChannel([np.diag([1.0, 0.5]).astype(complex)])
-
-    def test_channel_on_subset_of_qubits(self):
-        # the dense embedding the kernel test compares with
-        flip = KrausChannel.unitary(_embed(qsim.PAULI_1Q["X"], (1,), 2))
-        out = flip.apply_matrix(density(Statevector.from_bitstring("10")))
-        np.testing.assert_allclose(out, density(Statevector.from_bitstring("11")), atol=1e-14)
-
-
-class TestPauliTransferMatrix:
-    def test_identity_channel(self):
-        ptm = pauli_transfer_matrix(KrausChannel.unitary(np.eye(2)))
-        np.testing.assert_allclose(ptm, np.eye(4), atol=1e-14)
-
-    def test_z_conjugation_signs(self):
-        ptm = pauli_transfer_matrix(KrausChannel.unitary(qsim.PAULI_1Q["Z"]))
-        np.testing.assert_allclose(ptm, np.diag([1, -1, -1, 1]), atol=1e-14)
-
-    def test_single_qubit_depolarizing_diagonal(self):
-        # oracle: evaluate the trace formula on (1-p) rho + p I/2
-        p = 0.21
-        ptm = pauli_transfer_matrix(depolarizing(1, p))
-        np.testing.assert_allclose(ptm, np.diag([1, 1 - p, 1 - p, 1 - p]), atol=1e-12)
-
-    def test_two_qubit_depolarizing_diagonal(self):
-        p = 0.05
-        ptm = pauli_transfer_matrix(depolarizing(2, p))
-        expected = np.diag([1.0] + [1 - p] * 15)
-        np.testing.assert_allclose(ptm, expected, atol=1e-12)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_matches_the_trace_loop_on_a_random_channel(self, n):
-        # reference: R[a, b] = Re Tr[P_a ch(P_b)] / 2^n one entry at a time
-        rng = np.random.default_rng(n)
-        d = 2**n
-        a = rng.normal(size=(3 * d, d)) + 1j * rng.normal(size=(3 * d, d))
-        iso, _ = np.linalg.qr(a)  # stacked Kraus operators: an isometry
-        ch = KrausChannel([iso[k * d:(k + 1) * d] for k in range(3)])
-        basis = pauli_basis_matrices(n)
-        want = np.array([[np.trace(pa @ sum(e @ pb @ e.conj().T for e in ch.kraus_ops)).real / d
-                          for pb in basis] for pa in basis])
-        np.testing.assert_allclose(pauli_transfer_matrix(ch), want, rtol=0, atol=1e-12)
-
-    def test_stochastic_predicate(self):
-        assert is_pauli_stochastic(pauli_transfer_matrix(depolarizing(2, 0.1)))
-        # a Hadamard rotation mixes Pauli axes: not stochastic
-        had = KrausChannel.unitary(gate_matrix(h(0)))
-        assert not is_pauli_stochastic(pauli_transfer_matrix(had))
-
+class TestPauliBasis:
     def test_basis_is_built_once_and_read_only(self):
         # tomography asks for the basis thousands of times per run
         first, second = pauli_basis_matrices(2), pauli_basis_matrices(2)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from scarsim import model
-from scarsim.mitigation import effective_twirled_noise_ptm
 from scarsim.noise import (
     ConfusionMatrix,
     NoiseSpec,
@@ -15,13 +14,12 @@ from scarsim.noise import (
     run_noisy_density,
 )
 from scarsim.qsim import (
+    PAULI_1Q,
     Circuit,
-    KrausChannel,
     Statevector,
     cnot,
     gate_matrix,
     h,
-    is_pauli_stochastic,
     pauli_basis_matrices,
     rzz,
 )
@@ -73,13 +71,14 @@ class TestQPTReconstruct:
         assert res.fidelity == pytest.approx(1.0 - 0.75 * 0.05, abs=5e-3)
 
     def test_twirled_channel_reconstructs_diagonal(self):
-        # stochastic (twirl-averaged) channels have diagonal PTMs
-        over = KrausChannel.unitary(gate_matrix(rzz(0, 1, 0.15)))
-        stochastic_ptm = effective_twirled_noise_ptm(over)
+        # a stochastic Pauli channel has a diagonal PTM: the twirl average
+        # of an overrotation keeps the diagonal of its PTM
+        stochastic_ptm = np.diag(np.diag(gate_ptm(rzz(0, 1, 0.15))))
         res = qpt_reconstruct(
             rzz(0, 1, 0.0), noiseless(), infinite=True, true_ptm=stochastic_ptm
         )
-        assert is_pauli_stochastic(res.ptm, tol=1e-9)
+        off = res.ptm - np.diag(np.diag(res.ptm))
+        assert np.max(np.abs(off)) < 1e-9
 
     def test_physical_channel_has_positive_choi(self):
         spec = NoiseSpec(two_qubit_depolarizing=0.1)
@@ -107,6 +106,27 @@ class TestQPTReconstruct:
     def test_condition_number_reported(self):
         res = qpt_reconstruct(rzz(0, 1, 0.3), noiseless(), infinite=True)
         assert np.isfinite(res.condition_number) and res.condition_number >= 1.0
+
+
+class TestGatePTM:
+    def test_identity(self):
+        np.testing.assert_allclose(gate_ptm(np.eye(4)), np.eye(16), atol=1e-14)
+
+    def test_z_conjugation_signs(self):
+        # Z on qubit 0 flips the sign of every X and Y on that qubit
+        ptm = gate_ptm(np.kron(PAULI_1Q["Z"], PAULI_1Q["I"]))
+        np.testing.assert_allclose(ptm, np.diag(np.kron([1, -1, -1, 1], np.ones(4))),
+                                   atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_trace_loop_on_a_random_unitary(self, seed):
+        # reference: R[a, b] = Re Tr[P_a U P_b U^dag] / 4 one entry at a time
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        basis = pauli_basis_matrices(2)
+        want = np.array([[np.trace(pa @ u @ pb @ u.conj().T).real / 4 for pb in basis]
+                         for pa in basis])
+        np.testing.assert_allclose(gate_ptm(u), want, rtol=0, atol=1e-12)
 
 
 def _per_setting_reconstruction(r_true, spec, shots, seed, infinite):
@@ -295,5 +315,5 @@ def test_compiled_realizations_match_the_density_oracle(impl, spec, theta):
             rho = np.outer(init.amplitudes, init.amplitudes.conj())
             coords = ptm @ [np.trace(p @ rho).real for p in paulis]
             got = sum(c * p for c, p in zip(coords, paulis)) / 4
-            want = run_noisy_density(circuit, spec, initial=init).matrix
+            want = run_noisy_density(circuit, spec, initial=init)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
