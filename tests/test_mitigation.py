@@ -39,6 +39,7 @@ from scarsim.qsim import (
     rzx,
     x,
 )
+from scarsim.tomography import gate_ptm
 
 PAULIS_1Q = pauli_basis_matrices(1)
 CNOT_MAT = gate_matrix(cnot(0, 1))
@@ -193,6 +194,31 @@ class TestTwirlCircuit:
         u_ref = circuit_unitary(circ)
         u_tw = circuit_unitary(twirl_circuit(circ, seed=11))
         assert _equal_up_to_phase(u_ref, u_tw, tol=1e-9)
+
+
+def _twirl_average(ptm: np.ndarray) -> np.ndarray:
+    """The PTM averaged over conjugation by the 16 two-qubit Paulis."""
+    sandwiches = [gate_ptm(p) for p in pauli_basis_matrices(2)]
+    return sum(r @ ptm @ r for r in sandwiches) / len(sandwiches)
+
+
+class TestTwirlTheorem:
+    def test_coherent_overrotation_becomes_stochastic(self):
+        before = gate_ptm(rzz(0, 1, 0.2))
+        off_before = before - np.diag(np.diag(before))
+        assert np.max(np.abs(off_before)) > 1e-3
+        np.testing.assert_allclose(_twirl_average(before), np.diag(np.diag(before)),
+                                   rtol=0, atol=1e-12)
+
+    def test_generic_channel_becomes_stochastic(self):
+        # any channel, not just coherent ones: a PTM is linear in the
+        # channel, so the mixture 0.9 id + 0.1 U . U^dag has this PTM
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        u, _ = np.linalg.qr(a)
+        mix = 0.9 * np.eye(16) + 0.1 * gate_ptm(u)
+        after = _twirl_average(mix)
+        np.testing.assert_allclose(after - np.diag(np.diag(after)), 0.0, rtol=0, atol=1e-12)
 
 
 class TestFolding:

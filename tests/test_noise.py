@@ -42,6 +42,7 @@ from scarsim.qsim import (
     bit_table,
     cnot,
     delay,
+    gate_matrix,
     h,
     pauli_basis_matrices,
     pauli_gate,
@@ -222,6 +223,26 @@ class TestNoisyGateChannel:
         ptm = realized_gate_ptms(gate, spec, "atomic")[0]
         residual = ptm @ gate_ptm(gate).T
         np.testing.assert_allclose(residual, np.diag([1.0] + [1 - p] * 15), atol=1e-10)
+
+    def test_single_qubit_depolarizing_diagonal(self):
+        # a single-qubit gate's noise on its own qubit of the pair:
+        # residual PTM diag(1, 1-p, 1-p, 1-p) on qubit 0, identity on qubit 1
+        p = 0.21
+        gate = rx(0, 0.7)
+        ptm = realized_gate_ptms(gate, NoiseSpec(single_qubit_depolarizing=p), "atomic")[0]
+        residual = ptm @ gate_ptm(np.kron(gate_matrix(gate), np.eye(2))).T
+        np.testing.assert_allclose(residual, np.diag(np.kron([1, 1 - p, 1 - p, 1 - p],
+                                                             np.ones(4))), atol=1e-12)
+
+    def test_trace_preserved(self):
+        # every noise channel at once leaves a unit-trace, positive state
+        spec = NoiseSpec(two_qubit_depolarizing=0.2, single_qubit_depolarizing=0.1,
+                         coherent_overrotation=0.3, idle_stochastic_rate_per_ns=1e-3)
+        circ = Circuit(3, [h(0), rzz(0, 1, 0.9), delay(2, 200.0), rzx(1, 2, 0.4), cnot(2, 0)])
+        rho = run_noisy_density(circ, spec)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(rho, rho.conj().T, rtol=0, atol=1e-14)
+        assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
 
     def test_coherent_overrotation_is_not_stochastic(self):
         spec = NoiseSpec(two_qubit_target_error=0.0, coherent_overrotation=0.1)

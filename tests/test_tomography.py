@@ -118,6 +118,12 @@ class TestGatePTM:
         np.testing.assert_allclose(ptm, np.diag(np.kron([1, -1, -1, 1], np.ones(4))),
                                    atol=1e-14)
 
+    def test_hadamard_mixes_pauli_axes(self):
+        # H on qubit 0 swaps X and Z there and flips Y: no diagonal PTM
+        h_ptm = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0]])
+        ptm = gate_ptm(np.kron(gate_matrix(h(0)), PAULI_1Q["I"]))
+        np.testing.assert_allclose(ptm, np.kron(h_ptm, np.eye(4)), atol=1e-14)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_the_trace_loop_on_a_random_unitary(self, seed):
         # reference: R[a, b] = Re Tr[P_a U P_b U^dag] / 4 one entry at a time
