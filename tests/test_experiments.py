@@ -630,7 +630,7 @@ def _assert_reruns_identical(cfg: ExperimentConfig, run) -> None:
         assert first[name] == second[name], name
 
 
-# sha1 of every file two small noisy finite-shot runs emit, as their
+# sha1 of every file some small noisy finite-shot runs emit, as their
 # manifests list them.  A change that claims byte-identical outputs must
 # keep these; one that changes outputs on purpose updates them and says why.
 PINNED_RUNS = {
@@ -716,6 +716,33 @@ PINNED_RUNS = {
             "variants.jsonl": "35ea57754cac17c224b64eb213b80aae12265bbd",
         },
     ),
+    "zpi-two-cnot-twirled": (
+        dict(sites=4, steps=3, twirls=2, zne_factors=(1.0, 2.0), shots=512,
+             shots_per_trajectory=128, impl="two-cnot", noise_preset="casablanca-like",
+             noise_overrides={"single_qubit_depolarizing": 0.004},
+             readout_mode="tensor", postselect=True, seed=11, format="csv"),
+        {
+            "accumulated_error_mitigated.csv": "fe2a095cf530efc9e5f40019b61f0472681a1b37",
+            "accumulated_error_unmitigated.csv": "887b0529003f1f91309876a993c557e3f6b3b1e7",
+            "fibonacci_weight_ideal.csv": "b193707785fb38fb09a889dbe03ad0e879cf6623",
+            "loschmidt_f0_ideal.csv": "0b39cb9446dd52cd96d6479904b8b04bbebf9dce",
+            "loschmidt_f0_mitigated.csv": "ab5b979fe5b3bc5794529512fff3eaa3a77ffc7e",
+            "loschmidt_f0_projected.csv": "a7e007661b66c0c8252c4ab05e699ebc9a66026b",
+            "loschmidt_f0_unmitigated.csv": "624c64bee9dd8390307b2ad070f4d11ee637a793",
+            "loschmidt_f1_ideal.csv": "59a82736243d4bed730ccd8742330315f6c193ea",
+            "loschmidt_f1_mitigated.csv": "ee215935d6dbffcbacb1f07f77f841129c310d65",
+            "loschmidt_f1_projected.csv": "9c74923d84b0cbe193b0f4b0fc54f975d196449b",
+            "loschmidt_f1_unmitigated.csv": "ce16439a5a0babdb1b3d271dcc4ce6ede8640f4b",
+            "per_site_z_mitigated.csv": "e65ca6c845d344fb3bf98e49c233948b78a97c5d",
+            "per_site_z_reference.csv": "d6464b89dec4082591b7318ee6917f088e83a8e4",
+            "postselect_retained.csv": "3cce1496d8e1bcbc7f43ad6c60ea68e5095b8579",
+            "variants.jsonl": "6159656c1626f5776a8ed1bba29ef6647e9db98b",
+            "zpi_density_ideal.csv": "e72c7004cd2bfa53e373bbe9ffa675f11d4f2db0",
+            "zpi_density_mitigated.csv": "f9332802000a441029d71e9fc4d48c401222421e",
+            "zpi_density_projected.csv": "ad5c04b27236f98ce6c22692528b2f47ac99beaa",
+            "zpi_density_unmitigated.csv": "f3c5baa58fd145824ca5a77c2b90f90536752e82",
+        },
+    ),
 }
 
 
@@ -726,7 +753,9 @@ def test_emitted_files_match_pinned_digests(tmp_path, name):
     # zpi-quasi-static: L=5, 4 steps (restart at step 3) with DD, drawn
     # quasi-static rates, idle flips and a visible twirl (single-qubit
     # error and overrotation); cy-twirled: L=4, 3 steps (restart at step
-    # 2) with a visible twirl and basis draws
+    # 2) with a visible twirl and basis draws; zpi-two-cnot-twirled: L=4,
+    # 3 steps of the two-CNOT realization with a visible twirl, so the
+    # closing pairs of twirled CNOTs reach the files
     kwargs, digests = PINNED_RUNS[name]
     cfg = ExperimentConfig(out=str(tmp_path), **kwargs)
     emit((run_zpi if name.startswith("zpi") else run_cy)(cfg), cfg)
