@@ -1,14 +1,14 @@
 """Error-mitigation stack: twirling, folding ZNE, readout inversion,
 subspace postselection, dynamical decoupling.
 
-Pauli twirling dresses every two-qubit gate with uniformly random Pauli
-pairs chosen to leave the logical gate unchanged.  For CNOT the closing
-pair follows from Clifford conjugation; the interaction rotations
-(generated by a two-qubit Pauli string) are non-Clifford for generic
-angles, so the same pair closes the sandwich and the rotation angle
-flips sign whenever the pair anticommutes with the generator.  Averaged
-over all 16 pairs, any gate error channel becomes a stochastic Pauli
-channel (diagonal Pauli transfer matrix).
+Pauli twirling dresses every two-qubit gate with a uniformly random
+Pauli pair P and the closing pair P' that leaves the logical gate
+unchanged: P' G(+-theta) P = G(theta) up to phase.  One rule, read off
+the gate's matrix, finds P' and the sign for CNOT (Clifford conjugation)
+and for the interaction rotations (the same pair, the angle flipped when
+the pair anticommutes with the generator).  Averaged over all 16 pairs,
+any gate error channel becomes a stochastic Pauli channel (diagonal
+Pauli transfer matrix).
 """
 from __future__ import annotations
 
@@ -21,61 +21,39 @@ import numpy as np
 from .model import fibonacci_projector
 from .noise import ConfusionMatrix, NoiseSpec, _rng, run_noisy_counts
 from .qsim import (
+    ROTATION_KINDS,
     Circuit,
     Counts,
     Gate,
     bit_table,
     delay,
+    gate_matrix,
+    pauli_basis_matrices,
     pauli_gate,
     rx,
 )
 
-# index convention: 0 = I, 1 = X, 2 = Y, 3 = Z
 
-def twirl_cnot(alpha: int, beta: int) -> tuple[int, int]:
-    """Closing Pauli pair (gamma, delta) with s^g s^d = CNOT s^a s^b CNOT.
+@lru_cache(maxsize=None)
+def _closing(kind: str, alpha: int, beta: int) -> tuple[int, int, int]:
+    """Closing pair (gamma, delta) and angle sign s of the Pauli pair
+    (alpha, beta) (0 = I, 1 = X, 2 = Y, 3 = Z) on the two-qubit gate G:
+    P_gamma,delta G(s theta) P_alpha,beta = G(theta) up to phase.
 
-    Closed-form in the Pauli indices; equality holds up to a global
-    phase, verified exhaustively against matrix conjugation in tests.
+    Read off the gate's matrix G = G(theta) at a generic angle: the
+    closing pair is G P G(s theta)^dag, with G(s theta)^dag = G^dag for
+    s = 1 and G for s = -1, and it is a Pauli pair for exactly one sign
+    (1 for CNOT, its own inverse).
     """
-    if alpha not in (0, 1, 2, 3) or beta not in (0, 1, 2, 3):
-        raise ValueError("Pauli indices must lie in 0..3")
-    gamma = alpha + beta * (beta - 1) * (3.5 - beta) * (1.0 - 2.0 * alpha / 3.0)
-    delta = beta + alpha * (alpha - 3) * (beta % 2 - 0.5)
-    return int(round(gamma)), int(round(delta))
-
-
-def _anticommutes(pauli: int, axis: str) -> bool:
-    """Does the single-qubit Pauli anticommute with the given axis?"""
-    if pauli == 0:
-        return False
-    return "IXYZ"[pauli] != axis
-
-
-@dataclass(frozen=True)
-class TwirlAssignment:
-    """Dressing of one two-qubit gate: pre/post Pauli pairs and, for
-    Pauli-rotation gates, the sign applied to the angle."""
-
-    pre: tuple[int, int]
-    post: tuple[int, int]
-    angle_sign: int = 1
-
-
-def twirl_rzz(alpha: int, beta: int) -> TwirlAssignment:
-    """Twirl assignment for the ZZ rotation: same pair on both sides,
-    angle sign flipped for pairs anticommuting with Z(x)Z."""
-    return _twirl_rotation(alpha, beta, "ZZ")
-
-
-def _twirl_rotation(alpha: int, beta: int, generator: str) -> TwirlAssignment:
-    if alpha not in (0, 1, 2, 3) or beta not in (0, 1, 2, 3):
-        raise ValueError("Pauli indices must lie in 0..3")
-    anti = _anticommutes(alpha, generator[0]) ^ _anticommutes(beta, generator[1])
-    return TwirlAssignment(pre=(alpha, beta), post=(alpha, beta), angle_sign=-1 if anti else 1)
-
-
-_GENERATORS = {"RZZ": "ZZ", "RZX": "ZX"}
+    paulis = np.array(pauli_basis_matrices(2))
+    gate = gate_matrix(Gate(kind, (0, 1), angle=1.0 if kind in ROTATION_KINDS else None))
+    pre = paulis[4 * alpha + beta]
+    for sign, closing in ((1, gate @ pre @ gate.conj().T), (-1, gate @ pre @ gate)):
+        overlap = np.abs(np.einsum("kij,ij->k", paulis.conj(), closing))
+        if overlap.max() > 4 - 1e-9:
+            gamma, delta = divmod(int(overlap.argmax()), 4)
+            return gamma, delta, sign
+    raise ValueError(f"cannot twirl two-qubit kind {kind!r}")
 
 
 def twirl_is_visible(spec: NoiseSpec) -> bool:
@@ -119,15 +97,8 @@ def _dressing(kind: str, qubits: tuple[int, int], angle: float | None,
               alpha: int, beta: int) -> tuple[Gate, ...]:
     """The two-qubit gate (kind, qubits, angle) dressed by the Pauli pair
     (alpha, beta) and its closing pair; identities are left out."""
-    if kind == "CNOT":
-        gamma, delta = twirl_cnot(alpha, beta)
-        dressed = Gate(kind, qubits)
-    elif kind in _GENERATORS:
-        assign = _twirl_rotation(alpha, beta, _GENERATORS[kind])
-        gamma, delta = assign.post
-        dressed = Gate(kind, qubits, angle=assign.angle_sign * angle)
-    else:
-        raise ValueError(f"cannot twirl two-qubit kind {kind!r}")
+    gamma, delta, sign = _closing(kind, alpha, beta)
+    dressed = Gate(kind, qubits, angle=None if angle is None else sign * angle)
     pre = [pauli_gate(idx, q) for idx, q in zip((alpha, beta), qubits)]
     post = [pauli_gate(idx, q) for idx, q in zip((gamma, delta), qubits)]
     return tuple(g for g in pre + [dressed] + post if g is not None)

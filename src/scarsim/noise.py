@@ -235,7 +235,7 @@ def noiseless() -> NoiseSpec:
     return NoiseSpec(two_qubit_target_error=0.0)
 
 
-def casablanca_like(**overrides) -> NoiseSpec:
+def casablanca_like() -> NoiseSpec:
     """Default device preset.
 
     The pulse constants are representative, not a device calibration:
@@ -243,13 +243,12 @@ def casablanca_like(**overrides) -> NoiseSpec:
     (0.2 rad) and land the scaled gate strictly shorter than the
     two-CNOT schedule for theta <= 2.5.
     """
-    base = NoiseSpec(
+    return NoiseSpec(
         pulse=PulseParams(),
         two_qubit_target_error=0.016,
         readout_eps=0.03,
         readout_eta=0.02,
     )
-    return replace(base, **overrides) if overrides else base
 
 
 PRESETS = {

@@ -193,7 +193,7 @@ def loschmidt_echo(obj, reference: str, flips_allowed: int = 0) -> float:
 def accumulated_error(
     per_site_qpu: np.ndarray,
     per_site_ref: np.ndarray,
-    per_site_std: np.ndarray | None = None,
+    per_site_std: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Running mean of the per-site mean squared magnetization deviation.
 
@@ -213,8 +213,6 @@ def accumulated_error(
     d_vals[0] = e[0]
     if n_steps > 1:
         d_vals[1:] = np.cumsum(e[1:]) / np.arange(1, n_steps)
-    if per_site_std is None:
-        return d_vals, np.zeros(n_steps)
     std = np.asarray(per_site_std, dtype=float)
     var_e = np.sum((2.0 * diff * std) ** 2, axis=1) / L**2
     d_err = np.empty(n_steps)

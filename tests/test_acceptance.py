@@ -13,10 +13,10 @@ import pytest
 from scarsim import noise
 from scarsim.experiments import ExperimentConfig, emit, reference_series, run_zpi
 from scarsim.mitigation import (
+    _closing,
     effective_scale,
     fold_gates_random,
     mitigate_readout,
-    twirl_rzz,
     zne_extrapolate,
 )
 from scarsim.model import (
@@ -141,10 +141,11 @@ def test_05_twirl_theorem():
         avg = np.zeros((16, 16))
         for alpha in range(4):
             for beta in range(4):
-                assign = twirl_rzz(alpha, beta)
-                sandwich = np.kron(paulis[alpha], paulis[beta])
-                gate_u = gate_matrix(rzz(0, 1, assign.angle_sign * theta))
-                total = sandwich @ noise_mat @ gate_u @ sandwich
+                gamma, delta, sign = _closing("RZZ", alpha, beta)
+                pre = np.kron(paulis[alpha], paulis[beta])
+                post = np.kron(paulis[gamma], paulis[delta])
+                gate_u = gate_matrix(rzz(0, 1, sign * theta))
+                total = post @ noise_mat @ gate_u @ pre
                 avg += gate_ptm(total)
         avg /= 16.0
         ideal_ptm = gate_ptm(u_gate)

@@ -195,7 +195,7 @@ class TestCompiledGateLaws:
         from scarsim.experiments import _realized_error
 
         p1 = 0.004
-        spec = casablanca_like(single_qubit_depolarizing=p1)
+        spec = preset("casablanca-like", single_qubit_depolarizing=p1)
         p_cnot = spec.two_qubit_error_prob(cnot(0, 1))
         for theta in _LAW_THETAS:
             assert _realized_error(theta, "two-cnot", spec) == pytest.approx(
@@ -436,7 +436,7 @@ class TestTrajectoryExecution:
     # Z flips (probability 0.197) in an idle window between two H on qubit 2.
     LAW_CIRCUIT = Circuit(3, [h(0), h(2), cnot(0, 1), delay(2, 500.0), rzz(1, 2, 0.7), h(2),
                               cnot(0, 2)])
-    LAW_SPEC = casablanca_like(idle_stochastic_rate_per_ns=1e-3)
+    LAW_SPEC = preset("casablanca-like", idle_stochastic_rate_per_ns=1e-3)
 
     def test_shot_mean_is_the_read_out_density_diagonal(self):
         # Over seeds, counts / shots averages to M diag(rho): the readout
@@ -481,7 +481,7 @@ class TestTrajectoryExecution:
         # without stochastic noise one trajectory runs, and its counts are
         # exactly rng.multinomial(shots, M p) with rng seeded seed + [4]
         circ = build_trotter_step(qmbs_params(3), impl="two-cnot")
-        spec = casablanca_like(two_qubit_depolarizing=0.0)
+        spec = preset("casablanca-like", two_qubit_depolarizing=0.0)
         assert noise.chain_noise([circ], spec) == (False, False)
         q = run_noisy_counts(circ, spec, shots=1, seed=[6, 1], infinite=True).vector
         want = np.random.default_rng([6, 1, 4]).multinomial(1000, q / q.sum())
@@ -718,7 +718,8 @@ def test_idle_windows_without_idle_noise_plan_nothing():
     assert len(plan.ops) == len(bare.ops)
     assert plan.n_draws == bare.n_draws == without.n_two_qubit
     assert all(op[0] == "window" for op in plan.ops)
-    idle = noise._NoisePlan(with_idles, casablanca_like(idle_stochastic_rate_per_ns=1e-4))
+    idle = noise._NoisePlan(with_idles,
+                            preset("casablanca-like", idle_stochastic_rate_per_ns=1e-4))
     n_delays = sum(g.kind == "DELAY" for g in with_idles.gates)
     assert idle.n_draws - plan.n_draws == n_delays > 0
     assert all(op[0] == "window" for op in idle.ops)

@@ -83,21 +83,21 @@ class TestLoschmidt:
 class TestAccumulatedError:
     def test_identical_series_zero(self):
         a = np.random.default_rng(1).normal(size=(8, 5))
-        d, err = accumulated_error(a, a)
+        d, err = accumulated_error(a, a, np.zeros_like(a))
         np.testing.assert_allclose(d, 0.0)
         np.testing.assert_allclose(err, 0.0)
 
     def test_constant_offset(self):
         ref = np.zeros((6, 4))
         qpu = ref + 0.1
-        d, _ = accumulated_error(qpu, ref)
+        d, _ = accumulated_error(qpu, ref, np.zeros_like(ref))
         np.testing.assert_allclose(d, 0.01, atol=1e-14)
 
     def test_single_step_offset_decays_as_inverse_n(self):
         ref = np.zeros((7, 3))
         qpu = ref.copy()
         qpu[1, :] = 0.3
-        d, _ = accumulated_error(qpu, ref)
+        d, _ = accumulated_error(qpu, ref, np.zeros_like(ref))
         e1 = 0.3**2
         for n in range(1, 7):
             assert d[n] == pytest.approx(e1 / n)
@@ -112,7 +112,7 @@ class TestAccumulatedError:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            accumulated_error(np.zeros((3, 2)), np.zeros((4, 2)))
+            accumulated_error(np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((3, 2)))
 
 
 class TestTimeSeries:

@@ -31,7 +31,6 @@ SRC = ROOT / "src" / "scarsim"
 
 # module.name -> "file::Class::test" (or "file::test") that uses it
 KEEP = {
-    "mitigation.twirl_rzz": "tests/test_acceptance.py::test_05_twirl_theorem",
     "model.build_hamiltonian_occupation":
         "tests/test_model.py::TestHamiltonian::test_pauli_and_occupation_forms_differ_by_identity",
     "model.fibonacci_dimension": "tests/test_acceptance.py::test_03_fibonacci_diagnostics",

@@ -1,7 +1,10 @@
-"""The repo's pytest settings let a failing test report and the run go on."""
+"""The repo's pytest settings: a failing test reports and the run goes on,
+and hypothesis draws the same examples on every run."""
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import settings
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +35,9 @@ def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     assert "Falsifying example" in run.stdout
     assert "1 failed, 1 passed" in run.stdout
     assert run.returncode == 1
+
+
+def test_hypothesis_is_derandomized_without_a_database():
+    # tests/conftest.py loads the profile before any test module is imported
+    assert settings.default.derandomize
+    assert settings.default.database is None

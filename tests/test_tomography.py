@@ -11,6 +11,7 @@ from scarsim.noise import (
     NoiseSpec,
     casablanca_like,
     noiseless,
+    preset,
     run_noisy_density,
 )
 from scarsim.qsim import (
@@ -90,7 +91,8 @@ class TestQPTReconstruct:
         # the stacked reconstruction against one (preparation, setting)
         # pair at a time, with readout error and a channel whose outputs
         # are mixed and not Pauli-diagonal
-        spec = casablanca_like(single_qubit_depolarizing=0.004, coherent_overrotation=0.07)
+        spec = preset("casablanca-like", single_qubit_depolarizing=0.004,
+                      coherent_overrotation=0.07)
         r_true = realized_gate_ptms(rzz(0, 1, 1.2), spec, "scaled-rzx")[0]
         res = qpt_reconstruct(rzz(0, 1, 1.2), spec, shots=512, seed=3, infinite=infinite,
                               true_ptm=r_true)
@@ -301,10 +303,11 @@ def _entangled_states(rng, n: int) -> list[Statevector]:
 
 
 @pytest.mark.parametrize("impl", ["two-cnot", "scaled-rzx", "rzz"])
-@pytest.mark.parametrize("spec", [casablanca_like(), casablanca_like(coherent_overrotation=0.07),
+@pytest.mark.parametrize("spec", [casablanca_like(),
+                                  preset("casablanca-like", coherent_overrotation=0.07),
                                   NoiseSpec(two_qubit_depolarizing=0.05,
                                             coherent_overrotation=-0.04),
-                                  casablanca_like(single_qubit_depolarizing=0.004)])
+                                  preset("casablanca-like", single_qubit_depolarizing=0.004)])
 @pytest.mark.parametrize("theta", [0.3, 1.2, 2.4, -0.8])
 def test_compiled_realizations_match_the_density_oracle(impl, spec, theta):
     # the forward and inverse PTMs of each compilation ("rzz" is the
