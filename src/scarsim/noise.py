@@ -688,8 +688,16 @@ class _NoisePlan:
         return plan
 
     def run_batch(self, amps: np.ndarray, rngs: list[np.random.Generator],
-                  omegas: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Evolve a (T, 2^width) stack of trajectories through the plan.
+                  omegas: np.ndarray | None = None,
+                  rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Evolve a stack of trajectories through the plan.
+
+        Trajectory t is the row ``rows[t]`` of ``amps``; trajectories
+        that have drawn no error since they started may share one row.
+        Without ``rows`` the stack holds one row per trajectory
+        (``rows[t] = t``).  Rows are taken in order from the top of
+        ``amps``, which has room for one row per trajectory; only the
+        leading rows some trajectory holds (the live rows) are evolved.
 
         Trajectory t draws its ``n_draws`` uniforms at once from
         ``rngs[t]`` (the same numbers as one ``random()`` call per noisy
@@ -697,21 +705,42 @@ class _NoisePlan:
         quasi-static rates ``omegas[t]``; no draw depends on another
         trajectory, so a batch of T generators equals T one-generator
         batches.  The (T, n_draws) uniforms are compared with ``totals``
-        once, and only the windows that own a draw some row hit build
-        corrections.  The row count is taken from ``amps``, so a plan
-        without draws runs with no generators.  ``amps`` may be
-        overwritten: the stack moves between it and one spare array of
-        its shape through the kernel, and each correction runs on its row
-        in place.
+        once, and only the windows that own a draw some trajectory hit
+        build corrections.  A trajectory that drew an error on a shared
+        row is first copied, already through the window, into the next
+        free row (the last trajectory left on a row keeps it), then
+        corrected there in place; before a ``dephase`` op every
+        trajectory takes a row of its own, and before the basis
+        rotation so does every trajectory hit in it.  A plan without
+        draws runs with no generators.  ``amps`` may be overwritten: the
+        stack moves between it and one spare array of its shape through
+        the kernel, and ``rows`` is updated in place.
 
         Returns (after the circuit, after the circuit and the basis
-        rotation): the rotation runs on a copy, so the first stack never
-        carries it.  Without a basis both are the same array.
+        rotation), both read through ``rows``: the rotation runs on a
+        copy of the live rows, so the first stack never carries it.
+        Without a basis both are the same array.
         """
         width = self.width
         psi = kept = amps
         spare = np.empty_like(amps)
-        n_traj = len(amps)
+        if rows is None:
+            rows = np.arange(len(amps))
+        n_traj = len(rows)
+        share = np.bincount(rows).tolist()  # trajectories per live row
+        live = len(share)
+
+        def own(t: int) -> int:
+            """The row of trajectory t, copied off a shared one first."""
+            nonlocal live
+            r = int(rows[t])
+            if share[r] > 1:
+                share[r] -= 1
+                share.append(1)
+                psi[live] = psi[r]
+                rows[t], r, live = live, live, live + 1
+            return r
+
         hit_ops = ()
         if self.n_draws:
             us = np.empty((n_traj, self.n_draws))
@@ -721,26 +750,41 @@ class _NoisePlan:
             hit_ops = set(self.owner[hits.any(axis=0)].tolist())
         for i, op in enumerate(self.ops):
             if i == self.split:
-                kept, psi = psi, psi.copy()
+                # the rotation's copy is read through the same map: every
+                # trajectory that would part from its row in it does so here
+                if any(o[0] == "dephase" for o in self.ops[i:]):
+                    parting = range(n_traj)
+                elif hit_ops and max(hit_ops) >= i:
+                    parting = np.flatnonzero(hits[:, self.owner >= i].any(axis=1))
+                else:
+                    parting = ()
+                for t in parting:
+                    own(t)
+                kept, psi = psi, psi[:live].copy()
             if op[0] == "dephase":
                 _, q, dur = op
-                half = 0.5 * omegas[:, q] * dur
-                view = psi.reshape(n_traj, 1 << q, 2, -1)
+                for t in range(n_traj):
+                    own(t)
+                omega = np.empty(n_traj)
+                omega[rows] = omegas[:, q]
+                half = 0.5 * omega * dur
+                view = psi[:live].reshape(live, 1 << q, 2, -1)
                 view[:, :, 0, :] *= np.exp(-1j * half)[:, None, None]
                 view[:, :, 1, :] *= np.exp(1j * half)[:, None, None]
                 continue
             _, qubits, mat, members, noisy, draws = op
-            out = _apply_matrix(psi, mat, qubits, width, spare)
-            if out is spare:
+            stack = psi[:live]
+            if _apply_matrix(stack, mat, qubits, width, spare[:live]) is not stack:
                 psi, spare = spare, psi
             if i in hit_ops:
                 hit = hits[:, draws]
-                rows = np.flatnonzero(hit.any(axis=1))
-                corrections = _corrections(members, noisy, hit[rows], us[rows][:, draws],
-                                           len(qubits))
-                for t, corr in zip(rows, corrections):
-                    row = psi[t:t + 1]
-                    out = _apply_matrix(row, corr, qubits, width, spare[t:t + 1])
+                hit_traj = np.flatnonzero(hit.any(axis=1))
+                corrections = _corrections(members, noisy, hit[hit_traj],
+                                           us[hit_traj][:, draws], len(qubits))
+                for t, corr in zip(hit_traj, corrections):
+                    r = own(t)
+                    row = psi[r:r + 1]
+                    out = _apply_matrix(row, corr, qubits, width, spare[r:r + 1])
                     if out is not row:
                         row[...] = out
         return (psi, psi) if self.split == len(self.ops) else (kept, psi)
@@ -752,9 +796,11 @@ class TrajectoryChain:
     trajectories, the unit ``run_noisy_counts`` advances.
 
     ``plans`` lists the plans of the chain's blocks so far, in order.
-    The live batch holds one amplitude row per trajectory (``amps``,
-    None before the chain's first block and after ``restart``) and has
-    run the first ``ran`` planned blocks.  Trajectory t owns the
+    The live batch (``amps``, None before the chain's first block and
+    after ``restart``) has room for one amplitude row per trajectory and
+    has run the first ``ran`` planned blocks; trajectory t is its row
+    ``rows[t]``, and a fresh batch holds every trajectory in row 0 until
+    it draws an error (``_NoisePlan.run_batch``).  Trajectory t owns the
     generator ``rngs[t]``: it first draws the trajectory's quasi-static
     idle rates ``omegas[t]`` (one per qubit, kept for every later block,
     drawn only if the chain is ``quasi_static``), then one uniform per
@@ -766,6 +812,7 @@ class TrajectoryChain:
     quasi_static: bool
     plans: list[_NoisePlan] = field(default_factory=list)
     amps: np.ndarray | None = None
+    rows: np.ndarray | None = None
     rngs: list[np.random.Generator] = field(default_factory=list)
     omegas: np.ndarray | None = None
     ran: int = 0
@@ -851,15 +898,25 @@ def run_noisy_counts(
         sigma = spec.idle_dephasing_rad_per_ns
         chain.omegas = (np.stack([r.normal(0.0, sigma, size=width) for r in chain.rngs])
                         if chain.quasi_static else None)
-        chain.amps = np.tile(Statevector.zero(width).amplitudes, (chain.n_traj, 1))
+        chain.amps = np.zeros((chain.n_traj, 1 << width), dtype=complex)
+        chain.amps[0, 0] = 1.0
+        chain.rows = np.zeros(chain.n_traj, dtype=np.intp)
     plan = _NoisePlan.join(chain.plans[chain.ran:],
                            None if basis is None else _NoisePlan.of(basis, spec))
     chain.ran = len(chain.plans)
-    chain.amps, measured = plan.run_batch(chain.amps, chain.rngs, chain.omegas)
-    probs = np.zeros(measured.shape[1])
-    for row in measured:  # the rows' mean, added in their order, without a (T, 2^L) stack
-        probs += np.abs(row) ** 2
-    probs /= len(measured)
+    chain.amps, measured = plan.run_batch(chain.amps, chain.rngs, chain.omegas, chain.rows)
+    # the trajectories' mean, added in their order without a (T, 2^L)
+    # stack: a row's |psi|^2 is kept only until its last trajectory adds it
+    probs = np.zeros(1 << width)
+    uses = np.bincount(chain.rows).tolist()
+    squares = {}
+    for r in chain.rows.tolist():
+        if r not in squares:
+            squares[r] = np.abs(measured[r])
+            np.square(squares[r], out=squares[r])
+        uses[r] -= 1
+        probs += squares[r] if uses[r] else squares.pop(r)
+    probs /= chain.n_traj
     if spec.has_readout_error():
         m = spec._memoized(("readout", width), lambda: ConfusionMatrix.from_rates(
             width, spec.readout_eps, spec.readout_eta))

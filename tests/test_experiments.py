@@ -390,9 +390,9 @@ class TestNoisyPipeline:
         real = noise._NoisePlan.run_batch
         n_trajs = []
 
-        def run_batch(plan, amps, rngs, omegas=None):
-            n_trajs.append(len(amps))
-            return real(plan, amps, rngs, omegas)
+        def run_batch(plan, amps, rngs, *rest):
+            n_trajs.append(len(rngs))
+            return real(plan, amps, rngs, *rest)
 
         monkeypatch.setattr(noise._NoisePlan, "run_batch", run_batch)
         cfg = tiny_config(noise_preset="casablanca-like", readout_mode="tensor",

@@ -511,16 +511,16 @@ class TestTrajectoryExecution:
             return chain
 
         batch = fresh()
-        amps = batch.amps
+        amps, rows = batch.amps, batch.rows
         for _ in range(2):  # a second block continues the same trajectories
-            amps, _ = plan.run_batch(amps, batch.rngs, batch.omegas)
+            amps, _ = plan.run_batch(amps, batch.rngs, batch.omegas, rows)
         for t in range(6):
             chain = fresh()
-            single = chain.amps[t:t + 1]
+            single = chain.amps[chain.rows[t]][None].copy()
             for _ in range(2):
                 single, _ = plan.run_batch(single, chain.rngs[t:t + 1], chain.omegas[t:t + 1])
-            np.testing.assert_allclose(amps[t], single[0], atol=1e-12)
-        assert len({amps[t].tobytes() for t in range(6)}) > 1
+            np.testing.assert_allclose(amps[rows[t]], single[0], atol=1e-12)
+        assert len({amps[rows[t]].tobytes() for t in range(6)}) > 1
 
 
 class TestPresets:
@@ -1203,3 +1203,148 @@ def test_run_batch_keeps_one_spare_stack(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak - evolved[-1] <= 4 * 2**L * 8
+
+
+def _row_mapped(n_traj: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A fresh row-mapped batch as ``run_noisy_counts`` starts one: room
+    for ``n_traj`` rows, row 0 at |0...0>, every trajectory on it."""
+    amps = np.zeros((n_traj, 2**width), dtype=complex)
+    amps[0, 0] = 1.0
+    return amps, np.zeros(n_traj, dtype=np.intp)
+
+
+_ROW_CASES = ["no hit", "every sharer in one window", "after the split", "dephase",
+              "one trajectory", "no draws"]
+
+
+@pytest.mark.parametrize("case", _ROW_CASES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), width=st.integers(1, 5), n_blocks=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
+def test_row_mapped_batch_equals_the_full_stack_bit_for_bit(case, data, width, n_blocks, seed):
+    # trajectories that share one row until their first error come out
+    # bit for bit as the rows of a full stack, one row per trajectory,
+    # before and after the basis rotation, in at most T rows
+    blocks = [data.draw(_plan_circuits(width)) for _ in range(n_blocks)]
+    basis = data.draw(_plan_circuits(width))
+    if case == "dephase":
+        blocks.append(Circuit(width, [Gate("DELAY", (q,), duration_ns=80.0)
+                                      for q in range(width)]))
+    spec = (NoiseSpec(two_qubit_target_error=0.0, coherent_overrotation=0.2)
+            if case == "no draws" else
+            NoiseSpec(two_qubit_depolarizing=0.4, single_qubit_depolarizing=0.3,
+                      idle_stochastic_rate_per_ns=0.002, coherent_overrotation=0.2,
+                      idle_dephasing_rad_per_ns=0.004 if case == "dephase" else 0.0))
+    plan = noise._NoisePlan.join([noise._NoisePlan(b, spec) for b in blocks],
+                                 noise._NoisePlan(basis, spec))
+    n_traj = 1 if case == "one trajectory" else data.draw(st.integers(2, 8))
+    rng = np.random.default_rng(seed)
+    late = plan.owner >= plan.split
+    hit = rng.random((n_traj, plan.n_draws)) < 0.2
+    if case == "no hit":
+        hit[:] = False
+    elif case == "after the split":
+        hit &= late
+    elif case == "every sharer in one window" and not late.all():
+        hit[:] = False
+        hit[:, rng.choice(np.flatnonzero(plan.owner == rng.choice(plan.owner[~late])))] = True
+    u = np.where(hit, plan.totals * rng.random(hit.shape),
+                 plan.totals + (1.0 - plan.totals) * rng.random(hit.shape))
+    omegas = rng.normal(0.0, 0.004, size=(n_traj, width)) if case == "dephase" else None
+
+    def generators():
+        return [] if case == "no draws" else [_FixedUniforms(row) for row in u]
+
+    amps, rows = _row_mapped(n_traj, width)
+    got = plan.run_batch(amps, generators(), omegas, rows)
+    full = np.tile(Statevector.zero(width).amplitudes, (n_traj, 1))
+    want = plan.run_batch(full, generators(), omegas)
+    assert rows.max() < n_traj
+    for g, w in zip(got, want):
+        for t in range(n_traj):
+            assert g[rows[t]].tobytes() == w[t].tobytes()
+    if case in ("no hit", "no draws"):
+        assert not rows.any()
+    if case == "dephase":
+        assert sorted(rows) == list(range(n_traj))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), width=st.integers(1, 5), n_blocks=st.integers(2, 4),
+       with_basis=st.booleans(), dephasing=st.sampled_from([0.0, 0.004]),
+       seed=st.integers(0, 2**16))
+def test_row_mapped_chain_mixture_equals_the_full_stack_bit_for_bit(
+        data, width, n_blocks, with_basis, dephasing, seed):
+    # a chain carried block by block, then restarted, gives every
+    # trajectory and the mixture's bytes that full stacks run by the
+    # same joined plans and generators give, the mixture added one
+    # trajectory at a time in trajectory order
+    blocks = [data.draw(_plan_circuits(width)) for _ in range(n_blocks)]
+    basis = data.draw(_plan_circuits(width)) if with_basis else None
+    restart = data.draw(st.integers(1, n_blocks - 1))
+    spec = NoiseSpec(two_qubit_depolarizing=0.2, single_qubit_depolarizing=0.1,
+                     idle_stochastic_rate_per_ns=0.002, idle_dephasing_rad_per_ns=dephasing)
+    stochastic, quasi_static = noise.chain_noise(blocks + [basis], spec)
+    n_traj = noise.trajectory_count(stochastic, 600, 100)
+    chain = noise.TrajectoryChain(n_traj, quasi_static)
+    plans, full, ran = [], None, 0
+    for n, block in enumerate(blocks):
+        key = [seed, n]
+        if n == restart:
+            chain.restart()
+            full = None
+        counts = run_noisy_counts(block, spec, 600, key, infinite=True,
+                                  shots_per_trajectory=100, basis=basis, chain=chain)
+        plans.append(noise._NoisePlan.of(block, spec))
+        if full is None:
+            gens = [noise._rng(key + [2, t]) for t in range(n_traj)]
+            omegas = (np.stack([r.normal(0.0, dephasing, size=width) for r in gens])
+                      if quasi_static else None)
+            full, ran = np.tile(Statevector.zero(width).amplitudes, (n_traj, 1)), 0
+        plan = noise._NoisePlan.join(plans[ran:],
+                                     None if basis is None else noise._NoisePlan.of(basis, spec))
+        ran = len(plans)
+        full, measured = plan.run_batch(full, gens, omegas)
+        probs = np.zeros(2**width)
+        for row in measured:
+            probs += np.abs(row) ** 2
+        probs /= n_traj
+        assert counts.vector.tobytes() == (probs * 600).tobytes()
+        assert chain.rows.max() < n_traj
+        for t in range(n_traj):
+            assert chain.amps[chain.rows[t]].tobytes() == full[t].tobytes()
+
+
+def test_trajectories_share_one_row_until_their_first_error(monkeypatch):
+    # a batch of 4 that draws no error runs every window on one row; one
+    # error moves its trajectory to a row of its own from its window on,
+    # corrected on that row alone
+    spec = NoiseSpec(two_qubit_depolarizing=0.1)
+    gates = [cnot(q, q + 1) for layer in range(3) for q in range(layer % 2, 7, 2)]
+    plan = noise._NoisePlan(Circuit(8, gates), spec)
+    windows = [op[2] for op in plan.ops]
+    assert len(windows) == 3
+    passes = []
+    apply = noise._apply_matrix
+
+    def spy(psi, mat, *args):
+        kind = next((i for i, w in enumerate(windows) if w is mat), "correction")
+        passes.append((kind, len(psi)))
+        return apply(psi, mat, *args)
+
+    monkeypatch.setattr(noise, "_apply_matrix", spy)
+    clean = np.full(plan.n_draws, 0.99)
+    amps, rows = _row_mapped(4, 8)
+    plan.run_batch(amps, [_FixedUniforms(clean) for _ in range(4)], None, rows)
+    assert passes == [(i, 1) for i in range(len(windows))]
+    assert rows.tolist() == [0, 0, 0, 0]
+
+    passes.clear()
+    w = 1
+    u = clean.copy()
+    u[plan.ops[w][5][0]] = 0.0
+    amps, rows = _row_mapped(4, 8)
+    plan.run_batch(amps, [_FixedUniforms(u if t == 2 else clean) for t in range(4)], None, rows)
+    assert passes == ([(i, 1) for i in range(w + 1)] + [("correction", 1)]
+                      + [(i, 2) for i in range(w + 1, len(windows))])
+    assert rows.tolist() == [0, 0, 1, 0]

@@ -141,7 +141,8 @@ class TestApplyGate:
 def _kernel_cases(draw):
     """(width, ordered subset of 1 to width qubits: any order, or an
     ascending run of consecutive qubits starting at the first qubit, at a
-    middle one or ending at the last, stack height, seed)."""
+    middle one or ending at the last, stack height up to the 8
+    trajectories of the paper's shape, seed)."""
     width = draw(st.integers(1, 7))
     k = draw(st.integers(1, width))
     where = draw(st.sampled_from(["any", "first", "middle", "last"]))
@@ -152,7 +153,7 @@ def _kernel_cases(draw):
         start = {"first": 0, "last": width - k}.get(where)
         start = draw(st.integers(*inner)) if start is None else start
         qubits = tuple(range(start, start + k))
-    return width, qubits, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+    return width, qubits, draw(st.integers(1, 8)), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -160,8 +161,9 @@ def _kernel_cases(draw):
 def test_kernel_matches_embedded_matrix(case):
     # every row of the one amplitude kernel equals the dense embedded
     # operator times that row, for random unitaries on up to 7 qubits in
-    # any order, and is bit for bit the row run alone.  The result is one
-    # of the two buffers
+    # any order, and is bit for bit the row run alone, which is what lets
+    # trajectories share a row until their first error.  The result is
+    # one of the two buffers
     width, qubits, n_traj, seed = case
     rng = np.random.default_rng(seed)
     dim = 2 ** len(qubits)

@@ -401,10 +401,10 @@ def record_batches(monkeypatch) -> list[tuple[int, bool]]:
     run_batch = noise._NoisePlan.run_batch
     depth = sweep_depth(monkeypatch)
 
-    def spy(plan, amps, rngs, omegas=None):
+    def spy(plan, amps, rngs, omegas=None, rows=None):
         if depth[0]:
             calls.append((len(rngs), omegas is not None))
-        return run_batch(plan, amps, rngs, omegas)
+        return run_batch(plan, amps, rngs, omegas, rows)
 
     monkeypatch.setattr(noise._NoisePlan, "run_batch", spy)
     return calls
