@@ -16,6 +16,5 @@ from .model import (  # noqa: F401
     exact_evolve,
     fibonacci_projector,
     neel_state,
-    project,
     trotter_angles,
 )

@@ -208,7 +208,10 @@ INI_KEYS = frozenset((section, key) for section, keys in _INI_FIELDS.items() for
 
 def _check_ini_keys(cp: configparser.ConfigParser, allowed, path) -> None:
     """Reject any section or key of ``cp`` that ``allowed``, a set of
-    (section, key) pairs, does not list."""
+    (section, key) pairs, does not list, and any [DEFAULT] entry: it
+    would be copied into every section."""
+    if cp.defaults():
+        raise ValueError(f"{path}: unknown section [DEFAULT]")
     sections = {s for s, _ in allowed}
     for section in cp.sections():
         if section not in sections:
@@ -226,11 +229,12 @@ def config_from_ini(path, allowed=INI_KEYS, **cli_overrides) -> ExperimentConfig
     [noise] preset plus override.<field> entries for scalar NoiseSpec
     fields, [mitigation] twirls/zne_factors/readout_mode/postselect/dd,
     [output] out/format.  ``allowed`` narrows that to the sections and
-    keys a reader uses ((section, key) pairs).  Unknown sections and
-    keys are rejected, and a value its converter refuses is named by
-    file, section and key.
+    keys a reader uses ((section, key) pairs).  Values are literal (no
+    ``%`` interpolation).  Unknown sections and keys, [DEFAULT]
+    included, are rejected, and a value its converter refuses is named
+    by file, section and key.
     """
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
         cp.read_file(fh)
     _check_ini_keys(cp, allowed, path)
@@ -308,7 +312,7 @@ def state_series(states: Iterable[Statevector]) -> dict:
         L = psi.width
         ref = neel_bitstring(L)
         probs = psi.probabilities()
-        masked = np.where(fibonacci_projector(L).mask, probs, 0.0)
+        masked = np.where(fibonacci_projector(L), probs, 0.0)
         weight = float(np.sum(masked))
         plain = _estimates(Support(slice(None), probs, L), ref)
         twin = (_estimates(Support(slice(None), masked / weight, L), ref) if weight > 0.0

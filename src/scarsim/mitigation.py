@@ -301,7 +301,7 @@ def postselect(counts: Counts) -> PostselectionResult:
     flagged rather than raised; consumers must check.
     """
     vec = counts.vector
-    kept = vec * fibonacci_projector(counts.width).mask
+    kept = vec * fibonacci_projector(counts.width)
     total_in = float(vec.sum())
     total_kept = float(kept.sum())
     retained = total_kept / total_in if total_in != 0 else 0.0

@@ -10,8 +10,8 @@ which equals the occupation form 4V sum n_i n_{i+1} + Omega sum X_i up
 to a constant shift V(L-1), n_i = (I - Z_i)/2.  Scarred dynamics appear
 for V >> Omega starting from the alternating (Neel) states.
 
-Both forms are built as one sparse matrix: the diagonal of the Z terms
-plus one bit flip per site for Omega X.  The exact oracle applies its
+The Pauli form is built as one sparse matrix: the diagonal of the Z
+terms plus one bit flip per site for Omega X.  The exact oracle applies its
 exponential to the Neel state without diagonalizing it, so it has no
 width cap, and the Trotter-step oracle applies the step factor by
 factor over a reshape of the state, so it has none either.  scipy is
@@ -49,10 +49,6 @@ class ModelParams:
             raise ValueError("chain needs at least 2 sites")
 
 
-def qmbs_params(L: int, dt: float = 1.0) -> ModelParams:
-    return ModelParams(V=1.0, Omega=0.24, dt=dt, L=L)
-
-
 @dataclass(frozen=True)
 class TrotterAngles:
     """Rotation angles of one first-order Trotter step."""
@@ -79,11 +75,6 @@ def trotter_angles(p: ModelParams) -> TrotterAngles:
 def _site_z(L: int, i: int) -> np.ndarray:
     """z_i = +-1 eigenvalue of site i (0-based) over the 2^L basis."""
     return 1.0 - 2.0 * ((np.arange(1 << L) >> (L - 1 - i)) & 1)
-
-
-def _z_diagonals(L: int) -> np.ndarray:
-    """z_i = +-1 eigenvalues per site: array (2^L, L)."""
-    return np.stack([_site_z(L, i) for i in range(L)], axis=1)
 
 
 def _pauli_diagonal(p: ModelParams) -> np.ndarray:
@@ -113,12 +104,6 @@ def _with_x_term(diag: np.ndarray, Omega: float):
 def build_hamiltonian(p: ModelParams):
     """Sparse (CSR) Hermitian matrix of the Pauli form above."""
     return _with_x_term(_pauli_diagonal(p), p.Omega)
-
-
-def build_hamiltonian_occupation(p: ModelParams):
-    """Occupation form 4V sum n_i n_{i+1} + Omega sum X_i (oracle use)."""
-    ns = (1.0 - _z_diagonals(p.L)) / 2.0
-    return _with_x_term(4.0 * p.V * np.sum(ns[:, :-1] * ns[:, 1:], axis=1), p.Omega)
 
 
 def build_trotter_step(
@@ -237,46 +222,11 @@ def exact_evolve(p: ModelParams, steps: int) -> list[Statevector]:
 # Fibonacci subspace (no two adjacent 1s)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FibonacciMask:
-    """Boolean mask over the 2^L basis marking adjacent-1-free states."""
-
-    L: int
-    mask: np.ndarray
-    dimension: int
-
-
 @lru_cache(maxsize=8)
-def fibonacci_projector(L: int) -> FibonacciMask:
-    """Cached per width; the mask is read-only."""
+def fibonacci_projector(L: int) -> np.ndarray:
+    """Boolean mask over the 2^L basis marking adjacent-1-free states;
+    cached per width and read-only."""
     idx = np.arange(2**L, dtype=np.int64)
     mask = (idx & (idx >> 1)) == 0
     mask.flags.writeable = False
-    return FibonacciMask(L=L, mask=mask, dimension=int(mask.sum()))
-
-
-def fibonacci_dimension(L: int) -> int:
-    """Independent recursion f(L) = f(L-1) + f(L-2), f(1) = 2, f(2) = 3."""
-    if L == 1:
-        return 2
-    if L == 2:
-        return 3
-    a, b = 2, 3
-    for _ in range(L - 2):
-        a, b = b, a + b
-    return b
-
-
-def project(state: Statevector, mask: FibonacciMask) -> tuple[Statevector | None, float]:
-    """Project onto the masked subspace; (renormalized state, weight).
-
-    weight = sum over marked basis states of |amplitude|^2.  A zero
-    weight returns (None, 0.0) rather than dividing.
-    """
-    if state.width != mask.L:
-        raise ValueError("state width does not match mask")
-    amps = np.where(mask.mask, state.amplitudes, 0.0)
-    weight = float(np.sum(np.abs(amps) ** 2))
-    if weight <= 0.0:
-        return None, 0.0
-    return Statevector(amps / np.sqrt(weight), check=False), weight
+    return mask

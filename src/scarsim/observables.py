@@ -258,25 +258,6 @@ def pyp_expectation(counts: Counts, parity: str) -> np.ndarray:
     return np.array([w @ row[idx] for row in _pyp_table(L, parity)])
 
 
-def pyp_matrix(L: int, j: int) -> np.ndarray:
-    """Dense (PYP)_j operator (oracle use)."""
-    if not 1 <= j <= L:
-        raise ValueError("site out of range")
-    from .qsim import PAULI_1Q
-
-    proj = np.array([[1, 0], [0, 0]], dtype=complex)  # (1+Z)/2
-    out = np.array([[1]], dtype=complex)
-    for site in range(1, L + 1):
-        if site == j:
-            term = PAULI_1Q["Y"]
-        elif site in (j - 1, j + 1):
-            term = proj
-        else:
-            term = np.eye(2, dtype=complex)
-        out = np.kron(out, term)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Correlator circuits and assembly
 # ---------------------------------------------------------------------------

@@ -457,17 +457,6 @@ class Counts:
             raise ValueError(f"counts vector must have length 2^{width}")
         return cls(vec, total_shots, quasi=quasi)
 
-    @classmethod
-    def from_dict(cls, data: dict[str, float], total_shots: float, width: int,
-                  quasi: bool = False) -> "Counts":
-        """Counts from bitstring keys (leftmost character = site 1)."""
-        vec = np.zeros(2**width)
-        for key, n in data.items():
-            if len(key) != width or set(key) - {"0", "1"}:
-                raise ValueError(f"bad bitstring key {key!r} for width {width}")
-            vec[int(key, 2)] += n
-        return cls(vec, total_shots, quasi=quasi)
-
 
 # ---------------------------------------------------------------------------
 # Pauli basis

@@ -146,7 +146,6 @@ class QPTResult:
 
     ptm: np.ndarray
     fidelity: float
-    shots: float
     condition_number: float
     negative_choi: bool
 
@@ -198,7 +197,6 @@ def qpt_reconstruct(
     return QPTResult(
         ptm=r_est,
         fidelity=fid,
-        shots=float(shots),
         condition_number=_PREP_CONDITION,
         negative_choi=bool(choi_eigs.min() < -1e-9),
     )

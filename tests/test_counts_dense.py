@@ -22,6 +22,7 @@ from scarsim.observables import (
     staggered_magnetization,
 )
 from scarsim.qsim import Circuit, Counts, Statevector, cnot, run_circuit, ry
+from oracles import counts_from_dict
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -189,7 +190,7 @@ def test_tensor_readout_matches_per_shot_reference():
 def test_from_dict_and_data_round_trip(c):
     data = dict(c.data)
     assert all(v != 0 for v in data.values()) and len(data) == len(c.data)
-    back = Counts.from_dict(data, c.total_shots, c.width, quasi=c.quasi)
+    back = counts_from_dict(data, c.total_shots, c.width, quasi=c.quasi)
     np.testing.assert_array_equal(back.vector, c.vector)
     assert dict(back.data) == data
     assert sorted(data) == list(data)  # ascending outcome order
@@ -198,19 +199,19 @@ def test_from_dict_and_data_round_trip(c):
 
 def test_from_dict_rejects_bad_keys():
     with pytest.raises(ValueError):
-        Counts.from_dict({"012": 1.0}, 1.0, 3)
+        counts_from_dict({"012": 1.0}, 1.0, 3)
     with pytest.raises(ValueError):
-        Counts.from_dict({"01": 1.0}, 1.0, 3)
+        counts_from_dict({"01": 1.0}, 1.0, 3)
 
 
 def test_vector_is_read_only():
-    c = Counts.from_dict({"01": 2.0}, 2.0, 2)
+    c = counts_from_dict({"01": 2.0}, 2.0, 2)
     with pytest.raises(ValueError):
         c.vector[0] = 1.0
 
 
 def test_data_view_is_read_only_and_lazy():
-    c = Counts.from_dict({"10": 2.0, "01": 1.0}, 3.0, 2)
+    c = counts_from_dict({"10": 2.0, "01": 1.0}, 3.0, 2)
     view = c.data
     assert len(view) == 2 and view["10"] == 2.0 and "00" not in view
     with pytest.raises(TypeError):

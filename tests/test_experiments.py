@@ -32,8 +32,6 @@ from scarsim.model import (
     neel_bitstring,
     neel_prep_circuit,
     neel_state,
-    project,
-    qmbs_params,
     trotter_step,
 )
 from scarsim.observables import (
@@ -45,6 +43,7 @@ from scarsim.observables import (
 )
 from scarsim.noise import ConfusionMatrix
 from scarsim.qsim import Circuit, Counts, Statevector, run_circuit
+from oracles import project, qmbs_params
 
 
 def tiny_config(**kw) -> ExperimentConfig:
@@ -165,6 +164,36 @@ class TestConfig:
         ini = tmp_path / "run.ini"
         ini.write_text(text)
         with pytest.raises(ValueError, match=re.escape(name)):
+            config_from_ini(ini)
+
+    def test_documented_example_loads(self, tmp_path):
+        # its comments used to trail the values, which made them part of
+        # the values: impl read "scaled-rzx ; two-cnot | scaled-rzx | rzz"
+        doc = (Path(__file__).resolve().parent.parent / "docs" / "noise-config.md").read_text()
+        ini = tmp_path / "run.ini"
+        ini.write_text(re.search(r"```ini\n(.*?)```", doc, re.S).group(1))
+        cfg = config_from_ini(ini)
+        assert (cfg.sites, cfg.impl, cfg.shots_per_trajectory) == (12, "scaled-rzx", 1024)
+        assert (cfg.readout_mode, cfg.format) == ("tensor", "csv")
+        assert cfg.noise_overrides == {"readout_eps": 0.01}
+
+    def test_values_are_literal(self, tmp_path):
+        # '%' used to start an interpolation, and this line ended in
+        # "'%' must be followed by '%' or '('", which named no key
+        ini = tmp_path / "run.ini"
+        ini.write_text("[output]\nout = run_100%\n")
+        assert config_from_ini(ini).out == "run_100%"
+
+    @pytest.mark.parametrize("text", [
+        # used to load seed == 3, copied into [execution]
+        "[DEFAULT]\nseed = 3\n\n[execution]\nshots = 4\n",
+        # used to be refused as an unknown key 'sites' in [execution]
+        "[DEFAULT]\nsites = 3\n\n[execution]\nshots = 4\n",
+    ])
+    def test_default_section_refused_by_name(self, tmp_path, text):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{ini}: unknown section [DEFAULT]")):
             config_from_ini(ini)
 
     def test_scalar_overrides_accepted(self, tmp_path):
@@ -342,11 +371,22 @@ class TestNoisyPipeline:
         ideal_val = bundle["zpi_density_ideal"].values.real[3] * 4
         assert abs(staggered_magnetization(counts) - ideal_val) > 1e-4
 
-    def test_loschmidt_t0_recovered_through_readout_mitigation(self):
-        # at t=0 only readout noise acts; tensor inversion restores the
-        # return probability to 1 in infinite-shot mode
+    @pytest.mark.parametrize("sites, steps, twirls, zne_factors", [
+        (4, 1, 2, (1.0, 1.5, 2.0)),
+        # postselection keeps 55 of the 256 outcomes
+        (8, 4, 1, (1.0,)),
+    ], ids=["L4", "L8"])
+    def test_loschmidt_t0_recovered_through_readout_mitigation(self, sites, steps, twirls,
+                                                               zne_factors):
+        # with noiseless gates only readout noise acts; tensor inversion
+        # restores the ideal distribution in infinite-shot mode, so at
+        # every step the postselected series are the projected references
+        # and the kept weight is the ideal Fibonacci weight
         cfg = tiny_config(
-            steps=1,
+            sites=sites,
+            steps=steps,
+            twirls=twirls,
+            zne_factors=zne_factors,
             noise_preset="casablanca-like",
             noise_overrides={"two_qubit_target_error": 0.0},
             readout_mode="tensor",
@@ -354,9 +394,19 @@ class TestNoisyPipeline:
             infinite_shots=True,
         )
         bundle = run_zpi(cfg)
-        assert bundle["loschmidt_f0_mitigated"].values[0].real == pytest.approx(
-            1.0, abs=1e-9
-        )
+
+        def values(name):
+            return bundle[name].values.real
+
+        assert values("loschmidt_f0_mitigated")[0] == pytest.approx(1.0, abs=1e-9)
+        for name in ("zpi_density", "loschmidt_f0", "loschmidt_f1"):
+            np.testing.assert_allclose(values(f"{name}_mitigated"), values(f"{name}_projected"),
+                                       rtol=0, atol=1e-9)
+        np.testing.assert_allclose(values("postselect_retained"),
+                                   values("fibonacci_weight_ideal"), rtol=0, atol=1e-9)
+        # the readout error is visible without mitigation
+        assert np.all(np.abs(values("zpi_density_unmitigated")
+                             - values("zpi_density_ideal")) > 1e-2)
 
 
     def test_singular_forward_readout_runs_without_inversion(self, tmp_path):
@@ -819,7 +869,7 @@ class TestReferenceSeries:
     def test_series_equal_the_estimators_on_the_state_and_its_projection(self, L, seed,
                                                                          outside):
         # the oracle evaluates the estimators on each state and on the
-        # projected, renormalized Statevector of model.project; state_series
+        # projected, renormalized Statevector of oracles.project; state_series
         # reads the twin from masked probabilities instead, which rounds
         # differently.  ``outside`` puts the state outside the subspace.
         rng = np.random.default_rng(seed)
@@ -827,7 +877,7 @@ class TestReferenceSeries:
         for _ in range(3):
             amps = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
             if outside:
-                amps[fibonacci_projector(L).mask] = 0.0
+                amps[fibonacci_projector(L)] = 0.0
             states.append(Statevector(amps / np.linalg.norm(amps)))
         got = experiments.state_series(states)
         ref = neel_bitstring(L)

@@ -18,7 +18,7 @@ from scarsim.mitigation import (
     twirl_circuit,
     zne_extrapolate,
 )
-from scarsim.model import build_trotter_step, neel_state, qmbs_params
+from scarsim.model import build_trotter_step, neel_state
 from scarsim.noise import ConfusionMatrix, NoiseSpec, noiseless
 from scarsim.qsim import (
     Circuit,
@@ -39,6 +39,7 @@ from scarsim.qsim import (
     x,
 )
 from scarsim.tomography import gate_ptm
+from oracles import counts_from_dict, qmbs_params
 
 PAULIS_1Q = pauli_basis_matrices(1)
 CNOT_MAT = gate_matrix(cnot(0, 1))
@@ -424,13 +425,13 @@ def _staggered_op(L: int) -> np.ndarray:
 
 class TestReadoutMitigation:
     def test_identity_noop(self):
-        c = Counts.from_dict({"01": 3.0, "11": 5.0}, 8.0, 2)
+        c = counts_from_dict({"01": 3.0, "11": 5.0}, 8.0, 2)
         out = mitigate_readout(c, ConfusionMatrix.from_rates(2, 0.0, 0.0))
         assert out.data == pytest.approx(c.data)
 
     def test_forward_then_invert_recovers(self):
         m = ConfusionMatrix.from_rates(3, eps=0.1, eta=0.05)
-        ideal = Counts.from_dict({"010": 600.0, "101": 400.0}, 1000.0, 3)
+        ideal = counts_from_dict({"010": 600.0, "101": 400.0}, 1000.0, 3)
         probs = noise.apply_readout_error(ideal.vector / ideal.total_shots, m)
         noisy = Counts.from_vector(probs * ideal.total_shots, 3, ideal.total_shots)
         back = mitigate_readout(noisy, m)
@@ -439,19 +440,19 @@ class TestReadoutMitigation:
 
     def test_matches_dense_solve(self):
         m = ConfusionMatrix.from_rates(3, eps=0.08, eta=0.02)
-        c = Counts.from_dict({"010": 500.0, "011": 300.0, "110": 200.0}, 1000.0, 3)
+        c = counts_from_dict({"010": 500.0, "011": 300.0, "110": 200.0}, 1000.0, 3)
         want = np.linalg.solve(reduce(np.kron, m.factors), c.vector)
         np.testing.assert_allclose(mitigate_readout(c, m).vector, want, rtol=0, atol=1e-10)
 
     def test_negative_quasi_counts_flagged(self):
         m = ConfusionMatrix.from_rates(1, eps=0.2, eta=0.1)
-        c = Counts.from_dict({"1": 1000.0}, 1000.0, 1)
+        c = counts_from_dict({"1": 1000.0}, 1000.0, 1)
         out = mitigate_readout(c, m)
         assert out.quasi and any(v < 0 for v in out.data.values())
 
     def test_singular_confusion_rejected(self):
         m = ConfusionMatrix.from_rates(1, eps=0.5, eta=0.5)  # rank-1 factor
-        c = Counts.from_dict({"1": 10.0}, 10.0, 1)
+        c = counts_from_dict({"1": 10.0}, 10.0, 1)
         with pytest.raises(np.linalg.LinAlgError):
             mitigate_readout(c, m)
 
@@ -489,30 +490,30 @@ class TestCalibration:
 
 class TestPostselect:
     def test_example_fraction(self):
-        c = Counts.from_dict({"0101": 500.0, "0110": 300.0}, 800.0, 4)
+        c = counts_from_dict({"0101": 500.0, "0110": 300.0}, 800.0, 4)
         res = postselect(c)
         assert res.counts.data == {"0101": 500.0}
         assert res.retained_fraction == pytest.approx(0.625)
 
     def test_neel_counts_unchanged(self):
-        c = Counts.from_dict({"0101": 100.0}, 100.0, 4)
+        c = counts_from_dict({"0101": 100.0}, 100.0, 4)
         res = postselect(c)
         assert res.counts.data == c.data and res.retained_fraction == 1.0
 
     def test_uniform_l4_keeps_fibonacci_count(self):
         data = {format(i, "04b"): 1.0 for i in range(16)}
-        res = postselect(Counts.from_dict(data, 16.0, 4))
+        res = postselect(counts_from_dict(data, 16.0, 4))
         assert len(res.counts.data) == 8
 
     def test_idempotent(self):
-        c = Counts.from_dict({"0110": 3.0, "0100": 5.0}, 8.0, 4)
+        c = counts_from_dict({"0110": 3.0, "0100": 5.0}, 8.0, 4)
         once = postselect(c)
         twice = postselect(once.counts)
         assert twice.counts.data == once.counts.data
         assert twice.retained_fraction == 1.0
 
     def test_empty_retained_flagged(self):
-        res = postselect(Counts.from_dict({"11": 7.0}, 7.0, 2))
+        res = postselect(counts_from_dict({"11": 7.0}, 7.0, 2))
         assert res.empty and res.counts.total_shots == 0
 
 

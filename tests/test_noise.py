@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from scarsim import model, noise
 from scarsim.mitigation import fold_gates_random, insert_dd, twirl_circuit, twirl_is_visible
-from scarsim.model import build_trotter_step, neel_prep_circuit, qmbs_params
+from scarsim.model import build_trotter_step, neel_prep_circuit
 from scarsim.noise import (
     ConfusionMatrix,
     NoiseSpec,
@@ -57,6 +57,7 @@ from scarsim.qsim import (
     x,
 )
 from scarsim.tomography import gate_ptm, realized_gate_ptms
+from oracles import qmbs_params
 from test_qsim import _embed, pauli_string
 
 
@@ -491,7 +492,7 @@ class TestTrajectoryExecution:
     def test_batched_trajectories_equal_sequential(self):
         # a batch of T generators evolves each trajectory exactly as T
         # one-generator batches do: no draw depends on another trajectory
-        from scarsim.model import build_trotter_step, qmbs_params
+        from scarsim.model import build_trotter_step
 
         circ = build_trotter_step(qmbs_params(4), impl="two-cnot", idle_ns=200.0)
         spec = NoiseSpec(
