@@ -6,7 +6,6 @@ from .qsim import (  # noqa: F401
     Circuit,
     Counts,
     Gate,
-    Statevector,
     run_circuit,
 )
 from .model import (  # noqa: F401

@@ -226,8 +226,6 @@ def _run_oracle(config: ExperimentConfig, which: str) -> dict:
         "loschmidt_f1": ref[f"echo1{suffix}"],
         "fibonacci_weight": ref["weight"],
     }
-    if which == "exact":
-        del series["loschmidt_f1"]
     tag = which.replace("-", "_")
     steps = np.arange(config.steps + 1)
     return {f"{name}_{tag}": series_from_values(steps, params.dt * params.V, values)

@@ -54,6 +54,7 @@ from .model import (
     fibonacci_projector,
     neel_bitstring,
     neel_prep_circuit,
+    neel_state,
     trotter_angles,
     build_trotter_step,
 )
@@ -76,7 +77,7 @@ from .observables import (
     support,
     y_basis_rotation,
 )
-from .qsim import Circuit, Counts, Statevector, run_circuit
+from .qsim import Circuit, Counts
 
 READOUT_MODES = ("off", "tensor")
 FORMATS = ("csv", "json")
@@ -295,23 +296,23 @@ COL_RETAINED = -1
 # Reference (oracle) series
 # ---------------------------------------------------------------------------
 
-def state_series(states: Iterable[Statevector]) -> dict:
-    """The noiseless reference observables of each state, as arrays over
-    the states: per-site magnetizations ``site_z``, staggered ``zpi``,
-    return probabilities ``echo0`` and ``echo1`` (0 and 1 flips allowed
-    from the Neel reference), the adjacent-1-free weight ``weight``, and
-    the ``*_proj`` twins of the first four on the state projected onto
-    that subspace and renormalized (NaN where the projection is empty).
-    Each state's probabilities are computed once; the twin reads them
-    masked and renormalized, and each set of observables is one
-    ``_estimates`` pass.  ``states`` may be a generator; one state is
-    held at a time.
+def state_series(states: Iterable[np.ndarray]) -> dict:
+    """The noiseless reference observables of each state, an amplitude
+    array of length 2^L, as arrays over the states: per-site
+    magnetizations ``site_z``, staggered ``zpi``, return probabilities
+    ``echo0`` and ``echo1`` (0 and 1 flips allowed from the Neel
+    reference), the adjacent-1-free weight ``weight``, and the ``*_proj``
+    twins of the first four on the state projected onto that subspace
+    and renormalized (NaN where the projection is empty).  Each state's
+    probabilities are computed once; the twin reads them masked and
+    renormalized, and each set of observables is one ``_estimates``
+    pass.  ``states`` may be a generator; one state is held at a time.
     """
     rows = []
     for psi in states:
-        L = psi.width
+        L = psi.size.bit_length() - 1
         ref = neel_bitstring(L)
-        probs = psi.probabilities()
+        probs = np.abs(psi) ** 2
         masked = np.where(fibonacci_projector(L), probs, 0.0)
         weight = float(np.sum(masked))
         plain = _estimates(Support(slice(None), probs, L), ref)
@@ -327,19 +328,19 @@ def state_series(states: Iterable[Statevector]) -> dict:
 
 
 def reference_series(params: ModelParams, steps: int, impl: str) -> dict:
-    """``state_series`` of the noiseless Trotter evolution of the Neel
-    state at steps 0..steps.  Each step runs through one noiseless plan
-    of the Trotter step, built once per call; ``run_circuit``, gate by
-    gate, stays the oracle it is checked against."""
+    """``state_series`` of the noiseless Trotter evolution of
+    ``neel_state`` at steps 0..steps.  Each step runs through one
+    noiseless plan of the Trotter step, built once per call;
+    ``run_circuit``, gate by gate, stays the oracle it is checked
+    against."""
     step = noise._NoisePlan(build_trotter_step(params, impl=impl), noise.noiseless())
-    start = run_circuit(Statevector.zero(params.L), neel_prep_circuit(params.L))
 
     def states():
-        yield start
-        psi = start.amplitudes[None].copy()
+        psi = neel_state(params.L)[None]
+        yield psi[0]
         for _ in range(steps):
             psi = step.run_batch(psi, [])[0]
-            yield Statevector(psi[0], check=False)
+            yield psi[0]
 
     return state_series(states())
 
@@ -658,15 +659,15 @@ def run_cy(config: ExperimentConfig) -> dict:
                 cols = [j - 1 for j in parity_sites(L, parity)]
                 val, std = _zne(samples, lam_effs)
                 value[:, si, bi, cols] = val
-                var[:, si, bi, cols] = np.where(np.isfinite(std), std**2, 0.0)
+                var[:, si, bi, cols] = std**2
                 families.append((i, b, parity, step_variants))
 
     values = assemble_cy(value)
     # Re C_Y sums +-(M+1 - M-1) / 2 and Im C_Y +-(+Y - -Y) / 2 over every
     # (source, site) term (branches 0-3), so the ZNE variance of each
-    # independent term enters with weight 1/4; a NaN std counts as 0.  It
-    # stays per step, in scalars: abs and sqrt over an array of steps can
-    # round a std one ulp apart
+    # independent term enters with weight 1/4.  It stays per step, in
+    # scalars: abs and sqrt over an array of steps can round a std one ulp
+    # apart
     stds = np.zeros(config.steps + 1)
     for step, (v, var_step) in enumerate(zip(values, var)):
         var_re = 0.25 * (var_step[:, 0] + var_step[:, 1]).sum()

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qsim import Circuit, Gate, Statevector, cnot, delay, rx, ry, rz, rzx, rzz, x
+from .qsim import Circuit, Gate, cnot, delay, rx, ry, rz, rzx, rzz, x
 
 RZZ_IMPLS = ("two-cnot", "scaled-rzx", "rzz")
 
@@ -170,9 +170,11 @@ def neel_bitstring(L: int) -> str:
     return "".join("1" if (q + 1) % 2 == 0 else "0" for q in range(L))
 
 
-def neel_state(L: int) -> Statevector:
+def neel_state(L: int) -> np.ndarray:
     """|Z2>: 1s on even sites (1-based), 0101... from qubit 0."""
-    return Statevector.from_bitstring(neel_bitstring(L))
+    psi = np.zeros(1 << L, dtype=complex)
+    psi[int(neel_bitstring(L), 2)] = 1.0
+    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +194,9 @@ def trotter_step(p: ModelParams, psi: np.ndarray) -> np.ndarray:
     return np.exp(-1j * _pauli_diagonal(p) * p.dt) * out.reshape(np.shape(psi))
 
 
-def exact_evolve(p: ModelParams, steps: int) -> list[Statevector]:
-    """exp(-i H n dt) |Z2> for n = 0..steps, independent of the Trotter
-    circuit code path.
+def exact_evolve(p: ModelParams, steps: int) -> np.ndarray:
+    """exp(-i H n dt) |Z2> for n = 0..steps, as the rows of a
+    (steps + 1, 2^L) array, independent of the Trotter circuit code path.
 
     One ``expm_multiply`` pass over the evenly spaced times applies the
     exponential of the sparse Hamiltonian to the state (Al-Mohy &
@@ -211,11 +213,10 @@ def exact_evolve(p: ModelParams, steps: int) -> list[Statevector]:
 
     psi0 = neel_state(p.L)
     if steps == 0:
-        return [psi0]
+        return psi0[None]
     with np.errstate(over="ignore", invalid="ignore"):
-        amps = expm_multiply(-1j * p.dt * build_hamiltonian(p), psi0.amplitudes,
+        return expm_multiply(-1j * p.dt * build_hamiltonian(p), psi0,
                              start=0, stop=steps, num=steps + 1, endpoint=True)
-    return [Statevector(a, check=False) for a in amps]
 
 
 # ---------------------------------------------------------------------------

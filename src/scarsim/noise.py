@@ -31,8 +31,8 @@ from .qsim import (
     Circuit,
     Counts,
     Gate,
-    Statevector,
     _apply_matrix,
+    _check_state,
     bit_table,
     gate_matrix,
     pauli_basis_labels,
@@ -961,10 +961,11 @@ def _gate_superoperator(spec: NoiseSpec, g: Gate) -> np.ndarray:
 
 
 def run_noisy_density(circuit: Circuit, spec: NoiseSpec,
-                      initial: Statevector | None = None) -> np.ndarray:
+                      initial: np.ndarray | None = None) -> np.ndarray:
     """Exact evolution of the full noise model at width <=
-    ``DENSITY_MAX_WIDTH``, never through an operator on the whole register;
-    returns the (2^w, 2^w) density matrix rho.
+    ``DENSITY_MAX_WIDTH``, never through an operator on the whole register,
+    from the amplitudes ``initial`` (|0...0> when None); returns the
+    (2^w, 2^w) density matrix rho.
 
     rho is a (2,)*2w tensor, row axes first.  A gate's superoperator
     (``_gate_superoperator``) acts on its qubits' row and column axes by
@@ -976,7 +977,8 @@ def run_noisy_density(circuit: Circuit, spec: NoiseSpec,
     if width > DENSITY_MAX_WIDTH:
         raise ValueError(f"exact density evolution is limited to width <= "
                          f"DENSITY_MAX_WIDTH = {DENSITY_MAX_WIDTH}, got {width}")
-    init = (initial or Statevector.zero(width)).amplitudes
+    init = (np.eye(1, 1 << width, dtype=complex)[0] if initial is None
+            else _check_state(initial, width))
     rho = np.outer(init, init.conj()).reshape((2,) * (2 * width))
     for g in circuit.gates:
         if g.kind == "DELAY":

@@ -26,15 +26,13 @@ import numpy as np
 from .model import (
     ModelParams,
     build_trotter_step,
-    neel_bitstring,
-    neel_prep_circuit,
+    neel_state,
     trotter_step,
 )
 from .noise import _NoisePlan, noiseless
 from .qsim import (
     Circuit,
     Counts,
-    Statevector,
     bit_table,
     h,
     run_circuit,
@@ -140,18 +138,14 @@ class Support(NamedTuple):
 
 
 def support(obj) -> Support:
-    """The ``Support`` of a state (every outcome, ``idx = slice(None)``)
-    or of counts; a ``Support`` is returned as it is, so several
-    estimates of one object can share one pass.
+    """The ``Support`` of counts; a ``Support`` is returned as it is, so
+    several estimates of one object can share one pass.
 
-    For counts only the nonzero outcomes are kept, in ascending order,
-    so the rounding of every sum is independent of the zeros the vector
-    holds.
+    Only the nonzero outcomes are kept, in ascending order, so the
+    rounding of every sum is independent of the zeros the vector holds.
     """
     if isinstance(obj, Support):
         return obj
-    if isinstance(obj, Statevector):
-        return Support(slice(None), obj.probabilities(), obj.width)
     idx = np.flatnonzero(obj.vector)
     if idx.size == 0:
         raise ValueError("empty counts")
@@ -163,7 +157,7 @@ def support(obj) -> Support:
 
 
 def per_site_z(obj) -> np.ndarray:
-    """<Z_i> for each site, from a state, counts or their support."""
+    """<Z_i> for each site, from counts or their support."""
     idx, w, width = support(obj)
     return w @ _z_table(width)[idx]
 
@@ -181,7 +175,7 @@ def staggered_magnetization(obj) -> float:
 
 def loschmidt_echo(obj, reference: str, flips_allowed: int = 0) -> float:
     """Weight fraction within Hamming distance ``flips_allowed`` of the
-    reference bitstring, from counts, a state or their support."""
+    reference bitstring, from counts or their support."""
     if len(reference) != obj.width:
         raise ValueError("reference length must match counts width")
     if flips_allowed not in (0, 1):
@@ -326,9 +320,9 @@ def simulate_cy_noiseless(p: ModelParams, steps: int, impl: str = "rzz") -> np.n
     spec = noiseless()
     step = _NoisePlan(build_trotter_step(p, impl=impl), spec)
     bases = {parity: _NoisePlan(y_basis_rotation(L, parity), spec) for parity in PARITIES}
-    neel = run_circuit(Statevector.zero(L), neel_prep_circuit(L))
+    neel = neel_state(L)
     families = [(i, b) for i in range(2, L + 1, 2) for b in CY_BRANCHES]
-    psi = np.stack([run_circuit(neel, cy_branch_prep(L, i, b)).amplitudes for i, b in families])
+    psi = np.stack([run_circuit(neel, cy_branch_prep(L, i, b)) for i, b in families])
     terms = np.empty((steps + 1, len(families), L))
     for n in range(steps + 1):
         if n:
@@ -361,7 +355,7 @@ def cy_oracle(p: ModelParams, steps: int) -> complex:
     ``steps``-fold Trotter step, applied to |Z2> and Y_pi |Z2> as one
     two-row stack one step at a time (``trotter_step``); Y_pi is applied
     from bit masks, so no 2^L x 2^L matrix is formed."""
-    bra = Statevector.from_bitstring(neel_bitstring(p.L)).amplitudes
+    bra = neel_state(p.L)
     pair = np.stack([bra, _apply_ypi(bra, p.L)])
     for _ in range(steps):
         pair = trotter_step(p, pair)

@@ -4,6 +4,8 @@ Conventions, fixed once and used everywhere:
 
 * Chain sites are numbered 1..L in physics formulas; qubit indices are
   0-based, qubit q <-> site q+1.
+* A state is its complex amplitude array, of length 2^width; T states
+  are a (T, 2^width) stack.
 * Amplitude and outcome index i encodes qubit 0 as the most significant
   bit: bit k of i, counted from the left, is qubit k, i.e. site k+1
   (``bit_table``).  In a bitstring, character k is that same bit.
@@ -211,41 +213,16 @@ class Circuit:
         return len(self.two_qubit_positions)
 
 
-class Statevector:
-    """Complex amplitude vector over 2^width basis states, unit norm."""
-
-    __slots__ = ("amplitudes",)
-
-    def __init__(self, amplitudes: np.ndarray, check: bool = True):
-        amps = np.asarray(amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size & (amps.size - 1):
-            raise ValueError("amplitude vector length must be a power of two")
-        if check:
-            norm = np.linalg.norm(amps)
-            if abs(norm - 1.0) > 1e-10:
-                raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
-        self.amplitudes = amps
-
-    @property
-    def width(self) -> int:
-        return int(self.amplitudes.size).bit_length() - 1
-
-    @classmethod
-    def zero(cls, width: int) -> "Statevector":
-        amps = np.zeros(2**width, dtype=complex)
-        amps[0] = 1.0
-        return cls(amps, check=False)
-
-    @classmethod
-    def from_bitstring(cls, bits: str) -> "Statevector":
-        if set(bits) - {"0", "1"}:
-            raise ValueError(f"invalid bitstring {bits!r}")
-        amps = np.zeros(2 ** len(bits), dtype=complex)
-        amps[int(bits, 2)] = 1.0
-        return cls(amps, check=False)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+def _check_state(psi, width: int) -> np.ndarray:
+    """``psi`` as a complex array, refused unless it holds 2^width
+    amplitudes of unit norm (to 1e-10)."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (1 << width,):
+        raise ValueError(f"state shape {psi.shape} != ({1 << width},) for width {width}")
+    norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
+    return psi
 
 
 def _apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], width: int,
@@ -350,14 +327,11 @@ def _run_gates(psi: np.ndarray, gates, width: int) -> np.ndarray:
     return psi
 
 
-def run_circuit(initial: Statevector, circuit: Circuit) -> Statevector:
-    """Apply gates in order; deterministic for noiseless circuits."""
-    if initial.width != circuit.width:
-        raise ValueError(
-            f"state width {initial.width} != circuit width {circuit.width}"
-        )
-    psi = _run_gates(initial.amplitudes[None, :].copy(), circuit.gates, circuit.width)
-    return Statevector(psi[0], check=False)
+def run_circuit(psi: np.ndarray, circuit: Circuit) -> np.ndarray:
+    """The amplitudes of ``circuit`` applied, gate by gate, to the state
+    ``psi``; deterministic for noiseless circuits."""
+    psi = _check_state(psi, circuit.width)
+    return _run_gates(psi[None].copy(), circuit.gates, circuit.width)[0]
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -413,8 +387,8 @@ class Counts:
     """Measured outcome weights as a dense vector over the 2^width basis.
 
     ``vector[i]`` is the weight of outcome i; bit k of i, counted from
-    the left, is the measured bit of qubit k (site k+1), the amplitude
-    order of ``Statevector``.  Infinite-shot data are float counts
+    the left, is the measured bit of qubit k (site k+1), the order of a
+    state's amplitudes.  Infinite-shot data are float counts
     (probabilities x shots).  ``quasi`` marks signed quasi-counts
     produced by readout inversion, where individual values may be
     negative and need not sum to ``total_shots``.  The vector is

@@ -2,13 +2,13 @@
 
 Each is independent of the code path it checks: the occupation form of
 the Hamiltonian, the Fibonacci dimension recursion, the projection of a
-state onto the adjacent-1-free subspace, the dense (PYP)_j operator and
-counts built from bitstring keys.
+state onto the adjacent-1-free subspace, the dense (PYP)_j operator,
+counts built from bitstring keys and basis states as amplitude arrays.
 """
 import numpy as np
 
 from scarsim.model import ModelParams, _site_z, _with_x_term
-from scarsim.qsim import PAULI_1Q, Counts, Statevector
+from scarsim.qsim import PAULI_1Q, Counts
 
 
 def qmbs_params(L: int, dt: float = 1.0) -> ModelParams:
@@ -38,19 +38,33 @@ def fibonacci_dimension(L: int) -> int:
     return b
 
 
-def project(state: Statevector, mask: np.ndarray) -> tuple[Statevector | None, float]:
+def zero_state(width: int) -> np.ndarray:
+    """|0...0> over ``width`` qubits."""
+    return basis_state("0" * width)
+
+
+def basis_state(bits: str) -> np.ndarray:
+    """|bits> (leftmost character = qubit 0)."""
+    if set(bits) - {"0", "1"}:
+        raise ValueError(f"invalid bitstring {bits!r}")
+    psi = np.zeros(2 ** len(bits), dtype=complex)
+    psi[int(bits, 2)] = 1.0
+    return psi
+
+
+def project(psi: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray | None, float]:
     """Project onto the subspace ``mask`` marks; (renormalized state, weight).
 
     weight = sum over marked basis states of |amplitude|^2.  A zero
     weight returns (None, 0.0) rather than dividing.
     """
-    if mask.shape != state.amplitudes.shape:
+    if mask.shape != psi.shape:
         raise ValueError("state width does not match mask")
-    amps = np.where(mask, state.amplitudes, 0.0)
+    amps = np.where(mask, psi, 0.0)
     weight = float(np.sum(np.abs(amps) ** 2))
     if weight <= 0.0:
         return None, 0.0
-    return Statevector(amps / np.sqrt(weight), check=False), weight
+    return amps / np.sqrt(weight), weight
 
 
 def pyp_matrix(L: int, j: int) -> np.ndarray:

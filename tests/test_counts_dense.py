@@ -21,8 +21,8 @@ from scarsim.observables import (
     pyp_expectation,
     staggered_magnetization,
 )
-from scarsim.qsim import Circuit, Counts, Statevector, cnot, run_circuit, ry
-from oracles import counts_from_dict
+from scarsim.qsim import Circuit, Counts, cnot, run_circuit, ry
+from oracles import counts_from_dict, zero_state
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -177,7 +177,7 @@ def test_tensor_readout_matches_per_shot_reference():
     n, width = 40, 3
     spec = NoiseSpec(two_qubit_target_error=0.0, readout_eps=0.12, readout_eta=0.3)
     circ = Circuit(width, [ry(0, 1.1), ry(1, 2.2), cnot(1, 2), ry(2, 0.4)])
-    p = np.abs(run_circuit(Statevector.zero(width), circ).amplitudes) ** 2
+    p = np.abs(run_circuit(zero_state(width), circ)) ** 2
     m = ConfusionMatrix.from_rates(width, spec.readout_eps, spec.readout_eta)
     q = reduce(np.kron, m.factors) @ p
     channel = np.array([run_noisy_counts(circ, spec, n, seed).vector for seed in SEEDS])

@@ -35,6 +35,7 @@ from scarsim.model import (
     trotter_step,
 )
 from scarsim.observables import (
+    Support,
     accumulated_error,
     cy_oracle,
     loschmidt_echo,
@@ -42,8 +43,8 @@ from scarsim.observables import (
     staggered_magnetization,
 )
 from scarsim.noise import ConfusionMatrix
-from scarsim.qsim import Circuit, Counts, Statevector, run_circuit
-from oracles import project, qmbs_params
+from scarsim.qsim import Circuit, Counts, run_circuit
+from oracles import project, qmbs_params, zero_state
 
 
 def tiny_config(**kw) -> ExperimentConfig:
@@ -583,6 +584,24 @@ class TestCY:
         with pytest.raises(ValueError, match="needs dd=False"):
             run_cy(tiny_config(sites=4, steps=2, dd=True))
 
+    def test_a_term_without_samples_leaves_cy_and_its_std_nan(self, monkeypatch):
+        # one (step, term) row of the first family has no sample, so
+        # _zne reads it NaN; C_Y at that step and its std are NaN with
+        # it, not a std that counts the missing term as exact
+        zne, calls = experiments._zne, []
+
+        def blank_first(samples, lam_effs):
+            if not calls:
+                samples = samples.copy()
+                samples[1, ..., 0] = np.nan
+            calls.append(1)
+            return zne(samples, lam_effs)
+
+        monkeypatch.setattr(experiments, "_zne", blank_first)
+        cy = run_cy(tiny_config(sites=4, steps=2, twirls=1, zne_factors=(1.0,)))["cy_mitigated"]
+        assert np.isnan(cy.values[1]) and np.isnan(cy.errors[1])
+        assert np.isfinite(cy.values[[0, 2]]).all() and np.isfinite(cy.errors[[0, 2]]).all()
+
     def test_cy_t0_analytic(self):
         cfg = tiny_config(sites=5, steps=0, twirls=1, zne_factors=(1.0,))
         bundle = run_cy(cfg)
@@ -855,7 +874,7 @@ class TestReferenceSeries:
         # the oracle runs the step's gates one by one with run_circuit
         params = ModelParams(V=V, Omega=Omega, dt=dt, L=L)
         step = build_trotter_step(params, impl=impl)
-        states = [run_circuit(Statevector.zero(L), neel_prep_circuit(L))]
+        states = [run_circuit(zero_state(L), neel_prep_circuit(L))]
         for _ in range(steps):
             states.append(run_circuit(states[-1], step))
         want = experiments.state_series(states)
@@ -869,7 +888,7 @@ class TestReferenceSeries:
     def test_series_equal_the_estimators_on_the_state_and_its_projection(self, L, seed,
                                                                          outside):
         # the oracle evaluates the estimators on each state and on the
-        # projected, renormalized Statevector of oracles.project; state_series
+        # projected, renormalized state of oracles.project; state_series
         # reads the twin from masked probabilities instead, which rounds
         # differently.  ``outside`` puts the state outside the subspace.
         rng = np.random.default_rng(seed)
@@ -878,22 +897,26 @@ class TestReferenceSeries:
             amps = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
             if outside:
                 amps[fibonacci_projector(L)] = 0.0
-            states.append(Statevector(amps / np.linalg.norm(amps)))
+            states.append(amps / np.linalg.norm(amps))
         got = experiments.state_series(states)
         ref = neel_bitstring(L)
         for n, psi in enumerate(states):
-            for key, value in (("site_z", per_site_z(psi)), ("zpi", staggered_magnetization(psi)),
-                               ("echo0", loschmidt_echo(psi, ref, 0)),
-                               ("echo1", loschmidt_echo(psi, ref, 1))):
+            plain = Support(slice(None), np.abs(psi) ** 2, L)
+            for key, value in (("site_z", per_site_z(plain)),
+                               ("zpi", staggered_magnetization(plain)),
+                               ("echo0", loschmidt_echo(plain, ref, 0)),
+                               ("echo1", loschmidt_echo(plain, ref, 1))):
                 assert np.array_equal(got[key][n], value)  # the same arithmetic
             proj, weight = project(psi, fibonacci_projector(L))
             assert got["weight"][n] == weight
             if proj is None:
                 assert np.isnan(got["site_z_proj"][n]).all() and np.isnan(got["zpi_proj"][n])
                 continue
-            for key, value in (("site_z", per_site_z(proj)), ("zpi", staggered_magnetization(proj)),
-                               ("echo0", loschmidt_echo(proj, ref, 0)),
-                               ("echo1", loschmidt_echo(proj, ref, 1))):
+            twin = Support(slice(None), np.abs(proj) ** 2, L)
+            for key, value in (("site_z", per_site_z(twin)),
+                               ("zpi", staggered_magnetization(twin)),
+                               ("echo0", loschmidt_echo(twin, ref, 0)),
+                               ("echo1", loschmidt_echo(twin, ref, 1))):
                 np.testing.assert_allclose(got[key + "_proj"][n], value, rtol=0, atol=1e-12)
 
 
@@ -1243,9 +1266,9 @@ def test_oracle_cli_files_and_values(tmp_path, which):
               "--out", str(tmp_path)])
     params = ExperimentConfig(sites=L).model_params()
     if which == "exact":
-        states = [psi.amplitudes for psi in exact_evolve(params, steps)]
+        states = list(exact_evolve(params, steps))
     else:
-        states = [neel_state(L).amplitudes]
+        states = [neel_state(L)]
         for _ in range(steps):
             states.append(trotter_step(params, states[-1]))
     want = [_oracle_values(a, L) for a in states]
@@ -1255,9 +1278,7 @@ def test_oracle_cli_files_and_values(tmp_path, which):
             kept = np.where(mask, a, 0.0)
             proj = _oracle_values(kept / np.linalg.norm(kept), L)
             row.update({k: proj[k] for k in ("zpi_density", "loschmidt_f0", "loschmidt_f1")})
-    names = ["zpi_density", "loschmidt_f0", "fibonacci_weight"]
-    if which != "exact":
-        names.append("loschmidt_f1")
+    names = ["zpi_density", "loschmidt_f0", "loschmidt_f1", "fibonacci_weight"]
     tag = which.replace("-", "_")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [f"{n}_{tag}.csv" for n in names] + ["manifest.json"])
@@ -1273,7 +1294,8 @@ def test_exact_oracle_cli_at_zero_steps_is_the_neel_row(tmp_path):
     assert cli.main(["oracle", "--which", "exact", "--sites", "6", "--steps", "0",
                      "--out", str(tmp_path)]) == 0
     # |Z2> has staggered magnetization -L, returns to itself and has no adjacent 1s
-    for name, want in (("zpi_density", -1.0), ("loschmidt_f0", 1.0), ("fibonacci_weight", 1.0)):
+    for name, want in (("zpi_density", -1.0), ("loschmidt_f0", 1.0), ("loschmidt_f1", 1.0),
+                       ("fibonacci_weight", 1.0)):
         table = np.loadtxt(tmp_path / f"{name}_exact.csv", delimiter=",", skiprows=1, ndmin=2)
         assert table.shape[0] == 1
         assert table[0, 2] == pytest.approx(want, abs=1e-12)

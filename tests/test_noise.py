@@ -38,7 +38,6 @@ from scarsim.qsim import (
     TWO_QUBIT_KINDS,
     Circuit,
     Gate,
-    Statevector,
     bit_table,
     cnot,
     delay,
@@ -57,7 +56,7 @@ from scarsim.qsim import (
     x,
 )
 from scarsim.tomography import gate_ptm, realized_gate_ptms
-from oracles import qmbs_params
+from oracles import qmbs_params, zero_state
 from test_qsim import _embed, pauli_string
 
 
@@ -264,9 +263,9 @@ class TestNoisyGateChannel:
         spec = NoiseSpec(two_qubit_depolarizing=0.05, coherent_overrotation=0.3)
         rng = np.random.default_rng(8)
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        init = Statevector(amps / np.linalg.norm(amps))
+        init = amps / np.linalg.norm(amps)
         paulis = pauli_basis_matrices(2)
-        coords = [np.vdot(init.amplitudes, p @ init.amplitudes).real for p in paulis]
+        coords = [np.vdot(init, p @ init).real for p in paulis]
         got = sum(c * p for c, p in zip(realized_gate_ptms(gate, spec, "atomic")[0] @ coords,
                                         paulis)) / 4
         want = run_noisy_density(Circuit(2, [gate]), spec, initial=init)
@@ -370,7 +369,7 @@ class TestTrajectoryExecution:
     def test_noiseless_infinite_matches_ideal(self):
         circ = Circuit(2, [h(0), cnot(0, 1)])
         counts = run_noisy_counts(circ, noiseless(), shots=4096, seed=0, infinite=True)
-        ideal = run_circuit(Statevector.zero(2), circ).probabilities() * 4096
+        ideal = np.abs(run_circuit(zero_state(2), circ)) ** 2 * 4096
         np.testing.assert_allclose(counts.to_vector(), ideal, rtol=0, atol=1e-10)
 
     def test_seed_determinism(self):
@@ -622,7 +621,7 @@ def _dense_density(circuit, spec, initial):
     ``single_qubit_depolarizing``/4); a DELAY mixes in Z rho Z so that the
     qubit's off-diagonals scale by exp(-(rate T)^2 / 2) exp(-T flip rate)."""
     width = circuit.width
-    rho = np.outer(initial.amplitudes, initial.amplitudes.conj())
+    rho = np.outer(initial, initial.conj())
     for g in circuit.gates:
         if g.kind == "DELAY":
             f = math.exp(-0.5 * (spec.idle_dephasing_rad_per_ns * g.duration_ns) ** 2
@@ -663,9 +662,9 @@ def test_density_oracle_equals_the_dense_formula(data, width, over, p1, p2, deph
     if seed is not None:
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
-        init = Statevector(amps / np.linalg.norm(amps))
+        init = amps / np.linalg.norm(amps)
     got = run_noisy_density(circ, spec, initial=init)
-    want = _dense_density(circ, spec, init or Statevector.zero(width))
+    want = _dense_density(circ, spec, zero_state(width) if init is None else init)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -673,6 +672,16 @@ def test_density_oracle_refuses_widths_above_its_cap():
     # width 10 holds a 16 MiB rho; width 11 is refused before any is built
     with pytest.raises(ValueError, match="DENSITY_MAX_WIDTH = 10"):
         run_noisy_density(Circuit(11, [h(0)]), casablanca_like())
+
+
+@pytest.mark.parametrize("initial, match", [
+    (zero_state(3), "shape"),
+    (zero_state(2) * (1.0 + 1e-8), "deviates"),
+], ids=["length", "norm"])
+def test_density_oracle_refuses_a_state_it_cannot_run(initial, match):
+    # a caller's initial amplitudes must fit the register and be normalized
+    with pytest.raises(ValueError, match=match):
+        run_noisy_density(Circuit(2, [h(0)]), noiseless(), initial=initial)
 
 
 @pytest.mark.parametrize("impl", ["scaled-rzx", "two-cnot"])
@@ -686,11 +695,11 @@ def test_plan_windows_stay_within_four_qubits_and_the_basis_split(impl):
     plan = _with_basis(circ, noiseless(), basis)
     assert 0 < plan.split < len(plan.ops)
     assert all(op[0] == "window" and len(op[1]) <= 4 for op in plan.ops)
-    init = Statevector.zero(L)
-    kept, measured = plan.run_batch(init.amplitudes[None, :].copy(), [np.random.default_rng(0)])
+    init = zero_state(L)
+    kept, measured = plan.run_batch(init[None, :].copy(), [np.random.default_rng(0)])
     with_basis = Circuit(L, circ.gates + basis.gates)
-    np.testing.assert_allclose(kept[0], run_circuit(init, circ).amplitudes, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(measured[0], run_circuit(init, with_basis).amplitudes,
+    np.testing.assert_allclose(kept[0], run_circuit(init, circ), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(measured[0], run_circuit(init, with_basis),
                                rtol=0, atol=1e-12)
 
 
@@ -807,9 +816,9 @@ def test_enumerated_branches_equal_the_density_oracle(case, at):
     assert plan.n_draws == len(draws)
     rng = np.random.default_rng(len(case))
     psi = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
-    init = Statevector(psi / np.linalg.norm(psi))
+    init = psi / np.linalg.norm(psi)
     kept, measured = plan.run_batch(
-        np.tile(init.amplitudes, (len(rows), 1)),
+        np.tile(init, (len(rows), 1)),
         [_FixedUniforms([u for u, _ in row]) for row in rows])
     want = run_noisy_density(circ, spec, initial=init)
     np.testing.assert_allclose(weights @ np.abs(kept) ** 2, np.real(np.diag(want)),
@@ -852,8 +861,8 @@ def test_window_corrections_equal_inserted_paulis():
             u[d] = 0.02 * (k + 0.5)  # selects Pauli k of the cumulative rates
         uniforms.append(_FixedUniforms(u))
     psi = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
-    init = Statevector(psi / np.linalg.norm(psi))
-    kept, measured = plan.run_batch(np.tile(init.amplitudes, (len(rows), 1)), uniforms)
+    init = psi / np.linalg.norm(psi)
+    kept, measured = plan.run_batch(np.tile(init, (len(rows), 1)), uniforms)
     labels = noise.TWO_QUBIT_PAULI_LABELS
     for t, errors in enumerate(rows):
         gates = []
@@ -864,9 +873,9 @@ def test_window_corrections_equal_inserted_paulis():
                 gates += [pauli_gate(PAULI_LETTERS.index(ch), q)
                           for ch, q in zip(label, g.qubits) if ch != "I"]
         want = run_circuit(init, Circuit(L, gates))
-        np.testing.assert_allclose(kept[t], want.amplitudes, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kept[t], want, rtol=0, atol=1e-12)
         want = run_circuit(want, basis)
-        np.testing.assert_allclose(measured[t], want.amplitudes, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(measured[t], want, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1015,7 +1024,7 @@ def test_plan_memo_tells_apart_blocks_that_differ_in_one_gate(a, b):
         assert noise._NoisePlan.of(Circuit(2, list(block.gates)), spec) is plans[g]
         fresh = noise._NoisePlan(block, spec)
         u = [_FixedUniforms(np.full(fresh.n_draws, p)) for p in (0.01, 0.2, 0.99)]
-        amps = np.tile(Statevector.zero(2).amplitudes, (3, 1))
+        amps = np.tile(zero_state(2), (3, 1))
         np.testing.assert_array_equal(plans[g].run_batch(amps.copy(), u)[0],
                                       fresh.run_batch(amps.copy(), u)[0])
     assert plans[a] is not plans[b]
@@ -1043,7 +1052,7 @@ def test_memoized_plan_is_unchanged_by_joins_at_different_offsets():
     assert n and m and b
     assert [j.n_draws for j in joins] == [n, m + 2 * n + b, n + m + b]
     for joined in joins:
-        joined.run_batch(np.tile(Statevector.zero(3).amplitudes, (4, 1)),
+        joined.run_batch(np.tile(zero_state(3), (4, 1)),
                          [np.random.default_rng([4, t]) for t in range(4)])
     assert _same(plan.ops, before)
     assert noise._NoisePlan.of(block, spec) is plan
@@ -1099,7 +1108,7 @@ def test_memoized_plan_runs_every_stack_bit_identical_to_a_fresh_one():
                         cnot(3, 0), rzz(0, 1, 0.7).inverse(), delay(2, 50.0), ry(1, 0.2)])
     other = noise._NoisePlan.of(Circuit(4, [rzx(2, 0, 0.9), cnot(1, 3)]), spec)
     basis = noise._NoisePlan.of(y_basis_rotation(4, "even"), spec)
-    amps = np.tile(Statevector.zero(4).amplitudes, (3, 1))
+    amps = np.tile(zero_state(4), (3, 1))
 
     def runs(plan):
         m, n, b = other.n_draws, plan.n_draws, basis.n_draws
@@ -1141,7 +1150,7 @@ def test_run_batch_corrects_only_the_windows_some_row_hit(monkeypatch):
     for i in windows:
         assert (plan.owner[plan.ops[i][5]] == i).all()
     np.testing.assert_array_equal(plan.totals, [noise._plan_entry(spec, g)[3] for g in gates])
-    amps = np.tile(Statevector.zero(6).amplitudes, (1, 1))
+    amps = np.tile(zero_state(6), (1, 1))
     clean = plan.run_batch(amps.copy(), [_FixedUniforms(np.full(plan.n_draws, 0.99))])
     # a uniform equal to its draw's total rate draws no error
     edge = plan.run_batch(amps.copy(), [_FixedUniforms(plan.totals.copy())])
@@ -1166,7 +1175,7 @@ def test_run_batch_keeps_one_spare_stack(monkeypatch):
     step = build_trotter_step(qmbs_params(L), impl="scaled-rzx")
     plan = noise._NoisePlan.join([noise._NoisePlan(neel_prep_circuit(L), spec)]
                                  + [noise._NoisePlan(step, spec)] * 4)
-    amps = np.tile(Statevector.zero(L).amplitudes, (n_traj, 1))
+    amps = np.tile(zero_state(L), (n_traj, 1))
 
     def rngs():
         return [np.random.default_rng([7, t]) for t in range(n_traj)]
@@ -1258,7 +1267,7 @@ def test_row_mapped_batch_equals_the_full_stack_bit_for_bit(case, data, width, n
 
     amps, rows = _row_mapped(n_traj, width)
     got = plan.run_batch(amps, generators(), omegas, rows)
-    full = np.tile(Statevector.zero(width).amplitudes, (n_traj, 1))
+    full = np.tile(zero_state(width), (n_traj, 1))
     want = plan.run_batch(full, generators(), omegas)
     assert rows.max() < n_traj
     for g, w in zip(got, want):
@@ -1301,7 +1310,7 @@ def test_row_mapped_chain_mixture_equals_the_full_stack_bit_for_bit(
             gens = [noise._rng(key + [2, t]) for t in range(n_traj)]
             omegas = (np.stack([r.normal(0.0, dephasing, size=width) for r in gens])
                       if quasi_static else None)
-            full, ran = np.tile(Statevector.zero(width).amplitudes, (n_traj, 1)), 0
+            full, ran = np.tile(zero_state(width), (n_traj, 1)), 0
         plan = noise._NoisePlan.join(plans[ran:],
                                      None if basis is None else noise._NoisePlan.of(basis, spec))
         ran = len(plans)

@@ -8,6 +8,7 @@ from scarsim.experiments import ExperimentConfig, Table
 from scarsim.model import ModelParams, neel_bitstring, neel_state, trotter_step
 from scarsim.observables import (
     CY_BRANCHES,
+    Support,
     accumulated_error,
     assemble_cy,
     cy_branch_prep,
@@ -20,24 +21,29 @@ from scarsim.observables import (
     staggered_magnetization,
     y_basis_rotation,
 )
-from scarsim.qsim import Counts, Statevector, run_circuit
-from oracles import counts_from_dict, pyp_matrix, qmbs_params
+from scarsim.qsim import Counts, run_circuit
+from oracles import basis_state, counts_from_dict, pyp_matrix, qmbs_params, zero_state
 from test_qsim import pauli_string
 
 
-def _exact_counts(state: Statevector, shots: float = 1.0) -> Counts:
+def _exact_counts(state: np.ndarray, shots: float = 1.0) -> Counts:
     """Infinite-shot counts of ``state``: its normalized probabilities
     times ``shots``."""
-    probs = state.probabilities()
+    probs = np.abs(state) ** 2
     return Counts(probs / probs.sum() * shots, float(shots))
+
+
+def _support(state: np.ndarray) -> Support:
+    """Every outcome of ``state``, weighted by its probability."""
+    return Support(slice(None), np.abs(state) ** 2, state.size.bit_length() - 1)
 
 
 class TestStaggeredMagnetization:
     def test_neel_state_extremal(self):
-        assert staggered_magnetization(neel_state(6)) == pytest.approx(-6.0)
+        assert staggered_magnetization(_support(neel_state(6))) == pytest.approx(-6.0)
 
     def test_conjugate_neel(self):
-        assert staggered_magnetization(Statevector.from_bitstring("101010")) == pytest.approx(6.0)
+        assert staggered_magnetization(_support(basis_state("101010"))) == pytest.approx(6.0)
 
     def test_equal_mixture_cancels(self):
         counts = counts_from_dict({"0101": 500.0, "1010": 500.0}, 1000.0, 4)
@@ -47,7 +53,7 @@ class TestStaggeredMagnetization:
         state = neel_state(4)
         counts = _exact_counts(state, 100)
         assert staggered_magnetization(counts) == pytest.approx(
-            staggered_magnetization(state)
+            staggered_magnetization(_support(state))
         )
 
     def test_empty_counts_rejected(self):
@@ -72,7 +78,7 @@ class TestLoschmidt:
         assert loschmidt_echo(counts, "0101", 1) >= loschmidt_echo(counts, "0101", 0)
 
     def test_state_path(self):
-        assert loschmidt_echo(neel_state(5), neel_bitstring(5), 0) == pytest.approx(1.0)
+        assert loschmidt_echo(_support(neel_state(5)), neel_bitstring(5), 0) == pytest.approx(1.0)
 
     def test_consistency_with_magnetization_at_t0(self):
         counts = _exact_counts(neel_state(6), 100)
@@ -141,7 +147,7 @@ class TestPYP:
     def test_local_correlator_t0_structure(self):
         # <Z2|(PYP)_j Y_i|Z2> = delta_ij for the even source site (L=3)
         L, i = 3, 2
-        psi = neel_state(L).amplitudes
+        psi = neel_state(L)
         y_i = pauli_string("I" * (i - 1) + "Y" + "I" * (L - i))
         for j in range(1, L + 1):
             val = psi.conj() @ pyp_matrix(L, j) @ y_i @ psi
@@ -158,7 +164,7 @@ class TestPYP:
         # protocol estimate == <psi|(PYP)_j|psi> on a generic state
         rng = np.random.default_rng(8)
         amps = rng.normal(size=2**4) + 1j * rng.normal(size=2**4)
-        psi = Statevector(amps / np.linalg.norm(amps))
+        psi = amps / np.linalg.norm(amps)
         for parity in ("even", "odd"):
             rotated = run_circuit(psi, y_basis_rotation(4, parity))
             counts = _exact_counts(rotated)
@@ -167,7 +173,7 @@ class TestPYP:
             assert est.shape == (len(sites),)
             for j, v in zip(sites, est):
                 dense = np.real(
-                    psi.amplitudes.conj() @ pyp_matrix(4, j) @ psi.amplitudes
+                    psi.conj() @ pyp_matrix(4, j) @ psi
                 )
                 assert v == pytest.approx(float(dense), abs=1e-10)
 
@@ -218,11 +224,8 @@ class TestCYBranches:
 
     def test_m_branches_prepare_orthogonal_y_eigenstates(self):
         L, i = 3, 2
-        prep_base = run_circuit(Statevector.zero(L), neel_state_circ(L))
-        states = {}
-        for b in ("M+1", "M-1"):
-            out = run_circuit(prep_base, cy_branch_prep(L, i, b))
-            states[b] = out.amplitudes
+        prep_base = run_circuit(zero_state(L), neel_state_circ(L))
+        states = {b: run_circuit(prep_base, cy_branch_prep(L, i, b)) for b in ("M+1", "M-1")}
         assert abs(np.vdot(states["M+1"], states["M-1"])) < 1e-12
         # verify the produced eigenstates of Y_i match the labels
         y_i = pauli_string("IYI")
@@ -279,14 +282,14 @@ class TestCYAssembly:
         plans = {"step": _NoisePlan(step, spec)}
         plans.update({parity: _NoisePlan(y_basis_rotation(L, parity), spec)
                       for parity in PARITIES})
-        neel = run_circuit(Statevector.zero(L), neel_prep_circuit(L))
+        neel = run_circuit(zero_state(L), neel_prep_circuit(L))
         # terms of each step, (step, source, branch, site)
         planned, gate_by_gate = (np.full((5, L // 2, len(CY_BRANCHES), L), np.nan)
                                  for _ in range(2))
         for si, i in enumerate(range(2, L + 1, 2)):
             for bi, b in enumerate(CY_BRANCHES):
                 psi = run_circuit(neel, cy_branch_prep(L, i, b))
-                row = psi.amplitudes[None].copy()
+                row = psi[None].copy()
                 for n in range(5):
                     if n:
                         psi = run_circuit(psi, step)
@@ -294,7 +297,7 @@ class TestCYAssembly:
                     for parity in PARITIES:
                         cols = [j - 1 for j in parity_sites(L, parity)]
                         rotated = plans[parity].run_batch(row.copy(), [])[0][0]
-                        counts = _exact_counts(Statevector(rotated, check=False))
+                        counts = _exact_counts(rotated)
                         planned[n, si, bi, cols] = pyp_expectation(counts, parity)
                         rotated = run_circuit(psi, y_basis_rotation(L, parity))
                         counts = _exact_counts(rotated)
@@ -365,7 +368,7 @@ def test_oracles_allocate_no_dense_operator():
     # step and the correlator oracle keep their traced peak within a few
     # 2^14 states (cy_oracle carries a two-row stack)
     p = qmbs_params(14)
-    psi = neel_state(14).amplitudes
+    psi = neel_state(14)
     state_bytes = psi.nbytes
     cy_oracle(qmbs_params(3), 1)  # imports and caches outside the traced run
     for run, states in ((lambda: trotter_step(p, psi), 6), (lambda: cy_oracle(p, 2), 12)):

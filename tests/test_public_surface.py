@@ -40,10 +40,7 @@ KEEP = {
 }
 
 # method or property name -> why every public class that defines it has callers
-SHARED = {
-    "width": "Statevector.width (the executor's initial states) and Counts.width "
-             "(readout inversion, estimators) are each read",
-}
+SHARED: dict[str, str] = {}
 
 
 def _public_definitions() -> dict[str, str]:

@@ -12,7 +12,6 @@ from scarsim.qsim import (
     Circuit,
     Counts,
     Gate,
-    Statevector,
     circuit_unitary,
     cnot,
     gate_matrix,
@@ -28,7 +27,7 @@ from scarsim.qsim import (
     s,
     x,
 )
-from oracles import counts_from_dict
+from oracles import basis_state, counts_from_dict, zero_state
 
 
 def _embed(mat: np.ndarray, qubits: tuple[int, ...], width: int) -> np.ndarray:
@@ -102,40 +101,40 @@ class TestGateMatrices:
             np.testing.assert_allclose(prod, np.eye(prod.shape[0]), atol=1e-12)
 
 
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    return run_circuit(state, Circuit(state.width, [gate]))
+def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
+    return run_circuit(state, Circuit(state.size.bit_length() - 1, [gate]))
 
 
-def expectation(state: Statevector, letters: str) -> float:
-    return np.vdot(state.amplitudes, pauli_string(letters) @ state.amplitudes).real
+def expectation(state: np.ndarray, letters: str) -> float:
+    return np.vdot(state, pauli_string(letters) @ state).real
 
 
 class TestApplyGate:
     def test_hadamard_on_zero(self):
-        out = apply_gate(Statevector.zero(1), h(0))
-        np.testing.assert_allclose(out.amplitudes, [1, 1] / np.sqrt(2), atol=1e-12)
+        out = apply_gate(zero_state(1), h(0))
+        np.testing.assert_allclose(out, [1, 1] / np.sqrt(2), atol=1e-12)
 
     def test_rzz_phase_on_00(self):
         # ZZ eigenvalue +1 on |00>: phase exp(-i*theta/2) = exp(-i*1.0)
-        out = apply_gate(Statevector.zero(2), rzz(0, 1, 2.0))
-        np.testing.assert_allclose(out.amplitudes[0], np.exp(-1.0j), atol=1e-12)
-        np.testing.assert_allclose(np.abs(out.amplitudes), [1, 0, 0, 0], atol=1e-12)
+        out = apply_gate(zero_state(2), rzz(0, 1, 2.0))
+        np.testing.assert_allclose(out[0], np.exp(-1.0j), atol=1e-12)
+        np.testing.assert_allclose(np.abs(out), [1, 0, 0, 0], atol=1e-12)
 
     def test_cnot_truth_table(self):
-        out = apply_gate(Statevector.from_bitstring("10"), cnot(0, 1))
-        np.testing.assert_allclose(out.amplitudes, Statevector.from_bitstring("11").amplitudes)
+        out = apply_gate(basis_state("10"), cnot(0, 1))
+        np.testing.assert_allclose(out, basis_state("11"))
 
     def test_out_of_range_qubit(self):
         with pytest.raises(ValueError):
-            apply_gate(Statevector.zero(1), x(4))  # the one-qubit circuit refuses it
+            apply_gate(zero_state(1), x(4))  # the one-qubit circuit refuses it
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(7)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state = Statevector(amps / np.linalg.norm(amps))
+        state = amps / np.linalg.norm(amps)
         for g in [h(0), rzz(1, 2, 0.77), cnot(2, 0), rx(1, -2.2)]:
             state = apply_gate(state, g)
-        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
 @st.composite
@@ -185,26 +184,33 @@ def test_kernel_matches_embedded_matrix(case):
 
 class TestRunCircuit:
     def test_empty_circuit_identity(self):
-        state = Statevector.from_bitstring("011")
+        state = basis_state("011")
         out = run_circuit(state, Circuit(3))
-        np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
+        np.testing.assert_array_equal(out, state)
 
     def test_x_involution(self):
         c = Circuit(5, [x(q) for q in range(5)] * 2)
-        out = run_circuit(Statevector.zero(5), c)
-        np.testing.assert_allclose(out.amplitudes, Statevector.zero(5).amplitudes, atol=1e-12)
+        out = run_circuit(zero_state(5), c)
+        np.testing.assert_allclose(out, zero_state(5), atol=1e-12)
 
     def test_neel_prep(self):
         # X on even sites (1-based) of |00000> prepares |01010>
         c = Circuit(5, [x(q) for q in range(5) if (q + 1) % 2 == 0])
-        out = run_circuit(Statevector.zero(5), c)
-        np.testing.assert_allclose(
-            out.amplitudes, Statevector.from_bitstring("01010").amplitudes
-        )
+        out = run_circuit(zero_state(5), c)
+        np.testing.assert_allclose(out, basis_state("01010"))
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
-            run_circuit(Statevector.zero(2), Circuit(3))
+            run_circuit(zero_state(2), Circuit(3))
+
+    @pytest.mark.parametrize("psi, match", [
+        (np.full(3, 3 ** -0.5), "shape"),
+        (zero_state(2) * (1.0 + 1e-8), "deviates"),
+    ], ids=["length", "norm"])
+    def test_refuses_a_state_it_cannot_run(self, psi, match):
+        # a caller's amplitudes are checked once, on entry
+        with pytest.raises(ValueError, match=match):
+            run_circuit(psi, Circuit(2, [h(0)]))
 
     def test_norm_preserved_long_random_circuit(self):
         # 10^4 gates on 6 qubits stays normalized to 1e-10
@@ -222,8 +228,8 @@ class TestRunCircuit:
             else:
                 q0, q1 = rng.choice(6, size=2, replace=False)
                 gates.append(cnot(int(q0), int(q1)))
-        out = run_circuit(Statevector.zero(6), Circuit(6, gates))
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
+        out = run_circuit(zero_state(6), Circuit(6, gates))
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("width", [2, 3, 4])
     def test_unitarity_oracle(self, width):
@@ -247,14 +253,14 @@ class TestRunCircuit:
 
 class TestExpectation:
     def test_z_on_zero(self):
-        assert expectation(Statevector.zero(1), "Z") == pytest.approx(1.0)
+        assert expectation(zero_state(1), "Z") == pytest.approx(1.0)
 
     def test_x_on_plus(self):
-        plus = apply_gate(Statevector.zero(1), h(0))
+        plus = apply_gate(zero_state(1), h(0))
         assert expectation(plus, "X") == pytest.approx(1.0)
 
     def test_zz_on_01(self):
-        state = Statevector.from_bitstring("01")
+        state = basis_state("01")
         assert expectation(state, "ZZ") == pytest.approx(-1.0)
 
     def test_random_state_against_dense_matrix(self):
@@ -262,11 +268,11 @@ class TestExpectation:
         # letter k on qubit k
         rng = np.random.default_rng(3)
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-        state = Statevector(amps / np.linalg.norm(amps))
+        state = amps / np.linalg.norm(amps)
         for letters in ["XZIY", "IIZI", "YYXX"]:
             gates = [pauli_gate("IXYZ".index(ch), q) for q, ch in enumerate(letters)]
             phi = run_circuit(state, Circuit(4, [g for g in gates if g is not None]))
-            gated = np.vdot(state.amplitudes, phi.amplitudes).real
+            gated = np.vdot(state, phi).real
             assert expectation(state, letters) == pytest.approx(gated, abs=1e-12)
 
 
@@ -304,7 +310,7 @@ class TestSampling:
                                                         rz(q, rng.uniform(0, 3)))]
                        + [cnot(0, 1), rzz(1, 2, 0.7), ry(2, 1.1)])
         counts = run_noisy_counts(circ, noiseless(), 1, seed=0, infinite=True)
-        want = run_circuit(Statevector.zero(3), circ).probabilities()
+        want = np.abs(run_circuit(zero_state(3), circ)) ** 2
         np.testing.assert_allclose(counts.to_vector(), want, atol=1e-15)
 
 
@@ -326,8 +332,8 @@ class TestCounts:
 def test_embedding_acts_on_the_listed_qubit():
     # the dense embedding the kernel test compares with
     flip = _embed(qsim.PAULI_1Q["X"], (1,), 2)
-    out = flip @ Statevector.from_bitstring("10").amplitudes
-    np.testing.assert_array_equal(out, Statevector.from_bitstring("11").amplitudes)
+    out = flip @ basis_state("10")
+    np.testing.assert_array_equal(out, basis_state("11"))
 
 
 class TestPauliBasis:
@@ -346,6 +352,6 @@ class TestPauliBasis:
 
 class TestIdleIntervals:
     def test_delay_is_identity_in_noiseless_run(self):
-        state = apply_gate(Statevector.zero(1), h(0))
+        state = apply_gate(zero_state(1), h(0))
         out = apply_gate(state, qsim.delay(0, 500.0))
-        np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
+        np.testing.assert_array_equal(out, state)

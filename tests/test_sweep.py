@@ -29,7 +29,6 @@ from scarsim.observables import (
 )
 from scarsim.qsim import (
     Circuit,
-    Statevector,
     bit_table,
     circuit_unitary,
     cnot,
@@ -38,6 +37,7 @@ from scarsim.qsim import (
     run_circuit,
     rzz,
 )
+from oracles import zero_state
 
 
 def noiseless_config(**kw) -> ExperimentConfig:
@@ -65,7 +65,7 @@ def record_counts(monkeypatch) -> dict:
 def resimulated_counts(circuit: Circuit, cfg: ExperimentConfig, key) -> np.ndarray:
     """The whole prefix run from |0...0> and sampled as the sweep samples
     one noiseless trajectory: from the variant key + [4]."""
-    p = run_circuit(Statevector.zero(circuit.width), circuit).probabilities()
+    p = np.abs(run_circuit(zero_state(circuit.width), circuit)) ** 2
     if cfg.infinite_shots:
         return p * cfg.shots
     return np.random.default_rng(list(key) + [4]).multinomial(cfg.shots, p / p.sum())

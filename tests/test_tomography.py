@@ -17,7 +17,6 @@ from scarsim.noise import (
 from scarsim.qsim import (
     PAULI_1Q,
     Circuit,
-    Statevector,
     cnot,
     gate_matrix,
     h,
@@ -288,7 +287,7 @@ class TestSpamFreeError:
         assert "lambda=1" in text
 
 
-def _entangled_states(rng, n: int) -> list[Statevector]:
+def _entangled_states(rng, n: int) -> list[np.ndarray]:
     """``n`` random 2-qubit pure states, none a product state (the
     reduced state of qubit 0 is mixed), so none is in the tomography
     set."""
@@ -298,7 +297,7 @@ def _entangled_states(rng, n: int) -> list[Statevector]:
         amps /= np.linalg.norm(amps)
         m = amps.reshape(2, 2)
         if np.trace(np.linalg.matrix_power(m @ m.conj().T, 2)).real < 0.99:
-            states.append(Statevector(amps))
+            states.append(amps)
     return states
 
 
@@ -321,7 +320,7 @@ def test_compiled_realizations_match_the_density_oracle(impl, spec, theta):
     for sign, ptm in ((1.0, fwd), (-1.0, inv)):
         circuit = Circuit(2, model.bond_gates(0, 1, sign * theta, impl))
         for init in _entangled_states(rng, 3):
-            rho = np.outer(init.amplitudes, init.amplitudes.conj())
+            rho = np.outer(init, init.conj())
             coords = ptm @ [np.trace(p @ rho).real for p in paulis]
             got = sum(c * p for c, p in zip(coords, paulis)) / 4
             want = run_noisy_density(circuit, spec, initial=init)
